@@ -123,25 +123,6 @@ func BenchmarkMechanismRun(b *testing.B) {
 	}
 }
 
-// BenchmarkMechanismRunNaive is the pre-engine per-agent re-solve kept
-// for differential testing — the baseline the O(m) engine is measured
-// against.
-func BenchmarkMechanismRunNaive(b *testing.B) {
-	for _, m := range []int{4, 16, 64, 512} {
-		in := benchInstance(dlt.NCPFE, m)
-		mech := core.Mechanism{Network: dlt.NCPFE, Z: in.Z}
-		exec := core.TruthfulExec(in.W)
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mech.RunNaive(in.W, exec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPaymentEngineRunInto is the steady-state hot path: a warm
 // engine writing into a reused Outcome. Allocs/op must report 0.
 func BenchmarkPaymentEngineRunInto(b *testing.B) {

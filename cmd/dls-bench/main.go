@@ -1,7 +1,9 @@
 // Command dls-bench regenerates every experiment in the paper
-// reproduction (E1…E12): the three execution-diagram figures and the
-// empirical checks of every theorem and lemma. See DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for the recorded results.
+// reproduction (E1…E12) and its extensions (X1…): the three
+// execution-diagram figures and the empirical checks of every theorem
+// and lemma. See DESIGN.md §4 for the experiment index and
+// EXPERIMENTS.md for the recorded results. Performance is measured by
+// the layered benchmark under bench/, not here.
 //
 // Usage:
 //
@@ -9,164 +11,96 @@
 //	dls-bench -id E6        # run one experiment
 //	dls-bench -seed 7       # change the reproducibility seed
 //	dls-bench -list         # list experiments
-//	dls-bench -json         # benchmark the payment paths → BENCH_PAYMENTS.json
-//	dls-bench -faults       # benchmark the fault-tolerant transport → BENCH_FAULTS.json
-//	dls-bench -multiload    # benchmark amortized bidding → BENCH_MULTILOAD.json
-//	dls-bench -hotpath      # benchmark the envelope hot path → BENCH_HOTPATH.json
-//	dls-bench -pipeline     # pipelined packing vs FIFO sweep → BENCH_PIPELINE.json
-//	dls-bench -adversary    # Byzantine adversary tiers → BENCH_ADVERSARY.json
-//	dls-bench -trace        # canned faulty multiload run → TRACE.json (chrome://tracing)
-//	dls-bench -trend        # fold every BENCH_*.json into one trajectory report → TREND.json
+//	dls-bench -format csv   # CSV tables instead of text
+//	dls-bench -o out.txt    # write to a file instead of stdout
+//	dls-bench -parallel     # run experiments concurrently
+//
+// A failed experiment or a failed write exits 1; a bad flag value
+// exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	"dlsbl/internal/experiments"
 )
 
+// options are the parsed command-line flags that select and format the
+// experiments.
+type options struct {
+	id       string
+	seed     int64
+	list     bool
+	format   string
+	parallel bool
+}
+
 func main() {
-	id := flag.String("id", "", "run only this experiment (E1…E12, X1…)")
-	seed := flag.Int64("seed", 42, "seed for randomized experiments")
-	list := flag.Bool("list", false, "list experiments and exit")
-	format := flag.String("format", "text", "output format: text or csv")
+	var opts options
+	flag.StringVar(&opts.id, "id", "", "run only this experiment (E1…E12, X1…)")
+	flag.Int64Var(&opts.seed, "seed", 42, "seed for randomized experiments")
+	flag.BoolVar(&opts.list, "list", false, "list experiments and exit")
+	flag.StringVar(&opts.format, "format", "text", "output format: text or csv")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
-	parallel := flag.Bool("parallel", false, "run experiments concurrently (results still print in order)")
-	jsonBench := flag.Bool("json", false, "benchmark the payment paths and write BENCH_PAYMENTS.json (honors -o)")
-	faultsBench := flag.Bool("faults", false, "benchmark the fault-tolerant transport and write BENCH_FAULTS.json (honors -o)")
-	multiloadBench := flag.Bool("multiload", false, "benchmark amortized multi-load bidding and write BENCH_MULTILOAD.json (honors -o)")
-	hotpathBench := flag.Bool("hotpath", false, "benchmark batch verification and the zero-alloc envelope hot path and write BENCH_HOTPATH.json (honors -o)")
-	pipelineBench := flag.Bool("pipeline", false, "benchmark pipelined cross-job packing against the FIFO runner and write BENCH_PIPELINE.json (honors -o)")
-	adversaryBench := flag.Bool("adversary", false, "drive the Byzantine adversary tiers and write BENCH_ADVERSARY.json (honors -o)")
-	traceBench := flag.Bool("trace", false, "run a canned faulty multiload session and write a Chrome trace to TRACE.json (honors -o)")
-	trend := flag.Bool("trend", false, "fold every BENCH_*.json in -trend-dir into one trajectory report, TREND.json (honors -o)")
-	trendDir := flag.String("trend-dir", ".", "directory scanned for BENCH_*.json by -trend")
+	flag.BoolVar(&opts.parallel, "parallel", false, "run experiments concurrently (results still print in order)")
 	flag.Parse()
 
-	if *jsonBench {
-		path := "BENCH_PAYMENTS.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runJSONBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faultsBench {
-		path := "BENCH_FAULTS.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runFaultsBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *multiloadBench {
-		path := "BENCH_MULTILOAD.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runMultiloadBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hotpathBench {
-		path := "BENCH_HOTPATH.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runHotpathBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pipelineBench {
-		path := "BENCH_PIPELINE.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runPipelineBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *adversaryBench {
-		path := "BENCH_ADVERSARY.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runAdversaryBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceBench {
-		path := "TRACE.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runTraceBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *trend {
-		path := "TREND.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runTrend(*trendDir, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "dls-bench: unknown format %q (want text or csv)\n", *format)
+	if opts.format != "text" && opts.format != "csv" {
+		fmt.Fprintf(os.Stderr, "dls-bench: unknown format %q (want text or csv)\n", opts.format)
 		os.Exit(2)
 	}
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
+	if _, ok := experiments.ByID(opts.id); opts.id != "" && !ok {
+		fmt.Fprintf(os.Stderr, "dls-bench: unknown experiment %q (use -list)\n", opts.id)
+		os.Exit(2)
 	}
+	if err := emit(*outPath, opts); err != nil {
+		fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	if *list {
+// emit runs opts with its output going to the file at path, or to stdout
+// when path is empty. A write or close failure is an error: output that
+// never reached its destination must not pass for a successful run.
+func emit(path string, opts options) error {
+	if path == "" {
+		return run(opts, os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := run(opts, f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// run lists the experiments or runs the selected ones, writing each
+// result to w in order. It stops at the first failed experiment or
+// failed write.
+func run(opts options, w io.Writer) error {
+	if opts.list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			if _, err := fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 
-	var toRun []experiments.Experiment
-	if *id != "" {
-		e, ok := experiments.ByID(*id)
+	toRun := experiments.All()
+	if opts.id != "" {
+		e, ok := experiments.ByID(opts.id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dls-bench: unknown experiment %q (use -list)\n", *id)
-			os.Exit(2)
+			return fmt.Errorf("unknown experiment %q (use -list)", opts.id)
 		}
 		toRun = []experiments.Experiment{e}
-	} else {
-		toRun = experiments.All()
 	}
 
 	type slot struct {
@@ -174,31 +108,32 @@ func main() {
 		err error
 	}
 	results := make([]slot, len(toRun))
-	if *parallel {
+	if opts.parallel {
 		var wg sync.WaitGroup
 		for i, e := range toRun {
 			wg.Add(1)
 			go func(i int, e experiments.Experiment) {
 				defer wg.Done()
-				results[i].res, results[i].err = e.Run(*seed)
+				results[i].res, results[i].err = e.Run(opts.seed)
 			}(i, e)
 		}
 		wg.Wait()
 	} else {
 		for i, e := range toRun {
-			results[i].res, results[i].err = e.Run(*seed)
+			results[i].res, results[i].err = e.Run(opts.seed)
 		}
 	}
 	for i, e := range toRun {
 		if results[i].err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %s failed: %v\n", e.ID, results[i].err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", e.ID, results[i].err)
 		}
-		switch *format {
-		case "csv":
-			fmt.Fprintln(out, results[i].res.CSV())
-		default:
-			fmt.Fprintln(out, results[i].res.String())
+		text := results[i].res.String()
+		if opts.format == "csv" {
+			text = results[i].res.CSV()
+		}
+		if _, err := fmt.Fprintln(w, text); err != nil {
+			return err
 		}
 	}
+	return nil
 }

@@ -23,7 +23,7 @@ import (
 // to the single-round engine verbatim, so the degenerate case is
 // bit-identical to the paper's mechanism — the telescoping anchor the
 // pipelined protocol's parity tests rely on. The per-agent marginals here
-// are O(m) solver calls (the naive structure of RunNaive); pipelined
+// are O(m) solver calls (the naive per-agent re-solve); pipelined
 // rounds are not a payment hot path.
 
 // RunRounds executes the mechanism for a load served in `rounds`

@@ -12,8 +12,8 @@ import (
 
 // This file implements the O(m) payment engine for DLS-BL.
 //
-// The naive payment computation (RunNaive, kept for differential testing)
-// re-solves the DLT recursion from scratch for every agent: the bonus
+// The naive payment computation (kept in the tests as the differential
+// oracle) re-solves the DLT recursion from scratch for every agent: the bonus
 // term B_i = T(α(b_{-i}), b_{-i}) − T(α(b), (b_{-i}, w̃_i)) needs the
 // optimal makespan of the system WITHOUT agent i and the realized
 // makespan with agent i's speed substituted, and doing each from scratch
@@ -134,7 +134,7 @@ func (e *PaymentEngine) Run(bids, exec []float64, rule PaymentRule) (*Outcome, e
 // values, writing every payment component into out (whose slices are
 // resized in place and reused). It is the allocation-free hot path behind
 // Mechanism.Run; semantics are identical to the naive O(m²) computation
-// (see RunNaive) up to floating-point rounding in MakespanWithout.
+// up to floating-point rounding in MakespanWithout.
 func (e *PaymentEngine) RunInto(bids, exec []float64, rule PaymentRule, out *Outcome) error {
 	m := len(bids)
 	if m < 2 {

@@ -24,7 +24,8 @@ import (
 // packing cannot beat FIFO (speedup pinned ≈ 1). Splitting into
 // installments under the balanced split frees that bottleneck, and the
 // speedup at depth D ≥ 4 clears 1.3× on the default m=16 pool — the
-// figure BENCH_PIPELINE.json records.
+// figure TestPackOverlapsJobs and TestPackLiveProtocolSpeedup (in
+// internal/pipeline) assert.
 //
 // The last row replays the D=4, R=4 cell end to end through the live
 // protocol — a BidSession serving 4 loads as signed installment

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -152,6 +153,47 @@ func TestPackOverlapsJobs(t *testing.T) {
 	}
 	if s := plan.Speedup(); s < 1.3 {
 		t.Errorf("m=%d D=%d packed speedup %.3f, want >= 1.3", m, d, s)
+	}
+}
+
+// TestPackLiveProtocolSpeedup buys the D=4, R=4 cell through the live
+// protocol: four loads on the default m=16 pool served as signed
+// installment sub-rounds off one cached bid, then packed from their
+// realized outcomes. The packed schedule must still clear 1.3× over FIFO.
+func TestPackLiveProtocolSpeedup(t *testing.T) {
+	const m, z, d, r = 16, 0.1, 4, 4
+	rng := rand.New(rand.NewSource(42))
+	w := make([]float64, m)
+	for i := range w {
+		w[i] = 1 + rng.Float64()
+	}
+	sess, err := protocol.NewBidSession(protocol.Config{Network: dlt.NCPFE, Z: z, TrueW: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]Job, d)
+	for j := range jobs {
+		out, err := RunLoad(sess, Load{
+			Job:    protocol.JobConfig{Seed: 42 + int64(j), NBlocks: 8 * m},
+			Rounds: r,
+			Policy: dlt.GeometricRounds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Completed {
+			t.Fatalf("load %d terminated in %s", j+1, out.TerminatedIn)
+		}
+		if jobs[j], err = JobFromOutcome(fmt.Sprintf("live%d", j+1), out, r, dlt.GeometricRounds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := Pack(dlt.NCPFE, z, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := plan.Speedup(); s < 1.3 {
+		t.Errorf("live D=%d R=%d packed speedup %.3f, want >= 1.3", d, r, s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,17 @@ func recordKinds(rec *obs.Recorder, kind string) []obs.Record {
 		}
 	}
 	return out
+}
+
+// assertHonestUnfined requires a zero fine for every processor except
+// the listed deviants: no adversary may get an honest processor fined.
+func assertHonestUnfined(t *testing.T, out *Outcome, deviants ...int) {
+	t.Helper()
+	for i, fine := range out.Fines {
+		if fine != 0 && !slices.Contains(deviants, i) {
+			t.Errorf("honest P%d fined %v", i+1, fine)
+		}
+	}
 }
 
 // TestTargetedFaultPaymentsParity is the satellite-1 property: across
@@ -62,6 +74,7 @@ func TestTargetedFaultPaymentsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertHonestUnfined(t, got, deviant)
 			if len(got.Evictions) > 0 {
 				evictRuns++
 				if !got.Completed {
@@ -129,6 +142,7 @@ func TestCorroboratedEvictionThreshold(t *testing.T) {
 		if !out.Completed {
 			t.Fatalf("survivors did not complete: terminated in %s", out.TerminatedIn)
 		}
+		assertHonestUnfined(t, out)
 		if len(out.Evictions) != 1 || out.Evictions[0].Proc != "P3" {
 			t.Fatalf("evictions = %+v, want exactly P3", out.Evictions)
 		}
@@ -171,6 +185,7 @@ func TestCorroboratedEvictionThreshold(t *testing.T) {
 			t.Fatalf("lone witness must heal by relay, got evictions %+v", out.Evictions)
 		}
 		assertSamePayments(t, out, want)
+		assertHonestUnfined(t, out)
 		if got := len(recordKinds(rec, obs.EvWitnessReport)); got != 1 {
 			t.Errorf("%d witness_report events, want 1", got)
 		}
@@ -191,6 +206,7 @@ func TestCorroboratedEvictionThreshold(t *testing.T) {
 			t.Fatalf("pair partition must heal by relay, got evictions %+v", out.Evictions)
 		}
 		assertSamePayments(t, out, want)
+		assertHonestUnfined(t, out)
 	})
 }
 
@@ -234,11 +250,7 @@ func TestFramingSuite(t *testing.T) {
 			if out.Fines[attacker] <= 0 {
 				t.Errorf("framer P%d not fined: %v", attacker+1, out.Fines[attacker])
 			}
-			for i := range w {
-				if i != attacker && out.Fines[i] != 0 {
-					t.Errorf("honest P%d fined %v", i+1, out.Fines[i])
-				}
-			}
+			assertHonestUnfined(t, out, attacker)
 			convictions := recordKinds(rec, obs.EvFramingConviction)
 			if len(convictions) != 1 {
 				t.Fatalf("%d framing_conviction events, want 1", len(convictions))
@@ -276,6 +288,7 @@ func TestRefereeFailover(t *testing.T) {
 				t.Fatalf("failed-over run terminated in %s", out.TerminatedIn)
 			}
 			assertSamePayments(t, out, want)
+			assertHonestUnfined(t, out)
 			if !reflect.DeepEqual(out.Verdicts, want.Verdicts) {
 				t.Errorf("verdicts diverge:\n standby: %+v\n primary: %+v", out.Verdicts, want.Verdicts)
 			}
@@ -344,6 +357,7 @@ func TestCrashRecoveryWholeLoad(t *testing.T) {
 		out.Evictions[0].Phase != obs.PhaseProcessing {
 		t.Fatalf("evictions = %+v, want P2 in processing", out.Evictions)
 	}
+	assertHonestUnfined(t, out)
 	if !out.Evicted[1] || out.Payments[1] != 0 || out.Utilities[1] != 0 {
 		t.Errorf("crashed P2 still credited: evicted=%v payment=%v utility=%v",
 			out.Evicted[1], out.Payments[1], out.Utilities[1])
@@ -377,6 +391,7 @@ func TestCrashAndFailoverCompose(t *testing.T) {
 	if !out.Completed {
 		t.Fatalf("composite adversary run terminated in %s", out.TerminatedIn)
 	}
+	assertHonestUnfined(t, out)
 	if len(out.Evictions) != 1 || out.Evictions[0].Proc != "P2" {
 		t.Fatalf("evictions = %+v, want exactly P2", out.Evictions)
 	}

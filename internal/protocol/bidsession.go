@@ -134,35 +134,30 @@ func (r *run) reuseBidding(c *bidCache) error {
 
 // checkCachedBids re-verifies every cached envelope against this round's
 // fresh PKI registry and re-checks its binding to the cache — sender,
-// epoch, bid value and the agent's current announced bid. With a memo the
-// batch verification collapses into memo hits for bit-identical envelopes
-// that verified in an earlier round; the payload decodes and the value
-// checks run in full either way.
+// epoch, bid value and the agent's current announced bid. The batch
+// verification collapses into memo hits for bit-identical envelopes that
+// verified in an earlier round; the payload decodes and the value checks
+// run in full.
 func (r *run) checkCachedBids(c *bidCache) error {
-	var memoBefore int
-	if r.ver != nil && r.ver.Memo().Enabled() {
-		memoBefore = r.ver.Stats().MemoHits
-		if errs := r.ver.VerifyEach(c.bidEnvs); errs != nil {
-			for i, err := range errs {
-				if err != nil {
-					return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[i], err)
-				}
-			}
+	memoBefore := r.ver.Stats().MemoHits
+	for i, err := range r.ver.VerifyEach(c.bidEnvs) {
+		if err != nil {
+			return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[i], err)
 		}
-		if r.tracer != nil {
-			st := r.ver.Stats()
+	}
+	if r.tracer != nil {
+		st := r.ver.Stats()
+		r.tracer.Event(obs.Event{
+			Kind:   obs.EvVerifyBatch,
+			Round:  r.roundID,
+			Detail: fmt.Sprintf("%d cached bids, %d memo hits", len(c.bidEnvs), st.MemoHits-memoBefore),
+		})
+		if h := st.MemoHits - memoBefore; h > 0 {
 			r.tracer.Event(obs.Event{
-				Kind:   obs.EvVerifyBatch,
+				Kind:   obs.EvVerifyMemoHit,
 				Round:  r.roundID,
-				Detail: fmt.Sprintf("%d cached bids, %d memo hits", len(c.bidEnvs), st.MemoHits-memoBefore),
+				Detail: fmt.Sprintf("%d verifications skipped", h),
 			})
-			if h := st.MemoHits - memoBefore; h > 0 {
-				r.tracer.Event(obs.Event{
-					Kind:   obs.EvVerifyMemoHit,
-					Round:  r.roundID,
-					Detail: fmt.Sprintf("%d verifications skipped", h),
-				})
-			}
 		}
 	}
 	for i := range c.bidEnvs {
@@ -383,7 +378,7 @@ func (r *run) spliceBidding(c *bidCache, sp spliceOp) (*bidCache, error) {
 	if sp.newIdx >= 0 {
 		a := r.agents[sp.newIdx]
 		changed = a.ID
-		env, err := r.seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
+		env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
 		if err != nil {
 			return nil, err
 		}
@@ -608,12 +603,11 @@ func NewBidSession(cfg Config) (*BidSession, error) {
 		s.base.Keys = sig.NewKeyring()
 	}
 	if s.base.Memo == nil {
-		// Sessions memoize by default: their whole point is reusing the
-		// same envelopes round after round, which is exactly what the
+		// One memo for the session's lifetime: its whole point is reusing
+		// the same envelopes round after round, which is exactly what the
 		// verified-envelope memo collapses into hits. Outcomes are
 		// unaffected (a hit only skips re-verifying a byte-identical,
-		// already-verified envelope); pass sig.DisabledVerifyMemo() to
-		// opt out.
+		// already-verified envelope).
 		s.base.Memo = sig.NewVerifyMemo()
 	}
 	return s, nil
@@ -763,7 +757,6 @@ func (s *BidSession) roundConfig(job JobConfig) Config {
 		Retry:      job.Retry,
 		Keys:       s.base.Keys,
 		Tracer:     job.Tracer,
-		Codec:      s.base.Codec,
 		Memo:       s.base.Memo,
 		Standby:    s.base.Standby,
 		FailoverIn: job.FailoverIn,

@@ -115,7 +115,7 @@ func RunCP(cfg Config) (*Outcome, error) {
 	// Bidding: every processor unicasts its signed bid to P0.
 	bids := make([]float64, m)
 	for i, a := range agents {
-		env, err := sig.Seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid()})
+		env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid()})
 		if err != nil {
 			return nil, err
 		}

@@ -40,7 +40,7 @@ func TestEquivocationSurvivesDedup(t *testing.T) {
 		}
 		keys[id] = k
 	}
-	xp, err := newTransport(net, reg, RetryPolicy{})
+	xp, err := newTransport(net, sig.NewBatchVerifier(reg, nil), RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestEquivocationSurvivesDedup(t *testing.T) {
 	// P1 signs two different bids and sends both under ONE nonce: the
 	// honest-looking original, then the contradiction dressed up as a
 	// retransmission.
-	first, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2})
+	first, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 3.5})
+	second, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 3.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +147,16 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 	reg, keys, _ := roundTestRig(t)
 	const epoch = "s1:r1"
 
-	bid1, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: epoch})
+	bid1, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bid2, err := sig.Seal(keys["P2"], referee.KindBid, referee.BidPayload{Proc: "P2", Bid: 3, Round: epoch})
+	bid2, err := sig.SealBinary(keys["P2"], referee.KindBid, referee.BidPayload{Proc: "P2", Bid: 3, Round: epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Round j (== the bid epoch): P1's vector is accepted.
-	vecJ, err := sig.Seal(keys["P1"], referee.KindBidVector,
+	vecJ, err := sig.SealBinary(keys["P1"], referee.KindBidVector,
 		referee.BidVectorPayload{Proc: "P1", Bids: []sig.Envelope{bid1, bid2}, Round: epoch})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 	}
 	// A fresh vector over the SAME cached epoch bids, stamped with the
 	// new round, is what an honest submitter sends — and it passes.
-	vecJ1, err := sig.Seal(keys["P1"], referee.KindBidVector,
+	vecJ1, err := sig.SealBinary(keys["P1"], referee.KindBidVector,
 		referee.BidVectorPayload{Proc: "P1", Bids: []sig.Envelope{bid1, bid2}, Round: "s1:r2"})
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +186,11 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 	}
 	// A vector whose INNER bid was signed outside the epoch (a replay of
 	// a superseded bid) also fails, even with a current round stamp.
-	staleBid, err := sig.Seal(keys["P2"], referee.KindBid, referee.BidPayload{Proc: "P2", Bid: 9, Round: "s1:r0"})
+	staleBid, err := sig.SealBinary(keys["P2"], referee.KindBid, referee.BidPayload{Proc: "P2", Bid: 9, Round: "s1:r0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecStale, err := sig.Seal(keys["P1"], referee.KindBidVector,
+	vecStale, err := sig.SealBinary(keys["P1"], referee.KindBidVector,
 		referee.BidVectorPayload{Proc: "P1", Bids: []sig.Envelope{bid1, staleBid}, Round: "s1:r2"})
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +207,12 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payJ, err := sig.Seal(keys["P1"], referee.KindPayment,
+	payJ, err := sig.SealBinary(keys["P1"], referee.KindPayment,
 		referee.PaymentPayload{Proc: "P1", Q: mout.Payment, Round: epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payJ1, err := sig.Seal(keys["P2"], referee.KindPayment,
+	payJ1, err := sig.SealBinary(keys["P2"], referee.KindPayment,
 		referee.PaymentPayload{Proc: "P2", Q: mout.Payment, Round: "s1:r2"})
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +240,11 @@ func TestEquivocatedRebidStillConvicts(t *testing.T) {
 	// Referee-level: current-epoch contradictory pair convicts the signer.
 	_, keys, ref := roundTestRig(t)
 	ref.BindRounds("s1:r5", "s1:r5")
-	a, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: "s1:r5"})
+	a, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: "s1:r5"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 4, Round: "s1:r5"})
+	b, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 4, Round: "s1:r5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +296,11 @@ func TestEquivocatedRebidStillConvicts(t *testing.T) {
 // paper's penalty for unsubstantiated claims.
 func TestCrossEpochEvidenceIsUnfounded(t *testing.T) {
 	_, keys, ref := roundTestRig(t)
-	oldBid, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: "s1:r1"})
+	oldBid, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: "s1:r1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newBid, err := sig.Seal(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2.5, Round: "s1:r4"})
+	newBid, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2.5, Round: "s1:r4"})
 	if err != nil {
 		t.Fatal(err)
 	}

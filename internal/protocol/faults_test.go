@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/rand"
 	"os"
 	"strconv"
 	"testing"
@@ -41,6 +42,26 @@ func assertSamePayments(t *testing.T, got, want *Outcome) {
 	}
 	if got.UserCost != want.UserCost {
 		t.Errorf("user cost %v under faults, %v fault-free", got.UserCost, want.UserCost)
+	}
+}
+
+// TestReliableBaselineNoRetransmits: on the paper's reliable bus (no
+// fault plan) the transport machinery must stay idle — the round
+// completes with no retransmission, timeout, discard or eviction.
+func TestReliableBaselineNoRetransmits(t *testing.T) {
+	for _, m := range []int{4, 16} {
+		in := dlt.DefaultRandomInstance(rand.New(rand.NewSource(42+int64(m))), dlt.NCPFE, m)
+		out, err := Run(Config{Network: dlt.NCPFE, Z: in.Z, TrueW: in.W, Seed: 42, NBlocks: 8 * m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Completed {
+			t.Fatalf("m=%d: reliable run terminated in %s", m, out.TerminatedIn)
+		}
+		if out.Fault != (FaultStats{}) || len(out.Evictions) != 0 {
+			t.Errorf("m=%d: reliable run used the fault machinery: %+v, evictions %+v",
+				m, out.Fault, out.Evictions)
+		}
 	}
 }
 

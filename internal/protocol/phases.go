@@ -38,7 +38,7 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 	firstEnvs = make([]sig.Envelope, r.m)
 	primaryNonces = make([]uint64, r.m)
 	for i, a := range r.agents {
-		env, err := r.seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
+		env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -51,7 +51,7 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 		msgs = append(msgs, logical{sender: i, env: env, nonce: nonce, primary: true})
 		if second, ok := a.SecondBid(); ok {
 			// Equivocators broadcast a second, contradictory bid.
-			env2, err := r.seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: second, Round: r.roundID})
+			env2, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: second, Round: r.roundID})
 			if err != nil {
 				return nil, nil, nil, nil, err
 			}
@@ -284,7 +284,7 @@ func (r *run) healMissingBids(received [][]bus.Message, missing [][]int, primary
 			continue
 		}
 		w, a := r.agents[rep.witness], r.agents[rep.accused]
-		env, err := r.seal(w.Key, referee.KindWitnessReport,
+		env, err := sig.SealBinary(w.Key, referee.KindWitnessReport,
 			referee.WitnessReportPayload{Witness: w.ID, Accused: a.ID, Round: r.roundID})
 		if err != nil {
 			return nil, nil, err
@@ -632,13 +632,13 @@ func (r *run) signedBidVector(i int) (sig.Envelope, error) {
 		// The forger stamps its own current bid epoch (per-processor after
 		// a splice) — an off-epoch entry would be rejected outright; this
 		// way the fresh signature itself is what convicts (Lemma 5.2).
-		forged, err := r.seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.TamperedOwnBid(), Round: r.epochOf(i)})
+		forged, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.TamperedOwnBid(), Round: r.epochOf(i)})
 		if err != nil {
 			return sig.Envelope{}, err
 		}
 		envs[i] = forged
 	}
-	return r.seal(a.Key, referee.KindBidVector, referee.BidVectorPayload{Proc: a.ID, Bids: envs, Round: r.roundID})
+	return sig.SealBinary(a.Key, referee.KindBidVector, referee.BidVectorPayload{Proc: a.ID, Bids: envs, Round: r.roundID})
 }
 
 // workDoneAt returns the termination compensations when a claim stops the
@@ -946,7 +946,7 @@ func (r *run) phaseProcessing() error {
 
 	// Referee broadcasts the meter vector; every processor must end up
 	// holding a verified copy (the payment computation depends on it).
-	env, err := r.seal(r.refKey, referee.KindMeters, referee.MetersPayload{Phi: phi})
+	env, err := sig.SealBinary(r.refKey, referee.KindMeters, referee.MetersPayload{Phi: phi})
 	if err != nil {
 		return err
 	}
@@ -1008,7 +1008,7 @@ func (r *run) phasePayments() error {
 	subs := make(map[string][]sig.Envelope, r.m)
 	for i, a := range r.agents {
 		q := a.PaymentVector(out.Payment, i)
-		env, err := r.seal(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID})
+		env, err := sig.SealBinary(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID})
 		if err != nil {
 			return err
 		}
@@ -1022,7 +1022,7 @@ func (r *run) phasePayments() error {
 		if a.Behavior.EquivocatePayments {
 			q2 := append([]float64(nil), q...)
 			q2[i] += 1
-			env2, err := r.seal(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID})
+			env2, err := sig.SealBinary(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID})
 			if err != nil {
 				return err
 			}

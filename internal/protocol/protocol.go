@@ -88,15 +88,6 @@ type Config struct {
 	// and audit transcripts are bit-identical with tracing on or off
 	// (TestTracerNilParity).
 	Tracer obs.Tracer
-	// Codec selects the envelope payload encoding for the hot phase
-	// payloads the run seals (bids, bid vectors, payments, meters). The
-	// zero value is CodecJSON — the legacy wire format. CodecBinary uses
-	// the deterministic length-prefixed encoding (sig.BinaryAppender),
-	// which skips encoding/json on the hot path; both encodings are
-	// self-describing on the wire, so receivers need no configuration and
-	// mixed traffic decodes fine. Payments, verdicts and transcripts are
-	// bit-identical under either codec (TestHotPathParity).
-	Codec sig.Codec
 	// Medium, when non-nil, carries the run's control-plane traffic
 	// instead of a freshly built simulated bus: every signed envelope
 	// (bids, bid vectors, meters, payments) travels through it, with the
@@ -118,14 +109,14 @@ type Config struct {
 	// LoadFrac=1, where every scaling multiplication is by the float
 	// constant 1 and therefore bit-identical to the unscaled path).
 	LoadFrac float64
-	// Memo, when non-nil, routes every envelope verification in the run
-	// (transport arrivals, cached bids, referee re-opens) through a
-	// sig.BatchVerifier consulting this verified-envelope memo. A memo hit
-	// is possible only for a byte-identical envelope that already verified
+	// Memo is the verified-envelope memo behind every envelope
+	// verification in the run (transport arrivals, cached bids, referee
+	// re-opens), all routed through one sig.BatchVerifier. A memo hit is
+	// possible only for a byte-identical envelope that already verified
 	// against the same registered key, so adjudications are unchanged —
 	// the memo is what lets a BidSession's reuse rounds skip re-verifying
 	// bit-identical cached envelopes. Share one memo across the rounds of
-	// a session or pool; nil keeps the legacy per-envelope verification.
+	// a session or pool; nil gives the run a fresh memo of its own.
 	Memo *sig.VerifyMemo
 	// Standby arms a standby referee: a replica endpoint
 	// (referee.StandbyAccount) attaches to the bus, the primary referee
@@ -174,9 +165,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Retry.validate(); err != nil {
 		return err
-	}
-	if c.Codec != sig.CodecJSON && c.Codec != sig.CodecBinary {
-		return fmt.Errorf("protocol: unknown payload codec %d", c.Codec)
 	}
 	if c.LoadFrac != 0 && (!(c.LoadFrac > 0) || c.LoadFrac > 1) {
 		return fmt.Errorf("protocol: load fraction %v outside (0,1]", c.LoadFrac)
@@ -361,8 +349,8 @@ type run struct {
 	// epochs, when non-nil, holds the per-participant bid epoch in force
 	// (spliced caches mix epochs); nil means bidEpoch applies uniformly.
 	epochs []string
-	// ver is the run's batch verifier (non-nil iff cfg.Memo is set); the
-	// transport and the referee route verification through it.
+	// ver is the run's batch verifier over cfg.Memo; the transport and
+	// the referee route verification through it.
 	ver *sig.BatchVerifier
 	// tracer is cfg.Tracer, threaded here (and into the bus and the
 	// transport) so phases can emit protocol-level events; nil when
@@ -378,18 +366,10 @@ func (r *run) epochOf(i int) string {
 	return r.bidEpoch
 }
 
-// seal signs v under the run's configured payload codec.
-func (r *run) seal(k *sig.KeyPair, kind string, v any) (sig.Envelope, error) {
-	return sig.SealCodec(k, kind, v, r.cfg.Codec)
-}
-
-// open verifies an envelope (through the batch verifier when the run has
-// one) and decodes its payload.
+// open verifies an envelope through the run's batch verifier and
+// decodes its payload.
 func (r *run) open(env *sig.Envelope, v any) error {
-	if r.ver != nil {
-		return r.ver.Open(env, v)
-	}
-	return env.Open(r.reg, v)
+	return r.ver.Open(env, v)
 }
 
 // roundBinding names the session round a protocol execution belongs to.
@@ -672,15 +652,13 @@ func setup(cfg Config) (*run, error) {
 	} else if r.net, err = bus.NewFaulty(cfg.Z, cfg.Faults); err != nil {
 		return nil, err
 	}
-	if r.xp, err = newTransport(r.net, r.reg, cfg.Retry); err != nil {
+	// One batch verifier per run (it is not concurrency-safe). A caller's
+	// memo outlives the run — that is what makes reuse rounds'
+	// verifications collapse into memo hits; a nil one becomes a fresh
+	// memo for this run alone.
+	r.ver = sig.NewBatchVerifier(r.reg, cfg.Memo)
+	if r.xp, err = newTransport(r.net, r.ver, cfg.Retry); err != nil {
 		return nil, err
-	}
-	if cfg.Memo != nil {
-		// One batch verifier per run (it is not concurrency-safe), but the
-		// memo it consults is the caller's and outlives the run — that is
-		// what makes reuse rounds' verifications collapse into memo hits.
-		r.ver = sig.NewBatchVerifier(r.reg, cfg.Memo)
-		r.xp.ver = r.ver
 	}
 	endpoints := append(append([]string(nil), r.procs...), referee.Account)
 	if cfg.Standby {
@@ -884,7 +862,7 @@ func (r *run) armStandby() error {
 		return nil
 	}
 	return r.ref.AttachStandby(func(p referee.AuditReplicaPayload) error {
-		env, err := r.seal(r.refKey, referee.KindAuditReplica, p)
+		env, err := sig.Seal(r.refKey, referee.KindAuditReplica, p)
 		if err != nil {
 			return err
 		}

@@ -121,7 +121,6 @@ type rxBuf struct {
 // machinery here is identical over both.
 type transport struct {
 	net    bus.Medium
-	reg    *sig.Registry
 	policy RetryPolicy
 	rx     map[string]*rxBuf
 	stats  FaultStats
@@ -131,19 +130,9 @@ type transport struct {
 	// tracer receives transport-level events (dedup hits, corrupt
 	// discards, retransmits, timeouts); nil when tracing is off.
 	tracer obs.Tracer
-	// ver, when non-nil, routes arrival verification through the run's
-	// memoized batch verifier (see Config.Memo); nil keeps plain
-	// per-envelope verification.
+	// ver is the run's memoized batch verifier (see Config.Memo); every
+	// arrival verifies through it.
 	ver *sig.BatchVerifier
-}
-
-// verify checks one arriving envelope, through the batch verifier when
-// the run has one.
-func (t *transport) verify(e *sig.Envelope) error {
-	if t.ver != nil {
-		return t.ver.Verify(e)
-	}
-	return e.Verify(t.reg)
 }
 
 // event emits one transport event when tracing is on.
@@ -153,13 +142,13 @@ func (t *transport) event(e obs.Event) {
 	}
 }
 
-func newTransport(net bus.Medium, reg *sig.Registry, policy RetryPolicy) (*transport, error) {
+func newTransport(net bus.Medium, ver *sig.BatchVerifier, policy RetryPolicy) (*transport, error) {
 	if err := policy.validate(); err != nil {
 		return nil, err
 	}
 	return &transport{
 		net:    net,
-		reg:    reg,
+		ver:    ver,
 		policy: policy.withDefaults(),
 		rx:     make(map[string]*rxBuf),
 	}, nil
@@ -198,7 +187,7 @@ func (t *transport) pull(id string) error {
 	b := t.buf(id)
 	for i := range msgs {
 		m := msgs[i]
-		if t.verify(&msgs[i].Env) != nil {
+		if t.ver.Verify(&msgs[i].Env) != nil {
 			t.stats.CorruptDiscards++
 			t.event(obs.Event{Kind: obs.EvCorruptDiscard, From: m.From, To: id, Msg: m.Kind})
 			continue

@@ -9,11 +9,12 @@ import (
 	"dlsbl/internal/sig"
 )
 
-// FuzzPayloadCodec differentially fuzzes the binary codec against the
-// JSON codec: for arbitrary payload fields, both encodings must decode
-// back to the same value (bit-exact floats included), and arbitrary bytes
-// fed to the binary decoder must error or decode — never panic, never
-// round-trip to different bytes.
+// FuzzPayloadCodec differentially fuzzes the binary codec against
+// encoding/json, which survives here only as an oracle (envelopes of
+// these types never carry JSON): for arbitrary payload fields, both
+// encodings must decode back to the same value (bit-exact floats
+// included), and arbitrary bytes fed to the binary decoder must error or
+// decode — never panic, never round-trip to different bytes.
 func FuzzPayloadCodec(f *testing.F) {
 	f.Add("P1", 1.5, "s01:r3", []byte(nil))
 	f.Add("", 0.0, "", []byte{0xD1, 1, 'b'})

@@ -2,6 +2,7 @@ package referee
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -77,10 +78,9 @@ func payloadEqual(a, b any) bool {
 	return string(ja) == string(jb)
 }
 
-// TestBinaryCodecSelfDescribing checks mixed-codec interop end to end: a
-// binary-sealed envelope opens into the payload struct with no codec
-// configuration on the receiving side, and a JSON-sealed one still does.
-func TestBinaryCodecSelfDescribing(t *testing.T) {
+// signer returns P1's keypair and a registry holding it.
+func signer(t *testing.T) (*sig.KeyPair, *sig.Registry) {
+	t.Helper()
 	k, err := sig.GenerateKeyPair("P1", sig.DeterministicSource(1))
 	if err != nil {
 		t.Fatal(err)
@@ -89,19 +89,108 @@ func TestBinaryCodecSelfDescribing(t *testing.T) {
 	if err := reg.Register("P1", k.Public); err != nil {
 		t.Fatal(err)
 	}
-	want := BidPayload{Proc: "P1", Bid: 2.25, Round: "s9:r1"}
-	for _, codec := range []sig.Codec{sig.CodecJSON, sig.CodecBinary} {
-		env, err := sig.SealCodec(k, KindBid, want, codec)
+	return k, reg
+}
+
+// binaryPayloadCase is one payload type with a binary codec: its message
+// kind and a representative value.
+type binaryPayloadCase struct {
+	kind string
+	want sig.BinaryAppender
+}
+
+// binaryPayloadCases returns one value of each of the five payload types
+// with a binary codec; the bid vector carries a bid sealed by k.
+func binaryPayloadCases(t *testing.T, k *sig.KeyPair) []binaryPayloadCase {
+	t.Helper()
+	bid, err := sig.SealBinary(k, KindBid, BidPayload{Proc: "P1", Bid: 2.25, Round: "s9:r1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []binaryPayloadCase{
+		{KindBid, BidPayload{Proc: "P1", Bid: 2.25, Round: "s9:r1"}},
+		{KindBidVector, BidVectorPayload{Proc: "P1", Bids: []sig.Envelope{bid}, Round: "s9:r1"}},
+		{KindPayment, PaymentPayload{Proc: "P1", Q: []float64{0.5, -0.25}, Round: "s9:r1"}},
+		{KindMeters, MetersPayload{Phi: []float64{1.5, 2.75}}},
+		{KindWitnessReport, WitnessReportPayload{Witness: "P1", Accused: "P2", Round: "s9:r1"}},
+	}
+}
+
+// TestBinaryCodecSelfDescribing checks that a binary payload names its
+// own type: each binary-sealed payload opens through Envelope.Open with
+// no codec configuration on the receiving side, and the type tag in its
+// header makes every other payload type refuse it.
+func TestBinaryCodecSelfDescribing(t *testing.T) {
+	k, reg := signer(t)
+	cases := binaryPayloadCases(t, k)
+	for _, tc := range cases {
+		env, err := sig.SealBinary(k, tc.kind, tc.want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got BidPayload
-		if err := env.Open(reg, &got); err != nil {
-			t.Fatalf("%v: %v", codec, err)
+		for _, into := range cases {
+			got := reflect.New(reflect.TypeOf(into.want))
+			err := env.Open(reg, got.Interface())
+			if into.kind != tc.kind {
+				if !errors.Is(err, sig.ErrBinaryPayload) {
+					t.Errorf("%s payload opened as %s: err = %v, want ErrBinaryPayload", tc.kind, into.kind, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: open: %v", tc.kind, err)
+			} else if v := got.Elem().Interface(); !payloadEqual(v, tc.want) {
+				t.Errorf("%s: got %+v, want %+v", tc.kind, v, tc.want)
+			}
 		}
-		if got != want {
-			t.Errorf("%v: got %+v, want %+v", codec, got, want)
-		}
+	}
+}
+
+// TestPayloadDecodingFailsClosed: every payload type with a binary codec
+// opens from its binary encoding and from nothing else. A JSON encoding
+// of the same value, correctly signed by a registered key, must still be
+// rejected by Envelope.Open and by a BatchVerifier — and rejected at
+// decoding, after the signature checked out.
+func TestPayloadDecodingFailsClosed(t *testing.T) {
+	k, reg := signer(t)
+	for _, tc := range binaryPayloadCases(t, k) {
+		t.Run(tc.kind, func(t *testing.T) {
+			// fresh returns a pointer to a new zero value of the case's type.
+			fresh := func() any { return reflect.New(reflect.TypeOf(tc.want)).Interface() }
+			opens := []struct {
+				name string
+				open func(env sig.Envelope, v any) error
+			}{
+				{"Envelope.Open", func(env sig.Envelope, v any) error { return env.Open(reg, v) }},
+				{"BatchVerifier.Open", func(env sig.Envelope, v any) error {
+					return sig.NewBatchVerifier(reg, nil).Open(&env, v)
+				}},
+			}
+
+			bin, err := sig.SealBinary(k, tc.kind, tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := sig.Seal(k, tc.kind, tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := js.Verify(reg); err != nil {
+				t.Fatalf("JSON envelope is not correctly signed: %v", err)
+			}
+			for _, o := range opens {
+				got := fresh()
+				if err := o.open(bin, got); err != nil {
+					t.Fatalf("%s of the binary encoding: %v", o.name, err)
+				}
+				if v := reflect.ValueOf(got).Elem().Interface(); !payloadEqual(v, tc.want) {
+					t.Errorf("%s: got %+v, want %+v", o.name, v, tc.want)
+				}
+				if err := o.open(js, fresh()); !errors.Is(err, sig.ErrBinaryPayload) {
+					t.Errorf("%s of a signed JSON encoding: err = %v, want ErrBinaryPayload", o.name, err)
+				}
+			}
+		})
 	}
 }
 

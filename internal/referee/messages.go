@@ -85,10 +85,10 @@ type WitnessReportPayload struct {
 // ---- Binary hot-path codec -------------------------------------------------
 //
 // Each hot phase payload implements sig.BinaryAppender/BinaryDecoder: a
-// deterministic length-prefixed encoding behind a per-type tag byte, so
-// sig.SealCodec(..., sig.CodecBinary) skips encoding/json on the round's
-// hot path while JSON envelopes stay decodable (the codecs are
-// self-describing — see sig.Codec).
+// deterministic length-prefixed encoding behind a per-type tag byte. The
+// protocol seals these payloads with sig.SealBinary, and they open only
+// from that encoding — a JSON-encoded bid, bid vector, payment, meter
+// reading or witness report is rejected even when correctly signed.
 
 // Binary payload type tags.
 const (

@@ -16,7 +16,7 @@ import (
 
 func (f *fixture) paymentAt(t *testing.T, proc, round string, q []float64) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[proc], KindPayment, PaymentPayload{Proc: proc, Q: q, Round: round})
+	env, err := sig.SealBinary(f.keys[proc], KindPayment, PaymentPayload{Proc: proc, Q: q, Round: round})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func (f *fixture) paymentAt(t *testing.T, proc, round string, q []float64) sig.E
 
 func (f *fixture) bidAt(t *testing.T, proc, round string, bid float64) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[proc], KindBid, BidPayload{Proc: proc, Bid: bid, Round: round})
+	env, err := sig.SealBinary(f.keys[proc], KindBid, BidPayload{Proc: proc, Bid: bid, Round: round})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func procName(i int) string { return "P" + string(rune('1'+i)) }
 
 func (f *fixture) signedBid(t *testing.T, proc string, bid float64) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[proc], KindBid, BidPayload{Proc: proc, Bid: bid})
+	env, err := sig.SealBinary(f.keys[proc], KindBid, BidPayload{Proc: proc, Bid: bid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func (f *fixture) signedBid(t *testing.T, proc string, bid float64) sig.Envelope
 
 func (f *fixture) signedVector(t *testing.T, proc string, bids []sig.Envelope) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[proc], KindBidVector, BidVectorPayload{Proc: proc, Bids: bids})
+	env, err := sig.SealBinary(f.keys[proc], KindBidVector, BidVectorPayload{Proc: proc, Bids: bids})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestJudgeEquivocationUnknownParties(t *testing.T) {
 	if err := f.reg.Register(outsider.ID, outsider.Public); err != nil {
 		t.Fatal(err)
 	}
-	oa, _ := sig.Seal(outsider, KindBid, BidPayload{Proc: "outsider", Bid: 1})
-	ob, _ := sig.Seal(outsider, KindBid, BidPayload{Proc: "outsider", Bid: 2})
+	oa, _ := sig.SealBinary(outsider, KindBid, BidPayload{Proc: "outsider", Bid: 1})
+	ob, _ := sig.SealBinary(outsider, KindBid, BidPayload{Proc: "outsider", Bid: 2})
 	if _, err := f.ref.JudgeEquivocation("P1", oa, ob); err == nil {
 		t.Error("non-participant equivocation accepted")
 	}
@@ -226,7 +226,7 @@ func TestVerifyBidVector(t *testing.T) {
 	}
 
 	// Vector claiming to be from someone else.
-	imposter, err := sig.Seal(f.keys["P2"], KindBidVector, BidVectorPayload{Proc: "P1", Bids: f.bidEnvelopes(t, bids)})
+	imposter, err := sig.SealBinary(f.keys["P2"], KindBidVector, BidVectorPayload{Proc: "P1", Bids: f.bidEnvelopes(t, bids)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestVerifyBidVector(t *testing.T) {
 
 	// Non-positive bid inside a correctly signed envelope.
 	zeroBids := f.bidEnvelopes(t, []float64{1, 2, 3})
-	z, err := sig.Seal(f.keys["P2"], KindBid, BidPayload{Proc: "P2", Bid: 0})
+	z, err := sig.SealBinary(f.keys["P2"], KindBid, BidPayload{Proc: "P2", Bid: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestMeters(t *testing.T) {
 
 func (f *fixture) paymentSubmission(t *testing.T, proc string, q []float64) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[proc], KindPayment, PaymentPayload{Proc: proc, Q: q})
+	env, err := sig.SealBinary(f.keys[proc], KindPayment, PaymentPayload{Proc: proc, Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestJudgePaymentsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// P2's vector has the wrong length; P3 signs a vector naming P1.
-	imposter, err := sig.Seal(f.keys["P3"], KindPayment, PaymentPayload{Proc: "P1", Q: out.Payment})
+	imposter, err := sig.SealBinary(f.keys["P3"], KindPayment, PaymentPayload{Proc: "P1", Q: out.Payment})
 	if err != nil {
 		t.Fatal(err)
 	}

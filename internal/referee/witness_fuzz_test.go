@@ -10,8 +10,9 @@ import (
 // FuzzWitnessReport hammers the WitnessReportPayload codec with hostile
 // bytes — the witness report is the one message an adversary crafts to
 // get a rival evicted, so its decoder must be total (no panics), its
-// canonical encoding must be a fixpoint, and the binary and JSON codecs
-// must agree on every representable payload.
+// canonical encoding must be a fixpoint, and the binary codec must agree
+// with encoding/json — kept here only as a differential oracle — on
+// every representable payload.
 func FuzzWitnessReport(f *testing.F) {
 	// A valid encoding: header (magic, version, tag 'w'), then the three
 	// uvarint-length-prefixed strings Witness="P1", Accused="P2", Round="".

@@ -9,7 +9,7 @@ import (
 
 func (f *fixture) witnessReport(t *testing.T, witness, accused, round string) sig.Envelope {
 	t.Helper()
-	env, err := sig.Seal(f.keys[witness], KindWitnessReport,
+	env, err := sig.SealBinary(f.keys[witness], KindWitnessReport,
 		WitnessReportPayload{Witness: witness, Accused: accused, Round: round})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestJudgeWitnessReportValidation(t *testing.T) {
 	ev := WitnessEvidence{Corroborating: 1, Witnesses: 2, Threshold: 2, RelayDelivered: true}
 
 	// Payload names a witness other than the signer.
-	env, err := sig.Seal(f.keys["P1"], KindWitnessReport,
+	env, err := sig.SealBinary(f.keys["P1"], KindWitnessReport,
 		WitnessReportPayload{Witness: "P2", Accused: "P3"})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestJudgeWitnessReportValidation(t *testing.T) {
 	if err := f.reg.Register("X1", outsider.Public); err != nil {
 		t.Fatal(err)
 	}
-	oenv, err := sig.Seal(outsider, KindWitnessReport,
+	oenv, err := sig.SealBinary(outsider, KindWitnessReport,
 		WitnessReportPayload{Witness: "X1", Accused: "P2"})
 	if err != nil {
 		t.Fatal(err)

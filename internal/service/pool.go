@@ -130,13 +130,9 @@ func newPool(spec PoolSpec) (*Pool, error) {
 		Policy:    policy,
 		Keys:      sig.NewKeyring(),
 		Multiload: spec.Multiload,
-		// Warm pools run the hot path: binary payload codec plus a
-		// pool-lifetime verified-envelope memo, so repeat rounds skip both
-		// encoding/json and re-verification of bit-identical envelopes.
-		// Payments and transcripts are bit-identical to the legacy path
-		// (TestHotPathParity).
-		Codec: sig.CodecBinary,
-		Memo:  sig.NewVerifyMemo(),
+		// A pool-lifetime verified-envelope memo: repeat rounds skip
+		// re-verifying bit-identical envelopes.
+		Memo: sig.NewVerifyMemo(),
 	}
 	state, err := sess.NewState()
 	if err != nil {

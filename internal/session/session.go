@@ -106,14 +106,11 @@ type Session struct {
 	// founds the bid session; later rounds must carry the same Z. The
 	// economics are identical either way (see TestBidReuseParityProperty).
 	Multiload bool
-	// Codec selects the envelope payload encoding for every round's hot
-	// phase payloads (see protocol.Config.Codec); the zero value is the
-	// legacy JSON format.
-	Codec sig.Codec
 	// Memo, when non-nil, is the pool's shared verified-envelope memo
 	// (see protocol.Config.Memo). Non-multiload rounds thread it into
-	// each protocol.Run; multiload pools pass it to the BidSession, which
-	// otherwise creates its own.
+	// each protocol.Run, which otherwise gets a fresh memo per round;
+	// multiload pools pass it to the BidSession, which otherwise creates
+	// its own.
 	Memo *sig.VerifyMemo
 	// Standby arms a standby referee for every round (see
 	// protocol.Config.Standby): the primary streams its audit state to a
@@ -242,7 +239,6 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 			Retry:      job.Retry,
 			Keys:       s.Keys,
 			Tracer:     job.Tracer,
-			Codec:      s.Codec,
 			Memo:       s.Memo,
 			Standby:    s.Standby,
 			FailoverIn: job.FailoverIn,
@@ -291,7 +287,6 @@ func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) 
 			TrueW:   s.TrueW,
 			Fine:    s.Fine,
 			Keys:    s.Keys,
-			Codec:   s.Codec,
 			Memo:    s.Memo,
 			Standby: s.Standby,
 		})

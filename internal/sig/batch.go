@@ -41,7 +41,6 @@ type VerifyMemo struct {
 	mu   sync.RWMutex
 	set  map[[sha256.Size]byte]struct{}
 	cap  int
-	off  bool
 	hits atomic.Int64
 	miss atomic.Int64
 }
@@ -50,21 +49,6 @@ type VerifyMemo struct {
 func NewVerifyMemo() *VerifyMemo {
 	return &VerifyMemo{set: make(map[[sha256.Size]byte]struct{}), cap: memoDefaultCap}
 }
-
-// DisabledVerifyMemo returns a memo that never stores or hits — the
-// explicit opt-out for callers (benchmarks, parity tests) that need the
-// unmemoized verification path under an API that requires a memo.
-func DisabledVerifyMemo() *VerifyMemo {
-	return &VerifyMemo{off: true}
-}
-
-// enabled reports whether the memo participates at all.
-func (m *VerifyMemo) enabled() bool { return m != nil && !m.off }
-
-// Enabled reports whether the memo participates in verification — false
-// for nil and for DisabledVerifyMemo. Callers use it to skip batch
-// pre-passes whose only value is warming the memo.
-func (m *VerifyMemo) Enabled() bool { return m.enabled() }
 
 // contains reports whether the digest is memoized, counting the outcome.
 func (m *VerifyMemo) contains(d [sha256.Size]byte) bool {
@@ -101,8 +85,7 @@ type MemoStats struct {
 	Size int
 }
 
-// Stats returns the memo's counters; the zero value for a nil or
-// disabled memo.
+// Stats returns the memo's counters; the zero value for a nil memo.
 func (m *VerifyMemo) Stats() MemoStats {
 	if m == nil {
 		return MemoStats{}
@@ -151,28 +134,24 @@ type BatchVerifier struct {
 	stats BatchStats
 }
 
-// NewBatchVerifier creates a verifier over reg. memo may be nil (no
-// memoization, every envelope fully verifies).
+// NewBatchVerifier creates a verifier over reg that consults memo. A nil
+// memo gets a fresh one private to this verifier.
 func NewBatchVerifier(reg *Registry, memo *VerifyMemo) *BatchVerifier {
+	if memo == nil {
+		memo = NewVerifyMemo()
+	}
 	return &BatchVerifier{reg: reg, memo: memo}
 }
-
-// Memo returns the memo the verifier consults (nil when unmemoized).
-func (b *BatchVerifier) Memo() *VerifyMemo { return b.memo }
 
 // Stats returns the verifier's counters.
 func (b *BatchVerifier) Stats() BatchStats { return b.stats }
 
-// Verify checks one envelope, through the memo when enabled. The
-// envelope is not retained.
+// Verify checks one envelope through the memo. The envelope is not
+// retained.
 func (b *BatchVerifier) Verify(e *Envelope) error {
 	pub, ok := b.reg.lookup(e.Sender)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSender, e.Sender)
-	}
-	if !b.memo.enabled() {
-		b.stats.Verified++
-		return verifyWithKey(pub, e)
 	}
 	d := envelopeDigest(pub, e)
 	if b.memo.contains(d) {
@@ -213,7 +192,6 @@ type batchJob struct {
 	idx    int
 	pub    ed25519.PublicKey
 	digest [sha256.Size]byte
-	memoed bool
 }
 
 // VerifyEach verifies every envelope and returns the per-envelope
@@ -224,7 +202,6 @@ type batchJob struct {
 func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 	errs := make([]error, len(envs))
 	var pending []batchJob
-	memo := b.memo.enabled()
 	// Serial memo pre-pass, deduplicating identical envelopes.
 	firstOf := make(map[[sha256.Size]byte]int)
 	for i := range envs {
@@ -234,22 +211,18 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 			errs[i] = fmt.Errorf("%w: %q", ErrUnknownSender, e.Sender)
 			continue
 		}
-		j := batchJob{idx: i, pub: pub}
-		if memo {
-			j.digest = envelopeDigest(pub, e)
-			j.memoed = true
-			if b.memo.contains(j.digest) {
-				b.stats.MemoHits++
-				continue
-			}
-			if first, dup := firstOf[j.digest]; dup {
-				// Same digest pending earlier in this batch: share its
-				// verdict instead of verifying twice.
-				errs[i] = errDefer{first}
-				continue
-			}
-			firstOf[j.digest] = i
+		j := batchJob{idx: i, pub: pub, digest: envelopeDigest(pub, e)}
+		if b.memo.contains(j.digest) {
+			b.stats.MemoHits++
+			continue
 		}
+		if first, dup := firstOf[j.digest]; dup {
+			// Same digest pending earlier in this batch: share its
+			// verdict instead of verifying twice.
+			errs[i] = errDefer{first}
+			continue
+		}
+		firstOf[j.digest] = i
 		pending = append(pending, j)
 	}
 	if len(pending) > 0 {
@@ -288,9 +261,7 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 		for _, j := range pending {
 			if errs[j.idx] == nil {
 				b.stats.Verified++
-				if j.memoed {
-					b.memo.store(j.digest)
-				}
+				b.memo.store(j.digest)
 			}
 		}
 	}

@@ -87,29 +87,6 @@ func TestVerifyMemoSoundness(t *testing.T) {
 	}
 }
 
-// TestDisabledVerifyMemo checks the explicit opt-out: every Verify fully
-// verifies, nothing is stored, and Enabled reports false (nil memos too).
-func TestDisabledVerifyMemo(t *testing.T) {
-	reg := NewRegistry()
-	_, env := testEnv(t, reg, "P1", 1, `{"proc":"P1","bid":1.5}`)
-	memo := DisabledVerifyMemo()
-	if memo.Enabled() {
-		t.Fatal("DisabledVerifyMemo().Enabled() = true")
-	}
-	if (*VerifyMemo)(nil).Enabled() {
-		t.Fatal("nil memo reports Enabled")
-	}
-	bv := NewBatchVerifier(reg, memo)
-	for i := 0; i < 3; i++ {
-		if err := bv.Verify(&env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := bv.Stats(); st.Verified != 3 || st.MemoHits != 0 {
-		t.Fatalf("stats = %+v, want 3 full verifications and no hits", st)
-	}
-}
-
 // TestVerifyEach exercises the batch path: index-aligned errors for a
 // mixed profile (valid, unknown sender, bad signature), intra-batch
 // duplicate dedup, and memo warm-up across calls.

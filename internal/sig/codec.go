@@ -8,35 +8,9 @@ import (
 	"math"
 )
 
-// Codec selects how envelope payloads are encoded on the wire. JSON is
-// the wire-compatible default and the transcript format; Binary is the
-// deterministic length-prefixed hot-path encoding. The two are
-// self-describing — every binary payload starts with binaryMagic, which
-// can never open a JSON object ('{') — so a receiver decodes either
-// without out-of-band agreement, and mixed-codec deployments interoperate.
-type Codec uint8
-
-const (
-	// CodecJSON marshals payloads with encoding/json (the zero value, so
-	// existing configurations are unchanged).
-	CodecJSON Codec = iota
-	// CodecBinary encodes payloads implementing BinaryPayload with the
-	// deterministic length-prefixed binary codec; other payload types
-	// fall back to JSON.
-	CodecBinary
-)
-
-// String names the codec for telemetry and bench output.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// binaryMagic is the first byte of every binary-encoded payload. JSON
-// payloads are objects or arrays and begin with '{' or '[', so the byte
-// unambiguously selects the decoder.
+// binaryMagic is the first byte of every binary-encoded payload. No JSON
+// document starts with it, so a JSON payload handed to a binary decoder
+// fails the header check instead of decoding as something else.
 const binaryMagic = 0xD1
 
 // binaryVersion is the second byte; bumping it keeps old payloads
@@ -58,28 +32,23 @@ type BinaryDecoder interface {
 	DecodeBinary(src []byte) error
 }
 
-// SealCodec seals v under the requested codec. CodecBinary uses v's
-// BinaryPayload implementation when present and falls back to JSON
-// otherwise, so callers can flip the codec without enumerating payload
-// types.
-func SealCodec(k *KeyPair, kind string, v any, c Codec) (Envelope, error) {
-	if c == CodecBinary {
-		if bp, ok := v.(BinaryAppender); ok {
-			return sealPayload(k, kind, bp.AppendBinary(nil))
-		}
-	}
-	return Seal(k, kind, v)
+// SealBinary encodes v with its deterministic binary codec and signs
+// it. Every payload type that has a binary codec is sealed this way:
+// its decoder accepts only the binary encoding (see Envelope.Open).
+func SealBinary(k *KeyPair, kind string, v BinaryAppender) (Envelope, error) {
+	return sealPayload(k, kind, v.AppendBinary(nil))
 }
 
-// decodePayload routes a verified payload to the matching decoder.
+// decodePayload decodes a verified payload into v. A type with a binary
+// codec decodes only from its binary encoding — a JSON payload, even a
+// correctly signed one, is rejected — and every other type decodes from
+// JSON.
 func decodePayload(kind, sender string, payload []byte, v any) error {
-	if len(payload) > 0 && payload[0] == binaryMagic {
-		if bp, ok := v.(BinaryDecoder); ok {
-			if err := bp.DecodeBinary(payload); err != nil {
-				return fmt.Errorf("sig: decoding binary %s payload from %q: %w", kind, sender, err)
-			}
-			return nil
+	if bp, ok := v.(BinaryDecoder); ok {
+		if err := bp.DecodeBinary(payload); err != nil {
+			return fmt.Errorf("sig: decoding binary %s payload from %q: %w", kind, sender, err)
 		}
+		return nil
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("sig: unmarshaling %s payload from %q: %w", kind, sender, err)

@@ -1,8 +1,10 @@
 package sig
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -50,70 +52,6 @@ func (p *binPayload) DecodeBinary(src []byte) error {
 		p.Env = append(p.Env, e)
 	}
 	return r.Close()
-}
-
-func TestCodecString(t *testing.T) {
-	if got := CodecJSON.String(); got != "json" {
-		t.Errorf("CodecJSON.String() = %q", got)
-	}
-	if got := CodecBinary.String(); got != "binary" {
-		t.Errorf("CodecBinary.String() = %q", got)
-	}
-}
-
-// TestSealCodecRoundTrip seals the same payload under both codecs and
-// opens each without any codec configuration on the receiving side — the
-// encodings are self-describing.
-func TestSealCodecRoundTrip(t *testing.T) {
-	k, reg := testIdentity(t, "P1")
-	want := binPayload{
-		Name: "alpha",
-		Blob: []byte{1, 2, 3},
-		X:    -2.5,
-		Xs:   []float64{0.25, 5e-324},
-		Env:  []Envelope{{Sender: "P2", Kind: "bid", Payload: []byte("{}"), Signature: []byte{9}}},
-	}
-	for _, c := range []Codec{CodecJSON, CodecBinary} {
-		env, err := SealCodec(k, "test", want, c)
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if isBin := len(env.Payload) > 0 && env.Payload[0] == binaryMagic; isBin != (c == CodecBinary) {
-			t.Errorf("%v: payload starts with magic = %v", c, isBin)
-		}
-		var got binPayload
-		if err := env.Open(reg, &got); err != nil {
-			t.Fatalf("%v: open: %v", c, err)
-		}
-		if got.Name != want.Name || string(got.Blob) != string(want.Blob) ||
-			got.X != want.X || len(got.Xs) != len(want.Xs) || len(got.Env) != 1 ||
-			got.Env[0].Sender != "P2" || string(got.Env[0].Signature) != string(want.Env[0].Signature) {
-			t.Errorf("%v: got %+v, want %+v", c, got, want)
-		}
-	}
-}
-
-// TestSealCodecJSONFallback: CodecBinary on a payload without a binary
-// encoding falls back to JSON, and the result still opens.
-func TestSealCodecJSONFallback(t *testing.T) {
-	k, reg := testIdentity(t, "P1")
-	type jsonOnly struct {
-		V int `json:"v"`
-	}
-	env, err := SealCodec(k, "test", jsonOnly{V: 7}, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Payload[0] == binaryMagic {
-		t.Fatal("JSON fallback produced a binary payload")
-	}
-	var got jsonOnly
-	if err := env.Open(reg, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.V != 7 {
-		t.Errorf("got %+v", got)
-	}
 }
 
 // TestBinReaderRejects covers every decoder error branch: bad header,
@@ -204,16 +142,57 @@ func testIdentity(t *testing.T, id string) (*KeyPair, *Registry) {
 	return k, reg
 }
 
+// TestSealCodecRoundTrip seals a payload with its binary codec and opens
+// it with no codec configuration on the receiving side. The sealed
+// payload is exactly the value's AppendBinary encoding, so it starts
+// with the codec magic and resealing yields the same envelope.
+func TestSealCodecRoundTrip(t *testing.T) {
+	k, reg := testIdentity(t, "P1")
+	want := binPayload{
+		Name: "alpha",
+		Blob: []byte{1, 2, 3},
+		X:    -2.5,
+		Xs:   []float64{0.25, 5e-324},
+		Env:  []Envelope{{Sender: "P2", Kind: "bid", Payload: []byte("{}"), Signature: []byte{9}}},
+	}
+	env, err := SealBinary(k, "test", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(env.Payload, want.AppendBinary(nil)) || env.Payload[0] != binaryMagic {
+		t.Errorf("sealed payload % x is not the binary encoding", env.Payload)
+	}
+	again, err := SealBinary(k, "test", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !env.Equal(again) {
+		t.Error("resealing an equal value changed the envelope")
+	}
+	var got binPayload
+	if err := env.Open(reg, &got); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
+	}
+}
+
 // TestBatchVerifierOpen covers the memoized open-and-decode path plus
-// equivocation judgment through the batch verifier.
+// equivocation judgment through the batch verifier. A nil memo still
+// memoizes: the verifier gets a fresh memo of its own.
 func TestBatchVerifierOpen(t *testing.T) {
 	k, reg := testIdentity(t, "P1")
-	bv := NewBatchVerifier(reg, NewVerifyMemo())
-	if bv.Memo() == nil || !bv.Memo().Enabled() {
-		t.Fatal("verifier lost its memo")
-	}
+	bv := NewBatchVerifier(reg, nil)
 
-	env, err := SealCodec(k, "test", binPayload{Name: "x", X: 3}, CodecBinary)
+	want := binPayload{
+		Name: "alpha",
+		Blob: []byte{1, 2, 3},
+		X:    -2.5,
+		Xs:   []float64{0.25, 5e-324},
+		Env:  []Envelope{{Sender: "P2", Kind: "bid", Payload: []byte{binaryMagic}, Signature: []byte{9}}},
+	}
+	env, err := SealBinary(k, "test", want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +200,21 @@ func TestBatchVerifierOpen(t *testing.T) {
 	if err := bv.Open(&env, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "x" || got.X != 3 {
-		t.Errorf("got %+v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
 	}
 	if err := bv.Open(&env, &got); err != nil { // memo hit this time
 		t.Fatal(err)
 	}
 	if s := bv.Stats(); s.MemoHits == 0 {
 		t.Errorf("no memo hit recorded: %+v", s)
+	}
+	js, err := Seal(k, "test", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bv.Open(&js, &got); !errors.Is(err, ErrBinaryPayload) {
+		t.Errorf("JSON encoding of a binary-codec type: %v, want ErrBinaryPayload", err)
 	}
 	bad := env
 	bad.Payload = append([]byte(nil), env.Payload...)
@@ -237,7 +223,7 @@ func TestBatchVerifierOpen(t *testing.T) {
 		t.Errorf("tampered open: %v", err)
 	}
 
-	other, err := SealCodec(k, "test", binPayload{Name: "y", X: 4}, CodecBinary)
+	other, err := SealBinary(k, "test", binPayload{Name: "y", X: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,8 +160,9 @@ func (r *Registry) Identities() []string {
 }
 
 // Envelope is a digitally signed message S_β(m): the sender identity, a
-// message kind (protocol phase tag), the canonical JSON payload and the
-// Ed25519 signature over all three.
+// message kind (protocol phase tag), the encoded payload (binary for
+// types with a binary codec, canonical JSON otherwise) and the Ed25519
+// signature over all three.
 type Envelope struct {
 	Sender    string `json:"sender"`
 	Kind      string `json:"kind"`
@@ -245,9 +246,9 @@ func verifyWithKey(pub ed25519.PublicKey, e *Envelope) error {
 	return nil
 }
 
-// Open verifies the envelope and decodes its payload into v: binary
-// payloads (leading codec magic byte) through v's BinaryDecoder
-// implementation, everything else as JSON.
+// Open verifies the envelope and decodes its payload into v: through
+// v's BinaryDecoder when v has a binary codec (a JSON payload is then
+// rejected), and as JSON otherwise.
 func (e Envelope) Open(reg *Registry, v any) error {
 	if err := e.Verify(reg); err != nil {
 		return err
