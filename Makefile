@@ -29,7 +29,8 @@ race-service:
 # Doc-comment lint over the packages whose godoc is part of the repo's
 # contract: every exported top-level symbol must carry a doc comment.
 doccheck:
-	$(GO) run ./cmd/doccheck ./internal/protocol ./internal/sig ./internal/netbus ./internal/bus
+	$(GO) run ./cmd/doccheck ./internal/protocol ./internal/sig ./internal/netbus ./internal/bus \
+		./internal/service ./internal/pipeline ./internal/referee ./internal/session
 
 # The 3-process loopback deployment check: build dls-serve and dls-node,
 # boot 1 driver + 2 workers over real UDP sockets, run a full round and
@@ -50,9 +51,10 @@ net-trace:
 
 # The full gate a change must pass before merging: build, vet, the
 # doc-comment lint, the race-enabled test suite (which includes the
-# service load test, the protocol transport, the hot-path parity and
-# zero-alloc guards, the pipelined-packing 1.3x target and the Byzantine
-# adversary tiers), the coverage floor, a short run of every fuzz
+# service load test and FIFO streaming, the protocol transport, the
+# hot-path parity and zero-alloc guards, the installment sub-rounds, the
+# virtual-time packing model's 1.3x target and the Byzantine adversary
+# tiers), the coverage floor, a short run of every fuzz
 # target, the layered benchmark's correctness smoke, the multi-process
 # loopback smoke, and the distributed-telemetry trace smoke (merged
 # 3-process Chrome trace with payment parity intact).

@@ -54,7 +54,6 @@ const (
 
 	// Pipelined scheduler (internal/pipeline).
 	EvInstallment = "installment" // a sub-round served one installment of a pipelined load
-	EvPacked      = "packed"      // a batch of jobs was packed into one shared bus schedule
 
 	// Byzantine adversary tiers (internal/protocol, internal/referee).
 	EvWitnessReport     = "witness_report"     // a witness reported a peer's bid unreachable

@@ -1,7 +1,7 @@
-// Package pipeline is the deterministic scheduling layer between the
-// economic mechanism (internal/protocol) and the service runners
-// (internal/service). It lifts the simulation-only multi-round solver
-// (dlt.MultiRound) into the live protocol in two steps:
+// Package pipeline is the deterministic scheduling layer over the
+// economic mechanism (internal/protocol). It lifts the simulation-only
+// multi-round solver (dlt.MultiRound) into the live protocol in two
+// steps:
 //
 //   - Installment rounds: RunLoad splits one load into R installments,
 //     each served as a signed, session-salted sub-round ("<salt>:rN.iK")
@@ -16,7 +16,9 @@
 //     distinct jobs' computations overlap on disjoint processor time. The
 //     packed plan keeps every span tagged with its job, so per-job
 //     schedules (and the per-job economics, which Pack never touches)
-//     stay separable.
+//     stay separable. Pack is an analysis function (experiment X18): the
+//     service serves its pools FIFO, one load at a time, because packing
+//     already-settled rounds showed no wall-clock gain.
 //
 // Everything here is virtual-time scheduling policy: the money flow is
 // decided entirely by the protocol sub-rounds, and the packer only

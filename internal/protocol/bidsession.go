@@ -103,11 +103,10 @@ func (r *run) reuseBidding(c *bidCache) error {
 		r.epochs = append([]string(nil), c.epochs...)
 	}
 	var err error
-	r.ref, err = referee.New(r.reg, r.ledger, r.mech, r.procs, c.fine)
+	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, c.fine)
 	if err != nil {
 		return err
 	}
-	r.ref.UseVerifier(r.ver)
 	if c.epochs != nil {
 		if err := r.ref.BindRoundsSpliced(r.roundID, r.bidEpoch, c.epochs); err != nil {
 			return err
@@ -424,11 +423,10 @@ func (r *run) spliceBidding(c *bidCache, sp spliceOp) (*bidCache, error) {
 		fine = referee.SuggestedFine(r.bids, 4)
 	}
 	var err error
-	r.ref, err = referee.New(r.reg, r.ledger, r.mech, r.procs, fine)
+	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine)
 	if err != nil {
 		return nil, err
 	}
-	r.ref.UseVerifier(r.ver)
 	if err := r.ref.BindRoundsSpliced(r.roundID, r.bidEpoch, epochs); err != nil {
 		return nil, err
 	}
@@ -480,10 +478,6 @@ type JobConfig struct {
 	// Faults and Retry configure the link layer for this job.
 	Faults *bus.FaultPlan
 	Retry  RetryPolicy
-	// FailoverIn kills the primary referee at the start of the named phase
-	// of this job's round and promotes the standby (Config.FailoverIn);
-	// requires the session to have been founded with Standby set.
-	FailoverIn string
 	// Tracer receives this round's span and event records (see
 	// Config.Tracer); per-job because trace ownership follows the load,
 	// not the pool.
@@ -584,11 +578,12 @@ type BidSession struct {
 // NewBidSession creates a session over cfg's network class, bus rate,
 // initial member rates, fine policy and keyring. cfg.Behaviors, Seed,
 // NBlocks, BlockSize, Faults and Retry are per-job (JobConfig) and must be
-// zero here. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
+// zero here, as must Standby and FailoverIn: referee failover runs only
+// through a one-shot Run. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
 // reuse round's fresh PKI registry verify envelopes signed rounds ago.
 func NewBidSession(cfg Config) (*BidSession, error) {
-	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.BlockSize != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" {
-		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, BlockSize, Faults, Retry, Tracer, LoadFrac, FailoverIn) belong in JobConfig, not the session Config")
+	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.BlockSize != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" || cfg.Standby {
+		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, BlockSize, Faults, Retry, Tracer, LoadFrac) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -746,20 +741,18 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 // the job's load-specific fields, with departed members forced to Abstain.
 func (s *BidSession) roundConfig(job JobConfig) Config {
 	cfg := Config{
-		Network:    s.base.Network,
-		Z:          s.base.Z,
-		TrueW:      append([]float64(nil), s.trueW...),
-		Fine:       s.base.Fine,
-		NBlocks:    job.NBlocks,
-		BlockSize:  job.BlockSize,
-		Seed:       job.Seed,
-		Faults:     job.Faults,
-		Retry:      job.Retry,
-		Keys:       s.base.Keys,
-		Tracer:     job.Tracer,
-		Memo:       s.base.Memo,
-		Standby:    s.base.Standby,
-		FailoverIn: job.FailoverIn,
+		Network:   s.base.Network,
+		Z:         s.base.Z,
+		TrueW:     append([]float64(nil), s.trueW...),
+		Fine:      s.base.Fine,
+		NBlocks:   job.NBlocks,
+		BlockSize: job.BlockSize,
+		Seed:      job.Seed,
+		Faults:    job.Faults,
+		Retry:     job.Retry,
+		Keys:      s.base.Keys,
+		Tracer:    job.Tracer,
+		Memo:      s.base.Memo,
 	}
 	behaviors := make([]agent.Behavior, len(s.trueW))
 	for i := range behaviors {

@@ -229,6 +229,9 @@ func TestBidSessionMembershipRules(t *testing.T) {
 	if _, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 2}, Seed: 9}); err == nil {
 		t.Fatal("per-job Seed accepted in session config")
 	}
+	if _, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 2}, Standby: true}); err == nil {
+		t.Fatal("Standby accepted in session config")
+	}
 }
 
 // TestBidSessionEvictionForcesFreshMemberSet: a member evicted for

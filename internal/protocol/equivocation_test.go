@@ -97,7 +97,7 @@ func TestEquivocationSurvivesDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := referee.New(reg, ledger, core.Mechanism{Network: dlt.NCPFE, Z: 0.1}, []string{"P1", "P2"}, 100)
+	ref, err := referee.New(sig.NewBatchVerifier(reg, nil), ledger, core.Mechanism{Network: dlt.NCPFE, Z: 0.1}, []string{"P1", "P2"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func roundTestRig(t *testing.T) (*sig.Registry, map[string]*sig.KeyPair, *refere
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := referee.New(reg, ledger, core.Mechanism{Network: dlt.NCPFE, Z: 0.1}, []string{"P1", "P2"}, 100)
+	ref, err := referee.New(sig.NewBatchVerifier(reg, nil), ledger, core.Mechanism{Network: dlt.NCPFE, Z: 0.1}, []string{"P1", "P2"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

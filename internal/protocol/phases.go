@@ -477,11 +477,10 @@ func (r *run) phaseBidding() (bool, error) {
 	if fine == 0 {
 		fine = referee.SuggestedFine(r.bids, 4)
 	}
-	r.ref, err = referee.New(r.reg, r.ledger, r.mech, r.procs, fine)
+	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine)
 	if err != nil {
 		return false, err
 	}
-	r.ref.UseVerifier(r.ver)
 	// A round that runs its own Bidding phase IS its bids' epoch.
 	r.ref.BindRounds(r.roundID, r.bidEpoch)
 	if err := r.armStandby(); err != nil {

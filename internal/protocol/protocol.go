@@ -889,11 +889,10 @@ func (r *run) failover(phase string) error {
 	if fb, ok := r.net.(*bus.Bus); ok {
 		fb.MarkUnresponsive(referee.Account)
 	}
-	promoted, err := r.standby.Promote(r.reg, r.ledger, r.mech)
+	promoted, err := r.standby.Promote(r.ver, r.ledger, r.mech)
 	if err != nil {
 		return err
 	}
-	promoted.UseVerifier(r.ver)
 	promoted.RecordFailover(referee.Account, referee.StandbyAccount)
 	r.ref = promoted
 	r.refKey = r.standbyKey

@@ -3,8 +3,6 @@ package referee
 import (
 	"strings"
 	"testing"
-
-	"dlsbl/internal/sig"
 )
 
 func TestRecordFailoverEntry(t *testing.T) {
@@ -47,19 +45,5 @@ func TestBindRoundsSplicedAndBidSplice(t *testing.T) {
 	}
 	if err := f.ref.BindRoundsSpliced("s:r3", "s:r3", []string{"s:r1"}); err == nil {
 		t.Error("epoch vector of the wrong length accepted")
-	}
-}
-
-func TestUseVerifierStillJudges(t *testing.T) {
-	f := newFixture(t, 3, 100)
-	f.ref.UseVerifier(sig.NewBatchVerifier(f.reg, nil))
-	rep := f.witnessReport(t, "P1", "P2", "")
-	v, err := f.ref.JudgeWitnessReport(rep, WitnessEvidence{
-		Corroborating: 1, Witnesses: 2, Threshold: 2, RelayDelivered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Clean() {
-		t.Errorf("verdict = %+v", v)
 	}
 }

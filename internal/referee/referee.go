@@ -43,7 +43,11 @@ func (v Verdict) Clean() bool { return len(v.Guilty) == 0 }
 
 // Referee holds the adjudication state for one protocol run.
 type Referee struct {
-	reg    *sig.Registry
+	// ver verifies every envelope the referee judges, through the run's
+	// memoized batch verifier. A memo hit is possible only for a
+	// byte-identical envelope that already verified against the same
+	// registry (see sig.VerifyMemo), so the memo never changes a verdict.
+	ver    *sig.BatchVerifier
 	ledger *payment.Ledger
 	mech   core.Mechanism
 	procs  []string
@@ -65,12 +69,6 @@ type Referee struct {
 	// round than everyone else's. Nil means the uniform bidEpoch applies.
 	epochs []string
 
-	// ver, when non-nil, routes envelope verification through a memoized
-	// batch verifier. Purely an accelerator: a memo hit is possible only
-	// for a byte-identical envelope that already verified against the
-	// same registry (see sig.VerifyMemo), so adjudications are unchanged.
-	ver *sig.BatchVerifier
-
 	// instRounds/instPolicy, set by RecordInstallment, mark this round as
 	// an installment sub-round of a pipelined load: payment recomputation
 	// then uses the R-installment rule. Zero for whole-load rounds.
@@ -87,10 +85,10 @@ type Referee struct {
 // New creates a referee for the given participant list (in processor
 // index order). fine is the publicly known magnitude F; the paper requires
 // F ≥ Σ_j α_j·w̃_j, which CheckFineSufficient verifies once execution
-// values are known.
-func New(reg *sig.Registry, ledger *payment.Ledger, mech core.Mechanism, procs []string, fine float64) (*Referee, error) {
-	if reg == nil || ledger == nil {
-		return nil, errors.New("referee: nil registry or ledger")
+// values are known. ver is the run's verifier over its PKI registry.
+func New(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism, procs []string, fine float64) (*Referee, error) {
+	if ver == nil || ledger == nil {
+		return nil, errors.New("referee: nil verifier or ledger")
 	}
 	if len(procs) < 2 {
 		return nil, errors.New("referee: need at least two processors")
@@ -109,7 +107,7 @@ func New(reg *sig.Registry, ledger *payment.Ledger, mech core.Mechanism, procs [
 		idx[p] = i
 	}
 	return &Referee{
-		reg:    reg,
+		ver:    ver,
 		ledger: ledger,
 		mech:   mech,
 		procs:  append([]string(nil), procs...),
@@ -158,27 +156,6 @@ func (r *Referee) epochFor(j int) string {
 		return r.epochs[j]
 	}
 	return r.bidEpoch
-}
-
-// UseVerifier routes the referee's envelope verification through a
-// memoized batch verifier; nil restores plain per-envelope verification.
-func (r *Referee) UseVerifier(v *sig.BatchVerifier) { r.ver = v }
-
-// open verifies an envelope (through the verifier when set) and decodes
-// its payload.
-func (r *Referee) open(env *sig.Envelope, v any) error {
-	if r.ver != nil {
-		return r.ver.Open(env, v)
-	}
-	return env.Open(r.reg, v)
-}
-
-// isEquivocation is sig.IsEquivocation through the verifier when set.
-func (r *Referee) isEquivocation(a, b sig.Envelope) bool {
-	if r.ver != nil {
-		return r.ver.IsEquivocation(a, b)
-	}
-	return sig.IsEquivocation(r.reg, a, b)
 }
 
 // replicate streams one state change to the attached standby, latching
@@ -347,7 +324,7 @@ func (r *Referee) JudgeEquivocation(accuser string, a, b sig.Envelope) (Verdict,
 	if _, ok := r.index[accuser]; !ok {
 		return Verdict{}, fmt.Errorf("referee: unknown accuser %q", accuser)
 	}
-	if r.isEquivocation(a, b) && r.evidenceInEpoch(a) && r.evidenceInEpoch(b) {
+	if r.ver.IsEquivocation(a, b) && r.evidenceInEpoch(a) && r.evidenceInEpoch(b) {
 		if _, ok := r.index[a.Sender]; !ok {
 			return Verdict{}, fmt.Errorf("referee: equivocation by non-participant %q", a.Sender)
 		}
@@ -377,7 +354,7 @@ func (r *Referee) evidenceInEpoch(env sig.Envelope) bool {
 		return true
 	}
 	var bp BidPayload
-	if err := r.open(&env, &bp); err != nil {
+	if err := r.ver.Open(&env, &bp); err != nil {
 		return true
 	}
 	epoch := r.bidEpoch
@@ -426,7 +403,7 @@ type WitnessEvidence struct {
 // bound and the honest majority proceeds.
 func (r *Referee) JudgeWitnessReport(report sig.Envelope, ev WitnessEvidence) (Verdict, error) {
 	var wp WitnessReportPayload
-	if err := r.open(&report, &wp); err != nil {
+	if err := r.ver.Open(&report, &wp); err != nil {
 		return Verdict{}, fmt.Errorf("referee: witness report rejected: %w", err)
 	}
 	if wp.Witness != report.Sender {
@@ -478,7 +455,7 @@ func (r *Referee) JudgeWitnessReport(report sig.Envelope, ev WitnessEvidence) (V
 // j, and payload consistent. It returns the plain bid values on success.
 func (r *Referee) VerifyBidVector(env sig.Envelope) ([]float64, error) {
 	var vec BidVectorPayload
-	if err := r.open(&env, &vec); err != nil {
+	if err := r.ver.Open(&env, &vec); err != nil {
 		return nil, err
 	}
 	if vec.Proc != env.Sender {
@@ -495,7 +472,7 @@ func (r *Referee) VerifyBidVector(env sig.Envelope) ([]float64, error) {
 	for j := range vec.Bids {
 		bidEnv := &vec.Bids[j]
 		var bp BidPayload
-		if err := r.open(bidEnv, &bp); err != nil {
+		if err := r.ver.Open(bidEnv, &bp); err != nil {
 			return nil, fmt.Errorf("referee: bid %d in %s's vector: %w", j, env.Sender, err)
 		}
 		if bidEnv.Sender != r.procs[j] || bp.Proc != r.procs[j] {
@@ -711,7 +688,7 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 		if len(envs) > 1 {
 			contradictory := false
 			for k := 1; k < len(envs); k++ {
-				if r.isEquivocation(envs[0], envs[k]) {
+				if r.ver.IsEquivocation(envs[0], envs[k]) {
 					contradictory = true
 					break
 				}
@@ -722,7 +699,7 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 			}
 		}
 		var pp PaymentPayload
-		if err := r.open(&envs[0], &pp); err != nil {
+		if err := r.ver.Open(&envs[0], &pp); err != nil {
 			guilty[p] = fmt.Sprintf("payment vector rejected: %v", err)
 			continue
 		}

@@ -13,11 +13,13 @@ import (
 )
 
 // fixture bundles everything a referee test needs: m processors with
-// keys, a registry, a ledger and the referee itself.
+// keys, a registry, the batch verifier over it (the production path every
+// protocol run takes), a ledger and the referee itself.
 type fixture struct {
 	procs  []string
 	keys   map[string]*sig.KeyPair
 	reg    *sig.Registry
+	ver    *sig.BatchVerifier
 	ledger *payment.Ledger
 	ref    *Referee
 	mech   core.Mechanism
@@ -49,7 +51,8 @@ func newFixture(t *testing.T, m int, fine float64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.ref, err = New(f.reg, f.ledger, f.mech, f.procs, fine)
+	f.ver = sig.NewBatchVerifier(f.reg, nil)
+	f.ref, err = New(f.ver, f.ledger, f.mech, f.procs, fine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,24 +91,24 @@ func (f *fixture) bidEnvelopes(t *testing.T, bids []float64) []sig.Envelope {
 func TestNewValidation(t *testing.T) {
 	f := newFixture(t, 3, 100)
 	if _, err := New(nil, f.ledger, f.mech, f.procs, 10); err == nil {
-		t.Error("nil registry accepted")
+		t.Error("nil verifier accepted")
 	}
-	if _, err := New(f.reg, nil, f.mech, f.procs, 10); err == nil {
+	if _, err := New(f.ver, nil, f.mech, f.procs, 10); err == nil {
 		t.Error("nil ledger accepted")
 	}
-	if _, err := New(f.reg, f.ledger, f.mech, []string{"P1"}, 10); err == nil {
+	if _, err := New(f.ver, f.ledger, f.mech, []string{"P1"}, 10); err == nil {
 		t.Error("single processor accepted")
 	}
-	if _, err := New(f.reg, f.ledger, f.mech, []string{"P1", "P1"}, 10); err == nil {
+	if _, err := New(f.ver, f.ledger, f.mech, []string{"P1", "P1"}, 10); err == nil {
 		t.Error("duplicate processors accepted")
 	}
-	if _, err := New(f.reg, f.ledger, f.mech, []string{"P1", ""}, 10); err == nil {
+	if _, err := New(f.ver, f.ledger, f.mech, []string{"P1", ""}, 10); err == nil {
 		t.Error("empty processor id accepted")
 	}
-	if _, err := New(f.reg, f.ledger, f.mech, f.procs, 0); err == nil {
+	if _, err := New(f.ver, f.ledger, f.mech, f.procs, 0); err == nil {
 		t.Error("zero fine accepted")
 	}
-	if _, err := New(f.reg, f.ledger, f.mech, f.procs, math.Inf(1)); err == nil {
+	if _, err := New(f.ver, f.ledger, f.mech, f.procs, math.Inf(1)); err == nil {
 		t.Error("infinite fine accepted")
 	}
 	if f.ref.Fine() != 100 {

@@ -156,7 +156,7 @@ func (s *Standby) Entries() []AuditEntry { return append([]AuditEntry(nil), s.en
 // bindings, the meter readings and the surviving participant list, so
 // its adjudications and payment recomputations are bit-identical to
 // what the primary would have produced from the same inputs.
-func (s *Standby) Promote(reg *sig.Registry, ledger *payment.Ledger, mech core.Mechanism) (*Referee, error) {
+func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism) (*Referee, error) {
 	if s.snap == nil {
 		return nil, errors.New("referee: standby has no replicated snapshot to promote from")
 	}
@@ -166,7 +166,7 @@ func (s *Standby) Promote(reg *sig.Registry, ledger *payment.Ledger, mech core.M
 			procs = append(procs, p)
 		}
 	}
-	ref, err := New(reg, ledger, mech, procs, s.snap.Fine)
+	ref, err := New(ver, ledger, mech, procs, s.snap.Fine)
 	if err != nil {
 		return nil, fmt.Errorf("referee: promoting standby: %w", err)
 	}

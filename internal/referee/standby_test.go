@@ -85,7 +85,7 @@ func TestStandbyPromoteParity(t *testing.T) {
 		t.Fatalf("replication failed: %v", err)
 	}
 
-	promoted, err := f.sb.Promote(f.reg, f.ledger, f.mech)
+	promoted, err := f.sb.Promote(f.ver, f.ledger, f.mech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStandbyPromoteAfterEviction(t *testing.T) {
 	if _, err := f.ref.Evict("P2", "bidding", "unreachable per corroborated witness reports"); err != nil {
 		t.Fatal(err)
 	}
-	promoted, err := f.sb.Promote(f.reg, f.ledger, f.mech)
+	promoted, err := f.sb.Promote(f.ver, f.ledger, f.mech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStandbyApplyOrdering(t *testing.T) {
 		!strings.Contains(err.Error(), "second snapshot") {
 		t.Errorf("second snapshot error = %v", err)
 	}
-	if _, err := NewStandby().Promote(f.reg, f.ledger, f.mech); err == nil {
+	if _, err := NewStandby().Promote(f.ver, f.ledger, f.mech); err == nil {
 		t.Error("promote without a snapshot accepted")
 	}
 

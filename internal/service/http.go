@@ -31,8 +31,9 @@ type Submission struct {
 //	                      503 with the latched violations otherwise
 //
 // Error statuses: 400 malformed body or unknown behavior/artifact name,
-// 404 unknown pool, 429 queue full (backpressure — retry later),
-// 503 shutting down or sentinel violation latched.
+// 404 unknown pool, 413 body over maxBodyBytes, 429 queue full
+// (backpressure — retry later), 503 shutting down or sentinel violation
+// latched.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -71,10 +72,31 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a POST body. A full queue of 256 jobs at m=16 is
+// about 150 KiB of JSON, so 1 MiB admits every submission the queue
+// could hold while bounding what a client can make the decoder read.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it has already answered 413 (body too large)
+// or 400 (malformed) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s exceeds the %d-byte body limit", what, tooBig.Limit)
+		return false
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleCreatePool(w http.ResponseWriter, r *http.Request) {
 	var spec PoolSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding pool spec: %v", err)
+	if !decodeBody(w, r, "pool spec", &spec) {
 		return
 	}
 	p, err := s.CreatePool(spec)
@@ -107,8 +129,7 @@ func (s *Server) handleGetPool(w http.ResponseWriter, r *http.Request) {
 // order), and a closing "done" record with the batch totals.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding submission: %v", err)
+	if !decodeBody(w, r, "submission", &sub) {
 		return
 	}
 	tasks, err := s.Submit(sub.Pool, sub.Jobs, sub.Artifacts)

@@ -168,6 +168,70 @@ func TestHTTPStatusCodes(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestHTTPBodyLimit: a body over maxBodyBytes gets 413 with a reason on
+// both POST routes and admits nothing, while a normal pool spec and
+// submission on the same server are served exactly as before.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 16})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	w := []float64{1, 1.5, 2, 2.5}
+	resp := postJSON(t, ts.URL+"/v1/pools", `{"name":"p","w":[1,1.5,2,2.5]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create pool: %s", resp.Status)
+	}
+
+	tooLarge := func(path, body string) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+path, body)
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "body limit") {
+			t.Fatalf("POST %s with %d bytes → %s %q, want 413 with a reason", path, len(body), resp.Status, e.Error)
+		}
+	}
+	tooLarge("/v1/pools", `{"name":"big","w":[`+strings.Repeat("1.5,", maxBodyBytes/4)+`2]}`)
+	job := `{"z":0.2,"seed":1},`
+	tooLarge("/v1/jobs", `{"pool":"p","jobs":[`+strings.Repeat(job, maxBodyBytes/len(job))+`{"z":0.2,"seed":1}]}`)
+	if _, ok := srv.Pool("big"); ok {
+		t.Fatal("oversized pool spec created a pool")
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1}]}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal submission: %s", resp.Status)
+	}
+	var results []JobResult
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var res JobResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Event == "result" {
+			results = append(results, res)
+		}
+	}
+	want, err := protocol.Run(protocol.Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Error != "" || !equalF64(results[0].Payments, want.Payments) {
+		t.Fatalf("normal submission results = %+v, want one job paying %v", results, want.Payments)
+	}
+	if n := srv.Metrics().Jobs.Submitted; n != 1 {
+		t.Fatalf("%d jobs admitted, want only the normal one", n)
+	}
+}
+
 // TestHTTPFaultyJob exercises the per-job fault plan and retry policy
 // through the JSON surface.
 func TestHTTPFaultyJob(t *testing.T) {

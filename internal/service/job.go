@@ -104,17 +104,12 @@ func parseArtifacts(names []string) (map[string]bool, error) {
 // Task is one admitted job. The submitter holds it and waits for the
 // result; the pool runner fills it and closes Done.
 type Task struct {
-	pool      *Pool
 	spec      JobSpec
 	artifacts map[string]bool
 	index     int
 	enqueued  time.Time
 	done      chan struct{}
 	res       JobResult
-	// out keeps the round's protocol outcome until the runner finishes
-	// with the task (pipelined pools pack a batch's outcomes after the
-	// rounds play); it is never exposed to the submitter.
-	out *protocol.Outcome
 }
 
 // Done is closed when the job's result is available.
@@ -160,14 +155,15 @@ type JobResult struct {
 	Makespan  float64   `json:"makespan,omitempty"`
 
 	// Installments is the number of sub-rounds a pipelined job was served
-	// in (0 for whole-load jobs). On a pipelined pool (PipelineDepth > 1),
-	// PackedWith counts the jobs of this job's shared bus schedule,
-	// PackedMakespan is this job's finish time inside it, and BatchSpeedup
-	// is the batch's throughput gain over serving its jobs FIFO.
-	Installments   int     `json:"installments,omitempty"`
-	PackedWith     int     `json:"packed_with,omitempty"`
-	PackedMakespan float64 `json:"packed_makespan,omitempty"`
-	BatchSpeedup   float64 `json:"batch_speedup,omitempty"`
+	// in (0 for whole-load jobs).
+	Installments int `json:"installments,omitempty"`
+	// BatchSpeedup was a retired runner's virtual-time packing model
+	// figure; the service no longer packs jobs into a shared bus
+	// schedule (pipeline.Pack remains as an analysis function).
+	//
+	// Deprecated: always zero. It stays only because the layered
+	// benchmark in bench/ still reads it.
+	BatchSpeedup float64 `json:"batch_speedup,omitempty"`
 
 	// Banned is the pool's ban list AFTER this round settled.
 	Banned    []string                 `json:"banned,omitempty"`

@@ -4,23 +4,15 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestPipelinedPoolValidation: PipelineDepth > 1 demands a multiload
-// ncp-fe pool, and installment jobs demand a multiload pool.
+// TestPipelinedPoolValidation: installment jobs demand a known round
+// policy at admission and a multiload pool at run time.
 func TestPipelinedPoolValidation(t *testing.T) {
 	w := []float64{1, 1.5, 2}
 	srv := New(Config{Workers: 2, QueueDepth: 16})
 	defer srv.Close()
-	if _, err := srv.CreatePool(PoolSpec{Name: "a", TrueW: w, PipelineDepth: 4}); err == nil {
-		t.Error("pipelined pool without multiload accepted")
-	}
-	if _, err := srv.CreatePool(PoolSpec{Name: "b", TrueW: w, Network: "ncp-nfe", Multiload: true, PipelineDepth: 4}); err == nil {
-		t.Error("pipelined ncp-nfe pool accepted")
-	}
-	if _, err := srv.CreatePool(PoolSpec{Name: "c", TrueW: w, PipelineDepth: -1}); err == nil {
-		t.Error("negative pipeline depth accepted")
-	}
 	if _, err := srv.Submit("a", []JobSpec{{Z: 0.2, Seed: 1, InstallmentPolicy: "nope"}}, nil); !strings.Contains(errString(err), "round policy") {
 		t.Errorf("bad installment policy error = %v", err)
 	}
@@ -45,18 +37,23 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestPipelinedPoolPacksBatch: a PipelineDepth=4 pool grabs a 4-job batch,
-// plays each job's economics in order, and packs the realized installment
-// schedules into one shared bus plan — every result carries the batch's
-// packed finish time and a speedup over FIFO, and the pool's telemetry
-// counts the packed jobs.
-func TestPipelinedPoolPacksBatch(t *testing.T) {
+// TestFIFOStreamsEachResult: every pool, one whose spec still carries
+// pipeline_depth included, releases each job's result as soon as its
+// round settles. The runner is held inside job 1 until job 0's Done is
+// observed closed, so a runner that withheld results for a batch fails
+// here on the timeout instead of hanging.
+func TestFIFOStreamsEachResult(t *testing.T) {
 	w := []float64{1, 1.2, 1.4, 1.6, 1.8, 2, 1.1, 1.3}
 	srv := New(Config{Workers: 2, QueueDepth: 32})
 	defer srv.Close()
-	p, err := srv.CreatePool(PoolSpec{Name: "pipe", TrueW: w, Multiload: true, PipelineDepth: 4})
-	if err != nil {
+	if _, err := srv.CreatePool(PoolSpec{Name: "pipe", TrueW: w, Multiload: true, PipelineDepth: 4}); err != nil {
 		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	srv.testHookDuringRun = func(p *Pool, task *Task) {
+		if task.index == 1 {
+			<-release
+		}
 	}
 	specs := make([]JobSpec, 4)
 	for i := range specs {
@@ -66,54 +63,36 @@ func TestPipelinedPoolPacksBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var speedup float64
+	select {
+	case <-tasks[0].Done():
+		close(release)
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("job 0's result was withheld while job 1 ran")
+	}
 	for i, task := range tasks {
 		res := task.Wait()
 		if res.Error != "" {
 			t.Fatalf("job %d: %s", i, res.Error)
 		}
 		if !res.Completed || res.Installments != 4 {
-			t.Fatalf("job %d: completed=%v installments=%d", i, res.Completed, res.Installments)
+			t.Errorf("job %d: completed=%v installments=%d", i, res.Completed, res.Installments)
 		}
-		if res.PackedWith != 4 || !(res.PackedMakespan > 0) {
-			t.Errorf("job %d: packed_with=%d packed_makespan=%v", i, res.PackedWith, res.PackedMakespan)
-		}
-		if res.BatchSpeedup <= 1 {
-			t.Errorf("job %d: batch speedup %v, want > 1", i, res.BatchSpeedup)
-		}
-		if i == 0 {
-			speedup = res.BatchSpeedup
-		} else if res.BatchSpeedup != speedup {
-			t.Errorf("job %d reports speedup %v, job 0 reported %v", i, res.BatchSpeedup, speedup)
-		}
-	}
-	snap := p.Snapshot()
-	if snap.PipelineDepth != 4 || snap.PackedJobs != 4 || snap.Rounds != 4 {
-		t.Errorf("snapshot depth=%d packed=%d rounds=%d", snap.PipelineDepth, snap.PackedJobs, snap.Rounds)
-	}
-	var sb strings.Builder
-	if err := WritePrometheus(&sb, srv.Metrics()); err != nil {
-		t.Fatal(err)
-	}
-	for _, family := range []string{
-		`dlsbl_pool_pipeline_depth{pool="pipe"} 4`,
-		`dlsbl_pool_installments_in_flight{pool="pipe"}`,
-		`dlsbl_pool_packed_jobs_total{pool="pipe"} 4`,
-	} {
-		if !strings.Contains(sb.String(), family) {
-			t.Errorf("prometheus exposition missing %q", family)
+		if res.BatchSpeedup != 0 {
+			t.Errorf("job %d: deprecated batch speedup = %v, want 0", i, res.BatchSpeedup)
 		}
 	}
 }
 
-// TestPipelinedDegenerateParity is the correctness anchor the pipelined
-// runner hangs off: with PipelineDepth=1 and whole loads (R=1), a pool is
-// byte-for-byte the plain FIFO runner — over randomized pools with
-// deviants and bus faults, every result field that carries money or
-// verdicts is bit-identical to a depth-0 pool playing the same jobs.
+// TestPipelinedDegenerateParity pins that a pool spec's deprecated
+// pipeline_depth changes nothing: over randomized pools with deviants,
+// bus faults and installment jobs, a depth-4 pool's results are
+// bit-identical to a depth-0 pool's in every field that carries money,
+// round identity or verdicts.
 func TestPipelinedDegenerateParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	behaviors := []string{"", "", "", "overbid-1.5x", "underbid-0.6x", "payment-cheat-2x"}
+	installmentJobs := 0
 	for trial := 0; trial < 8; trial++ {
 		m := 3 + rng.Intn(4)
 		w := make([]float64, m)
@@ -134,6 +113,10 @@ func TestPipelinedDegenerateParity(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				specs[j].Faults = faultPlan(0.1)
 			}
+			if rng.Intn(2) == 0 {
+				specs[j].Installments = 2 + rng.Intn(3)
+				specs[j].InstallmentPolicy = []string{"equal", "geometric"}[rng.Intn(2)]
+			}
 		}
 
 		run := func(depth int) []JobResult {
@@ -152,14 +135,17 @@ func TestPipelinedDegenerateParity(t *testing.T) {
 			}
 			return out
 		}
-		plain, piped := run(0), run(1)
+		plain, piped := run(0), run(4)
 		for j := range plain {
 			a, b := plain[j], piped[j]
-			if a.Error != b.Error || a.Completed != b.Completed {
+			if a.Error != b.Error || a.Completed != b.Completed || a.Installments != b.Installments {
 				t.Fatalf("trial %d job %d: error/completed diverge: %+v vs %+v", trial, j, a, b)
 			}
+			if a.Installments > 1 {
+				installmentJobs++
+			}
 			if !equalF64(a.Payments, b.Payments) || !equalF64(a.Fines, b.Fines) || !equalF64(a.Utilities, b.Utilities) {
-				t.Fatalf("trial %d job %d: money diverges between depth 0 and 1", trial, j)
+				t.Fatalf("trial %d job %d: money diverges between depth 0 and 4", trial, j)
 			}
 			if a.RoundID != b.RoundID || a.UserCost != b.UserCost || a.Makespan != b.Makespan {
 				t.Fatalf("trial %d job %d: round id or totals diverge", trial, j)
@@ -173,5 +159,8 @@ func TestPipelinedDegenerateParity(t *testing.T) {
 				}
 			}
 		}
+	}
+	if installmentJobs == 0 {
+		t.Fatal("no installment job was served; the parity sweep never covered one")
 	}
 }

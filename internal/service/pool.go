@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
@@ -33,14 +32,12 @@ type PoolSpec struct {
 	// behavior change). Θ(m) control-plane traffic per job instead of
 	// Θ(m²); payments are unchanged. See session.Session.Multiload.
 	Multiload bool `json:"multiload,omitempty"`
-	// PipelineDepth > 1 turns the pool's FIFO runner into the pipelined
-	// scheduler: the runner dequeues up to PipelineDepth queued jobs at a
-	// time, plays each one's economics in admission order, then packs the
-	// realized schedules into one shared bus plan (pipeline.Pack) whose
-	// per-job finish times ride back in the results. Requires Multiload
-	// (installment sub-rounds run from the cached bids) and the ncp-fe
-	// class (the nfe originator cannot overlap). 0 or 1 keeps the plain
-	// FIFO runner, byte-identical behavior.
+	// PipelineDepth was the batch size of a retired runner that packed
+	// queued jobs into one shared bus schedule. Every pool now runs a
+	// plain FIFO and releases each result as its round settles.
+	//
+	// Deprecated: decoded and ignored. It stays only because the layered
+	// benchmark in bench/ still sets it.
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
 }
 
@@ -69,13 +66,6 @@ type Pool struct {
 	fifo    []*Task
 	state   *session.State
 	closing bool
-	// packedJobs totals the jobs packed into shared bus schedules
-	// (PipelineDepth > 1 batches of two or more), under mu.
-	packedJobs int
-	// inFlight is the number of installment sub-rounds of the load being
-	// served right now (atomic: the runner writes it around Step while
-	// snapshots read concurrently).
-	inFlight atomic.Int64
 }
 
 func parseNetwork(name string) (dlt.Network, error) {
@@ -111,17 +101,6 @@ func newPool(spec PoolSpec) (*Pool, error) {
 	policy, err := parsePolicy(spec.Policy)
 	if err != nil {
 		return nil, err
-	}
-	if spec.PipelineDepth < 0 {
-		return nil, fmt.Errorf("service: pipeline depth must be >= 0, got %d", spec.PipelineDepth)
-	}
-	if spec.PipelineDepth > 1 {
-		if !spec.Multiload {
-			return nil, errors.New("service: pipelined pools require multiload (installment sub-rounds run from the cached bids)")
-		}
-		if network != dlt.NCPFE {
-			return nil, fmt.Errorf("service: pipelined pools require ncp-fe (the %v originator cannot overlap)", network)
-		}
 	}
 	sess := &session.Session{
 		Network:   network,
@@ -196,14 +175,6 @@ type PoolSnapshot struct {
 	DeliveriesSaved   int  `json:"deliveries_saved,omitempty"`
 	UnitsSaved        int  `json:"units_saved,omitempty"`
 
-	// Pipelined-scheduler telemetry (PipelineDepth > 1 pools).
-	// InstallmentsInFlight is the number of sub-rounds of the load being
-	// served at snapshot time; PackedJobs totals the jobs packed into
-	// shared bus schedules over the pool's lifetime.
-	PipelineDepth        int `json:"pipeline_depth,omitempty"`
-	InstallmentsInFlight int `json:"installments_in_flight,omitempty"`
-	PackedJobs           int `json:"packed_jobs,omitempty"`
-
 	// Verified-envelope memo telemetry (the hot-path verification cache
 	// every pool carries): VerifyMemoHits counts Ed25519 verifications
 	// skipped because the envelope had already verified bit-identically;
@@ -239,33 +210,30 @@ func (p *Pool) Snapshot() PoolSnapshot {
 	bs := p.state.BidStats()
 	ms := p.sess.Memo.Stats()
 	return PoolSnapshot{
-		Name:                 p.spec.Name,
-		Network:              p.network.String(),
-		Policy:               p.policy.String(),
-		M:                    len(p.sess.TrueW),
-		TrueW:                append([]float64(nil), p.sess.TrueW...),
-		Fine:                 p.spec.Fine,
-		Rounds:               p.state.Round,
-		Queued:               len(p.fifo),
-		Banned:               bannedNames(p.procNames, p.state.Banned),
-		CumulativeUtility:    append([]float64(nil), p.state.CumulativeUtility...),
-		WarmKeys:             p.sess.Keys.Len(),
-		Multiload:            p.spec.Multiload,
-		Rebids:               bs.Rebids,
-		IncrementalRebids:    bs.IncrementalRebids,
-		RoundsSinceRebid:     bs.RoundsSinceRebid,
-		MessagesSaved:        bs.SavedMessages,
-		DeliveriesSaved:      bs.SavedDeliveries,
-		UnitsSaved:           bs.SavedUnits,
-		PipelineDepth:        p.spec.PipelineDepth,
-		InstallmentsInFlight: int(p.inFlight.Load()),
-		PackedJobs:           p.packedJobs,
-		VerifyMemoHits:       ms.Hits,
-		VerifyMemoSize:       ms.Size,
-		SentinelViolations:   p.sentinel.Violations(),
-		Traffic:              p.state.Traffic,
-		PhaseMS:              phase,
-		BusEvents:            events,
+		Name:               p.spec.Name,
+		Network:            p.network.String(),
+		Policy:             p.policy.String(),
+		M:                  len(p.sess.TrueW),
+		TrueW:              append([]float64(nil), p.sess.TrueW...),
+		Fine:               p.spec.Fine,
+		Rounds:             p.state.Round,
+		Queued:             len(p.fifo),
+		Banned:             bannedNames(p.procNames, p.state.Banned),
+		CumulativeUtility:  append([]float64(nil), p.state.CumulativeUtility...),
+		WarmKeys:           p.sess.Keys.Len(),
+		Multiload:          p.spec.Multiload,
+		Rebids:             bs.Rebids,
+		IncrementalRebids:  bs.IncrementalRebids,
+		RoundsSinceRebid:   bs.RoundsSinceRebid,
+		MessagesSaved:      bs.SavedMessages,
+		DeliveriesSaved:    bs.SavedDeliveries,
+		UnitsSaved:         bs.SavedUnits,
+		VerifyMemoHits:     ms.Hits,
+		VerifyMemoSize:     ms.Size,
+		SentinelViolations: p.sentinel.Violations(),
+		Traffic:            p.state.Traffic,
+		PhaseMS:            phase,
+		BusEvents:          events,
 	}
 }
 

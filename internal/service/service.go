@@ -36,9 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
-	"dlsbl/internal/pipeline"
 )
 
 // Errors the admission path reports; the HTTP layer maps them to status
@@ -206,7 +204,6 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 	tasks := make([]*Task, len(jobs))
 	for i, spec := range jobs {
 		tasks[i] = &Task{
-			pool:      p,
 			spec:      spec,
 			artifacts: arts,
 			index:     i,
@@ -230,16 +227,11 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 
 // runPool is a pool's runner: it consumes the pool FIFO one task at a
 // time (per-pool serialization), taking a server-wide worker slot for the
-// duration of each protocol run (cross-pool bound). On a pipelined pool
-// (PipelineDepth > 1) it dequeues up to that many queued tasks in one
-// grab instead, so the batch can share a packed bus schedule. It exits
-// once the server is closing and the FIFO has drained.
+// duration of each protocol run (cross-pool bound), and closes each
+// task's Done as soon as its round settles. It exits once the server is
+// closing and the FIFO has drained.
 func (s *Server) runPool(p *Pool) {
 	defer s.runners.Done()
-	grab := 1
-	if p.spec.PipelineDepth > 1 {
-		grab = p.spec.PipelineDepth
-	}
 	for {
 		p.mu.Lock()
 		for len(p.fifo) == 0 && !p.closing {
@@ -249,92 +241,23 @@ func (s *Server) runPool(p *Pool) {
 			p.mu.Unlock()
 			return
 		}
-		n := grab
-		if n > len(p.fifo) {
-			n = len(p.fifo)
-		}
-		batch := p.fifo[:n:n]
-		p.fifo = p.fifo[n:]
+		t := p.fifo[0]
+		p.fifo = p.fifo[1:]
 		p.mu.Unlock()
-		s.queued.Add(int64(-n))
-		for _, t := range batch {
-			if h := s.testHookBeforeRun; h != nil {
-				h(p, t)
-			}
+		s.queued.Add(-1)
+		if h := s.testHookBeforeRun; h != nil {
+			h(p, t)
 		}
 		s.sem <- struct{}{}
 		s.metrics.runStarted()
-		for _, t := range batch {
-			if h := s.testHookDuringRun; h != nil {
-				h(p, t)
-			}
-			s.runTask(p, t)
+		if h := s.testHookDuringRun; h != nil {
+			h(p, t)
 		}
-		if len(batch) > 1 {
-			s.packBatch(p, batch)
-		}
+		s.runTask(p, t)
 		s.metrics.runFinished()
 		<-s.sem
-		for _, t := range batch {
-			close(t.done)
-		}
+		close(t.done)
 	}
-}
-
-// packBatch folds a pipelined batch's realized outcomes into one shared
-// bus schedule and stamps each job's packed finish time and the batch
-// speedup into its result. The economics are already settled per job;
-// packing is pure virtual-time placement, so a pack failure (e.g. every
-// round terminated early) only costs the telemetry.
-func (s *Server) packBatch(p *Pool, batch []*Task) {
-	var jobs []pipeline.Job
-	var idx []int
-	var z float64
-	for i, t := range batch {
-		out := t.out
-		if out == nil || !out.Completed {
-			continue
-		}
-		rounds := len(out.Installments)
-		if rounds == 0 {
-			rounds = 1
-		}
-		policy := dlt.EqualRounds
-		if t.spec.InstallmentPolicy != "" {
-			policy, _ = dlt.ParseRoundPolicy(t.spec.InstallmentPolicy)
-		}
-		job, err := pipeline.JobFromOutcome(fmt.Sprintf("%s/r%d", p.spec.Name, t.res.Round), out, rounds, policy)
-		if err != nil {
-			continue
-		}
-		jobs = append(jobs, job)
-		idx = append(idx, i)
-		z = t.spec.Z
-	}
-	if len(jobs) < 2 {
-		return
-	}
-	plan, err := pipeline.Pack(p.network, z, jobs)
-	if err != nil {
-		s.log.Warn("batch packing failed", "pool", p.spec.Name, "jobs", len(jobs), "error", err)
-		return
-	}
-	for k, i := range idx {
-		batch[i].res.PackedWith = len(jobs)
-		batch[i].res.PackedMakespan = plan.Finish[k]
-		batch[i].res.BatchSpeedup = plan.Speedup()
-	}
-	p.mu.Lock()
-	p.packedJobs += len(jobs)
-	p.mu.Unlock()
-	p.obs.Event(obs.Event{
-		Kind:   obs.EvPacked,
-		Detail: fmt.Sprintf("packed %d jobs into one bus schedule, speedup %.3f over FIFO", len(jobs), plan.Speedup()),
-	})
-	s.log.Info("batch packed",
-		"pool", p.spec.Name, "jobs", len(jobs),
-		"makespan", plan.Makespan, "fifo_total", plan.FIFOTotal,
-		"speedup", plan.Speedup())
 }
 
 // runTask plays one round against the pool and fills the task's result.
@@ -352,18 +275,13 @@ func (s *Server) runTask(p *Pool, t *Task) {
 			rec = obs.NewRecorder()
 			job.Tracer = obs.Multi(p.obs, p.sentinel, rec)
 		}
-		if job.Installments > 1 {
-			p.inFlight.Store(int64(job.Installments))
-		}
 		p.mu.Lock()
 		res.Round = p.state.Round
 		out, stepErr := p.sess.Step(p.state, job)
 		banned := bannedNames(p.procNames, p.state.Banned)
 		p.mu.Unlock()
-		p.inFlight.Store(0)
 		err = stepErr
 		if out != nil {
-			t.out = out
 			res.fill(out, t.artifacts)
 			res.Banned = banned
 		}

@@ -76,10 +76,6 @@ type Job struct {
 	// network class; 0 or 1 serves the load whole, unchanged.
 	Installments      int
 	InstallmentPolicy dlt.RoundPolicy
-	// FailoverIn kills the primary referee at the start of the named phase
-	// of this job and promotes the pool's standby referee (see
-	// protocol.Config.FailoverIn); requires Session.Standby.
-	FailoverIn string
 }
 
 // Session is a processor pool playing repeated jobs.
@@ -112,10 +108,6 @@ type Session struct {
 	// multiload pools pass it to the BidSession, which otherwise creates
 	// its own.
 	Memo *sig.VerifyMemo
-	// Standby arms a standby referee for every round (see
-	// protocol.Config.Standby): the primary streams its audit state to a
-	// replica that Job.FailoverIn can promote mid-round.
-	Standby bool
 }
 
 // State is the reputation state a pool carries between rounds. Step
@@ -227,21 +219,19 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 		out, err = s.stepMultiload(st, job, behaviors)
 	} else {
 		out, err = protocol.Run(protocol.Config{
-			Network:    s.Network,
-			Z:          job.Z,
-			TrueW:      s.TrueW,
-			Behaviors:  behaviors,
-			Fine:       s.Fine,
-			NBlocks:    job.NBlocks,
-			BlockSize:  job.BlockSize,
-			Seed:       job.Seed,
-			Faults:     job.Faults,
-			Retry:      job.Retry,
-			Keys:       s.Keys,
-			Tracer:     job.Tracer,
-			Memo:       s.Memo,
-			Standby:    s.Standby,
-			FailoverIn: job.FailoverIn,
+			Network:   s.Network,
+			Z:         job.Z,
+			TrueW:     s.TrueW,
+			Behaviors: behaviors,
+			Fine:      s.Fine,
+			NBlocks:   job.NBlocks,
+			BlockSize: job.BlockSize,
+			Seed:      job.Seed,
+			Faults:    job.Faults,
+			Retry:     job.Retry,
+			Keys:      s.Keys,
+			Tracer:    job.Tracer,
+			Memo:      s.Memo,
 		})
 	}
 	if err != nil {
@@ -288,7 +278,6 @@ func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) 
 			Fine:    s.Fine,
 			Keys:    s.Keys,
 			Memo:    s.Memo,
-			Standby: s.Standby,
 		})
 		if err != nil {
 			return nil, err
@@ -299,14 +288,13 @@ func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) 
 		return nil, fmt.Errorf("session: multiload pool founded with z=%v cannot serve a job with z=%v", st.bidZ, job.Z)
 	}
 	jc := protocol.JobConfig{
-		Seed:       job.Seed,
-		NBlocks:    job.NBlocks,
-		BlockSize:  job.BlockSize,
-		Behaviors:  behaviors,
-		Faults:     job.Faults,
-		Retry:      job.Retry,
-		Tracer:     job.Tracer,
-		FailoverIn: job.FailoverIn,
+		Seed:      job.Seed,
+		NBlocks:   job.NBlocks,
+		BlockSize: job.BlockSize,
+		Behaviors: behaviors,
+		Faults:    job.Faults,
+		Retry:     job.Retry,
+		Tracer:    job.Tracer,
 	}
 	if job.Installments > 1 {
 		return pipeline.RunLoad(st.bid, pipeline.Load{
