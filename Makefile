@@ -30,7 +30,9 @@ race-service:
 # contract: every exported top-level symbol must carry a doc comment.
 doccheck:
 	$(GO) run ./cmd/doccheck ./internal/protocol ./internal/sig ./internal/netbus ./internal/bus \
-		./internal/service ./internal/pipeline ./internal/referee ./internal/session
+		./internal/service ./internal/pipeline ./internal/referee ./internal/session \
+		./internal/core ./internal/dlt ./internal/payment ./internal/agent ./internal/workload \
+		./internal/adversarytest
 
 # The 3-process loopback deployment check: build dls-serve and dls-node,
 # boot 1 driver + 2 workers over real UDP sockets, run a full round and
@@ -65,7 +67,7 @@ ci: build vet doccheck race cover fuzz-short bench-layered-smoke net-smoke net-t
 # raise it when coverage rises, never lower it to make a change fit.
 # The profile lands under the git-ignored .cover/ so a coverage run
 # never dirties the working tree.
-COVER_FLOOR ?= 81.0
+COVER_FLOOR ?= 81.4
 COVER_PROFILE ?= .cover/coverage.out
 cover:
 	@mkdir -p $(dir $(COVER_PROFILE))

@@ -83,3 +83,37 @@ func TestRunLoadCrashMidInstallment(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoadColdCrashKeepsSession: a crash in the first installment of
+// a cold session's first load, whose installment 1 runs the full bid
+// exchange. P3 leaves the remaining installments through a splice,
+// stays a session member, and the next load is served with every member.
+func TestRunLoadColdCrashKeepsSession(t *testing.T) {
+	w := []float64{3, 2, 4, 5}
+	s := newSession(t, w...)
+	job := protocol.JobConfig{Seed: 7, NBlocks: 64, Faults: adversarytest.CrashPlan(5, 1, "P3")}
+	out, err := RunLoad(s, Load{Job: job, Rounds: 3, Policy: dlt.EqualRounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Completed || len(out.Installments) != 3 {
+		t.Fatalf("load completed=%v with %d installments, want 3 completed", out.Completed, len(out.Installments))
+	}
+	first, second := out.Installments[0], out.Installments[1]
+	if first.BidReused || len(first.Evictions) != 1 || first.Evictions[0].Proc != "P3" {
+		t.Fatalf("installment 1: reused=%v evictions=%+v, want a full exchange that evicts P3", first.BidReused, first.Evictions)
+	}
+	if !second.BidSpliced || second.Participated[2] {
+		t.Fatalf("installment 2: spliced=%v P3 participated=%v, want P3 spliced out", second.BidSpliced, second.Participated[2])
+	}
+	if got := len(s.Members()); got != len(w) {
+		t.Fatalf("%d session members after the crash, want %d", got, len(w))
+	}
+	next, err := RunLoad(s, Load{Job: protocol.JobConfig{Seed: 8, NBlocks: 64}, Rounds: 3, Policy: dlt.EqualRounds})
+	if err != nil {
+		t.Fatalf("load after the crash: %v", err)
+	}
+	if !next.Completed || !next.Participated[2] || next.Payments[2] <= 0 {
+		t.Fatalf("load after the crash: completed=%v P3 participated=%v paid %v", next.Completed, next.Participated[2], next.Payments[2])
+	}
+}

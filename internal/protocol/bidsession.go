@@ -28,171 +28,56 @@ import (
 // Every round gets a fresh session-salted round ID folded into the signed
 // per-round artifacts and the referee's audit transcript, so a message
 // captured in round j and replayed in round j+1 is detectable (its round
-// stamp no longer matches). The cached bid envelopes carry the ID of the
-// round they were signed in — their "bid epoch" — and the referee is bound
-// to both IDs each round (referee.BindRounds).
+// stamp no longer matches). Each cached bid envelope carries the ID of the
+// round it was signed in — its "bid epoch" — and the referee is bound to
+// the current round and to every participant's epoch (referee.BindRounds).
 
 // bidCache is the product of one clean Bidding phase: the agreed bid
 // vector, the signed envelopes behind it, and the bus traffic the exchange
 // cost (what every reuse round saves). It is valid for exactly the member
 // set and bid values it was captured with; BidSession re-bids the moment
-// either changes, and executeRound independently re-verifies every cached
+// either changes, and cachedBidding independently re-verifies every cached
 // envelope before serving a round from it.
 type bidCache struct {
 	epoch   string   // base epoch: round ID of the last full bid exchange
 	procs   []string // participant ids, index order
 	bids    []float64
 	bidEnvs []sig.Envelope
-	// epochs, when non-nil, holds the per-participant epoch each cached
-	// bid was actually signed in — a spliced cache mixes the base epoch
-	// with the splice rounds' fresh IDs. Nil means epoch applies
-	// uniformly (a cache straight from a full exchange).
+	// epochs[i] is the round bid i was signed in: the base epoch after a
+	// full exchange, a splice round's ID for the member it re-bid. The
+	// cache owns the slice; no run aliases it.
 	epochs  []string
-	fine    float64   // F in force when the bids were established
 	bidding bus.Stats // traffic the bid exchange cost
 	served  int       // reuse rounds served so far
 }
 
-// epochFor returns the epoch cached bid i was signed in.
-func (c *bidCache) epochFor(i int) string {
-	if c.epochs != nil {
-		return c.epochs[i]
-	}
-	return c.epoch
-}
-
-// captureBidCache snapshots the verified bid set right after a clean
-// Bidding phase. Bidding is the first traffic on the bus, so the stats at
-// this instant are exactly the exchange's cost.
-func (r *run) captureBidCache() *bidCache {
+// captureBidCache snapshots the run's verified bid set into a cache of its
+// own (every slice copied, so a later eviction compacting the run's state
+// cannot reach it). epoch is the cache's base epoch and bidding the
+// exchange traffic its reuse rounds save.
+func (r *run) captureBidCache(epoch string, bidding bus.Stats) *bidCache {
 	return &bidCache{
-		epoch:   r.roundID,
+		epoch:   epoch,
 		procs:   append([]string(nil), r.procs...),
 		bids:    append([]float64(nil), r.bids...),
 		bidEnvs: append([]sig.Envelope(nil), r.bidEnvs...),
-		fine:    r.ref.Fine(),
-		bidding: r.net.Stats(),
+		epochs:  append([]string(nil), r.epochs...),
+		bidding: bidding,
 	}
 }
 
-// reuseBidding stands in for phaseBidding on a reuse round: it installs
-// the cached bid set after re-verifying every envelope against this
-// round's fresh PKI registry — the cache is trusted for liveness, never
-// for authenticity — and brings the referee into existence bound to the
-// current round and the cache's bid epoch. An O(m) pass instead of the
-// Θ(m²) exchange.
-func (r *run) reuseBidding(c *bidCache) error {
-	r.xp.beginPhase()
-	if r.bidEpoch != c.epoch {
-		return fmt.Errorf("protocol: round bound to bid epoch %q but cache holds epoch %q", r.bidEpoch, c.epoch)
-	}
-	if len(c.procs) != r.m {
-		return fmt.Errorf("protocol: bid cache holds %d processors, round has %d (stale member set)", len(c.procs), r.m)
-	}
-	for i, p := range r.procs {
-		if c.procs[i] != p {
-			return fmt.Errorf("protocol: bid cache processor %d is %s, round has %s (stale member set)", i, c.procs[i], p)
-		}
-	}
-	if err := r.checkCachedBids(c); err != nil {
-		return err
-	}
-	r.bids = append([]float64(nil), c.bids...)
-	r.bidEnvs = append([]sig.Envelope(nil), c.bidEnvs...)
-	if c.epochs != nil {
-		r.epochs = append([]string(nil), c.epochs...)
-	}
-	var err error
-	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, c.fine)
-	if err != nil {
-		return err
-	}
-	if c.epochs != nil {
-		if err := r.ref.BindRoundsSpliced(r.roundID, r.bidEpoch, c.epochs); err != nil {
-			return err
-		}
-	} else {
-		r.ref.BindRounds(r.roundID, r.bidEpoch)
-	}
-	if err := r.armStandby(); err != nil {
-		return err
-	}
-	r.recordInstallment()
-	r.outcome.FineMagnitude = c.fine
-	c.served++
-	r.ref.RecordBidReuse(c.epoch, c.served)
-	if r.tracer != nil {
-		r.tracer.Event(obs.Event{
-			Kind:   obs.EvBidReused,
-			Round:  r.roundID,
-			Detail: fmt.Sprintf("epoch %s, reuse round %d", c.epoch, c.served),
-		})
-	}
-	return nil
-}
-
-// checkCachedBids re-verifies every cached envelope against this round's
-// fresh PKI registry and re-checks its binding to the cache — sender,
-// epoch, bid value and the agent's current announced bid. The batch
-// verification collapses into memo hits for bit-identical envelopes that
-// verified in an earlier round; the payload decodes and the value checks
-// run in full.
-func (r *run) checkCachedBids(c *bidCache) error {
-	memoBefore := r.ver.Stats().MemoHits
-	for i, err := range r.ver.VerifyEach(c.bidEnvs) {
-		if err != nil {
-			return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[i], err)
-		}
-	}
-	if r.tracer != nil {
-		st := r.ver.Stats()
-		r.tracer.Event(obs.Event{
-			Kind:   obs.EvVerifyBatch,
-			Round:  r.roundID,
-			Detail: fmt.Sprintf("%d cached bids, %d memo hits", len(c.bidEnvs), st.MemoHits-memoBefore),
-		})
-		if h := st.MemoHits - memoBefore; h > 0 {
-			r.tracer.Event(obs.Event{
-				Kind:   obs.EvVerifyMemoHit,
-				Round:  r.roundID,
-				Detail: fmt.Sprintf("%d verifications skipped", h),
-			})
-		}
-	}
-	for i := range c.bidEnvs {
-		env := &c.bidEnvs[i]
-		var bp referee.BidPayload
-		if err := r.open(env, &bp); err != nil {
-			return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[i], err)
-		}
-		if env.Sender != c.procs[i] || bp.Proc != c.procs[i] {
-			return fmt.Errorf("protocol: cached bid %d signed by %q, want %q", i, env.Sender, c.procs[i])
-		}
-		if bp.Round != c.epochFor(i) {
-			return fmt.Errorf("protocol: cached bid of %s carries round %q, epoch is %q", c.procs[i], bp.Round, c.epochFor(i))
-		}
-		if bp.Bid != c.bids[i] {
-			return fmt.Errorf("protocol: cached bid of %s is %v in the envelope, %v in the cache", c.procs[i], bp.Bid, c.bids[i])
-		}
-		if got := r.agents[i].Bid(); got != c.bids[i] {
-			return fmt.Errorf("protocol: %s now bids %v but the cache holds %v; a rebid round is required", c.procs[i], got, c.bids[i])
-		}
-	}
-	return nil
-}
-
-// ---- Incremental re-bid (bid splicing) ------------------------------------
+// ---- Cached bidding: reuse and incremental re-bid (bid splicing) ---------
 //
-// A full re-bid costs the Θ(m²) exchange even when only ONE member's
-// conduct changed — a rate announcement, a join, a leave. For those
-// single-member deltas the session runs an incremental re-bid instead:
-// the changed member broadcasts one fresh bid (Θ(m) deliveries), every
-// other member's cached envelope is re-verified and spliced in unchanged,
-// and the referee is bound to per-processor epochs
-// (referee.BindRoundsSpliced) so each bid is checked against the round it
-// was actually signed in. Any deviation from the happy path — deviants in
-// either profile, an unreachable peer, a stale cache — falls back to the
-// full exchange.
+// A round whose bid profile equals the cached one is a reuse round: no
+// member bids afresh. A full re-bid costs the Θ(m²) exchange even when
+// only ONE member's conduct changed — a rate announcement, a join, a
+// leave. For those single-member deltas the session runs an incremental
+// re-bid instead: the changed member broadcasts one fresh bid (Θ(m)
+// deliveries), every other member's cached envelope is re-verified and
+// spliced in unchanged, and the referee is bound to per-participant epochs
+// so each bid is checked against the round it was actually signed in. Any
+// deviation from the happy path — deviants in either profile, an
+// unreachable peer, a stale cache — falls back to the full exchange.
 
 // spliceKind classifies the single-member delta an incremental re-bid
 // absorbs.
@@ -290,152 +175,54 @@ func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 	}
 }
 
-// spliceBidding stands in for phaseBidding on an incremental re-bid
-// round. It aligns this round's participants with the cache, re-verifies
-// every kept envelope (memoized when the run has a memo), has the changed
-// member broadcast its fresh bid under the current round ID, forwards the
-// incumbent bids to a joining newcomer, and binds the referee to the
-// resulting per-processor epochs. It returns the spliced cache future
-// reuse rounds serve from.
-func (r *run) spliceBidding(c *bidCache, sp spliceOp) (*bidCache, error) {
+// cachedBidding stands in for phaseBidding on a round served from the bid
+// cache: an O(m) pass instead of the Θ(m²) exchange. A nil sp is a reuse
+// round — this round's participants are exactly the cache's and nobody
+// bids afresh. A non-nil sp is an incremental re-bid: the changed member
+// broadcasts a fresh bid signed in this round (its new epoch), a joining
+// newcomer receives the incumbents' envelopes, a leaving member's bid is
+// dropped. Either way every kept envelope is re-verified against this
+// round's fresh PKI registry — the cache is trusted for liveness, never
+// for authenticity — and the referee is seated bound to each participant's
+// epoch. It returns the cache later rounds serve from: c itself after a
+// reuse round, the spliced cache after a splice.
+func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 	r.xp.beginPhase()
-	if r.bidEpoch != c.epoch {
-		return nil, fmt.Errorf("protocol: round bound to bid epoch %q but cache holds epoch %q", r.bidEpoch, c.epoch)
-	}
-	// src[i] is the cached index serving participant i; -1 marks the
-	// freshly bidding member.
-	src := make([]int, r.m)
-	switch sp.kind {
-	case spliceRate:
-		if r.m != len(c.procs) || sp.newIdx < 0 || sp.newIdx >= r.m {
-			return nil, fmt.Errorf("protocol: splice: round has %d participants, cache holds %d (stale member set)", r.m, len(c.procs))
-		}
-		for i := range src {
-			src[i] = i
-		}
-		src[sp.newIdx] = -1
-	case spliceJoin:
-		if r.m != len(c.procs)+1 || sp.newIdx != r.m-1 {
-			return nil, fmt.Errorf("protocol: splice: join must append (round has %d participants, cache holds %d)", r.m, len(c.procs))
-		}
-		for i := 0; i < r.m-1; i++ {
-			src[i] = i
-		}
-		src[r.m-1] = -1
-	case spliceLeave:
-		if r.m != len(c.procs)-1 || sp.oldIdx < 0 || sp.oldIdx >= len(c.procs) {
-			return nil, fmt.Errorf("protocol: splice: round has %d participants, cache holds %d (stale member set)", r.m, len(c.procs))
-		}
-		for i := range src {
-			if i < sp.oldIdx {
-				src[i] = i
-			} else {
-				src[i] = i + 1
-			}
-		}
-	}
-	for i, s := range src {
-		if s >= 0 && c.procs[s] != r.procs[i] {
-			return nil, fmt.Errorf("protocol: splice: participant %d is %s, cache holds %s (stale member set)", i, r.procs[i], c.procs[s])
-		}
-	}
-
-	// Kept envelopes: re-verified against this round's fresh registry and
-	// re-checked against the cache, exactly as a reuse round would.
-	r.bids = make([]float64, r.m)
-	r.bidEnvs = make([]sig.Envelope, r.m)
-	epochs := make([]string, r.m)
-	for i, s := range src {
-		if s < 0 {
-			continue
-		}
-		env := &c.bidEnvs[s]
-		var bp referee.BidPayload
-		if err := r.open(env, &bp); err != nil {
-			return nil, fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[s], err)
-		}
-		if env.Sender != c.procs[s] || bp.Proc != c.procs[s] {
-			return nil, fmt.Errorf("protocol: cached bid %d signed by %q, want %q", s, env.Sender, c.procs[s])
-		}
-		if bp.Round != c.epochFor(s) {
-			return nil, fmt.Errorf("protocol: cached bid of %s carries round %q, epoch is %q", c.procs[s], bp.Round, c.epochFor(s))
-		}
-		if bp.Bid != c.bids[s] {
-			return nil, fmt.Errorf("protocol: cached bid of %s is %v in the envelope, %v in the cache", c.procs[s], bp.Bid, c.bids[s])
-		}
-		if got := r.agents[i].Bid(); got != c.bids[s] {
-			return nil, fmt.Errorf("protocol: %s now bids %v but the cache holds %v; a full rebid is required", c.procs[s], got, c.bids[s])
-		}
-		r.bids[i] = c.bids[s]
-		r.bidEnvs[i] = c.bidEnvs[s]
-		epochs[i] = c.epochFor(s)
-	}
-
-	// The changed member broadcasts its fresh bid, signed in THIS round —
-	// its new bid epoch. Θ(m) deliveries instead of the Θ(m²) exchange.
-	changed := ""
-	if sp.newIdx >= 0 {
-		a := r.agents[sp.newIdx]
-		changed = a.ID
-		env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
-		if err != nil {
-			return nil, err
-		}
-		others := make([]string, 0, r.m-1)
-		for i, p := range r.procs {
-			if i != sp.newIdx {
-				others = append(others, p)
-			}
-		}
-		missing, err := r.xp.broadcastReliable(a.ID, referee.KindBid, env, 1, others)
-		if err != nil {
-			return nil, err
-		}
-		if len(missing) > 0 {
-			return nil, fmt.Errorf("%w: spliced bid of %s undelivered to %v", ErrUnreachable, a.ID, missing)
-		}
-		r.bids[sp.newIdx] = a.Bid()
-		r.bidEnvs[sp.newIdx] = env
-		epochs[sp.newIdx] = r.roundID
-	} else {
-		changed = c.procs[sp.oldIdx]
-	}
-	// A joining newcomer holds none of the cached bids: each incumbent
-	// forwards its own signed envelope point-to-point (Θ(m) unicasts).
-	if sp.kind == spliceJoin {
-		newcomer := r.procs[sp.newIdx]
-		for i, s := range src {
-			if s < 0 {
-				continue
-			}
-			if _, err := r.xp.sendReliable(r.procs[i], newcomer, referee.KindBid, r.bidEnvs[i], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// The spliced bid vector is a new public vector, so a derived fine is
-	// re-derived from it exactly as a full exchange would — a join or a
-	// rate change can move the suggested F. An explicitly configured fine
-	// is fixed either way.
-	fine := r.cfg.Fine
-	if fine == 0 {
-		fine = referee.SuggestedFine(r.bids, 4)
-	}
-	var err error
-	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine)
+	src, err := r.alignCache(c, sp)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.ref.BindRoundsSpliced(r.roundID, r.bidEpoch, epochs); err != nil {
+	if err := r.keepCachedBids(c, sp, src); err != nil {
 		return nil, err
 	}
-	if err := r.armStandby(); err != nil {
+	if sp != nil {
+		if err := r.spliceFreshBid(*sp, src); err != nil {
+			return nil, err
+		}
+	}
+	// A spliced bid vector is a new public vector, so seatReferee derives
+	// its fine exactly as a full exchange would.
+	if err := r.seatReferee(); err != nil {
 		return nil, err
 	}
-	r.recordInstallment()
-	r.epochs = epochs
-	r.outcome.FineMagnitude = fine
+	if sp == nil {
+		c.served++
+		r.ref.RecordBidReuse(c.epoch, c.served)
+		if r.tracer != nil {
+			r.tracer.Event(obs.Event{
+				Kind:   obs.EvBidReused,
+				Round:  r.roundID,
+				Detail: fmt.Sprintf("epoch %s, reuse round %d", c.epoch, c.served),
+			})
+		}
+		return c, nil
+	}
+	var changed string
+	if sp.newIdx >= 0 {
+		changed = r.procs[sp.newIdx]
+	} else {
+		changed = c.procs[sp.oldIdx]
+	}
 	r.ref.RecordBidSplice(changed, sp.kind.String(), c.epoch)
 	if r.tracer != nil {
 		r.tracer.Event(obs.Event{
@@ -444,17 +231,155 @@ func (r *run) spliceBidding(c *bidCache, sp spliceOp) (*bidCache, error) {
 			Detail: fmt.Sprintf("%s of %s onto epoch %s", sp.kind, changed, c.epoch),
 		})
 	}
-	return &bidCache{
-		epoch:   c.epoch,
-		procs:   append([]string(nil), r.procs...),
-		bids:    append([]float64(nil), r.bids...),
-		bidEnvs: append([]sig.Envelope(nil), r.bidEnvs...),
-		epochs:  epochs,
-		fine:    fine,
-		// Future reuse rounds save (approximately) the last full
-		// exchange's traffic; the splice itself cost only Θ(m).
-		bidding: c.bidding,
-	}, nil
+	// Future reuse rounds save (approximately) the last full exchange's
+	// traffic; the splice itself cost only Θ(m).
+	return r.captureBidCache(c.epoch, c.bidding), nil
+}
+
+// spliceFreshBid has the changed member of a splice broadcast its fresh
+// bid, signed in THIS round — its new bid epoch: Θ(m) deliveries instead
+// of the Θ(m²) exchange. A joining newcomer, which holds none of the
+// cached bids, then receives each incumbent's envelope point-to-point
+// (Θ(m) unicasts). A leave broadcasts nothing.
+func (r *run) spliceFreshBid(sp spliceOp, src []int) error {
+	if sp.newIdx < 0 {
+		return nil
+	}
+	a := r.agents[sp.newIdx]
+	env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
+	if err != nil {
+		return err
+	}
+	others := make([]string, 0, r.m-1)
+	for i, p := range r.procs {
+		if i != sp.newIdx {
+			others = append(others, p)
+		}
+	}
+	missing, err := r.xp.broadcastReliable(a.ID, referee.KindBid, env, 1, others)
+	if err != nil {
+		return err
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("%w: spliced bid of %s undelivered to %v", ErrUnreachable, a.ID, missing)
+	}
+	r.bids[sp.newIdx] = a.Bid()
+	r.bidEnvs[sp.newIdx] = env
+	r.epochs[sp.newIdx] = r.roundID
+	if sp.kind != spliceJoin {
+		return nil
+	}
+	for i, s := range src {
+		if s < 0 {
+			continue
+		}
+		if _, err := r.xp.sendReliable(r.procs[i], a.ID, referee.KindBid, r.bidEnvs[i], 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// alignCache maps this round's participants onto the cache: src[i] is the
+// cached index serving participant i, or -1 for the member that bids
+// afresh (sp.newIdx). A cached participant the splice drops (sp.oldIdx of
+// a rate change or a leave) serves nobody.
+func (r *run) alignCache(c *bidCache, sp *spliceOp) ([]int, error) {
+	fresh, drop := -1, -1
+	if sp != nil {
+		fresh, drop = sp.newIdx, sp.oldIdx
+	}
+	src := make([]int, 0, r.m)
+	for s := range c.procs {
+		if len(src) == fresh {
+			src = append(src, -1)
+		}
+		if s != drop {
+			src = append(src, s)
+		}
+	}
+	if len(src) == fresh {
+		src = append(src, -1)
+	}
+	if len(src) != r.m {
+		return nil, fmt.Errorf("protocol: bid cache serves %d processors, round has %d (stale member set)", len(src), r.m)
+	}
+	for i, s := range src {
+		if s >= 0 && c.procs[s] != r.procs[i] {
+			return nil, fmt.Errorf("protocol: participant %d is %s, bid cache holds %s (stale member set)", i, r.procs[i], c.procs[s])
+		}
+	}
+	return src, nil
+}
+
+// keepCachedBids installs the kept cached bids as this round's bid vector,
+// envelopes and epochs, after verifying every kept envelope in one batch
+// (memo hits for envelopes that verified in an earlier round) and
+// re-checking each against the cache — sender, epoch, bid value — and
+// against the agent's current announced bid. The fresh member's slot
+// (src -1) is left for the caller.
+func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
+	// A reuse round keeps every cached envelope in place, so the cache's
+	// own slice is the batch; a splice gathers the kept ones.
+	kept := c.bidEnvs
+	if sp != nil {
+		kept = make([]sig.Envelope, 0, len(src))
+		for _, s := range src {
+			if s >= 0 {
+				kept = append(kept, c.bidEnvs[s])
+			}
+		}
+	}
+	memoBefore := r.ver.Stats().MemoHits
+	errs := r.ver.VerifyEach(kept)
+	if r.tracer != nil {
+		h := r.ver.Stats().MemoHits - memoBefore
+		r.tracer.Event(obs.Event{
+			Kind:   obs.EvVerifyBatch,
+			Round:  r.roundID,
+			Detail: fmt.Sprintf("%d cached bids, %d memo hits", len(kept), h),
+		})
+		if h > 0 {
+			r.tracer.Event(obs.Event{
+				Kind:   obs.EvVerifyMemoHit,
+				Round:  r.roundID,
+				Detail: fmt.Sprintf("%d verifications skipped", h),
+			})
+		}
+	}
+	r.bids = make([]float64, r.m)
+	r.bidEnvs = make([]sig.Envelope, r.m)
+	r.epochs = make([]string, r.m)
+	k := 0
+	for i, s := range src {
+		if s < 0 {
+			continue
+		}
+		env := &c.bidEnvs[s]
+		var bp referee.BidPayload
+		err := errs[k]
+		k++
+		if err == nil {
+			err = r.open(env, &bp)
+		}
+		if err != nil {
+			return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[s], err)
+		}
+		if env.Sender != c.procs[s] || bp.Proc != c.procs[s] {
+			return fmt.Errorf("protocol: cached bid %d signed by %q, want %q", s, env.Sender, c.procs[s])
+		}
+		if bp.Round != c.epochs[s] {
+			return fmt.Errorf("protocol: cached bid of %s carries round %q, epoch is %q", c.procs[s], bp.Round, c.epochs[s])
+		}
+		if bp.Bid != c.bids[s] {
+			return fmt.Errorf("protocol: cached bid of %s is %v in the envelope, %v in the cache", c.procs[s], bp.Bid, c.bids[s])
+		}
+		if got := r.agents[i].Bid(); got != c.bids[s] {
+			return fmt.Errorf("protocol: %s now bids %v but the cache holds %v; a rebid round is required", c.procs[s], got, c.bids[s])
+		}
+		r.bids[i], r.bidEnvs[i], r.epochs[i] = c.bids[s], *env, c.epochs[s]
+	}
+	return nil
 }
 
 // JobConfig describes one load served by a BidSession. The session owns
@@ -720,11 +645,18 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 	s.sinceRebid = 0
 	// Bidding-phase evictions permanently remove members; the captured
 	// cache (if any) already holds survivors only, so the profile it is
-	// filed under must mark the evicted absent too.
-	for i, ev := range out.Evicted {
-		if ev && i < len(s.gone) {
-			s.gone[i] = true
-			prof[i] = bidProfile{}
+	// filed under must mark the evicted absent too. A member a later phase
+	// evicted (a crash during Processing) is still in the cache and stays
+	// a member, exactly as after a crash on a cached round.
+	for _, ev := range out.Evictions {
+		if ev.Phase != obs.PhaseBidding {
+			continue
+		}
+		for i, p := range out.Procs {
+			if p == ev.Proc {
+				s.gone[i] = true
+				prof[i] = bidProfile{}
+			}
 		}
 	}
 	if cache != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlsbl/internal/adversarytest"
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
@@ -301,5 +302,84 @@ func TestBidSessionTerminatedBiddingKeepsOldCache(t *testing.T) {
 	}
 	if st := s.Stats(); st.BidEpoch != epoch {
 		t.Fatalf("serving from epoch %q, want the original %q", st.BidEpoch, epoch)
+	}
+}
+
+// TestSpliceRoundCrashKeepsCacheIntact: a member that crashes during
+// Processing of a splice round is evicted from that round only. The
+// spliced cache keeps its own per-member bid epochs, so the compaction
+// of the round's state cannot shift a later member's epoch into the
+// evictee's slot, and the clean rounds that follow are served from the
+// cache with the standalone economics.
+func TestSpliceRoundCrashKeepsCacheIntact(t *testing.T) {
+	w := []float64{1, 1.5, 2, 2.5, 3}
+	s := sessionBase(t, w...)
+	job := JobConfig{Seed: 3, NBlocks: 80}
+	if _, err := s.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AnnounceRate(4, 6.5); err != nil {
+		t.Fatal(err)
+	}
+	w[4] = 6.5
+	crash := job
+	crash.Faults = adversarytest.CrashPlan(5, 0, "P3")
+	out, err := s.Run(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.BidSpliced || !out.Evicted[2] {
+		t.Fatalf("splice round: BidSpliced=%v Evicted=%v, want a splice that evicts P3", out.BidSpliced, out.Evicted)
+	}
+	want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 3, NBlocks: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		out, err := s.Run(job)
+		if err != nil {
+			t.Fatalf("clean round %d after the splice crash: %v", k+1, err)
+		}
+		if !out.BidReused {
+			t.Fatalf("clean round %d re-bid; want reuse of the spliced cache", k+1)
+		}
+		if got, want := econOf(out), econOf(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("clean round %d diverges from a standalone run\n got %+v\nwant %+v", k+1, got, want)
+		}
+	}
+}
+
+// TestCrashOnColdRoundKeepsSession: a member that crashes during
+// Processing of the session's first (full-exchange) round is evicted
+// from that round only. It stays a member and in the bid cache, so the
+// clean jobs that follow are served from the cache with every member,
+// settling exactly like standalone runs.
+func TestCrashOnColdRoundKeepsSession(t *testing.T) {
+	w := []float64{1, 1.5, 2, 2.5}
+	s := sessionBase(t, w...)
+	crash := JobConfig{Seed: 3, NBlocks: 64, Faults: adversarytest.CrashPlan(5, 0, "P3")}
+	out, err := s.Run(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.BidReused || !out.Evicted[2] {
+		t.Fatalf("first round: BidReused=%v Evicted=%v, want a full exchange that evicts P3", out.BidReused, out.Evicted)
+	}
+	for k := 0; k < 3; k++ {
+		job := JobConfig{Seed: int64(10 + k), NBlocks: 64}
+		out, err := s.Run(job)
+		if err != nil {
+			t.Fatalf("clean job %d after the crash: %v", k+1, err)
+		}
+		want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: job.Seed, NBlocks: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := econOf(out), econOf(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("clean job %d diverges from a standalone run\n got %+v\nwant %+v", k+1, got, want)
+		}
+	}
+	if got := len(s.Members()); got != len(w) {
+		t.Fatalf("%d members after a Processing crash, want %d", got, len(w))
 	}
 }

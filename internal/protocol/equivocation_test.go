@@ -137,6 +137,15 @@ func roundTestRig(t *testing.T) (*sig.Registry, map[string]*sig.KeyPair, *refere
 	return reg, keys, ref
 }
 
+// bindRig binds a roundTestRig referee to round with both processors'
+// bids signed in epoch.
+func bindRig(t *testing.T, ref *referee.Referee, round, epoch string) {
+	t.Helper()
+	if err := ref.BindRounds(round, []string{epoch, epoch}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStaleRoundReplayRejected: the round-ID binding that makes bid reuse
 // safe. An attacker records P1's signed Allocation-phase bid vector (and
 // its signed payment vector) in round j and replays them in round j+1.
@@ -162,7 +171,7 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, refJ := roundTestRig(t)
-	refJ.BindRounds(epoch, epoch)
+	bindRig(t, refJ, epoch, epoch)
 	if _, err := refJ.VerifyBidVector(vecJ); err != nil {
 		t.Fatalf("current-round vector rejected: %v", err)
 	}
@@ -170,7 +179,7 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 	// Round j+1 reuses the same bid epoch but carries a new round ID: the
 	// replayed round-j vector must fail verification.
 	_, _, refJ1 := roundTestRig(t)
-	refJ1.BindRounds("s1:r2", epoch)
+	bindRig(t, refJ1, "s1:r2", epoch)
 	if _, err := refJ1.VerifyBidVector(vecJ); err == nil {
 		t.Fatal("bid vector captured in round j accepted in round j+1")
 	}
@@ -239,7 +248,7 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 func TestEquivocatedRebidStillConvicts(t *testing.T) {
 	// Referee-level: current-epoch contradictory pair convicts the signer.
 	_, keys, ref := roundTestRig(t)
-	ref.BindRounds("s1:r5", "s1:r5")
+	bindRig(t, ref, "s1:r5", "s1:r5")
 	a, err := sig.SealBinary(keys["P1"], referee.KindBid, referee.BidPayload{Proc: "P1", Bid: 2, Round: "s1:r5"})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +316,7 @@ func TestCrossEpochEvidenceIsUnfounded(t *testing.T) {
 	if !sig.IsEquivocation(sigRegistryOf(t, keys), oldBid, newBid) {
 		t.Fatal("cross-epoch pair should look like raw equivocation to the signature layer")
 	}
-	ref.BindRounds("s1:r4", "s1:r4")
+	bindRig(t, ref, "s1:r4", "s1:r4")
 	v, err := ref.JudgeEquivocation("P2", oldBid, newBid)
 	if err != nil {
 		t.Fatal(err)

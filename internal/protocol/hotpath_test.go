@@ -16,117 +16,162 @@ import (
 // TestHotPathParityProperty is the fast-path soundness property: for
 // random pools, random per-job behaviors (bid-space deviants, slack
 // execution, payment cheats — and occasionally bidding-phase deviants
-// that terminate the round), random fault plans and random mid-stream
-// rate changes, a session on the hot path (cached bids, incremental
-// re-bid splices, one verified-envelope memo across rounds) settles every
-// job exactly as a standalone Run of that job on a fresh keyring — no
-// bid cache, no shared memo. The economics and the block assignments
-// must match; the fast path changes which work is *re*-done, never what
-// is accepted or paid.
+// that terminate the round), random fault plans, random mid-stream rate
+// changes and random crashes during Processing, a session on the hot
+// path (cached bids, incremental re-bid splices, one verified-envelope
+// memo across rounds) settles every job exactly as a standalone Run of
+// that job on a fresh keyring — no bid cache, no shared memo. The
+// economics and the block assignments must match; the fast path changes
+// which work is *re*-done, never what is accepted or paid. A crash
+// evicts its member from that job only, so the histories stay
+// comparable; an eviction during Bidding removes the member from the
+// session for good, after which only the two runs' failures are
+// compared — the session must fail exactly when the standalone run does.
 func TestHotPathParityProperty(t *testing.T) {
 	const iterations = 20
-	const jobsPerPool = 5
 	for it := 0; it < iterations; it++ {
 		it := it
 		t.Run(fmt.Sprintf("pool%02d", it), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(9000 + it)))
-			m := 2 + rng.Intn(5)
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.5 + 4*rng.Float64()
-			}
-			network := dlt.NCPFE
-			if rng.Intn(2) == 1 {
-				network = dlt.NCPNFE
-			}
-			z := 0.05 + rng.Float64()/2
-
-			hot, err := NewBidSession(Config{Network: network, Z: z, TrueW: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			behaviors := make([]agent.Behavior, m)
-			roll := func() {
-				for i := range behaviors {
-					switch rng.Intn(8) {
-					case 0:
-						behaviors[i] = agent.OverBid
-					case 1:
-						behaviors[i] = agent.UnderBid
-					case 2:
-						behaviors[i] = agent.SlowExecution
-					case 3:
-						behaviors[i] = agent.PaymentCheat
-					case 4:
-						behaviors[i] = agent.Equivocator
-					default:
-						behaviors[i] = agent.Behavior{}
-					}
-				}
-			}
-			roll()
-
-			for j := 0; j < jobsPerPool; j++ {
-				// Occasionally mutate the stream the way a live pool does:
-				// new behaviors (forces a full rebid in the session) or a
-				// single rate change (runs the incremental splice path).
-				switch rng.Intn(4) {
-				case 0:
-					roll()
-				case 1:
-					i := rng.Intn(m)
-					nw := 0.5 + 4*rng.Float64()
-					if err := hot.AnnounceRate(i, nw); err != nil {
-						t.Fatal(err)
-					}
-					w[i] = nw
-				}
-				job := JobConfig{
-					Seed:      rng.Int63n(1 << 30),
-					NBlocks:   32 * m,
-					BlockSize: 16,
-					Behaviors: append([]agent.Behavior(nil), behaviors...),
-				}
-				if rng.Intn(4) > 0 {
-					job.Faults = &bus.FaultPlan{
-						Seed:      rng.Int63n(1 << 30),
-						Drop:      rng.Float64() * 0.15,
-						Duplicate: rng.Float64() * 0.2,
-						Delay:     rng.Float64() * 0.3,
-						Reorder:   rng.Float64() * 0.2,
-						Corrupt:   rng.Float64() * 0.05,
-					}
-				}
-
-				hotOut, hotErr := hot.Run(job)
-				plainOut, plainErr := Run(Config{
-					Network: network, Z: z, TrueW: append([]float64(nil), w...),
-					Behaviors: job.Behaviors, Seed: job.Seed, NBlocks: job.NBlocks,
-					BlockSize: job.BlockSize, Faults: job.Faults, Keys: sig.NewKeyring(),
-				})
-				if (hotErr == nil) != (plainErr == nil) {
-					t.Fatalf("job %d: session err %v, standalone err %v", j, hotErr, plainErr)
-				}
-				if hotErr != nil {
-					continue
-				}
-				if len(hotOut.Evictions) > 0 || len(plainOut.Evictions) > 0 {
-					// An eviction permanently shrinks the session pool while
-					// standalone runs keep the full pool — the two legitimately
-					// diverge from here (as in TestBidReuseParityProperty).
-					t.Skipf("job %d evicted a processor; pool histories diverge", j)
-				}
-				if got, want := econOf(hotOut), econOf(plainOut); !reflect.DeepEqual(got, want) {
-					t.Fatalf("job %d: session outcome diverges from standalone run\n got %+v\nwant %+v", j, got, want)
-				}
-				if !reflect.DeepEqual(hotOut.Assignments, plainOut.Assignments) {
-					t.Fatalf("job %d: session block assignments diverge from standalone run", j)
-				}
-			}
+			hotPathParityPool(t, int64(9000+it))
 		})
 	}
+}
+
+// hotPathParityPool runs one random pool of TestHotPathParityProperty.
+func hotPathParityPool(t *testing.T, seed int64) {
+	const jobsPerPool = 5
+	rng := rand.New(rand.NewSource(seed))
+	m := 2 + rng.Intn(5)
+	w := make([]float64, m)
+	for i := range w {
+		w[i] = 0.5 + 4*rng.Float64()
+	}
+	network := dlt.NCPFE
+	if rng.Intn(2) == 1 {
+		network = dlt.NCPNFE
+	}
+	z := 0.05 + rng.Float64()/2
+
+	hot, err := NewBidSession(Config{Network: network, Z: z, TrueW: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	behaviors := make([]agent.Behavior, m)
+	roll := func() {
+		for i := range behaviors {
+			switch rng.Intn(8) {
+			case 0:
+				behaviors[i] = agent.OverBid
+			case 1:
+				behaviors[i] = agent.UnderBid
+			case 2:
+				behaviors[i] = agent.SlowExecution
+			case 3:
+				behaviors[i] = agent.PaymentCheat
+			case 4:
+				behaviors[i] = agent.Equivocator
+			default:
+				behaviors[i] = agent.Behavior{}
+			}
+		}
+	}
+	roll()
+
+	diverged := false
+	for j := 0; j < jobsPerPool; j++ {
+		// Occasionally mutate the stream the way a live pool does:
+		// new behaviors (forces a full rebid in the session) or a
+		// single rate change (runs the incremental splice path).
+		switch rng.Intn(4) {
+		case 0:
+			roll()
+		case 1:
+			i := rng.Intn(m)
+			nw := 0.5 + 4*rng.Float64()
+			// Only a member evicted during Bidding (after which the
+			// histories have diverged) can refuse the announcement.
+			if err := hot.AnnounceRate(i, nw); err == nil {
+				w[i] = nw
+			} else if !diverged {
+				t.Fatal(err)
+			}
+		}
+		job := JobConfig{
+			Seed:      rng.Int63n(1 << 30),
+			NBlocks:   32 * m,
+			BlockSize: 16,
+			Behaviors: append([]agent.Behavior(nil), behaviors...),
+		}
+		if rng.Intn(4) > 0 {
+			job.Faults = &bus.FaultPlan{
+				Seed:      rng.Int63n(1 << 30),
+				Drop:      rng.Float64() * 0.15,
+				Duplicate: rng.Float64() * 0.2,
+				Delay:     rng.Float64() * 0.3,
+				Reorder:   rng.Float64() * 0.2,
+				Corrupt:   rng.Float64() * 0.05,
+			}
+		}
+		if rng.Intn(3) == 0 {
+			// Crash a current member that is not the load originator, as
+			// long as at least two members would survive it.
+			var victims []string
+			for _, mb := range hot.Members() {
+				if mb.Index != network.Originator(len(w)) {
+					victims = append(victims, mb.ID)
+				}
+			}
+			if len(victims) >= 2 {
+				crash := bus.Crash{Proc: victims[rng.Intn(len(victims))]}
+				if job.Faults == nil {
+					job.Faults = &bus.FaultPlan{Seed: rng.Int63n(1 << 30)}
+				}
+				job.Faults.Crashes = []bus.Crash{crash}
+			}
+		}
+
+		hotOut, hotErr := hot.Run(job)
+		plainOut, plainErr := Run(Config{
+			Network: network, Z: z, TrueW: append([]float64(nil), w...),
+			Behaviors: job.Behaviors, Seed: job.Seed, NBlocks: job.NBlocks,
+			BlockSize: job.BlockSize, Faults: job.Faults, Keys: sig.NewKeyring(),
+		})
+		if (hotErr == nil) != (plainErr == nil) {
+			t.Fatalf("job %d: session err %v, standalone err %v", j, hotErr, plainErr)
+		}
+		if hotErr != nil {
+			continue
+		}
+		if biddingEvicted(hotOut) || biddingEvicted(plainOut) {
+			// An eviction during Bidding permanently shrinks the session
+			// pool while standalone runs keep the full pool — the two
+			// legitimately diverge from here (as in
+			// TestBidReuseParityProperty).
+			diverged = true
+		}
+		if diverged {
+			continue
+		}
+		if got, want := econOf(hotOut), econOf(plainOut); !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %d: session outcome diverges from standalone run\n got %+v\nwant %+v", j, got, want)
+		}
+		if !reflect.DeepEqual(hotOut.Assignments, plainOut.Assignments) {
+			t.Fatalf("job %d: session block assignments diverge from standalone run", j)
+		}
+	}
+}
+
+// biddingEvicted reports whether the outcome evicted anyone during
+// Bidding.
+func biddingEvicted(o *Outcome) bool {
+	for _, ev := range o.Evictions {
+		if ev.Phase == obs.PhaseBidding {
+			return true
+		}
+	}
+	return false
 }
 
 // econView extracts the economic payload of an outcome for comparison

@@ -385,7 +385,7 @@ func (r *run) phaseBidding() (bool, error) {
 		return false, err
 	}
 	evictedNow := append([]EvictionEvent(nil), r.outcome.Evictions...)
-	if err := r.applyEvictions(unreachable, "bidding"); err != nil {
+	if err := r.applyEvictions(unreachable, obs.PhaseBidding); err != nil {
 		return false, err
 	}
 	evictedNow = r.outcome.Evictions[len(evictedNow):]
@@ -472,22 +472,15 @@ func (r *run) phaseBidding() (bool, error) {
 		r.bidEnvs[i] = firstEnvs[i]
 	}
 
-	// The referee comes into existence with a publicly known fine.
-	fine := r.cfg.Fine
-	if fine == 0 {
-		fine = referee.SuggestedFine(r.bids, 4)
+	// A round that runs its own Bidding phase IS every bid's epoch. The
+	// referee comes into existence with a publicly known fine.
+	r.epochs = make([]string, r.m)
+	for i := range r.epochs {
+		r.epochs[i] = r.roundID
 	}
-	r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine)
-	if err != nil {
+	if err := r.seatReferee(); err != nil {
 		return false, err
 	}
-	// A round that runs its own Bidding phase IS its bids' epoch.
-	r.ref.BindRounds(r.roundID, r.bidEpoch)
-	if err := r.armStandby(); err != nil {
-		return false, err
-	}
-	r.recordInstallment()
-	r.outcome.FineMagnitude = fine
 	// Evictions are availability failures, not offenses: they enter the
 	// audit transcript (action "eviction") but carry no fine.
 	for _, ev := range evictedNow {
@@ -628,10 +621,10 @@ func (r *run) signedBidVector(i int) (sig.Envelope, error) {
 	a := r.agents[i]
 	envs := append([]sig.Envelope(nil), r.bidEnvs...)
 	if a.Behavior.TamperBidVectorEntry {
-		// The forger stamps its own current bid epoch (per-processor after
-		// a splice) — an off-epoch entry would be rejected outright; this
-		// way the fresh signature itself is what convicts (Lemma 5.2).
-		forged, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.TamperedOwnBid(), Round: r.epochOf(i)})
+		// The forger stamps its own current bid epoch — an off-epoch entry
+		// would be rejected outright; this way the fresh signature itself
+		// is what convicts (Lemma 5.2).
+		forged, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.TamperedOwnBid(), Round: r.epochs[i]})
 		if err != nil {
 			return sig.Envelope{}, err
 		}

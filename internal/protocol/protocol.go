@@ -334,10 +334,9 @@ type run struct {
 	assigns []workload.Assignment
 	nBlocks int
 	origIdx int
-	// roundID / bidEpoch are the session round identifiers (see
-	// roundBinding); both empty for standalone runs.
-	roundID  string
-	bidEpoch string
+	// roundID is the round's identifier (see roundBinding); empty for an
+	// anonymous standalone Run.
+	roundID string
 	// loadFrac is cfg.LoadFrac with the zero default resolved to 1, and
 	// inst/instOf name the installment this run serves (0/0 for
 	// whole-load rounds). policy is the load's installment division
@@ -346,8 +345,10 @@ type run struct {
 	inst     int
 	instOf   int
 	policy   dlt.RoundPolicy
-	// epochs, when non-nil, holds the per-participant bid epoch in force
-	// (spliced caches mix epochs); nil means bidEpoch applies uniformly.
+	// epochs[i] is the round participant i's bid in force was signed in:
+	// roundID for every participant after the round's own bid exchange,
+	// the cache's per-member epochs on a cached round. Index-aligned with
+	// procs once Bidding has run.
 	epochs []string
 	// ver is the run's batch verifier over cfg.Memo; the transport and
 	// the referee route verification through it.
@@ -358,14 +359,6 @@ type run struct {
 	tracer obs.Tracer
 }
 
-// epochOf returns the bid epoch in force for participant i.
-func (r *run) epochOf(i int) string {
-	if r.epochs != nil {
-		return r.epochs[i]
-	}
-	return r.bidEpoch
-}
-
 // open verifies an envelope through the run's batch verifier and
 // decodes its payload.
 func (r *run) open(env *sig.Envelope, v any) error {
@@ -373,12 +366,14 @@ func (r *run) open(env *sig.Envelope, v any) error {
 }
 
 // roundBinding names the session round a protocol execution belongs to.
-// round is the current round's session-salted ID, stamped on every signed
-// per-round artifact (bid vectors, payment vectors) and on every audit
-// entry; epoch is the round the bid set in force was signed in — equal to
-// round when this execution runs its own Bidding phase, older when it is
-// served from a BidSession cache. The zero value is the standalone case:
-// no message carries a round and none is checked.
+// round is the current round's ID, stamped on every signed per-round
+// artifact (bids, bid vectors, payment vectors) and on every audit entry;
+// epoch labels the round's trace spans and trace-context frames with the
+// bid set's base epoch — round itself when a session round runs its own
+// Bidding phase, the cache's base epoch when it is served from a
+// BidSession cache. The per-participant epochs the referee checks are
+// run.epochs. The zero value is the anonymous standalone case: no message
+// carries a round.
 type roundBinding struct {
 	round string
 	epoch string
@@ -402,9 +397,11 @@ func Run(cfg Config) (*Outcome, error) {
 // own round IDs; a standalone round normally runs anonymously, which
 // leaves trace-context-bearing media (the netbus) nothing to stamp into
 // frames. Deployment drivers that want datagrams attributed to the
-// round pass one here. The ID is observational — two runs differing
-// only in it settle identically — but it must match across runs whose
-// transcripts are compared for parity.
+// round pass one here. The round runs its own bid exchange, so the ID
+// stamps every signed artifact and is every bid's epoch; two runs
+// differing only in it settle identically (same convictions, fines and
+// payments), but their transcripts differ, so it must match across runs
+// whose transcripts are compared for parity.
 func RunRound(cfg Config, round string) (*Outcome, error) {
 	out, _, err := executeRound(cfg, roundBinding{round: round}, nil, nil)
 	return out, err
@@ -413,11 +410,11 @@ func RunRound(cfg Config, round string) (*Outcome, error) {
 // executeRound executes one protocol round. With a nil cache it runs the
 // full five phases and, when Bidding completes cleanly, captures the
 // verified bid set into a fresh bidCache for reuse. With a non-nil cache
-// it skips the Θ(m²) bid exchange entirely: the cached, already-verified
-// signed bids are re-checked against this round's fresh PKI registry (an
-// O(m) pass) and the remaining phases run against them. A non-nil splice
-// additionally runs the incremental re-bid path: one changed member
-// broadcasts a fresh bid and the cache supplies everyone else's.
+// it skips the Θ(m²) bid exchange entirely (cachedBidding): the cached,
+// already-verified signed bids are re-checked against this round's fresh
+// PKI registry (an O(m) pass) and the remaining phases run against them.
+// A non-nil splice additionally has one changed member bid afresh; the
+// returned cache is then the spliced one.
 func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp) (*Outcome, *bidCache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -442,7 +439,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 	if err != nil {
 		return nil, nil, err
 	}
-	r.roundID, r.bidEpoch = rb.round, rb.epoch
+	r.roundID = rb.round
 	r.inst, r.instOf, r.policy = rb.inst, rb.instOf, rb.policy
 	// Media that carry a trace context on the wire (the netbus) get this
 	// round's identity stamped into outgoing frames; the simulated bus
@@ -468,22 +465,14 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		out.BidSpliced = cache != nil && splice != nil
 		return out, fresh, nil
 	}
-	switch {
-	case cache != nil && splice != nil:
+	if cache != nil {
 		begin(obs.PhaseBidding)
-		fresh, err = r.spliceBidding(cache, *splice)
+		fresh, err = r.cachedBidding(cache, splice)
 		end(obs.PhaseBidding)
 		if err != nil {
 			return nil, nil, err
 		}
-	case cache != nil:
-		begin(obs.PhaseBidding)
-		err := r.reuseBidding(cache)
-		end(obs.PhaseBidding)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
+	} else {
 		begin(obs.PhaseBidding)
 		terminated, err := r.phaseBidding()
 		end(obs.PhaseBidding)
@@ -491,7 +480,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 			// A terminated Bidding phase established no reusable bid set.
 			return finish(err)
 		}
-		fresh = r.captureBidCache()
+		fresh = r.captureBidCache(r.roundID, r.net.Stats())
 	}
 	begin(obs.PhaseAllocating)
 	terminated, err := r.phaseAllocating()
@@ -850,6 +839,31 @@ func dropEvicted[T any](s []T, m int, evict map[int]string) []T {
 		}
 	}
 	return kept
+}
+
+// seatReferee brings the round's referee into existence once the bid
+// vector in force is established (by the round's own exchange or from the
+// cache): F is the configured fine or, when zero, derived from the bids;
+// the referee is bound to this round and to every participant's bid
+// epoch, the standby is armed and the installment boundary recorded.
+func (r *run) seatReferee() error {
+	fine := r.cfg.Fine
+	if fine == 0 {
+		fine = referee.SuggestedFine(r.bids, 4)
+	}
+	var err error
+	if r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine); err != nil {
+		return err
+	}
+	if err := r.ref.BindRounds(r.roundID, r.epochs); err != nil {
+		return err
+	}
+	if err := r.armStandby(); err != nil {
+		return err
+	}
+	r.recordInstallment()
+	r.outcome.FineMagnitude = fine
+	return nil
 }
 
 // armStandby attaches the standby referee to the freshly created primary:

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -528,6 +530,47 @@ func TestDeterministicRuns(t *testing.T) {
 	for i := range a.Payments {
 		if a.Payments[i] != b.Payments[i] {
 			t.Error("payments differ between identical runs")
+		}
+	}
+}
+
+// guiltyOf lists every party any verdict of the outcome fined, in
+// verdict order.
+func guiltyOf(o *Outcome) []string {
+	var g []string
+	for _, v := range o.Verdicts {
+		g = append(g, v.Guilty...)
+	}
+	return g
+}
+
+// TestRunRoundSettlesLikeRun: a round ID only names the round. A
+// standalone round run under one (RunRound) binds its referee to the
+// epoch its own bids carry, so every deviant in the catalog — the
+// allocation claims that submit signed bid vectors included — is
+// convicted and settled exactly as in an anonymous Run, and no honest
+// party is fined.
+func TestRunRoundSettlesLikeRun(t *testing.T) {
+	for _, b := range agent.DeviantCatalog {
+		for _, idx := range []int{0, 1} {
+			b, idx := b, idx
+			t.Run(fmt.Sprintf("%s@P%d", b.Name, idx+1), func(t *testing.T) {
+				cfg := withBehavior(honestConfig(dlt.NCPFE), idx, b)
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunRound(cfg, "node:r1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := econOf(got), econOf(want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("RunRound economics diverge from Run\n got %+v\nwant %+v", g, w)
+				}
+				if g, w := guiltyOf(got), guiltyOf(want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("RunRound fined %v, Run fined %v", g, w)
+				}
+			})
 		}
 	}
 }

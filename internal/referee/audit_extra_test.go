@@ -34,16 +34,16 @@ func TestRecordEvictionEntry(t *testing.T) {
 	}
 }
 
-func TestBindRoundsSplicedAndBidSplice(t *testing.T) {
+func TestBindRoundsEpochsAndBidSplice(t *testing.T) {
 	f := newFixture(t, 3, 100)
-	if err := f.ref.BindRoundsSpliced("s:r2", "s:r2", []string{"s:r1", "s:r2", "s:r1"}); err != nil {
+	if err := f.ref.BindRounds("s:r2", []string{"s:r1", "s:r2", "s:r1"}); err != nil {
 		t.Fatal(err)
 	}
 	e := f.ref.RecordBidSplice("P2", "rate", "s:r1")
 	if e.Action != "bid-splice" || !strings.Contains(e.Detail, "P2") {
 		t.Errorf("entry = %+v", e)
 	}
-	if err := f.ref.BindRoundsSpliced("s:r3", "s:r3", []string{"s:r1"}); err == nil {
+	if err := f.ref.BindRounds("s:r3", []string{"s:r1"}); err == nil {
 		t.Error("epoch vector of the wrong length accepted")
 	}
 }

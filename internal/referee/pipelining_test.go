@@ -1,6 +1,7 @@
 package referee
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestJudgePaymentsStaleInstallmentReplay(t *testing.T) {
 	exec := []float64{1, 2, 3}
 	const rounds, cur, prev = 4, "s01:r3.i2", "s01:r3.i1"
 
-	f.ref.BindRounds(cur, "s01:r1")
+	f.bind(t, cur, "s01:r1")
 	f.ref.RecordInstallment(2, rounds, 0.25, dlt.EqualRounds)
 	out, err := f.mech.RunRounds(bids, exec, rounds, dlt.EqualRounds, core.WithVerification)
 	if err != nil {
@@ -63,7 +64,7 @@ func TestJudgePaymentsStaleInstallmentReplay(t *testing.T) {
 	if !strings.Contains(v.Reason, "stale-round replay") {
 		t.Errorf("reason %q does not name the replay", v.Reason)
 	}
-	if !vectorsEqual(q, out.Payment) {
+	if !slices.Equal(q, out.Payment) {
 		t.Errorf("agreed Q = %v, want the installment truth %v", q, out.Payment)
 	}
 }
@@ -78,7 +79,7 @@ func TestJudgePaymentsInstallmentRecompute(t *testing.T) {
 	exec := []float64{1, 2, 3}
 	const rounds, cur = 4, "s01:r3.i2"
 
-	f.ref.BindRounds(cur, "s01:r1")
+	f.bind(t, cur, "s01:r1")
 	f.ref.RecordInstallment(2, rounds, 0.25, dlt.EqualRounds)
 	truth, err := f.mech.RunRounds(bids, exec, rounds, dlt.EqualRounds, core.WithVerification)
 	if err != nil {
@@ -88,7 +89,7 @@ func TestJudgePaymentsInstallmentRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vectorsEqual(truth.Payment, single.Payment) {
+	if slices.Equal(truth.Payment, single.Payment) {
 		t.Fatal("test needs the installment and single-round payments to differ")
 	}
 	subs := map[string][]sig.Envelope{
@@ -103,7 +104,7 @@ func TestJudgePaymentsInstallmentRecompute(t *testing.T) {
 	if len(v.Guilty) != 1 || v.Guilty[0] != "P2" {
 		t.Fatalf("guilty = %v, want P2 (submitted the single-round vector)", v.Guilty)
 	}
-	if !vectorsEqual(q, truth.Payment) {
+	if !slices.Equal(q, truth.Payment) {
 		t.Errorf("agreed Q = %v, want the installment truth %v", q, truth.Payment)
 	}
 }
@@ -121,7 +122,7 @@ func TestJudgeEquivocationAcrossInstallments(t *testing.T) {
 	b := f.bidAt(t, "P2", epoch, 3)
 
 	// Evidence surfaces while sub-round r3.i2 of a pipelined load is live.
-	f.ref.BindRounds("s01:r3.i2", epoch)
+	f.bind(t, "s01:r3.i2", epoch)
 	f.ref.RecordInstallment(2, 4, 0.25, dlt.EqualRounds)
 	v, err := f.ref.JudgeEquivocation("P1", a, b)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dlsbl/internal/core"
@@ -56,17 +57,11 @@ type Referee struct {
 	meters map[string]float64
 	audit  AuditLog
 
-	// Round binding for bid-reuse sessions. round is the current round's
-	// session-salted ID; bidEpoch is the round ID the cached bids were
-	// signed in (equal to round during a bidding round, older during a
-	// reuse round). Both empty for standalone runs, which disables every
-	// round check — legacy messages carry no Round field.
-	round    string
-	bidEpoch string
-	// epochs, when non-nil, carries per-processor bid epochs (processor
-	// index order) for rounds served from a spliced cache: after an
-	// incremental re-bid the changed member's bid was signed in a newer
-	// round than everyone else's. Nil means the uniform bidEpoch applies.
+	// Round binding (see BindRounds). round is the current round's ID;
+	// epochs[j] is the round processor j's bid in force was signed in, in
+	// processor index order. An unbound referee is a standalone run's:
+	// round and every epoch empty, matching messages that carry no round.
+	round  string
 	epochs []string
 
 	// instRounds/instPolicy, set by RecordInstallment, mark this round as
@@ -114,48 +109,30 @@ func New(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism, pr
 		index:  idx,
 		fine:   fine,
 		meters: make(map[string]float64, len(procs)),
+		epochs: make([]string, len(procs)),
 	}, nil
 }
 
 // Fine returns the publicly known fine magnitude F.
 func (r *Referee) Fine() float64 { return r.fine }
 
-// BindRounds attaches the referee to a bid-reuse session round: round is
-// the current round's session-salted ID (stamped on every audit entry and
-// demanded of every per-round artifact — bid vectors, payment vectors);
-// bidEpoch is the round the cached bids were signed in, demanded of every
-// bid envelope inside a vector and of equivocation evidence. A bidding
-// round passes round == bidEpoch; a reuse round passes the older epoch.
-// Never calling BindRounds (both empty) keeps the legacy behavior where
-// no message carries a Round field and none is checked.
-func (r *Referee) BindRounds(round, bidEpoch string) {
-	r.round = round
-	r.bidEpoch = bidEpoch
-	r.epochs = nil
-}
-
-// BindRoundsSpliced attaches the referee to a round served from a
-// spliced bid cache: bidEpoch is the base epoch (the last full
-// exchange), and epochs[j] is the epoch processor j's bid in force was
-// actually signed in — newer than the base for members that re-bid
-// incrementally. epochs must be in processor index order and cover every
-// processor.
-func (r *Referee) BindRoundsSpliced(round, bidEpoch string, epochs []string) error {
+// BindRounds attaches the referee to a round: round is the round's ID,
+// stamped on every audit entry and demanded of every per-round artifact
+// (bid vectors, payment vectors, witness reports); epochs[j] is the round
+// processor j's bid in force was signed in, demanded of j's envelope
+// inside a bid vector and of equivocation evidence against j. A round
+// that runs its own bid exchange passes its own ID for every processor; a
+// round served from a BidSession cache passes the epochs the cache holds,
+// which differ per processor after an incremental re-bid. epochs must be
+// in processor index order and cover every processor; the referee keeps
+// its own copy.
+func (r *Referee) BindRounds(round string, epochs []string) error {
 	if len(epochs) != len(r.procs) {
 		return fmt.Errorf("referee: %d epochs for %d processors", len(epochs), len(r.procs))
 	}
 	r.round = round
-	r.bidEpoch = bidEpoch
-	r.epochs = append([]string(nil), epochs...)
+	r.epochs = append(r.epochs[:0], epochs...)
 	return nil
-}
-
-// epochFor returns the bid epoch in force for processor index j.
-func (r *Referee) epochFor(j int) string {
-	if r.epochs != nil {
-		return r.epochs[j]
-	}
-	return r.bidEpoch
 }
 
 // replicate streams one state change to the attached standby, latching
@@ -245,9 +222,7 @@ func (r *Referee) Evict(proc, phase, reason string) (AuditEntry, error) {
 		return AuditEntry{}, fmt.Errorf("referee: evicting %s would leave fewer than two processors", proc)
 	}
 	r.procs = append(r.procs[:i], r.procs[i+1:]...)
-	if r.epochs != nil {
-		r.epochs = append(r.epochs[:i], r.epochs[i+1:]...)
-	}
+	r.epochs = append(r.epochs[:i], r.epochs[i+1:]...)
 	r.index = make(map[string]int, len(r.procs))
 	for j, p := range r.procs {
 		r.index[p] = j
@@ -314,9 +289,9 @@ func (r *Referee) CheckFineSufficient(compensations []float64) error {
 // and the protocol terminates; if it is unfounded the accuser is fined
 // instead ("If the concerns are unfounded, P_j is penalized F").
 //
-// Under a bound session (BindRounds) both evidence envelopes must carry
-// bids of the CURRENT bid epoch. Two contradictory bids from different
-// epochs are not equivocation — a processor that announced a rate change
+// Both evidence envelopes must carry bids of the accused's CURRENT bid
+// epoch (BindRounds). Two contradictory bids from different epochs are
+// not equivocation — a processor that announced a rate change
 // legitimately signs a new, different bid in the new epoch, and the old
 // one must not be usable to frame it. Cross-epoch "evidence" is therefore
 // unfounded and fines the accuser.
@@ -344,24 +319,21 @@ func (r *Referee) JudgeEquivocation(accuser string, a, b sig.Envelope) (Verdict,
 }
 
 // evidenceInEpoch reports whether an equivocation-evidence envelope is a
-// bid of the sender's current bid epoch (per-processor after a splice).
-// Outside a session (empty bidEpoch) every envelope qualifies. An
-// envelope that fails to open also qualifies — sig.IsEquivocation has
-// already vouched for both signatures by the time this runs, so an
-// unopenable payload cannot occur on the true branch.
+// bid of its sender's current bid epoch. An envelope from a
+// non-participant qualifies (JudgeEquivocation rejects it outright), as
+// does one that fails to open — sig.IsEquivocation has already vouched
+// for both signatures by the time this runs, so an unopenable payload
+// cannot occur on the true branch.
 func (r *Referee) evidenceInEpoch(env sig.Envelope) bool {
-	if r.bidEpoch == "" {
+	j, ok := r.index[env.Sender]
+	if !ok {
 		return true
 	}
 	var bp BidPayload
 	if err := r.ver.Open(&env, &bp); err != nil {
 		return true
 	}
-	epoch := r.bidEpoch
-	if j, ok := r.index[env.Sender]; ok {
-		epoch = r.epochFor(j)
-	}
-	return bp.Round == epoch
+	return bp.Round == r.epochs[j]
 }
 
 // CorroborationThreshold returns the number of distinct witnesses that
@@ -479,9 +451,9 @@ func (r *Referee) VerifyBidVector(env sig.Envelope) ([]float64, error) {
 			return nil, fmt.Errorf("referee: bid %d in %s's vector signed by %q, want %q",
 				j, env.Sender, bidEnv.Sender, r.procs[j])
 		}
-		if bp.Round != r.epochFor(j) {
+		if bp.Round != r.epochs[j] {
 			return nil, fmt.Errorf("referee: bid %d in %s's vector signed in epoch %q, current bid epoch is %q",
-				j, env.Sender, bp.Round, r.epochFor(j))
+				j, env.Sender, bp.Round, r.epochs[j])
 		}
 		if !(bp.Bid > 0) || math.IsInf(bp.Bid, 0) {
 			return nil, fmt.Errorf("referee: bid %d in %s's vector is invalid (%v)", j, env.Sender, bp.Bid)
@@ -651,12 +623,6 @@ func (r *Referee) Meters() ([]float64, error) {
 
 // ---- Computing Payments phase -------------------------------------------
 
-// paymentTol is the relative tolerance for comparing independently
-// computed payment vectors. Honest processors compute bit-identical
-// vectors from identical inputs; the tolerance only guards against
-// platform-dependent floating-point quirks.
-const paymentTol = 1e-9
-
 // JudgePayments adjudicates the Computing Payments phase. submissions
 // maps each processor to the signed payment-vector envelopes it sent to
 // the referee (normally exactly one). Deviations fined F each:
@@ -665,6 +631,11 @@ const paymentTol = 1e-9
 //   - missing, unverifiable or malformed submissions;
 //   - vectors that disagree with the recomputed truth when the
 //     submissions are not unanimous.
+//
+// Vectors are compared exactly: honest processors and the referee's
+// recomputation run the same payment engine on the same bids and
+// execution values, so honest vectors are bit-identical, and any
+// difference, however small, is a deviation.
 //
 // On success it returns the agreed payment vector Q alongside the verdict;
 // the protocol then forwards Q to the payment infrastructure. Payment-
@@ -731,7 +702,7 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 			reference = v
 			continue
 		}
-		if !vectorsEqual(reference, v) {
+		if !slices.Equal(reference, v) {
 			unanimous = false
 		}
 	}
@@ -749,7 +720,7 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 	}
 	truth := out.Payment
 	for p, v := range vectors {
-		if !vectorsEqual(truth, v) {
+		if !slices.Equal(truth, v) {
 			guilty[p] = "payment vector disagrees with recomputation"
 		}
 	}
@@ -758,19 +729,6 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 		v.Reason = "recomputed payments match all submissions"
 	}
 	return r.audited(v), truth, nil
-}
-
-func vectorsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		den := math.Max(math.Max(math.Abs(a[i]), math.Abs(b[i])), 1)
-		if math.Abs(a[i]-b[i])/den > paymentTol {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- Settlement -----------------------------------------------------------

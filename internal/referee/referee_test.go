@@ -61,6 +61,19 @@ func newFixture(t *testing.T, m int, fine float64) *fixture {
 
 func procName(i int) string { return "P" + string(rune('1'+i)) }
 
+// bind binds the referee to round with every processor's bid signed in
+// epoch.
+func (f *fixture) bind(t *testing.T, round, epoch string) {
+	t.Helper()
+	epochs := make([]string, len(f.procs))
+	for i := range epochs {
+		epochs[i] = epoch
+	}
+	if err := f.ref.BindRounds(round, epochs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (f *fixture) signedBid(t *testing.T, proc string, bid float64) sig.Envelope {
 	t.Helper()
 	env, err := sig.SealBinary(f.keys[proc], KindBid, BidPayload{Proc: proc, Bid: bid})
@@ -494,6 +507,42 @@ func TestJudgePaymentsWrongVector(t *testing.T) {
 	for i := range q {
 		if q[i] != out.Payment[i] {
 			t.Errorf("recomputed Q = %v, want %v", q, out.Payment)
+		}
+	}
+}
+
+// TestJudgePaymentsExact: payment vectors are compared bit for bit. A
+// submitter that shades its own entry by a relative 5e-10 — far inside
+// any float tolerance — disagrees with the truthful vectors, so the
+// referee recomputes, pays the truth and fines the shader.
+func TestJudgePaymentsExact(t *testing.T) {
+	f := newFixture(t, 3, 100)
+	bids := []float64{1, 2, 3}
+	exec := []float64{1, 2, 3}
+	out, err := f.mech.Run(bids, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaded := append([]float64(nil), out.Payment...)
+	shaded[0] *= 1 + 5e-10
+	if shaded[0] == out.Payment[0] {
+		t.Fatal("shading did not change the entry")
+	}
+	subs := map[string][]sig.Envelope{
+		"P1": {f.paymentSubmission(t, "P1", shaded)},
+		"P2": {f.paymentSubmission(t, "P2", out.Payment)},
+		"P3": {f.paymentSubmission(t, "P3", out.Payment)},
+	}
+	v, q, err := f.ref.JudgePayments(bids, exec, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Guilty) != 1 || v.Guilty[0] != "P1" {
+		t.Errorf("shading verdict = %+v, want P1 fined", v)
+	}
+	for i := range q {
+		if q[i] != out.Payment[i] {
+			t.Fatalf("paid Q = %v, want the recomputed truth %v", q, out.Payment)
 		}
 	}
 }

@@ -31,8 +31,7 @@ type StandbySnapshot struct {
 	Procs      []string           `json:"procs"`
 	Fine       float64            `json:"fine"`
 	Round      string             `json:"round,omitempty"`
-	BidEpoch   string             `json:"bid_epoch,omitempty"`
-	Epochs     []string           `json:"epochs,omitempty"`
+	Epochs     []string           `json:"epochs"`
 	InstRounds int                `json:"inst_rounds,omitempty"`
 	InstPolicy dlt.RoundPolicy    `json:"inst_policy,omitempty"`
 	Meters     map[string]float64 `json:"meters,omitempty"`
@@ -160,26 +159,22 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 	if s.snap == nil {
 		return nil, errors.New("referee: standby has no replicated snapshot to promote from")
 	}
-	var procs []string
-	for _, p := range s.snap.Procs {
+	if len(s.snap.Epochs) != len(s.snap.Procs) {
+		return nil, fmt.Errorf("referee: promoting standby: snapshot has %d epochs for %d processors", len(s.snap.Epochs), len(s.snap.Procs))
+	}
+	var procs, epochs []string
+	for i, p := range s.snap.Procs {
 		if !s.evicted[p] {
 			procs = append(procs, p)
+			epochs = append(epochs, s.snap.Epochs[i])
 		}
 	}
 	ref, err := New(ver, ledger, mech, procs, s.snap.Fine)
 	if err != nil {
 		return nil, fmt.Errorf("referee: promoting standby: %w", err)
 	}
-	ref.round = s.snap.Round
-	ref.bidEpoch = s.snap.BidEpoch
-	if s.snap.Epochs != nil {
-		var epochs []string
-		for i, p := range s.snap.Procs {
-			if !s.evicted[p] && i < len(s.snap.Epochs) {
-				epochs = append(epochs, s.snap.Epochs[i])
-			}
-		}
-		ref.epochs = epochs
+	if err := ref.BindRounds(s.snap.Round, epochs); err != nil {
+		return nil, fmt.Errorf("referee: promoting standby: %w", err)
 	}
 	if s.inst != nil {
 		ref.instRounds, ref.instPolicy = s.inst.Rounds, s.inst.Policy
@@ -204,7 +199,6 @@ func (r *Referee) AttachStandby(send func(AuditReplicaPayload) error) error {
 		Procs:      append([]string(nil), r.procs...),
 		Fine:       r.fine,
 		Round:      r.round,
-		BidEpoch:   r.bidEpoch,
 		Epochs:     append([]string(nil), r.epochs...),
 		InstRounds: r.instRounds,
 		InstPolicy: r.instPolicy,

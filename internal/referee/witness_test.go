@@ -153,7 +153,7 @@ func TestJudgeWitnessReportValidation(t *testing.T) {
 	}
 
 	// Stale-round replay.
-	f.ref.BindRounds("s:r2", "s:r2")
+	f.bind(t, "s:r2", "s:r2")
 	if _, err := f.ref.JudgeWitnessReport(f.witnessReport(t, "P1", "P2", "s:r1"), ev); err == nil {
 		t.Error("stale-round report accepted")
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -520,5 +521,50 @@ func TestMultiloadPoolRebidsAfterBan(t *testing.T) {
 	}
 	if got := snap.Banned; len(got) != 1 || got[0] != "P2" {
 		t.Errorf("banned = %v, want [P2]", got)
+	}
+}
+
+// TestMultiloadPoolSurvivesCrashJob: one job whose spec crashes a member
+// during Processing must not disable a shared multiload pool. The first
+// job runs the full bid exchange and evicts P3 from that round only; P3
+// stays in the pool's bid session, and every later clean job is served
+// from the cache with payments bit-identical to a per-job pool's.
+func TestMultiloadPoolSurvivesCrashJob(t *testing.T) {
+	w := []float64{1, 1.5, 2, 2.5}
+	srv := New(Config{Workers: 2, QueueDepth: 64})
+	defer srv.Close()
+	if _, err := srv.CreatePool(PoolSpec{Name: "hot", TrueW: w, Multiload: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreatePool(PoolSpec{Name: "perjob", TrueW: w}); err != nil {
+		t.Fatal(err)
+	}
+	var crash JobSpec
+	if err := json.Unmarshal([]byte(`{"z":0.2,"seed":1,"faults":{"crashes":[{"proc":"P3"}]}}`), &crash); err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{crash, {Z: 0.2, Seed: 2}, {Z: 0.2, Seed: 3}, {Z: 0.2, Seed: 4}}
+	hot, err := srv.Submit("hot", specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := srv.Submit("perjob", specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		hres, cres := hot[i].Wait(), cold[i].Wait()
+		if hres.Error != "" || cres.Error != "" {
+			t.Fatalf("job %d: multiload=%q per-job=%q", i, hres.Error, cres.Error)
+		}
+		if i == 0 && (len(hres.Evictions) != 1 || hres.Evictions[0].Proc != "P3") {
+			t.Fatalf("crash job evictions = %+v, want P3", hres.Evictions)
+		}
+		if i > 0 && !hres.BidReused {
+			t.Errorf("job %d: bid_reused = false, want reuse after the crash job", i)
+		}
+		if !equalF64(hres.Payments, cres.Payments) {
+			t.Errorf("job %d payments diverge: multiload %v, per-job %v", i, hres.Payments, cres.Payments)
+		}
 	}
 }

@@ -63,7 +63,11 @@ type Job struct {
 	// A processor EVICTED for unreachability is not a deviant: it is not
 	// fined, and BanDeviants does not exclude it from later rounds — a
 	// transient outage must not carry the permanent penalty reserved for
-	// strategic cheating.
+	// strategic cheating. In a Multiload pool, a member evicted during
+	// Bidding leaves the pool's bid session for good (later jobs are
+	// served without it); a member evicted by a later crash (a
+	// Crashes entry, fired during Processing) misses only that job and
+	// keeps its cached bid.
 	Faults *bus.FaultPlan
 	Retry  protocol.RetryPolicy
 	// Tracer receives this round's span and event records (see
