@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service vet doccheck net-smoke net-trace ci serve bench-smoke bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service race-fanout vet doccheck net-smoke net-trace ci serve bench-smoke bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -25,6 +25,18 @@ vet:
 # this target exists for fast iteration on concurrency changes.
 race-service:
 	$(GO) test -race ./internal/service/... ./internal/protocol/...
+
+# The per-party crypto fan-out (internal/sig's worker loop behind the
+# batch sealer, the parallel key generation and VerifyEach) under the
+# race detector at GOMAXPROCS 1, the inline path, and 4, the worker
+# loop, ten times over, with the transcript golden that pins every
+# signed byte; then the hot-path and netbus parity properties once at
+# both settings.
+race-fanout:
+	$(GO) test -race -count=10 -cpu 1,4 \
+		-run 'TestSealBinaryEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTranscriptGolden' \
+		./internal/sig ./internal/protocol
+	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity' ./internal/protocol ./internal/netbus
 
 # Doc-comment lint over the packages whose godoc is part of the repo's
 # contract: every exported top-level symbol must carry a doc comment.
@@ -56,11 +68,11 @@ net-trace:
 # service load test and FIFO streaming, the protocol transport, the
 # hot-path parity and zero-alloc guards, the installment sub-rounds, the
 # virtual-time packing model's 1.3x target and the Byzantine adversary
-# tiers), the coverage floor, a short run of every fuzz
-# target, the layered benchmark's correctness smoke, the multi-process
-# loopback smoke, and the distributed-telemetry trace smoke (merged
-# 3-process Chrome trace with payment parity intact).
-ci: build vet doccheck race cover fuzz-short bench-layered-smoke net-smoke net-trace
+# tiers), the crypto fan-out at GOMAXPROCS 1 and 4, the coverage floor,
+# a short run of every fuzz target, the layered benchmark's correctness
+# smoke, the multi-process loopback smoke, and the distributed-telemetry
+# trace smoke (merged 3-process Chrome trace with payment parity intact).
+ci: build vet doccheck race race-fanout cover fuzz-short bench-layered-smoke net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;

@@ -37,7 +37,7 @@ func main() {
 	wList := flag.String("w", "1,1.5,2,2.5", "comma-separated true processing times")
 	deviant := flag.String("deviant", "", "inject a deviation: index=behavior (0-based index)")
 	fine := flag.Float64("fine", 0, "fine magnitude F (0 = derived from bids)")
-	seed := flag.Int64("seed", 1, "seed for keys and dataset")
+	seed := flag.Int64("seed", 1, "seed for key generation")
 	verbose := flag.Bool("v", false, "print verdicts, the invoice and the realized Gantt chart")
 	jsonOut := flag.Bool("json", false, "emit the full outcome as JSON")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")

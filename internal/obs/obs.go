@@ -76,7 +76,7 @@ const (
 )
 
 // Phase names used for spans. Initialization covers setup (identities,
-// keys, PKI, dataset); the other four are the paper's protocol phases.
+// keys, PKI, bus, ledger); the other four are the paper's protocol phases.
 const (
 	PhaseInit       = "initialization"
 	PhaseBidding    = "bidding"

@@ -392,12 +392,11 @@ type JobConfig struct {
 	// mirrors Config for the load-specific subset.)
 
 	// Seed drives key generation (first round only — later rounds hit the
-	// session keyring) and the synthetic dataset.
+	// session keyring).
 	Seed int64
-	// NBlocks and BlockSize set the dataset granularity; zero selects the
-	// protocol defaults.
-	NBlocks   int
-	BlockSize int
+	// NBlocks sets the number of blocks the load is divided into; zero
+	// selects the protocol default.
+	NBlocks int
 	// Behaviors assigns per-member strategies for this job.
 	Behaviors []agent.Behavior
 	// Faults and Retry configure the link layer for this job.
@@ -502,13 +501,13 @@ type BidSession struct {
 
 // NewBidSession creates a session over cfg's network class, bus rate,
 // initial member rates, fine policy and keyring. cfg.Behaviors, Seed,
-// NBlocks, BlockSize, Faults and Retry are per-job (JobConfig) and must be
+// NBlocks, Faults and Retry are per-job (JobConfig) and must be
 // zero here, as must Standby and FailoverIn: referee failover runs only
 // through a one-shot Run. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
 // reuse round's fresh PKI registry verify envelopes signed rounds ago.
 func NewBidSession(cfg Config) (*BidSession, error) {
-	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.BlockSize != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" || cfg.Standby {
-		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, BlockSize, Faults, Retry, Tracer, LoadFrac) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
+	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" || cfg.Standby {
+		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, Faults, Retry, Tracer, LoadFrac) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -673,18 +672,17 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 // the job's load-specific fields, with departed members forced to Abstain.
 func (s *BidSession) roundConfig(job JobConfig) Config {
 	cfg := Config{
-		Network:   s.base.Network,
-		Z:         s.base.Z,
-		TrueW:     append([]float64(nil), s.trueW...),
-		Fine:      s.base.Fine,
-		NBlocks:   job.NBlocks,
-		BlockSize: job.BlockSize,
-		Seed:      job.Seed,
-		Faults:    job.Faults,
-		Retry:     job.Retry,
-		Keys:      s.base.Keys,
-		Tracer:    job.Tracer,
-		Memo:      s.base.Memo,
+		Network: s.base.Network,
+		Z:       s.base.Z,
+		TrueW:   append([]float64(nil), s.trueW...),
+		Fine:    s.base.Fine,
+		NBlocks: job.NBlocks,
+		Seed:    job.Seed,
+		Faults:  job.Faults,
+		Retry:   job.Retry,
+		Keys:    s.base.Keys,
+		Tracer:  job.Tracer,
+		Memo:    s.base.Memo,
 	}
 	behaviors := make([]agent.Behavior, len(s.trueW))
 	for i := range behaviors {

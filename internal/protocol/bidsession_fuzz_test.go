@@ -62,7 +62,7 @@ func FuzzBidSessionMembership(f *testing.F) {
 			op, arg := ops[k], ops[k+1]
 			switch op % 4 {
 			case 0: // serve a round
-				out, err := s.Run(JobConfig{Seed: 42, NBlocks: 4 * len(rates), BlockSize: 8})
+				out, err := s.Run(JobConfig{Seed: 42, NBlocks: 4 * len(rates)})
 				if err != nil {
 					t.Fatalf("step %d: %v", steps, err)
 				}

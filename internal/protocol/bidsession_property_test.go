@@ -72,7 +72,6 @@ func TestBidReuseParityProperty(t *testing.T) {
 				job := JobConfig{
 					Seed:      rng.Int63n(1 << 30),
 					NBlocks:   32 * m,
-					BlockSize: 16,
 					Behaviors: behaviors,
 				}
 				// Random link faults on most jobs. JitterMax stays zero:
@@ -98,7 +97,6 @@ func TestBidReuseParityProperty(t *testing.T) {
 				cfg.Behaviors = behaviors
 				cfg.Seed = job.Seed
 				cfg.NBlocks = job.NBlocks
-				cfg.BlockSize = job.BlockSize
 				cfg.Faults = job.Faults
 
 				independent, err := Run(cfg)

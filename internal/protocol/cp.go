@@ -51,10 +51,6 @@ func RunCP(cfg Config) (*Outcome, error) {
 	if nBlocks == 0 {
 		nBlocks = 64 * m
 	}
-	blockSize := cfg.BlockSize
-	if blockSize == 0 {
-		blockSize = 32
-	}
 
 	reg := sig.NewRegistry()
 	seed := cfg.Seed

@@ -74,7 +74,7 @@ func goldenSession(t *testing.T, net dlt.Network) []string {
 	run := func(label string, behaviors []agent.Behavior, faults *bus.FaultPlan) {
 		t.Helper()
 		seed++
-		out, err := s.Run(JobConfig{Seed: seed, NBlocks: 40, BlockSize: 16, Behaviors: behaviors, Faults: faults})
+		out, err := s.Run(JobConfig{Seed: seed, NBlocks: 40, Behaviors: behaviors, Faults: faults})
 		if err != nil {
 			t.Fatalf("%v %s: %v", net, label, err)
 		}
@@ -110,7 +110,7 @@ func goldenSession(t *testing.T, net dlt.Network) []string {
 		}
 		n := s.NextRound()
 		for k, f := range fracs {
-			out, err := s.RunSub(JobConfig{Seed: 100, NBlocks: 40, BlockSize: 16}, n, k+1, len(fracs), f, dlt.EqualRounds)
+			out, err := s.RunSub(JobConfig{Seed: 100, NBlocks: 40}, n, k+1, len(fracs), f, dlt.EqualRounds)
 			if err != nil {
 				t.Fatalf("installment %d: %v", k+1, err)
 			}
@@ -131,7 +131,7 @@ func TestTranscriptGolden(t *testing.T) {
 	for _, net := range []dlt.Network{dlt.NCPFE, dlt.NCPNFE} {
 		got = append(got, goldenSession(t, net)...)
 	}
-	cfg := Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 7, NBlocks: 40, BlockSize: 16}
+	cfg := Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 7, NBlocks: 40}
 	oneShot := func(label string, run func() (*Outcome, error)) {
 		t.Helper()
 		out, err := run()

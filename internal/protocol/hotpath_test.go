@@ -101,7 +101,6 @@ func hotPathParityPool(t *testing.T, seed int64) {
 		job := JobConfig{
 			Seed:      rng.Int63n(1 << 30),
 			NBlocks:   32 * m,
-			BlockSize: 16,
 			Behaviors: append([]agent.Behavior(nil), behaviors...),
 		}
 		if rng.Intn(4) > 0 {
@@ -136,7 +135,7 @@ func hotPathParityPool(t *testing.T, seed int64) {
 		plainOut, plainErr := Run(Config{
 			Network: network, Z: z, TrueW: append([]float64(nil), w...),
 			Behaviors: job.Behaviors, Seed: job.Seed, NBlocks: job.NBlocks,
-			BlockSize: job.BlockSize, Faults: job.Faults, Keys: sig.NewKeyring(),
+			Faults: job.Faults, Keys: sig.NewKeyring(),
 		})
 		if (hotErr == nil) != (plainErr == nil) {
 			t.Fatalf("job %d: session err %v, standalone err %v", j, hotErr, plainErr)
@@ -239,7 +238,7 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 7, NBlocks: 96, BlockSize: 16}
+	job := JobConfig{Seed: 7, NBlocks: 96}
 
 	full, err := s.Run(job) // round 1: full exchange
 	if err != nil {
@@ -255,7 +254,7 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 
 	w2 := append([]float64(nil), w...)
 	w2[2] = 1.25
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w2, Seed: 7, NBlocks: 96, BlockSize: 16})
+	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w2, Seed: 7, NBlocks: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ func TestIncrementalRebidJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 11, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 11, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestIncrementalRebidJoin(t *testing.T) {
 	}
 	spliced := runSpliceRound(t, s, job)
 
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 11, NBlocks: 64, BlockSize: 16})
+	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 11, NBlocks: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestIncrementalRebidLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 13, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 13, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestIncrementalRebidLeave(t *testing.T) {
 	spliced := runSpliceRound(t, s, job)
 
 	independent, err := Run(Config{
-		Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 13, NBlocks: 64, BlockSize: 16,
+		Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 13, NBlocks: 64,
 		Behaviors: []agent.Behavior{{}, {}, {Name: "departed", Abstain: true}},
 	})
 	if err != nil {
@@ -354,7 +353,7 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 17, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 17, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +378,7 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 	if err := s.AnnounceRate(1, 1.7); err != nil {
 		t.Fatal(err)
 	}
-	deviant := JobConfig{Seed: 19, NBlocks: 64, BlockSize: 16,
+	deviant := JobConfig{Seed: 19, NBlocks: 64,
 		Behaviors: []agent.Behavior{{}, agent.Equivocator}}
 	out, err = s.Run(deviant)
 	if err != nil {
@@ -409,7 +408,7 @@ func TestSessionMemoCollapsesVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 23, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 23, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -431,5 +430,63 @@ func TestSessionMemoCollapsesVerification(t *testing.T) {
 	// the cached-bid re-verifications have all collapsed into hits.
 	if d2, d3 := after2.Misses-after1.Misses, after3.Misses-after2.Misses; d3 > d2 {
 		t.Fatalf("reuse-round misses grew: %d then %d; cached bids are not memoized", d2, d3)
+	}
+}
+
+// warmReuseSession returns an m=16 session whose first round has warmed
+// the keyring, the bid cache and the verify memo, and the job whose next
+// rounds it serves as reuse rounds.
+func warmReuseSession(tb testing.TB) (*BidSession, JobConfig) {
+	tb.Helper()
+	w := make([]float64, 16)
+	for i := range w {
+		w[i] = 1 + float64(i)/4
+	}
+	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	job := JobConfig{Seed: 1}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Run(job); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s, job
+}
+
+// TestReuseRoundAllocs guards the service's steady state: a warm m=16
+// reuse round allocates what its signed messages, ledger and outcome need
+// and nothing sized by the load (a per-round synthetic data set once cost
+// ~4.7k allocations here). AllocsPerRun measures at GOMAXPROCS 1, the
+// inline crypto path.
+func TestReuseRoundAllocs(t *testing.T) {
+	s, job := warmReuseSession(t)
+	n := testing.AllocsPerRun(20, func() {
+		out, err := s.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.BidReused || !out.Completed {
+			t.Fatal("round was not a completed reuse round")
+		}
+	})
+	if n > 1500 {
+		t.Errorf("warm m=16 reuse round: %v allocs, want <= 1500", n)
+	}
+	t.Logf("warm m=16 reuse round: %v allocs", n)
+}
+
+// BenchmarkReuseRound times a warm m=16 reuse round; run it at -cpu 1
+// for the inline crypto path and at the host's core count for the
+// fan-out.
+func BenchmarkReuseRound(b *testing.B) {
+	s, job := warmReuseSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(job); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,6 +17,20 @@ import (
 
 // ---- Phase: Bidding -------------------------------------------------------
 
+// sealEach signs one phase's envelopes — each processor's own — in a
+// parallel batch and verifies the batch once through the run's verifier.
+// The verdicts are not consulted here: every copy a receiver takes off the
+// medium is still checked on arrival, where an unaltered copy is now a
+// memo hit and an altered one misses, fails and is discarded as before.
+func (r *run) sealEach(reqs []sig.Sealing) ([]sig.Envelope, error) {
+	envs, err := sig.SealBinaryEach(reqs)
+	if err != nil {
+		return nil, err
+	}
+	_ = r.ver.VerifyEach(envs)
+	return envs, nil
+}
+
 // bidExchange performs the all-to-all broadcast of signed bids over the
 // (possibly faulty) bus: every logical bid message is retransmitted under
 // its original nonce with capped exponential backoff until each receiver
@@ -34,14 +48,27 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 		nonce   uint64
 		primary bool // the sender's first (agreed) bid
 	}
+	// Every processor signs its bid; equivocators also sign a second,
+	// contradictory one.
+	reqs := make([]sig.Sealing, 0, r.m)
+	for _, a := range r.agents {
+		reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindBid,
+			Payload: referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID}})
+		if second, ok := a.SecondBid(); ok {
+			reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindBid,
+				Payload: referee.BidPayload{Proc: a.ID, Bid: second, Round: r.roundID}})
+		}
+	}
+	envs, err := r.sealEach(reqs)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
 	var msgs []logical
 	firstEnvs = make([]sig.Envelope, r.m)
 	primaryNonces = make([]uint64, r.m)
 	for i, a := range r.agents {
-		env, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+		env := envs[0]
+		envs = envs[1:]
 		firstEnvs[i] = env
 		nonce, err := r.net.BroadcastTagged(a.ID, referee.KindBid, env, 1, 0)
 		if err != nil {
@@ -49,12 +76,9 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 		}
 		primaryNonces[i] = nonce
 		msgs = append(msgs, logical{sender: i, env: env, nonce: nonce, primary: true})
-		if second, ok := a.SecondBid(); ok {
-			// Equivocators broadcast a second, contradictory bid.
-			env2, err := sig.SealBinary(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: second, Round: r.roundID})
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
+		if _, ok := a.SecondBid(); ok {
+			env2 := envs[0]
+			envs = envs[1:]
 			nonce2, err := r.net.BroadcastTagged(a.ID, referee.KindBid, env2, 1, 0)
 			if err != nil {
 				return nil, nil, nil, nil, err
@@ -997,13 +1021,28 @@ func (r *run) phasePayments() error {
 		return fmt.Errorf("protocol: %w", err)
 	}
 
-	subs := make(map[string][]sig.Envelope, r.m)
+	// Every processor signs its payment vector; a payment equivocator
+	// also signs a second one with its own entry raised.
+	reqs := make([]sig.Sealing, 0, r.m)
 	for i, a := range r.agents {
 		q := a.PaymentVector(out.Payment, i)
-		env, err := sig.SealBinary(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID})
-		if err != nil {
-			return err
+		reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindPayment,
+			Payload: referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID}})
+		if a.Behavior.EquivocatePayments {
+			q2 := append([]float64(nil), q...)
+			q2[i] += 1
+			reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindPayment,
+				Payload: referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID}})
 		}
+	}
+	envs, err := r.sealEach(reqs)
+	if err != nil {
+		return err
+	}
+	subs := make(map[string][]sig.Envelope, r.m)
+	for _, a := range r.agents {
+		env := envs[0]
+		envs = envs[1:]
 		if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env, r.m); err != nil {
 			return err
 		}
@@ -1012,12 +1051,8 @@ func (r *run) phasePayments() error {
 		r.evidence(a.ID, referee.KindPayment)
 		subs[a.ID] = []sig.Envelope{env}
 		if a.Behavior.EquivocatePayments {
-			q2 := append([]float64(nil), q...)
-			q2[i] += 1
-			env2, err := sig.SealBinary(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID})
-			if err != nil {
-				return err
-			}
+			env2 := envs[0]
+			envs = envs[1:]
 			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env2, r.m); err != nil {
 				return err
 			}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"dlsbl/internal/agent"
@@ -52,11 +51,10 @@ type Config struct {
 	// Fine is the publicly known fine magnitude F. Zero selects
 	// referee.SuggestedFine over the bids.
 	Fine float64
-	// NBlocks is the dataset granularity; zero selects 64·m blocks.
+	// NBlocks is the number of equal-sized blocks the load is divided
+	// into; zero selects 64·m blocks.
 	NBlocks int
-	// BlockSize is the block payload size in bytes; zero selects 32.
-	BlockSize int
-	// Seed drives key generation and the synthetic dataset.
+	// Seed drives key generation.
 	Seed int64
 	// Faults, when non-nil, replaces the paper's reliable atomic-broadcast
 	// bus with a seeded adversarial link layer (drops, duplicates, delays,
@@ -154,8 +152,8 @@ func (c *Config) validate() error {
 	if c.Fine < 0 || math.IsNaN(c.Fine) || math.IsInf(c.Fine, 0) {
 		return fmt.Errorf("protocol: invalid fine %v", c.Fine)
 	}
-	if c.NBlocks < 0 || c.BlockSize < 0 {
-		return errors.New("protocol: negative dataset parameters")
+	if c.NBlocks < 0 {
+		return errors.New("protocol: negative block count")
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -303,7 +301,6 @@ type run struct {
 	m          int
 	procs      []string
 	agents     []*agent.Agent
-	keys       map[string]*sig.KeyPair
 	reg        *sig.Registry
 	net        bus.Medium
 	xp         *transport
@@ -319,8 +316,6 @@ type run struct {
 	standby    *referee.Standby
 	standbyKey *sig.KeyPair
 	failedOver bool
-	userKey    *sig.KeyPair
-	dataset    *workload.Dataset
 	mech       core.Mechanism
 	// engine is the O(m) payment engine behind the Computing Payments
 	// phase; payOut is its reused scratch Outcome, so repeated protocol
@@ -533,7 +528,6 @@ func setup(cfg Config) (*run, error) {
 		fullM:    fullM,
 		part:     part,
 		m:        m,
-		keys:     make(map[string]*sig.KeyPair, m+2),
 		reg:      sig.NewRegistry(),
 		mech:     core.Mechanism{Network: cfg.Network, Z: cfg.Z},
 		engine:   core.NewPaymentEngine(cfg.Network, cfg.Z),
@@ -549,76 +543,40 @@ func setup(cfg Config) (*run, error) {
 	if r.nBlocks == 0 {
 		r.nBlocks = 64 * m
 	}
-	blockSize := cfg.BlockSize
-	if blockSize == 0 {
-		blockSize = 32
-	}
 
 	// Identities, keys, PKI. Participants keep their configured names.
 	for _, orig := range part {
 		r.procs = append(r.procs, fmt.Sprintf("P%d", orig+1))
 	}
-	seed := cfg.Seed
-	newKey := func(id string) (*sig.KeyPair, error) {
-		// The per-identity seed advances whether or not the ring hits, so
-		// a partially warm ring generates the same keys a cold run would.
-		seed++
-		if k, ok := cfg.Keys.Get(id); ok {
-			if err := r.reg.Register(id, k.Public); err != nil {
-				return nil, err
-			}
-			r.keys[id] = k
-			return k, nil
-		}
-		k, err := sig.GenerateKeyPair(id, sig.DeterministicSource(seed))
-		if err != nil {
-			return nil, err
-		}
-		if err := r.reg.Register(id, k.Public); err != nil {
-			return nil, err
-		}
-		r.keys[id] = k
-		if cfg.Keys != nil {
-			if err := cfg.Keys.Put(k); err != nil {
-				return nil, err
-			}
-		}
-		return k, nil
+	ids := append([]string{referee.Account}, r.procs...)
+	// The standby comes LAST so that every earlier identity's
+	// deterministic key — and therefore every signed artifact and payment
+	// of the run — is bit-identical to a non-standby run's with the same
+	// Seed.
+	if cfg.Standby {
+		ids = append(ids, referee.StandbyAccount)
 	}
-	var err error
-	if r.userKey, err = newKey(UserID); err != nil {
+	keys, err := r.loadKeys(ids)
+	if err != nil {
 		return nil, err
 	}
-	if r.refKey, err = newKey(referee.Account); err != nil {
-		return nil, err
-	}
+	r.refKey = keys[0]
 	for i, id := range r.procs {
-		k, err := newKey(id)
-		if err != nil {
-			return nil, err
-		}
 		orig := part[i]
-		a, err := agent.New(id, k, cfg.TrueW[orig], behaviorOf(orig))
+		a, err := agent.New(id, keys[1+i], cfg.TrueW[orig], behaviorOf(orig))
 		if err != nil {
 			return nil, err
 		}
 		r.agents = append(r.agents, a)
 	}
-
-	// The standby key is generated LAST so that every earlier identity's
-	// deterministic key — and therefore every signed artifact and payment
-	// of the run — is bit-identical to a non-standby run's with the same
-	// Seed.
 	if cfg.Standby {
-		if r.standbyKey, err = newKey(referee.StandbyAccount); err != nil {
-			return nil, err
-		}
+		r.standbyKey = keys[len(keys)-1]
 		r.standby = referee.NewStandby()
 	}
 
 	r.initialPart = append([]int(nil), part...)
 
-	// Bus (reliable or fault-injected), transport, ledger, dataset.
+	// Bus (reliable or fault-injected), transport, ledger.
 	// A typo'd Unresponsive name would otherwise be silently inert.
 	if cfg.Faults != nil {
 		known := make(map[string]bool, len(r.procs))
@@ -662,16 +620,49 @@ func setup(cfg Config) (*run, error) {
 	if r.ledger, err = payment.NewLedger(accounts...); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	data := workload.SyntheticData(rng, r.nBlocks*blockSize)
-	// Lazy preparation: chunking and identification happen now, the ~8·m
-	// per-block user signatures only when a block's integrity is actually
-	// contested (Dataset.Seal / Verify). Sealing is deterministic, so a
-	// contested round's dataset is bit-identical to an eager one's.
-	if r.dataset, err = workload.PrepareLazy(r.userKey, data, blockSize); err != nil {
+	return r, nil
+}
+
+// loadKeys resolves the key pair of every identity, in ids order, and
+// registers each with the run's PKI. ids[k] owns the key-seed slot
+// Seed+2+k. Slot Seed+1 is the user's: the user signs nothing in a round
+// and draws no key, and skipping its slot keeps every other identity's
+// key fixed. A slot is taken whether or not the configured ring already
+// holds the pair, so a partially warm ring yields the keys a cold run
+// would. Pairs the ring lacks are generated in parallel and deposited
+// back.
+func (r *run) loadKeys(ids []string) ([]*sig.KeyPair, error) {
+	keys := make([]*sig.KeyPair, len(ids))
+	generated := make([]bool, len(ids))
+	var genIDs []string
+	var genSeeds []int64
+	for k, id := range ids {
+		if kp, ok := r.cfg.Keys.Get(id); ok {
+			keys[k] = kp
+			continue
+		}
+		generated[k] = true
+		genIDs = append(genIDs, id)
+		genSeeds = append(genSeeds, r.cfg.Seed+2+int64(k))
+	}
+	fresh, err := sig.GenerateKeyPairs(genIDs, genSeeds)
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	for k := range keys {
+		if generated[k] {
+			keys[k], fresh = fresh[0], fresh[1:]
+		}
+		if err := r.reg.Register(ids[k], keys[k].Public); err != nil {
+			return nil, err
+		}
+		if generated[k] && r.cfg.Keys != nil {
+			if err := r.cfg.Keys.Put(keys[k]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return keys, nil
 }
 
 // finish assembles the Outcome from the run state and the ledger,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,52 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// TestHTTPJobSpecCannotSizeMemory: no field of a job spec sizes a
+// per-round buffer. A "blocksize" field (no longer part of JobSpec, so the
+// decoder ignores it) once sized a synthetic data set of nblocks ×
+// blocksize bytes that every round built and nothing read; this 60-byte
+// spec asked for 512 MiB. nblocks now sizes only the O(m) block partition,
+// so the job completes within a small allocation budget.
+func TestHTTPJobSpecCannotSizeMemory(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := postJSON(t, ts.URL+"/v1/pools", `{"name":"big","w":[1,1.5,2,2.5]}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create pool: %s", resp.Status)
+	}
+	resp.Body.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp = postJSON(t, ts.URL+"/v1/jobs",
+		`{"pool":"big","jobs":[{"z":0.2,"seed":1,"nblocks":1024,"blocksize":262144}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	var res JobResult
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		if strings.Contains(sc.Text(), `"event":"result"`) {
+			if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if !res.Completed || res.Error != "" {
+		t.Fatalf("job did not complete: %+v", res)
+	}
+	const budget = 32 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= budget {
+		t.Fatalf("one job allocated %d MiB, want < %d MiB", grew>>20, budget>>20)
+	}
 }
 
 // TestHTTPRoundTrip drives the full API surface over a real listener:
@@ -90,8 +137,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if snap.Rounds != 2 || snap.WarmKeys != 6 {
-		t.Fatalf("snapshot rounds=%d warm_keys=%d, want 2 and 6", snap.Rounds, snap.WarmKeys)
+	if snap.Rounds != 2 || snap.WarmKeys != 5 {
+		t.Fatalf("snapshot rounds=%d warm_keys=%d, want 2 and 5", snap.Rounds, snap.WarmKeys)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")

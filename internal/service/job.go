@@ -19,12 +19,11 @@ import (
 type JobSpec struct {
 	// Z is the per-unit communication time of this job's bus session.
 	Z float64 `json:"z"`
-	// Seed drives key generation (cold pools only) and the synthetic
-	// dataset.
+	// Seed drives key generation (cold pools only).
 	Seed int64 `json:"seed"`
-	// NBlocks and BlockSize set the dataset granularity (0 = defaults).
-	NBlocks   int `json:"nblocks,omitempty"`
-	BlockSize int `json:"blocksize,omitempty"`
+	// NBlocks sets the number of blocks the load is divided into
+	// (0 = default).
+	NBlocks int `json:"nblocks,omitempty"`
 	// Behaviors names each processor's strategy for this round (see
 	// agent.Catalog; "" or a short list defaults to honest).
 	Behaviors []string `json:"behaviors,omitempty"`
@@ -44,11 +43,10 @@ type JobSpec struct {
 // names.
 func (spec JobSpec) toJob() (session.Job, error) {
 	job := session.Job{
-		Z:         spec.Z,
-		Seed:      spec.Seed,
-		NBlocks:   spec.NBlocks,
-		BlockSize: spec.BlockSize,
-		Faults:    spec.Faults,
+		Z:       spec.Z,
+		Seed:    spec.Seed,
+		NBlocks: spec.NBlocks,
+		Faults:  spec.Faults,
 	}
 	if spec.Retry != nil {
 		job.Retry = *spec.Retry

@@ -101,8 +101,8 @@ func TestLoad200ConcurrentJobs(t *testing.T) {
 		if snap.Rounds != seedsPer {
 			t.Fatalf("pool %s rounds = %d, want %d", name, snap.Rounds, seedsPer)
 		}
-		if snap.WarmKeys != len(trueW)+2 {
-			t.Fatalf("pool %s warm keys = %d, want %d", name, snap.WarmKeys, len(trueW)+2)
+		if snap.WarmKeys != len(trueW)+1 {
+			t.Fatalf("pool %s warm keys = %d, want %d", name, snap.WarmKeys, len(trueW)+1)
 		}
 	}
 	m := srv.Metrics()

@@ -147,8 +147,9 @@ func bannedNames(procs []string, banned []bool) []string {
 }
 
 // PoolSnapshot is a pool's publicly visible state, served by
-// GET /v1/pools. WarmKeys counts the cached keypairs — m+2 once the first
-// round has paid the key-generation cost for everyone.
+// GET /v1/pools. WarmKeys counts the cached keypairs — m+1 (the processors and
+// the referee) once the first round has paid the key-generation cost for
+// everyone.
 type PoolSnapshot struct {
 	Name              string    `json:"name"`
 	Network           string    `json:"network"`

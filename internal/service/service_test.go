@@ -90,8 +90,8 @@ func TestBatchMatchesSessionRun(t *testing.T) {
 	if !equalF64(snap.CumulativeUtility, rep.CumulativeUtility) {
 		t.Fatalf("cumulative utility = %v, session.Run got %v", snap.CumulativeUtility, rep.CumulativeUtility)
 	}
-	if want := len(w) + 2; snap.WarmKeys != want {
-		t.Fatalf("warm keys = %d, want %d (m processors + user + referee)", snap.WarmKeys, want)
+	if want := len(w) + 1; snap.WarmKeys != want {
+		t.Fatalf("warm keys = %d, want %d (m processors + referee)", snap.WarmKeys, want)
 	}
 }
 

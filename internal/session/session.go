@@ -54,10 +54,9 @@ type Job struct {
 	Z         float64
 	Seed      int64
 	Behaviors []agent.Behavior
-	// NBlocks and BlockSize override the round's dataset granularity;
-	// zero selects the protocol defaults (64·m blocks of 32 bytes).
-	NBlocks   int
-	BlockSize int
+	// NBlocks overrides the number of blocks the round's load is divided
+	// into; zero selects the protocol default (64·m blocks).
+	NBlocks int
 	// Faults, when non-nil, runs this round over an unreliable bus (see
 	// bus.FaultPlan); Retry bounds the round's retransmission machinery.
 	// A processor EVICTED for unreachability is not a deviant: it is not
@@ -229,7 +228,6 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 			Behaviors: behaviors,
 			Fine:      s.Fine,
 			NBlocks:   job.NBlocks,
-			BlockSize: job.BlockSize,
 			Seed:      job.Seed,
 			Faults:    job.Faults,
 			Retry:     job.Retry,
@@ -294,7 +292,6 @@ func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) 
 	jc := protocol.JobConfig{
 		Seed:      job.Seed,
 		NBlocks:   job.NBlocks,
-		BlockSize: job.BlockSize,
 		Behaviors: behaviors,
 		Faults:    job.Faults,
 		Retry:     job.Retry,

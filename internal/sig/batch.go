@@ -19,7 +19,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -126,11 +125,8 @@ type BatchStats struct {
 // workers. It is NOT safe for concurrent use — each protocol run owns
 // one — but the memo it consults may be shared across runs.
 type BatchVerifier struct {
-	reg  *Registry
-	memo *VerifyMemo
-	// Workers bounds the verification fan-out; 0 selects GOMAXPROCS.
-	Workers int
-
+	reg   *Registry
+	memo  *VerifyMemo
 	stats BatchStats
 }
 
@@ -197,7 +193,7 @@ type batchJob struct {
 // VerifyEach verifies every envelope and returns the per-envelope
 // errors, index-aligned (nil entries verified). The memo pre-pass runs
 // serially — hit/miss counts are deterministic for a given input — and
-// only the misses fan out across Workers goroutines. Duplicate misses
+// only the misses fan out across GOMAXPROCS workers. Duplicate misses
 // within one call (bit-identical envelopes) verify once.
 func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 	errs := make([]error, len(envs))
@@ -227,36 +223,10 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 	}
 	if len(pending) > 0 {
 		b.stats.Batches++
-		workers := b.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		if workers <= 1 {
-			for _, j := range pending {
-				errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := atomic.Int64{}
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						k := int(next.Add(1)) - 1
-						if k >= len(pending) {
-							return
-						}
-						j := pending[k]
-						errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		forEach(len(pending), func(k int) {
+			j := pending[k]
+			errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
+		})
 		// Serial post-pass: count, memoize successes, resolve deferrals.
 		for _, j := range pending {
 			if errs[j.idx] == nil {
@@ -289,10 +259,5 @@ func (e errDefer) Error() string { return "sig: deferred to duplicate envelope" 
 // VerifyAll verifies a whole profile of envelopes in one pass and
 // returns the first failure in index order (nil when all verified).
 func (b *BatchVerifier) VerifyAll(envs []Envelope) error {
-	for _, err := range b.VerifyEach(envs) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstError(b.VerifyEach(envs))
 }

@@ -3,6 +3,7 @@ package sig
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -135,8 +136,9 @@ func TestVerifyEach(t *testing.T) {
 	}
 }
 
-// TestVerifyEachWorkers pins that the worker fan-out returns the same
-// verdicts as the serial path for a larger profile.
+// TestVerifyEachWorkers pins that the worker fan-out (GOMAXPROCS 4)
+// returns the same verdicts as the inline path (GOMAXPROCS 1) for a
+// larger profile.
 func TestVerifyEachWorkers(t *testing.T) {
 	reg := NewRegistry()
 	var envs []Envelope
@@ -148,17 +150,18 @@ func TestVerifyEachWorkers(t *testing.T) {
 	envs[7].Payload = append([]byte(nil), envs[7].Payload...)
 	envs[7].Payload[0] ^= 1
 
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		bv := NewBatchVerifier(reg, nil)
-		bv.Workers = workers
 		errs := bv.VerifyEach(envs)
 		for i, err := range errs {
 			if i == 7 {
 				if !errors.Is(err, ErrBadSignature) {
-					t.Errorf("workers=%d envs[7]: %v, want ErrBadSignature", workers, err)
+					t.Errorf("GOMAXPROCS=%d envs[7]: %v, want ErrBadSignature", procs, err)
 				}
 			} else if err != nil {
-				t.Errorf("workers=%d envs[%d]: %v", workers, i, err)
+				t.Errorf("GOMAXPROCS=%d envs[%d]: %v", procs, i, err)
 			}
 		}
 	}

@@ -1,172 +1,22 @@
-// Package workload models the divisible load itself, as prepared in the
-// Initialization phase of DLS-BL-NCP: "The user prepares her data by
-// dividing it into small, equal-sized blocks. Each block B has a unique
-// identifier I_B appended to it and then the aggregate is signed by the
-// user, i.e., S_user(B, I_B)."
+// Package workload models the divisible load as the Initialization phase
+// of DLS-BL-NCP divides it: "The user prepares her data by dividing it
+// into small, equal-sized blocks." A fractional allocation becomes a
+// contiguous range of blocks per processor, and the block counts are what
+// the referee recomputes when it judges a misallocation claim.
 //
-// Blocks carry the user's Ed25519 signature over (I_B, SHA-256(B)), so the
-// referee can substantiate misallocation claims in the Allocating Load
-// phase by "comparing the blocks that P_i possesses with the original data
-// set" — any substituted or corrupted block fails verification.
+// The paper also has the user sign every block, so the referee can
+// substantiate a claim by comparing the blocks a processor holds with the
+// original data set. The protocol models that substantiation as evidence
+// on the referee's mediation (referee.ShortDeliveryEvidence and the
+// delivered block counts), so no block data is built here.
 package workload
 
 import (
-	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"dlsbl/internal/dlt"
-	"dlsbl/internal/sig"
 )
-
-// BlockKind is the envelope kind used for user block signatures.
-const BlockKind = "load-block"
-
-// blockClaim is the signed payload: the block identifier and the digest of
-// its data.
-type blockClaim struct {
-	ID     string `json:"id"`
-	Digest []byte `json:"digest"`
-}
-
-// Block is one equal-sized unit of the divisible load.
-type Block struct {
-	ID   string
-	Data []byte
-	Env  sig.Envelope // S_user(I_B, SHA-256(B))
-}
-
-// Verify checks the user's signature and that Data still matches the
-// signed digest.
-func (b Block) Verify(reg *sig.Registry) error {
-	var claim blockClaim
-	if err := b.Env.Open(reg, &claim); err != nil {
-		return fmt.Errorf("workload: block %s: %w", b.ID, err)
-	}
-	if claim.ID != b.ID {
-		return fmt.Errorf("workload: block %s: signature covers id %s", b.ID, claim.ID)
-	}
-	digest := sha256.Sum256(b.Data)
-	if string(claim.Digest) != string(digest[:]) {
-		return fmt.Errorf("workload: block %s: data does not match signed digest", b.ID)
-	}
-	return nil
-}
-
-// Dataset is the user's prepared load: equal-sized signed blocks. A
-// dataset from PrepareLazy defers the per-block signatures until Seal —
-// the unexported signer is the user's key held for that purpose (nil for
-// eagerly prepared datasets, which are fully sealed on construction).
-type Dataset struct {
-	User   string
-	Blocks []Block
-
-	signer *sig.KeyPair
-}
-
-// Prepare divides data into ceil(len/blockSize) equal-sized blocks (the
-// final block zero-padded to keep sizes equal), appends unique
-// identifiers, and signs each aggregate with the user's key.
-func Prepare(user *sig.KeyPair, data []byte, blockSize int) (*Dataset, error) {
-	ds, err := PrepareLazy(user, data, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := ds.Seal(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// PrepareLazy chunks and identifies the blocks like Prepare but defers
-// the user's per-block Ed25519 signatures until Seal (or Verify, which
-// seals first). Signing every block dominates Initialization — ~8·m
-// signatures per protocol round at the default granularity — yet the
-// envelopes are only consumed when a block's integrity is actually
-// contested, so rounds that never open a block skip the cost entirely.
-// Sealing is deterministic (Ed25519), so Prepare and PrepareLazy+Seal
-// yield bit-identical datasets.
-func PrepareLazy(user *sig.KeyPair, data []byte, blockSize int) (*Dataset, error) {
-	if user == nil {
-		return nil, errors.New("workload: nil user key")
-	}
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("workload: invalid block size %d", blockSize)
-	}
-	if len(data) == 0 {
-		return nil, errors.New("workload: empty data")
-	}
-	n := (len(data) + blockSize - 1) / blockSize
-	ds := &Dataset{User: user.ID, Blocks: make([]Block, 0, n), signer: user}
-	for i := 0; i < n; i++ {
-		chunk := make([]byte, blockSize)
-		lo := i * blockSize
-		hi := lo + blockSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		copy(chunk, data[lo:hi])
-		id := fmt.Sprintf("%s/block-%06d", user.ID, i)
-		ds.Blocks = append(ds.Blocks, Block{ID: id, Data: chunk})
-	}
-	return ds, nil
-}
-
-// Seal signs every still-unsealed block with the user's key. It is a
-// no-op on eagerly prepared (or already sealed) datasets.
-func (d *Dataset) Seal() error {
-	if d.signer == nil {
-		return nil
-	}
-	for i := range d.Blocks {
-		b := &d.Blocks[i]
-		if len(b.Env.Signature) > 0 {
-			continue
-		}
-		digest := sha256.Sum256(b.Data)
-		env, err := sig.Seal(d.signer, BlockKind, blockClaim{ID: b.ID, Digest: digest[:]})
-		if err != nil {
-			return fmt.Errorf("workload: signing block %d: %w", i, err)
-		}
-		b.Env = env
-	}
-	d.signer = nil
-	return nil
-}
-
-// Verify checks every block of the dataset, sealing lazily prepared
-// blocks first.
-func (d *Dataset) Verify(reg *sig.Registry) error {
-	if len(d.Blocks) == 0 {
-		return errors.New("workload: dataset has no blocks")
-	}
-	if err := d.Seal(); err != nil {
-		return err
-	}
-	seen := make(map[string]bool, len(d.Blocks))
-	for _, b := range d.Blocks {
-		if seen[b.ID] {
-			return fmt.Errorf("workload: duplicate block id %s", b.ID)
-		}
-		seen[b.ID] = true
-		if err := b.Verify(reg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SyntheticData draws a reproducible pseudo-random payload of the given
-// size — the stand-in for the user's real data set.
-func SyntheticData(rng *rand.Rand, size int) []byte {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(rng.Intn(256))
-	}
-	return data
-}
 
 // Assignment maps each processor to the half-open block index range
 // [Lo, Hi) it must process.

@@ -6,121 +6,7 @@ import (
 	"testing/quick"
 
 	"dlsbl/internal/dlt"
-	"dlsbl/internal/sig"
 )
-
-func userAndRegistry(t *testing.T, seed int64) (*sig.KeyPair, *sig.Registry) {
-	t.Helper()
-	user, err := sig.GenerateKeyPair("user", sig.DeterministicSource(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := sig.NewRegistry()
-	if err := reg.Register(user.ID, user.Public); err != nil {
-		t.Fatal(err)
-	}
-	return user, reg
-}
-
-func TestPrepareAndVerify(t *testing.T) {
-	user, reg := userAndRegistry(t, 1)
-	rng := rand.New(rand.NewSource(1))
-	ds, err := Prepare(user, SyntheticData(rng, 1000), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ceil(1000/64) = 16 blocks, all equal-sized.
-	if len(ds.Blocks) != 16 {
-		t.Fatalf("got %d blocks, want 16", len(ds.Blocks))
-	}
-	for _, b := range ds.Blocks {
-		if len(b.Data) != 64 {
-			t.Errorf("block %s has size %d, want 64", b.ID, len(b.Data))
-		}
-	}
-	if err := ds.Verify(reg); err != nil {
-		t.Fatalf("fresh dataset failed verification: %v", err)
-	}
-}
-
-func TestPrepareValidation(t *testing.T) {
-	user, _ := userAndRegistry(t, 2)
-	if _, err := Prepare(nil, []byte("x"), 4); err == nil {
-		t.Error("nil user accepted")
-	}
-	if _, err := Prepare(user, nil, 4); err == nil {
-		t.Error("empty data accepted")
-	}
-	if _, err := Prepare(user, []byte("x"), 0); err == nil {
-		t.Error("zero block size accepted")
-	}
-}
-
-func TestVerifyDetectsTampering(t *testing.T) {
-	user, reg := userAndRegistry(t, 3)
-	rng := rand.New(rand.NewSource(3))
-	ds, err := Prepare(user, SyntheticData(rng, 256), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corrupted := *ds
-	corrupted.Blocks = append([]Block(nil), ds.Blocks...)
-	blk := corrupted.Blocks[3]
-	blk.Data = append([]byte(nil), blk.Data...)
-	blk.Data[0] ^= 0xFF
-	corrupted.Blocks[3] = blk
-	if err := corrupted.Verify(reg); err == nil {
-		t.Error("corrupted block data accepted")
-	}
-
-	renamed := *ds
-	renamed.Blocks = append([]Block(nil), ds.Blocks...)
-	blk2 := renamed.Blocks[0]
-	blk2.ID = "user/block-999999"
-	renamed.Blocks[0] = blk2
-	if err := renamed.Verify(reg); err == nil {
-		t.Error("renamed block accepted")
-	}
-
-	// A block re-signed by someone other than the user must fail.
-	mallory, err := sig.GenerateKeyPair("mallory", sig.DeterministicSource(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(mallory.ID, mallory.Public); err != nil {
-		t.Fatal(err)
-	}
-	forged := *ds
-	forged.Blocks = append([]Block(nil), ds.Blocks...)
-	fb := forged.Blocks[1]
-	env, err := sig.Seal(mallory, BlockKind, map[string]any{"id": fb.ID, "digest": []byte{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.Env = env
-	forged.Blocks[1] = fb
-	if err := forged.Verify(reg); err == nil {
-		t.Error("foreign-signed block accepted")
-	}
-}
-
-func TestVerifyDetectsDuplicates(t *testing.T) {
-	user, reg := userAndRegistry(t, 5)
-	rng := rand.New(rand.NewSource(5))
-	ds, err := Prepare(user, SyntheticData(rng, 128), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.Blocks = append(ds.Blocks, ds.Blocks[0])
-	if err := ds.Verify(reg); err == nil {
-		t.Error("duplicate block id accepted")
-	}
-	empty := &Dataset{User: user.ID}
-	if err := empty.Verify(reg); err == nil {
-		t.Error("empty dataset accepted")
-	}
-}
 
 func TestPartitionExactCover(t *testing.T) {
 	alloc := dlt.Allocation{0.5, 0.3, 0.2}
@@ -214,17 +100,5 @@ func TestQuickPartitionProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSyntheticDataReproducible(t *testing.T) {
-	a := SyntheticData(rand.New(rand.NewSource(9)), 100)
-	b := SyntheticData(rand.New(rand.NewSource(9)), 100)
-	if string(a) != string(b) {
-		t.Error("same seed produced different data")
-	}
-	c := SyntheticData(rand.New(rand.NewSource(10)), 100)
-	if string(a) == string(c) {
-		t.Error("different seeds produced identical data")
 	}
 }
