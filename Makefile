@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service race-fanout vet doccheck net-smoke net-trace ci serve bench-smoke bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service race-fanout vet doccheck examples net-smoke net-trace ci serve bench-smoke bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -46,6 +46,16 @@ doccheck:
 		./internal/core ./internal/dlt ./internal/payment ./internal/agent ./internal/workload \
 		./internal/adversarytest
 
+# Every example, run end to end: each is a standalone main that exits
+# non-zero when it fails. examples/service (one pool at two bus rates)
+# and examples/repeatedjobs (a ban over six jobs) are the only
+# end-to-end callers of a pool's job stream outside the tests.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "example $$d failed"; exit 1; }; \
+	done
+
 # The 3-process loopback deployment check: build dls-serve and dls-node,
 # boot 1 driver + 2 workers over real UDP sockets, run a full round and
 # assert bit-identical payments/transcript against the simulated bus
@@ -69,10 +79,11 @@ net-trace:
 # hot-path parity and zero-alloc guards, the installment sub-rounds, the
 # virtual-time packing model's 1.3x target and the Byzantine adversary
 # tiers), the crypto fan-out at GOMAXPROCS 1 and 4, the coverage floor,
-# a short run of every fuzz target, the layered benchmark's correctness
-# smoke, the multi-process loopback smoke, and the distributed-telemetry
-# trace smoke (merged 3-process Chrome trace with payment parity intact).
-ci: build vet doccheck race race-fanout cover fuzz-short bench-layered-smoke net-smoke net-trace
+# a short run of every fuzz target, every example run end to end, the
+# layered benchmark's correctness smoke, the multi-process loopback
+# smoke, and the distributed-telemetry trace smoke (merged 3-process
+# Chrome trace with payment parity intact).
+ci: build vet doccheck race race-fanout cover fuzz-short examples bench-layered-smoke net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;

@@ -99,18 +99,6 @@ func (n *Node) event(e obs.Event) {
 	}
 }
 
-// MailboxDepth returns the total number of undrained messages across
-// the node's mailboxes — the backlog gauge on the metrics surface.
-func (n *Node) MailboxDepth() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	depth := 0
-	for _, box := range n.boxes {
-		depth += len(box.queue)
-	}
-	return depth
-}
-
 // ListenNode binds the named node's UDP socket per the peer table and
 // prepares a mailbox for each endpoint it hosts. Call Serve to start
 // answering.

@@ -116,4 +116,11 @@ func TestRunLoadColdCrashKeepsSession(t *testing.T) {
 	if !next.Completed || !next.Participated[2] || next.Payments[2] <= 0 {
 		t.Fatalf("load after the crash: completed=%v P3 participated=%v paid %v", next.Completed, next.Participated[2], next.Payments[2])
 	}
+	// P3's return re-bids installment 1; the later installments reuse
+	// that cache rather than quietly falling back to a rebid.
+	for k, inst := range next.Installments[1:] {
+		if !inst.BidReused {
+			t.Fatalf("load after the crash, installment %d: re-bid, want reuse", k+2)
+		}
+	}
 }

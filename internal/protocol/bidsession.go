@@ -48,7 +48,7 @@ type bidCache struct {
 	// cache owns the slice; no run aliases it.
 	epochs  []string
 	bidding bus.Stats // traffic the bid exchange cost
-	served  int       // reuse rounds served so far
+	served  int       // reuse rounds settled so far
 }
 
 // captureBidCache snapshots the run's verified bid set into a cache of its
@@ -206,13 +206,15 @@ func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 		return nil, err
 	}
 	if sp == nil {
-		c.served++
-		r.ref.RecordBidReuse(c.epoch, c.served)
+		// The cache counts this reuse round only once the round settles
+		// (BidSession.serve), so a failed attempt leaves it as it was.
+		n := c.served + 1
+		r.ref.RecordBidReuse(c.epoch, n)
 		if r.tracer != nil {
 			r.tracer.Event(obs.Event{
 				Kind:   obs.EvBidReused,
 				Round:  r.roundID,
-				Detail: fmt.Sprintf("epoch %s, reuse round %d", c.epoch, c.served),
+				Detail: fmt.Sprintf("epoch %s, reuse round %d", c.epoch, n),
 			})
 		}
 		return c, nil
@@ -234,6 +236,25 @@ func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 	// Future reuse rounds save (approximately) the last full exchange's
 	// traffic; the splice itself cost only Θ(m).
 	return r.captureBidCache(c.epoch, c.bidding), nil
+}
+
+// hearFromSeated has every participant of a cached round re-send its bid
+// in force to the referee. A full exchange evicts a member that answers
+// nothing during Bidding; a cached round exchanged no bids, so it must
+// hear from every member before it settles without the meters broadcast
+// (a verdict ends Allocating) or evicts a member that crashed. A silent
+// member fails the round with ErrUnreachable, which BidSession.serve
+// reruns as the full exchange. A full exchange sends nothing here.
+func (r *run) hearFromSeated() error {
+	if !r.cached {
+		return nil
+	}
+	for i, p := range r.procs {
+		if _, err := r.xp.sendReliable(p, r.refAddr, referee.KindBid, r.bidEnvs[i], 1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // spliceFreshBid has the changed member of a splice broadcast its fresh
@@ -383,14 +404,11 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 }
 
 // JobConfig describes one load served by a BidSession. The session owns
-// the network class, bus rate z, member set, true rates, fine and keyring;
-// a job brings everything load-specific. Behaviors are indexed by the
-// session's member (config) index and default to honest; members that
-// left or were evicted are forced to Abstain regardless.
+// the network class, bus rate z (see SetZ), member set, true rates, fine
+// and keyring; a job brings everything load-specific. Behaviors are
+// indexed by the session's member (config) index and default to honest;
+// members that left are forced to Abstain regardless.
 type JobConfig struct {
-	// Z overrides nothing — the bus rate is session state. (Field order
-	// mirrors Config for the load-specific subset.)
-
 	// Seed drives key generation (first round only — later rounds hit the
 	// session keyring).
 	Seed int64
@@ -486,7 +504,7 @@ type Member struct {
 type BidSession struct {
 	base  Config // Network, Z, Fine, Keys; TrueW/Behaviors are per-round
 	trueW []float64
-	gone  []bool
+	gone  []bool // members that Left; set by nothing else
 	salt  string
 
 	cache        *bidCache
@@ -534,7 +552,8 @@ func NewBidSession(cfg Config) (*BidSession, error) {
 
 // sessionSalt derives a deterministic session identifier from the
 // founding configuration, so round IDs are reproducible for a given
-// session history (no clock, no global RNG).
+// session history (no clock, no global RNG). A later SetZ does not move
+// it.
 func sessionSalt(cfg Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%g|%v", cfg.Network, cfg.Z, cfg.TrueW)
@@ -588,11 +607,16 @@ func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dl
 	return s.serve(job, rr, k, of, frac, policy)
 }
 
-// serve executes one (sub-)round under the given round reference,
-// deciding reuse vs incremental re-bid vs full exchange by bid-profile
-// comparison. frac scales the money flow; inst/instOf/policy mark the
-// installment for the referee's transcript and select the installment
-// allocation rule (1/1 for whole-load rounds, which skip both).
+// serve executes one (sub-)round under the given round reference. A
+// profile equal to the cached one is a reuse round and a single-member
+// delta a splice; both are served from the cache, and any failure on that
+// path — an unreachable peer, a stale cache, a downstream phase error —
+// falls back to the full exchange under the same round ID. The aborted
+// attempt built only per-round state and the session commits nothing
+// until a round settles, so the cache and Stats read as if it never ran.
+// frac scales the money flow; inst/instOf/policy mark the installment for
+// the referee's transcript and select the installment allocation rule
+// (1/1 for whole-load rounds, which skip both).
 func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
 	round := rr.String()
 	cfg := s.roundConfig(job)
@@ -603,35 +627,23 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 		rb.inst, rb.instOf, rb.policy = inst, instOf, policy
 	}
 
-	if s.cache != nil && profilesEqual(prof, s.cacheProfile) && !profileFrames(prof) {
+	if sp, ok := s.cachedDelta(prof); ok {
 		rb.epoch = s.cache.epoch
-		out, _, err := executeRound(cfg, rb, s.cache, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.sinceRebid++
-		s.saved.Messages += s.cache.bidding.Messages
-		s.saved.Deliveries += s.cache.bidding.Deliveries
-		s.saved.Units += s.cache.bidding.Units
-		return out, nil
-	}
-
-	// Single-member delta against the cached profile: try the incremental
-	// re-bid first. Any failure on the spliced path — an unreachable peer,
-	// a stale cache, a downstream phase error — falls back to the full
-	// exchange below; the aborted attempt built only per-round state, so
-	// nothing leaks into the retry (which reuses this round's ID).
-	if s.cache != nil {
-		if sp, ok := spliceDelta(s.cacheProfile, prof); ok {
-			rb.epoch = s.cache.epoch
-			out, spliced, err := executeRound(cfg, rb, s.cache, &sp)
-			if err == nil {
+		out, next, err := executeRound(cfg, rb, s.cache, sp)
+		if err == nil {
+			if sp == nil {
+				s.cache.served++
+				s.sinceRebid++
+				s.saved.Messages += s.cache.bidding.Messages
+				s.saved.Deliveries += s.cache.bidding.Deliveries
+				s.saved.Units += s.cache.bidding.Units
+			} else {
 				s.splices++
 				s.sinceRebid = 0
-				s.cache = spliced
+				s.cache = next
 				s.cacheProfile = prof
-				return out, nil
 			}
+			return out, nil
 		}
 	}
 
@@ -642,18 +654,18 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 	}
 	s.rebids++
 	s.sinceRebid = 0
-	// Bidding-phase evictions permanently remove members; the captured
-	// cache (if any) already holds survivors only, so the profile it is
-	// filed under must mark the evicted absent too. A member a later phase
-	// evicted (a crash during Processing) is still in the cache and stays
-	// a member, exactly as after a crash on a cached round.
+	// A member evicted during Bidding misses this job only: it stays a
+	// member, but the captured cache holds the survivors, so the profile
+	// it is filed under marks the evictee absent. Its return is then a
+	// profile change, and the next job runs a full exchange with it. A
+	// member a later phase evicted (a crash during Processing) is still
+	// in the cache, exactly as after a crash on a cached round.
 	for _, ev := range out.Evictions {
 		if ev.Phase != obs.PhaseBidding {
 			continue
 		}
 		for i, p := range out.Procs {
 			if p == ev.Proc {
-				s.gone[i] = true
 				prof[i] = bidProfile{}
 			}
 		}
@@ -666,6 +678,21 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 		s.cacheProfile = prof
 	}
 	return out, nil
+}
+
+// cachedDelta reports whether this round's profile can be served from the
+// cache: with a nil op when it equals the cached profile (a reuse round),
+// with the splice op when a single member changed. Rounds in which a
+// member frames a rival always run the full exchange.
+func (s *BidSession) cachedDelta(prof []bidProfile) (*spliceOp, bool) {
+	if s.cache == nil || profileFrames(prof) {
+		return nil, false
+	}
+	if profilesEqual(prof, s.cacheProfile) {
+		return nil, true
+	}
+	sp, ok := spliceDelta(s.cacheProfile, prof)
+	return &sp, ok
 }
 
 // roundConfig assembles the per-round protocol Config: session state plus
@@ -771,6 +798,13 @@ func (s *BidSession) Leave(i int) error {
 	return nil
 }
 
+// SetZ sets the per-unit bus communication time for the loads that
+// follow. Bids are per-unit processing times, and envelopes, epochs and
+// message counts carry no z; F is re-derived from the bids each round.
+// So a change triggers no rebid, and the session salt keeps the founding
+// z, so round IDs do not move either. Each round validates z.
+func (s *BidSession) SetZ(z float64) { s.base.Z = z }
+
 // AnnounceRate records member i's new per-unit processing time. If the
 // value actually differs, the next Run re-bids; announcing the current
 // rate changes nothing and triggers no rebid (the profile is unchanged).
@@ -791,7 +825,7 @@ func (s *BidSession) AnnounceRate(i int, w float64) error {
 // Network returns the session's network class.
 func (s *BidSession) Network() dlt.Network { return s.base.Network }
 
-// Z returns the session's per-unit bus communication time.
+// Z returns the per-unit bus communication time the next load runs at.
 func (s *BidSession) Z() float64 { return s.base.Z }
 
 // Members lists the active members.

@@ -9,6 +9,7 @@ import (
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
+	"dlsbl/internal/obs"
 	"dlsbl/internal/referee"
 )
 
@@ -236,9 +237,11 @@ func TestBidSessionMembershipRules(t *testing.T) {
 }
 
 // TestBidSessionEvictionForcesFreshMemberSet: a member evicted for
-// unreachability during a bidding round is gone for good — the captured
-// cache holds the survivors, later rounds reuse it without the evictee,
-// and no round is ever served with the stale pre-eviction member set.
+// unreachability during a bidding round misses that job only. The
+// captured cache holds the survivors, so the evictee's return is a
+// profile change: the next job runs a full exchange with it — never a
+// round served from the survivors' cache — and the job after that reuses
+// the restored bid set.
 func TestBidSessionEvictionForcesFreshMemberSet(t *testing.T) {
 	s := sessionBase(t, 3, 2, 4, 5)
 	faulty := JobConfig{Seed: 5, NBlocks: 64,
@@ -250,19 +253,27 @@ func TestBidSessionEvictionForcesFreshMemberSet(t *testing.T) {
 	if out.BidReused || !out.Evicted[2] {
 		t.Fatalf("round 1: BidReused=%v Evicted=%v, want fresh bidding and P3 evicted", out.BidReused, out.Evicted)
 	}
-	// Clean follow-up round: reuse, survivors only.
-	out2, err := s.Run(JobConfig{Seed: 6, NBlocks: 64})
+	if got := len(s.Members()); got != 4 {
+		t.Fatalf("%d members after a bidding eviction, want 4 (the evictee misses one job only)", got)
+	}
+	back, err := s.Run(JobConfig{Seed: 6, NBlocks: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out2.BidReused {
-		t.Fatal("round 2 re-bid although the survivor set is unchanged")
+	if back.BidReused || back.BidSpliced || !back.Participated[2] {
+		t.Fatalf("round 2: BidReused=%v BidSpliced=%v P3 participated=%v, want a full exchange with P3 back",
+			back.BidReused, back.BidSpliced, back.Participated[2])
 	}
-	if out2.Participated[2] || out2.Bids[2] != 0 {
-		t.Fatal("evicted member served in a later round (stale member set)")
+	again, err := s.Run(JobConfig{Seed: 7, NBlocks: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(s.Members()); got != 3 {
-		t.Fatalf("%d members after eviction, want 3", got)
+	if !again.BidReused || !again.Participated[2] {
+		t.Fatalf("round 3: BidReused=%v P3 participated=%v, want reuse of the restored bid set",
+			again.BidReused, again.Participated[2])
+	}
+	if st := s.Stats(); st.Rebids != 2 || st.RoundsSinceRebid != 1 {
+		t.Fatalf("stats %+v, want 2 rebids and 1 round since", st)
 	}
 }
 
@@ -371,6 +382,9 @@ func TestCrashOnColdRoundKeepsSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("clean job %d after the crash: %v", k+1, err)
 		}
+		if !out.BidReused {
+			t.Fatalf("clean job %d re-bid; want reuse of the cache the crash round captured", k+1)
+		}
 		want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: job.Seed, NBlocks: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -381,5 +395,50 @@ func TestCrashOnColdRoundKeepsSession(t *testing.T) {
 	}
 	if got := len(s.Members()); got != len(w) {
 		t.Fatalf("%d members after a Processing crash, want %d", got, len(w))
+	}
+}
+
+// TestCachedRoundHearsFromDarkMember: a member that answers nothing all
+// round must not stay seated on a cached round that would otherwise
+// never need it — one a verdict ends during Allocating, or one whose
+// only eviction is the dark member's own crash. The cached round hears
+// from every member first, falls back to the full exchange, and settles
+// as a fresh Run does: the member is evicted during Bidding, gets no
+// share of a fine, and its bid does not count toward F.
+func TestCachedRoundHearsFromDarkMember(t *testing.T) {
+	w := []float64{3, 2, 4, 5}
+	claimant := []agent.Behavior{{}, agent.FalseClaimant}
+	for _, tc := range []struct {
+		name      string
+		behaviors []agent.Behavior
+		faults    *bus.FaultPlan
+	}{
+		{"allocating-verdict", claimant, &bus.FaultPlan{Seed: 5, Unresponsive: []string{"P3"}}},
+		{"own-crash", nil, &bus.FaultPlan{Seed: 5, Unresponsive: []string{"P3"}, Crashes: []bus.Crash{{Proc: "P3"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sessionBase(t, w...)
+			if _, err := s.Run(JobConfig{Seed: 1, NBlocks: 64}); err != nil {
+				t.Fatal(err)
+			}
+			job := JobConfig{Seed: 2, NBlocks: 64, Behaviors: tc.behaviors, Faults: tc.faults}
+			out, err := s.Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Behaviors: tc.behaviors,
+				Seed: 2, NBlocks: 64, Faults: tc.faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.BidReused || len(out.Evictions) != 1 || out.Evictions[0].Proc != "P3" ||
+				out.Evictions[0].Phase != obs.PhaseBidding {
+				t.Fatalf("BidReused=%v evictions=%+v, want a full exchange that evicts P3 in Bidding",
+					out.BidReused, out.Evictions)
+			}
+			if got, want := econOf(out), econOf(want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("dark-member round diverges from a standalone run\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

@@ -882,6 +882,9 @@ func (r *run) phaseProcessing() error {
 			}
 		}
 		if len(evict) > 0 {
+			if err := r.hearFromSeated(); err != nil {
+				return err
+			}
 			if fb, ok := r.net.(*bus.Bus); ok {
 				for i := range evict {
 					fb.MarkUnresponsive(r.procs[i])

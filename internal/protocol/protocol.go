@@ -345,6 +345,7 @@ type run struct {
 	// the cache's per-member epochs on a cached round. Index-aligned with
 	// procs once Bidding has run.
 	epochs []string
+	cached bool // served from the bid cache (see hearFromSeated)
 	// ver is the run's batch verifier over cfg.Memo; the transport and
 	// the referee route verification through it.
 	ver *sig.BatchVerifier
@@ -449,6 +450,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		r.net.SetTracer(tr)
 		r.xp.tracer = tr
 	}
+	r.cached = cache != nil
 	var fresh *bidCache
 	finish := func(e error) (*Outcome, *bidCache, error) {
 		out, ferr := r.finish(e)
@@ -479,6 +481,9 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 	}
 	begin(obs.PhaseAllocating)
 	terminated, err := r.phaseAllocating()
+	if err == nil && terminated {
+		err = r.hearFromSeated()
+	}
 	end(obs.PhaseAllocating)
 	if err != nil || terminated {
 		return finish(err)

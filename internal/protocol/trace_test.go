@@ -82,11 +82,11 @@ func TestTracerNilParity(t *testing.T) {
 }
 
 // TestChromeTraceFaultyMultiload drives a BidSession through an
-// eviction and a reuse round under one Recorder, then checks the
-// record stream and its Chrome rendering structurally: spans nest and
-// their timestamps never run backwards, every eviction and bid-reuse
-// event carries its round ID, and the exported JSON parses with only
-// non-negative slice durations.
+// eviction, the evictee's return (a full exchange) and a reuse round
+// under one Recorder, then checks the record stream and its Chrome
+// rendering structurally: spans nest and their timestamps never run
+// backwards, every eviction and bid-reuse event carries its round ID,
+// and the exported JSON parses with only non-negative slice durations.
 func TestChromeTraceFaultyMultiload(t *testing.T) {
 	s := sessionBase(t, 3, 2, 4, 5)
 	rec := obs.NewRecorder()
@@ -99,12 +99,20 @@ func TestChromeTraceFaultyMultiload(t *testing.T) {
 	if !out.Evicted[2] {
 		t.Fatalf("P3 not evicted: %v", out.Evicted)
 	}
-	reused, err := s.Run(JobConfig{Seed: 6, NBlocks: 64, Tracer: rec})
+	back, err := s.Run(JobConfig{Seed: 6, NBlocks: 64, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.BidReused || !back.Participated[2] {
+		t.Fatalf("second round: BidReused=%v P3 participated=%v, want a full exchange with P3 back",
+			back.BidReused, back.Participated[2])
+	}
+	reused, err := s.Run(JobConfig{Seed: 7, NBlocks: 64, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reused.BidReused {
-		t.Fatal("second round did not reuse the cached bids")
+		t.Fatal("third round did not reuse the cached bids")
 	}
 
 	recs := rec.Records()
@@ -185,10 +193,10 @@ func TestChromeTraceFaultyMultiload(t *testing.T) {
 			t.Fatalf("event %q on pid %d, want 1", e.Name, e.PID)
 		}
 	}
-	// Two rounds × five phases; the reuse round's Bidding span is present
+	// Three rounds × five phases; the reuse round's Bidding span is present
 	// (it wraps the cache installation) even though no bids crossed the bus.
-	if slices != 10 {
-		t.Fatalf("want 10 phase slices (2 rounds × 5 phases), got %d", slices)
+	if slices != 15 {
+		t.Fatalf("want 15 phase slices (3 rounds × 5 phases), got %d", slices)
 	}
 	if instants == 0 {
 		t.Fatal("no instant events in the Chrome trace")

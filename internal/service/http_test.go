@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -25,11 +26,15 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 }
 
 // TestHTTPJobSpecCannotSizeMemory: no field of a job spec sizes a
-// per-round buffer. A "blocksize" field (no longer part of JobSpec, so the
-// decoder ignores it) once sized a synthetic data set of nblocks ×
-// blocksize bytes that every round built and nothing read; this 60-byte
-// spec asked for 512 MiB. nblocks now sizes only the O(m) block partition,
-// so the job completes within a small allocation budget.
+// per-round buffer beyond a fixed cap. A "blocksize" field (no longer
+// part of JobSpec, so the decoder ignores it) once sized a synthetic data
+// set of nblocks × blocksize bytes that every round built and nothing
+// read; this 60-byte spec asked for 512 MiB. nblocks now sizes only the
+// O(m) block partition, so the job completes within a small allocation
+// budget. "installments" sizes the pipelined scheduler's per-load
+// fraction and outcome slices before the first sub-round runs, so a count
+// of 1e9 asked for about 16 GB; admission rejects any count above
+// MaxInstallments with a 400 and a reason, before a slice is made.
 func TestHTTPJobSpecCannotSizeMemory(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Close()
@@ -67,6 +72,22 @@ func TestHTTPJobSpecCannotSizeMemory(t *testing.T) {
 	const budget = 32 << 20
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= budget {
 		t.Fatalf("one job allocated %d MiB, want < %d MiB", grew>>20, budget>>20)
+	}
+
+	runtime.ReadMemStats(&before)
+	resp = postJSON(t, ts.URL+"/v1/jobs",
+		`{"pool":"big","jobs":[{"z":0.2,"seed":1,"installments":1000000000}]}`)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "installments must be in") {
+		t.Fatalf("installments 1e9: %s %q, want 400 with a reason", resp.Status, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= budget {
+		t.Fatalf("a rejected submission allocated %d MiB, want < %d MiB", grew>>20, budget>>20)
 	}
 }
 

@@ -15,9 +15,13 @@ import (
 
 // JobSpec is one DLS-BL-NCP job submission — the JSON element of a
 // POST /v1/jobs batch. Zero values select the protocol defaults, so
-// {"z":0.2,"seed":1} is a complete honest job.
+// {"z":0.2,"seed":1} is a complete honest job. The pool serves it from
+// its cached bids when the bid profile allows, with the payments and
+// fines of a standalone protocol run of the job, bit for bit.
 type JobSpec struct {
-	// Z is the per-unit communication time of this job's bus session.
+	// Z is the per-unit communication time of the bus for this job. It
+	// may change from job to job on one pool: the cached bids do not
+	// depend on it.
 	Z float64 `json:"z"`
 	// Seed drives key generation (cold pools only).
 	Seed int64 `json:"seed"`
@@ -33,14 +37,23 @@ type JobSpec struct {
 	Retry  *protocol.RetryPolicy `json:"retry,omitempty"`
 	// Installments pipelines this job: > 1 serves the load in that many
 	// installment sub-rounds, overlapping communication with computation
-	// (requires a Multiload pool). InstallmentPolicy is "equal" (default)
-	// or "geometric".
+	// (ncp-fe pools only; at most MaxInstallments). InstallmentPolicy is
+	// "equal" (default) or "geometric".
 	Installments      int    `json:"installments,omitempty"`
 	InstallmentPolicy string `json:"installment_policy,omitempty"`
 }
 
+// MaxInstallments caps JobSpec.Installments at admission. Each
+// installment is a full protocol sub-round, and the pipelined scheduler
+// sizes its per-load buffers by the count before the first one runs, so
+// R multiplies a load's cost while the gain shrinks like 1/R: on a
+// 16-member ncp-fe pool at z = 0.1, going from 64 to 128 installments
+// shortens the modeled makespan (dlt.MultiRoundMakespanWithSpeeds) by
+// 0.7%. Callers in this repository use at most 4.
+const MaxInstallments = 64
+
 // toJob resolves the spec into a session job, rejecting unknown behavior
-// names.
+// names and an installment count outside [0, MaxInstallments].
 func (spec JobSpec) toJob() (session.Job, error) {
 	job := session.Job{
 		Z:       spec.Z,
@@ -51,8 +64,8 @@ func (spec JobSpec) toJob() (session.Job, error) {
 	if spec.Retry != nil {
 		job.Retry = *spec.Retry
 	}
-	if spec.Installments < 0 {
-		return session.Job{}, fmt.Errorf("installments must be >= 0, got %d", spec.Installments)
+	if spec.Installments < 0 || spec.Installments > MaxInstallments {
+		return session.Job{}, fmt.Errorf("installments must be in [0, %d], got %d", MaxInstallments, spec.Installments)
 	}
 	job.Installments = spec.Installments
 	if spec.InstallmentPolicy != "" {
@@ -136,10 +149,10 @@ type JobResult struct {
 	Completed     bool    `json:"completed"`
 	TerminatedIn  string  `json:"terminated_in,omitempty"`
 	FineMagnitude float64 `json:"fine_magnitude,omitempty"`
-	// BidReused marks a round served from the pool's cached bid set
-	// (Multiload pools); BidSpliced marks a round that re-bid only the one
-	// changed member and spliced it into the cache; RoundID is the round's
-	// session-salted identifier.
+	// BidReused marks a round served from the pool's cached bid set;
+	// BidSpliced marks a round that re-bid only the one changed member
+	// and spliced it into the cache; RoundID is the round's session-salted
+	// identifier (every pool's rounds carry one).
 	BidReused  bool   `json:"bid_reused,omitempty"`
 	BidSpliced bool   `json:"bid_spliced,omitempty"`
 	RoundID    string `json:"round_id,omitempty"`

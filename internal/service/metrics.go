@@ -166,11 +166,10 @@ type MetricsSnapshot struct {
 		Run       LatencySummary `json:"run"`
 	} `json:"latency_ms"`
 	// Multiload aggregates the amortized-bidding savings server-wide:
-	// across every Multiload pool, the bus traffic the reused bids
-	// avoided (DeliveriesSaved is the Θ(m²) term) and the rebids the
-	// profile changes forced.
+	// across every pool, the bus traffic the reused bids avoided
+	// (DeliveriesSaved is the Θ(m²) term) and the rebids the profile
+	// changes forced.
 	Multiload struct {
-		Pools           int `json:"pools"`
 		Rebids          int `json:"rebids"`
 		MessagesSaved   int `json:"messages_saved"`
 		DeliveriesSaved int `json:"deliveries_saved"`
@@ -213,13 +212,10 @@ func (s *Server) Metrics() MetricsSnapshot {
 	sort.Slice(pools, func(i, j int) bool { return pools[i].spec.Name < pools[j].spec.Name })
 	for _, p := range pools {
 		ps := p.Snapshot()
-		if ps.Multiload {
-			snap.Multiload.Pools++
-			snap.Multiload.Rebids += ps.Rebids
-			snap.Multiload.MessagesSaved += ps.MessagesSaved
-			snap.Multiload.DeliveriesSaved += ps.DeliveriesSaved
-			snap.Multiload.UnitsSaved += ps.UnitsSaved
-		}
+		snap.Multiload.Rebids += ps.Rebids
+		snap.Multiload.MessagesSaved += ps.MessagesSaved
+		snap.Multiload.DeliveriesSaved += ps.DeliveriesSaved
+		snap.Multiload.UnitsSaved += ps.UnitsSaved
 		snap.Pools = append(snap.Pools, ps)
 	}
 	snap.Build = obs.Build()

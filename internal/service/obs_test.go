@@ -16,7 +16,7 @@ import (
 // name{labels} value — the grammar a Prometheus scraper accepts.
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE.+-]+$`)
 
-// TestPrometheusExposition runs jobs against a multiload pool, scrapes
+// TestPrometheusExposition runs jobs against a pool, scrapes
 // GET /metrics?format=prometheus and verifies the body is structurally
 // parseable exposition: every non-comment line matches the sample
 // grammar, every family carries HELP and TYPE headers, and the phase
@@ -25,7 +25,7 @@ var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9
 func TestPrometheusExposition(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueDepth: 16})
 	defer srv.Close()
-	if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 1.5, 2, 2.5}, Multiload: true}); err != nil {
+	if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 1.5, 2, 2.5}}); err != nil {
 		t.Fatal(err)
 	}
 	tasks, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 1}, {Z: 0.2, Seed: 2}}, nil)
@@ -161,10 +161,10 @@ dlsbl_protocol_fined_total 3
 # HELP dlsbl_protocol_retransmits_total Transport retransmissions across all rounds.
 # TYPE dlsbl_protocol_retransmits_total counter
 dlsbl_protocol_retransmits_total 40
-# HELP dlsbl_multiload_rebids_total Re-bids forced by bid-profile changes, across Multiload pools.
+# HELP dlsbl_multiload_rebids_total Re-bids forced by bid-profile changes, across all pools.
 # TYPE dlsbl_multiload_rebids_total counter
 dlsbl_multiload_rebids_total 2
-# HELP dlsbl_multiload_saved_total Bus traffic the reused bids avoided, across Multiload pools.
+# HELP dlsbl_multiload_saved_total Bus traffic the reused bids avoided, across all pools.
 # TYPE dlsbl_multiload_saved_total counter
 dlsbl_multiload_saved_total{unit="messages"} 64
 dlsbl_multiload_saved_total{unit="deliveries"} 192
@@ -214,44 +214,38 @@ dlsbl_pool_events_total{pool="hot",kind="deliver"} 336
 dlsbl_build_info{go_version="go1.24.0",module="dlsbl",version="(devel)",vcs_revision="abc123",vcs_modified="true"} 1
 `
 
-// TestMultiloadServerAggregate pins the server-wide multiload rollup:
-// the snapshot's Multiload block must equal the sum over every
-// multiload pool of its saved-traffic counters, and count only
-// multiload pools.
+// TestMultiloadServerAggregate pins the server-wide bid-reuse rollup:
+// the snapshot's Multiload block must count every pool and equal the sum
+// over every pool of its saved-traffic counters — a pool spec's
+// deprecated multiload flag changes nothing.
 func TestMultiloadServerAggregate(t *testing.T) {
 	srv := New(Config{Workers: 4, QueueDepth: 64})
 	defer srv.Close()
-	for _, name := range []string{"a", "b"} {
-		if _, err := srv.CreatePool(PoolSpec{Name: name, TrueW: []float64{1, 2, 3}, Multiload: true}); err != nil {
+	for _, spec := range []PoolSpec{
+		{Name: "a", TrueW: []float64{1, 2, 3}, Multiload: true},
+		{Name: "b", TrueW: []float64{1, 2, 3}, Multiload: true},
+		{Name: "plain", TrueW: []float64{1, 2, 3}},
+	} {
+		if _, err := srv.CreatePool(spec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := srv.CreatePool(PoolSpec{Name: "plain", TrueW: []float64{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b", "plain"} {
-		tasks, err := srv.Submit(name, []JobSpec{{Z: 0.2, Seed: 1}, {Z: 0.2, Seed: 2}, {Z: 0.2, Seed: 3}}, nil)
+		tasks, err := srv.Submit(spec.Name, []JobSpec{{Z: 0.2, Seed: 1}, {Z: 0.2, Seed: 2}, {Z: 0.2, Seed: 3}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, task := range tasks {
 			if res := task.Wait(); res.Error != "" {
-				t.Fatalf("pool %s: job failed: %s", name, res.Error)
+				t.Fatalf("pool %s: job failed: %s", spec.Name, res.Error)
 			}
 		}
 	}
 
 	snap := srv.Metrics()
-	if snap.Multiload.Pools != 2 {
-		t.Fatalf("Multiload.Pools = %d, want 2", snap.Multiload.Pools)
-	}
 	var msgs, dels, units, rebids int
 	for _, p := range snap.Pools {
-		if !p.Multiload {
-			if p.MessagesSaved != 0 || p.DeliveriesSaved != 0 {
-				t.Fatalf("non-multiload pool %s reports savings", p.Name)
-			}
-			continue
+		if p.DeliveriesSaved != snap.Pools[0].DeliveriesSaved {
+			t.Fatalf("pool %s saved %d deliveries, pool %s %d: the same jobs must save the same traffic",
+				p.Name, p.DeliveriesSaved, snap.Pools[0].Name, snap.Pools[0].DeliveriesSaved)
 		}
 		msgs += p.MessagesSaved
 		dels += p.DeliveriesSaved
@@ -259,7 +253,7 @@ func TestMultiloadServerAggregate(t *testing.T) {
 		rebids += p.Rebids
 	}
 	if dels == 0 {
-		t.Fatal("multiload pools played reuse rounds but saved no deliveries")
+		t.Fatal("pools played reuse rounds but saved no deliveries")
 	}
 	if snap.Multiload.MessagesSaved != msgs || snap.Multiload.DeliveriesSaved != dels ||
 		snap.Multiload.UnitsSaved != units || snap.Multiload.Rebids != rebids {

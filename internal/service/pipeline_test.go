@@ -5,10 +5,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dlsbl/internal/dlt"
+	"dlsbl/internal/pipeline"
+	"dlsbl/internal/protocol"
 )
 
 // TestPipelinedPoolValidation: installment jobs demand a known round
-// policy at admission and a multiload pool at run time.
+// policy and at most MaxInstallments installments at admission, and an
+// overlap-capable network at run time. On an ncp-fe pool created without
+// any deprecated field, an installment load is served in R sub-rounds
+// with payments bit-identical to the pipelined scheduler run on a fresh
+// bid session.
 func TestPipelinedPoolValidation(t *testing.T) {
 	w := []float64{1, 1.5, 2}
 	srv := New(Config{Workers: 2, QueueDepth: 16})
@@ -16,17 +24,44 @@ func TestPipelinedPoolValidation(t *testing.T) {
 	if _, err := srv.Submit("a", []JobSpec{{Z: 0.2, Seed: 1, InstallmentPolicy: "nope"}}, nil); !strings.Contains(errString(err), "round policy") {
 		t.Errorf("bad installment policy error = %v", err)
 	}
-	// Installment jobs against a plain (non-multiload) pool fail at run
-	// time with a clear error, not silently as whole loads.
 	if _, err := srv.CreatePool(PoolSpec{Name: "plain", TrueW: w}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := srv.Submit("plain", []JobSpec{{Z: 0.2, Seed: 1, Installments: MaxInstallments + 1}}, nil); !strings.Contains(errString(err), "installments must be in") {
+		t.Errorf("installments above the cap: error = %v", err)
 	}
 	tasks, err := srv.Submit("plain", []JobSpec{{Z: 0.2, Seed: 1, Installments: 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := tasks[0].Wait(); !strings.Contains(res.Error, "Multiload") {
-		t.Errorf("installments on a plain pool: error = %q", res.Error)
+	res := tasks[0].Wait()
+	if res.Error != "" || !res.Completed || res.Installments != 4 {
+		t.Fatalf("installments on a plain pool: error=%q completed=%v installments=%d", res.Error, res.Completed, res.Installments)
+	}
+	fresh, err := protocol.NewBidSession(protocol.Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipeline.RunLoad(fresh, pipeline.Load{Job: protocol.JobConfig{Seed: 1}, Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalF64(res.Payments, want.Payments) || !equalF64(res.Utilities, want.Utilities) || res.RoundID != want.RoundID {
+		t.Errorf("installment load diverges from a fresh bid session: payments %v vs %v, round %q vs %q",
+			res.Payments, want.Payments, res.RoundID, want.RoundID)
+	}
+
+	// ncp-nfe has no overlapping originator: the load fails at run time
+	// with the infeasibility reason, not silently as a whole load.
+	if _, err := srv.CreatePool(PoolSpec{Name: "nfe", Network: "ncp-nfe", TrueW: w}); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err = srv.Submit("nfe", []JobSpec{{Z: 0.2, Seed: 1, Installments: 4}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := tasks[0].Wait(); !strings.Contains(res.Error, "overlapping originator") {
+		t.Errorf("installments on an ncp-nfe pool: error = %q", res.Error)
 	}
 }
 
@@ -85,10 +120,11 @@ func TestFIFOStreamsEachResult(t *testing.T) {
 }
 
 // TestPipelinedDegenerateParity pins that a pool spec's deprecated
-// pipeline_depth changes nothing: over randomized pools with deviants,
-// bus faults and installment jobs, a depth-4 pool's results are
-// bit-identical to a depth-0 pool's in every field that carries money,
-// round identity or verdicts.
+// fields change nothing: over randomized pools with deviants, bus faults
+// and installment jobs, a multiload depth-4 pool's results and those of a
+// pool whose spec omits both multiload and pipeline_depth are
+// bit-identical to a multiload depth-0 pool's in every field that carries
+// money, round identity or verdicts.
 func TestPipelinedDegenerateParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	behaviors := []string{"", "", "", "overbid-1.5x", "underbid-0.6x", "payment-cheat-2x"}
@@ -119,10 +155,11 @@ func TestPipelinedDegenerateParity(t *testing.T) {
 			}
 		}
 
-		run := func(depth int) []JobResult {
+		run := func(spec PoolSpec) []JobResult {
 			srv := New(Config{Workers: 2, QueueDepth: 64})
 			defer srv.Close()
-			if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: w, Multiload: true, PipelineDepth: depth}); err != nil {
+			spec.Name, spec.TrueW = "p", w
+			if _, err := srv.CreatePool(spec); err != nil {
 				t.Fatal(err)
 			}
 			tasks, err := srv.Submit("p", specs, []string{ArtifactTranscript, ArtifactVerdicts})
@@ -135,27 +172,33 @@ func TestPipelinedDegenerateParity(t *testing.T) {
 			}
 			return out
 		}
-		plain, piped := run(0), run(4)
-		for j := range plain {
-			a, b := plain[j], piped[j]
-			if a.Error != b.Error || a.Completed != b.Completed || a.Installments != b.Installments {
-				t.Fatalf("trial %d job %d: error/completed diverge: %+v vs %+v", trial, j, a, b)
-			}
-			if a.Installments > 1 {
-				installmentJobs++
-			}
-			if !equalF64(a.Payments, b.Payments) || !equalF64(a.Fines, b.Fines) || !equalF64(a.Utilities, b.Utilities) {
-				t.Fatalf("trial %d job %d: money diverges between depth 0 and 4", trial, j)
-			}
-			if a.RoundID != b.RoundID || a.UserCost != b.UserCost || a.Makespan != b.Makespan {
-				t.Fatalf("trial %d job %d: round id or totals diverge", trial, j)
-			}
-			if len(a.Verdicts) != len(b.Verdicts) || len(a.Transcript) != len(b.Transcript) {
-				t.Fatalf("trial %d job %d: verdicts/transcript shape diverges", trial, j)
-			}
-			for k := range a.Transcript {
-				if a.Transcript[k].Hash != b.Transcript[k].Hash {
-					t.Fatalf("trial %d job %d: transcript hash chain diverges at entry %d", trial, j, k)
+		ref := run(PoolSpec{Multiload: true})
+		for arm, spec := range map[string]PoolSpec{
+			"depth 4": {Multiload: true, PipelineDepth: 4},
+			"neither": {},
+		} {
+			got := run(spec)
+			for j := range ref {
+				a, b := ref[j], got[j]
+				if a.Error != b.Error || a.Completed != b.Completed || a.Installments != b.Installments {
+					t.Fatalf("trial %d job %d, %s: error/completed diverge: %+v vs %+v", trial, j, arm, a, b)
+				}
+				if a.Installments > 1 {
+					installmentJobs++
+				}
+				if !equalF64(a.Payments, b.Payments) || !equalF64(a.Fines, b.Fines) || !equalF64(a.Utilities, b.Utilities) {
+					t.Fatalf("trial %d job %d, %s: money diverges", trial, j, arm)
+				}
+				if a.RoundID != b.RoundID || a.UserCost != b.UserCost || a.Makespan != b.Makespan {
+					t.Fatalf("trial %d job %d, %s: round id or totals diverge", trial, j, arm)
+				}
+				if len(a.Verdicts) != len(b.Verdicts) || len(a.Transcript) != len(b.Transcript) {
+					t.Fatalf("trial %d job %d, %s: verdicts/transcript shape diverges", trial, j, arm)
+				}
+				for k := range a.Transcript {
+					if a.Transcript[k].Hash != b.Transcript[k].Hash {
+						t.Fatalf("trial %d job %d, %s: transcript hash chain diverges at entry %d", trial, j, arm, k)
+					}
 				}
 			}
 		}

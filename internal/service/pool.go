@@ -26,11 +26,12 @@ type PoolSpec struct {
 	Fine float64 `json:"fine,omitempty"`
 	// Policy is "forgive" (default) or "ban-deviants".
 	Policy string `json:"policy,omitempty"`
-	// Multiload amortizes the Bidding phase across the pool's jobs: the
-	// pool bids once and later rounds reuse the cached signed bids,
-	// re-bidding only when the bid profile changes (ban, eviction,
-	// behavior change). Θ(m) control-plane traffic per job instead of
-	// Θ(m²); payments are unchanged. See session.Session.Multiload.
+	// Multiload selected bid reuse, which every pool now has: a pool
+	// bids once and later jobs reuse the cached signed bids, re-bidding
+	// only when the bid profile changes (see session.Session).
+	//
+	// Deprecated: decoded and ignored. It stays only because the layered
+	// benchmark in bench/ still sets it.
 	Multiload bool `json:"multiload,omitempty"`
 	// PipelineDepth was the batch size of a retired runner that packed
 	// queued jobs into one shared bus schedule. Every pool now runs a
@@ -103,12 +104,11 @@ func newPool(spec PoolSpec) (*Pool, error) {
 		return nil, err
 	}
 	sess := &session.Session{
-		Network:   network,
-		TrueW:     append([]float64(nil), spec.TrueW...),
-		Fine:      spec.Fine,
-		Policy:    policy,
-		Keys:      sig.NewKeyring(),
-		Multiload: spec.Multiload,
+		Network: network,
+		TrueW:   append([]float64(nil), spec.TrueW...),
+		Fine:    spec.Fine,
+		Policy:  policy,
+		Keys:    sig.NewKeyring(),
 		// A pool-lifetime verified-envelope memo: repeat rounds skip
 		// re-verifying bit-identical envelopes.
 		Memo: sig.NewVerifyMemo(),
@@ -163,18 +163,16 @@ type PoolSnapshot struct {
 	CumulativeUtility []float64 `json:"cumulative_utility"`
 	WarmKeys          int       `json:"warm_keys"`
 
-	// Amortized-bidding telemetry (Multiload pools). RoundsSinceRebid
-	// counts consecutive rounds served from the cached bids;
-	// MessagesSaved / DeliveriesSaved / UnitsSaved total the bus traffic
-	// the avoided Bidding exchanges would have cost (Deliveries is the
-	// Θ(m²) term).
-	Multiload         bool `json:"multiload,omitempty"`
-	Rebids            int  `json:"rebids,omitempty"`
-	IncrementalRebids int  `json:"incremental_rebids,omitempty"`
-	RoundsSinceRebid  int  `json:"rounds_since_rebid,omitempty"`
-	MessagesSaved     int  `json:"messages_saved,omitempty"`
-	DeliveriesSaved   int  `json:"deliveries_saved,omitempty"`
-	UnitsSaved        int  `json:"units_saved,omitempty"`
+	// Amortized-bidding telemetry. RoundsSinceRebid counts consecutive
+	// rounds served from the cached bids; MessagesSaved /
+	// DeliveriesSaved / UnitsSaved total the bus traffic the avoided
+	// Bidding exchanges would have cost (Deliveries is the Θ(m²) term).
+	Rebids            int `json:"rebids,omitempty"`
+	IncrementalRebids int `json:"incremental_rebids,omitempty"`
+	RoundsSinceRebid  int `json:"rounds_since_rebid,omitempty"`
+	MessagesSaved     int `json:"messages_saved,omitempty"`
+	DeliveriesSaved   int `json:"deliveries_saved,omitempty"`
+	UnitsSaved        int `json:"units_saved,omitempty"`
 
 	// Verified-envelope memo telemetry (the hot-path verification cache
 	// every pool carries): VerifyMemoHits counts Ed25519 verifications
@@ -197,7 +195,8 @@ type PoolSnapshot struct {
 	// over the pool's most recent rounds; BusEvents counts bus, transport
 	// and protocol events by kind (obs event kinds: deliver, drop,
 	// retransmit, eviction, …) since the pool was created. Both come from
-	// the pool's resident tracer.
+	// the pool's resident tracer, so unlike Traffic they include a cached
+	// attempt that fell back to the full exchange.
 	PhaseMS   map[string]LatencySummary `json:"phase_ms,omitempty"`
 	BusEvents map[string]int64          `json:"bus_events,omitempty"`
 }
@@ -222,7 +221,6 @@ func (p *Pool) Snapshot() PoolSnapshot {
 		Banned:             bannedNames(p.procNames, p.state.Banned),
 		CumulativeUtility:  append([]float64(nil), p.state.CumulativeUtility...),
 		WarmKeys:           p.sess.Keys.Len(),
-		Multiload:          p.spec.Multiload,
 		Rebids:             bs.Rebids,
 		IncrementalRebids:  bs.IncrementalRebids,
 		RoundsSinceRebid:   bs.RoundsSinceRebid,

@@ -38,9 +38,9 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	x.Family("dlsbl_protocol_retransmits_total", "Transport retransmissions across all rounds.", "counter")
 	x.Sample("dlsbl_protocol_retransmits_total", "", float64(snap.Protocol.Retransmits))
 
-	x.Family("dlsbl_multiload_rebids_total", "Re-bids forced by bid-profile changes, across Multiload pools.", "counter")
+	x.Family("dlsbl_multiload_rebids_total", "Re-bids forced by bid-profile changes, across all pools.", "counter")
 	x.Sample("dlsbl_multiload_rebids_total", "", float64(snap.Multiload.Rebids))
-	x.Family("dlsbl_multiload_saved_total", "Bus traffic the reused bids avoided, across Multiload pools.", "counter")
+	x.Family("dlsbl_multiload_saved_total", "Bus traffic the reused bids avoided, across all pools.", "counter")
 	x.Sample("dlsbl_multiload_saved_total", `unit="messages"`, float64(snap.Multiload.MessagesSaved))
 	x.Sample("dlsbl_multiload_saved_total", `unit="deliveries"`, float64(snap.Multiload.DeliveriesSaved))
 	x.Sample("dlsbl_multiload_saved_total", `unit="units"`, float64(snap.Multiload.UnitsSaved))

@@ -2,8 +2,8 @@
 // DLS-BL-NCP machinery: the path from a one-shot reproduction to the
 // ROADMAP's heavy-traffic north star. A Server owns named processor
 // pools, each a persistent session (internal/session) whose reputation
-// state and warm Ed25519 keyring survive between jobs, and runs submitted
-// jobs through a bounded worker pool.
+// state, bid cache and warm Ed25519 keyring survive between jobs, and
+// runs submitted jobs through a bounded worker pool.
 //
 // Concurrency model:
 //
@@ -131,8 +131,7 @@ func (s *Server) CreatePool(spec PoolSpec) (*Pool, error) {
 	go s.runPool(p)
 	s.log.Info("pool created",
 		"pool", p.spec.Name, "network", p.network.String(),
-		"policy", p.policy.String(), "m", len(p.sess.TrueW),
-		"multiload", p.spec.Multiload)
+		"policy", p.policy.String(), "m", len(p.sess.TrueW))
 	return p, nil
 }
 
@@ -142,17 +141,6 @@ func (s *Server) Pool(name string) (*Pool, bool) {
 	defer s.mu.Unlock()
 	p, ok := s.pools[name]
 	return p, ok
-}
-
-// PoolNames returns the registered pool names (unordered).
-func (s *Server) PoolNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.pools))
-	for n := range s.pools {
-		names = append(names, n)
-	}
-	return names
 }
 
 // reserve claims n queue slots, all or nothing.

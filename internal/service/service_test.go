@@ -10,6 +10,7 @@ import (
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
+	"dlsbl/internal/obs"
 	"dlsbl/internal/protocol"
 	"dlsbl/internal/session"
 )
@@ -394,17 +395,14 @@ func TestFaultyJobThroughService(t *testing.T) {
 }
 
 // TestMultiloadPoolAmortizesBidding pins the service's amortized-bidding
-// surface: a multiload pool bids once, streams bid_reused=true for every
-// later job, exposes the savings in its snapshot, and still produces
-// payments bit-identical to a per-job pool over the same specs.
+// surface: a pool bids once, streams bid_reused=true and a round_id for
+// every later job, exposes the savings in its snapshot, and still
+// produces payments bit-identical to a fresh protocol.Run of each job.
 func TestMultiloadPoolAmortizesBidding(t *testing.T) {
 	w := []float64{1, 1.5, 2, 2.5}
 	srv := New(Config{Workers: 4, QueueDepth: 64})
 	defer srv.Close()
-	if _, err := srv.CreatePool(PoolSpec{Name: "amortized", TrueW: w, Multiload: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.CreatePool(PoolSpec{Name: "perjob", TrueW: w}); err != nil {
+	if _, err := srv.CreatePool(PoolSpec{Name: "amortized", TrueW: w}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -412,45 +410,37 @@ func TestMultiloadPoolAmortizesBidding(t *testing.T) {
 	for i := range specs {
 		specs[i] = JobSpec{Z: 0.2, Seed: int64(i + 1)}
 	}
-
-	warm, err := srv.Submit("amortized", specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := srv.Submit("perjob", specs, nil)
+	tasks, err := srv.Submit("amortized", specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	m := len(w)
-	for i := range specs {
-		wres, cres := warm[i].Wait(), cold[i].Wait()
-		if wres.Error != "" || cres.Error != "" {
-			t.Fatalf("job %d: warm=%q cold=%q", i, wres.Error, cres.Error)
+	for i, task := range tasks {
+		res := task.Wait()
+		if res.Error != "" {
+			t.Fatalf("job %d: %s", i, res.Error)
 		}
-		if wres.BidReused != (i > 0) {
-			t.Errorf("job %d: bid_reused = %v, want %v", i, wres.BidReused, i > 0)
+		want, err := protocol.Run(protocol.Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if wres.RoundID == "" {
-			t.Errorf("job %d: multiload result has no round_id", i)
+		if res.BidReused != (i > 0) {
+			t.Errorf("job %d: bid_reused = %v, want %v", i, res.BidReused, i > 0)
 		}
-		if cres.BidReused || cres.RoundID != "" {
-			t.Errorf("job %d: per-job pool leaked multiload fields: reused=%v id=%q",
-				i, cres.BidReused, cres.RoundID)
+		if res.RoundID == "" {
+			t.Errorf("job %d: result has no round_id", i)
 		}
-		if !equalF64(wres.Payments, cres.Payments) {
-			t.Errorf("job %d payments diverge: multiload %v, per-job %v", i, wres.Payments, cres.Payments)
+		if !equalF64(res.Payments, want.Payments) {
+			t.Errorf("job %d payments diverge: pool %v, protocol.Run %v", i, res.Payments, want.Payments)
 		}
-		if !equalF64(wres.Utilities, cres.Utilities) {
-			t.Errorf("job %d utilities diverge: multiload %v, per-job %v", i, wres.Utilities, cres.Utilities)
+		if !equalF64(res.Utilities, want.Utilities) {
+			t.Errorf("job %d utilities diverge: pool %v, protocol.Run %v", i, res.Utilities, want.Utilities)
 		}
 	}
 
 	p, _ := srv.Pool("amortized")
 	snap := p.Snapshot()
-	if !snap.Multiload {
-		t.Error("snapshot does not mark the pool multiload")
-	}
 	if snap.Rebids != 1 || snap.RoundsSinceRebid != len(specs)-1 {
 		t.Errorf("snapshot rebids=%d sinceRebid=%d, want 1 and %d", snap.Rebids, snap.RoundsSinceRebid, len(specs)-1)
 	}
@@ -461,15 +451,9 @@ func TestMultiloadPoolAmortizesBidding(t *testing.T) {
 	if snap.MessagesSaved != (len(specs)-1)*m {
 		t.Errorf("snapshot messages_saved=%d, want %d", snap.MessagesSaved, (len(specs)-1)*m)
 	}
-
-	cp, _ := srv.Pool("perjob")
-	csnap := cp.Snapshot()
-	if csnap.Multiload || csnap.Rebids != 0 || csnap.DeliveriesSaved != 0 {
-		t.Errorf("per-job pool snapshot leaked multiload telemetry: %+v", csnap)
-	}
 }
 
-// TestMultiloadPoolRebidsAfterBan drives a ban-deviants multiload pool
+// TestMultiloadPoolRebidsAfterBan drives a ban-deviants pool
 // through a cheat round and checks the service re-bids exactly once — the
 // ban flips the bid profile. Because the ban is a single-member change
 // (P2 leaves), that re-bid is an incremental splice, not a full Θ(m²)
@@ -478,7 +462,7 @@ func TestMultiloadPoolRebidsAfterBan(t *testing.T) {
 	w := []float64{1, 1.5, 2, 2.5}
 	srv := New(Config{Workers: 2, QueueDepth: 64})
 	defer srv.Close()
-	if _, err := srv.CreatePool(PoolSpec{Name: "strict", TrueW: w, Policy: "ban-deviants", Multiload: true}); err != nil {
+	if _, err := srv.CreatePool(PoolSpec{Name: "strict", TrueW: w, Policy: "ban-deviants"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -525,18 +509,15 @@ func TestMultiloadPoolRebidsAfterBan(t *testing.T) {
 }
 
 // TestMultiloadPoolSurvivesCrashJob: one job whose spec crashes a member
-// during Processing must not disable a shared multiload pool. The first
-// job runs the full bid exchange and evicts P3 from that round only; P3
-// stays in the pool's bid session, and every later clean job is served
-// from the cache with payments bit-identical to a per-job pool's.
+// during Processing must not disable a shared pool. The first job runs the
+// full bid exchange and evicts P3 from that round only; P3 stays in the
+// pool's bid session, and every later clean job is served from the cache
+// with payments bit-identical to a fresh protocol.Run.
 func TestMultiloadPoolSurvivesCrashJob(t *testing.T) {
 	w := []float64{1, 1.5, 2, 2.5}
 	srv := New(Config{Workers: 2, QueueDepth: 64})
 	defer srv.Close()
-	if _, err := srv.CreatePool(PoolSpec{Name: "hot", TrueW: w, Multiload: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.CreatePool(PoolSpec{Name: "perjob", TrueW: w}); err != nil {
+	if _, err := srv.CreatePool(PoolSpec{Name: "hot", TrueW: w}); err != nil {
 		t.Fatal(err)
 	}
 	var crash JobSpec
@@ -548,23 +529,98 @@ func TestMultiloadPoolSurvivesCrashJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := srv.Submit("perjob", specs, nil)
+	for i, spec := range specs {
+		res := hot[i].Wait()
+		if res.Error != "" {
+			t.Fatalf("job %d: %s", i, res.Error)
+		}
+		want, err := protocol.Run(protocol.Config{Network: dlt.NCPFE, Z: spec.Z, TrueW: w, Seed: spec.Seed, Faults: spec.Faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && (len(res.Evictions) != 1 || res.Evictions[0].Proc != "P3") {
+			t.Fatalf("crash job evictions = %+v, want P3", res.Evictions)
+		}
+		if i > 0 && !res.BidReused {
+			t.Errorf("job %d: bid_reused = false, want reuse after the crash job", i)
+		}
+		if !equalF64(res.Payments, want.Payments) {
+			t.Errorf("job %d payments diverge: pool %v, protocol.Run %v", i, res.Payments, want.Payments)
+		}
+	}
+}
+
+// TestPoolServesEveryJobFromBidSession: one pool, created without any
+// deprecated field, serves jobs at two bus rates and through a member
+// outage from one bid session. Job 1's P3 answers nothing: its reuse
+// attempt fails at the meters broadcast and falls back to a full exchange
+// under the same round ID, which evicts P3 from that job only. P3's
+// return forces a full exchange on job 2, and jobs 3 and 4 reuse the
+// bids again, whatever their z. Every job settles bit-identically to a
+// fresh protocol.Run, and the pool's sentinel stays clear.
+func TestPoolServesEveryJobFromBidSession(t *testing.T) {
+	w := []float64{1, 1.5, 2, 2.5}
+	srv := New(Config{Workers: 2, QueueDepth: 16})
+	defer srv.Close()
+	if _, err := srv.CreatePool(PoolSpec{Name: "one", TrueW: w}); err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		{Z: 0.2, Seed: 1},
+		{Z: 0.2, Seed: 2, Faults: &bus.FaultPlan{Unresponsive: []string{"P3"}}},
+		{Z: 0.3, Seed: 3},
+		{Z: 0.3, Seed: 4},
+		{Z: 0.2, Seed: 5},
+	}
+	tasks, err := srv.Submit("one", specs, []string{ArtifactTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range specs {
-		hres, cres := hot[i].Wait(), cold[i].Wait()
-		if hres.Error != "" || cres.Error != "" {
-			t.Fatalf("job %d: multiload=%q per-job=%q", i, hres.Error, cres.Error)
+	wantReused := []bool{false, false, false, true, true}
+	for i, spec := range specs {
+		res := tasks[i].Wait()
+		if res.Error != "" {
+			t.Fatalf("job %d: %s", i, res.Error)
 		}
-		if i == 0 && (len(hres.Evictions) != 1 || hres.Evictions[0].Proc != "P3") {
-			t.Fatalf("crash job evictions = %+v, want P3", hres.Evictions)
+		want, err := protocol.Run(protocol.Config{Network: dlt.NCPFE, Z: spec.Z, TrueW: w, Seed: spec.Seed, Faults: spec.Faults})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && !hres.BidReused {
-			t.Errorf("job %d: bid_reused = false, want reuse after the crash job", i)
+		if !equalF64(res.Payments, want.Payments) || !equalF64(res.Fines, want.Fines) || !equalF64(res.Utilities, want.Utilities) {
+			t.Errorf("job %d: pool settled payments %v fines %v utilities %v, protocol.Run %v %v %v",
+				i, res.Payments, res.Fines, res.Utilities, want.Payments, want.Fines, want.Utilities)
 		}
-		if !equalF64(hres.Payments, cres.Payments) {
-			t.Errorf("job %d payments diverge: multiload %v, per-job %v", i, hres.Payments, cres.Payments)
+		if res.BidReused != wantReused[i] {
+			t.Errorf("job %d: bid_reused = %v, want %v", i, res.BidReused, wantReused[i])
 		}
+		if i == 1 {
+			if len(res.Evictions) != 1 || res.Evictions[0].Proc != "P3" || res.Evictions[0].Phase != obs.PhaseBidding {
+				t.Errorf("job 1 evictions = %+v, want P3 during bidding", res.Evictions)
+			}
+			// The trace shows the failed reuse attempt, then the full
+			// exchange, both under the job's round ID.
+			reuseAt, evictAt := -1, -1
+			for k, r := range res.Trace {
+				if r.Name == obs.EvBidReused && reuseAt < 0 {
+					reuseAt = k
+				}
+				if r.Name == obs.EvEviction {
+					evictAt = k
+				}
+				if r.Round != "" && r.Round != res.RoundID {
+					t.Fatalf("job 1 trace record %d carries round %q, want %q", k, r.Round, res.RoundID)
+				}
+			}
+			if reuseAt < 0 || evictAt < reuseAt {
+				t.Errorf("job 1 trace: bid_reused at %d, eviction at %d; want the failed attempt first", reuseAt, evictAt)
+			}
+		}
+		if i == 2 && !(res.Payments[2] > 0) {
+			t.Errorf("job 2 pays P3 %v; it missed job 1 only", res.Payments[2])
+		}
+	}
+	p, _ := srv.Pool("one")
+	if v := p.Snapshot().SentinelViolations; len(v) != 0 {
+		t.Fatalf("sentinel latched: %v", v)
 	}
 }

@@ -7,12 +7,18 @@
 // cumulative ledger across rounds and implements pluggable reputation
 // policies.
 //
+// Every pool serves its jobs from one protocol.BidSession, founded on the
+// first job: the pool bids once and later jobs reuse the verified bids,
+// re-bidding only when the bid profile changes. A bid is a per-unit
+// processing time, so one bid set serves every job whatever its z, and
+// the economics of each job are those of a standalone protocol.Run.
+//
 // The package exposes two granularities. Run plays a fixed slice of jobs
 // and returns an aggregate Report — the one-shot experiment shape. State
 // and Step expose the same machinery one round at a time, so a
 // long-running owner (internal/service keeps one State per named pool)
-// can interleave rounds with other work while the reputation state and
-// the warm Keys ring persist between jobs.
+// can interleave rounds with other work while the reputation state, the
+// bid cache and the warm Keys ring persist between jobs.
 package session
 
 import (
@@ -62,11 +68,10 @@ type Job struct {
 	// A processor EVICTED for unreachability is not a deviant: it is not
 	// fined, and BanDeviants does not exclude it from later rounds — a
 	// transient outage must not carry the permanent penalty reserved for
-	// strategic cheating. In a Multiload pool, a member evicted during
-	// Bidding leaves the pool's bid session for good (later jobs are
-	// served without it); a member evicted by a later crash (a
-	// Crashes entry, fired during Processing) misses only that job and
-	// keeps its cached bid.
+	// strategic cheating. An evicted member misses only this job. One
+	// evicted during Bidding forces a full bid exchange on the next job
+	// it plays; one evicted by a later crash (a Crashes entry, fired
+	// during Processing) keeps its cached bid.
 	Faults *bus.FaultPlan
 	Retry  protocol.RetryPolicy
 	// Tracer receives this round's span and event records (see
@@ -74,9 +79,9 @@ type Job struct {
 	Tracer obs.Tracer
 	// Installments pipelines this job: > 1 serves the load in that many
 	// installment sub-rounds (pipeline.RunLoad) under InstallmentPolicy,
-	// overlapping communication with computation. Requires Multiload (the
-	// sub-rounds ride the pool's cached bids) and an overlap-capable
-	// network class; 0 or 1 serves the load whole, unchanged.
+	// overlapping communication with computation; the sub-rounds ride the
+	// pool's cached bids. Requires an overlap-capable network class
+	// (NCP-FE); 0 or 1 serves the load whole, unchanged.
 	Installments      int
 	InstallmentPolicy dlt.RoundPolicy
 }
@@ -94,22 +99,12 @@ type Session struct {
 	// Keys, when non-nil, keeps the pool warm between rounds: every round
 	// reuses the ring's cached Ed25519 pairs instead of regenerating
 	// them, cutting the dominant per-run cost. Payments are unaffected
-	// (see protocol.Config.Keys).
+	// (see protocol.Config.Keys). Nil gives the bid session a ring of its
+	// own.
 	Keys *sig.Keyring
-	// Multiload amortizes the Bidding phase across the pool's rounds via
-	// a protocol.BidSession: the pool bids once and every later round is
-	// served from the cached signed bids — Θ(m) control-plane traffic per
-	// job instead of Θ(m²) — re-bidding automatically when the effective
-	// bid profile changes (a ban forcing abstention, a behavior change
-	// that moves a bid, an eviction). The first multiload round's Z
-	// founds the bid session; later rounds must carry the same Z. The
-	// economics are identical either way (see TestBidReuseParityProperty).
-	Multiload bool
 	// Memo, when non-nil, is the pool's shared verified-envelope memo
-	// (see protocol.Config.Memo). Non-multiload rounds thread it into
-	// each protocol.Run, which otherwise gets a fresh memo per round;
-	// multiload pools pass it to the BidSession, which otherwise creates
-	// its own.
+	// (see protocol.Config.Memo); nil gives the bid session a memo of its
+	// own.
 	Memo *sig.VerifyMemo
 }
 
@@ -127,33 +122,33 @@ type State struct {
 	Banned      []bool
 	BannedAfter []int
 	// Traffic accumulates the pool's control-plane bus traffic across
-	// rounds, and — under Multiload — the traffic bid reuse avoided.
+	// rounds, and the traffic bid reuse avoided.
 	Traffic TrafficStats
 
-	// bid is the pool's amortized bidding session (Multiload only),
-	// created lazily on the first Step; bidZ is the Z it was founded
-	// with.
-	bid  *protocol.BidSession
-	bidZ float64
+	// bid is the pool's bid session, founded on the first Step with that
+	// job's Z (the founding Z salts the round IDs; later jobs set their
+	// own).
+	bid *protocol.BidSession
 }
 
 // TrafficStats totals a pool's control-plane traffic across rounds.
 type TrafficStats struct {
-	// Messages / Deliveries / Units are what actually crossed the bus
+	// Messages / Deliveries / Units are what the settled rounds sent
 	// (bus.Stats semantics: Messages counts a broadcast once, Deliveries
-	// counts receiver-side arrivals — the Θ(m²) term).
+	// counts receiver-side arrivals — the Θ(m²) term). A cached attempt
+	// that fell back to the full exchange is not counted here.
 	Messages   int
 	Deliveries int
 	Units      int
 	// MessagesSaved / DeliveriesSaved / UnitsSaved total the Bidding
-	// exchanges that bid reuse avoided; zero outside Multiload.
+	// exchanges that bid reuse avoided.
 	MessagesSaved   int
 	DeliveriesSaved int
 	UnitsSaved      int
 }
 
 // BidStats reports the pool's amortized-bidding counters (zero value
-// outside Multiload or before the first round).
+// before the first round).
 func (st *State) BidStats() protocol.SessionStats {
 	if st.bid == nil {
 		return protocol.SessionStats{}
@@ -195,12 +190,15 @@ func (s *Session) NewState() (*State, error) {
 }
 
 // Step plays one job against the pool, forcing processors st has banned
-// to abstain, and folds the outcome into st. Under BanDeviants a fined
-// processor is banned from subsequent rounds; banning the
-// load-originating processor returns the round's outcome together with an
-// error (the pool has no load source without it) and leaves the ban
-// unrecorded, exactly as Run ends the session there. A protocol-level
-// failure returns a nil outcome and leaves st untouched.
+// to abstain, and folds the outcome into st. The job is served from the
+// pool's BidSession, founded on the first Step. Bans flow in as Abstain
+// behaviors, so a freshly banned processor flips the bid profile and the
+// session re-bids on its own. Under BanDeviants a fined processor is
+// banned from subsequent rounds; banning the load-originating processor
+// returns the round's outcome together with an error (the pool has no
+// load source without it) and leaves the ban unrecorded, exactly as Run
+// ends the session there. A protocol-level failure returns a nil outcome
+// and leaves the reputation state and traffic totals untouched.
 func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 	m := len(s.TrueW)
 	origIdx := s.Network.Originator(m)
@@ -213,41 +211,53 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 			behaviors[i] = agent.Behavior{Name: "banned", Abstain: true}
 		}
 	}
+	fail := func(err error) (*protocol.Outcome, error) {
+		return nil, fmt.Errorf("session: round %d: %w", st.Round, err)
+	}
+	if st.bid == nil {
+		bid, err := protocol.NewBidSession(protocol.Config{
+			Network: s.Network,
+			Z:       job.Z,
+			TrueW:   s.TrueW,
+			Fine:    s.Fine,
+			Keys:    s.Keys,
+			Memo:    s.Memo,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		st.bid = bid
+	}
+	st.bid.SetZ(job.Z)
+	jc := protocol.JobConfig{
+		Seed:      job.Seed,
+		NBlocks:   job.NBlocks,
+		Behaviors: behaviors,
+		Faults:    job.Faults,
+		Retry:     job.Retry,
+		Tracer:    job.Tracer,
+	}
 	var out *protocol.Outcome
 	var err error
-	if job.Installments > 1 && !s.Multiload {
-		return nil, fmt.Errorf("session: round %d: installment pipelining requires a Multiload pool", st.Round)
-	}
-	if s.Multiload {
-		out, err = s.stepMultiload(st, job, behaviors)
-	} else {
-		out, err = protocol.Run(protocol.Config{
-			Network:   s.Network,
-			Z:         job.Z,
-			TrueW:     s.TrueW,
-			Behaviors: behaviors,
-			Fine:      s.Fine,
-			NBlocks:   job.NBlocks,
-			Seed:      job.Seed,
-			Faults:    job.Faults,
-			Retry:     job.Retry,
-			Keys:      s.Keys,
-			Tracer:    job.Tracer,
-			Memo:      s.Memo,
+	if job.Installments > 1 {
+		out, err = pipeline.RunLoad(st.bid, pipeline.Load{
+			Job:    jc,
+			Rounds: job.Installments,
+			Policy: job.InstallmentPolicy,
 		})
+	} else {
+		out, err = st.bid.Run(jc)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("session: round %d: %w", st.Round, err)
+		return fail(err)
 	}
 	st.Traffic.Messages += out.BusStats.Messages
 	st.Traffic.Deliveries += out.BusStats.Deliveries
 	st.Traffic.Units += out.BusStats.Units
-	if st.bid != nil {
-		bs := st.bid.Stats()
-		st.Traffic.MessagesSaved = bs.SavedMessages
-		st.Traffic.DeliveriesSaved = bs.SavedDeliveries
-		st.Traffic.UnitsSaved = bs.SavedUnits
-	}
+	bs := st.bid.Stats()
+	st.Traffic.MessagesSaved = bs.SavedMessages
+	st.Traffic.DeliveriesSaved = bs.SavedDeliveries
+	st.Traffic.UnitsSaved = bs.SavedUnits
 	round := st.Round
 	st.Round++
 	for i := 0; i < m; i++ {
@@ -265,46 +275,6 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// stepMultiload serves one round from the pool's BidSession, founding it
-// on first use. Bans flow in as Abstain behaviors, so a freshly banned
-// processor flips the bid profile and the session re-bids on its own —
-// Step never needs to tell it.
-func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) (*protocol.Outcome, error) {
-	if st.bid == nil {
-		bid, err := protocol.NewBidSession(protocol.Config{
-			Network: s.Network,
-			Z:       job.Z,
-			TrueW:   s.TrueW,
-			Fine:    s.Fine,
-			Keys:    s.Keys,
-			Memo:    s.Memo,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.bid, st.bidZ = bid, job.Z
-	}
-	if job.Z != st.bidZ {
-		return nil, fmt.Errorf("session: multiload pool founded with z=%v cannot serve a job with z=%v", st.bidZ, job.Z)
-	}
-	jc := protocol.JobConfig{
-		Seed:      job.Seed,
-		NBlocks:   job.NBlocks,
-		Behaviors: behaviors,
-		Faults:    job.Faults,
-		Retry:     job.Retry,
-		Tracer:    job.Tracer,
-	}
-	if job.Installments > 1 {
-		return pipeline.RunLoad(st.bid, pipeline.Load{
-			Job:    jc,
-			Rounds: job.Installments,
-			Policy: job.InstallmentPolicy,
-		})
-	}
-	return st.bid.Run(jc)
 }
 
 // Run plays the jobs in order. Under BanDeviants, a processor fined in

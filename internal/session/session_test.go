@@ -5,6 +5,7 @@ import (
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/dlt"
+	"dlsbl/internal/protocol"
 )
 
 func pool() *Session {
@@ -132,37 +133,53 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestMultiloadSessionReusesBids: with Multiload on, a pool bids once and
-// serves later rounds from the cache; economics match the per-job-bidding
-// session exactly, the traffic accounting shows the saved Θ(m²)
-// exchanges, and a ban flips the bid profile so the session re-bids on
-// its own.
+// TestMultiloadSessionReusesBids: a pool bids once and serves later
+// rounds from the cache; every round's economics match a fresh
+// protocol.Run of that job exactly, the traffic accounting shows the
+// saved Θ(m²) exchanges, a ban flips the bid profile so the session
+// re-bids on its own, and a job at a new z is served from the same cached
+// bids.
 func TestMultiloadSessionReusesBids(t *testing.T) {
-	jobs := honestJobs(4)
-	perJob, err := pool().Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ml := pool()
-	ml.Multiload = true
 	st, err := ml.NewState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := len(ml.TrueW)
-	for r, job := range jobs {
+	// fresh is a standalone run of the job with the pool's bans applied.
+	fresh := func(job Job) *protocol.Outcome {
+		t.Helper()
+		behaviors := make([]agent.Behavior, m)
+		copy(behaviors, job.Behaviors)
+		for i, banned := range st.Banned {
+			if banned {
+				behaviors[i] = agent.Behavior{Name: "banned", Abstain: true}
+			}
+		}
+		out, err := protocol.Run(protocol.Config{Network: ml.Network, Z: job.Z, TrueW: ml.TrueW,
+			Fine: ml.Fine, Behaviors: behaviors, Seed: job.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	step := func(job Job) *protocol.Outcome {
+		t.Helper()
+		want := fresh(job)
 		out, err := ml.Step(st, job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantReuse := r > 0; out.BidReused != wantReuse {
-			t.Fatalf("round %d: BidReused=%v, want %v", r, out.BidReused, wantReuse)
-		}
-		want := perJob.Rounds[r]
 		for i := 0; i < m; i++ {
-			if out.Payments[i] != want.Payments[i] || out.Utilities[i] != want.Utilities[i] {
-				t.Fatalf("round %d: multiload economics diverge from per-job bidding", r)
+			if out.Payments[i] != want.Payments[i] || out.Fines[i] != want.Fines[i] || out.Utilities[i] != want.Utilities[i] {
+				t.Fatalf("round %d: economics diverge from a fresh protocol.Run", st.Round-1)
 			}
+		}
+		return out
+	}
+	for r, job := range honestJobs(4) {
+		if out := step(job); out.BidReused != (r > 0) {
+			t.Fatalf("round %d: BidReused=%v, want %v", r, out.BidReused, r > 0)
 		}
 	}
 	if st.Traffic.DeliveriesSaved != 3*m*m {
@@ -174,44 +191,35 @@ func TestMultiloadSessionReusesBids(t *testing.T) {
 
 	// A ban (P2 cheats) changes the profile: the next round re-bids
 	// without P2, and the one after reuses the post-ban bids.
-	cheat := Job{Z: 0.2, Seed: 50, Behaviors: []agent.Behavior{{}, agent.PaymentCheat}}
-	out, err := ml.Step(st, cheat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.BidReused {
+	if out := step(Job{Z: 0.2, Seed: 50, Behaviors: []agent.Behavior{{}, agent.PaymentCheat}}); !out.BidReused {
 		t.Fatal("payment-only cheat should not force a rebid")
 	}
 	if !st.Banned[1] {
 		t.Fatal("cheat not banned")
 	}
-	out, err = ml.Step(st, Job{Z: 0.2, Seed: 51})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.BidReused || out.Participated[1] {
+	if out := step(Job{Z: 0.2, Seed: 51}); out.BidReused || out.Participated[1] {
 		t.Fatalf("post-ban round: BidReused=%v Participated[1]=%v, want fresh bidding without P2",
 			out.BidReused, out.Participated[1])
 	}
-	out, err = ml.Step(st, Job{Z: 0.2, Seed: 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.BidReused || out.Participated[1] {
+	if out := step(Job{Z: 0.2, Seed: 52}); !out.BidReused || out.Participated[1] {
 		t.Fatal("post-ban steady state should reuse the survivor bids")
 	}
 
-	// The founding Z is pinned.
-	if _, err := ml.Step(st, Job{Z: 0.3, Seed: 53}); err == nil {
-		t.Fatal("multiload pool accepted a job with a different z")
+	// Bids are per-unit processing times, so a job at another z is served
+	// from the same cache; the founding z only salts the round IDs.
+	before := st.BidStats()
+	if out := step(Job{Z: 0.3, Seed: 53}); !out.BidReused {
+		t.Fatal("a job at a new z re-bid")
+	}
+	if bs := st.BidStats(); bs.Rebids != before.Rebids || bs.BidEpoch != before.BidEpoch {
+		t.Fatalf("a new z moved the bid epoch: %+v, was %+v", bs, before)
 	}
 }
 
-// TestMultiloadRunAggregates: the whole-slice Run entry point works in
-// multiload mode too, bans included.
+// TestMultiloadRunAggregates: the whole-slice Run entry point serves its
+// jobs from the bid cache too, bans included.
 func TestMultiloadRunAggregates(t *testing.T) {
 	s := pool()
-	s.Multiload = true
 	jobs := honestJobs(4)
 	jobs[1].Behaviors = []agent.Behavior{{}, agent.PaymentCheat}
 	rep, err := s.Run(jobs)
