@@ -105,8 +105,9 @@ cover:
 # bid-session membership model, the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
 # the accusation wire format), the netbus datagram receive path (decode
-# totality + canonical re-encode fixpoint), and the installment round-ID
-# grammar (parse/print fixed point).
+# totality + canonical re-encode fixpoint), the netbus node's handling of
+# datagram sequences (all-or-nothing multi frames, the mailbox byte
+# bound), and the installment round-ID grammar (parse/print fixed point).
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzEngineParity -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeTampering -fuzztime=10s ./internal/sig/
@@ -117,6 +118,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzPayloadCodec -fuzztime=10s ./internal/referee/
 	$(GO) test -run=NONE -fuzz=FuzzWitnessReport -fuzztime=10s ./internal/referee/
 	$(GO) test -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s ./internal/netbus/
+	$(GO) test -run=NONE -fuzz=FuzzNodeHandle -fuzztime=10s ./internal/netbus/
 
 # Run the scheduling daemon with its demo pool on :8080. See the
 # README's "Service mode" section for the client conversation.

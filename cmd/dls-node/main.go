@@ -1,7 +1,10 @@
 // Command dls-node runs one mailbox node of the netbus: a stateless
 // relay process that hosts the inboxes of the protocol endpoints
-// assigned to it in the peer table and answers FtMsg/FtDrain/FtPing
-// datagrams over UDP. It never dials out and never originates traffic —
+// assigned to it in the peer table and answers message, drain and ping
+// datagrams over UDP — FtMsgMulti/FtDrainNode/FtPing from a v3 driver,
+// one frame per node rather than per endpoint, and FtMsg/FtDrain from a
+// v2 one. Each mailbox holds at most netbus.MailboxBytes; frames past
+// that bound are refused and counted (node_refused_total). It never dials out and never originates traffic —
 // all protocol logic (agents, referee, retry/backoff) lives in the
 // driver process (dls-serve -net-round); a dls-node only stores and
 // forwards sealed envelopes.
@@ -23,7 +26,7 @@
 //	-trace FILE     stream datagram-plane obs events as NDJSON to FILE
 //	                ("-" for stderr) as they happen
 //	-telemetry N    buffer up to N trace records in memory and serve them
-//	                to the driver's FtTelemetry drains (wire v2); the
+//	                to the driver's FtTelemetry drains (wire v2+); the
 //	                driver stitches them into one cross-process trace
 //	-metrics-addr A serve GET /metrics on A in Prometheus text format
 //	                (node_* counters: datagrams, resends, decode

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -216,7 +217,8 @@ func runNetRound(o netRoundOpts) int {
 
 // awaitPeers pings every remote node of the peer table until all answer
 // or the deadline passes — worker processes may still be binding their
-// sockets when the driver starts.
+// sockets when the driver starts. A node that answers in an older wire
+// version fails at once: it would drop every frame of the round.
 func awaitPeers(m *netbus.Medium, cfg *netbus.Config, local string, patience time.Duration) error {
 	deadline := time.Now().Add(patience)
 	for name := range cfg.Nodes {
@@ -227,6 +229,9 @@ func awaitPeers(m *netbus.Medium, cfg *netbus.Config, local string, patience tim
 			err := m.Ping(name)
 			if err == nil {
 				break
+			}
+			if errors.Is(err, netbus.ErrNodeTooOld) {
+				return err
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("node %q not answering pings: %w", name, err)

@@ -2,11 +2,25 @@ package netbus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dlsbl/internal/bus"
 	"dlsbl/internal/sig"
 )
+
+// fuzzMsg is the signed bid every fuzz seed carries.
+func fuzzMsg(f *testing.F) bus.Message {
+	k, err := sig.GenerateKeyPair("P1", sig.DeterministicSource(42))
+	if err != nil {
+		f.Fatal(err)
+	}
+	env, err := sig.Seal(k, "dls/bid", map[string]any{"proc": "P1", "bid": 1.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return bus.Message{From: "P1", To: "*", Kind: "dls/bid", Size: 1, Nonce: 7, Env: env}
+}
 
 // FuzzWireFrame throws arbitrary datagrams at the full receive path —
 // frame header plus every body decoder — and checks total behavior: no
@@ -16,22 +30,14 @@ import (
 // testdata/fuzz/FuzzWireFrame covers every frame type plus the
 // truncation/oversize/version mutants from TestMalformedFrames.
 func FuzzWireFrame(f *testing.F) {
-	k, err := sig.GenerateKeyPair("P1", sig.DeterministicSource(42))
-	if err != nil {
-		f.Fatal(err)
-	}
-	env, err := sig.Seal(k, "dls/bid", map[string]any{"proc": "P1", "bid": 1.5})
-	if err != nil {
-		f.Fatal(err)
-	}
-	msg := bus.Message{From: "P1", To: "*", Kind: "dls/bid", Size: 1, Nonce: 7, Env: env}
+	msg := fuzzMsg(f)
 	f.Add(AppendMsgFrame(nil, 1, "drv", "P1", msg))
 	f.Add(AppendControlFrame(nil, FtAck, 2, "w1"))
-	f.Add(AppendDrainFrame(nil, 3, "drv", "P1", 9))
-	f.Add(AppendDrainRspFrame(nil, 4, "w1", "P1", []SeqMsg{{Seq: 1, Msg: msg}}, true))
+	f.Add(appendDrainFrame(nil, 3, "drv", "P1", 9))
+	f.Add(appendDrainRspFrame(nil, 4, "w1", "P1", []SeqMsg{{Seq: 1, Msg: msg}}, true))
 	f.Add(AppendControlFrame(nil, FtPing, 5, "drv"))
 	f.Add(AppendControlFrame(nil, FtPong, 5, "w1"))
-	f.Add(AppendMsgFrameTrace(nil, 7, "drv", "P1", msg, "s1:r1", "s1:r1", 42))
+	f.Add(appendMsgFrameTrace(nil, FlagTrace, 7, "drv", "P1", msg, "s1:r1", "s1:r1", 42))
 	f.Add(AppendTelemetryFrame(nil, 8, "drv", 17))
 	f.Add(AppendTelemetryRspFrame(nil, 9, "w1",
 		[][]byte{[]byte(`{"type":"event","name":"net_rx"}`)}, true))
@@ -43,6 +49,10 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(valid[:len(valid)-3])           // truncated body
 	f.Add(append(valid[:4:4], 0xFF))      // bad version
 	f.Add([]byte("DLSBjunkjunkjunkjunk")) // header-sized garbage
+	f.Add(appendMsgMultiFrame(nil, FlagTrace, 10, "drv", []string{"P2", "P3"}, msg, "s1:r1", "s1:r1", 7))
+	f.Add(appendDrainNodeFrame(nil, 11, "drv", []drainReq{{"P1", 3}, {"P2", 0}}))
+	f.Add(appendDrainNodeRspFrame(nil, 11, "w1",
+		[]drainPart{{"P1", []SeqMsg{{Seq: 4, Msg: msg}}}, {"P2", []SeqMsg{{Seq: 1, Msg: msg}, {Seq: 2, Msg: msg}}}}, true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
@@ -65,30 +75,55 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			var re []byte
-			if fr.Flags&FlagTrace != 0 {
-				re = AppendMsgFrameTrace(nil, fr.Nonce, fr.Node, dest, m, fr.Round, fr.Epoch, fr.Origin)
-			} else {
-				re = sameVersion(AppendMsgFrame(nil, fr.Nonce, fr.Node, dest, m))
+			if messageLen(m) != len(appendMessage(nil, m)) {
+				t.Fatalf("messageLen %d disagrees with the encoding of %+v", messageLen(m), m)
 			}
+			re := sameVersion(appendMsgFrameTrace(nil, fr.Flags, fr.Nonce, fr.Node, dest, m, fr.Round, fr.Epoch, fr.Origin))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("msg frame not a fixpoint:\n in  %x\n out %x", data, re)
+			}
+		case FtMsgMulti:
+			dests, m, err := decodeMsgMultiBody(fr.Body)
+			if err != nil {
+				return
+			}
+			re := appendMsgMultiFrame(nil, fr.Flags, fr.Nonce, fr.Node, dests, m, fr.Round, fr.Epoch, fr.Origin)
+			if !bytes.Equal(re, data) {
+				t.Fatalf("multi frame not a fixpoint:\n in  %x\n out %x", data, re)
+			}
+		case FtDrainNode:
+			reqs, err := decodeDrainNodeBody(fr.Body)
+			if err != nil {
+				return
+			}
+			re := appendDrainNodeFrame(nil, fr.Nonce, fr.Node, reqs)
+			if !bytes.Equal(re, data) {
+				t.Fatalf("node drain frame not a fixpoint:\n in  %x\n out %x", data, re)
+			}
+		case FtDrainNodeRsp:
+			parts, err := decodeDrainNodeRspBody(fr.Body)
+			if err != nil {
+				return
+			}
+			re := appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, parts, fr.Flags&FlagMore != 0)
+			if !bytes.Equal(re, data) {
+				t.Fatalf("node drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtDrain:
 			ep, ack, err := DecodeDrainBody(fr.Body)
 			if err != nil {
 				return
 			}
-			re := sameVersion(AppendDrainFrame(nil, fr.Nonce, fr.Node, ep, ack))
+			re := sameVersion(appendDrainFrame(nil, fr.Nonce, fr.Node, ep, ack))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("drain frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtDrainRsp:
-			ep, batch, err := DecodeDrainRspBody(fr.Body)
+			ep, batch, err := decodeDrainRspBody(fr.Body)
 			if err != nil {
 				return
 			}
-			re := sameVersion(AppendDrainRspFrame(nil, fr.Nonce, fr.Node, ep, batch, fr.Flags&FlagMore != 0))
+			re := sameVersion(appendDrainRspFrame(nil, fr.Nonce, fr.Node, ep, batch, fr.Flags&FlagMore != 0))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -97,7 +132,7 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := AppendTelemetryFrame(nil, fr.Nonce, fr.Node, ack)
+			re := sameVersion(AppendTelemetryFrame(nil, fr.Nonce, fr.Node, ack))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("telemetry frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -106,7 +141,7 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := AppendTelemetryRspFrame(nil, fr.Nonce, fr.Node, lines, fr.Flags&FlagMore != 0)
+			re := sameVersion(AppendTelemetryRspFrame(nil, fr.Nonce, fr.Node, lines, fr.Flags&FlagMore != 0))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("telemetry rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -116,6 +151,102 @@ func FuzzWireFrame(f *testing.F) {
 				if fr.Flags == 0 && !bytes.Equal(re, data) {
 					t.Fatalf("control frame not a fixpoint:\n in  %x\n out %x", data, re)
 				}
+			}
+		}
+	})
+}
+
+// datagrams frames a datagram sequence as FuzzNodeHandle reads it: each
+// datagram behind a 2-byte big-endian length.
+func datagrams(dgs ...[]byte) []byte {
+	var out []byte
+	for _, d := range dgs {
+		out = binary.BigEndian.AppendUint16(out, uint16(len(d)))
+		out = append(out, d...)
+	}
+	return out
+}
+
+// FuzzNodeHandle feeds a socketless node arbitrary datagram sequences
+// (each datagram behind a 2-byte length) through Node.handle and checks
+// after every datagram that nothing panicked, that a multi frame filled
+// all of its mailboxes or none, that no other frame filled more than
+// one, and that every mailbox stays within its byte bound. The bound is
+// lowered to a few messages' worth so the fuzzer reaches it.
+func FuzzNodeHandle(f *testing.F) {
+	msg := fuzzMsg(f)
+	multi := func(nonce uint64, dests ...string) []byte {
+		return appendMsgMultiFrame(nil, 0, nonce, "drv", dests, msg, "", "", 0)
+	}
+	f.Add(datagrams(multi(1, "P1", "P2"), multi(1, "P1", "P2"), multi(2, "P2", "P3"),
+		appendDrainNodeFrame(nil, 3, "drv", []drainReq{{"P1", 0}, {"P2", 0}, {"P3", 0}}),
+		appendDrainNodeFrame(nil, 4, "drv", []drainReq{{"P1", 1}, {"P2", 2}})))
+	f.Add(datagrams(multi(5, "P1", "P9"), multi(6, "P3", "P3"), AppendMsgFrame(nil, 7, "drv", "P2", msg),
+		appendDrainFrame(nil, 8, "drv", "P2", 0)))
+	var flood [][]byte
+	for i := uint64(1); i <= 12; i++ { // past the lowered bound
+		flood = append(flood, multi(10+i, "P1", "P3"))
+	}
+	flood = append(flood, appendDrainNodeFrame(nil, 30, "drv", []drainReq{{"P1", 8}, {"P3", 8}}), multi(31, "P1", "P2", "P3"))
+	f.Add(datagrams(flood...))
+
+	eps := []string{"P1", "P2", "P3"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := newNode("w1", eps)
+		n.boxCap = 1024
+		for len(data) >= 2 {
+			l := min(int(binary.BigEndian.Uint16(data)), len(data)-2)
+			dg := data[2 : 2+l]
+			data = data[2+l:]
+			before := map[string]int{}
+			for _, ep := range eps {
+				before[ep] = len(n.boxes[ep].queue)
+			}
+			out := n.handle(nil, dg)
+			grew := map[string]bool{}
+			for _, ep := range eps {
+				box := n.boxes[ep]
+				switch d := len(box.queue) - before[ep]; {
+				case d == 1:
+					grew[ep] = true
+				case d > 1:
+					t.Fatalf("one datagram filed %d copies into %s", d, ep)
+				}
+				sum := 0
+				for _, sm := range box.queue {
+					sum += messageLen(sm.Msg)
+				}
+				if box.bytes != sum || box.bytes > n.boxCap {
+					t.Fatalf("%s accounts %d bytes, holds %d, bound %d", ep, box.bytes, sum, n.boxCap)
+				}
+			}
+			if len(grew) == 0 {
+				continue
+			}
+			fr, err := DecodeFrame(dg)
+			if err != nil {
+				t.Fatalf("a malformed datagram filed mail: %v", err)
+			}
+			if ack, err := DecodeFrame(out); err != nil || ack.Type != FtAck || ack.Nonce != fr.Nonce {
+				t.Fatalf("mail was filed without an ack (reply %x)", out)
+			}
+			switch fr.Type {
+			case FtMsgMulti:
+				dests, _, err := decodeMsgMultiBody(fr.Body)
+				if err != nil || len(dests) != len(grew) {
+					t.Fatalf("multi frame to %v filed into %v (err %v)", dests, grew, err)
+				}
+				for _, d := range dests {
+					if !grew[d] {
+						t.Fatalf("multi frame to %v filed into %v", dests, grew)
+					}
+				}
+			case FtMsg:
+				if len(grew) != 1 {
+					t.Fatalf("FtMsg filed into %v", grew)
+				}
+			default:
+				t.Fatalf("frame type %d filed mail into %v", fr.Type, grew)
 			}
 		}
 	})

@@ -46,6 +46,16 @@ func (o Options) withDefaults() Options {
 // — exactly the fault vocabulary of the simulated bus, so the retry
 // layer's recovery path is identical on both media.
 //
+// The driver crosses the socket once per node, not once per endpoint:
+// a broadcast is one FtMsgMulti per remote owner node, and draining any
+// endpoint fetches every attached mailbox of its node in one
+// FtDrainNode exchange into a driver-side stash. Later drains of that
+// node's endpoints are served from the stash until the driver next
+// sends the node a message frame. That is correct only because the
+// driver is the sole sender to its nodes (see Dial): a node's mailboxes
+// change only when this Medium sends to them, so a stash filled since
+// the last send holds everything the node would return.
+//
 // A Medium is safe for concurrent use but, like the simulated bus, is
 // driven sequentially by the deterministic protocol. It is long-lived:
 // one Medium serves any number of protocol runs, so Attach is
@@ -60,10 +70,17 @@ type Medium struct {
 	addrs  map[string]*net.UDPAddr // node name → address
 
 	attached map[string]bool
-	order    []string // attached endpoints, sorted
+	order    []string     // attached endpoints, sorted
+	remote   []remoteNode // attached remote endpoints by owner node, in order of first endpoint
 
 	local  map[string][]bus.Message // mailboxes of locally hosted endpoints
 	ackSeq map[string]uint64        // per remote endpoint: highest consumed seq
+
+	// stash holds messages a node drain fetched for remote endpoints not
+	// yet drained; fresh marks the nodes whose mailboxes were all fetched
+	// after the driver's last message frame to them.
+	stash map[string][]bus.Message
+	fresh map[string]bool
 
 	session  uint64 // high 32 bits of every frame nonce
 	frameCtr uint64
@@ -80,8 +97,16 @@ type Medium struct {
 
 	telAck map[string]uint64 // per node: highest telemetry record seq consumed
 
-	rbuf []byte // receive buffer, reused across requests
-	wbuf []byte // send buffer, reused across frames
+	rbuf  []byte     // receive buffer, reused across requests
+	wbuf  []byte     // send buffer, reused across frames
+	dests []string   // destination list, reused across message frames
+	reqs  []drainReq // node-drain request, reused across drains
+}
+
+// remoteNode lists the attached endpoints one remote node hosts, sorted.
+type remoteNode struct {
+	name string
+	eps  []string
 }
 
 // NetStats counts the driver side's socket traffic, one level below
@@ -97,7 +122,8 @@ type NetStats struct {
 // Dial opens the driver side of the netbus as the named node of the
 // peer table: it binds that node's UDP address, resolves every other
 // node, and hosts the local node's endpoints in-process. The caller is
-// the only process that may drive protocol traffic over this table.
+// the only process that may drive protocol traffic over this table: the
+// Medium's drain stash relies on no other sender reaching its nodes.
 func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -123,6 +149,8 @@ func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 		attached: make(map[string]bool),
 		local:    make(map[string][]bus.Message),
 		ackSeq:   make(map[string]uint64),
+		stash:    make(map[string][]bus.Message),
+		fresh:    make(map[string]bool),
 		telAck:   make(map[string]uint64),
 		rbuf:     make([]byte, MaxFrame+1),
 	}
@@ -224,6 +252,30 @@ func (m *Medium) Attach(id string) error {
 	m.order[i] = id
 	if owner == m.name {
 		m.local[id] = nil
+		return nil
+	}
+	m.fresh[owner] = false // the stash holds nothing yet for id's mailbox
+	m.remote = m.remote[:0]
+	for _, ep := range m.order {
+		if o := m.owners[ep]; o != m.name {
+			rn := m.remoteNode(o)
+			if rn == nil {
+				m.remote = append(m.remote, remoteNode{name: o})
+				rn = &m.remote[len(m.remote)-1]
+			}
+			rn.eps = append(rn.eps, ep)
+		}
+	}
+	return nil
+}
+
+// remoteNode returns the named node's entry in m.remote, or nil. Caller
+// holds the mutex.
+func (m *Medium) remoteNode(name string) *remoteNode {
+	for i := range m.remote {
+		if m.remote[i].name == name {
+			return &m.remote[i]
+		}
 	}
 	return nil
 }
@@ -263,9 +315,11 @@ func (m *Medium) nextFrameNonce() uint64 {
 // request transmits the frame to addr and waits for a reply of the
 // wanted type carrying the same nonce, resending on deadline. It
 // returns the reply frame and how many transmissions it took, or an
-// error after the budget. Caller holds the mutex (the protocol drives
-// the medium sequentially; the socket round-trip is the critical path
-// either way).
+// error after the budget. Every exchange is stop-and-wait, so the
+// driver pays one round trip per frame: one per (message, remote owner
+// node) and one per (drain sweep, node). Caller holds the mutex (the
+// protocol drives the medium sequentially; the socket round trip is the
+// critical path either way).
 func (m *Medium) request(addr *net.UDPAddr, frame []byte, nonce uint64, want byte) (Frame, int, error) {
 	for attempt := 1; attempt <= m.opts.MaxAttempts; attempt++ {
 		if _, err := m.conn.WriteToUDP(frame, addr); err != nil {
@@ -307,44 +361,52 @@ func (m *Medium) request(addr *net.UDPAddr, frame []byte, nonce uint64, want byt
 		want, addr, m.opts.MaxAttempts)
 }
 
-// deliver places one message in the destination endpoint's mailbox —
-// appending locally, or shipping an FtMsg frame to the owner node and
-// awaiting its ack. Delivery failure beyond the resend budget is a
-// drop, not an error. Caller holds the mutex.
-func (m *Medium) deliver(to string, msg bus.Message) {
-	owner := m.owners[to]
-	if owner == m.name {
-		m.local[to] = append(m.local[to], msg)
-		m.stats.Deliveries++
-		m.stats.DeliveredUnits += msg.Size
-		m.event(obs.EvDeliver, msg.From, to, msg.Kind)
-		return
-	}
+// deliverLocal appends one copy to a locally hosted mailbox. Caller
+// holds the mutex.
+func (m *Medium) deliverLocal(to string, msg bus.Message) {
+	m.local[to] = append(m.local[to], msg)
+	m.stats.Deliveries++
+	m.stats.DeliveredUnits += msg.Size
+	m.event(obs.EvDeliver, msg.From, to, msg.Kind)
+}
+
+// deliverRemote ships one message to several mailboxes of one remote
+// node as a single FtMsgMulti frame and awaits its ack. The node files
+// the copies all or none, so they are delivered, or dropped after the
+// resend budget, together; a drop is not an error. Stats and the
+// deliver/drop/retransmit events still count each copy. Caller holds
+// the mutex.
+func (m *Medium) deliverRemote(owner string, dests []string, msg bus.Message) {
 	nonce := m.nextFrameNonce()
+	var flags byte
 	if m.round != "" {
 		// Traced delivery: the round context rides the frame header, the
 		// logical nonce as origin ties the datagram to the protocol
 		// message it carries.
-		m.wbuf = AppendMsgFrameTrace(m.wbuf[:0], nonce, m.name, to, msg, m.round, m.epoch, msg.Nonce)
-	} else {
-		m.wbuf = AppendMsgFrame(m.wbuf[:0], nonce, m.name, to, msg)
+		flags = FlagTrace
 	}
-	m.netEvent(obs.EvNetTx, msg.From, to, msg.Kind, nonce)
+	m.wbuf = appendMsgMultiFrame(m.wbuf[:0], flags, nonce, m.name, dests, msg, m.round, m.epoch, msg.Nonce)
+	m.fresh[owner] = false // its mailboxes may change: the next drain must ask
+	m.netEvent(obs.EvNetTx, msg.From, owner, msg.Kind, nonce)
 	_, attempts, err := m.request(m.addrs[owner], m.wbuf, nonce, FtAck)
-	if attempts > 1 {
-		for i := 1; i < attempts; i++ {
+	for i := 1; i < attempts; i++ {
+		for _, to := range dests {
 			m.event(obs.EvRetransmit, msg.From, to, msg.Kind)
 		}
 	}
 	if err != nil {
-		m.stats.Dropped++
-		m.event(obs.EvDrop, msg.From, to, msg.Kind)
+		for _, to := range dests {
+			m.stats.Dropped++
+			m.event(obs.EvDrop, msg.From, to, msg.Kind)
+		}
 		return
 	}
-	m.netEvent(obs.EvNetRx, msg.From, to, msg.Kind, nonce)
-	m.stats.Deliveries++
-	m.stats.DeliveredUnits += msg.Size
-	m.event(obs.EvDeliver, msg.From, to, msg.Kind)
+	m.netEvent(obs.EvNetRx, msg.From, owner, msg.Kind, nonce)
+	for _, to := range dests {
+		m.stats.Deliveries++
+		m.stats.DeliveredUnits += msg.Size
+		m.event(obs.EvDeliver, msg.From, to, msg.Kind)
+	}
 }
 
 // checkSend validates one transmission's addressing. Caller holds the
@@ -360,8 +422,11 @@ func (m *Medium) checkSend(from string, size int) error {
 }
 
 // BroadcastTagged delivers env to every attached endpoint except the
-// sender, in sorted endpoint order (the simulated bus's order, so
-// deterministic runs stay comparable across media).
+// sender: local recipients in-process, remote ones as one FtMsgMulti
+// per owner node. Destinations are listed in sorted endpoint order and
+// nodes visited in order of their first endpoint, so every inbox sees
+// the simulated bus's arrival order and deterministic runs stay
+// comparable across media.
 func (m *Medium) BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -377,10 +442,20 @@ func (m *Medium) BroadcastTagged(from, kind string, env sig.Envelope, size int, 
 	m.stats.Units += size
 	m.stats.Broadcasts++
 	for _, id := range m.order {
-		if id == from {
-			continue
+		if id != from && m.owners[id] == m.name {
+			m.deliverLocal(id, msg)
 		}
-		m.deliver(id, msg)
+	}
+	for _, rn := range m.remote {
+		m.dests = m.dests[:0]
+		for _, id := range rn.eps {
+			if id != from {
+				m.dests = append(m.dests, id)
+			}
+		}
+		if len(m.dests) > 0 {
+			m.deliverRemote(rn.name, m.dests, msg)
+		}
 	}
 	return nonce, nil
 }
@@ -404,16 +479,23 @@ func (m *Medium) SendTagged(from, to, kind string, env sig.Envelope, size int, n
 	m.stats.Messages++
 	m.stats.Units += size
 	m.stats.Unicasts++
-	m.deliver(to, msg)
+	if owner := m.owners[to]; owner == m.name {
+		m.deliverLocal(to, msg)
+	} else {
+		m.dests = append(m.dests[:0], to)
+		m.deliverRemote(owner, m.dests, msg)
+	}
 	return nonce, nil
 }
 
 // Drain removes and returns the endpoint's queued messages in arrival
-// order. For a remote endpoint this asks the owner node, cumulatively
-// acknowledging everything already consumed, and keeps asking while the
-// node reports more than fits one datagram. An unreachable node yields
-// an empty drain — indistinguishable from silence, which is exactly
-// what the protocol's retry layer knows how to handle.
+// order. A remote endpoint is served from the stash: when the driver
+// has sent its node a message frame since the node was last drained,
+// Drain first fetches every attached mailbox of that node in one
+// FtDrainNode exchange (see drainNode). An unreachable node yields
+// whatever the stash holds, often nothing — indistinguishable from
+// silence, which is exactly what the protocol's retry layer knows how
+// to handle.
 func (m *Medium) Drain(id string) ([]bus.Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -426,37 +508,76 @@ func (m *Medium) Drain(id string) ([]bus.Message, error) {
 		m.local[id] = nil
 		return msgs, nil
 	}
-	var out []bus.Message
+	if !m.fresh[owner] {
+		m.drainNode(owner, id)
+	}
+	msgs := m.stash[id]
+	m.stash[id] = nil
+	return msgs, nil
+}
+
+// drainNode moves every attached mailbox of the owner node into the
+// stash, cumulatively acknowledging what earlier drains consumed and
+// paging while the node reports more than fits one datagram. The node
+// turns fresh only when the last page arrives; a node that stays silent
+// stays stale, so the next drain asks again. id, the endpoint whose
+// drain triggered the sweep, labels the trace events. Caller holds the
+// mutex.
+func (m *Medium) drainNode(owner, id string) {
+	rn := m.remoteNode(owner)
 	for {
+		m.reqs = m.reqs[:0]
+		for _, ep := range rn.eps {
+			m.reqs = append(m.reqs, drainReq{endpoint: ep, ack: m.ackSeq[ep]})
+		}
 		nonce := m.nextFrameNonce()
-		m.wbuf = AppendDrainFrame(m.wbuf[:0], nonce, m.name, id, m.ackSeq[id])
+		m.wbuf = appendDrainNodeFrame(m.wbuf[:0], nonce, m.name, m.reqs)
 		m.netEvent(obs.EvNetTx, id, owner, "drain", nonce)
-		rsp, _, err := m.request(m.addrs[owner], m.wbuf, nonce, FtDrainRsp)
+		rsp, _, err := m.request(m.addrs[owner], m.wbuf, nonce, FtDrainNodeRsp)
 		if err != nil {
-			return out, nil // silence; the retry layer above recovers
+			return // silence; the retry layer above recovers
 		}
 		m.netEvent(obs.EvNetRx, id, owner, "drain", nonce)
-		endpoint, batch, derr := DecodeDrainRspBody(rsp.Body)
-		if derr != nil || endpoint != id {
-			return out, nil
+		parts, derr := decodeDrainNodeRspBody(rsp.Body)
+		if derr != nil {
+			return
 		}
-		for _, sm := range batch {
-			if sm.Seq <= m.ackSeq[id] {
-				m.stats.Duplicated++
-				m.event(obs.EvDedupHit, sm.Msg.From, id, sm.Msg.Kind)
-				continue
+		fetched := 0
+		for _, p := range parts {
+			if m.owners[p.endpoint] != owner || !m.attached[p.endpoint] {
+				return // not a mailbox this exchange asked for
 			}
-			m.ackSeq[id] = sm.Seq
-			out = append(out, sm.Msg)
+			for _, sm := range p.batch {
+				if sm.Seq <= m.ackSeq[p.endpoint] {
+					m.stats.Duplicated++
+					m.event(obs.EvDedupHit, sm.Msg.From, p.endpoint, sm.Msg.Kind)
+					continue
+				}
+				m.ackSeq[p.endpoint] = sm.Seq
+				m.stash[p.endpoint] = append(m.stash[p.endpoint], sm.Msg)
+				fetched++
+			}
 		}
 		if rsp.Flags&FlagMore == 0 {
-			return out, nil
+			m.fresh[owner] = true
+			return
+		}
+		if fetched == 0 {
+			return // a page that brings nothing new would never end the loop
 		}
 	}
 }
 
+// ErrNodeTooOld reports a node whose pong carried a wire version below
+// Version. Such a node drops every frame type the driver sends, so
+// Ping fails at once instead of letting the round time out.
+var ErrNodeTooOld = errors.New("netbus: node speaks an older wire version")
+
 // Ping probes the named node and returns nil when it answers within
-// the resend budget. Used for startup readiness checks.
+// the resend budget in the current wire version. The probe is a v1
+// frame, which every version accepts, and a node answers it in its own
+// version; a pong below Version fails with ErrNodeTooOld naming the
+// node and its version. Used for startup readiness checks.
 func (m *Medium) Ping(node string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -469,8 +590,16 @@ func (m *Medium) Ping(node string) error {
 	}
 	nonce := m.nextFrameNonce()
 	m.wbuf = AppendControlFrame(m.wbuf[:0], FtPing, nonce, m.name)
-	_, _, err := m.request(addr, m.wbuf, nonce, FtPong)
-	return err
+	m.wbuf[4] = VersionLegacy // the version probe: every node accepts v1
+	pong, _, err := m.request(addr, m.wbuf, nonce, FtPong)
+	if err != nil {
+		return err
+	}
+	if pong.Version < Version {
+		return fmt.Errorf("%w: node %q answered in wire version %d, this driver speaks %d (upgrade nodes before the driver)",
+			ErrNodeTooOld, node, pong.Version, Version)
+	}
+	return nil
 }
 
 // CollectTelemetry drains the named node's buffered trace records (see

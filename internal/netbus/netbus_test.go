@@ -1,8 +1,11 @@
 package netbus_test
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -58,41 +61,62 @@ func startCluster(t *testing.T, serveEndpoints []string, workers map[string][]st
 
 // TestNetBusParity is the tentpole acceptance check: a full protocol
 // round whose control plane crosses real UDP sockets (the referee local
-// to the driver, the four processors split across two mailbox nodes)
-// must produce payments, verdicts and a referee transcript bit-identical
-// to the same round on the simulated in-process bus with the same seed
-// and keyring.
+// to the driver, the processors split across two mailbox nodes) must
+// produce payments, verdicts and a referee transcript bit-identical to
+// the same round on the simulated in-process bus with the same seed and
+// keyring. Each arm also pins the driver's datagram budget: one
+// exchange (a request and its reply) per bid broadcast and per meters
+// broadcast to each node, plus one per drain sweep and node. The m16
+// arm is the benchmark's shape, two 8-endpoint nodes, where one
+// node-drain reply carries a whole node's bids.
 func TestNetBusParity(t *testing.T) {
 	requireUDP(t)
-	base := protocol.Config{
-		Network: dlt.NCPFE,
-		Z:       0.2,
-		TrueW:   []float64{1, 1.5, 2, 2.5},
-		Seed:    7,
+	endpoints := func(lo, hi int) []string {
+		var eps []string
+		for i := lo; i <= hi; i++ {
+			eps = append(eps, fmt.Sprintf("P%d", i))
+		}
+		return eps
+	}
+	four := []float64{1, 1.5, 2, 2.5}
+	sixteen := make([]float64, 16)
+	for i := range sixteen {
+		sixteen[i] = 1 + float64(i)/8
 	}
 	cases := []struct {
 		name      string
+		w         []float64
+		workers   map[string][]string
 		behaviors []agent.Behavior
+		datagrams int // driver socket datagrams, both directions
 	}{
-		{name: "honest"},
-		{name: "equivocator", behaviors: []agent.Behavior{{}, agent.Equivocator}},
+		// 4 bid broadcasts × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 14 exchanges.
+		{name: "honest", w: four, workers: map[string][]string{"w1": endpoints(1, 2), "w2": endpoints(3, 4)},
+			datagrams: 28},
+		// 5 bid broadcasts × 2 nodes + 1 sweep × 2: the round ends in Bidding.
+		{name: "equivocator", w: four, workers: map[string][]string{"w1": endpoints(1, 2), "w2": endpoints(3, 4)},
+			behaviors: []agent.Behavior{{}, agent.Equivocator}, datagrams: 24},
+		// 16 bid broadcasts × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 38 exchanges.
+		{name: "m16", w: sixteen, workers: map[string][]string{"w1": endpoints(1, 8), "w2": endpoints(9, 16)},
+			datagrams: 76},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			simCfg := base
-			simCfg.Behaviors = tc.behaviors
-			simKeys := sig.NewKeyring()
-			simCfg.Keys = simKeys
-			simOut, err := protocol.Run(simCfg)
+			base := protocol.Config{
+				Network:   dlt.NCPFE,
+				Z:         0.2,
+				TrueW:     tc.w,
+				Seed:      7,
+				Behaviors: tc.behaviors,
+				Keys:      sig.NewKeyring(), // one keyring for both media, per the acceptance criteria
+			}
+			simOut, err := protocol.Run(base)
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
 
-			m := startCluster(t, []string{"referee"},
-				map[string][]string{"w1": {"P1", "P2"}, "w2": {"P3", "P4"}})
+			m := startCluster(t, []string{"referee"}, tc.workers)
 			netCfg := base
-			netCfg.Behaviors = tc.behaviors
-			netCfg.Keys = simKeys // same keyring, per the acceptance criteria
 			netCfg.Medium = m
 			netOut, err := protocol.Run(netCfg)
 			if err != nil {
@@ -114,8 +138,22 @@ func TestNetBusParity(t *testing.T) {
 			if !reflect.DeepEqual(simOut.Transcript, netOut.Transcript) {
 				t.Errorf("transcripts diverge:\n sim %+v\n net %+v", simOut.Transcript, netOut.Transcript)
 			}
-			if st := m.Stats(); st.Dropped != 0 || st.Deliveries == 0 {
+			st := m.Stats()
+			if st.Dropped != 0 || st.Deliveries == 0 {
 				t.Errorf("loopback stats: %+v (want zero drops, nonzero deliveries)", st)
+			}
+			if sim := simOut.BusStats; st.Messages != sim.Messages || st.Deliveries != sim.Deliveries {
+				t.Errorf("bus counts diverge: net %d messages / %d deliveries, sim %d / %d",
+					st.Messages, st.Deliveries, sim.Messages, sim.Deliveries)
+			}
+			// A resend (an ack later than AckTimeout on a loaded host)
+			// adds datagrams but no exchange, so count exchanges.
+			ns := m.NetStats()
+			if got := 2 * (ns.DatagramsOut - ns.Resends); got != tc.datagrams {
+				t.Errorf("driver made %d exchanges (%+v), want %d datagrams' worth", got/2, ns, tc.datagrams)
+			}
+			if ns.Resends == 0 && ns.DatagramsOut+ns.DatagramsIn != tc.datagrams {
+				t.Errorf("driver moved %d datagrams (%+v), want %d", ns.DatagramsOut+ns.DatagramsIn, ns, tc.datagrams)
 			}
 		})
 	}
@@ -178,7 +216,9 @@ func TestMediumRejectsStrangers(t *testing.T) {
 // TestFaultVocabularyOnSockets pins the drop accounting: a message to
 // an endpoint whose node is down is recorded as a drop (the simulated
 // bus's vocabulary), not surfaced as an error — recovery belongs to the
-// protocol's retry layer.
+// protocol's retry layer. A broadcast spanning a live and a dark node
+// still counts per copy: each live copy is a delivery and each dark
+// copy one drop.
 func TestFaultVocabularyOnSockets(t *testing.T) {
 	requireUDP(t)
 	// Reserve a port for "w1", then close it so the node is dark.
@@ -190,14 +230,24 @@ func TestFaultVocabularyOnSockets(t *testing.T) {
 	c.Close()
 	cfg := &netbus.Config{Nodes: map[string]netbus.NodeSpec{
 		"serve": {Addr: "127.0.0.1:0", Endpoints: []string{"referee"}},
-		"w1":    {Addr: darkAddr, Endpoints: []string{"P1"}},
+		"w1":    {Addr: darkAddr, Endpoints: []string{"P1", "P4"}},
+		"w2":    {Addr: "127.0.0.1:0", Endpoints: []string{"P2", "P3"}},
 	}}
+	live, err := netbus.ListenNode(cfg, "w2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cfg.Nodes["w2"]
+	spec.Addr = live.LocalAddr().String()
+	cfg.Nodes["w2"] = spec
+	go live.Serve()
+	defer live.Close()
 	m, err := netbus.Dial(cfg, "serve", netbus.Options{AckTimeout: 10_000_000, MaxAttempts: 2}) // 10ms
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for _, ep := range []string{"referee", "P1"} {
+	for _, ep := range []string{"referee", "P1", "P2", "P3", "P4"} {
 		if err := m.Attach(ep); err != nil {
 			t.Fatal(err)
 		}
@@ -211,4 +261,118 @@ func TestFaultVocabularyOnSockets(t *testing.T) {
 	if msgs, err := m.Drain("P1"); err != nil || len(msgs) != 0 {
 		t.Errorf("drain of dark endpoint: msgs=%d err=%v, want silence", len(msgs), err)
 	}
+
+	if _, err := m.BroadcastTagged("referee", "k", sig.Envelope{}, 1, 0); err != nil {
+		t.Fatalf("broadcast across a dark node must not error, got %v", err)
+	}
+	if st := m.Stats(); st.Deliveries != 2 || st.Dropped != 3 {
+		t.Errorf("after the broadcast Deliveries=%d Dropped=%d, want 2 (P2, P3) and 3 (P1 earlier; P1, P4 now)",
+			st.Deliveries, st.Dropped)
+	}
+	for _, ep := range []string{"P2", "P3"} {
+		if msgs, err := m.Drain(ep); err != nil || len(msgs) != 1 {
+			t.Errorf("drain of live %s: msgs=%d err=%v, want the broadcast copy", ep, len(msgs), err)
+		}
+	}
+}
+
+// TestDrainStashRefetchesAfterSend pins the stash rule: draining one
+// endpoint fetches its whole node, later drains of that node are served
+// from the stash, but a message frame sent to the node since makes the
+// next drain ask the node again — so a message that arrived after the
+// fetch is not lost, and arrival order holds.
+func TestDrainStashRefetchesAfterSend(t *testing.T) {
+	requireUDP(t)
+	m := startCluster(t, []string{"referee"}, map[string][]string{"w1": {"P1", "P2"}})
+	for _, ep := range []string{"referee", "P1", "P2"} {
+		if err := m.Attach(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func(to string, nonce uint64) {
+		t.Helper()
+		if _, err := m.SendTagged("referee", to, "k", sig.Envelope{}, 1, nonce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nonces := func(id string) []uint64 {
+		t.Helper()
+		msgs, err := m.Drain(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, msg := range msgs {
+			out = append(out, msg.Nonce)
+		}
+		return out
+	}
+	send("P1", 1)
+	send("P2", 2)
+	if got := nonces("P1"); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("Drain(P1) = %v, want [1]", got)
+	}
+	send("P2", 3)
+	if got := nonces("P2"); !reflect.DeepEqual(got, []uint64{2, 3}) {
+		t.Fatalf("Drain(P2) = %v, want [2 3]: the message sent after P1's fetch was lost or reordered", got)
+	}
+	before := m.NetStats()
+	if got := nonces("P1"); len(got) != 0 {
+		t.Fatalf("Drain(P1) = %v, want nothing", got)
+	}
+	if after := m.NetStats(); after != before {
+		t.Errorf("a drain with nothing sent since the last fetch crossed the socket: %+v → %+v", before, after)
+	}
+}
+
+// TestPingNamesTooOldNode pins the startup version check: a node whose
+// pong carries wire version 2 fails Ping with ErrNodeTooOld naming the
+// node and its version, instead of every later frame timing out.
+func TestPingNamesTooOldNode(t *testing.T) {
+	requireUDP(t)
+	m := startOldNode(t)
+	err := m.Ping("old")
+	if !errors.Is(err, netbus.ErrNodeTooOld) {
+		t.Fatalf("Ping = %v, want ErrNodeTooOld", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"old"`) || !strings.Contains(msg, "version 2") {
+		t.Errorf("error %q does not name the node and its version", msg)
+	}
+}
+
+// startOldNode runs a fake v2 node named "old" that answers every v1
+// ping with a v2 pong, and dials a driver against it.
+func startOldNode(t *testing.T) *netbus.Medium {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	go func() {
+		buf := make([]byte, netbus.MaxFrame+1)
+		for {
+			sz, src, err := c.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			f, err := netbus.DecodeFrame(buf[:sz])
+			if err != nil || f.Type != netbus.FtPing || f.Version != netbus.VersionLegacy {
+				continue // a v2 node would drop v3 frames; only the v1 probe gets through
+			}
+			pong := netbus.AppendControlFrame(nil, netbus.FtPong, f.Nonce, "old")
+			pong[4] = 2
+			c.WriteToUDP(pong, src)
+		}
+	}()
+	cfg := &netbus.Config{Nodes: map[string]netbus.NodeSpec{
+		"serve": {Addr: "127.0.0.1:0", Endpoints: []string{"referee"}},
+		"old":   {Addr: c.LocalAddr().String(), Endpoints: []string{"P1"}},
+	}}
+	m, err := netbus.Dial(cfg, "serve", netbus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
 }

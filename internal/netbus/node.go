@@ -1,39 +1,64 @@
 package netbus
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 
+	"dlsbl/internal/bus"
 	"dlsbl/internal/obs"
 )
 
 // NodeStats counts what a mailbox node did; read them with Node.Stats.
 type NodeStats struct {
-	// Enqueued counts messages accepted into a mailbox.
+	// Enqueued counts messages accepted into a mailbox (one per
+	// destination of a multi frame).
 	Enqueued uint64
-	// DedupHits counts resent FtMsg frames recognized by frame nonce
+	// DedupHits counts resent message frames recognized by frame nonce
 	// and acked without re-enqueueing.
 	DedupHits uint64
 	// Drains counts drain requests answered.
 	Drains uint64
 	// BadFrames counts datagrams rejected as malformed (wrong magic or
-	// version, truncation, oversize, unknown endpoint, unparsable body).
+	// version, truncation, oversize, unparsable body, or naming an
+	// endpoint the node does not host, or one endpoint twice).
 	BadFrames uint64
+	// Refused counts message frames refused whole because they would
+	// have pushed a destination mailbox past MailboxBytes. A refused
+	// frame is neither enqueued, acked nor recorded as seen, so the
+	// driver sees an ordinary drop.
+	Refused uint64
 	// DatagramsIn counts datagrams received, malformed ones included.
 	DatagramsIn uint64
 	// DatagramsOut counts reply datagrams written.
 	DatagramsOut uint64
 }
 
+// MailboxBytes bounds the encoded message bytes one mailbox may hold;
+// a message frame that would push any of its destinations past it is
+// refused whole. It is sized from the largest legitimate backlog. The
+// driver drains every mailbox of a node in each sweep and every phase
+// sweeps, so a mailbox holds at most one phase's traffic plus the last
+// page it served, which stays until the next drain acknowledges it.
+// The heaviest inbox is the referee's in Computing Payments, where
+// every member sends an m-entry payment vector (8m payload bytes plus
+// under 200 of addressing, round ID and signature) and an equivocator
+// sends a second one. At m = 256, the largest pool a round has been
+// measured at, that is 2·256·(8·256 + 200) = 1,150,976 bytes, plus a
+// page of at most MaxFrame = 60,000: about 1.2 MB. 4 MiB leaves more
+// than 3× headroom and still caps a hostile flood at 4 MiB per
+// mailbox.
+const MailboxBytes = 4 << 20
+
 // seenCap bounds the per-node resend-dedup window. Entries are evicted
 // FIFO; the window only needs to cover the driver's resend horizon
 // (milliseconds), so a few thousand frames is generous.
 const seenCap = 8192
 
-// seenKey identifies an FtMsg frame for resend deduplication.
+// seenKey identifies a message frame for resend deduplication.
 type seenKey struct {
 	node  string
 	nonce uint64
@@ -44,22 +69,47 @@ type seenKey struct {
 type mailbox struct {
 	nextSeq uint64
 	queue   []SeqMsg
+	bytes   int    // messageLen summed over queue
+	mark    uint64 // the last Node.gen that named this mailbox
+}
+
+// prune forgets every entry at or below the cumulative ack.
+func (b *mailbox) prune(ack uint64) {
+	k := 0
+	for k < len(b.queue) && b.queue[k].Seq <= ack {
+		b.bytes -= messageLen(b.queue[k].Msg)
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	n := copy(b.queue, b.queue[k:])
+	clear(b.queue[n:]) // release the pruned envelopes
+	b.queue = b.queue[:n]
 }
 
 // Node is a mailbox server: it hosts the inboxes of the endpoints
-// assigned to it in the peer table and answers FtMsg/FtDrain/FtPing
-// datagrams. A Node is stateless beyond its mailboxes — it never dials
-// out and never originates traffic, every reply goes to the datagram's
-// source address (the relay-node shape).
+// assigned to it in the peer table and answers message, drain, ping
+// and telemetry datagrams (FtMsgMulti/FtDrainNode from v3 drivers,
+// FtMsg/FtDrain from v2 ones). A Node is stateless beyond its
+// mailboxes — it never dials out and never originates traffic, every
+// reply goes to the datagram's source address (the relay-node shape).
 type Node struct {
 	name string
 	conn *net.UDPConn
 
 	mu       sync.Mutex
 	boxes    map[string]*mailbox
+	boxCap   int // per-mailbox byte bound: MailboxBytes
 	seen     map[seenKey]bool
 	seenFIFO []seenKey
 	stats    NodeStats
+
+	// gen numbers the frames that name mailboxes, so one frame naming
+	// a mailbox twice is caught by its mark without a set allocation.
+	gen   uint64
+	picks []*mailbox  // the mailboxes the frame being handled names
+	parts []drainPart // the drain reply being built
 
 	// rec is the bounded telemetry buffer served by FtTelemetry; extra is
 	// an additional operator-installed tracer (e.g. an NDJSON stream);
@@ -118,17 +168,24 @@ func ListenNode(cfg *Config, name string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netbus: node %q listening on %s: %w", name, spec.Addr, err)
 	}
+	n := newNode(name, spec.Endpoints)
+	n.conn = conn
+	return n, nil
+}
+
+// newNode builds the socketless state of a node hosting endpoints.
+func newNode(name string, endpoints []string) *Node {
 	n := &Node{
 		name:   name,
-		conn:   conn,
-		boxes:  make(map[string]*mailbox, len(spec.Endpoints)),
+		boxes:  make(map[string]*mailbox, len(endpoints)),
+		boxCap: MailboxBytes,
 		seen:   make(map[seenKey]bool, seenCap),
 		closed: make(chan struct{}),
 	}
-	for _, ep := range spec.Endpoints {
+	for _, ep := range endpoints {
 		n.boxes[ep] = &mailbox{}
 	}
-	return n, nil
+	return n
 }
 
 // Name returns the node's peer-table name.
@@ -189,7 +246,10 @@ func (n *Node) Serve() error {
 }
 
 // handle processes one datagram and appends the reply frame (if any) to
-// out.
+// out. A reply goes out in the request's wire version, so a v2 driver
+// keeps decoding acks and drains during a rollout; the one exception is
+// a v1 ping, which is the driver's version probe (Medium.Ping) and is
+// answered in the node's own version.
 func (n *Node) handle(out, datagram []byte) []byte {
 	f, err := DecodeFrame(datagram)
 	if err != nil {
@@ -199,13 +259,43 @@ func (n *Node) handle(out, datagram []byte) []byte {
 		n.mu.Unlock()
 		return out // malformed datagrams are dropped silently, never answered
 	}
+	start := len(out)
+	out = n.dispatch(out, f)
+	if len(out) > start && !(f.Type == FtPing && f.Version == VersionLegacy) {
+		out[start+4] = f.Version
+	}
+	return out
+}
+
+// dispatch answers one decoded frame in the current wire version.
+func (n *Node) dispatch(out []byte, f Frame) []byte {
 	switch f.Type {
 	case FtPing:
 		return AppendControlFrame(out, FtPong, f.Nonce, n.name)
 	case FtMsg:
-		return n.handleMsg(out, f)
+		dest, m, err := DecodeMsgBody(f.Body)
+		if err != nil {
+			return n.badFrame(out)
+		}
+		return n.enqueue(out, f, []string{dest}, m)
+	case FtMsgMulti:
+		dests, m, err := decodeMsgMultiBody(f.Body)
+		if err != nil {
+			return n.badFrame(out)
+		}
+		return n.enqueue(out, f, dests, m)
 	case FtDrain:
-		return n.handleDrain(out, f)
+		endpoint, ack, err := DecodeDrainBody(f.Body)
+		if err != nil {
+			return n.badFrame(out)
+		}
+		return n.drain(out, f, []drainReq{{endpoint: endpoint, ack: ack}})
+	case FtDrainNode:
+		reqs, err := decodeDrainNodeBody(f.Body)
+		if err != nil || len(reqs) == 0 {
+			return n.badFrame(out)
+		}
+		return n.drain(out, f, reqs)
 	case FtTelemetry:
 		return n.handleTelemetry(out, f)
 	default:
@@ -215,30 +305,72 @@ func (n *Node) handle(out, datagram []byte) []byte {
 	}
 }
 
-// handleMsg enqueues a delivery (or recognizes a resend) and acks.
-func (n *Node) handleMsg(out []byte, f Frame) []byte {
-	dest, m, err := DecodeMsgBody(f.Body)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.BadFrames++
-		n.mu.Unlock()
-		return out
+// badFrame counts a frame whose body the node rejects; it is dropped
+// unanswered.
+func (n *Node) badFrame(out []byte) []byte {
+	n.mu.Lock()
+	n.stats.BadFrames++
+	n.mu.Unlock()
+	return out
+}
+
+// beginPick starts resolving the mailboxes one frame names into
+// n.picks. Caller holds the mutex.
+func (n *Node) beginPick() {
+	n.gen++
+	n.picks = n.picks[:0]
+}
+
+// pick appends the endpoint's mailbox to n.picks, or reports false when
+// the endpoint is not hosted here or the frame already named it. Caller
+// holds the mutex.
+func (n *Node) pick(endpoint string) bool {
+	box, hosted := n.boxes[endpoint]
+	if !hosted || box.mark == n.gen {
+		return false
 	}
+	box.mark = n.gen
+	n.picks = append(n.picks, box)
+	return true
+}
+
+// enqueue files one message into every destination mailbox or into
+// none, then acks. The frame is dropped unacked and counted in
+// BadFrames when a destination is not hosted here, is named twice, or
+// could not fit a drain response; it is refused whole (Refused) when it
+// would push any destination past the mailbox bound. A resend (same
+// sender node and frame nonce as a frame already filed) is acked again
+// without enqueueing twice.
+func (n *Node) enqueue(out []byte, f Frame, dests []string, m bus.Message) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	box, ok := n.boxes[dest]
-	if !ok {
-		n.stats.BadFrames++
-		return out // not our endpoint: drop, no ack
+	size := messageLen(m)
+	// The widest drain entry this message can become: endpoint, a
+	// maximal seq, and the message, under a header with a maximal count.
+	room := MaxFrame - headerFixed - fieldLen(len(n.name)) - 2*binary.MaxVarintLen64 - size
+	n.beginPick()
+	for _, d := range dests {
+		if fieldLen(len(d)) > room || !n.pick(d) {
+			n.stats.BadFrames++
+			return out // not ours, named twice, or undrainable: drop, no ack
+		}
 	}
 	k := seenKey{node: f.Node, nonce: f.Nonce}
 	if n.seen[k] {
 		// The driver resent because our ack was lost; ack again without
 		// enqueueing a duplicate.
 		n.stats.DedupHits++
-		n.event(obs.Event{Kind: obs.EvDedupHit, From: m.From, To: dest, Msg: m.Kind,
+		n.event(obs.Event{Kind: obs.EvDedupHit, From: m.From, To: n.name, Msg: m.Kind,
 			Round: f.Round, Origin: f.Nonce})
 		return AppendControlFrame(out, FtAck, f.Nonce, n.name)
+	}
+	for _, box := range n.picks {
+		if box.bytes+size > n.boxCap {
+			n.stats.Refused++
+			n.event(obs.Event{Kind: obs.EvDrop, From: m.From, To: n.name, Msg: m.Kind,
+				Round: f.Round, Origin: f.Nonce, Detail: "mailbox full"})
+			return out
+		}
 	}
 	if len(n.seenFIFO) >= seenCap {
 		delete(n.seen, n.seenFIFO[0])
@@ -246,13 +378,16 @@ func (n *Node) handleMsg(out []byte, f Frame) []byte {
 	}
 	n.seen[k] = true
 	n.seenFIFO = append(n.seenFIFO, k)
-	box.nextSeq++
-	box.queue = append(box.queue, SeqMsg{Seq: box.nextSeq, Msg: m})
-	n.stats.Enqueued++
+	for _, box := range n.picks {
+		box.nextSeq++
+		box.queue = append(box.queue, SeqMsg{Seq: box.nextSeq, Msg: m})
+		box.bytes += size
+		n.stats.Enqueued++
+	}
 	// The frame nonce as origin matches this receive against the
 	// driver's net_tx/net_rx bracket for the same exchange; the round
 	// context, when the frame carried one, attributes it to a round.
-	n.event(obs.Event{Kind: obs.EvNetRx, From: m.From, To: dest, Msg: m.Kind,
+	n.event(obs.Event{Kind: obs.EvNetRx, From: m.From, To: n.name, Msg: m.Kind,
 		Round: f.Round, Origin: f.Nonce})
 	out = AppendControlFrame(out, FtAck, f.Nonce, n.name)
 	n.event(obs.Event{Kind: obs.EvNetTx, From: n.name, To: f.Node, Msg: "ack",
@@ -260,53 +395,63 @@ func (n *Node) handleMsg(out []byte, f Frame) []byte {
 	return out
 }
 
-// handleDrain prunes acknowledged mail and returns what remains, cut to
-// fit one datagram (FlagMore marks a truncated batch).
-func (n *Node) handleDrain(out []byte, f Frame) []byte {
-	endpoint, ackSeq, err := DecodeDrainBody(f.Body)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.BadFrames++
-		n.mu.Unlock()
-		return out
-	}
+// drain answers FtDrain (one mailbox) and FtDrainNode (several) through
+// one path: it prunes each requested mailbox to its cumulative ack,
+// then returns what remains, in request order, cut to fit one datagram
+// (FlagMore marks a truncated batch). Entries are sized with messageLen
+// and encoded once, straight into out. A request naming a mailbox the
+// node does not host, or one mailbox twice, is dropped unanswered
+// before anything is pruned.
+func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	box, ok := n.boxes[endpoint]
-	if !ok {
-		n.stats.BadFrames++
-		return out
-	}
-	// Cumulative ack: everything at or below ackSeq was consumed by the
-	// driver and can be forgotten. Idempotent — a resent drain with the
-	// same ackSeq re-sends the same batch.
-	keep := box.queue[:0]
-	for _, sm := range box.queue {
-		if sm.Seq > ackSeq {
-			keep = append(keep, sm)
+	n.beginPick()
+	for _, q := range reqs {
+		if !n.pick(q.endpoint) {
+			n.stats.BadFrames++
+			return out
 		}
 	}
-	box.queue = keep
-	// Cut the batch so the response frame stays under MaxFrame. The
-	// per-message overhead is dominated by the envelope; estimate with
-	// the exact body encoding.
-	budget := MaxFrame - 256 // header + endpoint + count headroom
-	var batch []SeqMsg
-	used := 0
+	perNode := f.Type == FtDrainNode
+	budget := MaxFrame - headerFixed - fieldLen(len(n.name)) - binary.MaxVarintLen64
+	if !perNode {
+		budget -= fieldLen(len(reqs[0].endpoint))
+	}
+	parts := n.parts[:0]
 	more := false
-	for _, sm := range box.queue {
-		sz := len(appendMessage(nil, sm.Msg)) + 12
-		if used+sz > budget {
-			more = true
+	for i, box := range n.picks {
+		// Cumulative ack: everything at or below it was consumed by the
+		// driver and can be forgotten. Idempotent — a resent drain with
+		// the same acks re-sends the same batch.
+		box.prune(reqs[i].ack)
+		take := 0
+		for _, sm := range box.queue {
+			sz := uvarintLen(sm.Seq) + messageLen(sm.Msg)
+			if perNode {
+				sz += fieldLen(len(reqs[i].endpoint))
+			}
+			if sz > budget {
+				more = true
+				break
+			}
+			budget -= sz
+			take++
+		}
+		parts = append(parts, drainPart{endpoint: reqs[i].endpoint, batch: box.queue[:take]})
+		if more {
 			break
 		}
-		batch = append(batch, sm)
-		used += sz
 	}
 	n.stats.Drains++
-	n.event(obs.Event{Kind: obs.EvNetRx, From: f.Node, To: endpoint, Msg: "drain", Origin: f.Nonce})
-	out = AppendDrainRspFrame(out, f.Nonce, n.name, endpoint, batch, more)
+	n.event(obs.Event{Kind: obs.EvNetRx, From: f.Node, To: n.name, Msg: "drain", Origin: f.Nonce})
+	if perNode {
+		out = appendDrainNodeRspFrame(out, f.Nonce, n.name, parts, more)
+	} else {
+		out = appendDrainRspFrame(out, f.Nonce, n.name, parts[0].endpoint, parts[0].batch, more)
+	}
 	n.event(obs.Event{Kind: obs.EvNetTx, From: n.name, To: f.Node, Msg: "drain_rsp", Origin: f.Nonce})
+	clear(parts) // drop the references into the queues
+	n.parts = parts[:0]
 	return out
 }
 

@@ -1,0 +1,253 @@
+package netbus
+
+import (
+	"fmt"
+	"testing"
+
+	"dlsbl/internal/bus"
+	"dlsbl/internal/sig"
+)
+
+// handleOnce feeds one datagram to a socketless node and decodes the
+// reply; ok is false when the node stayed silent.
+func handleOnce(t *testing.T, n *Node, datagram []byte) (Frame, bool) {
+	t.Helper()
+	out := n.handle(nil, datagram)
+	if len(out) == 0 {
+		return Frame{}, false
+	}
+	f, err := DecodeFrame(out)
+	if err != nil {
+		t.Fatalf("node reply does not decode: %v", err)
+	}
+	return f, true
+}
+
+// depths returns the queue length of every named mailbox.
+func depths(n *Node, eps ...string) []int {
+	out := make([]int, len(eps))
+	for i, ep := range eps {
+		out[i] = len(n.boxes[ep].queue)
+	}
+	return out
+}
+
+// rawMsg is a message with a payload of the given size; the netbus
+// never opens envelopes, so it need not be signed.
+func rawMsg(from string, nonce uint64, payload int) bus.Message {
+	return bus.Message{From: from, To: "*", Kind: "dls/bid", Size: 1, Nonce: nonce,
+		Env: sig.Envelope{Sender: from, Kind: "dls/bid", Payload: make([]byte, payload), Signature: make([]byte, 64)}}
+}
+
+// TestNodeMultiFrameAllOrNothing pins the v3 filing rule: a multi frame
+// naming an endpoint the node does not host, or one endpoint twice, is
+// refused whole — no ack, BadFrames+1, and no mailbox grows — while a
+// valid one lands in every destination and is acked once.
+func TestNodeMultiFrameAllOrNothing(t *testing.T) {
+	n := newNode("w1", []string{"P1", "P2", "P3"})
+	msg := rawMsg("P4", 1, 40)
+	for i, dests := range [][]string{{"P1", "P9"}, {"P2", "P3", "P2"}} {
+		frame := appendMsgMultiFrame(nil, 0, uint64(10+i), "drv", dests, msg, "", "", 0)
+		if _, ok := handleOnce(t, n, frame); ok {
+			t.Errorf("dests %v: node acked a frame it must refuse", dests)
+		}
+		if st := n.Stats(); st.BadFrames != uint64(i+1) || st.Enqueued != 0 {
+			t.Errorf("dests %v: stats %+v, want BadFrames=%d Enqueued=0", dests, st, i+1)
+		}
+		if d := depths(n, "P1", "P2", "P3"); d[0]+d[1]+d[2] != 0 {
+			t.Errorf("dests %v: mailboxes grew to %v", dests, d)
+		}
+	}
+	frame := appendMsgMultiFrame(nil, FlagTrace, 20, "drv", []string{"P1", "P3"}, msg, "s1:r1", "s1:r1", 1)
+	if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck || f.Nonce != 20 {
+		t.Fatalf("valid multi frame: reply %+v (ok %v), want ack nonce 20", f, ok)
+	}
+	if d := depths(n, "P1", "P2", "P3"); d[0] != 1 || d[1] != 0 || d[2] != 1 {
+		t.Errorf("mailbox depths %v, want [1 0 1]", d)
+	}
+}
+
+// TestNodeMultiFrameResend pins frame-level dedup: a resent multi frame
+// (the ack was lost) is acked again and enqueued only once in each of
+// its mailboxes.
+func TestNodeMultiFrameResend(t *testing.T) {
+	n := newNode("w1", []string{"P1", "P2"})
+	frame := appendMsgMultiFrame(nil, 0, 7, "drv", []string{"P1", "P2"}, rawMsg("P3", 1, 40), "", "", 0)
+	for i := 0; i < 3; i++ {
+		if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck || f.Nonce != 7 {
+			t.Fatalf("attempt %d: reply %+v (ok %v), want ack nonce 7", i, f, ok)
+		}
+	}
+	if d := depths(n, "P1", "P2"); d[0] != 1 || d[1] != 1 {
+		t.Errorf("mailbox depths %v after three copies of one frame, want [1 1]", d)
+	}
+	if st := n.Stats(); st.Enqueued != 2 || st.DedupHits != 2 {
+		t.Errorf("stats %+v, want Enqueued=2 DedupHits=2", st)
+	}
+}
+
+// TestNodeDrainPagesLargeBacklog pins node-drain paging: a backlog far
+// larger than MaxFrame (64 mailboxes × 63 bids) comes back across
+// FlagMore pages, every page under MaxFrame, every message exactly once
+// and in arrival order per mailbox.
+func TestNodeDrainPagesLargeBacklog(t *testing.T) {
+	const m = 64
+	var eps []string
+	for i := 1; i <= m; i++ {
+		eps = append(eps, fmt.Sprintf("P%d", i))
+	}
+	n := newNode("w1", eps)
+	for s, sender := range eps {
+		var dests []string
+		for _, ep := range eps {
+			if ep != sender {
+				dests = append(dests, ep)
+			}
+		}
+		frame := appendMsgMultiFrame(nil, 0, uint64(s+1), "drv", dests, rawMsg(sender, uint64(s+1), 60), "", "", 0)
+		if _, ok := handleOnce(t, n, frame); !ok {
+			t.Fatalf("bid broadcast from %s refused", sender)
+		}
+	}
+	acks := map[string]uint64{}
+	got := map[string][]uint64{} // logical nonces per mailbox, in drained order
+	pages := 0
+	for more := true; more; pages++ {
+		reqs := make([]drainReq, 0, m)
+		for _, ep := range eps {
+			reqs = append(reqs, drainReq{endpoint: ep, ack: acks[ep]})
+		}
+		out := n.handle(nil, appendDrainNodeFrame(nil, uint64(1000+pages), "drv", reqs))
+		if len(out) > MaxFrame {
+			t.Fatalf("page %d is %d bytes, over MaxFrame", pages, len(out))
+		}
+		f, err := DecodeFrame(out)
+		if err != nil || f.Type != FtDrainNodeRsp {
+			t.Fatalf("page %d: %+v, %v", pages, f, err)
+		}
+		parts, err := decodeDrainNodeRspBody(f.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			for _, sm := range p.batch {
+				if sm.Seq <= acks[p.endpoint] {
+					t.Fatalf("page %d re-served %s seq %d", pages, p.endpoint, sm.Seq)
+				}
+				acks[p.endpoint] = sm.Seq
+				got[p.endpoint] = append(got[p.endpoint], sm.Msg.Nonce)
+			}
+		}
+		more = f.Flags&FlagMore != 0
+	}
+	if pages < 2 {
+		t.Fatalf("a %d-message backlog fit one page; the test no longer exercises paging", m*(m-1))
+	}
+	for r, ep := range eps {
+		var want []uint64
+		for s := range eps {
+			if s != r {
+				want = append(want, uint64(s+1))
+			}
+		}
+		if fmt.Sprint(got[ep]) != fmt.Sprint(want) {
+			t.Fatalf("%s drained %v, want %v", ep, got[ep], want)
+		}
+	}
+}
+
+// TestNodeMailboxBound pins the defence against hostile datagrams: a
+// flood of unsolicited 50 KB frames from a socket calling itself
+// "attacker" stops at MailboxBytes — the excess is refused, not acked
+// and counted — and once a drain has acknowledged the backlog a
+// legitimate delivery is accepted again.
+func TestNodeMailboxBound(t *testing.T) {
+	n := newNode("w1", []string{"P1"})
+	size := messageLen(rawMsg("attacker", 1, 50_000))
+	acked := 0
+	for i := uint64(1); i <= 1000; i++ {
+		if _, ok := handleOnce(t, n, AppendMsgFrame(nil, i, "attacker", "P1", rawMsg("attacker", i, 50_000))); ok {
+			acked++
+		}
+	}
+	if want := MailboxBytes / size; acked != want {
+		t.Errorf("flood: %d frames acked, want %d (MailboxBytes / %d-byte messages)", acked, want, size)
+	}
+	if st := n.Stats(); st.Refused != uint64(1000-acked) || st.Enqueued != uint64(acked) {
+		t.Errorf("stats %+v, want Refused=%d Enqueued=%d", st, 1000-acked, acked)
+	}
+	if b := n.boxes["P1"].bytes; b > MailboxBytes {
+		t.Errorf("mailbox holds %d bytes, over the %d bound", b, MailboxBytes)
+	}
+	legit := AppendMsgFrame(nil, 5000, "drv", "P1", rawMsg("P2", 1, 50_000))
+	if _, ok := handleOnce(t, n, legit); ok {
+		t.Fatal("a full mailbox accepted another 50 KB message")
+	}
+	// Drain the backlog page by page, acknowledging as the driver does.
+	var ack uint64
+	for page := uint64(0); ; page++ {
+		f, ok := handleOnce(t, n, appendDrainFrame(nil, 6000+page, "drv", "P1", ack))
+		if !ok {
+			t.Fatal("drain unanswered")
+		}
+		_, batch, err := decodeDrainRspBody(f.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range batch {
+			ack = sm.Seq
+		}
+		if f.Flags&FlagMore == 0 {
+			break
+		}
+	}
+	if ack != uint64(acked) {
+		t.Fatalf("drained through seq %d, want %d", ack, acked)
+	}
+	if f, ok := handleOnce(t, n, legit); !ok || f.Type != FtAck {
+		t.Fatalf("after the drain a legitimate delivery was refused (reply %+v)", f)
+	}
+}
+
+// TestNodeAnswersInRequestVersion pins the rollout rule: a node answers
+// a v2 driver's FtMsg and FtDrain in v2, so the driver can decode them,
+// and answers a v1 ping — the version probe — in its own version.
+func TestNodeAnswersInRequestVersion(t *testing.T) {
+	n := newNode("w1", []string{"P1"})
+	v2 := func(frame []byte) []byte {
+		frame[4] = versionTrace
+		return frame
+	}
+	msg := rawMsg("P2", 3, 40)
+	if f, ok := handleOnce(t, n, v2(appendMsgFrameTrace(nil, FlagTrace, 1, "drv", "P1", msg, "s1:r1", "s1:r1", 3))); !ok ||
+		f.Version != versionTrace || f.Type != FtAck {
+		t.Fatalf("v2 FtMsg: reply %+v (ok %v), want a v2 ack", f, ok)
+	}
+	f, ok := handleOnce(t, n, v2(appendDrainFrame(nil, 2, "drv", "P1", 0)))
+	if !ok || f.Version != versionTrace || f.Type != FtDrainRsp {
+		t.Fatalf("v2 FtDrain: reply %+v (ok %v), want a v2 drain response", f, ok)
+	}
+	if ep, batch, err := decodeDrainRspBody(f.Body); err != nil || ep != "P1" || len(batch) != 1 || batch[0].Msg.Nonce != 3 {
+		t.Fatalf("v2 drain response: ep=%q batch=%+v err=%v", ep, batch, err)
+	}
+	ping := AppendControlFrame(nil, FtPing, 4, "drv")
+	ping[4] = VersionLegacy
+	if f, ok := handleOnce(t, n, ping); !ok || f.Type != FtPong || f.Version != Version {
+		t.Fatalf("v1 ping: reply %+v (ok %v), want a pong in version %d", f, ok, Version)
+	}
+	if f, ok := handleOnce(t, n, v2(AppendControlFrame(nil, FtPing, 5, "drv"))); !ok || f.Version != versionTrace {
+		t.Fatalf("v2 ping: reply %+v (ok %v), want a v2 pong", f, ok)
+	}
+}
+
+// TestMessageLen pins the size arithmetic nodes cut drain pages and
+// bound mailboxes with against the encoder.
+func TestMessageLen(t *testing.T) {
+	for _, payload := range []int{0, 1, 127, 128, 16383, 16384, 50_000} {
+		m := rawMsg("P1", uint64(payload)<<9, payload)
+		m.Size = payload
+		if got, want := messageLen(m), len(appendMessage(nil, m)); got != want {
+			t.Errorf("payload %d: messageLen %d, encoding %d", payload, got, want)
+		}
+	}
+}

@@ -49,6 +49,8 @@ func (n *Node) WriteNodePrometheus(w io.Writer) error {
 	x.Family("node_drains_total", "Drain requests answered.", "counter")
 	x.Sample("node_drains_total", "", float64(st.Drains))
 
+	x.Family("node_refused_total", "Message frames refused whole because a destination mailbox would pass its byte bound.", "counter")
+	x.Sample("node_refused_total", "", float64(st.Refused))
 	x.Family("node_mailbox_depth", "Undrained messages queued per hosted endpoint.", "gauge")
 	for _, d := range depths {
 		x.Sample("node_mailbox_depth", fmt.Sprintf("endpoint=%q", d.endpoint), float64(d.depth))

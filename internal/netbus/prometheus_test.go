@@ -29,7 +29,7 @@ func goldenNode() *Node {
 			"P2": {queue: make([]SeqMsg, 2)},
 			"P1": {queue: make([]SeqMsg, 1)},
 		},
-		stats: NodeStats{Enqueued: 5, DedupHits: 1, Drains: 3, BadFrames: 2, DatagramsIn: 11, DatagramsOut: 9},
+		stats: NodeStats{Enqueued: 5, DedupHits: 1, Drains: 3, BadFrames: 2, Refused: 4, DatagramsIn: 11, DatagramsOut: 9},
 	}
 	n.EnableTelemetry(2)
 	for i := 0; i < 3; i++ {
@@ -56,6 +56,9 @@ node_enqueued_total 5
 # HELP node_drains_total Drain requests answered.
 # TYPE node_drains_total counter
 node_drains_total 3
+# HELP node_refused_total Message frames refused whole because a destination mailbox would pass its byte bound.
+# TYPE node_refused_total counter
+node_refused_total 4
 # HELP node_mailbox_depth Undrained messages queued per hosted endpoint.
 # TYPE node_mailbox_depth gauge
 node_mailbox_depth{endpoint="P1"} 1

@@ -14,10 +14,10 @@ import (
 //
 //	offset size field
 //	0      4    magic "DLSB"
-//	4      1    wire version (0x02; 0x01 accepted)
+//	4      1    wire version (0x03; 0x01 and 0x02 accepted)
 //	5      1    frame type
 //	6      1    flags (FlagMore on drain/telemetry responses,
-//	            FlagTrace on v2 messages)
+//	            FlagTrace on v2+ message frames)
 //	7      1    reserved, must be 0
 //	8      4    length: total frame size in bytes, big-endian uint32
 //	12     8    frame nonce, big-endian uint64
@@ -42,16 +42,24 @@ const Magic = "DLSB"
 // added the optional trace-context extension (FlagTrace on FtMsg:
 // round ID, bid epoch and origin sequence ride the header, so every
 // datagram is attributable to a protocol round at every hop) and the
-// telemetry drain frames (FtTelemetry/FtTelemetryRsp). Receivers also
-// accept VersionLegacy frames unchanged — a v1 sender interoperates —
-// but reject everything else; there is no negotiation on a datagram
-// medium (see docs/WIRE.md §versioning).
-const Version = 2
+// telemetry drain frames (FtTelemetry/FtTelemetryRsp). Version 3 added
+// the per-node frames: FtMsgMulti carries one message into several
+// mailboxes of one node, and FtDrainNode/FtDrainNodeRsp drain several
+// mailboxes in one exchange, so the driver crosses the socket once per
+// node rather than once per endpoint. Receivers accept every version
+// from VersionLegacy to Version, each under its own rules (maxType,
+// checkFlags), and reject everything else; there is no negotiation on
+// a datagram medium (see docs/WIRE.md §versioning).
+const Version = 3
 
-// VersionLegacy is the pre-telemetry wire version receivers still
-// accept. Legacy frames carry no trace context and may not use the
-// telemetry frame types.
+// VersionLegacy is the oldest wire version receivers still accept.
+// Legacy frames carry no trace context and may use only frame types
+// FtMsg through FtPong.
 const VersionLegacy = 1
+
+// versionTrace is the wire version that added the trace context and
+// the telemetry frames.
+const versionTrace = 2
 
 // MaxFrame bounds a frame (and thus a datagram) in bytes. It sits under
 // the 65,507-byte UDP payload ceiling with room for kernel headroom;
@@ -92,18 +100,33 @@ const (
 	// JSON document each), ascending by record seq. FlagMore is set
 	// when the batch was cut to fit MaxFrame.
 	FtTelemetryRsp
+	// FtMsgMulti (v3) carries one message into several mailboxes of the
+	// receiving node. Body: count uvarint (≥ 1), count destination
+	// endpoint strings, then the message encoding. The node enqueues the
+	// message in every destination or in none, and acks the frame once.
+	FtMsgMulti
+	// FtDrainNode (v3) drains several mailboxes of one node in one
+	// exchange. Body: count uvarint, then count × (endpoint string,
+	// cumulative-ack seq uvarint), each acknowledgement working as in
+	// FtDrain.
+	FtDrainNode
+	// FtDrainNodeRsp (v3) answers FtDrainNode. Body: count uvarint, then
+	// count × (endpoint string, seq uvarint, message encoding), in
+	// request order with seq ascending per endpoint. FlagMore is set when
+	// the batch was cut to fit MaxFrame.
+	FtDrainNodeRsp
 )
 
-// FlagMore marks a drain or telemetry response that was truncated to
-// fit MaxFrame: more entries remain queued and the drainer should ask
-// again.
+// FlagMore marks a drain, node-drain or telemetry response that was
+// truncated to fit MaxFrame: more entries remain queued and the drainer
+// should ask again.
 const FlagMore = byte(1 << 0)
 
-// FlagTrace (v2) marks an FtMsg frame carrying the trace-context
-// extension: round ID (string), bid epoch (string) and origin sequence
-// (uvarint) follow the sender node name, before the body. Nodes echo
-// the context into their telemetry events, which is what makes every
-// hop of a datagram attributable to a protocol round.
+// FlagTrace (v2) marks an FtMsg or (v3) FtMsgMulti frame carrying the
+// trace-context extension: round ID (string), bid epoch (string) and
+// origin sequence (uvarint) follow the sender node name, before the
+// body. Nodes echo the context into their telemetry events, which is
+// what makes every hop of a datagram attributable to a protocol round.
 const FlagTrace = byte(1 << 1)
 
 // Frame decode errors. ErrWire is the root every specific error wraps,
@@ -127,10 +150,10 @@ type Frame struct {
 	Nonce   uint64
 	Node    string // sending node's name from the peer table
 	// Round, Epoch and Origin are the trace context (FlagTrace on
-	// FtMsg): the protocol round the datagram belongs to, the epoch its
-	// bid set was signed in, and the origin sequence (the logical
-	// message nonce at the originating driver). All zero on frames
-	// without the extension.
+	// FtMsg or FtMsgMulti): the protocol round the datagram belongs to,
+	// the epoch its bid set was signed in, and the origin sequence (the
+	// logical message nonce at the originating driver). All zero on
+	// frames without the extension.
 	Round  string
 	Epoch  string
 	Origin uint64
@@ -141,18 +164,19 @@ type Frame struct {
 // returns the extended slice. The length field is computed from the
 // final size.
 func AppendFrame(dst []byte, typ, flags byte, nonce uint64, node string, body []byte) []byte {
-	return appendFrameV(dst, Version, typ, flags, nonce, node, "", "", 0, body)
+	start := len(dst)
+	dst = appendHeader(dst, Version, typ, flags, nonce, node, "", "", 0)
+	dst = append(dst, body...)
+	return finishFrame(dst, start)
 }
 
-// appendFrameV is the version-explicit encoder behind every Append*
-// helper: the fuzzed decode→encode fixpoint re-encodes legacy (v1)
-// frames with their original version byte, and trace-context frames
-// with their extension block.
-func appendFrameV(dst []byte, version, typ, flags byte, nonce uint64, node, round, epoch string, origin uint64, body []byte) []byte {
-	start := len(dst)
+// appendHeader appends a frame header whose length field is still zero:
+// callers append the body straight after it, then finishFrame
+// backpatches the length, so no body is built in a separate slice first.
+func appendHeader(dst []byte, version, typ, flags byte, nonce uint64, node, round, epoch string, origin uint64) []byte {
 	dst = append(dst, Magic...)
 	dst = append(dst, version, typ, flags, 0)
-	dst = append(dst, 0, 0, 0, 0) // length backpatched below
+	dst = append(dst, 0, 0, 0, 0) // length, backpatched by finishFrame
 	var n [8]byte
 	binary.BigEndian.PutUint64(n[:], nonce)
 	dst = append(dst, n[:]...)
@@ -163,30 +187,40 @@ func appendFrameV(dst []byte, version, typ, flags byte, nonce uint64, node, roun
 		dst = sig.AppendString(dst, epoch)
 		dst = sig.AppendUvarint(dst, origin)
 	}
-	dst = append(dst, body...)
+	return dst
+}
+
+// finishFrame backpatches the length field of the frame that starts at
+// dst[start].
+func finishFrame(dst []byte, start int) []byte {
 	binary.BigEndian.PutUint32(dst[start+8:start+12], uint32(len(dst)-start))
 	return dst
 }
 
 // maxType returns the highest frame type a wire version defines.
 func maxType(version byte) byte {
-	if version == VersionLegacy {
+	switch version {
+	case VersionLegacy:
 		return FtPong
+	case versionTrace:
+		return FtTelemetryRsp
 	}
-	return FtTelemetryRsp
+	return FtDrainNodeRsp
 }
 
 // checkFlags validates the flag byte against the version's rules: v1
 // allows only FlagMore on FtDrainRsp; v2 additionally allows FlagMore
-// on FtTelemetryRsp and FlagTrace on FtMsg.
+// on FtTelemetryRsp and FlagTrace on FtMsg; v3 adds FlagTrace on
+// FtMsgMulti and FlagMore on FtDrainNodeRsp (maxType already confines
+// those types to v3).
 func checkFlags(version, typ, flags byte) error {
 	allowed := byte(0)
 	switch {
-	case typ == FtDrainRsp:
+	case typ == FtDrainRsp || typ == FtDrainNodeRsp:
 		allowed = FlagMore
-	case version >= Version && typ == FtTelemetryRsp:
+	case version >= versionTrace && typ == FtTelemetryRsp:
 		allowed = FlagMore
-	case version >= Version && typ == FtMsg:
+	case version >= versionTrace && (typ == FtMsg || typ == FtMsgMulti):
 		allowed = FlagTrace
 	}
 	if flags&^allowed != 0 {
@@ -197,7 +231,7 @@ func checkFlags(version, typ, flags byte) error {
 
 // DecodeFrame parses one datagram. It rejects wrong magic, unknown
 // versions, unknown frame types, length/datagram mismatches (truncation
-// either way) and frames above MaxFrame. Legacy (v1) frames are
+// either way) and frames above MaxFrame. Older (v1, v2) frames are
 // accepted under their original, stricter rules — old frames still
 // parse. The returned Body aliases data.
 func DecodeFrame(data []byte) (Frame, error) {
@@ -208,8 +242,8 @@ func DecodeFrame(data []byte) (Frame, error) {
 		return Frame{}, ErrBadMagic
 	}
 	version := data[4]
-	if version != Version && version != VersionLegacy {
-		return Frame{}, fmt.Errorf("%w: got %d, speak %d (and accept legacy %d)", ErrBadVersion, version, Version, VersionLegacy)
+	if version < VersionLegacy || version > Version {
+		return Frame{}, fmt.Errorf("%w: got %d, accept %d through %d", ErrBadVersion, version, VersionLegacy, Version)
 	}
 	typ := data[5]
 	if typ < FtMsg || typ > maxType(version) {
@@ -326,6 +360,27 @@ func appendMessage(dst []byte, m bus.Message) []byte {
 	return m.Env.AppendBinary(dst)
 }
 
+// uvarintLen is the encoded size of x as a uvarint.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// fieldLen is the encoded size of a length-prefixed field of n bytes.
+func fieldLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+// messageLen is len(appendMessage(nil, m)), computed without encoding:
+// nodes size mailboxes and cut drain batches with it.
+func messageLen(m bus.Message) int {
+	return fieldLen(len(m.From)) + fieldLen(len(m.To)) + fieldLen(len(m.Kind)) +
+		uvarintLen(uint64(m.Size)) + uvarintLen(m.Nonce) +
+		fieldLen(len(m.Env.Sender)) + fieldLen(len(m.Env.Kind)) +
+		fieldLen(len(m.Env.Payload)) + fieldLen(len(m.Env.Signature))
+}
+
 // readMessage parses one appendMessage encoding from the cursor.
 func (r *wireReader) readMessage() bus.Message {
 	var m bus.Message
@@ -346,14 +401,35 @@ func (r *wireReader) readMessage() bus.Message {
 	return m
 }
 
+// count reads an entry count and rejects one that cannot fit the bytes
+// left, given that every entry takes at least minEntry bytes.
+func (r *wireReader) count(what string, minEntry int) uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(r.rest()/minEntry) {
+		r.fail("%s count %d exceeds the %d bytes left", what, n, r.rest())
+		return 0
+	}
+	return n
+}
+
 // AppendMsgFrame frames one mailbox delivery (FtMsg). dest names the
 // endpoint whose mailbox receives the copy — distinct from the
 // message's own To, which stays "*" for broadcast emissions so drained
-// messages are byte-comparable with the simulated bus's.
+// messages are byte-comparable with the simulated bus's. The driver
+// sends FtMsgMulti instead; nodes still accept FtMsg from v2 drivers.
 func AppendMsgFrame(dst []byte, nonce uint64, node, dest string, m bus.Message) []byte {
-	body := sig.AppendString(nil, dest)
-	body = appendMessage(body, m)
-	return AppendFrame(dst, FtMsg, 0, nonce, node, body)
+	return appendMsgFrameTrace(dst, 0, nonce, node, dest, m, "", "", 0)
+}
+
+// appendMsgFrameTrace frames one FtMsg under the given flags; with
+// FlagTrace the v2 trace context (round, epoch, origin) rides the
+// header.
+func appendMsgFrameTrace(dst []byte, flags byte, nonce uint64, node, dest string, m bus.Message, round, epoch string, origin uint64) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtMsg, flags, nonce, node, round, epoch, origin)
+	dst = sig.AppendString(dst, dest)
+	dst = appendMessage(dst, m)
+	return finishFrame(dst, start)
 }
 
 // DecodeMsgBody parses an FtMsg body into the destination endpoint and
@@ -368,12 +444,50 @@ func DecodeMsgBody(body []byte) (dest string, m bus.Message, err error) {
 	return dest, m, nil
 }
 
-// AppendDrainFrame frames a drain request (FtDrain) for the endpoint,
+// appendMsgMultiFrame frames one message for several mailboxes of one
+// node (FtMsgMulti). With FlagTrace in flags the trace context rides the
+// header. The message's own To stays the protocol-level address ("*"
+// for a broadcast); the physical destinations travel in dests.
+func appendMsgMultiFrame(dst []byte, flags byte, nonce uint64, node string, dests []string, m bus.Message, round, epoch string, origin uint64) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtMsgMulti, flags, nonce, node, round, epoch, origin)
+	dst = sig.AppendUvarint(dst, uint64(len(dests)))
+	for _, d := range dests {
+		dst = sig.AppendString(dst, d)
+	}
+	dst = appendMessage(dst, m)
+	return finishFrame(dst, start)
+}
+
+// decodeMsgMultiBody parses an FtMsgMulti body. It requires at least
+// one destination; that the destinations are distinct and hosted is the
+// receiving node's all-or-nothing rule, not a framing rule.
+func decodeMsgMultiBody(body []byte) (dests []string, m bus.Message, err error) {
+	r := wireReader{buf: body}
+	n := r.count("destination", 1)
+	if r.err == nil && n == 0 {
+		r.fail("multi frame names no destination")
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		dests = append(dests, r.str())
+	}
+	m = r.readMessage()
+	if err := r.done(); err != nil {
+		return nil, bus.Message{}, err
+	}
+	return dests, m, nil
+}
+
+// appendDrainFrame frames a v2 drain request (FtDrain) for one endpoint,
 // cumulatively acknowledging every sequence number at or below ackSeq.
-func AppendDrainFrame(dst []byte, nonce uint64, node, endpoint string, ackSeq uint64) []byte {
-	body := sig.AppendString(nil, endpoint)
-	body = sig.AppendUvarint(body, ackSeq)
-	return AppendFrame(dst, FtDrain, 0, nonce, node, body)
+// The driver drains whole nodes (FtDrainNode); nodes still answer
+// FtDrain from v2 drivers.
+func appendDrainFrame(dst []byte, nonce uint64, node, endpoint string, ackSeq uint64) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtDrain, 0, nonce, node, "", "", 0)
+	dst = sig.AppendString(dst, endpoint)
+	dst = sig.AppendUvarint(dst, ackSeq)
+	return finishFrame(dst, start)
 }
 
 // DecodeDrainBody parses an FtDrain body.
@@ -391,30 +505,33 @@ type SeqMsg struct {
 	Msg bus.Message
 }
 
-// AppendDrainRspFrame frames a drain response (FtDrainRsp) carrying the
-// batch; more marks a batch truncated to fit MaxFrame.
-func AppendDrainRspFrame(dst []byte, nonce uint64, node, endpoint string, batch []SeqMsg, more bool) []byte {
-	body := sig.AppendString(nil, endpoint)
-	body = sig.AppendUvarint(body, uint64(len(batch)))
-	for _, sm := range batch {
-		body = sig.AppendUvarint(body, sm.Seq)
-		body = appendMessage(body, sm.Msg)
-	}
-	var flags byte
+// drainRspFlags is the flag byte of a drain response.
+func drainRspFlags(more bool) byte {
 	if more {
-		flags |= FlagMore
+		return FlagMore
 	}
-	return AppendFrame(dst, FtDrainRsp, flags, nonce, node, body)
+	return 0
 }
 
-// DecodeDrainRspBody parses an FtDrainRsp body.
-func DecodeDrainRspBody(body []byte) (endpoint string, batch []SeqMsg, err error) {
+// appendDrainRspFrame frames a drain response (FtDrainRsp) carrying the
+// batch; more marks a batch truncated to fit MaxFrame.
+func appendDrainRspFrame(dst []byte, nonce uint64, node, endpoint string, batch []SeqMsg, more bool) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtDrainRsp, drainRspFlags(more), nonce, node, "", "", 0)
+	dst = sig.AppendString(dst, endpoint)
+	dst = sig.AppendUvarint(dst, uint64(len(batch)))
+	for _, sm := range batch {
+		dst = sig.AppendUvarint(dst, sm.Seq)
+		dst = appendMessage(dst, sm.Msg)
+	}
+	return finishFrame(dst, start)
+}
+
+// decodeDrainRspBody parses an FtDrainRsp body.
+func decodeDrainRspBody(body []byte) (endpoint string, batch []SeqMsg, err error) {
 	r := wireReader{buf: body}
 	endpoint = r.str()
-	n := r.uvarint()
-	if n > uint64(r.rest()) { // every entry takes ≥ 7 bytes; cheap bound
-		return "", nil, fmt.Errorf("%w: drain batch count %d", ErrWire, n)
-	}
+	n := r.count("drain batch", 7) // seq plus a message of ≥ 6 fields
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		seq := r.uvarint()
 		m := r.readMessage()
@@ -426,20 +543,96 @@ func DecodeDrainRspBody(body []byte) (endpoint string, batch []SeqMsg, err error
 	return endpoint, batch, nil
 }
 
+// drainReq is one mailbox of a node-drain request: the endpoint and the
+// highest sequence number the driver has consumed from it.
+type drainReq struct {
+	endpoint string
+	ack      uint64
+}
+
+// appendDrainNodeFrame frames a node-drain request (FtDrainNode).
+func appendDrainNodeFrame(dst []byte, nonce uint64, node string, reqs []drainReq) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtDrainNode, 0, nonce, node, "", "", 0)
+	dst = sig.AppendUvarint(dst, uint64(len(reqs)))
+	for _, q := range reqs {
+		dst = sig.AppendString(dst, q.endpoint)
+		dst = sig.AppendUvarint(dst, q.ack)
+	}
+	return finishFrame(dst, start)
+}
+
+// decodeDrainNodeBody parses an FtDrainNode body. Like FtDrain, it does
+// not check that the endpoints are hosted or distinct; the node does.
+func decodeDrainNodeBody(body []byte) ([]drainReq, error) {
+	r := wireReader{buf: body}
+	n := r.count("node drain", 2) // endpoint length plus ack, 1 byte each at least
+	var reqs []drainReq
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		ep := r.str()
+		reqs = append(reqs, drainReq{endpoint: ep, ack: r.uvarint()})
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return reqs, nil
+}
+
+// drainPart is one endpoint's run of entries in a node-drain response.
+type drainPart struct {
+	endpoint string
+	batch    []SeqMsg
+}
+
+// appendDrainNodeRspFrame frames a node-drain response (FtDrainNodeRsp)
+// from per-endpoint runs of entries; more marks a batch truncated to fit
+// MaxFrame. Nodes pass runs that alias their mailbox queues, so every
+// entry is encoded once, straight into dst.
+func appendDrainNodeRspFrame(dst []byte, nonce uint64, node string, parts []drainPart, more bool) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtDrainNodeRsp, drainRspFlags(more), nonce, node, "", "", 0)
+	n := 0
+	for _, p := range parts {
+		n += len(p.batch)
+	}
+	dst = sig.AppendUvarint(dst, uint64(n))
+	for _, p := range parts {
+		for _, sm := range p.batch {
+			dst = sig.AppendString(dst, p.endpoint)
+			dst = sig.AppendUvarint(dst, sm.Seq)
+			dst = appendMessage(dst, sm.Msg)
+		}
+	}
+	return finishFrame(dst, start)
+}
+
+// decodeDrainNodeRspBody parses an FtDrainNodeRsp body into runs of
+// consecutive entries for the same endpoint, so that re-encoding the
+// runs reproduces the body byte for byte.
+func decodeDrainNodeRspBody(body []byte) ([]drainPart, error) {
+	r := wireReader{buf: body}
+	n := r.count("node drain batch", 8) // endpoint, seq and a message of ≥ 6 fields
+	var parts []drainPart
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		ep := r.str()
+		seq := r.uvarint()
+		m := r.readMessage()
+		if len(parts) == 0 || parts[len(parts)-1].endpoint != ep {
+			parts = append(parts, drainPart{endpoint: ep})
+		}
+		last := &parts[len(parts)-1]
+		last.batch = append(last.batch, SeqMsg{Seq: seq, Msg: m})
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return parts, nil
+}
+
 // AppendControlFrame frames a bodyless control frame (FtAck, FtPing,
 // FtPong) under the given nonce.
 func AppendControlFrame(dst []byte, typ byte, nonce uint64, node string) []byte {
 	return AppendFrame(dst, typ, 0, nonce, node, nil)
-}
-
-// AppendMsgFrameTrace frames one mailbox delivery (FtMsg) carrying the
-// v2 trace-context extension: the protocol round, bid epoch and origin
-// sequence ride the header under FlagTrace, so the receiving node can
-// attribute the datagram to a round without opening the sealed body.
-func AppendMsgFrameTrace(dst []byte, nonce uint64, node, dest string, m bus.Message, round, epoch string, origin uint64) []byte {
-	body := sig.AppendString(nil, dest)
-	body = appendMessage(body, m)
-	return appendFrameV(dst, Version, FtMsg, FlagTrace, nonce, node, round, epoch, origin, body)
 }
 
 // AppendTelemetryFrame frames a telemetry drain request (FtTelemetry),
@@ -477,10 +670,7 @@ func AppendTelemetryRspFrame(dst []byte, nonce uint64, node string, lines [][]by
 // lines, each one obs.Record JSON document.
 func DecodeTelemetryRspBody(body []byte) (lines [][]byte, err error) {
 	r := wireReader{buf: body}
-	n := r.uvarint()
-	if n > uint64(r.rest()) { // every line takes ≥ 1 byte; cheap bound
-		return nil, fmt.Errorf("%w: telemetry batch count %d", ErrWire, n)
-	}
+	n := r.count("telemetry batch", 1)
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		lines = append(lines, r.bytes())
 	}

@@ -51,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestDrainRspRoundTrip(t *testing.T) {
 	msg := sampleMsg(t)
 	batch := []SeqMsg{{Seq: 3, Msg: msg}, {Seq: 4, Msg: msg}}
-	frame := AppendDrainRspFrame(nil, 9, "w1", "P1", batch, true)
+	frame := appendDrainRspFrame(nil, 9, "w1", "P1", batch, true)
 	f, err := DecodeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestDrainRspRoundTrip(t *testing.T) {
 	if f.Flags&FlagMore == 0 {
 		t.Error("FlagMore lost in transit")
 	}
-	ep, got, err := DecodeDrainRspBody(f.Body)
+	ep, got, err := decodeDrainRspBody(f.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDrainRspRoundTrip(t *testing.T) {
 // untraced message does.
 func TestTraceFrameRoundTrip(t *testing.T) {
 	msg := sampleMsg(t)
-	frame := AppendMsgFrameTrace(nil, 0xBEEF, "w1", "P2", msg, "sdeadbeef:r3", "sdeadbeef:r3", 99)
+	frame := appendMsgFrameTrace(nil, FlagTrace, 0xBEEF, "w1", "P2", msg, "sdeadbeef:r3", "sdeadbeef:r3", 99)
 	f, err := DecodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -150,9 +150,10 @@ func TestTelemetryRoundTrip(t *testing.T) {
 
 // TestMalformedFrames pins every rejection class the receiver owes the
 // wire: truncation (header and declared-length), oversize, bad magic,
-// unknown version, unknown type, trailing garbage — plus the v2 rules
-// (telemetry types and the trace flag do not exist in version 1, and
-// the trace flag belongs to messages only).
+// unknown version, unknown type, trailing garbage — plus the per-version
+// rules (telemetry types and the trace flag do not exist in version 1,
+// the node-drain types not in version 2, and the trace flag belongs to
+// message frames only).
 func TestMalformedFrames(t *testing.T) {
 	valid := AppendMsgFrame(nil, 1, "w1", "P1", sampleMsg(t))
 	mutate := func(f func(b []byte) []byte) []byte {
@@ -187,6 +188,15 @@ func TestMalformedFrames(t *testing.T) {
 		{"trace flag on ping", func() []byte {
 			b := AppendControlFrame(nil, FtPing, 1, "drv")
 			b[6] = FlagTrace
+			return b
+		}(), ErrWire},
+		{"v2 node drain type", mutate(func(b []byte) []byte {
+			b[4], b[5] = versionTrace, FtDrainNode
+			return b
+		}), ErrWire},
+		{"more flag on multi", func() []byte {
+			b := appendMsgMultiFrame(nil, 0, 1, "drv", []string{"P1"}, sampleMsg(t), "", "", 0)
+			b[6] = FlagMore
 			return b
 		}(), ErrWire},
 	}
@@ -238,7 +248,7 @@ func TestMalformedBodies(t *testing.T) {
 		}
 	})
 	t.Run("drain truncated", func(t *testing.T) {
-		df, err := DecodeFrame(AppendDrainFrame(nil, 2, "drv", "P1", 5))
+		df, err := DecodeFrame(appendDrainFrame(nil, 2, "drv", "P1", 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,13 +257,34 @@ func TestMalformedBodies(t *testing.T) {
 		}
 	})
 	t.Run("drain rsp truncated", func(t *testing.T) {
-		rf, err := DecodeFrame(AppendDrainRspFrame(nil, 3, "w1", "P1",
+		rf, err := DecodeFrame(appendDrainRspFrame(nil, 3, "w1", "P1",
 			[]SeqMsg{{Seq: 1, Msg: msg}}, false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(rf.Body); cut += 11 {
-			if _, _, err := DecodeDrainRspBody(rf.Body[:cut]); !errors.Is(err, ErrWire) {
+			if _, _, err := decodeDrainRspBody(rf.Body[:cut]); !errors.Is(err, ErrWire) {
+				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
+			}
+		}
+	})
+	t.Run("multi without destinations", func(t *testing.T) {
+		mf, err := DecodeFrame(appendMsgMultiFrame(nil, 0, 4, "drv", nil, msg, "", "", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeMsgMultiBody(mf.Body); !errors.Is(err, ErrWire) {
+			t.Errorf("a multi frame naming no destination decoded: %v", err)
+		}
+	})
+	t.Run("node drain rsp truncated", func(t *testing.T) {
+		rf, err := DecodeFrame(appendDrainNodeRspFrame(nil, 5, "w1",
+			[]drainPart{{"P1", []SeqMsg{{Seq: 1, Msg: msg}}}, {"P2", []SeqMsg{{Seq: 1, Msg: msg}}}}, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(rf.Body); cut += 11 {
+			if _, err := decodeDrainNodeRspBody(rf.Body[:cut]); !errors.Is(err, ErrWire) {
 				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
 			}
 		}
@@ -327,11 +358,11 @@ func TestNodeDrainCumulativeAck(t *testing.T) {
 		roundTrip(t, n, c, AppendMsgFrame(nil, i, "drv", "P1", msg))
 	}
 	drain := func(ackSeq uint64) []SeqMsg {
-		f := roundTrip(t, n, c, AppendDrainFrame(nil, 50+ackSeq, "drv", "P1", ackSeq))
+		f := roundTrip(t, n, c, appendDrainFrame(nil, 50+ackSeq, "drv", "P1", ackSeq))
 		if f.Type != FtDrainRsp {
 			t.Fatalf("reply %+v, want drain rsp", f)
 		}
-		_, batch, err := DecodeDrainRspBody(f.Body)
+		_, batch, err := decodeDrainRspBody(f.Body)
 		if err != nil {
 			t.Fatal(err)
 		}

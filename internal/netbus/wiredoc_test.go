@@ -14,7 +14,7 @@ import (
 
 // goldenHexFromDoc extracts the contents of every ```hex fence in
 // docs/WIRE.md, in document order — the normative golden frames (the
-// current-version example first, the legacy example second).
+// current-version example first, then the v2 and v1 examples).
 func goldenHexFromDoc(t *testing.T) [][]byte {
 	t.Helper()
 	raw, err := os.ReadFile("../../docs/WIRE.md")
@@ -61,21 +61,23 @@ func goldenMsg(t *testing.T) bus.Message {
 	return bus.Message{From: "P1", To: "*", Kind: "dls/bid", Size: 1, Nonce: 7, Env: env}
 }
 
-// TestWireGoldenBytes keeps docs/WIRE.md honest: the version-2 golden
+// TestWireGoldenBytes keeps docs/WIRE.md honest: the version-3 golden
 // frame embedded in the spec must be byte-identical to what the encoder
 // produces for the documented inputs and must decode back to them, and
-// the legacy version-1 golden must still decode on today's receiver —
-// the backward-compatibility promise, pinned in bytes.
+// the older version-2 and version-1 goldens must still decode on
+// today's receiver, field for field — the backward-compatibility
+// promise, pinned in bytes.
 func TestWireGoldenBytes(t *testing.T) {
 	goldens := goldenHexFromDoc(t)
-	if len(goldens) != 2 {
-		t.Fatalf("docs/WIRE.md has %d ```hex fences, want 2 (current + legacy)", len(goldens))
+	if len(goldens) != 3 {
+		t.Fatalf("docs/WIRE.md has %d ```hex fences, want 3 (v3, v2, v1)", len(goldens))
 	}
 	msg := goldenMsg(t)
 
-	t.Run("v2 traced", func(t *testing.T) {
+	t.Run("v3 traced multi", func(t *testing.T) {
 		golden := goldens[0]
-		frame := netbus.AppendMsgFrameTrace(nil, 0xC0FFEE, "w1", "P1", msg, "s1:r1", "s1:r1", 7)
+		frame := netbus.AppendMsgMultiFrame(nil, netbus.FlagTrace, 0xC0FFEE, "serve",
+			[]string{"P2", "P3"}, msg, "s1:r1", "s1:r1", 7)
 		if !bytes.Equal(frame, golden) {
 			t.Fatalf("docs/WIRE.md golden frame drifted from the encoder:\n doc  %x\n code %x", golden, frame)
 		}
@@ -83,28 +85,44 @@ func TestWireGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden frame does not decode: %v", err)
 		}
-		if f.Version != netbus.Version || f.Type != netbus.FtMsg || f.Nonce != 0xC0FFEE || f.Node != "w1" {
-			t.Errorf("golden header %+v, want v2 FtMsg nonce=0xC0FFEE node=w1", f)
+		if f.Version != netbus.Version || f.Type != netbus.FtMsgMulti || f.Nonce != 0xC0FFEE || f.Node != "serve" {
+			t.Errorf("golden header %+v, want v3 FtMsgMulti nonce=0xC0FFEE node=serve", f)
 		}
 		if f.Round != "s1:r1" || f.Epoch != "s1:r1" || f.Origin != 7 {
 			t.Errorf("golden trace context: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
+		}
+		dests, m, err := netbus.DecodeMsgMultiBody(f.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dests) != 2 || dests[0] != "P2" || dests[1] != "P3" {
+			t.Errorf("golden destinations %q, want [P2 P3]", dests)
+		}
+		checkGoldenMsg(t, m)
+	})
+
+	// The v2 and v1 goldens are decode-only: the encoder emits v3 now,
+	// and these pin that frames from older drivers still parse.
+	t.Run("v2 traced", func(t *testing.T) {
+		f, err := netbus.DecodeFrame(goldens[1])
+		if err != nil {
+			t.Fatalf("v2 golden no longer decodes — backward compatibility broken: %v", err)
+		}
+		if f.Version != 2 || f.Type != netbus.FtMsg || f.Flags != netbus.FlagTrace || f.Nonce != 0xC0FFEE || f.Node != "w1" {
+			t.Errorf("v2 golden header %+v, want traced v2 FtMsg nonce=0xC0FFEE node=w1", f)
+		}
+		if f.Round != "s1:r1" || f.Epoch != "s1:r1" || f.Origin != 7 {
+			t.Errorf("v2 golden trace context: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
 		}
 		checkGoldenBody(t, f.Body)
 	})
 
 	t.Run("v1 legacy", func(t *testing.T) {
-		golden := goldens[1]
-		// The legacy frame is the untraced encoding with version byte 0x01.
-		frame := netbus.AppendMsgFrame(nil, 0xC0FFEE, "w1", "P1", msg)
-		frame[4] = netbus.VersionLegacy
-		if !bytes.Equal(frame, golden) {
-			t.Fatalf("docs/WIRE.md legacy golden drifted:\n doc  %x\n code %x", golden, frame)
-		}
-		f, err := netbus.DecodeFrame(golden)
+		f, err := netbus.DecodeFrame(goldens[2])
 		if err != nil {
 			t.Fatalf("legacy golden no longer decodes — backward compatibility broken: %v", err)
 		}
-		if f.Version != netbus.VersionLegacy || f.Type != netbus.FtMsg || f.Nonce != 0xC0FFEE || f.Node != "w1" {
+		if f.Version != netbus.VersionLegacy || f.Type != netbus.FtMsg || f.Flags != 0 || f.Nonce != 0xC0FFEE || f.Node != "w1" {
 			t.Errorf("legacy header %+v, want v1 FtMsg nonce=0xC0FFEE node=w1", f)
 		}
 		if f.Round != "" || f.Epoch != "" || f.Origin != 0 {
@@ -114,16 +132,26 @@ func TestWireGoldenBytes(t *testing.T) {
 	})
 }
 
-// checkGoldenBody pins the documented body fields, shared by both
-// goldens (the trace context does not alter the body encoding).
+// checkGoldenBody pins the documented FtMsg body fields, shared by the
+// v2 and v1 goldens (the trace context does not alter the body
+// encoding).
 func checkGoldenBody(t *testing.T, body []byte) {
 	t.Helper()
 	dest, m, err := netbus.DecodeMsgBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dest != "P1" || m.From != "P1" || m.To != "*" || m.Kind != "dls/bid" || m.Nonce != 7 {
-		t.Errorf("golden body: dest=%q msg=%+v", dest, m)
+	if dest != "P1" {
+		t.Errorf("golden destination %q, want P1", dest)
+	}
+	checkGoldenMsg(t, m)
+}
+
+// checkGoldenMsg pins the documented message, shared by every golden.
+func checkGoldenMsg(t *testing.T, m bus.Message) {
+	t.Helper()
+	if m.From != "P1" || m.To != "*" || m.Kind != "dls/bid" || m.Nonce != 7 {
+		t.Errorf("golden message %+v", m)
 	}
 	if string(m.Env.Payload) != `{"bid":1.5,"proc":"P1"}` {
 		t.Errorf("golden payload %q", m.Env.Payload)
