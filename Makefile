@@ -44,7 +44,7 @@ doccheck:
 	$(GO) run ./cmd/doccheck ./internal/protocol ./internal/sig ./internal/netbus ./internal/bus \
 		./internal/service ./internal/pipeline ./internal/referee ./internal/session \
 		./internal/core ./internal/dlt ./internal/payment ./internal/agent ./internal/workload \
-		./internal/adversarytest
+		./internal/adversarytest ./internal/obs
 
 # Every example, run end to end: each is a standalone main that exits
 # non-zero when it fails. examples/service (one pool at two bus rates)

@@ -116,17 +116,6 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 	}, nil
 }
 
-// Z returns the per-unit transfer time.
-func (b *Bus) Z() float64 { return b.z }
-
-// Plan returns the fault plan in force, or nil for a reliable bus.
-func (b *Bus) Plan() *FaultPlan {
-	if b.faults == nil {
-		return nil
-	}
-	return b.faults.plan
-}
-
 // Attach registers an endpoint identity on the bus.
 func (b *Bus) Attach(id string) error {
 	if id == "" || id == BroadcastAddr {
@@ -256,20 +245,14 @@ func (b *Bus) deliver(to string, msg Message) {
 	}
 }
 
-// Broadcast atomically delivers the envelope to every endpoint except the
-// sender (on a reliable bus — under a FaultPlan individual deliveries may
-// be lost or mangled, which is exactly the deviation the retry layer
-// exists to absorb). size is the abstract message size in units (a scalar
-// bid is 1, an m-vector is m). The transmission is tagged with a fresh
-// nonce; use BroadcastTagged to obtain it.
-func (b *Bus) Broadcast(from, kind string, env sig.Envelope, size int) error {
-	_, err := b.BroadcastTagged(from, kind, env, size, 0)
-	return err
-}
-
-// BroadcastTagged is Broadcast with an explicit logical nonce; passing 0
-// allocates a fresh one. Retransmissions pass the original nonce so
-// receivers can deduplicate.
+// BroadcastTagged atomically delivers the envelope to every endpoint
+// except the sender (on a reliable bus — under a FaultPlan individual
+// deliveries may be lost or mangled, which is exactly the deviation the
+// retry layer exists to absorb). size is the abstract message size in
+// units (a scalar bid is 1, an m-vector is m). The transmission carries
+// the given logical nonce; passing 0 allocates a fresh one, and
+// retransmissions pass the original so receivers can deduplicate. It
+// returns the nonce in force.
 func (b *Bus) BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
 	if size < 0 {
 		return 0, errors.New("bus: negative message size")
@@ -368,20 +351,13 @@ func (b *Bus) MarkUnresponsive(id string) {
 	b.dead[id] = true
 }
 
-// ReserveTransfer books the one-port data plane for shipping a load
-// fraction: duration frac·z (plus uniform jitter in [0, JitterMax) under a
-// FaultPlan), starting no earlier than `earliest`. It returns the
-// transfer's [start, end) in virtual time.
-func (b *Bus) ReserveTransfer(earliest, frac float64) (start, end float64, err error) {
-	return b.ReserveTransferTo(earliest, frac, "")
-}
-
-// ReserveTransferTo is ReserveTransfer for a transfer terminating at a
-// named endpoint: targeted PairFault rules with a Jitter stretch the
-// transfer by an extra uniform [0, Jitter) on top of the plan's global
-// JitterMax, modeling a degraded link to that one receiver. An empty
-// receiver (or a plan without matching pair rules) reduces exactly to
-// ReserveTransfer.
+// ReserveTransferTo books the one-port data plane for shipping a load
+// fraction to endpoint `to`: duration frac·z (plus uniform jitter in
+// [0, JitterMax) under a FaultPlan), starting no earlier than
+// `earliest`. Targeted PairFault rules with a Jitter stretch the
+// transfer by an extra uniform [0, Jitter), modeling a degraded link to
+// that one receiver; an empty receiver gets the global jitter only. It
+// returns the transfer's [start, end) in virtual time.
 func (b *Bus) ReserveTransferTo(earliest, frac float64, to string) (start, end float64, err error) {
 	if frac < 0 {
 		return 0, 0, fmt.Errorf("bus: negative fraction %v", frac)
@@ -404,11 +380,4 @@ func (b *Bus) ReserveTransferTo(earliest, frac float64, to string) (start, end f
 		}
 	}
 	return b.port.Reserve(earliest, dur)
-}
-
-// DataPlaneFreeAt returns the time the data plane next becomes idle.
-func (b *Bus) DataPlaneFreeAt() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.port.FreeAt()
 }

@@ -65,7 +65,7 @@ func TestAttach(t *testing.T) {
 func TestBroadcastReachesAllOthers(t *testing.T) {
 	b := newBus(t, 0.1, "P1", "P2", "P3")
 	env := testEnv(t, "P1", 1, map[string]float64{"bid": 2})
-	if err := b.Broadcast("P1", "bid", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	own, err := b.Drain("P1")
@@ -115,10 +115,10 @@ func TestSendUnicast(t *testing.T) {
 	if err := b.Send("P1", "referee", "x", env, -1); err == nil {
 		t.Error("negative size accepted")
 	}
-	if err := b.Broadcast("ghost", "x", env, 1); err == nil {
+	if _, err := b.BroadcastTagged("ghost", "x", env, 1, 0); err == nil {
 		t.Error("unknown broadcaster accepted")
 	}
-	if err := b.Broadcast("P1", "x", env, -2); err == nil {
+	if _, err := b.BroadcastTagged("P1", "x", env, -2, 0); err == nil {
 		t.Error("negative broadcast size accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestSendUnicast(t *testing.T) {
 func TestDrainEmptiesInbox(t *testing.T) {
 	b := newBus(t, 0, "P1", "P2")
 	env := testEnv(t, "P1", 3, 1)
-	if err := b.Broadcast("P1", "bid", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	first, err := b.Drain("P2")
@@ -151,7 +151,7 @@ func TestDrainEmptiesInbox(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	b := newBus(t, 0, "P1", "P2", "P3", "referee")
 	env := testEnv(t, "P1", 4, 1)
-	if err := b.Broadcast("P1", "bid", env, 1); err != nil { // 3 deliveries
+	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil { // 3 deliveries
 		t.Fatal(err)
 	}
 	if err := b.Send("P2", "referee", "payments", env, 4); err != nil {
@@ -168,28 +168,22 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestReserveTransferSerializes(t *testing.T) {
 	b := newBus(t, 2, "P1")
-	s1, e1, err := b.ReserveTransfer(0, 0.5) // 1 time unit
+	s1, e1, err := b.ReserveTransferTo(0, 0.5, "") // 1 time unit
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != 0 || e1 != 1 {
 		t.Errorf("first transfer [%v,%v), want [0,1)", s1, e1)
 	}
-	s2, e2, err := b.ReserveTransfer(0, 0.25) // 0.5 units, must queue
+	s2, e2, err := b.ReserveTransferTo(0, 0.25, "") // 0.5 units, must queue
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2 != 1 || e2 != 1.5 {
 		t.Errorf("second transfer [%v,%v), want [1,1.5)", s2, e2)
 	}
-	if b.DataPlaneFreeAt() != 1.5 {
-		t.Errorf("data plane free at %v, want 1.5", b.DataPlaneFreeAt())
-	}
-	if _, _, err := b.ReserveTransfer(0, -0.1); err == nil {
+	if _, _, err := b.ReserveTransferTo(0, -0.1, ""); err == nil {
 		t.Error("negative fraction accepted")
-	}
-	if b.Z() != 2 {
-		t.Errorf("Z = %v, want 2", b.Z())
 	}
 }
 
@@ -214,7 +208,7 @@ func TestQuickBroadcastFanout(t *testing.T) {
 		}
 		for j := 0; j < k; j++ {
 			from := ids[rng.Intn(n)]
-			if err := b.Broadcast(from, "m", sig.Envelope{Sender: from}, 1); err != nil {
+			if _, err := b.BroadcastTagged(from, "m", sig.Envelope{Sender: from}, 1, 0); err != nil {
 				return false
 			}
 		}

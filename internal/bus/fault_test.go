@@ -56,7 +56,7 @@ func TestFaultPlanValidate(t *testing.T) {
 func TestDropLosesDeliveries(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Drop: 1}, "a", "b", "c")
 	_, env := sealedBy(t, "a", "x")
-	if err := b.Broadcast("a", "k", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"b", "c"} {
@@ -100,7 +100,7 @@ func TestDuplicatePreservesNonce(t *testing.T) {
 func TestCorruptBreaksSignatureOnly(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Corrupt: 1}, "a", "b", "c")
 	reg, env := sealedBy(t, "a", "payload")
-	if err := b.Broadcast("a", "test", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("a", "test", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	msgs, err := b.Drain("b")
@@ -176,7 +176,7 @@ func TestReorderPermutesQueue(t *testing.T) {
 func TestUnresponsiveBlackholesBothDirections(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Unresponsive: []string{"b"}}, "a", "b", "c")
 	_, env := sealedBy(t, "a", "x")
-	if err := b.Broadcast("a", "k", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Send("b", "c", "k", env, 1); err != nil {
@@ -200,7 +200,7 @@ func TestFaultDeterminism(t *testing.T) {
 		b := faultyBus(t, plan, "a", "b", "c", "d")
 		_, env := sealedBy(t, "a", "x")
 		for i := 0; i < 50; i++ {
-			if err := b.Broadcast("a", "k", env, 1); err != nil {
+			if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Send("b", "c", "k", env, 2); err != nil {
@@ -221,11 +221,11 @@ func TestFaultDeterminism(t *testing.T) {
 func TestJitterStretchesTransfers(t *testing.T) {
 	reliable := faultyBus(t, nil, "a")
 	jittery := faultyBus(t, &FaultPlan{Seed: 5, JitterMax: 0.5}, "a")
-	_, e1, err := reliable.ReserveTransfer(0, 1)
+	_, e1, err := reliable.ReserveTransferTo(0, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e2, err := jittery.ReserveTransfer(0, 1)
+	_, e2, err := jittery.ReserveTransferTo(0, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkBroadcastReliable(b *testing.B) {
 		_, env := sealedBy(b, "a", "x")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := bus.Broadcast("a", "k", env, 1); err != nil {
+			if _, err := bus.BroadcastTagged("a", "k", env, 1, 0); err != nil {
 				b.Fatal(err)
 			}
 			if i%64 == 63 { // keep inboxes bounded

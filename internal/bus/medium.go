@@ -41,7 +41,7 @@ import (
 //     (deliver/drop/retransmit/dedup_hit); a nil tracer must cost
 //     nothing on the delivery path.
 //
-// The data plane (transfer timing, ReserveTransfer) is NOT part of the
+// The data plane (transfer timing, ReserveTransferTo) is NOT part of the
 // Medium: load-fraction shipping is modeled in virtual time by the
 // simulator regardless of what carries the control messages.
 type Medium interface {

@@ -75,11 +75,8 @@ func TestCrashAt(t *testing.T) {
 func TestPairFaultsTargetOnlyTheirLink(t *testing.T) {
 	plan := &FaultPlan{Seed: 9, Pairs: []PairFault{{From: "a", To: "b", Drop: 1}}}
 	b := faultyBus(t, plan, "a", "b", "c")
-	if got := b.Plan(); got != plan {
-		t.Errorf("Plan() = %p, want the configured plan %p", got, plan)
-	}
 	_, env := sealedBy(t, "a", "x")
-	if err := b.Broadcast("a", "k", env, 1); err != nil {
+	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	bMsgs, err := b.Drain("b")

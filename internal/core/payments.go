@@ -85,10 +85,6 @@ func NewPaymentEngine(net dlt.Network, z float64) *PaymentEngine {
 	return &PaymentEngine{Network: net, Z: z}
 }
 
-// Reserve pre-sizes the scratch buffers for m agents so that the next
-// RunInto at that size performs no allocation at all.
-func (e *PaymentEngine) Reserve(m int) { e.grow(m) }
-
 func (e *PaymentEngine) grow(m int) {
 	if cap(e.prod) < m {
 		e.prod = make([]float64, m)

@@ -175,12 +175,11 @@ func TestRunIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReserve checks that Reserve pre-sizes the scratch so even the FIRST
-// RunInto at that size does not grow engine state (Outcome buffers still
-// size themselves on first use).
+// TestReserve checks that one warm-up RunInto reserves the engine's
+// scratch (and the Outcome's buffers) for its size, so every later
+// RunInto at that size performs no allocation at all.
 func TestReserve(t *testing.T) {
 	eng := NewPaymentEngine(dlt.CP, 0.1)
-	eng.Reserve(32)
 	bids := make([]float64, 32)
 	exec := make([]float64, 32)
 	for i := range bids {
@@ -197,7 +196,7 @@ func TestReserve(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("RunInto after Reserve allocated %.1f times per run, want 0", allocs)
+		t.Errorf("RunInto after a warm-up run allocated %.1f times per run, want 0", allocs)
 	}
 }
 

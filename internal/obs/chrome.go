@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "io"
 
 // Chrome trace-event export. The output is the JSON-object form of the
 // Trace Event Format ({"traceEvents": [...]}), loadable directly in
@@ -33,116 +29,13 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-const chromePID = 1
-
-// ChromeTrace converts records into trace-event form. The records are
-// expected in emission order (Recorder.Records returns them so); begin/
-// end pairs become complete slices, unclosed begins are closed at the
-// last record's timestamp.
+// ChromeTrace converts one process's records into trace-event form: the
+// one-process case of MergeChromeTrace, on the records' own relative
+// clock. The records are expected in emission order (Recorder.Records
+// returns them so); begin/end pairs become complete slices, unclosed
+// begins are closed at the last record's timestamp.
 func ChromeTrace(recs []Record) ([]byte, error) {
-	tr := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{{
-		Name: "process_name", Ph: "M", PID: chromePID,
-		Args: map[string]any{"name": "dls-bl-ncp"},
-	}}}
-
-	// Track assignment: tid 0 is the protocol (phase slices and
-	// endpoint-less events); each bus endpoint gets its own track in
-	// order of first appearance.
-	tids := map[string]int{"": 0}
-	tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-		Name: "thread_name", Ph: "M", PID: chromePID, TID: 0,
-		Args: map[string]any{"name": "protocol"},
-	})
-	tidFor := func(endpoint string) int {
-		if id, ok := tids[endpoint]; ok {
-			return id
-		}
-		id := len(tids)
-		tids[endpoint] = id
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: chromePID, TID: id,
-			Args: map[string]any{"name": endpoint},
-		})
-		return id
-	}
-
-	var lastTS float64
-	type open struct {
-		idx int // index of the begin record
-		rec Record
-	}
-	var stack []open
-	closeSpan := func(o open, endTS float64) {
-		dur := endTS - o.rec.TS
-		if dur < 0 {
-			dur = 0
-		}
-		args := map[string]any{}
-		if o.rec.Round != "" {
-			args["round"] = o.rec.Round
-		}
-		if o.rec.Epoch != "" {
-			args["epoch"] = o.rec.Epoch
-		}
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: o.rec.Name, Cat: "phase", Ph: "X",
-			TS: o.rec.TS, Dur: &dur, PID: chromePID, TID: 0, Args: args,
-		})
-	}
-
-	for i, rec := range recs {
-		if rec.TS > lastTS {
-			lastTS = rec.TS
-		}
-		switch rec.Type {
-		case "begin":
-			stack = append(stack, open{idx: i, rec: rec})
-		case "end":
-			for j := len(stack) - 1; j >= 0; j-- {
-				if stack[j].rec.Name == rec.Name {
-					closeSpan(stack[j], rec.TS)
-					stack = append(stack[:j], stack[j+1:]...)
-					break
-				}
-			}
-		case "event":
-			endpoint := rec.To
-			if endpoint == "" {
-				endpoint = rec.From
-			}
-			args := map[string]any{}
-			for k, v := range map[string]string{
-				"from": rec.From, "to": rec.To, "msg": rec.Msg,
-				"round": rec.Round, "phase": rec.Phase, "detail": rec.Detail,
-			} {
-				if v != "" {
-					args[k] = v
-				}
-			}
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: rec.Name, Cat: "event", Ph: "i", S: "t",
-				TS: rec.TS, PID: chromePID, TID: tidFor(endpoint), Args: args,
-			})
-		case "truncated":
-			// The capped-recorder marker: render as an instant on the
-			// protocol track so the viewer shows where the gap is.
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: "truncated", Cat: "event", Ph: "i", S: "t",
-				TS: rec.TS, PID: chromePID, TID: 0,
-				Args: map[string]any{"detail": rec.Detail},
-			})
-		case "clock":
-			// Clock-alignment metadata from the stitcher; nothing to draw.
-		default:
-			return nil, fmt.Errorf("obs: unknown record type %q (seq %d)", rec.Type, rec.Seq)
-		}
-	}
-	// Unclosed spans (a run that errored out mid-phase) close at the last
-	// observed timestamp, innermost first.
-	for j := len(stack) - 1; j >= 0; j-- {
-		closeSpan(stack[j], lastTS)
-	}
-	return json.MarshalIndent(tr, "", " ")
+	return MergeChromeTrace([]ProcessTrace{{Process: "dls-bl-ncp", Records: recs}})
 }
 
 // WriteChromeTrace writes the retained records as Chrome trace-event

@@ -372,16 +372,21 @@ func (r *Recorder) WriteNDJSON(w io.Writer) error {
 // multi fans every call out to several tracers.
 type multi []Tracer
 
+// BeginPhase opens the span on every tracer.
 func (m multi) BeginPhase(name, round, epoch string) {
 	for _, t := range m {
 		t.BeginPhase(name, round, epoch)
 	}
 }
+
+// EndPhase closes the span on every tracer.
 func (m multi) EndPhase(name string) {
 	for _, t := range m {
 		t.EndPhase(name)
 	}
 }
+
+// Event records the event on every tracer.
 func (m multi) Event(e Event) {
 	for _, t := range m {
 		t.Event(e)

@@ -84,8 +84,9 @@ func EstimateOffset(ref, proc []Record) (offset float64, ok bool) {
 // the process metadata, timestamps mapped onto the reference clock and
 // clamped monotonic within each process (an offset estimate can never
 // make a process's own record stream run backwards). Spans render on
-// each process's "protocol" track; events render per endpoint, exactly
-// as in the single-process export.
+// each process's "protocol" track; events render per endpoint. A single
+// process has nothing to stitch: its records keep their own relative
+// clock and its metadata only its name (ChromeTrace is that case).
 func MergeChromeTrace(procs []ProcessTrace) ([]byte, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("obs: nothing to stitch")
@@ -112,41 +113,35 @@ func MergeChromeTrace(procs []ProcessTrace) ([]byte, error) {
 		}
 	}
 
+	stitched := len(procs) > 1
 	for i, p := range procs {
 		pid := i + 1
-		role := "node"
-		if i == 0 {
-			role = "driver (reference clock)"
+		meta := map[string]any{"name": p.Process}
+		clock := func(rec Record) float64 { return rec.TS }
+		if stitched {
+			meta["role"] = "node"
+			if i == 0 {
+				meta["role"] = "driver (reference clock)"
+			}
+			meta["clock_offset_us"] = offsets[i]
+			clock = wallClock(offsets[i], base)
 		}
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]any{"name": p.Process, "role": role, "clock_offset_us": offsets[i]},
+			Name: "process_name", Ph: "M", PID: pid, Args: meta,
 		})
-		if err := appendProcessEvents(&tr, pid, p.Records, offsets[i], base); err != nil {
-			return nil, fmt.Errorf("obs: stitching process %q: %w", p.Process, err)
+		if err := appendProcessEvents(&tr, pid, p.Records, clock); err != nil {
+			return nil, fmt.Errorf("obs: rendering process %q: %w", p.Process, err)
 		}
 	}
 	return json.MarshalIndent(tr, "", " ")
 }
 
-// appendProcessEvents renders one process's records under the given pid,
-// mapping each record's wall stamp onto the merged clock (offset applied,
-// base subtracted, clamped monotonic) and falling back to the record's
-// relative TS when it carries no wall stamp.
-func appendProcessEvents(tr *chromeTrace, pid int, recs []Record, offset, base float64) error {
-	last := 0.0
-	mapTS := func(rec Record) float64 {
-		t := rec.TS
-		if rec.Wall != 0 {
-			t = rec.Wall + offset - base
-		}
-		if t < last {
-			t = last // monotonic clamp: offsets never reorder a process against itself
-		}
-		last = t
-		return t
-	}
-
+// appendProcessEvents renders one process's records under the given
+// pid, timing each record by clock. Track assignment: tid 0 is the
+// protocol (phase slices and endpoint-less events, the capped recorder's
+// truncated marker among them); each bus endpoint gets its own track in
+// order of first appearance.
+func appendProcessEvents(tr *chromeTrace, pid int, recs []Record, clock func(Record) float64) error {
 	tids := map[string]int{"": 0}
 	tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 		Name: "thread_name", Ph: "M", PID: pid, TID: 0,
@@ -189,7 +184,7 @@ func appendProcessEvents(tr *chromeTrace, pid int, recs []Record, offset, base f
 		})
 	}
 	for _, rec := range recs {
-		ts := mapTS(rec)
+		ts := clock(rec)
 		if ts > lastTS {
 			lastTS = ts
 		}
@@ -226,13 +221,34 @@ func appendProcessEvents(tr *chromeTrace, pid int, recs []Record, offset, base f
 				TS: ts, PID: pid, TID: tidFor(endpoint), Args: args,
 			})
 		case "clock":
-			// Alignment metadata; already consumed by the offset estimate.
+			// Alignment metadata for the offset estimate; nothing to draw.
 		default:
 			return fmt.Errorf("unknown record type %q (seq %d)", rec.Type, rec.Seq)
 		}
 	}
+	// Unclosed spans (a run that errored out mid-phase) close at the last
+	// observed timestamp, innermost first.
 	for j := len(stack) - 1; j >= 0; j-- {
 		closeSpan(stack[j], lastTS)
 	}
 	return nil
+}
+
+// wallClock maps one stitched process's records onto the merged clock:
+// the wall stamp plus the process's offset, less the merged origin,
+// clamped monotonic (offsets never reorder a process against itself). A
+// record without a wall stamp keeps its relative TS.
+func wallClock(offset, base float64) func(Record) float64 {
+	last := 0.0
+	return func(rec Record) float64 {
+		t := rec.TS
+		if rec.Wall != 0 {
+			t = rec.Wall + offset - base
+		}
+		if t < last {
+			t = last
+		}
+		last = t
+		return t
+	}
 }

@@ -176,3 +176,48 @@ func TestMergeChromeTraceEmpty(t *testing.T) {
 		t.Fatal("merging zero processes should fail")
 	}
 }
+
+// TestChromeTraceIsTheOneProcessMerge: the single-process export is
+// MergeChromeTrace over one process, byte for byte. It keeps the
+// records' own relative clock, carries no stitching metadata, and keeps
+// the netbus origin arg that a node's own trace needs to be matched
+// against the driver's.
+func TestChromeTraceIsTheOneProcessMerge(t *testing.T) {
+	recs := seededThreeProcessTraces()[1].Records
+	for i := range recs {
+		recs[i].TS = float64(10 * i)
+	}
+	single, err := ChromeTrace(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeChromeTrace([]ProcessTrace{{Process: "dls-bl-ncp", Records: recs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(single) != string(merged) {
+		t.Fatal("ChromeTrace differs from the one-process MergeChromeTrace")
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(single, &doc); err != nil {
+		t.Fatal(err)
+	}
+	origins := 0
+	for _, ev := range doc.TraceEvents {
+		if _, ok := ev.Args["clock_offset_us"]; ok {
+			t.Fatalf("single-process trace carries stitching metadata: %v", ev.Args)
+		}
+		if ev.Ph != "i" {
+			continue
+		}
+		if _, ok := ev.Args["origin"]; ok {
+			origins++
+		}
+		if ev.TS >= float64(10*len(recs)) {
+			t.Fatalf("event %q at %v is off the records' own clock", ev.Name, ev.TS)
+		}
+	}
+	if origins != len(recs)-1 {
+		t.Fatalf("%d events carry an origin arg, want %d", origins, len(recs)-1)
+	}
+}

@@ -524,8 +524,8 @@ type BidSession struct {
 // through a one-shot Run. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
 // reuse round's fresh PKI registry verify envelopes signed rounds ago.
 func NewBidSession(cfg Config) (*BidSession, error) {
-	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" || cfg.Standby {
-		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, Faults, Retry, Tracer, LoadFrac) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
+	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.FailoverIn != "" || cfg.Standby {
+		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, Faults, Retry, Tracer) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -585,9 +585,9 @@ func (s *BidSession) NextRound() int {
 // given policy. The sub-round is a full protocol round under the ID
 // "<salt>:rN.iK" — served from the cached bid set when the profile
 // allows, re-bidding otherwise, exactly like Run — with the money flow
-// scaled by frac (Config.LoadFrac) and the allocation/payment rule
-// switched to the installment class (dlt.PipelinedAllocation +
-// multi-round makespan terms). With of=1 the ID collapses to the plain
+// scaled by frac and the allocation/payment rule switched to the
+// installment class (dlt.PipelinedAllocation + multi-round makespan
+// terms). With of=1 the ID collapses to the plain
 // "<salt>:rN" and the round is byte-identical to a Run round, allocation
 // rule included.
 func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
@@ -620,9 +620,8 @@ func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dl
 func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
 	round := rr.String()
 	cfg := s.roundConfig(job)
-	cfg.LoadFrac = frac
 	prof := profileFor(cfg)
-	rb := roundBinding{round: round}
+	rb := roundBinding{round: round, frac: frac}
 	if instOf > 1 {
 		rb.inst, rb.instOf, rb.policy = inst, instOf, policy
 	}

@@ -86,8 +86,9 @@ func TestEquivocationSurvivesDedup(t *testing.T) {
 	}
 
 	// The discarded envelope is still a valid signature over a different
-	// payload — exactly the evidence pair sig.IsEquivocation defines.
-	if !sig.IsEquivocation(reg, first, second) {
+	// payload — exactly the evidence pair BatchVerifier.IsEquivocation
+	// defines.
+	if !sig.NewBatchVerifier(reg, nil).IsEquivocation(first, second) {
 		t.Fatal("contradictory signed bids not recognized as equivocation")
 	}
 
@@ -299,7 +300,7 @@ func TestEquivocatedRebidStillConvicts(t *testing.T) {
 
 // TestCrossEpochEvidenceIsUnfounded guards honest re-bidders: after a
 // legitimate rate change, a processor's old and new signed bids differ —
-// a valid sig.IsEquivocation pair. Under round binding that pair is NOT
+// a valid BatchVerifier.IsEquivocation pair. Under round binding that pair is NOT
 // convictable: the old bid belongs to a superseded epoch, so the referee
 // rules the accusation unfounded and fines the accuser, exactly the
 // paper's penalty for unsubstantiated claims.
@@ -313,7 +314,7 @@ func TestCrossEpochEvidenceIsUnfounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sig.IsEquivocation(sigRegistryOf(t, keys), oldBid, newBid) {
+	if !sig.NewBatchVerifier(sigRegistryOf(t, keys), nil).IsEquivocation(oldBid, newBid) {
 		t.Fatal("cross-epoch pair should look like raw equivocation to the signature layer")
 	}
 	bindRig(t, ref, "s1:r4", "s1:r4")

@@ -427,16 +427,11 @@ func (r *run) phaseBidding() (bool, error) {
 	}
 
 	// Collection: each surviving processor verifies every delivery,
-	// discarding failures. All honest processors see identical broadcasts
-	// (the retry layer restores atomicity), so one representative
-	// collection suffices for the agreed bid vector; equivocation
-	// detection scans per receiver.
+	// discarding failures, and scans what it holds for equivocation.
 	type seenBid struct {
 		envs []sig.Envelope
 		bids []float64
 	}
-	r.bids = make([]float64, r.m)
-	r.bidEnvs = make([]sig.Envelope, r.m)
 	var equivocators []int
 	evidence := make(map[int][2]sig.Envelope)
 	for i := range r.agents {
@@ -467,19 +462,6 @@ func (r *run) phaseBidding() (bool, error) {
 			sb.envs = append(sb.envs, msg.Env)
 			sb.bids = append(sb.bids, bp.Bid)
 		}
-		// Record the agreed bids from the first collector's perspective;
-		// fill in each sender's first-seen bid.
-		if i == 0 {
-			for j, p := range r.procs {
-				if j == 0 {
-					continue
-				}
-				if sb := seen[p]; sb != nil && len(sb.bids) > 0 {
-					r.bids[j] = sb.bids[0]
-					r.bidEnvs[j] = sb.envs[0]
-				}
-			}
-		}
 		// Equivocation detection by this receiver.
 		for j, p := range r.procs {
 			if sb := seen[p]; sb != nil && len(sb.bids) > 1 {
@@ -490,7 +472,11 @@ func (r *run) phaseBidding() (bool, error) {
 			}
 		}
 	}
-	// A processor's own bid is what it broadcast first.
+	// The agreed bid vector: all honest processors see identical
+	// broadcasts (the retry layer restores atomicity), and a processor's
+	// own bid is what it broadcast first.
+	r.bids = make([]float64, r.m)
+	r.bidEnvs = make([]sig.Envelope, r.m)
 	for i, a := range r.agents {
 		r.bids[i] = a.Bid()
 		r.bidEnvs[i] = firstEnvs[i]
@@ -527,20 +513,18 @@ func (r *run) phaseBidding() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		r.record(v)
-		if !v.Clean() {
-			if err := r.ref.Settle(v, nil); err != nil {
-				return false, err
-			}
-			if r.tracer != nil {
-				for _, g := range v.Guilty {
-					r.tracer.Event(obs.Event{
-						Kind: obs.EvFramingConviction, From: g, Round: r.roundID, Detail: v.Reason,
-					})
-				}
+		terminated, err := r.settle(v, nil)
+		if err != nil {
+			return false, err
+		}
+		if r.tracer != nil {
+			for _, g := range v.Guilty {
+				r.tracer.Event(obs.Event{
+					Kind: obs.EvFramingConviction, From: g, Round: r.roundID, Detail: v.Reason,
+				})
 			}
 		}
-		if v.Terminates {
+		if terminated {
 			return true, nil
 		}
 	}
@@ -551,20 +535,15 @@ func (r *run) phaseBidding() (bool, error) {
 		if !a.Behavior.FalseEquivocationReport {
 			continue
 		}
-		victim := r.agents[(i+1)%r.m]
-		// The "evidence" is the victim's single legitimate bid twice.
-		r.evidence(a.ID, "dls/equivocation-report")
-		v, err := r.ref.JudgeEquivocation(a.ID, firstEnvs[(i+1)%r.m], firstEnvs[(i+1)%r.m])
+		// The "evidence" is the neighbour's single legitimate bid twice.
+		bid := firstEnvs[(i+1)%r.m]
+		r.evidence(a.ID, referee.KindEquivocationReport)
+		v, err := r.ref.JudgeEquivocation(a.ID, bid, bid)
 		if err != nil {
 			return false, err
 		}
-		_ = victim
-		r.record(v)
-		if err := r.ref.Settle(v, nil); err != nil {
-			return false, err
-		}
-		if v.Terminates {
-			return true, nil
+		if terminated, err := r.settle(v, nil); err != nil || terminated {
+			return terminated, err
 		}
 	}
 
@@ -584,20 +563,16 @@ func (r *run) phaseBidding() (bool, error) {
 		ev := evidence[j]
 		// The report travels over the bus to the referee: two envelopes,
 		// delivered reliably (retransmitted under one nonce if faulty).
-		if _, err := r.xp.sendReliable(accuser, r.refAddr, "dls/equivocation-report", ev[0], 2); err != nil {
+		if _, err := r.xp.sendReliable(accuser, r.refAddr, referee.KindEquivocationReport, ev[0], 2); err != nil {
 			return false, err
 		}
-		r.evidence(accuser, "dls/equivocation-report")
+		r.evidence(accuser, referee.KindEquivocationReport)
 		v, err := r.ref.JudgeEquivocation(accuser, ev[0], ev[1])
 		if err != nil {
 			return false, err
 		}
-		r.record(v)
-		if err := r.ref.Settle(v, nil); err != nil {
-			return false, err
-		}
-		if v.Terminates {
-			return true, nil
+		if terminated, err := r.settle(v, nil); err != nil || terminated {
+			return terminated, err
 		}
 	}
 	return false, nil
@@ -716,140 +691,66 @@ func (r *run) phaseAllocating() (bool, error) {
 			}
 		}
 
+		// The paper's two claim kinds. The shortage case comes first, so
+		// the excess case only sees deliveries of at least the assignment,
+		// and a claimant with both false-claim behaviours is judged for
+		// shortage.
+		var v referee.Verdict
 		switch {
-		case a.Behavior.FalseShortageClaim && delivered == expected:
-			// Unfounded shortage claim: mediation completes a verified
-			// delivery, the claimant persists, the claimant is fined.
-			r.evidence(a.ID, "dls/short-delivery-claim")
-			v, err := r.ref.MediateShortDelivery(a.ID, orig.ID, referee.ShortDeliveryEvidence{ClaimantStillClaims: true})
-			if err != nil {
-				return false, err
-			}
-			r.record(v)
-			if err := r.ref.Settle(v, r.workDoneAt(order, pos)); err != nil {
-				return false, err
-			}
-			if v.Terminates {
-				return true, nil
-			}
-
-		case a.Behavior.FalseExcessClaim && delivered == expected:
-			// Unfounded α'_i > α_i claim: the referee compares the
-			// claimant's blocks against the data set, finds delivery
-			// exactly right, and fines the claimant.
-			claimVec, err := r.signedBidVector(i)
-			if err != nil {
-				return false, err
-			}
-			origVec, err := r.signedBidVector(r.origIdx)
-			if err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindBidVector, claimVec, r.m); err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(orig.ID, r.refAddr, referee.KindBidVector, origVec, r.m); err != nil {
-				return false, err
-			}
-			r.evidence(a.ID, referee.KindBidVector)
-			v, err := r.ref.JudgeAllocationClaim(a.ID, orig.ID, claimVec, origVec, delivered, r.recomputeCounts)
-			if err != nil {
-				return false, err
-			}
-			r.record(v)
-			if err := r.ref.Settle(v, r.workDoneAt(order, pos)); err != nil {
-				return false, err
-			}
-			if v.Terminates {
-				return true, nil
-			}
-
-		case a.Behavior.TamperBidVectorEntry && delivered == expected:
-			// The tamperer manufactures a claim to smuggle its altered
-			// vector to the referee; the fresh signature convicts it.
-			claimVec, err := r.signedBidVector(i)
-			if err != nil {
-				return false, err
-			}
-			origVec, err := r.signedBidVector(r.origIdx)
-			if err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindBidVector, claimVec, r.m); err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(orig.ID, r.refAddr, referee.KindBidVector, origVec, r.m); err != nil {
-				return false, err
-			}
-			r.evidence(a.ID, referee.KindBidVector)
-			v, err := r.ref.JudgeAllocationClaim(a.ID, orig.ID, claimVec, origVec, delivered, r.recomputeCounts)
-			if err != nil {
-				return false, err
-			}
-			r.record(v)
-			if err := r.ref.Settle(v, r.workDoneAt(order, pos)); err != nil {
-				return false, err
-			}
-			if v.Terminates {
-				return true, nil
-			}
-
-		case delivered > expected:
-			// α'_i > α_i: the claim is substantiated against the data
-			// set; both parties submit their bid vectors.
-			claimVec, err := r.signedBidVector(i)
-			if err != nil {
-				return false, err
-			}
-			origVec, err := r.signedBidVector(r.origIdx)
-			if err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindBidVector, claimVec, r.m); err != nil {
-				return false, err
-			}
-			if _, err := r.xp.sendReliable(orig.ID, r.refAddr, referee.KindBidVector, origVec, r.m); err != nil {
-				return false, err
-			}
-			r.evidence(a.ID, referee.KindBidVector)
-			v, err := r.ref.JudgeAllocationClaim(a.ID, orig.ID, claimVec, origVec, delivered, r.recomputeCounts)
-			if err != nil {
-				return false, err
-			}
-			r.record(v)
-			if err := r.ref.Settle(v, r.workDoneAt(order, pos)); err != nil {
-				return false, err
-			}
-			if v.Terminates {
-				return true, nil
-			}
-
-		case delivered < expected:
-			// α'_i < α_i: the referee mediates, forwarding verified
-			// blocks from the originator to the claimant.
-			ev := referee.ShortDeliveryEvidence{
-				OriginatorRefused: orig.Behavior.RefuseMediation,
-				IntegrityFailed:   orig.Behavior.TamperBlocks,
-			}
-			r.evidence(a.ID, "dls/short-delivery-claim")
-			v, err := r.ref.MediateShortDelivery(a.ID, orig.ID, ev)
-			if err != nil {
-				return false, err
-			}
-			r.record(v)
-			if !v.Clean() {
-				if err := r.ref.Settle(v, r.workDoneAt(order, pos)); err != nil {
-					return false, err
-				}
-			}
-			if v.Terminates {
-				return true, nil
-			}
-			// Mediation succeeded: the missing blocks arrived verified;
-			// delivery is now exactly the assignment.
+		case delivered < expected || (delivered == expected && a.Behavior.FalseShortageClaim):
+			// α'_i < α_i: the referee mediates, forwarding verified blocks
+			// from the originator. A short delivery fines an originator
+			// that refuses or whose blocks fail the integrity check, and
+			// otherwise ends with the delivery exactly the assignment; a
+			// claimant that persists against an exact delivery is fined.
+			short := delivered < expected
+			r.evidence(a.ID, referee.KindShortDeliveryClaim)
+			v, err = r.ref.MediateShortDelivery(a.ID, orig.ID, referee.ShortDeliveryEvidence{
+				OriginatorRefused:   short && orig.Behavior.RefuseMediation,
+				IntegrityFailed:     short && orig.Behavior.TamperBlocks,
+				ClaimantStillClaims: !short,
+			})
+		case delivered > expected || a.Behavior.FalseExcessClaim || a.Behavior.TamperBidVectorEntry:
+			// α'_i > α_i: judged from both parties' signed bid vectors.
+			v, err = r.bidVectorClaim(i, delivered)
+		default:
+			continue
+		}
+		if err != nil {
+			return false, err
+		}
+		if terminated, err := r.settle(v, r.workDoneAt(order, pos)); err != nil || terminated {
+			return terminated, err
 		}
 	}
 	return false, nil
+}
+
+// bidVectorClaim adjudicates participant i's α'_i > α_i claim against
+// the originator: both parties sign their bid vectors and send them to
+// the referee, which recomputes the allocation from them and compares
+// the delivered block count. Against an exact delivery the claim is
+// unfounded and the claimant is fined; a vector tamperer makes such a
+// claim to smuggle its altered vector in, and the fresh signature
+// convicts it (Lemma 5.2).
+func (r *run) bidVectorClaim(i, delivered int) (referee.Verdict, error) {
+	a, orig := r.agents[i], r.agents[r.origIdx]
+	claimVec, err := r.signedBidVector(i)
+	if err != nil {
+		return referee.Verdict{}, err
+	}
+	origVec, err := r.signedBidVector(r.origIdx)
+	if err != nil {
+		return referee.Verdict{}, err
+	}
+	if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindBidVector, claimVec, r.m); err != nil {
+		return referee.Verdict{}, err
+	}
+	if _, err := r.xp.sendReliable(orig.ID, r.refAddr, referee.KindBidVector, origVec, r.m); err != nil {
+		return referee.Verdict{}, err
+	}
+	r.evidence(a.ID, referee.KindBidVector)
+	return r.ref.JudgeAllocationClaim(a.ID, orig.ID, claimVec, origVec, delivered, r.recomputeCounts)
 }
 
 // ---- Phase: Processing Load ---------------------------------------------------
@@ -941,7 +842,7 @@ func (r *run) phaseProcessing() error {
 	var tl dlt.Timeline
 	var err error
 	if p := r.cfg.Faults; p != nil && p.DataPlaneActive() {
-		tl, err = SimulateTimelineFaultsNamed(r.cfg.Network, r.cfg.Z, r.alloc, exec, p, r.procs)
+		tl, err = SimulateTimeline(r.cfg.Network, r.cfg.Z, r.alloc, exec, p, r.procs)
 	} else {
 		realized := dlt.Instance{Network: r.cfg.Network, Z: r.cfg.Z, W: exec}
 		tl, err = dlt.Schedule(realized, r.alloc)
@@ -1067,8 +968,7 @@ func (r *run) phasePayments() error {
 	if err != nil {
 		return err
 	}
-	r.record(v)
-	if err := r.ref.Settle(v, nil); err != nil {
+	if _, err := r.settle(v, nil); err != nil {
 		return err
 	}
 

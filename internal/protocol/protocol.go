@@ -98,15 +98,6 @@ type Config struct {
 	// endpoints (bus.Medium documents this). Mutually exclusive with
 	// Faults — an external medium owns its own failure behavior.
 	Medium bus.Medium
-	// LoadFrac is the fraction of the full load this run serves; zero
-	// selects 1 (the whole load). The pipelined scheduler sets it on
-	// installment sub-rounds so the money flow scales with the work: the
-	// meters φ_i, payments, fines-eligible work compensation and the
-	// user's invoice all carry the factor, and the per-installment
-	// payments telescope back to the single-round payment (exactly so at
-	// LoadFrac=1, where every scaling multiplication is by the float
-	// constant 1 and therefore bit-identical to the unscaled path).
-	LoadFrac float64
 	// Memo is the verified-envelope memo behind every envelope
 	// verification in the run (transport arrivals, cached bids, referee
 	// re-opens), all routed through one sig.BatchVerifier. A memo hit is
@@ -163,9 +154,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Retry.validate(); err != nil {
 		return err
-	}
-	if c.LoadFrac != 0 && (!(c.LoadFrac > 0) || c.LoadFrac > 1) {
-		return fmt.Errorf("protocol: load fraction %v outside (0,1]", c.LoadFrac)
 	}
 	switch c.FailoverIn {
 	case "", obs.PhaseAllocating, obs.PhaseProcessing, obs.PhasePayments:
@@ -332,10 +320,10 @@ type run struct {
 	// roundID is the round's identifier (see roundBinding); empty for an
 	// anonymous standalone Run.
 	roundID string
-	// loadFrac is cfg.LoadFrac with the zero default resolved to 1, and
-	// inst/instOf name the installment this run serves (0/0 for
-	// whole-load rounds). policy is the load's installment division
-	// policy; it only matters when instOf > 1.
+	// loadFrac, inst, instOf and policy come from the round's
+	// roundBinding: the fraction of the load this run serves, the
+	// installment it serves (0/0 for whole-load rounds) and the load's
+	// installment division policy, which only matters when instOf > 1.
 	loadFrac float64
 	inst     int
 	instOf   int
@@ -368,11 +356,20 @@ func (r *run) open(env *sig.Envelope, v any) error {
 // bid set's base epoch — round itself when a session round runs its own
 // Bidding phase, the cache's base epoch when it is served from a
 // BidSession cache. The per-participant epochs the referee checks are
-// run.epochs. The zero value is the anonymous standalone case: no message
+// run.epochs. An empty round is the anonymous standalone case: no message
 // carries a round.
 type roundBinding struct {
 	round string
 	epoch string
+	// frac is the fraction of the full load this execution serves: 1 for
+	// a whole-load round, an installment's share on a pipelined
+	// sub-round. The money flow scales with the work: the meters φ_i,
+	// payments, fines-eligible work compensation and the user's invoice
+	// all carry the factor, and the per-installment payments telescope
+	// back to the single-round payment (exactly so at frac=1, where
+	// every scaling multiplication is by the float constant 1 and
+	// therefore bit-identical to the unscaled path).
+	frac float64
 	// inst / instOf, when instOf > 1, mark this execution as installment
 	// inst of instOf sub-rounds of one pipelined load; the referee enters
 	// an "installment" transcript entry so the audit shows the structure.
@@ -385,7 +382,7 @@ type roundBinding struct {
 
 // Run executes the protocol standalone: five full phases, no session.
 func Run(cfg Config) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{}, nil, nil)
+	out, _, err := executeRound(cfg, roundBinding{frac: 1}, nil, nil)
 	return out, err
 }
 
@@ -399,7 +396,7 @@ func Run(cfg Config) (*Outcome, error) {
 // payments), but their transcripts differ, so it must match across runs
 // whose transcripts are compared for parity.
 func RunRound(cfg Config, round string) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{round: round}, nil, nil)
+	out, _, err := executeRound(cfg, roundBinding{round: round, frac: 1}, nil, nil)
 	return out, err
 }
 
@@ -436,7 +433,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		return nil, nil, err
 	}
 	r.roundID = rb.round
-	r.inst, r.instOf, r.policy = rb.inst, rb.instOf, rb.policy
+	r.loadFrac, r.inst, r.instOf, r.policy = rb.frac, rb.inst, rb.instOf, rb.policy
 	// Media that carry a trace context on the wire (the netbus) get this
 	// round's identity stamped into outgoing frames; the simulated bus
 	// has no such method and is untouched. Independent of the local
@@ -529,21 +526,17 @@ func setup(cfg Config) (*run, error) {
 	}
 	m := len(part)
 	r := &run{
-		cfg:      cfg,
-		fullM:    fullM,
-		part:     part,
-		m:        m,
-		reg:      sig.NewRegistry(),
-		mech:     core.Mechanism{Network: cfg.Network, Z: cfg.Z},
-		engine:   core.NewPaymentEngine(cfg.Network, cfg.Z),
-		outcome:  &Outcome{},
-		origIdx:  cfg.Network.Originator(m),
-		nBlocks:  cfg.NBlocks,
-		loadFrac: cfg.LoadFrac,
-		refAddr:  referee.Account,
-	}
-	if r.loadFrac == 0 {
-		r.loadFrac = 1
+		cfg:     cfg,
+		fullM:   fullM,
+		part:    part,
+		m:       m,
+		reg:     sig.NewRegistry(),
+		mech:    core.Mechanism{Network: cfg.Network, Z: cfg.Z},
+		engine:  core.NewPaymentEngine(cfg.Network, cfg.Z),
+		outcome: &Outcome{},
+		origIdx: cfg.Network.Originator(m),
+		nBlocks: cfg.NBlocks,
+		refAddr: referee.Account,
 	}
 	if r.nBlocks == 0 {
 		r.nBlocks = 64 * m
@@ -950,7 +943,12 @@ func (r *run) evidence(from, kind string) {
 	}
 }
 
-func (r *run) record(v referee.Verdict) {
+// settle is the one place a verdict meets the ledger: it records the
+// verdict in the outcome (tracing each conviction), has the referee
+// settle it — a clean verdict moves nothing — and reports whether it
+// ends the round. workDone is the compensation owed for commenced work
+// should the verdict terminate (see workDoneAt); nil outside Allocating.
+func (r *run) settle(v referee.Verdict, workDone map[string]float64) (terminated bool, err error) {
 	r.outcome.Verdicts = append(r.outcome.Verdicts, v)
 	if v.Terminates {
 		r.outcome.TerminatedIn = v.Phase
@@ -962,4 +960,8 @@ func (r *run) record(v referee.Verdict) {
 			})
 		}
 	}
+	if err := r.ref.Settle(v, workDone); err != nil {
+		return false, err
+	}
+	return v.Terminates, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -281,6 +282,52 @@ func TestFalseExcessClaimantFined(t *testing.T) {
 	}
 	if out.Fines[0] != 0 {
 		t.Errorf("innocent originator fined %v", out.Fines[0])
+	}
+}
+
+// TestShortageClaimJudgedOnTheDelivery: a false shortage claim is judged
+// against what was actually delivered. Over-shipped, the claimant's
+// blocks substantiate an excess instead and only the originator is fined;
+// shipped exactly, the claimant is fined even when the originator would
+// refuse mediation or tamper with blocks, since no mediation of a short
+// delivery ever ran. A claimant making both false claims is judged for
+// the shortage.
+func TestShortageClaimJudgedOnTheDelivery(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		orig     agent.Behavior
+		claimant agent.Behavior
+		guilty   int
+		reason   string
+	}{
+		{"over-shipped", agent.OverShipper, agent.FalseClaimant, 0, "delivered"},
+		{"exact, deviant originator",
+			agent.Behavior{Name: "idle-refuser", RefuseMediation: true, TamperBlocks: true},
+			agent.FalseClaimant, 1, "shortage"},
+		{"both false claims", agent.Honest,
+			agent.Behavior{Name: "double-claimant", FalseShortageClaim: true, FalseExcessClaim: true}, 1, "shortage"},
+	} {
+		cfg := withBehavior(honestConfig(dlt.NCPFE), 0, c.orig)
+		cfg.Behaviors[1] = c.claimant // the first recipient
+		out, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out.Completed || out.TerminatedIn != "allocating" {
+			t.Fatalf("%s: run not terminated in allocating", c.name)
+		}
+		for i, f := range out.Fines {
+			want := 0.0
+			if i == c.guilty {
+				want = out.FineMagnitude
+			}
+			if f != want {
+				t.Errorf("%s: P%d fined %v, want %v", c.name, i+1, f, want)
+			}
+		}
+		if v := out.Verdicts[len(out.Verdicts)-1]; !strings.Contains(v.Reason, c.reason) {
+			t.Errorf("%s: verdict %q, want one naming %q", c.name, v.Reason, c.reason)
+		}
 	}
 }
 

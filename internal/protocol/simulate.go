@@ -17,29 +17,15 @@ import (
 // the tests cross-validate it against dlt.Schedule span by span.
 //
 // alloc is in processor index order; exec are the execution values the
-// computations run at.
-func SimulateTimeline(net dlt.Network, z float64, alloc dlt.Allocation, exec []float64) (dlt.Timeline, error) {
-	return SimulateTimelineFaults(net, z, alloc, exec, nil)
-}
-
-// SimulateTimelineFaults is SimulateTimeline over a bus carrying the
-// given FaultPlan. Control-plane faults are irrelevant here (the load
-// transfers use the data plane only); what matters is the data-plane
-// slice of the plan — JitterMax, which stretches each reserved transfer
-// by seeded uniform jitter, and per-pair Jitter rules when the
-// destinations are named (SimulateTimelineFaultsNamed). A nil plan
-// reproduces SimulateTimeline exactly.
-func SimulateTimelineFaults(net dlt.Network, z float64, alloc dlt.Allocation, exec []float64, plan *bus.FaultPlan) (dlt.Timeline, error) {
-	return SimulateTimelineFaultsNamed(net, z, alloc, exec, plan, nil)
-}
-
-// SimulateTimelineFaultsNamed is SimulateTimelineFaults with the
-// processors' bus identities supplied, so a plan's per-pair (targeted)
-// jitter rules can key each reserved transfer by its destination. procs,
-// when non-nil, must be index-aligned with alloc; nil procs reserves
-// untargeted transfers (global jitter only), reproducing
-// SimulateTimelineFaults exactly.
-func SimulateTimelineFaultsNamed(net dlt.Network, z float64, alloc dlt.Allocation, exec []float64, plan *bus.FaultPlan, procs []string) (dlt.Timeline, error) {
+// computations run at. plan, when non-nil, is the bus's FaultPlan.
+// Control-plane faults are irrelevant here (the load transfers use the
+// data plane only); what matters is the data-plane slice of the plan —
+// JitterMax, which stretches each reserved transfer by seeded uniform
+// jitter, and per-pair Jitter rules, which key each transfer by its
+// destination's bus identity in procs. procs, when non-nil, must be
+// index-aligned with alloc; nil procs reserves untargeted transfers
+// (global jitter only).
+func SimulateTimeline(net dlt.Network, z float64, alloc dlt.Allocation, exec []float64, plan *bus.FaultPlan, procs []string) (dlt.Timeline, error) {
 	m := len(alloc)
 	if len(exec) != m {
 		return dlt.Timeline{}, fmt.Errorf("protocol: %d exec values for %d fractions", len(exec), m)

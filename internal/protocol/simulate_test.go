@@ -34,7 +34,7 @@ func TestSimulateMatchesClosedFormSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simulated, err := SimulateTimeline(net, in.Z, alloc, exec)
+			simulated, err := SimulateTimeline(net, in.Z, alloc, exec, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestSimulateMatchesProtocolOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulated, err := SimulateTimeline(dlt.NCPFE, cfg.Z, out.Alloc, out.Exec)
+	simulated, err := SimulateTimeline(dlt.NCPFE, cfg.Z, out.Alloc, out.Exec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestSimulateMatchesProtocolOutcome(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := SimulateTimeline(dlt.NCPFE, 0.2, dlt.Allocation{0.5, 0.5}, []float64{1}); err == nil {
+	if _, err := SimulateTimeline(dlt.NCPFE, 0.2, dlt.Allocation{0.5, 0.5}, []float64{1}, nil, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := SimulateTimeline(dlt.Network(9), 0.2, dlt.Allocation{1}, []float64{1}); err == nil {
+	if _, err := SimulateTimeline(dlt.Network(9), 0.2, dlt.Allocation{1}, []float64{1}, nil, nil); err == nil {
 		t.Error("unknown network accepted")
 	}
-	if _, err := SimulateTimeline(dlt.NCPFE, -1, dlt.Allocation{0.5, 0.5}, []float64{1, 1}); err == nil {
+	if _, err := SimulateTimeline(dlt.NCPFE, -1, dlt.Allocation{0.5, 0.5}, []float64{1, 1}, nil, nil); err == nil {
 		t.Error("negative z accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestSimulateValidation(t *testing.T) {
 // TestSimulateZeroFraction: processors with zero load finish at their
 // (empty) delivery instant and contribute nothing to the makespan.
 func TestSimulateZeroFraction(t *testing.T) {
-	tl, err := SimulateTimeline(dlt.NCPFE, 0.5, dlt.Allocation{0.7, 0.3, 0}, []float64{1, 1, 1})
+	tl, err := SimulateTimeline(dlt.NCPFE, 0.5, dlt.Allocation{0.7, 0.3, 0}, []float64{1, 1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func TestRecordFailoverEntry(t *testing.T) {
 	if err := VerifyEntries(f.ref.Transcript()); err != nil {
 		t.Fatal(err)
 	}
-	if s := f.ref.AuditString(); !strings.Contains(s, "failover") {
-		t.Errorf("AuditString misses the failover entry:\n%s", s)
+	if s := f.ref.audit.String(); !strings.Contains(s, "failover") {
+		t.Errorf("the rendered transcript misses the failover entry:\n%s", s)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestRefereeProducesTranscript(t *testing.T) {
 	}
 	tr := f.ref.Transcript()
 	if len(tr) != 3 {
-		t.Fatalf("transcript has %d entries, want 3:\n%s", len(tr), f.ref.AuditString())
+		t.Fatalf("transcript has %d entries, want 3:\n%s", len(tr), f.ref.audit.String())
 	}
 	if tr[0].Action != "verdict" || tr[1].Action != "meter" || tr[2].Action != "settlement" {
 		t.Errorf("actions = %s/%s/%s", tr[0].Action, tr[1].Action, tr[2].Action)

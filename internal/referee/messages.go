@@ -12,13 +12,14 @@ import (
 
 // Message kinds, one per protocol artifact.
 const (
-	KindBid           = "dls/bid"            // Bidding phase broadcast
-	KindBidVector     = "dls/bid-vector"     // vector submitted to the referee on a claim
-	KindPayment       = "dls/payment"        // Computing Payments submission
-	KindMeters        = "dls/meters"         // referee's meter broadcast
-	KindClaim         = "dls/claim"          // misallocation claim
-	KindWitnessReport = "dls/witness-report" // unreachability report against a bidder
-	KindAuditReplica  = "dls/audit-replica"  // primary → standby audit-log replication
+	KindBid                = "dls/bid"                  // Bidding phase broadcast
+	KindBidVector          = "dls/bid-vector"           // vector submitted to the referee on an excess claim
+	KindPayment            = "dls/payment"              // Computing Payments submission
+	KindMeters             = "dls/meters"               // referee's meter broadcast
+	KindEquivocationReport = "dls/equivocation-report"  // two contradictory signed bids reported to the referee
+	KindShortDeliveryClaim = "dls/short-delivery-claim" // shortage claim the referee mediates
+	KindWitnessReport      = "dls/witness-report"       // unreachability report against a bidder
+	KindAuditReplica       = "dls/audit-replica"        // primary → standby audit-log replication
 )
 
 // BidPayload is the Bidding phase message S_Pi(b_i, P_i). Round, when
@@ -56,15 +57,6 @@ type PaymentPayload struct {
 // (φ_1, …, φ_m) read from the tamper-proof meters.
 type MetersPayload struct {
 	Phi []float64 `json:"phi"`
-}
-
-// ClaimPayload is a misallocation claim raised in the Allocating Load
-// phase: the claimant received Delivered blocks but expected its share of
-// the allocation.
-type ClaimPayload struct {
-	Proc      string `json:"proc"`
-	Delivered int    `json:"delivered"`
-	Expected  int    `json:"expected"`
 }
 
 // WitnessReportPayload is a signed unreachability report: Witness claims

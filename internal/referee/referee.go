@@ -249,9 +249,6 @@ func (r *Referee) RecordFailover(fromAccount, toAccount string) AuditEntry {
 // validates such a copy independently of the referee.
 func (r *Referee) Transcript() []AuditEntry { return r.audit.Entries() }
 
-// AuditString renders the transcript for humans.
-func (r *Referee) AuditString() string { return r.audit.String() }
-
 // SuggestedFine returns a fine magnitude that satisfies F ≥ Σ α_j·w̃_j for
 // any feasible allocation as long as no processor slacks beyond
 // slackFactor times the slowest bid: Σ α_j·w̃_j ≤ max_j w̃_j ≤
@@ -321,9 +318,9 @@ func (r *Referee) JudgeEquivocation(accuser string, a, b sig.Envelope) (Verdict,
 // evidenceInEpoch reports whether an equivocation-evidence envelope is a
 // bid of its sender's current bid epoch. An envelope from a
 // non-participant qualifies (JudgeEquivocation rejects it outright), as
-// does one that fails to open — sig.IsEquivocation has already vouched
-// for both signatures by the time this runs, so an unopenable payload
-// cannot occur on the true branch.
+// does one that fails to open — BatchVerifier.IsEquivocation has already
+// vouched for both signatures by the time this runs, so an unopenable
+// payload cannot occur on the true branch.
 func (r *Referee) evidenceInEpoch(env sig.Envelope) bool {
 	j, ok := r.index[env.Sender]
 	if !ok {

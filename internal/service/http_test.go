@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -234,6 +235,54 @@ func TestHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("post-shutdown → %s, want 503", resp.Status)
 	}
 	resp.Body.Close()
+}
+
+// TestHTTPCreatePoolRejectsUnservableSpecs: a pool whose rates no round
+// can serve (a rate that is not a positive finite number) or that has
+// more than MaxPoolSize members is refused at creation with a 400 and a
+// reason, instead of being created and failing every job it is sent. A
+// pool of exactly MaxPoolSize members is created.
+func TestHTTPCreatePoolRejectsUnservableSpecs(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	rates := func(m int) string {
+		w := make([]string, m)
+		for i := range w {
+			w[i] = "1"
+		}
+		return "[" + strings.Join(w, ",") + "]"
+	}
+	for _, c := range []struct{ w, reason string }{
+		{`[1,-1]`, "invalid processing time w[1]=-1"},
+		{`[1,0]`, "invalid processing time w[1]=0"},
+		{rates(MaxPoolSize + 1), fmt.Sprintf("at most %d processors, got %d", MaxPoolSize, MaxPoolSize+1)},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/pools", `{"name":"bad","w":`+c.w+`}`)
+		var body struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, c.reason) {
+			t.Errorf("w=%.40s: %s %q, want 400 naming %q", c.w, resp.Status, body.Error, c.reason)
+		}
+	}
+	if _, ok := srv.Pool("bad"); ok {
+		t.Fatal("a refused pool was registered")
+	}
+	// +Inf has no JSON spelling; the library entry point refuses it too.
+	if _, err := srv.CreatePool(PoolSpec{Name: "inf", TrueW: []float64{1, math.Inf(1)}}); err == nil {
+		t.Error("CreatePool accepted an infinite rate")
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/pools", `{"name":"widest","w":`+rates(MaxPoolSize)+`}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("pool of %d members: %s, want 201", MaxPoolSize, resp.Status)
+	}
 }
 
 // TestHTTPBodyLimit: a body over maxBodyBytes gets 413 with a reason on

@@ -42,6 +42,15 @@ type PoolSpec struct {
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
 }
 
+// MaxPoolSize caps the processors in a pool (PoolSpec.TrueW) at
+// creation. A round's bid exchange is Θ(m²) deliveries, and a cold
+// protocol.Run took 22 ms at m = 64, 79 ms at m = 128 and 253 ms at
+// m = 256 (one sample each on a 2-vCPU KVM guest): ×3.2–3.7 per
+// doubling, so a 4,096-member spec, 36 KiB of JSON, would cost tens of
+// seconds of CPU per job. 256 is also the largest pool that
+// netbus.MailboxBytes is sized for; a larger cap must re-derive it.
+const MaxPoolSize = 256
+
 // Pool is a registered processor pool: a persistent session whose
 // reputation state and warm keyring survive across the jobs the service
 // runs against it. All rounds against one pool execute on its single
@@ -94,6 +103,9 @@ func parsePolicy(name string) (session.Policy, error) {
 func newPool(spec PoolSpec) (*Pool, error) {
 	if spec.Name == "" {
 		return nil, errors.New("service: pool needs a name")
+	}
+	if len(spec.TrueW) > MaxPoolSize {
+		return nil, fmt.Errorf("service: a pool has at most %d processors, got %d", MaxPoolSize, len(spec.TrueW))
 	}
 	network, err := parseNetwork(spec.Network)
 	if err != nil {
@@ -238,10 +250,3 @@ func (p *Pool) Snapshot() PoolSnapshot {
 
 // Name returns the pool's name.
 func (p *Pool) Name() string { return p.spec.Name }
-
-// Rounds returns the number of rounds the pool has played.
-func (p *Pool) Rounds() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state.Round
-}

@@ -146,8 +146,8 @@ func TestConcurrentSameSubmissionsSerialize(t *testing.T) {
 		t.Error(err)
 	}
 	p, _ := srv.Pool("p")
-	if p.Rounds() != n {
-		t.Fatalf("pool played %d rounds, want %d", p.Rounds(), n)
+	if p.Snapshot().Rounds != n {
+		t.Fatalf("pool played %d rounds, want %d", p.Snapshot().Rounds, n)
 	}
 }
 
@@ -208,8 +208,8 @@ func TestDisjointPoolsOverlap(t *testing.T) {
 	}
 	for i := 0; i < pools; i++ {
 		p, _ := srv.Pool(fmt.Sprintf("pool%d", i))
-		if p.Rounds() != 10 {
-			t.Fatalf("pool%d played %d rounds, want 10", i, p.Rounds())
+		if p.Snapshot().Rounds != 10 {
+			t.Fatalf("pool%d played %d rounds, want 10", i, p.Snapshot().Rounds)
 		}
 	}
 }

@@ -178,6 +178,10 @@ func (s *Session) NewState() (*State, error) {
 	if s.Network != dlt.NCPFE && s.Network != dlt.NCPNFE {
 		return nil, fmt.Errorf("session: DLS-BL-NCP requires an NCP class, got %v", s.Network)
 	}
+	// Rates no round can serve fail here, not on every later job.
+	if err := (dlt.Instance{Network: s.Network, W: s.TrueW}).Validate(); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 	st := &State{
 		CumulativeUtility: make([]float64, m),
 		Banned:            make([]bool, m),

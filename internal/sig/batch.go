@@ -115,8 +115,8 @@ type BatchStats struct {
 	Verified int
 	// MemoHits counts verifications skipped via the memo.
 	MemoHits int
-	// Batches counts VerifyEach/VerifyAll invocations that had at least
-	// one non-memoized envelope to verify.
+	// Batches counts VerifyEach invocations that had at least one
+	// non-memoized envelope to verify.
 	Batches int
 }
 
@@ -170,8 +170,10 @@ func (b *BatchVerifier) Open(e *Envelope, v any) error {
 	return decodePayload(e.Kind, e.Sender, e.Payload, v)
 }
 
-// IsEquivocation is sig.IsEquivocation through the memoized verifier:
-// same sender and kind, different payloads, both correctly signed.
+// IsEquivocation reports whether the two envelopes prove that a sender
+// equivocated: same sender and kind, both correctly signed (through the
+// memo), but different payloads. This is the "multiple authenticated
+// messages" evidence the Bidding phase hands to the referee.
 func (b *BatchVerifier) IsEquivocation(x, y Envelope) bool {
 	if x.Sender != y.Sender || x.Kind != y.Kind {
 		return false
@@ -253,11 +255,5 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 type errDefer struct{ idx int }
 
 // Error satisfies the error interface; the value is internal and never
-// escapes VerifyAll.
+// escapes VerifyEach.
 func (e errDefer) Error() string { return "sig: deferred to duplicate envelope" }
-
-// VerifyAll verifies a whole profile of envelopes in one pass and
-// returns the first failure in index order (nil when all verified).
-func (b *BatchVerifier) VerifyAll(envs []Envelope) error {
-	return firstError(b.VerifyEach(envs))
-}

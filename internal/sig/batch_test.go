@@ -128,7 +128,7 @@ func TestVerifyEach(t *testing.T) {
 	}
 
 	// Second pass over the valid prefix: everything is memoized now.
-	if err := bv.VerifyAll(envs[:4]); err != nil {
+	if err := firstError(bv.VerifyEach(envs[:4])); err != nil {
 		t.Fatal(err)
 	}
 	if st := bv.Stats(); st.Verified != 3 {

@@ -237,10 +237,10 @@ func TestBatchVerifierOpen(t *testing.T) {
 		t.Error("tampered envelope judged equivocation")
 	}
 
-	if err := bv.VerifyAll([]Envelope{env, other, env}); err != nil {
-		t.Errorf("VerifyAll over valid profile: %v", err)
+	if err := firstError(bv.VerifyEach([]Envelope{env, other, env})); err != nil {
+		t.Errorf("VerifyEach over valid profile: %v", err)
 	}
-	if err := bv.VerifyAll([]Envelope{env, bad}); !errors.Is(err, ErrBadSignature) {
-		t.Errorf("VerifyAll over tampered profile: %v", err)
+	if err := firstError(bv.VerifyEach([]Envelope{env, bad})); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("VerifyEach over tampered profile: %v", err)
 	}
 }

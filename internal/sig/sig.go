@@ -261,17 +261,3 @@ func (e Envelope) Equal(o Envelope) bool {
 	return e.Sender == o.Sender && e.Kind == o.Kind &&
 		bytes.Equal(e.Payload, o.Payload) && bytes.Equal(e.Signature, o.Signature)
 }
-
-// IsEquivocation reports whether the two envelopes prove that a sender
-// equivocated: same sender and kind, both correctly signed, but different
-// payloads. This is the "multiple authenticated messages" evidence the
-// Bidding phase hands to the referee.
-func IsEquivocation(reg *Registry, a, b Envelope) bool {
-	if a.Sender != b.Sender || a.Kind != b.Kind {
-		return false
-	}
-	if bytes.Equal(a.Payload, b.Payload) {
-		return false
-	}
-	return a.Verify(reg) == nil && b.Verify(reg) == nil
-}

@@ -184,24 +184,25 @@ func TestIsEquivocation(t *testing.T) {
 	if err := reg.Register(k.ID, k.Public); err != nil {
 		t.Fatal(err)
 	}
+	bv := NewBatchVerifier(reg, nil)
 	a, _ := Seal(k, "bid", bidMsg{Bid: 1})
 	b, _ := Seal(k, "bid", bidMsg{Bid: 2})
-	if !IsEquivocation(reg, a, b) {
+	if !bv.IsEquivocation(a, b) {
 		t.Error("genuine equivocation not detected")
 	}
 	same, _ := Seal(k, "bid", bidMsg{Bid: 1})
-	if IsEquivocation(reg, a, same) {
+	if bv.IsEquivocation(a, same) {
 		t.Error("identical payloads flagged as equivocation")
 	}
 	other, _ := Seal(k, "payment", bidMsg{Bid: 2})
-	if IsEquivocation(reg, a, other) {
+	if bv.IsEquivocation(a, other) {
 		t.Error("different kinds flagged as equivocation")
 	}
 	// A forged second message must not prove equivocation.
 	forged := b
 	forged.Signature = append([]byte(nil), b.Signature...)
 	forged.Signature[3] ^= 0x01
-	if IsEquivocation(reg, a, forged) {
+	if bv.IsEquivocation(a, forged) {
 		t.Error("forged message accepted as equivocation evidence")
 	}
 }
