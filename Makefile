@@ -38,13 +38,14 @@ race-fanout:
 		./internal/sig ./internal/protocol
 	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity' ./internal/protocol ./internal/netbus
 
-# Doc-comment lint over the packages whose godoc is part of the repo's
-# contract: every exported top-level symbol must carry a doc comment.
+# Doc-comment lint over every package under internal/: every exported
+# top-level symbol must carry a doc comment.
 doccheck:
 	$(GO) run ./cmd/doccheck ./internal/protocol ./internal/sig ./internal/netbus ./internal/bus \
 		./internal/service ./internal/pipeline ./internal/referee ./internal/session \
 		./internal/core ./internal/dlt ./internal/payment ./internal/agent ./internal/workload \
-		./internal/adversarytest ./internal/obs
+		./internal/adversarytest ./internal/obs ./internal/sim ./internal/stats ./internal/gantt \
+		./internal/dynamics ./internal/experiments
 
 # Every example, run end to end: each is a standalone main that exits
 # non-zero when it fails. examples/service (one pool at two bus rates)
@@ -105,9 +106,12 @@ cover:
 # bid-session membership model, the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
 # the accusation wire format), the netbus datagram receive path (decode
-# totality + canonical re-encode fixpoint), the netbus node's handling of
-# datagram sequences (all-or-nothing multi frames, the mailbox byte
-# bound), and the installment round-ID grammar (parse/print fixed point).
+# totality + canonical re-encode fixpoint, batch frames included), the
+# netbus node's handling of datagram sequences (all-or-nothing multi and
+# batch frames, resends, the mailbox byte bound), the installment
+# round-ID grammar (parse/print fixed point), and the service's admission
+# path (arbitrary job submissions and pool specs over HTTP: no panic,
+# every rejection a 4xx with a JSON error, every pool bounded).
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzEngineParity -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeTampering -fuzztime=10s ./internal/sig/
@@ -119,6 +123,8 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzWitnessReport -fuzztime=10s ./internal/referee/
 	$(GO) test -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s ./internal/netbus/
 	$(GO) test -run=NONE -fuzz=FuzzNodeHandle -fuzztime=10s ./internal/netbus/
+	$(GO) test -run=NONE -fuzz=FuzzSubmission -fuzztime=10s ./internal/service/
+	$(GO) test -run=NONE -fuzz=FuzzPoolSpec -fuzztime=10s ./internal/service/
 
 # Run the scheduling daemon with its demo pool on :8080. See the
 # README's "Service mode" section for the client conversation.

@@ -1,10 +1,12 @@
 // Command dls-node runs one mailbox node of the netbus: a stateless
 // relay process that hosts the inboxes of the protocol endpoints
 // assigned to it in the peer table and answers message, drain and ping
-// datagrams over UDP — FtMsgMulti/FtDrainNode/FtPing from a v3 driver,
-// one frame per node rather than per endpoint, and FtMsg/FtDrain from a
-// v2 one. Each mailbox holds at most netbus.MailboxBytes; frames past
-// that bound are refused and counted (node_refused_total). It never dials out and never originates traffic —
+// datagrams over UDP — FtMsgBatch/FtDrainNode/FtPing from a v4 driver,
+// one frame per node for a whole batch of messages rather than per
+// endpoint or per message, FtMsgMulti from a v3 one and FtMsg/FtDrain
+// from a v2 one. Each mailbox holds at most netbus.MailboxBytes; frames
+// past that bound are refused and counted (node_refused_total). It
+// never dials out and never originates traffic —
 // all protocol logic (agents, referee, retry/backoff) lives in the
 // driver process (dls-serve -net-round); a dls-node only stores and
 // forwards sealed envelopes.

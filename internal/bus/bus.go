@@ -134,6 +134,23 @@ func (b *Bus) Attach(id string) error {
 	return nil
 }
 
+// Detach forgets an endpoint: its queued and delayed deliveries are
+// discarded, a mid-run unresponsive mark is lifted, and later traffic
+// naming it fails as unknown until it is attached again. Detaching an
+// endpoint that is not attached does nothing.
+func (b *Bus) Detach(id string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.inboxes[id]; !ok {
+		return
+	}
+	delete(b.inboxes, id)
+	delete(b.staged, id)
+	delete(b.dead, id)
+	i := sort.SearchStrings(b.order, id)
+	b.order = append(b.order[:i], b.order[i+1:]...)
+}
+
 // Endpoints returns the attached identities, sorted.
 func (b *Bus) Endpoints() []string {
 	b.mu.Lock()
@@ -277,6 +294,32 @@ func (b *Bus) BroadcastTagged(from, kind string, env sig.Envelope, size int, non
 		b.deliver(id, msg)
 	}
 	return nonce, nil
+}
+
+// Broadcast is one emission of a BroadcastEach batch: the arguments of
+// one BroadcastTagged call, as a value.
+type Broadcast struct {
+	From  string
+	Kind  string
+	Env   sig.Envelope
+	Size  int
+	Nonce uint64 // 0 allocates a fresh one
+}
+
+// BroadcastEach is BroadcastTagged over the batch, in order: the same
+// nonces, fault draws, inbox order, stats and events as the loop, which
+// it is. It returns the nonce in force for each broadcast; on an error
+// the broadcasts before the failing one have gone out.
+func (b *Bus) BroadcastEach(bs []Broadcast) ([]uint64, error) {
+	nonces := make([]uint64, len(bs))
+	for i, x := range bs {
+		nonce, err := b.BroadcastTagged(x.From, x.Kind, x.Env, x.Size, x.Nonce)
+		if err != nil {
+			return nil, err
+		}
+		nonces[i] = nonce
+	}
+	return nonces, nil
 }
 
 // Send delivers the envelope to a single endpoint under a fresh nonce.

@@ -2,9 +2,11 @@ package bus
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"dlsbl/internal/obs"
 	"dlsbl/internal/sig"
 )
 
@@ -217,5 +219,110 @@ func TestQuickBroadcastFanout(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eventLog records every delivery event's kind, endpoints and message
+// kind, in order.
+type eventLog []string
+
+func (l *eventLog) BeginPhase(name, round, epoch string) {}
+func (l *eventLog) EndPhase(name string)                 {}
+func (l *eventLog) Event(e obs.Event) {
+	*l = append(*l, e.Kind+" "+e.From+"→"+e.To+" "+e.Msg)
+}
+
+// TestBroadcastEachIsTheLoop pins BroadcastEach on the simulated bus to
+// BroadcastTagged in a loop: under the same seeded fault plan, the same
+// nonces, inbox contents and order, stats and delivery events.
+func TestBroadcastEachIsTheLoop(t *testing.T) {
+	plan := &FaultPlan{Seed: 11, Drop: 0.2, Duplicate: 0.2, Delay: 0.2, Corrupt: 0.1, Reorder: 0.3}
+	ids := []string{"P1", "P2", "P3", "P4", "referee"}
+	var batch []Broadcast
+	for i, from := range ids[:4] {
+		batch = append(batch, Broadcast{From: from, Kind: "bid", Env: testEnv(t, from, int64(i+1), i), Size: 1})
+	}
+	batch = append(batch, Broadcast{From: "P2", Kind: "bid", Env: testEnv(t, "P2", 9, 9), Size: 1, Nonce: 42})
+	run := func(each bool) ([]uint64, map[string][]Message, Stats, eventLog) {
+		b := faultyBus(t, plan, ids...)
+		var events eventLog
+		b.SetTracer(&events)
+		var nonces []uint64
+		if each {
+			var err error
+			if nonces, err = b.BroadcastEach(batch); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, x := range batch {
+				n, err := b.BroadcastTagged(x.From, x.Kind, x.Env, x.Size, x.Nonce)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nonces = append(nonces, n)
+			}
+		}
+		inboxes := map[string][]Message{}
+		for _, id := range ids {
+			for drain := 0; drain < 2; drain++ { // the second drain releases delayed copies
+				msgs, err := b.Drain(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inboxes[id] = append(inboxes[id], msgs...)
+			}
+		}
+		return nonces, inboxes, b.Stats(), events
+	}
+	loopN, loopIn, loopSt, loopEv := run(false)
+	eachN, eachIn, eachSt, eachEv := run(true)
+	if !reflect.DeepEqual(eachN, loopN) || eachN[4] != 42 {
+		t.Errorf("nonces: BroadcastEach %v, loop %v", eachN, loopN)
+	}
+	if !reflect.DeepEqual(eachIn, loopIn) {
+		t.Error("inboxes differ from the loop's")
+	}
+	if eachSt != loopSt || loopSt.Dropped+loopSt.Duplicated+loopSt.Delayed+loopSt.Corrupted+loopSt.Reordered == 0 {
+		t.Errorf("stats: BroadcastEach %+v, loop %+v (want equal, with faults drawn)", eachSt, loopSt)
+	}
+	if !reflect.DeepEqual(eachEv, loopEv) {
+		t.Errorf("events differ:\n each %v\n loop %v", eachEv, loopEv)
+	}
+}
+
+// TestDetach pins endpoint release: a detached endpoint loses what was
+// queued or delayed for it, later broadcasts skip it, traffic naming it
+// fails as unknown, and it can be attached again.
+func TestDetach(t *testing.T) {
+	b := faultyBus(t, &FaultPlan{Seed: 3, Delay: 1}, "P1", "P2", "P3")
+	env := testEnv(t, "P1", 1, 1)
+	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	b.Detach("P2")
+	b.Detach("P2") // a second detach does nothing
+	b.Detach("ghost")
+	if got := b.Endpoints(); !reflect.DeepEqual(got, []string{"P1", "P3"}) {
+		t.Fatalf("endpoints after detaching P2: %v", got)
+	}
+	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Deliveries != 3 {
+		t.Errorf("Deliveries = %d, want 3: the second broadcast must skip P2", st.Deliveries)
+	}
+	if _, err := b.Drain("P2"); err == nil {
+		t.Error("drained a detached endpoint")
+	}
+	if _, err := b.SendTagged("P1", "P2", "k", env, 1, 0); err == nil {
+		t.Error("sent to a detached endpoint")
+	}
+	if err := b.Attach("P2"); err != nil {
+		t.Fatalf("re-attach: %v", err)
+	}
+	for drain := 0; drain < 2; drain++ {
+		if msgs, err := b.Drain("P2"); err != nil || len(msgs) != 0 {
+			t.Fatalf("re-attached P2 drained %d messages (%v), want none of the old ones", len(msgs), err)
+		}
 	}
 }

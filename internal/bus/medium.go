@@ -21,9 +21,18 @@ import (
 //     it. The simulated bus rejects duplicate attachment; long-lived
 //     media that survive multiple protocol runs may accept
 //     re-attachment of a known endpoint.
+//   - Detach releases an endpoint: later broadcasts skip it and nothing
+//     stays queued for it. A protocol run detaches every endpoint it
+//     attached when it ends, so a long-lived medium serves exactly the
+//     endpoints of the run in progress.
 //   - BroadcastTagged delivers one emission to every attached endpoint
 //     except the sender, iterating endpoints in sorted order so
 //     deterministic implementations stay reproducible.
+//   - BroadcastEach delivers a batch of emissions in order. Every inbox
+//     sees the order BroadcastTagged in a loop would give it, and each
+//     broadcast gets the nonce the loop would give it. The simulated bus
+//     runs exactly that loop; the netbus sends each remote node one
+//     frame for the whole batch.
 //   - SendTagged unicasts to one endpoint. For both, a zero nonce
 //     allocates a fresh logical-message nonce via the medium's counter;
 //     retransmissions pass the original nonce so receivers can dedup.
@@ -51,10 +60,15 @@ type Medium interface {
 	Endpoints() []string
 	// NextNonce allocates a fresh logical-message nonce.
 	NextNonce() uint64
+	// Detach releases an endpoint identity; unknown ones are ignored.
+	Detach(id string)
 	// BroadcastTagged delivers env to every attached endpoint except
 	// from, under the given logical nonce (0 allocates one). It returns
 	// the nonce in force.
 	BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)
+	// BroadcastEach performs the batch's broadcasts in order and returns
+	// the nonce in force for each.
+	BroadcastEach(bs []Broadcast) ([]uint64, error)
 	// SendTagged delivers env to a single endpoint under the given
 	// logical nonce (0 allocates one). It returns the nonce in force.
 	SendTagged(from, to, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)

@@ -3,6 +3,7 @@ package netbus
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"dlsbl/internal/bus"
@@ -26,11 +27,16 @@ func fuzzMsg(f *testing.F) bus.Message {
 // frame header plus every body decoder — and checks total behavior: no
 // panics, errors only of the ErrWire family, and accepted frames
 // re-encode to the identical datagram (the decode→encode fixpoint that
-// keeps resend dedup byte-stable). The committed seed corpus under
+// keeps resend dedup byte-stable). Every decoded message is also sized
+// with messageLen, and every batch entry with entryLen, against its
+// encoding: nodes cut drain pages and bound mailboxes with them, and
+// the driver cuts batch frames. The committed seed corpus under
 // testdata/fuzz/FuzzWireFrame covers every frame type plus the
 // truncation/oversize/version mutants from TestMalformedFrames.
 func FuzzWireFrame(f *testing.F) {
 	msg := fuzzMsg(f)
+	second := msg
+	second.From, second.Nonce = "P2", 8
 	f.Add(AppendMsgFrame(nil, 1, "drv", "P1", msg))
 	f.Add(AppendControlFrame(nil, FtAck, 2, "w1"))
 	f.Add(appendDrainFrame(nil, 3, "drv", "P1", 9))
@@ -53,6 +59,9 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendDrainNodeFrame(nil, 11, "drv", []drainReq{{"P1", 3}, {"P2", 0}}))
 	f.Add(appendDrainNodeRspFrame(nil, 11, "w1",
 		[]drainPart{{"P1", []SeqMsg{{Seq: 4, Msg: msg}}}, {"P2", []SeqMsg{{Seq: 1, Msg: msg}, {Seq: 2, Msg: msg}}}}, true))
+	f.Add(appendMsgBatchFrame(nil, FlagTrace, 12, "drv",
+		[]msgEntry{{[]string{"P2", "P3"}, msg}, {[]string{"P3"}, second}}, "s1:r1", "s1:r1"))
+	f.Add(appendMsgBatchFrame(nil, 0, 13, "drv", []msgEntry{{[]string{"P1"}, msg}}, "", ""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
@@ -87,16 +96,38 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := appendMsgMultiFrame(nil, fr.Flags, fr.Nonce, fr.Node, dests, m, fr.Round, fr.Epoch, fr.Origin)
+			re := sameVersion(appendMsgMultiFrame(nil, fr.Flags, fr.Nonce, fr.Node, dests, m, fr.Round, fr.Epoch, fr.Origin))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("multi frame not a fixpoint:\n in  %x\n out %x", data, re)
+			}
+		case FtMsgBatch:
+			entries, err := decodeMsgBatchBody(fr.Body)
+			if err != nil {
+				return
+			}
+			body := 0
+			for _, e := range entries {
+				if messageLen(e.msg) != len(appendMessage(nil, e.msg)) {
+					t.Fatalf("messageLen %d disagrees with the encoding of %+v", messageLen(e.msg), e.msg)
+				}
+				body += entryLen(e)
+			}
+			if want := len(fr.Body) - uvarintLen(uint64(len(entries))); body != want {
+				t.Fatalf("entryLen sums to %d, the entries take %d bytes", body, want)
+			}
+			if hl := headerLen(fr.Flags, fr.Node, fr.Round, fr.Epoch, fr.Origin); hl != len(data)-len(fr.Body) {
+				t.Fatalf("headerLen %d, the header takes %d bytes", hl, len(data)-len(fr.Body))
+			}
+			re := appendMsgBatchFrame(nil, fr.Flags, fr.Nonce, fr.Node, entries, fr.Round, fr.Epoch)
+			if !bytes.Equal(re, data) {
+				t.Fatalf("batch frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtDrainNode:
 			reqs, err := decodeDrainNodeBody(fr.Body)
 			if err != nil {
 				return
 			}
-			re := appendDrainNodeFrame(nil, fr.Nonce, fr.Node, reqs)
+			re := sameVersion(appendDrainNodeFrame(nil, fr.Nonce, fr.Node, reqs))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("node drain frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -105,7 +136,7 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, parts, fr.Flags&FlagMore != 0)
+			re := sameVersion(appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, parts, fr.Flags&FlagMore != 0))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("node drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -169,14 +200,26 @@ func datagrams(dgs ...[]byte) []byte {
 
 // FuzzNodeHandle feeds a socketless node arbitrary datagram sequences
 // (each datagram behind a 2-byte length) through Node.handle and checks
-// after every datagram that nothing panicked, that a multi frame filled
-// all of its mailboxes or none, that no other frame filled more than
-// one, and that every mailbox stays within its byte bound. The bound is
-// lowered to a few messages' worth so the fuzzer reaches it.
+// after every datagram that nothing panicked; that a message frame —
+// FtMsg, FtMsgMulti or FtMsgBatch — was filed whole or not at all:
+// either no mailbox grew, or every mailbox grew by exactly the number of
+// the frame's messages naming it, and the frame was acked; that no other
+// frame filed mail; that a resent frame (same sender node and frame
+// nonce as one filed before) filed nothing, and that an identical resend
+// was acked again; and that every mailbox stays within its byte bound.
+// The bound is lowered to a few messages' worth so the fuzzer reaches
+// it.
 func FuzzNodeHandle(f *testing.F) {
 	msg := fuzzMsg(f)
 	multi := func(nonce uint64, dests ...string) []byte {
 		return appendMsgMultiFrame(nil, 0, nonce, "drv", dests, msg, "", "", 0)
+	}
+	batch := func(nonce uint64, dests ...[]string) []byte {
+		entries := make([]msgEntry, len(dests))
+		for i, d := range dests {
+			entries[i] = msgEntry{dests: d, msg: msg}
+		}
+		return appendMsgBatchFrame(nil, 0, nonce, "drv", entries, "", "")
 	}
 	f.Add(datagrams(multi(1, "P1", "P2"), multi(1, "P1", "P2"), multi(2, "P2", "P3"),
 		appendDrainNodeFrame(nil, 3, "drv", []drainReq{{"P1", 0}, {"P2", 0}, {"P3", 0}}),
@@ -189,11 +232,22 @@ func FuzzNodeHandle(f *testing.F) {
 	}
 	flood = append(flood, appendDrainNodeFrame(nil, 30, "drv", []drainReq{{"P1", 8}, {"P3", 8}}), multi(31, "P1", "P2", "P3"))
 	f.Add(datagrams(flood...))
+	// Batches: a valid one and its resend, one whose second entry names
+	// a foreign endpoint, one naming a mailbox twice within an entry,
+	// one naming P1 in three entries, and one that only overflows P2's
+	// bound by counting all of its entries.
+	f.Add(datagrams(batch(40, []string{"P2", "P3"}, []string{"P1", "P3"}), batch(40, []string{"P2", "P3"}, []string{"P1", "P3"}),
+		batch(41, []string{"P1"}, []string{"P9"}), batch(42, []string{"P2", "P2"}),
+		batch(43, []string{"P1"}, []string{"P1", "P2"}, []string{"P3", "P1"}),
+		appendDrainNodeFrame(nil, 44, "drv", []drainReq{{"P1", 3}, {"P2", 1}, {"P3", 2}}),
+		batch(45, []string{"P2"}, []string{"P2"}, []string{"P2"}, []string{"P2"}, []string{"P2"}, []string{"P2"}, []string{"P2"})))
 
 	eps := []string{"P1", "P2", "P3"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := newNode("w1", eps)
 		n.boxCap = 1024
+		filed := map[seenKey]bool{}     // message frames filed so far
+		filedBytes := map[string]bool{} // and their exact datagrams
 		for len(data) >= 2 {
 			l := min(int(binary.BigEndian.Uint16(data)), len(data)-2)
 			dg := data[2 : 2+l]
@@ -203,14 +257,11 @@ func FuzzNodeHandle(f *testing.F) {
 				before[ep] = len(n.boxes[ep].queue)
 			}
 			out := n.handle(nil, dg)
-			grew := map[string]bool{}
+			grew := map[string]int{}
 			for _, ep := range eps {
 				box := n.boxes[ep]
-				switch d := len(box.queue) - before[ep]; {
-				case d == 1:
-					grew[ep] = true
-				case d > 1:
-					t.Fatalf("one datagram filed %d copies into %s", d, ep)
+				if d := len(box.queue) - before[ep]; d > 0 {
+					grew[ep] = d
 				}
 				sum := 0
 				for _, sm := range box.queue {
@@ -220,34 +271,75 @@ func FuzzNodeHandle(f *testing.F) {
 					t.Fatalf("%s accounts %d bytes, holds %d, bound %d", ep, box.bytes, sum, n.boxCap)
 				}
 			}
+			fr, err := DecodeFrame(dg)
+			if err != nil {
+				if len(grew) > 0 {
+					t.Fatalf("a malformed datagram filed mail: %v", err)
+				}
+				continue
+			}
+			want, isMsg := frameCopies(fr)
+			k := seenKey{node: fr.Node, nonce: fr.Nonce}
+			if isMsg && filed[k] {
+				if len(grew) > 0 {
+					t.Fatalf("a resent frame (nonce %d) filed %v again", fr.Nonce, grew)
+				}
+				if filedBytes[string(dg)] {
+					if ack, err := DecodeFrame(out); err != nil || ack.Type != FtAck || ack.Nonce != fr.Nonce {
+						t.Fatalf("an identical resend was not acked (reply %x)", out)
+					}
+				}
+				continue
+			}
 			if len(grew) == 0 {
 				continue
 			}
-			fr, err := DecodeFrame(dg)
-			if err != nil {
-				t.Fatalf("a malformed datagram filed mail: %v", err)
+			if !isMsg {
+				t.Fatalf("frame type %d filed mail into %v", fr.Type, grew)
+			}
+			if fmt.Sprint(grew) != fmt.Sprint(want) {
+				t.Fatalf("frame type %d for %v filed %v: not whole", fr.Type, want, grew)
 			}
 			if ack, err := DecodeFrame(out); err != nil || ack.Type != FtAck || ack.Nonce != fr.Nonce {
 				t.Fatalf("mail was filed without an ack (reply %x)", out)
 			}
-			switch fr.Type {
-			case FtMsgMulti:
-				dests, _, err := decodeMsgMultiBody(fr.Body)
-				if err != nil || len(dests) != len(grew) {
-					t.Fatalf("multi frame to %v filed into %v (err %v)", dests, grew, err)
-				}
-				for _, d := range dests {
-					if !grew[d] {
-						t.Fatalf("multi frame to %v filed into %v", dests, grew)
-					}
-				}
-			case FtMsg:
-				if len(grew) != 1 {
-					t.Fatalf("FtMsg filed into %v", grew)
-				}
-			default:
-				t.Fatalf("frame type %d filed mail into %v", fr.Type, grew)
-			}
+			filed[k] = true
+			filedBytes[string(dg)] = true
 		}
 	})
+}
+
+// frameCopies returns, for a message frame, how many copies it would
+// file into each mailbox, and whether it is a message frame with a
+// body that decodes.
+func frameCopies(fr Frame) (map[string]int, bool) {
+	var entries []msgEntry
+	switch fr.Type {
+	case FtMsg:
+		dest, m, err := DecodeMsgBody(fr.Body)
+		if err != nil {
+			return nil, false
+		}
+		entries = []msgEntry{{dests: []string{dest}, msg: m}}
+	case FtMsgMulti:
+		dests, m, err := decodeMsgMultiBody(fr.Body)
+		if err != nil {
+			return nil, false
+		}
+		entries = []msgEntry{{dests: dests, msg: m}}
+	case FtMsgBatch:
+		var err error
+		if entries, err = decodeMsgBatchBody(fr.Body); err != nil {
+			return nil, false
+		}
+	default:
+		return nil, false
+	}
+	copies := map[string]int{}
+	for _, e := range entries {
+		for _, d := range e.dests {
+			copies[d]++
+		}
+	}
+	return copies, true
 }

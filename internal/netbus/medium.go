@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,20 +47,23 @@ func (o Options) withDefaults() Options {
 // — exactly the fault vocabulary of the simulated bus, so the retry
 // layer's recovery path is identical on both media.
 //
-// The driver crosses the socket once per node, not once per endpoint:
-// a broadcast is one FtMsgMulti per remote owner node, and draining any
-// endpoint fetches every attached mailbox of its node in one
-// FtDrainNode exchange into a driver-side stash. Later drains of that
-// node's endpoints are served from the stash until the driver next
-// sends the node a message frame. That is correct only because the
-// driver is the sole sender to its nodes (see Dial): a node's mailboxes
-// change only when this Medium sends to them, so a stash filled since
-// the last send holds everything the node would return.
+// The driver crosses the socket once per node, not once per endpoint or
+// per message: every send is one FtMsgBatch per remote owner node — a
+// whole BroadcastEach batch, such as a Bidding phase's m bids, as much
+// as a single broadcast or unicast — and draining any endpoint fetches
+// every attached mailbox of its node in one FtDrainNode exchange into a
+// driver-side stash. Later drains of that node's endpoints are served
+// from the stash until the driver next sends the node a message frame.
+// That is correct only because the driver is the sole sender to its
+// nodes (see Dial): a node's mailboxes change only when this Medium
+// sends to them, so a stash filled since the last send holds everything
+// the node would return.
 //
 // A Medium is safe for concurrent use but, like the simulated bus, is
 // driven sequentially by the deterministic protocol. It is long-lived:
-// one Medium serves any number of protocol runs, so Attach is
-// idempotent for endpoints the peer table knows.
+// one Medium serves any number of protocol runs, each attaching its
+// endpoints at setup (Attach is idempotent for endpoints the peer table
+// knows) and detaching them when it ends.
 type Medium struct {
 	mu   sync.Mutex
 	name string
@@ -71,7 +75,8 @@ type Medium struct {
 
 	attached map[string]bool
 	order    []string     // attached endpoints, sorted
-	remote   []remoteNode // attached remote endpoints by owner node, in order of first endpoint
+	here     []string     // attached local endpoints, sorted
+	remote   []remoteNode // every remote node hosting endpoints, in order of its first one
 
 	local  map[string][]bus.Message // mailboxes of locally hosted endpoints
 	ackSeq map[string]uint64        // per remote endpoint: highest consumed seq
@@ -97,10 +102,12 @@ type Medium struct {
 
 	telAck map[string]uint64 // per node: highest telemetry record seq consumed
 
-	rbuf  []byte     // receive buffer, reused across requests
-	wbuf  []byte     // send buffer, reused across frames
-	dests []string   // destination list, reused across message frames
-	reqs  []drainReq // node-drain request, reused across drains
+	rbuf    []byte        // receive buffer, reused across requests
+	wbuf    []byte        // send buffer, reused across frames
+	msgs    []bus.Message // the messages being sent, reused across sends
+	entries []msgEntry    // one node's batch entries, reused across sends
+	dests   []string      // the entries' destinations, reused across sends
+	reqs    []drainReq    // node-drain request, reused across drains
 }
 
 // remoteNode lists the attached endpoints one remote node hosts, sorted.
@@ -164,6 +171,7 @@ func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 		return nil, fmt.Errorf("netbus: session salt: %w", err)
 	}
 	m.session = uint64(binary.BigEndian.Uint32(salt[:])) << 32
+	first := make(map[string]string) // remote node → its first endpoint
 	for name, spec := range cfg.Nodes {
 		if name != local {
 			addr, err := net.ResolveUDPAddr("udp", spec.Addr)
@@ -172,11 +180,16 @@ func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 				return nil, fmt.Errorf("netbus: node %q: %w", name, err)
 			}
 			m.addrs[name] = addr
+			if len(spec.Endpoints) > 0 {
+				first[name] = slices.Min(spec.Endpoints)
+				m.remote = append(m.remote, remoteNode{name: name})
+			}
 		}
 		for _, ep := range spec.Endpoints {
 			m.owners[ep] = name
 		}
 	}
+	sort.Slice(m.remote, func(i, j int) bool { return first[m.remote[i].name] < first[m.remote[j].name] })
 	return m, nil
 }
 
@@ -246,27 +259,52 @@ func (m *Medium) Attach(id string) error {
 		return nil
 	}
 	m.attached[id] = true
-	i := sort.SearchStrings(m.order, id)
-	m.order = append(m.order, "")
-	copy(m.order[i+1:], m.order[i:])
-	m.order[i] = id
+	m.order = insertSorted(m.order, id)
 	if owner == m.name {
+		m.here = insertSorted(m.here, id)
 		m.local[id] = nil
 		return nil
 	}
+	rn := m.remoteNode(owner)
+	rn.eps = insertSorted(rn.eps, id)
 	m.fresh[owner] = false // the stash holds nothing yet for id's mailbox
-	m.remote = m.remote[:0]
-	for _, ep := range m.order {
-		if o := m.owners[ep]; o != m.name {
-			rn := m.remoteNode(o)
-			if rn == nil {
-				m.remote = append(m.remote, remoteNode{name: o})
-				rn = &m.remote[len(m.remote)-1]
-			}
-			rn.eps = append(rn.eps, ep)
-		}
-	}
 	return nil
+}
+
+// Detach releases an endpoint: later sends skip it, node drains stop
+// asking for its mailbox, and whatever the driver holds for it, in its
+// local mailbox or the stash, is dropped. The endpoint's drain
+// acknowledgement is kept, because its node keeps the mailbox's
+// sequence numbers: should it be attached again, no message it already
+// consumed is served twice. Unknown endpoints are ignored.
+func (m *Medium) Detach(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.attached[id] {
+		return
+	}
+	delete(m.attached, id)
+	m.order = removeSorted(m.order, id)
+	if owner := m.owners[id]; owner == m.name {
+		m.here = removeSorted(m.here, id)
+		delete(m.local, id)
+	} else {
+		rn := m.remoteNode(owner)
+		rn.eps = removeSorted(rn.eps, id)
+		delete(m.stash, id)
+	}
+}
+
+// insertSorted inserts id into the sorted list.
+func insertSorted(list []string, id string) []string {
+	i := sort.SearchStrings(list, id)
+	return slices.Insert(list, i, id)
+}
+
+// removeSorted removes id, which must be present, from the sorted list.
+func removeSorted(list []string, id string) []string {
+	i := sort.SearchStrings(list, id)
+	return slices.Delete(list, i, i+1)
 }
 
 // remoteNode returns the named node's entry in m.remote, or nil. Caller
@@ -316,7 +354,7 @@ func (m *Medium) nextFrameNonce() uint64 {
 // wanted type carrying the same nonce, resending on deadline. It
 // returns the reply frame and how many transmissions it took, or an
 // error after the budget. Every exchange is stop-and-wait, so the
-// driver pays one round trip per frame: one per (message, remote owner
+// driver pays one round trip per frame: one per (send, remote owner
 // node) and one per (drain sweep, node). Caller holds the mutex (the
 // protocol drives the medium sequentially; the socket round trip is the
 // critical path either way).
@@ -370,42 +408,109 @@ func (m *Medium) deliverLocal(to string, msg bus.Message) {
 	m.event(obs.EvDeliver, msg.From, to, msg.Kind)
 }
 
-// deliverRemote ships one message to several mailboxes of one remote
-// node as a single FtMsgMulti frame and awaits its ack. The node files
-// the copies all or none, so they are delivered, or dropped after the
-// resend budget, together; a drop is not an error. Stats and the
-// deliver/drop/retransmit events still count each copy. Caller holds
-// the mutex.
-func (m *Medium) deliverRemote(owner string, dests []string, msg bus.Message) {
-	nonce := m.nextFrameNonce()
+// receives reports whether endpoint id is a recipient of msg: every
+// attached endpoint but the sender for a broadcast, the addressee alone
+// for a unicast.
+func receives(msg bus.Message, id string) bool {
+	if msg.To == bus.BroadcastAddr {
+		return id != msg.From
+	}
+	return id == msg.To
+}
+
+// emit delivers m.msgs in order: local recipients in-process, remote
+// ones as one FtMsgBatch per owner node, whose entries list each
+// message's recipients on that node in sorted endpoint order. Every
+// inbox therefore sees the simulated bus's arrival order, and
+// deterministic runs stay comparable across media. Caller holds the
+// mutex.
+func (m *Medium) emit() {
+	for _, msg := range m.msgs {
+		for _, id := range m.here {
+			if receives(msg, id) {
+				m.deliverLocal(id, msg)
+			}
+		}
+	}
+	for _, rn := range m.remote {
+		entries := m.entries[:0]
+		m.dests = slices.Grow(m.dests[:0], len(m.msgs)*len(rn.eps)) // no reallocation below
+		for _, msg := range m.msgs {
+			lo := len(m.dests)
+			for _, id := range rn.eps {
+				if receives(msg, id) {
+					m.dests = append(m.dests, id)
+				}
+			}
+			if hi := len(m.dests); hi > lo {
+				entries = append(entries, msgEntry{dests: m.dests[lo:hi:hi], msg: msg})
+			}
+		}
+		if len(entries) > 0 {
+			m.deliverBatch(rn.name, entries)
+		}
+		clear(entries) // drop the envelope references
+		m.entries = entries[:0]
+	}
+	clear(m.msgs)
+	m.msgs = m.msgs[:0]
+}
+
+// deliverBatch ships one remote node's entries in as few FtMsgBatch
+// frames as MaxFrame allows: a frame is cut only before an entry that
+// would push it past MaxFrame. Caller holds the mutex.
+func (m *Medium) deliverBatch(owner string, entries []msgEntry) {
 	var flags byte
 	if m.round != "" {
-		// Traced delivery: the round context rides the frame header, the
-		// logical nonce as origin ties the datagram to the protocol
-		// message it carries.
+		// Traced delivery: the round context rides the frame header.
 		flags = FlagTrace
 	}
-	m.wbuf = appendMsgMultiFrame(m.wbuf[:0], flags, nonce, m.name, dests, msg, m.round, m.epoch, msg.Nonce)
+	room := MaxFrame - headerLen(flags, m.name, m.round, m.epoch, 0) - uvarintLen(uint64(len(entries)))
+	for len(entries) > 0 {
+		n, used := 1, entryLen(entries[0])
+		for n < len(entries) {
+			sz := entryLen(entries[n])
+			if used+sz > room {
+				break
+			}
+			used += sz
+			n++
+		}
+		m.sendBatch(owner, flags, entries[:n])
+		entries = entries[n:]
+	}
+}
+
+// sendBatch sends one FtMsgBatch frame and awaits its ack. The node
+// files the frame's copies all or none, so they are delivered, or
+// dropped after the resend budget, together; a drop is not an error.
+// Stats and the deliver/drop/retransmit events still count each copy,
+// and the frame's net_tx/net_rx events are labelled with its first
+// message. Caller holds the mutex.
+func (m *Medium) sendBatch(owner string, flags byte, entries []msgEntry) {
+	nonce := m.nextFrameNonce()
+	m.wbuf = appendMsgBatchFrame(m.wbuf[:0], flags, nonce, m.name, entries, m.round, m.epoch)
 	m.fresh[owner] = false // its mailboxes may change: the next drain must ask
-	m.netEvent(obs.EvNetTx, msg.From, owner, msg.Kind, nonce)
+	first := entries[0].msg
+	m.netEvent(obs.EvNetTx, first.From, owner, first.Kind, nonce)
 	_, attempts, err := m.request(m.addrs[owner], m.wbuf, nonce, FtAck)
-	for i := 1; i < attempts; i++ {
-		for _, to := range dests {
-			m.event(obs.EvRetransmit, msg.From, to, msg.Kind)
-		}
+	if err == nil {
+		m.netEvent(obs.EvNetRx, first.From, owner, first.Kind, nonce)
 	}
-	if err != nil {
-		for _, to := range dests {
-			m.stats.Dropped++
-			m.event(obs.EvDrop, msg.From, to, msg.Kind)
+	for _, e := range entries {
+		for _, to := range e.dests {
+			for i := 1; i < attempts; i++ {
+				m.event(obs.EvRetransmit, e.msg.From, to, e.msg.Kind)
+			}
+			if err != nil {
+				m.stats.Dropped++
+				m.event(obs.EvDrop, e.msg.From, to, e.msg.Kind)
+				continue
+			}
+			m.stats.Deliveries++
+			m.stats.DeliveredUnits += e.msg.Size
+			m.event(obs.EvDeliver, e.msg.From, to, e.msg.Kind)
 		}
-		return
-	}
-	m.netEvent(obs.EvNetRx, msg.From, owner, msg.Kind, nonce)
-	for _, to := range dests {
-		m.stats.Deliveries++
-		m.stats.DeliveredUnits += msg.Size
-		m.event(obs.EvDeliver, msg.From, to, msg.Kind)
 	}
 }
 
@@ -421,47 +526,62 @@ func (m *Medium) checkSend(from string, size int) error {
 	return nil
 }
 
+// stamp builds one transmission's message, allocating its logical nonce
+// when nonce is 0, and counts the transmission. Caller holds the mutex.
+func (m *Medium) stamp(from, to, kind string, env sig.Envelope, size int, nonce uint64) bus.Message {
+	if nonce == 0 {
+		m.nonce++
+		nonce = m.nonce
+	}
+	m.stats.Messages++
+	m.stats.Units += size
+	if to == bus.BroadcastAddr {
+		m.stats.Broadcasts++
+	} else {
+		m.stats.Unicasts++
+	}
+	return bus.Message{From: from, To: to, Kind: kind, Size: size, Nonce: nonce, Env: env}
+}
+
+// BroadcastEach performs the batch's broadcasts in order (see emit): a
+// remote node receives the whole batch in one FtMsgBatch frame, or in
+// as few as MaxFrame allows. It returns the nonce in force for each
+// broadcast. A misuse error (unknown sender, negative size) sends
+// nothing.
+func (m *Medium) BroadcastEach(bs []bus.Broadcast) ([]uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range bs {
+		if err := m.checkSend(b.From, b.Size); err != nil {
+			return nil, err
+		}
+	}
+	nonces := make([]uint64, len(bs))
+	for i, b := range bs {
+		m.msgs = append(m.msgs, m.stamp(b.From, bus.BroadcastAddr, b.Kind, b.Env, b.Size, b.Nonce))
+		nonces[i] = m.msgs[i].Nonce
+	}
+	m.emit()
+	return nonces, nil
+}
+
 // BroadcastTagged delivers env to every attached endpoint except the
-// sender: local recipients in-process, remote ones as one FtMsgMulti
-// per owner node. Destinations are listed in sorted endpoint order and
-// nodes visited in order of their first endpoint, so every inbox sees
-// the simulated bus's arrival order and deterministic runs stay
-// comparable across media.
+// sender: a one-broadcast BroadcastEach.
 func (m *Medium) BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkSend(from, size); err != nil {
 		return 0, err
 	}
-	if nonce == 0 {
-		m.nonce++
-		nonce = m.nonce
-	}
-	msg := bus.Message{From: from, To: bus.BroadcastAddr, Kind: kind, Size: size, Nonce: nonce, Env: env}
-	m.stats.Messages++
-	m.stats.Units += size
-	m.stats.Broadcasts++
-	for _, id := range m.order {
-		if id != from && m.owners[id] == m.name {
-			m.deliverLocal(id, msg)
-		}
-	}
-	for _, rn := range m.remote {
-		m.dests = m.dests[:0]
-		for _, id := range rn.eps {
-			if id != from {
-				m.dests = append(m.dests, id)
-			}
-		}
-		if len(m.dests) > 0 {
-			m.deliverRemote(rn.name, m.dests, msg)
-		}
-	}
-	return nonce, nil
+	msg := m.stamp(from, bus.BroadcastAddr, kind, env, size, nonce)
+	m.msgs = append(m.msgs, msg)
+	m.emit()
+	return msg.Nonce, nil
 }
 
 // SendTagged delivers env to a single endpoint under the given logical
-// nonce (0 allocates one).
+// nonce (0 allocates one): in-process when the endpoint is local,
+// otherwise as a one-entry FtMsgBatch to its node.
 func (m *Medium) SendTagged(from, to, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -471,21 +591,10 @@ func (m *Medium) SendTagged(from, to, kind string, env sig.Envelope, size int, n
 	if !m.attached[to] {
 		return 0, fmt.Errorf("netbus: unknown receiver %q", to)
 	}
-	if nonce == 0 {
-		m.nonce++
-		nonce = m.nonce
-	}
-	msg := bus.Message{From: from, To: to, Kind: kind, Size: size, Nonce: nonce, Env: env}
-	m.stats.Messages++
-	m.stats.Units += size
-	m.stats.Unicasts++
-	if owner := m.owners[to]; owner == m.name {
-		m.deliverLocal(to, msg)
-	} else {
-		m.dests = append(m.dests[:0], to)
-		m.deliverRemote(owner, m.dests, msg)
-	}
-	return nonce, nil
+	msg := m.stamp(from, to, kind, env, size, nonce)
+	m.msgs = append(m.msgs, msg)
+	m.emit()
+	return msg.Nonce, nil
 }
 
 // Drain removes and returns the endpoint's queued messages in arrival

@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"dlsbl/internal/agent"
+	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/netbus"
 	"dlsbl/internal/protocol"
+	"dlsbl/internal/service"
 	"dlsbl/internal/sig"
 )
 
@@ -65,10 +67,11 @@ func startCluster(t *testing.T, serveEndpoints []string, workers map[string][]st
 // produce payments, verdicts and a referee transcript bit-identical to
 // the same round on the simulated in-process bus with the same seed and
 // keyring. Each arm also pins the driver's datagram budget: one
-// exchange (a request and its reply) per bid broadcast and per meters
-// broadcast to each node, plus one per drain sweep and node. The m16
-// arm is the benchmark's shape, two 8-endpoint nodes, where one
-// node-drain reply carries a whole node's bids.
+// exchange (a request and its reply) per node for the whole bid batch
+// and one for the meters broadcast, plus one per drain sweep and node.
+// The m16 arm is the benchmark's shape, two 8-endpoint nodes, where one
+// batch frame carries every bid to a node and one node-drain reply
+// carries a whole node's bids back.
 func TestNetBusParity(t *testing.T) {
 	requireUDP(t)
 	endpoints := func(lo, hi int) []string {
@@ -90,15 +93,15 @@ func TestNetBusParity(t *testing.T) {
 		behaviors []agent.Behavior
 		datagrams int // driver socket datagrams, both directions
 	}{
-		// 4 bid broadcasts × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 14 exchanges.
+		// 1 bid batch × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 8 exchanges.
 		{name: "honest", w: four, workers: map[string][]string{"w1": endpoints(1, 2), "w2": endpoints(3, 4)},
-			datagrams: 28},
-		// 5 bid broadcasts × 2 nodes + 1 sweep × 2: the round ends in Bidding.
+			datagrams: 16},
+		// 1 bid batch (5 bids) × 2 nodes + 1 sweep × 2: the round ends in Bidding.
 		{name: "equivocator", w: four, workers: map[string][]string{"w1": endpoints(1, 2), "w2": endpoints(3, 4)},
-			behaviors: []agent.Behavior{{}, agent.Equivocator}, datagrams: 24},
-		// 16 bid broadcasts × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 38 exchanges.
+			behaviors: []agent.Behavior{{}, agent.Equivocator}, datagrams: 8},
+		// 1 bid batch × 2 nodes + 1 meters × 2 + 2 sweeps × 2 = 8 exchanges.
 		{name: "m16", w: sixteen, workers: map[string][]string{"w1": endpoints(1, 8), "w2": endpoints(9, 16)},
-			datagrams: 76},
+			datagrams: 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,6 +187,180 @@ func TestNetBusMediumReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Payments, second.Payments) {
 		t.Errorf("same config, same medium, diverging payments: %v vs %v", first.Payments, second.Payments)
+	}
+}
+
+// TestNetBusReleasesEndpoints pins that a run detaches what it
+// attached. One long-lived medium plays a round with P1–P4, then rounds
+// in which P3 abstains: each of those must count exactly the simulated
+// bus's deliveries for the same configuration (no broadcast reaches the
+// absent P3), and the driver must hold nothing for P3. Were P3 left
+// attached, every later round would count 19 deliveries where the
+// simulated bus counts 15, and each round's node drains would stash 4
+// more messages for P3 that nothing frees.
+func TestNetBusReleasesEndpoints(t *testing.T) {
+	requireUDP(t)
+	m := startCluster(t, []string{"referee"},
+		map[string][]string{"w1": {"P1", "P2"}, "w2": {"P3", "P4"}})
+	cfg := protocol.Config{
+		Network: dlt.NCPFE,
+		Z:       0.2,
+		TrueW:   []float64{1, 1.5, 2, 2.5},
+		Seed:    7,
+		Medium:  m,
+		Keys:    sig.NewKeyring(),
+	}
+	if _, err := protocol.Run(cfg); err != nil {
+		t.Fatalf("round with P3: %v", err)
+	}
+	if eps := m.Endpoints(); len(eps) != 0 {
+		t.Fatalf("after the round the medium still serves %v", eps)
+	}
+	cfg.Behaviors = []agent.Behavior{{}, {}, {Abstain: true}, {}}
+	simCfg := cfg
+	simCfg.Medium = nil
+	sim, err := protocol.Run(simCfg)
+	if err != nil {
+		t.Fatalf("simulated round without P3: %v", err)
+	}
+	for round := 1; round <= 10; round++ {
+		before := m.Stats()
+		out, err := protocol.Run(cfg)
+		if err != nil {
+			t.Fatalf("round %d without P3: %v", round, err)
+		}
+		if !reflect.DeepEqual(out.Payments, sim.Payments) {
+			t.Fatalf("round %d: payments %v, simulated %v", round, out.Payments, sim.Payments)
+		}
+		after := m.Stats()
+		if got, want := after.Deliveries-before.Deliveries, sim.BusStats.Deliveries; got != want {
+			t.Fatalf("round %d counted %d deliveries, the simulated bus %d", round, got, want)
+		}
+		if n := m.StashedFor("P3"); n != 0 {
+			t.Fatalf("round %d: the driver holds %d messages for the absent P3", round, n)
+		}
+	}
+}
+
+// TestBroadcastEachAtMaxPoolSize pins batch splitting at the largest
+// pool the service admits: m = 256 bids broadcast in one BroadcastEach
+// over two 128-endpoint nodes. Each node's batch (about 200 KB) must go
+// out in as few frames as MaxFrame allows, each at most MaxFrame bytes
+// and filed whole — nothing dropped, refused or rejected — and every
+// inbox must drain the simulated bus's order.
+func TestBroadcastEachAtMaxPoolSize(t *testing.T) {
+	requireUDP(t)
+	const m = service.MaxPoolSize
+	names := func(lo, hi int) []string {
+		var eps []string
+		for i := lo; i <= hi; i++ {
+			eps = append(eps, fmt.Sprintf("P%d", i))
+		}
+		return eps
+	}
+	all := names(1, m)
+	cfg := &netbus.Config{Nodes: map[string]netbus.NodeSpec{
+		"serve": {Addr: "127.0.0.1:0", Endpoints: []string{"referee"}},
+		"w1":    {Addr: "127.0.0.1:0", Endpoints: names(1, m/2)},
+		"w2":    {Addr: "127.0.0.1:0", Endpoints: names(m/2+1, m)},
+	}}
+	var nodes []*netbus.Node
+	for _, name := range []string{"w1", "w2"} {
+		n, err := netbus.ListenNode(cfg, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := cfg.Nodes[name]
+		spec.Addr = n.LocalAddr().String()
+		cfg.Nodes[name] = spec
+		go n.Serve()
+		t.Cleanup(func() { n.Close() })
+		nodes = append(nodes, n)
+	}
+	nb, err := netbus.Dial(cfg, "serve", netbus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nb.Close() })
+	simBus, err := bus.New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range append([]string{"referee"}, all...) {
+		if err := nb.Attach(ep); err != nil {
+			t.Fatal(err)
+		}
+		if err := simBus.Attach(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Bid-sized envelopes: the netbus never opens them.
+	batch := make([]bus.Broadcast, m)
+	for i, id := range all {
+		batch[i] = bus.Broadcast{From: id, Kind: "dls/bid", Size: 1, Env: sig.Envelope{
+			Sender: id, Kind: "dls/bid", Payload: make([]byte, 48), Signature: make([]byte, 64)}}
+	}
+	netNonces, err := nb.BroadcastEach(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simNonces, err := simBus.BroadcastEach(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(netNonces, simNonces) {
+		t.Fatalf("nonces diverge: net %v…, sim %v…", netNonces[:4], simNonces[:4])
+	}
+
+	// Each node's batch has one entry per bid, listing every endpoint
+	// of the node but the sender. A greedy cut at MaxFrame needs at least
+	// ⌈bytes/MaxFrame⌉ frames and at most ⌈bytes/(MaxFrame − widest
+	// entry)⌉.
+	ns := nb.NetStats()
+	frames := ns.DatagramsOut - ns.Resends
+	minFrames, maxFrames := 0, 0
+	for _, node := range []string{"w1", "w2"} {
+		eps := cfg.Nodes[node].Endpoints
+		bytes, widest := 0, 0
+		for i, b := range batch {
+			var dests []string
+			for _, ep := range eps {
+				if ep != b.From {
+					dests = append(dests, ep)
+				}
+			}
+			msg := bus.Message{From: b.From, To: bus.BroadcastAddr, Kind: b.Kind, Size: 1, Nonce: netNonces[i], Env: b.Env}
+			n := netbus.BatchEntryLen(dests, msg)
+			bytes += n
+			widest = max(widest, n)
+		}
+		minFrames += (bytes + netbus.MaxFrame - 1) / netbus.MaxFrame
+		maxFrames += (bytes + netbus.MaxFrame - widest - 1) / (netbus.MaxFrame - widest)
+	}
+	if frames < minFrames || frames > maxFrames || minFrames < 4 {
+		t.Errorf("the driver sent %d frames, want %d to %d", frames, minFrames, maxFrames)
+	}
+	if st := nb.Stats(); st.Dropped != 0 || st.Deliveries != m*(m-1)+m {
+		t.Errorf("driver stats %+v, want every one of %d copies delivered", st, m*(m-1)+m)
+	}
+	for _, n := range nodes {
+		st := n.Stats()
+		if st.BadFrames != 0 || st.Refused != 0 || st.Enqueued != uint64(m/2*(m-1)) {
+			t.Errorf("node %s: %+v, want every frame filed whole (%d copies)", n.Name(), st, m/2*(m-1))
+		}
+	}
+	for _, ep := range append([]string{"referee"}, all...) {
+		got, err := nb.Drain(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := simBus.Drain(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s drained %d messages out of the simulated bus's order (%d)", ep, len(got), len(want))
+		}
 	}
 }
 

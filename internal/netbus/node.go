@@ -8,14 +8,13 @@ import (
 	"net"
 	"sync"
 
-	"dlsbl/internal/bus"
 	"dlsbl/internal/obs"
 )
 
 // NodeStats counts what a mailbox node did; read them with Node.Stats.
 type NodeStats struct {
 	// Enqueued counts messages accepted into a mailbox (one per
-	// destination of a multi frame).
+	// destination of every message a frame carries).
 	Enqueued uint64
 	// DedupHits counts resent message frames recognized by frame nonce
 	// and acked without re-enqueueing.
@@ -24,7 +23,8 @@ type NodeStats struct {
 	Drains uint64
 	// BadFrames counts datagrams rejected as malformed (wrong magic or
 	// version, truncation, oversize, unparsable body, or naming an
-	// endpoint the node does not host, or one endpoint twice).
+	// endpoint the node does not host, or one endpoint twice in a drain
+	// request or in one message's destinations).
 	BadFrames uint64
 	// Refused counts message frames refused whole because they would
 	// have pushed a destination mailbox past MailboxBytes. A refused
@@ -71,6 +71,7 @@ type mailbox struct {
 	queue   []SeqMsg
 	bytes   int    // messageLen summed over queue
 	mark    uint64 // the last Node.gen that named this mailbox
+	pending int    // bytes the message frame being checked would add
 }
 
 // prune forgets every entry at or below the cumulative ack.
@@ -90,10 +91,11 @@ func (b *mailbox) prune(ack uint64) {
 
 // Node is a mailbox server: it hosts the inboxes of the endpoints
 // assigned to it in the peer table and answers message, drain, ping
-// and telemetry datagrams (FtMsgMulti/FtDrainNode from v3 drivers,
-// FtMsg/FtDrain from v2 ones). A Node is stateless beyond its
-// mailboxes — it never dials out and never originates traffic, every
-// reply goes to the datagram's source address (the relay-node shape).
+// and telemetry datagrams (FtMsgBatch/FtDrainNode from v4 drivers,
+// FtMsgMulti from v3 ones, FtMsg/FtDrain from v2 ones). A Node is
+// stateless beyond its mailboxes — it never dials out and never
+// originates traffic, every reply goes to the datagram's source address
+// (the relay-node shape).
 type Node struct {
 	name string
 	conn *net.UDPConn
@@ -105,10 +107,11 @@ type Node struct {
 	seenFIFO []seenKey
 	stats    NodeStats
 
-	// gen numbers the frames that name mailboxes, so one frame naming
-	// a mailbox twice is caught by its mark without a set allocation.
+	// gen numbers the destination lists (a drain request, or one
+	// message of a message frame), so a list naming a mailbox twice is
+	// caught by its mark without a set allocation.
 	gen   uint64
-	picks []*mailbox  // the mailboxes the frame being handled names
+	picks []*mailbox  // the mailboxes the frame being handled names, in order
 	parts []drainPart // the drain reply being built
 
 	// rec is the bounded telemetry buffer served by FtTelemetry; extra is
@@ -277,13 +280,19 @@ func (n *Node) dispatch(out []byte, f Frame) []byte {
 		if err != nil {
 			return n.badFrame(out)
 		}
-		return n.enqueue(out, f, []string{dest}, m)
+		return n.enqueue(out, f, []msgEntry{{dests: []string{dest}, msg: m}})
 	case FtMsgMulti:
 		dests, m, err := decodeMsgMultiBody(f.Body)
 		if err != nil {
 			return n.badFrame(out)
 		}
-		return n.enqueue(out, f, dests, m)
+		return n.enqueue(out, f, []msgEntry{{dests: dests, msg: m}})
+	case FtMsgBatch:
+		entries, err := decodeMsgBatchBody(f.Body)
+		if err != nil {
+			return n.badFrame(out)
+		}
+		return n.enqueue(out, f, entries)
 	case FtDrain:
 		endpoint, ack, err := DecodeDrainBody(f.Body)
 		if err != nil {
@@ -314,16 +323,13 @@ func (n *Node) badFrame(out []byte) []byte {
 	return out
 }
 
-// beginPick starts resolving the mailboxes one frame names into
+// beginPick starts a destination list whose mailboxes pick appends to
 // n.picks. Caller holds the mutex.
-func (n *Node) beginPick() {
-	n.gen++
-	n.picks = n.picks[:0]
-}
+func (n *Node) beginPick() { n.gen++ }
 
 // pick appends the endpoint's mailbox to n.picks, or reports false when
-// the endpoint is not hosted here or the frame already named it. Caller
-// holds the mutex.
+// the endpoint is not hosted here or the current list already named it.
+// Caller holds the mutex.
 func (n *Node) pick(endpoint string) bool {
 	box, hosted := n.boxes[endpoint]
 	if !hosted || box.mark == n.gen {
@@ -334,43 +340,49 @@ func (n *Node) pick(endpoint string) bool {
 	return true
 }
 
-// enqueue files one message into every destination mailbox or into
-// none, then acks. The frame is dropped unacked and counted in
-// BadFrames when a destination is not hosted here, is named twice, or
+// enqueue files a message frame — FtMsg, FtMsgMulti or FtMsgBatch, each
+// a list of entries, one message and its destination mailboxes — in
+// order, every copy or none, then acks the frame once. The frame is
+// dropped unacked and counted in BadFrames when a destination is not
+// hosted here or is named twice within its entry, or when a message
 // could not fit a drain response; it is refused whole (Refused) when it
-// would push any destination past the mailbox bound. A resend (same
-// sender node and frame nonce as a frame already filed) is acked again
-// without enqueueing twice.
-func (n *Node) enqueue(out []byte, f Frame, dests []string, m bus.Message) []byte {
+// would push any mailbox past the bound, counting everything the frame
+// adds to it. A resend (same sender node and frame nonce as a frame
+// already filed) is acked again without filing anything twice. Filing
+// copies each message into its mailboxes' queues and allocates nothing
+// per copy beyond their growth.
+func (n *Node) enqueue(out []byte, f Frame, entries []msgEntry) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	size := messageLen(m)
-	// The widest drain entry this message can become: endpoint, a
-	// maximal seq, and the message, under a header with a maximal count.
-	room := MaxFrame - headerFixed - fieldLen(len(n.name)) - 2*binary.MaxVarintLen64 - size
-	n.beginPick()
-	for _, d := range dests {
-		if fieldLen(len(d)) > room || !n.pick(d) {
-			n.stats.BadFrames++
-			return out // not ours, named twice, or undrainable: drop, no ack
+	n.picks = n.picks[:0]
+	for _, e := range entries {
+		// The widest drain entry this message can become: endpoint, a
+		// maximal seq, and the message, under a header with a maximal
+		// count.
+		room := MaxFrame - headerFixed - fieldLen(len(n.name)) - 2*binary.MaxVarintLen64 - messageLen(e.msg)
+		n.beginPick()
+		for _, d := range e.dests {
+			if fieldLen(len(d)) > room || !n.pick(d) {
+				n.stats.BadFrames++
+				return out // not ours, named twice, or undrainable: drop, no ack
+			}
 		}
 	}
+	first := entries[0].msg
 	k := seenKey{node: f.Node, nonce: f.Nonce}
 	if n.seen[k] {
 		// The driver resent because our ack was lost; ack again without
-		// enqueueing a duplicate.
+		// filing a duplicate.
 		n.stats.DedupHits++
-		n.event(obs.Event{Kind: obs.EvDedupHit, From: m.From, To: n.name, Msg: m.Kind,
+		n.event(obs.Event{Kind: obs.EvDedupHit, From: first.From, To: n.name, Msg: first.Kind,
 			Round: f.Round, Origin: f.Nonce})
 		return AppendControlFrame(out, FtAck, f.Nonce, n.name)
 	}
-	for _, box := range n.picks {
-		if box.bytes+size > n.boxCap {
-			n.stats.Refused++
-			n.event(obs.Event{Kind: obs.EvDrop, From: m.From, To: n.name, Msg: m.Kind,
-				Round: f.Round, Origin: f.Nonce, Detail: "mailbox full"})
-			return out
-		}
+	if n.overflows(entries) {
+		n.stats.Refused++
+		n.event(obs.Event{Kind: obs.EvDrop, From: first.From, To: n.name, Msg: first.Kind,
+			Round: f.Round, Origin: f.Nonce, Detail: "mailbox full"})
+		return out
 	}
 	if len(n.seenFIFO) >= seenCap {
 		delete(n.seen, n.seenFIFO[0])
@@ -378,21 +390,47 @@ func (n *Node) enqueue(out []byte, f Frame, dests []string, m bus.Message) []byt
 	}
 	n.seen[k] = true
 	n.seenFIFO = append(n.seenFIFO, k)
-	for _, box := range n.picks {
-		box.nextSeq++
-		box.queue = append(box.queue, SeqMsg{Seq: box.nextSeq, Msg: m})
-		box.bytes += size
-		n.stats.Enqueued++
+	picks := n.picks
+	for _, e := range entries {
+		size := messageLen(e.msg)
+		for _, box := range picks[:len(e.dests)] {
+			box.nextSeq++
+			box.queue = append(box.queue, SeqMsg{Seq: box.nextSeq, Msg: e.msg})
+			box.bytes += size
+			n.stats.Enqueued++
+		}
+		picks = picks[len(e.dests):]
 	}
 	// The frame nonce as origin matches this receive against the
 	// driver's net_tx/net_rx bracket for the same exchange; the round
 	// context, when the frame carried one, attributes it to a round.
-	n.event(obs.Event{Kind: obs.EvNetRx, From: m.From, To: n.name, Msg: m.Kind,
+	n.event(obs.Event{Kind: obs.EvNetRx, From: first.From, To: n.name, Msg: first.Kind,
 		Round: f.Round, Origin: f.Nonce})
 	out = AppendControlFrame(out, FtAck, f.Nonce, n.name)
 	n.event(obs.Event{Kind: obs.EvNetTx, From: n.name, To: f.Node, Msg: "ack",
 		Round: f.Round, Origin: f.Nonce})
 	return out
+}
+
+// overflows reports whether filing the entries into n.picks, which
+// enqueue resolved from them in order, would push any mailbox past the
+// bound; a mailbox named by several entries counts all of them. Caller
+// holds the mutex.
+func (n *Node) overflows(entries []msgEntry) bool {
+	full := false
+	picks := n.picks
+	for _, e := range entries {
+		size := messageLen(e.msg)
+		for _, box := range picks[:len(e.dests)] {
+			box.pending += size
+			full = full || box.bytes+box.pending > n.boxCap
+		}
+		picks = picks[len(e.dests):]
+	}
+	for _, box := range n.picks {
+		box.pending = 0
+	}
+	return full
 }
 
 // drain answers FtDrain (one mailbox) and FtDrainNode (several) through
@@ -405,6 +443,7 @@ func (n *Node) enqueue(out []byte, f Frame, dests []string, m bus.Message) []byt
 func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.picks = n.picks[:0]
 	n.beginPick()
 	for _, q := range reqs {
 		if !n.pick(q.endpoint) {

@@ -86,6 +86,86 @@ func TestNodeMultiFrameResend(t *testing.T) {
 	}
 }
 
+// TestNodeBatchFrameAllOrNothing pins the v4 filing rule: a batch frame
+// with one bad entry — a destination the node does not host, or one
+// named twice within its entry — is refused whole, while a valid one
+// files every entry, in order, and is acked once. A mailbox named by
+// several entries receives each of their messages; a resend is acked
+// again and files nothing.
+func TestNodeBatchFrameAllOrNothing(t *testing.T) {
+	n := newNode("w1", []string{"P1", "P2", "P3"})
+	batch := func(nonce uint64, dests ...[]string) []byte {
+		entries := make([]msgEntry, len(dests))
+		for i, d := range dests {
+			entries[i] = msgEntry{dests: d, msg: rawMsg(fmt.Sprintf("P%d", 4+i), uint64(i+1), 40)}
+		}
+		return appendMsgBatchFrame(nil, 0, nonce, "drv", entries, "", "")
+	}
+	for i, frame := range [][]byte{
+		batch(10, []string{"P1", "P2"}, []string{"P9"}),
+		batch(11, []string{"P1"}, []string{"P2", "P3", "P2"}),
+	} {
+		if _, ok := handleOnce(t, n, frame); ok {
+			t.Errorf("bad batch %d: node acked a frame it must refuse", i)
+		}
+		if st := n.Stats(); st.BadFrames != uint64(i+1) || st.Enqueued != 0 {
+			t.Errorf("bad batch %d: stats %+v, want BadFrames=%d Enqueued=0", i, st, i+1)
+		}
+		if d := depths(n, "P1", "P2", "P3"); d[0]+d[1]+d[2] != 0 {
+			t.Errorf("bad batch %d: mailboxes grew to %v", i, d)
+		}
+	}
+	frame := batch(20, []string{"P2", "P3"}, []string{"P1", "P3"}, []string{"P3"})
+	for i := 0; i < 2; i++ {
+		if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck || f.Nonce != 20 {
+			t.Fatalf("valid batch, copy %d: reply %+v (ok %v), want ack nonce 20", i, f, ok)
+		}
+	}
+	if d := depths(n, "P1", "P2", "P3"); fmt.Sprint(d) != "[1 1 3]" {
+		t.Errorf("mailbox depths %v, want [1 1 3]", d)
+	}
+	var from []string
+	for _, sm := range n.boxes["P3"].queue {
+		from = append(from, sm.Msg.From)
+	}
+	if fmt.Sprint(from) != "[P4 P5 P6]" {
+		t.Errorf("P3 filed messages from %v, want the entry order [P4 P5 P6]", from)
+	}
+	if st := n.Stats(); st.Enqueued != 5 || st.DedupHits != 1 {
+		t.Errorf("stats %+v, want Enqueued=5 DedupHits=1", st)
+	}
+}
+
+// TestNodeBatchBoundCountsEveryEntry pins the mailbox bound on batch
+// frames: it counts everything the frame would add to a mailbox, so a
+// batch whose entries each fit but together overflow P1 is refused
+// whole, and one that exactly fills it is filed.
+func TestNodeBatchBoundCountsEveryEntry(t *testing.T) {
+	n := newNode("w1", []string{"P1", "P2"})
+	msg := rawMsg("P3", 1, 40)
+	size := messageLen(msg)
+	n.boxCap = 3 * size
+	entries := func(k int) []msgEntry {
+		out := make([]msgEntry, k)
+		for i := range out {
+			out[i] = msgEntry{dests: []string{"P1", "P2"}, msg: msg}
+		}
+		return out
+	}
+	if _, ok := handleOnce(t, n, appendMsgBatchFrame(nil, 0, 1, "drv", entries(4), "", "")); ok {
+		t.Fatal("a batch overflowing both mailboxes was acked")
+	}
+	if st := n.Stats(); st.Refused != 1 || st.Enqueued != 0 || n.boxes["P1"].bytes != 0 {
+		t.Fatalf("after the overflowing batch: stats %+v, P1 holds %d bytes", st, n.boxes["P1"].bytes)
+	}
+	if f, ok := handleOnce(t, n, appendMsgBatchFrame(nil, 0, 2, "drv", entries(3), "", "")); !ok || f.Type != FtAck {
+		t.Fatalf("a batch exactly filling the mailboxes was refused (reply %+v)", f)
+	}
+	if d := depths(n, "P1", "P2"); d[0] != 3 || d[1] != 3 {
+		t.Errorf("mailbox depths %v, want [3 3]", d)
+	}
+}
+
 // TestNodeDrainPagesLargeBacklog pins node-drain paging: a backlog far
 // larger than MaxFrame (64 mailboxes × 63 bids) comes back across
 // FlagMore pages, every page under MaxFrame, every message exactly once

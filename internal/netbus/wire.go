@@ -14,10 +14,10 @@ import (
 //
 //	offset size field
 //	0      4    magic "DLSB"
-//	4      1    wire version (0x03; 0x01 and 0x02 accepted)
+//	4      1    wire version (0x04; 0x01 through 0x03 accepted)
 //	5      1    frame type
 //	6      1    flags (FlagMore on drain/telemetry responses,
-//	            FlagTrace on v2+ message frames)
+//	            FlagTrace on message frames from v2 on)
 //	7      1    reserved, must be 0
 //	8      4    length: total frame size in bytes, big-endian uint32
 //	12     8    frame nonce, big-endian uint64
@@ -46,11 +46,14 @@ const Magic = "DLSB"
 // the per-node frames: FtMsgMulti carries one message into several
 // mailboxes of one node, and FtDrainNode/FtDrainNodeRsp drain several
 // mailboxes in one exchange, so the driver crosses the socket once per
-// node rather than once per endpoint. Receivers accept every version
-// from VersionLegacy to Version, each under its own rules (maxType,
+// node rather than once per endpoint. Version 4 added FtMsgBatch, which
+// carries several messages, each for several mailboxes of one node, so
+// a whole Bidding phase reaches a node in one frame; it is the only
+// message frame a v4 driver sends. Receivers accept every version from
+// VersionLegacy to Version, each under its own rules (maxType,
 // checkFlags), and reject everything else; there is no negotiation on
 // a datagram medium (see docs/WIRE.md §versioning).
-const Version = 3
+const Version = 4
 
 // VersionLegacy is the oldest wire version receivers still accept.
 // Legacy frames carry no trace context and may use only frame types
@@ -60,6 +63,9 @@ const VersionLegacy = 1
 // versionTrace is the wire version that added the trace context and
 // the telemetry frames.
 const versionTrace = 2
+
+// versionNode is the wire version that added the per-node frames.
+const versionNode = 3
 
 // MaxFrame bounds a frame (and thus a datagram) in bytes. It sits under
 // the 65,507-byte UDP payload ceiling with room for kernel headroom;
@@ -115,6 +121,12 @@ const (
 	// request order with seq ascending per endpoint. FlagMore is set when
 	// the batch was cut to fit MaxFrame.
 	FtDrainNodeRsp
+	// FtMsgBatch (v4) carries several messages into mailboxes of the
+	// receiving node. Body: count uvarint (≥ 1), then count × (destination
+	// count uvarint (≥ 1), that many endpoint strings, message encoding).
+	// The node files the entries in order, every copy or none, and acks
+	// the frame once.
+	FtMsgBatch
 )
 
 // FlagMore marks a drain, node-drain or telemetry response that was
@@ -122,11 +134,13 @@ const (
 // should ask again.
 const FlagMore = byte(1 << 0)
 
-// FlagTrace (v2) marks an FtMsg or (v3) FtMsgMulti frame carrying the
-// trace-context extension: round ID (string), bid epoch (string) and
-// origin sequence (uvarint) follow the sender node name, before the
-// body. Nodes echo the context into their telemetry events, which is
-// what makes every hop of a datagram attributable to a protocol round.
+// FlagTrace (v2) marks an FtMsg, (v3) FtMsgMulti or (v4) FtMsgBatch
+// frame carrying the trace-context extension: round ID (string), bid
+// epoch (string) and origin sequence (uvarint) follow the sender node
+// name, before the body. Nodes echo the context into their telemetry
+// events, which is what makes every hop of a datagram attributable to a
+// protocol round. A batch frame's origin is 0: each of its messages
+// carries its own logical nonce.
 const FlagTrace = byte(1 << 1)
 
 // Frame decode errors. ErrWire is the root every specific error wraps,
@@ -149,8 +163,8 @@ type Frame struct {
 	Flags   byte
 	Nonce   uint64
 	Node    string // sending node's name from the peer table
-	// Round, Epoch and Origin are the trace context (FlagTrace on
-	// FtMsg or FtMsgMulti): the protocol round the datagram belongs to,
+	// Round, Epoch and Origin are the trace context (FlagTrace on a
+	// message frame): the protocol round the datagram belongs to,
 	// the epoch its bid set was signed in, and the origin sequence (the
 	// logical message nonce at the originating driver). All zero on
 	// frames without the extension.
@@ -204,15 +218,17 @@ func maxType(version byte) byte {
 		return FtPong
 	case versionTrace:
 		return FtTelemetryRsp
+	case versionNode:
+		return FtDrainNodeRsp
 	}
-	return FtDrainNodeRsp
+	return FtMsgBatch
 }
 
 // checkFlags validates the flag byte against the version's rules: v1
 // allows only FlagMore on FtDrainRsp; v2 additionally allows FlagMore
 // on FtTelemetryRsp and FlagTrace on FtMsg; v3 adds FlagTrace on
-// FtMsgMulti and FlagMore on FtDrainNodeRsp (maxType already confines
-// those types to v3).
+// FtMsgMulti and FlagMore on FtDrainNodeRsp, and v4 FlagTrace on
+// FtMsgBatch (maxType already confines each type to its versions).
 func checkFlags(version, typ, flags byte) error {
 	allowed := byte(0)
 	switch {
@@ -220,7 +236,7 @@ func checkFlags(version, typ, flags byte) error {
 		allowed = FlagMore
 	case version >= versionTrace && typ == FtTelemetryRsp:
 		allowed = FlagMore
-	case version >= versionTrace && (typ == FtMsg || typ == FtMsgMulti):
+	case version >= versionTrace && (typ == FtMsg || typ == FtMsgMulti || typ == FtMsgBatch):
 		allowed = FlagTrace
 	}
 	if flags&^allowed != 0 {
@@ -231,7 +247,7 @@ func checkFlags(version, typ, flags byte) error {
 
 // DecodeFrame parses one datagram. It rejects wrong magic, unknown
 // versions, unknown frame types, length/datagram mismatches (truncation
-// either way) and frames above MaxFrame. Older (v1, v2) frames are
+// either way) and frames above MaxFrame. Older (v1 to v3) frames are
 // accepted under their original, stricter rules — old frames still
 // parse. The returned Body aliases data.
 func DecodeFrame(data []byte) (Frame, error) {
@@ -278,6 +294,9 @@ func DecodeFrame(data []byte) (Frame, error) {
 		f.Round = r.str()
 		f.Epoch = r.str()
 		f.Origin = r.uvarint()
+		if r.err == nil && typ == FtMsgBatch && f.Origin != 0 {
+			r.fail("batch frame carries origin %d, not 0", f.Origin)
+		}
 	}
 	if r.err != nil {
 		return Frame{}, r.err
@@ -416,7 +435,7 @@ func (r *wireReader) count(what string, minEntry int) uint64 {
 // endpoint whose mailbox receives the copy — distinct from the
 // message's own To, which stays "*" for broadcast emissions so drained
 // messages are byte-comparable with the simulated bus's. The driver
-// sends FtMsgMulti instead; nodes still accept FtMsg from v2 drivers.
+// sends FtMsgBatch instead; nodes still accept FtMsg from v2 drivers.
 func AppendMsgFrame(dst []byte, nonce uint64, node, dest string, m bus.Message) []byte {
 	return appendMsgFrameTrace(dst, 0, nonce, node, dest, m, "", "", 0)
 }
@@ -444,38 +463,100 @@ func DecodeMsgBody(body []byte) (dest string, m bus.Message, err error) {
 	return dest, m, nil
 }
 
-// appendMsgMultiFrame frames one message for several mailboxes of one
-// node (FtMsgMulti). With FlagTrace in flags the trace context rides the
-// header. The message's own To stays the protocol-level address ("*"
-// for a broadcast); the physical destinations travel in dests.
-func appendMsgMultiFrame(dst []byte, flags byte, nonce uint64, node string, dests []string, m bus.Message, round, epoch string, origin uint64) []byte {
-	start := len(dst)
-	dst = appendHeader(dst, Version, FtMsgMulti, flags, nonce, node, round, epoch, origin)
-	dst = sig.AppendUvarint(dst, uint64(len(dests)))
-	for _, d := range dests {
-		dst = sig.AppendString(dst, d)
-	}
-	dst = appendMessage(dst, m)
-	return finishFrame(dst, start)
-}
-
-// decodeMsgMultiBody parses an FtMsgMulti body. It requires at least
-// one destination; that the destinations are distinct and hosted is the
+// decodeMsgMultiBody parses the body of an FtMsgMulti, which v3 drivers
+// send: destinations, then one message. It requires at least one
+// destination; that the destinations are distinct and hosted is the
 // receiving node's all-or-nothing rule, not a framing rule.
 func decodeMsgMultiBody(body []byte) (dests []string, m bus.Message, err error) {
 	r := wireReader{buf: body}
-	n := r.count("destination", 1)
-	if r.err == nil && n == 0 {
-		r.fail("multi frame names no destination")
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		dests = append(dests, r.str())
-	}
+	dests = r.dests()
 	m = r.readMessage()
 	if err := r.done(); err != nil {
 		return nil, bus.Message{}, err
 	}
 	return dests, m, nil
+}
+
+// dests reads a destination list: a count (at least 1), then that many
+// endpoint strings.
+func (r *wireReader) dests() []string {
+	n := r.count("destination", 1)
+	if r.err == nil && n == 0 {
+		r.fail("message names no destination")
+	}
+	var dests []string
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		dests = append(dests, r.str())
+	}
+	return dests
+}
+
+// msgEntry is one message of a message frame and the mailboxes of the
+// receiving node it is for. Every message frame decodes to entries: an
+// FtMsg or FtMsgMulti to one, an FtMsgBatch to one per message.
+type msgEntry struct {
+	dests []string
+	msg   bus.Message
+}
+
+// entryLen is the encoded size of one FtMsgBatch entry.
+func entryLen(e msgEntry) int {
+	n := uvarintLen(uint64(len(e.dests))) + messageLen(e.msg)
+	for _, d := range e.dests {
+		n += fieldLen(len(d))
+	}
+	return n
+}
+
+// headerLen is len(appendHeader(...)) for the given fields, computed
+// without encoding.
+func headerLen(flags byte, node, round, epoch string, origin uint64) int {
+	n := headerFixed + fieldLen(len(node))
+	if flags&FlagTrace != 0 {
+		n += fieldLen(len(round)) + fieldLen(len(epoch)) + uvarintLen(origin)
+	}
+	return n
+}
+
+// appendMsgBatchFrame frames several messages for mailboxes of one node
+// (FtMsgBatch). With FlagTrace in flags the trace context rides the
+// header with origin 0, since every message carries its own nonce. Each
+// message's own To stays the protocol-level address ("*" for a
+// broadcast); the physical destinations travel in its entry.
+func appendMsgBatchFrame(dst []byte, flags byte, nonce uint64, node string, entries []msgEntry, round, epoch string) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, Version, FtMsgBatch, flags, nonce, node, round, epoch, 0)
+	dst = sig.AppendUvarint(dst, uint64(len(entries)))
+	for _, e := range entries {
+		dst = sig.AppendUvarint(dst, uint64(len(e.dests)))
+		for _, d := range e.dests {
+			dst = sig.AppendString(dst, d)
+		}
+		dst = appendMessage(dst, e.msg)
+	}
+	return finishFrame(dst, start)
+}
+
+// decodeMsgBatchBody parses an FtMsgBatch body. It requires at least one
+// entry and at least one destination per entry; as for FtMsgMulti, that
+// an entry's destinations are distinct and hosted is the node's rule.
+func decodeMsgBatchBody(body []byte) ([]msgEntry, error) {
+	r := wireReader{buf: body}
+	// An entry is at least a destination count, one 1-byte destination
+	// and a message of nine 1-byte fields.
+	n := r.count("batch entry", 11)
+	if r.err == nil && n == 0 {
+		r.fail("batch frame carries no message")
+	}
+	entries := make([]msgEntry, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		dests := r.dests()
+		entries = append(entries, msgEntry{dests: dests, msg: r.readMessage()})
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return entries, nil
 }
 
 // appendDrainFrame frames a v2 drain request (FtDrain) for one endpoint,

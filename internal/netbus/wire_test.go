@@ -152,8 +152,9 @@ func TestTelemetryRoundTrip(t *testing.T) {
 // wire: truncation (header and declared-length), oversize, bad magic,
 // unknown version, unknown type, trailing garbage — plus the per-version
 // rules (telemetry types and the trace flag do not exist in version 1,
-// the node-drain types not in version 2, and the trace flag belongs to
-// message frames only).
+// the node-drain types not in version 2, the batch type not in version
+// 3, a batch frame's trace context carries origin 0, and the trace flag
+// belongs to message frames only).
 func TestMalformedFrames(t *testing.T) {
 	valid := AppendMsgFrame(nil, 1, "w1", "P1", sampleMsg(t))
 	mutate := func(f func(b []byte) []byte) []byte {
@@ -194,6 +195,16 @@ func TestMalformedFrames(t *testing.T) {
 			b[4], b[5] = versionTrace, FtDrainNode
 			return b
 		}), ErrWire},
+		{"v3 batch type", mutate(func(b []byte) []byte {
+			b[4], b[5] = versionNode, FtMsgBatch
+			return b
+		}), ErrWire},
+		{"origin on batch", func() []byte {
+			b := appendHeader(nil, Version, FtMsgBatch, FlagTrace, 1, "drv", "s1:r1", "s1:r1", 7)
+			b = append(b, 1, 1, 2, 'P', '1')
+			b = appendMessage(b, sampleMsg(t))
+			return finishFrame(b, 0)
+		}(), ErrWire},
 		{"more flag on multi", func() []byte {
 			b := appendMsgMultiFrame(nil, 0, 1, "drv", []string{"P1"}, sampleMsg(t), "", "", 0)
 			b[6] = FlagMore
@@ -275,6 +286,28 @@ func TestMalformedBodies(t *testing.T) {
 		}
 		if _, _, err := decodeMsgMultiBody(mf.Body); !errors.Is(err, ErrWire) {
 			t.Errorf("a multi frame naming no destination decoded: %v", err)
+		}
+	})
+	t.Run("batch shapes", func(t *testing.T) {
+		one := appendMsgBatchFrame(nil, 0, 6, "drv", []msgEntry{{[]string{"P1"}, msg}}, "", "")
+		bf, err := DecodeFrame(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeMsgBatchBody(bf.Body); err != nil {
+			t.Fatalf("a valid batch body: %v", err)
+		}
+		for cut := 0; cut < len(bf.Body); cut += 11 {
+			if _, err := decodeMsgBatchBody(bf.Body[:cut]); !errors.Is(err, ErrWire) {
+				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
+			}
+		}
+		noEntries := []byte{0}
+		noDests := append([]byte{1, 0}, appendMessage(nil, msg)...)
+		for name, body := range map[string][]byte{"no entries": noEntries, "no destinations": noDests} {
+			if _, err := decodeMsgBatchBody(body); !errors.Is(err, ErrWire) {
+				t.Errorf("%s: err %v, want ErrWire", name, err)
+			}
 		}
 	})
 	t.Run("node drain rsp truncated", func(t *testing.T) {

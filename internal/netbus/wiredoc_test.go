@@ -3,6 +3,7 @@ package netbus_test
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 // goldenHexFromDoc extracts the contents of every ```hex fence in
 // docs/WIRE.md, in document order — the normative golden frames (the
-// current-version example first, then the v2 and v1 examples).
+// current-version example first, then the v3, v2 and v1 examples).
 func goldenHexFromDoc(t *testing.T) [][]byte {
 	t.Helper()
 	raw, err := os.ReadFile("../../docs/WIRE.md")
@@ -47,37 +48,42 @@ func goldenHexFromDoc(t *testing.T) [][]byte {
 	return frames
 }
 
-// goldenMsg reproduces the documented message construction.
-func goldenMsg(t *testing.T) bus.Message {
+// goldenBid reproduces the documented construction of one processor's
+// bid message.
+func goldenBid(t *testing.T, proc string, seed int64, bid float64, nonce uint64) bus.Message {
 	t.Helper()
-	k, err := sig.GenerateKeyPair("P1", sig.DeterministicSource(42))
+	k, err := sig.GenerateKeyPair(proc, sig.DeterministicSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := sig.Seal(k, "dls/bid", map[string]any{"bid": 1.5, "proc": "P1"})
+	env, err := sig.Seal(k, "dls/bid", map[string]any{"bid": bid, "proc": proc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bus.Message{From: "P1", To: "*", Kind: "dls/bid", Size: 1, Nonce: 7, Env: env}
+	return bus.Message{From: proc, To: "*", Kind: "dls/bid", Size: 1, Nonce: nonce, Env: env}
 }
 
-// TestWireGoldenBytes keeps docs/WIRE.md honest: the version-3 golden
+// goldenMsg is P1's bid, the message every golden carries.
+func goldenMsg(t *testing.T) bus.Message { return goldenBid(t, "P1", 42, 1.5, 7) }
+
+// TestWireGoldenBytes keeps docs/WIRE.md honest: the version-4 golden
 // frame embedded in the spec must be byte-identical to what the encoder
 // produces for the documented inputs and must decode back to them, and
-// the older version-2 and version-1 goldens must still decode on
-// today's receiver, field for field — the backward-compatibility
-// promise, pinned in bytes.
+// the older version-3, -2 and -1 goldens must still decode on today's
+// receiver, field for field — the backward-compatibility promise,
+// pinned in bytes.
 func TestWireGoldenBytes(t *testing.T) {
 	goldens := goldenHexFromDoc(t)
-	if len(goldens) != 3 {
-		t.Fatalf("docs/WIRE.md has %d ```hex fences, want 3 (v3, v2, v1)", len(goldens))
+	if len(goldens) != 4 {
+		t.Fatalf("docs/WIRE.md has %d ```hex fences, want 4 (v4, v3, v2, v1)", len(goldens))
 	}
 	msg := goldenMsg(t)
 
-	t.Run("v3 traced multi", func(t *testing.T) {
+	t.Run("v4 traced batch", func(t *testing.T) {
 		golden := goldens[0]
-		frame := netbus.AppendMsgMultiFrame(nil, netbus.FlagTrace, 0xC0FFEE, "serve",
-			[]string{"P2", "P3"}, msg, "s1:r1", "s1:r1", 7)
+		p2 := goldenBid(t, "P2", 43, 2, 8)
+		frame := netbus.AppendMsgBatchFrame(nil, netbus.FlagTrace, 0xC0FFEE, "serve",
+			[][]string{{"P2", "P3"}, {"P3"}}, []bus.Message{msg, p2}, "s1:r1", "s1:r1")
 		if !bytes.Equal(frame, golden) {
 			t.Fatalf("docs/WIRE.md golden frame drifted from the encoder:\n doc  %x\n code %x", golden, frame)
 		}
@@ -85,26 +91,50 @@ func TestWireGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden frame does not decode: %v", err)
 		}
-		if f.Version != netbus.Version || f.Type != netbus.FtMsgMulti || f.Nonce != 0xC0FFEE || f.Node != "serve" {
-			t.Errorf("golden header %+v, want v3 FtMsgMulti nonce=0xC0FFEE node=serve", f)
+		if f.Version != netbus.Version || f.Type != netbus.FtMsgBatch || f.Nonce != 0xC0FFEE || f.Node != "serve" {
+			t.Errorf("golden header %+v, want v4 FtMsgBatch nonce=0xC0FFEE node=serve", f)
+		}
+		if f.Round != "s1:r1" || f.Epoch != "s1:r1" || f.Origin != 0 {
+			t.Errorf("golden trace context: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
+		}
+		dests, msgs, err := netbus.DecodeMsgBatchBody(f.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(dests) != "[[P2 P3] [P3]]" || len(msgs) != 2 {
+			t.Fatalf("golden entries: destinations %q, %d messages; want [[P2 P3] [P3]] and 2", dests, len(msgs))
+		}
+		checkGoldenMsg(t, msgs[0])
+		if m := msgs[1]; m.From != "P2" || m.Nonce != 8 || string(m.Env.Payload) != `{"bid":2,"proc":"P2"}` {
+			t.Errorf("golden second message %+v", m)
+		}
+	})
+
+	// The v3, v2 and v1 goldens are decode-only: the encoder emits v4
+	// now, and these pin that frames from older drivers still parse.
+	t.Run("v3 traced multi", func(t *testing.T) {
+		f, err := netbus.DecodeFrame(goldens[1])
+		if err != nil {
+			t.Fatalf("v3 golden no longer decodes — backward compatibility broken: %v", err)
+		}
+		if f.Version != 3 || f.Type != netbus.FtMsgMulti || f.Nonce != 0xC0FFEE || f.Node != "serve" {
+			t.Errorf("v3 golden header %+v, want v3 FtMsgMulti nonce=0xC0FFEE node=serve", f)
 		}
 		if f.Round != "s1:r1" || f.Epoch != "s1:r1" || f.Origin != 7 {
-			t.Errorf("golden trace context: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
+			t.Errorf("v3 golden trace context: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
 		}
 		dests, m, err := netbus.DecodeMsgMultiBody(f.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(dests) != 2 || dests[0] != "P2" || dests[1] != "P3" {
-			t.Errorf("golden destinations %q, want [P2 P3]", dests)
+			t.Errorf("v3 golden destinations %q, want [P2 P3]", dests)
 		}
 		checkGoldenMsg(t, m)
 	})
 
-	// The v2 and v1 goldens are decode-only: the encoder emits v3 now,
-	// and these pin that frames from older drivers still parse.
 	t.Run("v2 traced", func(t *testing.T) {
-		f, err := netbus.DecodeFrame(goldens[1])
+		f, err := netbus.DecodeFrame(goldens[2])
 		if err != nil {
 			t.Fatalf("v2 golden no longer decodes — backward compatibility broken: %v", err)
 		}
@@ -118,7 +148,7 @@ func TestWireGoldenBytes(t *testing.T) {
 	})
 
 	t.Run("v1 legacy", func(t *testing.T) {
-		f, err := netbus.DecodeFrame(goldens[2])
+		f, err := netbus.DecodeFrame(goldens[3])
 		if err != nil {
 			t.Fatalf("legacy golden no longer decodes — backward compatibility broken: %v", err)
 		}

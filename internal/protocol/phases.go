@@ -63,27 +63,33 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	var msgs []logical
+	// Every bid goes out in one batch, in signing order, so each sender's
+	// bid is followed by its second one.
+	msgs := make([]logical, 0, len(envs))
+	batch := make([]bus.Broadcast, 0, len(envs))
+	for i, a := range r.agents {
+		copies := 1
+		if _, ok := a.SecondBid(); ok {
+			copies = 2
+		}
+		for k := 0; k < copies; k++ {
+			env := envs[len(msgs)]
+			msgs = append(msgs, logical{sender: i, env: env, primary: k == 0})
+			batch = append(batch, bus.Broadcast{From: a.ID, Kind: referee.KindBid, Env: env, Size: 1})
+		}
+	}
+	nonces, err := r.net.BroadcastEach(batch)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
 	firstEnvs = make([]sig.Envelope, r.m)
 	primaryNonces = make([]uint64, r.m)
-	for i, a := range r.agents {
-		env := envs[0]
-		envs = envs[1:]
-		firstEnvs[i] = env
-		nonce, err := r.net.BroadcastTagged(a.ID, referee.KindBid, env, 1, 0)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		primaryNonces[i] = nonce
-		msgs = append(msgs, logical{sender: i, env: env, nonce: nonce, primary: true})
-		if _, ok := a.SecondBid(); ok {
-			env2 := envs[0]
-			envs = envs[1:]
-			nonce2, err := r.net.BroadcastTagged(a.ID, referee.KindBid, env2, 1, 0)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			msgs = append(msgs, logical{sender: i, env: env2, nonce: nonce2, primary: false})
+	for mi := range msgs {
+		lm := &msgs[mi]
+		lm.nonce = nonces[mi]
+		if lm.primary {
+			firstEnvs[lm.sender] = lm.env
+			primaryNonces[lm.sender] = lm.nonce
 		}
 	}
 

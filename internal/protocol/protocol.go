@@ -94,8 +94,9 @@ type Config struct {
 	// implementation, so a Medium-backed run can span OS processes; the
 	// simulated bus remains the deterministic default when Medium is
 	// nil. The run attaches its processor and referee identities on
-	// setup, so a long-lived Medium must accept re-attachment of known
-	// endpoints (bus.Medium documents this). Mutually exclusive with
+	// setup and detaches them when it ends (bus.Medium documents both),
+	// so one long-lived Medium serves any number of runs in turn, each
+	// reaching exactly its own participants. Mutually exclusive with
 	// Faults — an external medium owns its own failure behavior.
 	Medium bus.Medium
 	// Memo is the verified-envelope memo behind every envelope
@@ -291,10 +292,13 @@ type run struct {
 	agents     []*agent.Agent
 	reg        *sig.Registry
 	net        bus.Medium
-	xp         *transport
-	ledger     *payment.Ledger
-	ref        *referee.Referee
-	refKey     *sig.KeyPair
+	// attached lists the endpoints this run attached to net; release
+	// detaches them when the run ends.
+	attached []string
+	xp       *transport
+	ledger   *payment.Ledger
+	ref      *referee.Referee
+	refKey   *sig.KeyPair
 	// refAddr is the bus endpoint referee-bound traffic targets:
 	// referee.Account until a failover promotes the standby, then
 	// referee.StandbyAccount.
@@ -432,6 +436,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 	if err != nil {
 		return nil, nil, err
 	}
+	defer r.release()
 	r.roundID = rb.round
 	r.loadFrac, r.inst, r.instOf, r.policy = rb.frac, rb.inst, rb.instOf, rb.policy
 	// Media that carry a trace context on the wire (the netbus) get this
@@ -609,16 +614,31 @@ func setup(cfg Config) (*run, error) {
 	if cfg.Standby {
 		endpoints = append(endpoints, referee.StandbyAccount)
 	}
-	for _, id := range endpoints {
+	for k, id := range endpoints {
 		if err := r.net.Attach(id); err != nil {
+			r.attached = endpoints[:k]
+			r.release()
 			return nil, err
 		}
 	}
+	r.attached = endpoints
 	accounts := append([]string{UserID, referee.Account}, r.procs...)
 	if r.ledger, err = payment.NewLedger(accounts...); err != nil {
+		r.release()
 		return nil, err
 	}
 	return r, nil
+}
+
+// release detaches the endpoints the run attached, so a long-lived
+// medium (cfg.Medium) stops broadcasting to them and holds nothing for
+// them once the run is over. The outcome has already read the medium's
+// stats.
+func (r *run) release() {
+	for _, id := range r.attached {
+		r.net.Detach(id)
+	}
+	r.attached = nil
 }
 
 // loadKeys resolves the key pair of every identity, in ids order, and

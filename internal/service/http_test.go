@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/protocol"
@@ -398,5 +400,110 @@ func TestHTTPFaultyJob(t *testing.T) {
 	}
 	if !equalF64(res.Payments, direct.Payments) {
 		t.Fatalf("payments %v, direct run got %v", res.Payments, direct.Payments)
+	}
+}
+
+// TestHTTPClientDisconnectsMidStream pins what a client that hangs up
+// mid-NDJSON leaves behind: nothing. It submits a 4-job batch over a raw
+// connection, reads only the "accepted" line and closes the connection
+// while the pool's runner is held before the first job. Released, the
+// pool must still finish the batch; a later submission on a new
+// connection must complete; the queue must drain to 0 and /healthz
+// answer 200; and the handler goroutines must exit, bringing the
+// goroutine count back to its baseline.
+func TestHTTPClientDisconnectsMidStream(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 16})
+	defer srv.Close()
+	gate := make(chan struct{}, 8) // one token lets the runner take one job
+	srv.testHookBeforeRun = func(p *Pool, task *Task) { <-gate }
+	defer close(gate) // runs before srv.Close: a failed test must not leave the runner held
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	post := func(path, body string) (int, []string) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lines []string
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		return resp.StatusCode, lines
+	}
+	if code, _ := post("/v1/pools", `{"name":"hot","w":[1,1.5,2,2.5]}`); code != http.StatusCreated {
+		t.Fatalf("create pool: %d", code)
+	}
+	// A first job warms the pool, so the baseline counts every goroutine
+	// that outlives a request.
+	gate <- struct{}{}
+	if code, lines := post("/v1/jobs", `{"pool":"hot","jobs":[{"z":0.1,"seed":1}]}`); code != http.StatusOK || len(lines) != 3 {
+		t.Fatalf("warm-up job: %d %q", code, lines)
+	}
+	settle := func(want int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > want && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	time.Sleep(50 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"pool":"hot","jobs":[{"z":0.1,"seed":1},{"z":0.2,"seed":1},{"z":0.3,"seed":1},{"z":0.4,"seed":1}]}`
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: dls\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(first, `"event":"accepted"`) || !strings.Contains(first, `"jobs":4`) {
+		t.Fatalf("first NDJSON line %q (%v), want the accepted record for 4 jobs", first, err)
+	}
+	conn.Close()
+	for i := 0; i < 4; i++ {
+		gate <- struct{}{}
+	}
+	p, _ := srv.Pool("hot")
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Snapshot().Rounds < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pool played %d rounds, want the warm-up and the abandoned batch's 4", p.Snapshot().Rounds)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	gate <- struct{}{}
+	code, lines := post("/v1/jobs", `{"pool":"hot","jobs":[{"z":0.2,"seed":2}]}`)
+	if code != http.StatusOK || len(lines) != 3 || !strings.Contains(lines[2], `"event":"done"`) {
+		t.Fatalf("submission after the disconnect: %d %q", code, lines)
+	}
+	var res JobResult
+	if err := json.Unmarshal([]byte(lines[1]), &res); err != nil || !res.Completed || res.Error != "" {
+		t.Fatalf("job after the disconnect: %+v (%v)", res, err)
+	}
+	if q := srv.Queued(); q != 0 {
+		t.Errorf("Queued() = %d after every job ran, want 0", q)
+	}
+	hr, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Errorf("/healthz = %d, want 200", hr.StatusCode)
+	}
+	if n := settle(baseline); n > baseline {
+		t.Errorf("%d goroutines remain, baseline %d: a handler outlived its disconnected client", n, baseline)
 	}
 }

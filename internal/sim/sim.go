@@ -96,17 +96,31 @@ type event struct {
 	action func()
 }
 
+// eventHeap is the engine's queue: a container/heap of events ordered
+// by time, then by scheduling order.
 type eventHeap []*event
 
+// Len is the number of queued events (heap.Interface).
 func (h eventHeap) Len() int { return len(h) }
+
+// Less orders events by time, breaking ties by scheduling order
+// (heap.Interface).
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+
+// Swap exchanges two queued events (heap.Interface).
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+// Push appends an event; container/heap restores the order
+// (heap.Interface).
 func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
+
+// Pop removes the last event, which container/heap has just moved
+// there, and clears its slot (heap.Interface).
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -139,6 +153,3 @@ func (r *Resource) Reserve(earliest, duration float64) (start, end float64, err 
 	r.free = end
 	return start, end, nil
 }
-
-// FreeAt returns the time the resource next becomes free.
-func (r *Resource) FreeAt() float64 { return r.free }

@@ -157,8 +157,10 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 10 || e3 != 11 {
 		t.Errorf("third reservation [%v,%v), want [10,11)", s3, e3)
 	}
-	if r.FreeAt() != 11 {
-		t.Errorf("FreeAt = %v, want 11", r.FreeAt())
+	// The resource is free from 11: a fourth reservation asked for at 0
+	// starts there.
+	if s4, e4, err := r.Reserve(0, 1); err != nil || s4 != 11 || e4 != 12 {
+		t.Errorf("fourth reservation [%v,%v) (%v), want [11,12)", s4, e4, err)
 	}
 	if _, _, err := r.Reserve(0, -1); err == nil {
 		t.Error("negative duration accepted")
