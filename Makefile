@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service race-fanout vet doccheck examples net-smoke net-trace ci serve bench-smoke bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service race-fanout vet doccheck examples net-smoke net-trace ci serve bench-smoke bench-cold bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -27,15 +27,18 @@ race-service:
 	$(GO) test -race ./internal/service/... ./internal/protocol/...
 
 # The per-party crypto fan-out (internal/sig's worker loop behind the
-# batch sealer, the parallel key generation and VerifyEach) under the
-# race detector at GOMAXPROCS 1, the inline path, and 4, the worker
-# loop, ten times over, with the transcript golden that pins every
-# signed byte; then the hot-path and netbus parity properties once at
+# batch sealer, the parallel key generation and its pooled seed sources,
+# and VerifyEach) under the race detector at GOMAXPROCS 1, the inline
+# path, and 4, the worker loop, ten times over, with the transcript
+# golden that pins every signed byte; then the bid-receive oracle's race
+# subset once at both settings, its rounds drawing keys from the shared
+# source pool; then the hot-path and netbus parity properties once at
 # both settings.
 race-fanout:
 	$(GO) test -race -count=10 -cpu 1,4 \
 		-run 'TestSealBinaryEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTranscriptGolden' \
 		./internal/sig ./internal/protocol
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
 	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity' ./internal/protocol ./internal/netbus
 
 # Doc-comment lint over every package under internal/: every exported
@@ -81,10 +84,11 @@ net-trace:
 # virtual-time packing model's 1.3x target and the Byzantine adversary
 # tiers), the crypto fan-out at GOMAXPROCS 1 and 4, the coverage floor,
 # a short run of every fuzz target, every example run end to end, the
-# layered benchmark's correctness smoke, the multi-process loopback
+# layered benchmark's correctness smoke, one cold round at each pool size
+# up to service.MaxPoolSize, the multi-process loopback
 # smoke, and the distributed-telemetry trace smoke (merged 3-process
 # Chrome trace with payment parity intact).
-ci: build vet doccheck race race-fanout cover fuzz-short examples bench-layered-smoke net-smoke net-trace
+ci: build vet doccheck race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;
@@ -141,6 +145,12 @@ faults-soak:
 # harness without paying for real measurements.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# One cold protocol.Run at each pool size up to service.MaxPoolSize
+# (m = 16, 64, 128, 256), so the largest pool a spec may declare stays
+# exercised; under a second in all.
+bench-cold:
+	$(GO) test -run NONE -bench BenchmarkColdRound -benchtime 1x ./internal/protocol
 
 # The layered benchmark's own tests (bench/, a separate module): every
 # op's correctness check across the service, library and netbus paths,

@@ -42,7 +42,9 @@ import (
 //     reserved for misuse (unknown endpoint, negative size) and for
 //     the medium itself breaking.
 //   - Drain removes and returns an endpoint's queued deliveries in
-//     arrival order.
+//     arrival order, and hands the returned slice over: the medium keeps
+//     no reference to it, so the caller may reuse it (the transport
+//     adopts it as the endpoint's pending buffer).
 //   - Stats reports the cumulative traffic and fault counters; the
 //     fault vocabulary (drops, duplicates, …) keeps its meaning on
 //     real sockets.
@@ -73,7 +75,7 @@ type Medium interface {
 	// logical nonce (0 allocates one). It returns the nonce in force.
 	SendTagged(from, to, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)
 	// Drain removes and returns the endpoint's queued deliveries in
-	// arrival order.
+	// arrival order. The caller owns the returned slice.
 	Drain(id string) ([]Message, error)
 	// Stats returns a snapshot of the traffic and fault counters.
 	Stats() Stats

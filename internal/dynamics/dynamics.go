@@ -82,24 +82,6 @@ type Trace struct {
 	Final State
 }
 
-// Converged reports whether the final profile is fully truthful in bids
-// and (for the verified rule) fully full-speed.
-func (tr *Trace) Converged(checkSlack bool) bool {
-	for _, b := range tr.Final.BidFactors {
-		if b != 1 {
-			return false
-		}
-	}
-	if checkSlack {
-		for _, s := range tr.Final.SlackFactors {
-			if s != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Run executes the best-response dynamics.
 func Run(cfg Config) (*Trace, error) {
 	if err := cfg.validate(); err != nil {

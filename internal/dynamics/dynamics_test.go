@@ -14,6 +14,22 @@ var lazyFirstSlack = []float64{2, 1.5, 1.25, 1}
 
 var bidGrid = []float64{0.5, 0.75, 1, 1.25, 1.5, 2}
 
+// converged reports whether the final profile is fully truthful in bids
+// and fully full-speed.
+func converged(tr *Trace) bool {
+	for _, b := range tr.Final.BidFactors {
+		if b != 1 {
+			return false
+		}
+	}
+	for _, s := range tr.Final.SlackFactors {
+		if s != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 func baseConfig(rule core.PaymentRule, seed int64) Config {
 	return Config{
 		Network:   dlt.NCPFE,
@@ -52,7 +68,7 @@ func TestVerifiedConvergesToTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tr.Converged(true) {
+		if !converged(tr) {
 			t.Errorf("seed %d: final state %+v not truthful", seed, tr.Final)
 		}
 		last := tr.Stats[len(tr.Stats)-1]
@@ -104,7 +120,7 @@ func TestOnePassSuffices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Converged(true) {
+	if !converged(tr) {
 		t.Errorf("one sweep did not suffice: %+v", tr.Final)
 	}
 }
@@ -162,7 +178,7 @@ func TestRandomInstancesConverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tr.Converged(true) {
+		if !converged(tr) {
 			t.Errorf("trial %d: no convergence on %+v: %+v", trial, in, tr.Final)
 		}
 	}

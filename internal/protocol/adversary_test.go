@@ -10,6 +10,7 @@ import (
 
 	"dlsbl/internal/adversarytest"
 	"dlsbl/internal/agent"
+	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
 	"dlsbl/internal/referee"
@@ -261,6 +262,55 @@ func TestFramingSuite(t *testing.T) {
 			}
 			if err := referee.VerifyEntries(out.Transcript); err != nil {
 				t.Fatalf("transcript does not verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestFramerBesideEviction: a framer's relay task is adjudicated after
+// an unresponsive member's eviction has shifted the participant indices.
+// The referee must still hold the framer's own report as evidence: the
+// framer is convicted, no one else is fined and the sentinel stays
+// clear. The framers sit after the evicted member, one of them last, so
+// a lookup by pre-eviction index would credit the successor or run past
+// the survivors.
+func TestFramerBesideEviction(t *testing.T) {
+	const m, dead = 5, 1
+	for _, attacker := range []int{3, m - 1} {
+		t.Run(fmt.Sprintf("framer=P%d", attacker+1), func(t *testing.T) {
+			w := make([]float64, m)
+			for i := range w {
+				w[i] = 1 + 0.5*float64(i)
+			}
+			rec := obs.NewRecorder()
+			s := obs.NewSentinel()
+			cfg := Config{
+				Network:   dlt.NCPFE,
+				Z:         0.2,
+				TrueW:     w,
+				Seed:      31,
+				Behaviors: adversarytest.Framing(m, attacker),
+				Faults:    &bus.FaultPlan{Seed: 5, Unresponsive: []string{adversarytest.ProcID(dead)}},
+				Tracer:    obs.Multi(rec, s),
+			}
+			out, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Completed || !out.Evicted[dead] {
+				t.Fatalf("completed %v, evicted %v: want a completed round without P%d", out.Completed, out.Evicted, dead+1)
+			}
+			if out.Fines[attacker] <= 0 {
+				t.Errorf("framer P%d not fined: %v", attacker+1, out.Fines)
+			}
+			assertHonestUnfined(t, out, attacker)
+			for _, e := range recordKinds(rec, obs.EvEvidence) {
+				if e.Msg == referee.KindWitnessReport && e.From != adversarytest.ProcID(attacker) {
+					t.Errorf("witness report evidence credited to %s, want %s", e.From, adversarytest.ProcID(attacker))
+				}
+			}
+			if !s.Ok() {
+				t.Errorf("sentinel latched: %q", s.Violations())
 			}
 		})
 	}

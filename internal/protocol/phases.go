@@ -31,6 +31,23 @@ func (r *run) sealEach(reqs []sig.Sealing) ([]sig.Envelope, error) {
 	return envs, nil
 }
 
+// logicalBid is one signed bid of the exchange, retransmitted under its
+// nonce until every receiver holds it.
+type logicalBid struct {
+	sender  int // participant index
+	env     sig.Envelope
+	nonce   uint64
+	primary bool // the sender's first (agreed) bid
+}
+
+// The receive side of the Bidding phase. They are variables so that a
+// test can play whole rounds against the reference implementation they
+// replaced; nothing else assigns them.
+var (
+	receiveBids = (*run).takeBids
+	collectBids = (*run).scanBids
+)
+
 // bidExchange performs the all-to-all broadcast of signed bids over the
 // (possibly faulty) bus: every logical bid message is retransmitted under
 // its original nonce with capped exponential backoff until each receiver
@@ -42,12 +59,6 @@ func (r *run) sealEach(reqs []sig.Sealing) ([]sig.Envelope, error) {
 // the witness-corroboration rule a residual missing pair alone evicts
 // nobody (see healMissingBids).
 func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope, missing [][]int, primaryNonces []uint64, err error) {
-	type logical struct {
-		sender  int // participant index
-		env     sig.Envelope
-		nonce   uint64
-		primary bool // the sender's first (agreed) bid
-	}
 	// Every processor signs its bid; equivocators also sign a second,
 	// contradictory one.
 	reqs := make([]sig.Sealing, 0, r.m)
@@ -65,7 +76,7 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 	}
 	// Every bid goes out in one batch, in signing order, so each sender's
 	// bid is followed by its second one.
-	msgs := make([]logical, 0, len(envs))
+	msgs := make([]logicalBid, 0, len(envs))
 	batch := make([]bus.Broadcast, 0, len(envs))
 	for i, a := range r.agents {
 		copies := 1
@@ -74,7 +85,7 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 		}
 		for k := 0; k < copies; k++ {
 			env := envs[len(msgs)]
-			msgs = append(msgs, logical{sender: i, env: env, primary: k == 0})
+			msgs = append(msgs, logicalBid{sender: i, env: env, primary: k == 0})
 			batch = append(batch, bus.Broadcast{From: a.ID, Kind: referee.KindBid, Env: env, Size: 1})
 		}
 	}
@@ -92,63 +103,91 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 			primaryNonces[lm.sender] = lm.nonce
 		}
 	}
+	received, missing, err = receiveBids(r, msgs)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return received, firstEnvs, missing, primaryNonces, nil
+}
 
-	// need[receiver][nonce] = index into msgs still awaited by that
-	// receiver. Nonces are globally unique, so the nonce alone keys a
-	// logical message.
-	need := make([]map[uint64]int, r.m)
+// takeBids collects the broadcast bids msgs at every receiver, retrying
+// the missing copies by unicast, at constant work per delivered copy. It
+// returns each receiver's verified copies, per attempt in message-index
+// order, and the senders whose primary bid each receiver still lacks.
+func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][]int, err error) {
+	// Each receiver needs every logical bid but its own. want[ri*n+mi]
+	// marks message mi as still awaited by receiver ri; nonces are
+	// globally unique, so index maps a delivered copy's nonce to its
+	// logical message in O(1).
+	n := len(msgs)
+	index := make(map[uint64]int, n)
+	for mi := range msgs {
+		index[msgs[mi].nonce] = mi
+	}
+	want := make([]bool, r.m*n)
+	received = make([][]bus.Message, r.m)
+	outstanding := 0
 	for ri := range r.agents {
-		need[ri] = make(map[uint64]int, len(msgs))
-		for mi, lm := range msgs {
-			if lm.sender != ri {
-				need[ri][lm.nonce] = mi
+		need := 0
+		for mi := range msgs {
+			if msgs[mi].sender != ri {
+				want[ri*n+mi] = true
+				need++
 			}
 		}
+		received[ri] = make([]bus.Message, 0, need)
+		outstanding += need
 	}
-	received = make([][]bus.Message, r.m)
-	outstanding := func() int {
-		n := 0
-		for ri := range need {
-			n += len(need[ri])
-		}
-		return n
-	}
+	var idx []int // message indices of one receiver's takes in one attempt
 	for attempt := 1; ; attempt++ {
 		for ri, a := range r.agents {
 			if err := r.xp.pull(a.ID); err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, err
 			}
-			for _, lm := range msgs {
-				if _, wanted := need[ri][lm.nonce]; !wanted {
-					continue
+			// One pass over the receiver's pending copies takes every bid
+			// it still needs. The takes land on its row in message-index
+			// order, the order an index-order scan of msgs would take them
+			// in, whatever order they arrived in.
+			wants := want[ri*n : (ri+1)*n]
+			row, start := received[ri], len(received[ri])
+			idx = idx[:0]
+			r.xp.takeEach(a.ID, func(m *bus.Message) bool {
+				mi, ok := index[m.Nonce]
+				if !ok || !wants[mi] || m.From != r.agents[msgs[mi].sender].ID {
+					return false
 				}
-				if m, ok := r.xp.takeNonce(a.ID, r.agents[lm.sender].ID, lm.nonce); ok {
-					received[ri] = append(received[ri], m)
-					delete(need[ri], lm.nonce)
-				}
+				wants[mi] = false
+				outstanding--
+				row = append(row, *m)
+				idx = append(idx, mi)
+				return true
+			})
+			if !sort.IntsAreSorted(idx) {
+				sort.Sort(byIndex{msgs: row[start:], idx: idx})
 			}
+			received[ri] = row
 		}
-		if outstanding() == 0 {
+		if outstanding == 0 {
 			break
 		}
 		r.xp.stats.Timeouts++
 		r.xp.event(obs.Event{Kind: obs.EvTimeout, Msg: referee.KindBid,
-			Detail: fmt.Sprintf("%d bid deliveries outstanding", outstanding())})
+			Detail: fmt.Sprintf("%d bid deliveries outstanding", outstanding)})
 		if attempt >= r.xp.policy.MaxAttempts || r.xp.sleep(attempt) {
 			break
 		}
 		// Point-to-point retransmission of exactly the missing copies,
-		// under the original nonces (idempotent at the receivers). Iterate
-		// msgs in index order, not the need map: send order decides which
-		// seeded fault draws hit which deliveries, so it must be
-		// deterministic for FaultPlan's reproducibility contract to hold.
+		// under the original nonces (idempotent at the receivers), in
+		// (receiver, message index) order: send order decides which seeded
+		// fault draws hit which deliveries, so it must be deterministic for
+		// FaultPlan's reproducibility contract to hold.
 		for ri, a := range r.agents {
-			for _, lm := range msgs {
-				if _, wanted := need[ri][lm.nonce]; !wanted {
+			for mi, lm := range msgs {
+				if !want[ri*n+mi] {
 					continue
 				}
 				if _, err := r.net.SendTagged(r.agents[lm.sender].ID, a.ID, referee.KindBid, lm.env, 1, lm.nonce); err != nil {
-					return nil, nil, nil, nil, err
+					return nil, nil, err
 				}
 				r.xp.stats.Retransmits++
 				r.xp.event(obs.Event{Kind: obs.EvRetransmit, From: r.agents[lm.sender].ID, To: a.ID, Msg: referee.KindBid})
@@ -157,18 +196,37 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 	}
 
 	missing = make([][]int, r.m)
-	if outstanding() == 0 {
-		return received, firstEnvs, missing, primaryNonces, nil
+	if outstanding == 0 {
+		return received, missing, nil
 	}
-	for ri := range need {
-		for _, mi := range need[ri] {
-			if msgs[mi].primary {
-				missing[ri] = append(missing[ri], msgs[mi].sender)
+	// msgs runs in sender order, so each list comes out sorted.
+	for ri := range missing {
+		for mi, lm := range msgs {
+			if want[ri*n+mi] && lm.primary {
+				missing[ri] = append(missing[ri], lm.sender)
 			}
 		}
-		sort.Ints(missing[ri])
 	}
-	return received, firstEnvs, missing, primaryNonces, nil
+	return received, missing, nil
+}
+
+// byIndex sorts one receiver's takes of one attempt into message-index
+// order; idx[k] is the logical message index of msgs[k].
+type byIndex struct {
+	msgs []bus.Message
+	idx  []int
+}
+
+// Len is the number of takes.
+func (s byIndex) Len() int { return len(s.idx) }
+
+// Less orders takes by message index.
+func (s byIndex) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
+
+// Swap exchanges two takes with their indices.
+func (s byIndex) Swap(i, j int) {
+	s.msgs[i], s.msgs[j] = s.msgs[j], s.msgs[i]
+	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 }
 
 // witnessReport is one unreachability allegation in pre-eviction
@@ -184,6 +242,7 @@ type witnessReport struct {
 // relay; phaseBidding adjudicates it once the referee exists.
 type relayTask struct {
 	witness, accused int // pre-eviction participant indices
+	witnessID        string
 	report           sig.Envelope
 	evidence         referee.WitnessEvidence
 }
@@ -393,7 +452,7 @@ func (r *run) healMissingBids(received [][]bus.Message, missing [][]int, primary
 		// A framer maintains its fabricated claim against its rival even
 		// while holding the relayed proof; an honest witness withdraws.
 		ev.ClaimMaintained = w.Behavior.FrameRival && rep.accused == (rep.witness+1)%m0
-		tasks = append(tasks, relayTask{witness: rep.witness, accused: rep.accused, report: env, evidence: ev})
+		tasks = append(tasks, relayTask{witness: rep.witness, accused: rep.accused, witnessID: w.ID, report: env, evidence: ev})
 	}
 	return unreachable, tasks, nil
 }
@@ -434,50 +493,7 @@ func (r *run) phaseBidding() (bool, error) {
 
 	// Collection: each surviving processor verifies every delivery,
 	// discarding failures, and scans what it holds for equivocation.
-	type seenBid struct {
-		envs []sig.Envelope
-		bids []float64
-	}
-	var equivocators []int
-	evidence := make(map[int][2]sig.Envelope)
-	for i := range r.agents {
-		seen := make(map[string]*seenBid)
-		for _, msg := range received[i] {
-			var bp referee.BidPayload
-			if err := r.open(&msg.Env, &bp); err != nil {
-				continue // failed verification: discarded (paper)
-			}
-			if bp.Proc != msg.Env.Sender {
-				continue
-			}
-			sb := seen[bp.Proc]
-			if sb == nil {
-				sb = &seenBid{}
-				seen[bp.Proc] = sb
-			}
-			duplicate := false
-			for _, prev := range sb.bids {
-				if prev == bp.Bid {
-					duplicate = true
-					break
-				}
-			}
-			if duplicate {
-				continue
-			}
-			sb.envs = append(sb.envs, msg.Env)
-			sb.bids = append(sb.bids, bp.Bid)
-		}
-		// Equivocation detection by this receiver.
-		for j, p := range r.procs {
-			if sb := seen[p]; sb != nil && len(sb.bids) > 1 {
-				if _, already := evidence[j]; !already {
-					equivocators = append(equivocators, j)
-					evidence[j] = [2]sig.Envelope{sb.envs[0], sb.envs[1]}
-				}
-			}
-		}
-	}
+	equivocators, evidence := collectBids(r, received)
 	// The agreed bid vector: all honest processors see identical
 	// broadcasts (the retry layer restores atomicity), and a processor's
 	// own bid is what it broadcast first.
@@ -506,7 +522,8 @@ func (r *run) phaseBidding() (bool, error) {
 	// Adjudicate the mediated witness reports. A maintained claim against
 	// the verified relay is a convictable framing attempt; the fine never
 	// terminates the round — the framer's bid is bound and the honest
-	// majority proceeds.
+	// majority proceeds. A task's indices predate the evictions, so the
+	// witness is named by identity.
 	for _, t := range tasks {
 		if _, gone := unreachable[t.witness]; gone {
 			continue
@@ -514,7 +531,7 @@ func (r *run) phaseBidding() (bool, error) {
 		if _, gone := unreachable[t.accused]; gone {
 			continue
 		}
-		r.evidence(r.agents[t.witness].ID, referee.KindWitnessReport)
+		r.evidence(t.witnessID, referee.KindWitnessReport)
 		v, err := r.ref.JudgeWitnessReport(t.report, t.evidence)
 		if err != nil {
 			return false, err
@@ -582,6 +599,64 @@ func (r *run) phaseBidding() (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// scanBids is the collection: each surviving processor verifies every
+// copy it received, discarding failures, and scans what it holds for
+// equivocation. It returns the equivocators in detection order and, for
+// each, the first two contradictory signed bids a receiver held.
+func (r *run) scanBids(received [][]bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
+	// seen[j] is what the current receiver holds from participant j; the
+	// first two distinct bids are all the scan reads. One slice serves
+	// every receiver: an entry whose stamp is not the receiver's is empty.
+	type seenBid struct {
+		stamp, n int
+		envs     [2]sig.Envelope
+		bids     [2]float64
+	}
+	pos := make(map[string]int, r.m)
+	for j, p := range r.procs {
+		pos[p] = j
+	}
+	seen := make([]seenBid, r.m)
+	evidence = make(map[int][2]sig.Envelope)
+	var bp referee.BidPayload // decoded into once per copy, allocated once
+	for i := range r.agents {
+		stamp := i + 1
+		for k := range received[i] {
+			msg := &received[i][k]
+			bp = referee.BidPayload{}
+			if err := r.open(&msg.Env, &bp); err != nil {
+				continue // failed verification: discarded (paper)
+			}
+			if bp.Proc != msg.Env.Sender {
+				continue
+			}
+			j, live := pos[bp.Proc]
+			if !live {
+				continue // an evicted sender: nothing left to judge
+			}
+			sb := &seen[j]
+			if sb.stamp != stamp {
+				sb.stamp, sb.n = stamp, 0
+			}
+			if sb.n == 2 || (sb.n == 1 && sb.bids[0] == bp.Bid) {
+				continue
+			}
+			sb.envs[sb.n], sb.bids[sb.n] = msg.Env, bp.Bid
+			sb.n++
+		}
+		// Equivocation detection by this receiver.
+		for j := range seen {
+			if sb := &seen[j]; sb.stamp == stamp && sb.n > 1 {
+				if _, already := evidence[j]; !already {
+					equivocators = append(equivocators, j)
+					evidence[j] = sb.envs
+				}
+			}
+		}
+	}
+	return equivocators, evidence
 }
 
 // ---- Phase: Allocating Load -------------------------------------------------

@@ -114,11 +114,11 @@ type rxBuf struct {
 
 // transport layers idempotent, retrying delivery over the medium. It
 // owns every endpoint's inbox: phases consume verified messages through
-// takeNonce instead of draining the medium directly, so duplicated,
-// delayed and retransmitted copies collapse into exactly-once delivery
-// to the protocol logic. The medium is any bus.Medium — the simulated
-// bus or a real socket (internal/netbus); the retry/dedup/eviction
-// machinery here is identical over both.
+// takeNonce and takeEach instead of draining the medium directly, so
+// duplicated, delayed and retransmitted copies collapse into
+// exactly-once delivery to the protocol logic. The medium is any
+// bus.Medium — the simulated bus or a real socket (internal/netbus); the
+// retry/dedup/eviction machinery here is identical over both.
 type transport struct {
 	net    bus.Medium
 	policy RetryPolicy
@@ -178,16 +178,19 @@ func (t *transport) sleep(attempt int) (deadlineExceeded bool) {
 // pull drains the endpoint's bus inbox into its receive buffer, dropping
 // copies that fail signature verification (per the paper: unverifiable
 // messages are discarded) and copies already seen (idempotent handling by
-// (sender, nonce)).
+// (sender, nonce)). The medium hands the drained slice over, so when
+// nothing is pending it becomes the pending buffer, the kept copies
+// compacted to its front in arrival order.
 func (t *transport) pull(id string) error {
 	msgs, err := t.net.Drain(id)
 	if err != nil {
 		return err
 	}
 	b := t.buf(id)
+	kept := msgs[:0]
 	for i := range msgs {
-		m := msgs[i]
-		if t.ver.Verify(&msgs[i].Env) != nil {
+		m := &msgs[i]
+		if t.ver.Verify(&m.Env) != nil {
 			t.stats.CorruptDiscards++
 			t.event(obs.Event{Kind: obs.EvCorruptDiscard, From: m.From, To: id, Msg: m.Kind})
 			continue
@@ -199,22 +202,46 @@ func (t *transport) pull(id string) error {
 			continue
 		}
 		b.seen[k] = true
-		b.pending = append(b.pending, m)
+		kept = append(kept, *m)
+	}
+	if len(b.pending) == 0 {
+		b.pending = kept
+	} else {
+		b.pending = append(b.pending, kept...)
 	}
 	return nil
 }
 
 // takeNonce removes and returns the pending message with the given
-// logical identity, if present.
+// logical identity, if present. Deduplication keeps at most one pending
+// copy per identity and every take is by identity, so pending order is
+// never observed: the last entry fills the hole.
 func (t *transport) takeNonce(id, from string, nonce uint64) (bus.Message, bool) {
 	b := t.buf(id)
-	for i, m := range b.pending {
-		if m.From == from && m.Nonce == nonce {
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
+	for i := range b.pending {
+		if m := b.pending[i]; m.From == from && m.Nonce == nonce {
+			last := len(b.pending) - 1
+			b.pending[i] = b.pending[last]
+			b.pending[last] = bus.Message{}
+			b.pending = b.pending[:last]
 			return m, true
 		}
 	}
 	return bus.Message{}, false
+}
+
+// takeEach offers every pending message of endpoint id to take, in one
+// pass, and removes the ones it takes; the rest keep their order.
+func (t *transport) takeEach(id string, take func(m *bus.Message) bool) {
+	b := t.buf(id)
+	kept := b.pending[:0]
+	for i := range b.pending {
+		if !take(&b.pending[i]) {
+			kept = append(kept, b.pending[i])
+		}
+	}
+	clear(b.pending[len(kept):])
+	b.pending = kept
 }
 
 // sendReliable unicasts one logical message until the receiver holds a

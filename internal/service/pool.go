@@ -8,6 +8,7 @@ import (
 
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
+	"dlsbl/internal/protocol"
 	"dlsbl/internal/session"
 	"dlsbl/internal/sig"
 )
@@ -43,12 +44,14 @@ type PoolSpec struct {
 }
 
 // MaxPoolSize caps the processors in a pool (PoolSpec.TrueW) at
-// creation. A round's bid exchange is Θ(m²) deliveries, and a cold
-// protocol.Run took 22 ms at m = 64, 79 ms at m = 128 and 253 ms at
-// m = 256 (one sample each on a 2-vCPU KVM guest): ×3.2–3.7 per
-// doubling, so a 4,096-member spec, 36 KiB of JSON, would cost tens of
-// seconds of CPU per job. 256 is also the largest pool that
-// netbus.MailboxBytes is sized for; a larger cap must re-derive it.
+// creation. A round's bid exchange is Θ(m²) deliveries. A cold
+// protocol.Run (BenchmarkColdRound in internal/protocol, median of 3
+// runs of 3 rounds on a 2-vCPU KVM guest) takes 3.1 ms and 0.29 MB at
+// m = 16, 19 ms and 3.3 MB at m = 64, 50 ms and 12 MB at m = 128, and
+// 151 ms and 50 MB at m = 256: ×2.6–3 per doubling in time and ×4 in
+// bytes, so a 4,096-member spec, 36 KiB of JSON, would cost over ten
+// seconds of CPU per job. 256 is also the largest pool that netbus.MailboxBytes
+// is sized for; a larger cap must re-derive it.
 const MaxPoolSize = 256
 
 // Pool is a registered processor pool: a persistent session whose
@@ -71,11 +74,46 @@ type Pool struct {
 	// breach for /metrics and /healthz. See obs.Sentinel.
 	sentinel *obs.Sentinel
 
-	mu      sync.Mutex
+	// qmu guards the FIFO and closing for the runner, Submit and Close;
+	// cond waits on it. A round runs outside every lock, so admission
+	// never waits for one.
+	qmu     sync.Mutex
 	cond    *sync.Cond
 	fifo    []*Task
-	state   *session.State
 	closing bool
+
+	// state is the session state. Only the pool's runner touches it; after
+	// every round it copies what Snapshot reports into pub, under mu.
+	state *session.State
+	mu    sync.Mutex
+	pub   poolState
+}
+
+// poolState is the part of a pool's session state a snapshot reports, as
+// of the last settled round.
+type poolState struct {
+	round   int
+	banned  []string
+	utility []float64
+	bids    protocol.SessionStats
+	traffic session.TrafficStats
+}
+
+// publish copies the session state Snapshot reports into pub and
+// returns the copy. Only the runner calls it (and newPool, before the
+// runner starts).
+func (p *Pool) publish() poolState {
+	st := poolState{
+		round:   p.state.Round,
+		banned:  bannedNames(p.procNames, p.state.Banned),
+		utility: append([]float64(nil), p.state.CumulativeUtility...),
+		bids:    p.state.BidStats(),
+		traffic: p.state.Traffic,
+	}
+	p.mu.Lock()
+	p.pub = st
+	p.mu.Unlock()
+	return st
 }
 
 func parseNetwork(name string) (dlt.Network, error) {
@@ -143,7 +181,8 @@ func newPool(spec PoolSpec) (*Pool, error) {
 		sentinel:  obs.NewSentinel(),
 		state:     state,
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.cond = sync.NewCond(&p.qmu)
+	p.publish()
 	return p, nil
 }
 
@@ -213,14 +252,18 @@ type PoolSnapshot struct {
 	BusEvents map[string]int64          `json:"bus_events,omitempty"`
 }
 
-// Snapshot returns the pool's current state.
+// Snapshot returns the pool's state as of its last settled round, and
+// its queue as of now. It never waits for a running round.
 func (p *Pool) Snapshot() PoolSnapshot {
 	phase := p.obs.phaseSummaries()
 	events := p.obs.eventCounts()
+	p.qmu.Lock()
+	queued := len(p.fifo)
+	p.qmu.Unlock()
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	bs := p.state.BidStats()
-	ms := p.sess.Memo.Stats()
+	st := p.pub
+	p.mu.Unlock()
+	bs, ms := st.bids, p.sess.Memo.Stats()
 	return PoolSnapshot{
 		Name:               p.spec.Name,
 		Network:            p.network.String(),
@@ -228,10 +271,10 @@ func (p *Pool) Snapshot() PoolSnapshot {
 		M:                  len(p.sess.TrueW),
 		TrueW:              append([]float64(nil), p.sess.TrueW...),
 		Fine:               p.spec.Fine,
-		Rounds:             p.state.Round,
-		Queued:             len(p.fifo),
-		Banned:             bannedNames(p.procNames, p.state.Banned),
-		CumulativeUtility:  append([]float64(nil), p.state.CumulativeUtility...),
+		Rounds:             st.round,
+		Queued:             queued,
+		Banned:             append([]string(nil), st.banned...),
+		CumulativeUtility:  append([]float64(nil), st.utility...),
 		WarmKeys:           p.sess.Keys.Len(),
 		Rebids:             bs.Rebids,
 		IncrementalRebids:  bs.IncrementalRebids,
@@ -242,7 +285,7 @@ func (p *Pool) Snapshot() PoolSnapshot {
 		VerifyMemoHits:     ms.Hits,
 		VerifyMemoSize:     ms.Size,
 		SentinelViolations: p.sentinel.Violations(),
-		Traffic:            p.state.Traffic,
+		Traffic:            st.traffic,
 		PhaseMS:            phase,
 		BusEvents:          events,
 	}

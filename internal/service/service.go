@@ -87,6 +87,10 @@ type Server struct {
 	// concurrency deterministically (rounds are now fast enough that two
 	// runners rarely overlap by accident on a small box).
 	testHookDuringRun func(p *Pool, t *Task)
+	// testHookInStep, when set, runs on the pool runner where the round
+	// starts, holding no lock the round does not hold. Tests use it to
+	// keep a round running while they probe admission and snapshots.
+	testHookInStep func(p *Pool, t *Task)
 }
 
 // New creates a server. Pools are added with CreatePool.
@@ -199,15 +203,15 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 			done:      make(chan struct{}),
 		}
 	}
-	p.mu.Lock()
+	p.qmu.Lock()
 	if p.closing {
-		p.mu.Unlock()
+		p.qmu.Unlock()
 		s.queued.Add(int64(-len(jobs)))
 		return nil, ErrClosed
 	}
 	p.fifo = append(p.fifo, tasks...)
 	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.qmu.Unlock()
 	s.metrics.submitted(len(jobs))
 	s.log.Info("jobs submitted", "pool", pool, "jobs", len(jobs))
 	return tasks, nil
@@ -221,17 +225,17 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 func (s *Server) runPool(p *Pool) {
 	defer s.runners.Done()
 	for {
-		p.mu.Lock()
+		p.qmu.Lock()
 		for len(p.fifo) == 0 && !p.closing {
 			p.cond.Wait()
 		}
 		if len(p.fifo) == 0 {
-			p.mu.Unlock()
+			p.qmu.Unlock()
 			return
 		}
 		t := p.fifo[0]
 		p.fifo = p.fifo[1:]
-		p.mu.Unlock()
+		p.qmu.Unlock()
 		s.queued.Add(-1)
 		if h := s.testHookBeforeRun; h != nil {
 			h(p, t)
@@ -263,15 +267,16 @@ func (s *Server) runTask(p *Pool, t *Task) {
 			rec = obs.NewRecorder()
 			job.Tracer = obs.Multi(p.obs, p.sentinel, rec)
 		}
-		p.mu.Lock()
 		res.Round = p.state.Round
+		if h := s.testHookInStep; h != nil {
+			h(p, t)
+		}
 		out, stepErr := p.sess.Step(p.state, job)
-		banned := bannedNames(p.procNames, p.state.Banned)
-		p.mu.Unlock()
+		st := p.publish()
 		err = stepErr
 		if out != nil {
 			res.fill(out, t.artifacts)
-			res.Banned = banned
+			res.Banned = st.banned
 		}
 		if rec != nil {
 			res.Trace = rec.Records()
@@ -332,10 +337,10 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.log.Info("server draining", "pools", len(pools), "queued", s.queued.Load())
 	for _, p := range pools {
-		p.mu.Lock()
+		p.qmu.Lock()
 		p.closing = true
 		p.cond.Broadcast()
-		p.mu.Unlock()
+		p.qmu.Unlock()
 	}
 	s.runners.Wait()
 	s.log.Info("server closed")

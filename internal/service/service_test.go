@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
@@ -265,6 +266,161 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 	}
 	srv.Close()
+}
+
+// TestAdmissionDuringRound: a running round holds no lock that admission,
+// pool snapshots or /metrics take. With a round held inside its Step,
+// Submit admits a job at once, Queued counts it, and Snapshot and
+// Metrics return, reporting the state as of the last settled round.
+func TestAdmissionDuringRound(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 8})
+	inStep := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	srv.testHookInStep = func(p *Pool, task *Task) {
+		once.Do(func() {
+			close(inStep)
+			<-release
+		})
+	}
+	p, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inStep
+
+	type probe struct {
+		tasks  []*Task
+		err    error
+		queued int
+		snap   PoolSnapshot
+		met    MetricsSnapshot
+	}
+	done := make(chan probe, 1)
+	go func() {
+		var pr probe
+		pr.tasks, pr.err = srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 2}}, nil)
+		pr.queued = srv.Queued()
+		pr.snap = p.Snapshot()
+		pr.met = srv.Metrics()
+		done <- pr
+	}()
+	var pr probe
+	select {
+	case pr = <-done:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("Submit, Snapshot or Metrics waited for the running round")
+	}
+	close(release)
+	if pr.err != nil {
+		t.Fatal(pr.err)
+	}
+	if pr.queued != 1 || pr.snap.Queued != 1 || pr.met.Jobs.Queued != 1 {
+		t.Errorf("queued %d, snapshot %d, metrics %d during the round, want 1 each",
+			pr.queued, pr.snap.Queued, pr.met.Jobs.Queued)
+	}
+	if pr.snap.Rounds != 0 {
+		t.Errorf("snapshot reports %d rounds while the first is running, want 0", pr.snap.Rounds)
+	}
+	for _, task := range append(first, pr.tasks...) {
+		if res := task.Wait(); res.Error != "" {
+			t.Fatal(res.Error)
+		}
+	}
+	if got := p.Snapshot().Rounds; got != 2 {
+		t.Errorf("snapshot reports %d rounds after both settled, want 2", got)
+	}
+	srv.Close()
+}
+
+// TestSnapshotsDuringRounds scrapes a pool while its runner plays rounds:
+// every snapshot reads the state the runner last published, so the
+// round count never goes backwards and ends at the number of jobs. Run
+// under -race it checks the publication is synchronized.
+func TestSnapshotsDuringRounds(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 32})
+	defer srv.Close()
+	p, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 1.5, 2, 2.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]JobSpec, 20)
+	for i := range specs {
+		specs[i] = JobSpec{Z: 0.2, Seed: int64(i + 1)}
+	}
+	tasks, err := srv.Submit("p", specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		last, n := 0, 0
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			default:
+			}
+			snap := p.Snapshot()
+			if n%2 == 1 {
+				snap = srv.Metrics().Pools[0]
+			}
+			if snap.Rounds < last {
+				t.Errorf("rounds went from %d back to %d", last, snap.Rounds)
+			}
+			if len(snap.CumulativeUtility) != 4 {
+				t.Errorf("snapshot carries %d utilities, want 4", len(snap.CumulativeUtility))
+			}
+			last = snap.Rounds
+			n++
+		}
+	}()
+	for _, task := range tasks {
+		if res := task.Wait(); res.Error != "" {
+			t.Fatal(res.Error)
+		}
+	}
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Error("no snapshot taken while the rounds ran")
+	}
+	if got := p.Snapshot().Rounds; got != len(specs) {
+		t.Errorf("rounds = %d, want %d", got, len(specs))
+	}
+}
+
+// TestFramerJobBesideEviction: a job whose spec names a framer and
+// marks another member unresponsive completes with the framer fined. The
+// runner has no panic boundary, so a panic in such a round would take
+// the whole server down.
+func TestFramerJobBesideEviction(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 1.5, 2, 2.5, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := srv.Submit("p", []JobSpec{{
+		Z: 0.2, Seed: 31,
+		Behaviors: []string{"", "", "", "", agent.Framer.Name},
+		Faults:    &bus.FaultPlan{Seed: 5, Unresponsive: []string{"P2"}},
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tasks[0].Wait()
+	if res.Error != "" || !res.Completed {
+		t.Fatalf("completed %v, error %q", res.Completed, res.Error)
+	}
+	if len(res.Fines) != 5 || res.Fines[4] <= 0 {
+		t.Errorf("fines %v, want the framer P5 fined", res.Fines)
+	}
 }
 
 // TestCloseDrains pins graceful shutdown: jobs admitted before Close all

@@ -85,13 +85,21 @@ func GenerateKeyPairs(ids []string, seeds []int64) ([]*KeyPair, error) {
 	keys := make([]*KeyPair, len(ids))
 	errs := make([]error, len(ids))
 	forEach(len(ids), func(i int) {
-		keys[i], errs[i] = GenerateKeyPair(ids[i], DeterministicSource(seeds[i]))
+		src := detPool.Get().(*detSource)
+		src.rng.Seed(seeds[i])
+		keys[i], errs[i] = GenerateKeyPair(ids[i], src)
+		detPool.Put(src)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 	return keys, nil
 }
+
+// detPool recycles the seeded sources behind GenerateKeyPairs. A
+// math/rand source is about 5 KiB of state, and re-seeding one yields the
+// stream a fresh DeterministicSource with that seed would.
+var detPool = sync.Pool{New: func() any { return DeterministicSource(0) }}
 
 // firstError returns the first non-nil error in index order.
 func firstError(errs []error) error {

@@ -16,10 +16,9 @@ import (
 // Engine is a discrete-event executor. The zero value is not ready; use
 // New.
 type Engine struct {
-	now     float64
-	queue   eventHeap
-	nextID  int
-	nEvents int
+	now    float64
+	queue  eventHeap
+	nextID int
 }
 
 // New returns an engine at virtual time zero.
@@ -29,12 +28,6 @@ func New() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() int { return e.nEvents }
-
-// Pending returns the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules action to run at absolute virtual time t. Scheduling into
 // the past is an error; scheduling at the current instant is allowed and
@@ -70,7 +63,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.time
-	e.nEvents++
 	ev.action()
 	return true
 }

@@ -23,14 +23,11 @@ func TestEngineOrdersEventsByTime(t *testing.T) {
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := order; got[0] != "a" || got[1] != "b" || got[2] != "c" {
+	if got := order; len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Errorf("order = %v", got)
 	}
 	if e.Now() != 3 {
 		t.Errorf("final time = %v, want 3", e.Now())
-	}
-	if e.Processed() != 3 {
-		t.Errorf("processed = %d, want 3", e.Processed())
 	}
 }
 

