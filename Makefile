@@ -27,16 +27,16 @@ race-service:
 	$(GO) test -race ./internal/service/... ./internal/protocol/...
 
 # The per-party crypto fan-out (internal/sig's worker loop behind the
-# batch sealer, the parallel key generation and its pooled seed sources,
-# and VerifyEach) under the race detector at GOMAXPROCS 1, the inline
-# path, and 4, the worker loop, ten times over, with the transcript
-# golden that pins every signed byte; then the bid-receive oracle's race
-# subset once at both settings, its rounds drawing keys from the shared
-# source pool; then the hot-path and netbus parity properties once at
-# both settings.
+# fused seal-and-verify pass, the parallel key generation and its pooled
+# seed sources, and VerifyEach) and the transport's receive table under
+# the race detector at GOMAXPROCS 1, the inline path, and 4, the worker
+# loop, ten times over, with the transcript golden that pins every
+# signed byte; then the bid-receive oracle's race subset once at both
+# settings, its rounds drawing keys from the shared source pool; then
+# the hot-path and netbus parity properties once at both settings.
 race-fanout:
 	$(GO) test -race -count=10 -cpu 1,4 \
-		-run 'TestSealBinaryEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTranscriptGolden' \
+		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden' \
 		./internal/sig ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
 	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity' ./internal/protocol ./internal/netbus
@@ -148,9 +148,10 @@ bench-smoke:
 
 # One cold protocol.Run at each pool size up to service.MaxPoolSize
 # (m = 16, 64, 128, 256), so the largest pool a spec may declare stays
-# exercised; under a second in all.
+# exercised, and one warm m = 16 reuse round, the service's steady
+# state; under a second in all.
 bench-cold:
-	$(GO) test -run NONE -bench BenchmarkColdRound -benchtime 1x ./internal/protocol
+	$(GO) test -run NONE -bench 'BenchmarkColdRound|BenchmarkReuseRound' -benchtime 1x ./internal/protocol
 
 # The layered benchmark's own tests (bench/, a separate module): every
 # op's correctness check across the service, library and netbus paths,

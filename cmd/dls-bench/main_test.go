@@ -68,3 +68,34 @@ func TestEmitWritesFile(t *testing.T) {
 		t.Errorf("unknown id: err = %v", err)
 	}
 }
+
+// TestResultsFileIsCurrent: RESULTS.txt at the repository root is
+// exactly what `go run ./cmd/dls-bench` prints, so the committed tables
+// describe the code beside them. Every experiment is deterministic for a
+// seed, whatever GOMAXPROCS is.
+func TestResultsFileIsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "RESULTS.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(options{seed: 42, format: "text"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got, want := strings.Split(out.String(), "\n"), strings.Split(string(data), "\n")
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w || i >= len(got) || i >= len(want) {
+			t.Fatalf("RESULTS.txt line %d reads %q; dls-bench prints %q (regenerate with go run ./cmd/dls-bench -o RESULTS.txt)", i+1, w, g)
+		}
+	}
+}

@@ -28,6 +28,7 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -308,9 +309,17 @@ type Broadcast struct {
 
 // BroadcastEach is BroadcastTagged over the batch, in order: the same
 // nonces, fault draws, inbox order, stats and events as the loop, which
-// it is. It returns the nonce in force for each broadcast; on an error
-// the broadcasts before the failing one have gone out.
+// it is. Before the loop it grows every attached inbox once by the batch
+// length, the copies a reliable bus files there, rather than through
+// every doubling on the way. It returns the nonce in force for each
+// broadcast; on an error the broadcasts before the failing one have gone
+// out.
 func (b *Bus) BroadcastEach(bs []Broadcast) ([]uint64, error) {
+	b.mu.Lock()
+	for _, id := range b.order {
+		b.inboxes[id] = slices.Grow(b.inboxes[id], len(bs))
+	}
+	b.mu.Unlock()
 	nonces := make([]uint64, len(bs))
 	for i, x := range bs {
 		nonce, err := b.BroadcastTagged(x.From, x.Kind, x.Env, x.Size, x.Nonce)

@@ -24,6 +24,9 @@ import (
 // seen map per receiver. TestBidReceiveOracle holds the current code to
 // these reference implementations.
 
+// oracleSeen is the reference pull's per-endpoint seen map.
+var oracleSeen = make(map[*rxBuf]map[nonceKey]bool)
+
 // oraclePull is the reference transport.pull.
 func oraclePull(t *transport, id string) error {
 	msgs, err := t.net.Drain(id)
@@ -31,6 +34,11 @@ func oraclePull(t *transport, id string) error {
 		return err
 	}
 	b := t.buf(id)
+	seen := oracleSeen[b]
+	if seen == nil {
+		seen = make(map[nonceKey]bool)
+		oracleSeen[b] = seen
+	}
 	for i := range msgs {
 		m := msgs[i]
 		if t.ver.Verify(&msgs[i].Env) != nil {
@@ -39,12 +47,12 @@ func oraclePull(t *transport, id string) error {
 			continue
 		}
 		k := nonceKey{from: m.From, nonce: m.Nonce}
-		if b.seen[k] {
+		if seen[k] {
 			t.stats.DupDiscards++
 			t.event(obs.Event{Kind: obs.EvDedupHit, From: m.From, To: id, Msg: m.Kind})
 			continue
 		}
-		b.seen[k] = true
+		seen[k] = true
 		b.pending = append(b.pending, m)
 	}
 	return nil

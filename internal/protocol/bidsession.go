@@ -335,10 +335,10 @@ func (r *run) alignCache(c *bidCache, sp *spliceOp) ([]int, error) {
 
 // keepCachedBids installs the kept cached bids as this round's bid vector,
 // envelopes and epochs, after verifying every kept envelope in one batch
-// (memo hits for envelopes that verified in an earlier round) and
-// re-checking each against the cache — sender, epoch, bid value — and
-// against the agent's current announced bid. The fresh member's slot
-// (src -1) is left for the caller.
+// (memo hits for envelopes that verified in an earlier round), decoding
+// each verified one without a second check, and re-checking each against
+// the cache — sender, epoch, bid value — and against the agent's current
+// announced bid. The fresh member's slot (src -1) is left for the caller.
 func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 	// A reuse round keeps every cached envelope in place, so the cache's
 	// own slice is the batch; a splice gathers the kept ones.
@@ -352,7 +352,7 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 		}
 	}
 	memoBefore := r.ver.Stats().MemoHits
-	errs := r.ver.VerifyEach(kept)
+	verified, errs := r.ver.VerifyEach(kept)
 	if r.tracer != nil {
 		h := r.ver.Stats().MemoHits - memoBefore
 		r.tracer.Event(obs.Event{
@@ -379,10 +379,10 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 		env := &c.bidEnvs[s]
 		var bp referee.BidPayload
 		err := errs[k]
-		k++
 		if err == nil {
-			err = r.open(env, &bp)
+			err = verified[k].Open(&bp)
 		}
+		k++
 		if err != nil {
 			return fmt.Errorf("protocol: cached bid of %s failed re-verification: %w", c.procs[s], err)
 		}
@@ -795,6 +795,15 @@ func (s *BidSession) Leave(i int) error {
 	}
 	s.gone[i] = true
 	return nil
+}
+
+// DropCache discards the cached bid set and the profile it was filed
+// under, so the next round runs a full bid exchange. Members, round
+// numbering and counters stay: the session salt is deterministic, so a
+// session founded afresh would repeat round IDs this one has already
+// signed under.
+func (s *BidSession) DropCache() {
+	s.cache, s.cacheProfile = nil, nil
 }
 
 // SetZ sets the per-unit bus communication time for the loads that

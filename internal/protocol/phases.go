@@ -17,20 +17,6 @@ import (
 
 // ---- Phase: Bidding -------------------------------------------------------
 
-// sealEach signs one phase's envelopes — each processor's own — in a
-// parallel batch and verifies the batch once through the run's verifier.
-// The verdicts are not consulted here: every copy a receiver takes off the
-// medium is still checked on arrival, where an unaltered copy is now a
-// memo hit and an altered one misses, fails and is discarded as before.
-func (r *run) sealEach(reqs []sig.Sealing) ([]sig.Envelope, error) {
-	envs, err := sig.SealBinaryEach(reqs)
-	if err != nil {
-		return nil, err
-	}
-	_ = r.ver.VerifyEach(envs)
-	return envs, nil
-}
-
 // logicalBid is one signed bid of the exchange, retransmitted under its
 // nonce until every receiver holds it.
 type logicalBid struct {
@@ -70,7 +56,12 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 				Payload: referee.BidPayload{Proc: a.ID, Bid: second, Round: r.roundID}})
 		}
 	}
-	envs, err := r.sealEach(reqs)
+	// One parallel pass signs every bid and verifies each in the worker
+	// that signed it; its verdicts are not consulted here. The first copy
+	// of each bid a receiver takes off the medium is a memo hit, later
+	// byte-identical copies match it, and a copy the medium altered fails
+	// and is discarded.
+	envs, err := r.ver.SealEach(reqs)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -601,10 +592,11 @@ func (r *run) phaseBidding() (bool, error) {
 	return false, nil
 }
 
-// scanBids is the collection: each surviving processor verifies every
-// copy it received, discarding failures, and scans what it holds for
-// equivocation. It returns the equivocators in detection order and, for
-// each, the first two contradictory signed bids a receiver held.
+// scanBids is the collection: each surviving processor decodes every
+// copy it received and scans what it holds for equivocation. Every copy
+// passed the transport's check on arrival, so it is decoded, not
+// verified again. It returns the equivocators in detection order and,
+// for each, the first two contradictory signed bids a receiver held.
 func (r *run) scanBids(received [][]bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
 	// seen[j] is what the current receiver holds from participant j; the
 	// first two distinct bids are all the scan reads. One slice serves
@@ -626,8 +618,8 @@ func (r *run) scanBids(received [][]bus.Message) (equivocators []int, evidence m
 		for k := range received[i] {
 			msg := &received[i][k]
 			bp = referee.BidPayload{}
-			if err := r.open(&msg.Env, &bp); err != nil {
-				continue // failed verification: discarded (paper)
+			if err := r.xp.open(msg, &bp); err != nil {
+				continue // undecodable: discarded
 			}
 			if bp.Proc != msg.Env.Sender {
 				continue
@@ -1020,7 +1012,7 @@ func (r *run) phasePayments() error {
 				Payload: referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID}})
 		}
 	}
-	envs, err := r.sealEach(reqs)
+	envs, err := r.ver.SealEach(reqs)
 	if err != nil {
 		return err
 	}

@@ -347,12 +347,6 @@ type run struct {
 	tracer obs.Tracer
 }
 
-// open verifies an envelope through the run's batch verifier and
-// decodes its payload.
-func (r *run) open(env *sig.Envelope, v any) error {
-	return r.ver.Open(env, v)
-}
-
 // roundBinding names the session round a protocol execution belongs to.
 // round is the current round's ID, stamped on every signed per-round
 // artifact (bids, bid vectors, payment vectors) and on every audit entry;

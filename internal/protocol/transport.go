@@ -99,17 +99,36 @@ type FaultStats struct {
 // within the retry budget.
 var ErrUnreachable = errors.New("protocol: peer unreachable within retry budget")
 
-// nonceKey identifies a logical message for receiver-side deduplication.
+// nonceKey identifies a logical message for receiver-side
+// deduplication: the bus sender and the nonce. It is the bus sender, not
+// the envelope's, because a relayed copy carries another party's
+// envelope.
 type nonceKey struct {
 	from  string
 	nonce uint64
 }
 
 // rxBuf is one endpoint's receive state: verified, deduplicated messages
-// not yet consumed by the phase logic.
+// not yet consumed by the phase logic, and one bit per logical message of
+// the run's table marking those this endpoint has already kept a copy of.
 type rxBuf struct {
 	pending []bus.Message
-	seen    map[nonceKey]bool
+	seen    []uint64
+}
+
+// has reports whether the endpoint has kept a copy of logical message mi.
+func (b *rxBuf) has(mi int) bool {
+	w := mi >> 6
+	return w < len(b.seen) && b.seen[w]&(1<<(mi&63)) != 0
+}
+
+// mark records that the endpoint keeps a copy of logical message mi.
+func (b *rxBuf) mark(mi int) {
+	w := mi >> 6
+	for w >= len(b.seen) {
+		b.seen = append(b.seen, 0)
+	}
+	b.seen[w] |= 1 << (mi & 63)
 }
 
 // transport layers idempotent, retrying delivery over the medium. It
@@ -130,9 +149,16 @@ type transport struct {
 	// tracer receives transport-level events (dedup hits, corrupt
 	// discards, retransmits, timeouts); nil when tracing is off.
 	tracer obs.Tracer
-	// ver is the run's memoized batch verifier (see Config.Memo); every
-	// arrival verifies through it.
+	// ver is the run's memoized batch verifier (see Config.Memo); a copy
+	// that matches no verified copy of its logical message verifies
+	// through it.
 	ver *sig.BatchVerifier
+	// index numbers the run's logical messages, and first[i] is the first
+	// copy of message i that passed ver: every later copy byte-identical
+	// to it is accepted without a signature check. A copy that fails is
+	// never entered.
+	index map[nonceKey]int
+	first []sig.Verified
 }
 
 // event emits one transport event when tracing is on.
@@ -151,16 +177,29 @@ func newTransport(net bus.Medium, ver *sig.BatchVerifier, policy RetryPolicy) (*
 		ver:    ver,
 		policy: policy.withDefaults(),
 		rx:     make(map[string]*rxBuf),
+		index:  make(map[nonceKey]int),
 	}, nil
 }
 
 func (t *transport) buf(id string) *rxBuf {
 	b := t.rx[id]
 	if b == nil {
-		b = &rxBuf{seen: make(map[nonceKey]bool)}
+		b = &rxBuf{}
 		t.rx[id] = b
 	}
 	return b
+}
+
+// open decodes a copy this transport delivered into v. A copy
+// byte-identical to the verified first copy of its message decodes
+// without a second signature check; any other (a different, validly
+// signed envelope sent under a nonce already taken) is opened through
+// the verifier.
+func (t *transport) open(m *bus.Message, v any) error {
+	if mi, ok := t.index[nonceKey{from: m.From, nonce: m.Nonce}]; ok && t.first[mi].Matches(&m.Env) {
+		return t.first[mi].Open(v)
+	}
+	return t.ver.Open(&m.Env, v)
 }
 
 // beginPhase resets the per-phase deadline clock.
@@ -177,10 +216,14 @@ func (t *transport) sleep(attempt int) (deadlineExceeded bool) {
 
 // pull drains the endpoint's bus inbox into its receive buffer, dropping
 // copies that fail signature verification (per the paper: unverifiable
-// messages are discarded) and copies already seen (idempotent handling by
-// (sender, nonce)). The medium hands the drained slice over, so when
-// nothing is pending it becomes the pending buffer, the kept copies
-// compacted to its front in arrival order.
+// messages are discarded) and copies of a logical message the endpoint
+// already holds (idempotent handling by (sender, nonce)). A copy
+// byte-identical to the first verified copy of its message costs a
+// lookup and a compare; any other copy is verified in full, and the
+// first one of its message to pass is entered in the table. The medium
+// hands the drained slice over, so when nothing is pending it becomes the
+// pending buffer, the kept copies compacted to its front in arrival
+// order.
 func (t *transport) pull(id string) error {
 	msgs, err := t.net.Drain(id)
 	if err != nil {
@@ -190,18 +233,27 @@ func (t *transport) pull(id string) error {
 	kept := msgs[:0]
 	for i := range msgs {
 		m := &msgs[i]
-		if t.ver.Verify(&m.Env) != nil {
-			t.stats.CorruptDiscards++
-			t.event(obs.Event{Kind: obs.EvCorruptDiscard, From: m.From, To: id, Msg: m.Kind})
-			continue
-		}
 		k := nonceKey{from: m.From, nonce: m.Nonce}
-		if b.seen[k] {
+		mi, known := t.index[k]
+		if !known || !t.first[mi].Matches(&m.Env) {
+			v, err := t.ver.Check(&m.Env)
+			if err != nil {
+				t.stats.CorruptDiscards++
+				t.event(obs.Event{Kind: obs.EvCorruptDiscard, From: m.From, To: id, Msg: m.Kind})
+				continue
+			}
+			if !known {
+				mi = len(t.first)
+				t.index[k] = mi
+				t.first = append(t.first, v)
+			}
+		}
+		if b.has(mi) {
 			t.stats.DupDiscards++
 			t.event(obs.Event{Kind: obs.EvDedupHit, From: m.From, To: id, Msg: m.Kind})
 			continue
 		}
-		b.seen[k] = true
+		b.mark(mi)
 		kept = append(kept, *m)
 	}
 	if len(b.pending) == 0 {

@@ -46,6 +46,7 @@ type metrics struct {
 	jobsCompleted int64 // result delivered, no error
 	jobsFailed    int64 // result delivered with an error
 	jobsRejected  int64 // refused for backpressure
+	jobPanics     int64 // rounds that panicked (each also a failed job)
 
 	running     int
 	peakRunning int
@@ -70,6 +71,12 @@ func (m *metrics) submitted(n int) {
 func (m *metrics) rejected(n int) {
 	m.mu.Lock()
 	m.jobsRejected += int64(n)
+	m.mu.Unlock()
+}
+
+func (m *metrics) panicked() {
+	m.mu.Lock()
+	m.jobPanics++
 	m.mu.Unlock()
 }
 
@@ -151,6 +158,7 @@ type MetricsSnapshot struct {
 		Completed int64 `json:"completed"`
 		Failed    int64 `json:"failed"`
 		Rejected  int64 `json:"rejected"`
+		Panics    int64 `json:"panics"` // rounds that panicked; each job also counts as failed
 		Queued    int   `json:"queued"`
 		Running   int   `json:"running"`
 		PeakRun   int   `json:"peak_running"`
@@ -190,6 +198,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.Jobs.Completed = m.jobsCompleted
 	snap.Jobs.Failed = m.jobsFailed
 	snap.Jobs.Rejected = m.jobsRejected
+	snap.Jobs.Panics = m.jobPanics
 	snap.Jobs.Running = m.running
 	snap.Jobs.PeakRun = m.peakRunning
 	snap.Protocol.Rounds = m.rounds

@@ -110,6 +110,7 @@ func TestPrometheusGolden(t *testing.T) {
 func goldenSnapshot() MetricsSnapshot {
 	var snap MetricsSnapshot
 	snap.Jobs.Submitted, snap.Jobs.Completed, snap.Jobs.Failed, snap.Jobs.Rejected = 12, 9, 2, 1
+	snap.Jobs.Panics = 1
 	snap.Jobs.Queued, snap.Jobs.Running, snap.Jobs.PeakRun = 1, 1, 2
 	snap.Protocol.Rounds, snap.Protocol.Evictions = 11, 1
 	snap.Protocol.FinedProcessors, snap.Protocol.Retransmits = 3, 40
@@ -140,6 +141,9 @@ dlsbl_jobs_total{state="submitted"} 12
 dlsbl_jobs_total{state="completed"} 9
 dlsbl_jobs_total{state="failed"} 2
 dlsbl_jobs_total{state="rejected"} 1
+# HELP dlsbl_job_panics_total Jobs whose round panicked; each failed with an internal error and its pool dropped its bid cache.
+# TYPE dlsbl_job_panics_total counter
+dlsbl_job_panics_total 1
 # HELP dlsbl_jobs_queued Jobs admitted and not yet picked up by a pool runner.
 # TYPE dlsbl_jobs_queued gauge
 dlsbl_jobs_queued 1

@@ -228,7 +228,11 @@ type PoolSnapshot struct {
 	// Verified-envelope memo telemetry (the hot-path verification cache
 	// every pool carries): VerifyMemoHits counts Ed25519 verifications
 	// skipped because the envelope had already verified bit-identically;
-	// VerifyMemoSize is the current number of memoized digests.
+	// VerifyMemoSize is the current number of memoized digests. A copy a
+	// round has already byte-matched against its message's first verified
+	// copy never reaches the memo and is not counted, so an m = 16 reuse
+	// round adds 49 hits (cached bids, the first copy of each payment
+	// vector, the referee's checks, the meters vector's first copy).
 	VerifyMemoHits int64 `json:"verify_memo_hits,omitempty"`
 	VerifyMemoSize int   `json:"verify_memo_size,omitempty"`
 

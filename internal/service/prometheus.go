@@ -21,6 +21,8 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	x.Sample("dlsbl_jobs_total", `state="completed"`, float64(snap.Jobs.Completed))
 	x.Sample("dlsbl_jobs_total", `state="failed"`, float64(snap.Jobs.Failed))
 	x.Sample("dlsbl_jobs_total", `state="rejected"`, float64(snap.Jobs.Rejected))
+	x.Family("dlsbl_job_panics_total", "Jobs whose round panicked; each failed with an internal error and its pool dropped its bid cache.", "counter")
+	x.Sample("dlsbl_job_panics_total", "", float64(snap.Jobs.Panics))
 
 	x.Family("dlsbl_jobs_queued", "Jobs admitted and not yet picked up by a pool runner.", "gauge")
 	x.Sample("dlsbl_jobs_queued", "", float64(snap.Jobs.Queued))

@@ -32,11 +32,14 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dlsbl/internal/obs"
+	"dlsbl/internal/protocol"
+	"dlsbl/internal/session"
 )
 
 // Errors the admission path reports; the HTTP layer maps them to status
@@ -88,8 +91,9 @@ type Server struct {
 	// runners rarely overlap by accident on a small box).
 	testHookDuringRun func(p *Pool, t *Task)
 	// testHookInStep, when set, runs on the pool runner where the round
-	// starts, holding no lock the round does not hold. Tests use it to
-	// keep a round running while they probe admission and snapshots.
+	// starts, inside its panic boundary and holding no lock the round
+	// does not hold. Tests use it to keep a round running while they
+	// probe admission and snapshots, and to panic inside a round.
 	testHookInStep func(p *Pool, t *Task)
 }
 
@@ -268,10 +272,7 @@ func (s *Server) runTask(p *Pool, t *Task) {
 			job.Tracer = obs.Multi(p.obs, p.sentinel, rec)
 		}
 		res.Round = p.state.Round
-		if h := s.testHookInStep; h != nil {
-			h(p, t)
-		}
-		out, stepErr := p.sess.Step(p.state, job)
+		out, stepErr := s.step(p, t, job)
 		st := p.publish()
 		err = stepErr
 		if out != nil {
@@ -299,6 +300,32 @@ func (s *Server) runTask(p *Pool, t *Task) {
 			"completed", res.Completed, "queue_ms", res.QueueMS,
 			"run_ms", res.RunMS)
 	}
+}
+
+// step plays one job's round against the pool behind a panic boundary,
+// so a panic inside the round fails that job alone: it returns an
+// "internal error" for the job, the stack goes to the log at error
+// level, and the panic is counted. The round stopped at an arbitrary
+// point, so the pool drops its bid cache and the next job runs a full
+// bid exchange; the pool's bans and cumulative utility are only written
+// once a round settles, so they stay as they were.
+func (s *Server) step(p *Pool, t *Task, job session.Job) (out *protocol.Outcome, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		s.metrics.panicked()
+		s.log.Error("job panicked",
+			"pool", p.spec.Name, "job", t.index, "round", p.state.Round,
+			"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+		p.state.DropBidCache()
+		out, err = nil, fmt.Errorf("internal error: %v", v)
+	}()
+	if h := s.testHookInStep; h != nil {
+		h(p, t)
+	}
+	return p.sess.Step(p.state, job)
 }
 
 // Queued returns the number of admitted jobs not yet picked up.

@@ -4,7 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -778,5 +785,117 @@ func TestPoolServesEveryJobFromBidSession(t *testing.T) {
 	p, _ := srv.Pool("one")
 	if v := p.Snapshot().SentinelViolations; len(v) != 0 {
 		t.Fatalf("sentinel latched: %v", v)
+	}
+}
+
+// lockedLog is a log sink the runner writes while the test reads.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+// Write appends p under the lock.
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// String returns what has been logged so far.
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestPanickedJobFailsAlone: a panic inside one job's round fails that
+// job alone. Its result carries an internal error, the stack is logged
+// at error level and the panic is counted; the pool keeps its bans and
+// cumulative utility, drops its bid cache (the next job re-bids, the one
+// after reuses), and keeps serving; /healthz stays 200 and the
+// goroutine count returns to its baseline.
+func TestPanickedJobFailsAlone(t *testing.T) {
+	var log lockedLog
+	srv := New(Config{Workers: 1, QueueDepth: 8,
+		Logger: slog.New(slog.NewTextHandler(&log, nil))})
+	defer srv.Close()
+	var steps atomic.Int32
+	srv.testHookInStep = func(p *Pool, task *Task) {
+		if steps.Add(1) == 2 {
+			panic("injected fault")
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	p, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 1.5, 2, 2.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) JobResult {
+		t.Helper()
+		tasks, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: seed}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tasks[0].Wait()
+	}
+	if res := run(1); res.Error != "" || res.BidReused {
+		t.Fatalf("first job: error %q, bid_reused %v; want a clean full exchange", res.Error, res.BidReused)
+	}
+	time.Sleep(50 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+	before := p.Snapshot()
+
+	res := run(2)
+	if !strings.HasPrefix(res.Error, "internal error: ") || !strings.Contains(res.Error, "injected fault") {
+		t.Fatalf("panicked job's error = %q, want an internal error naming the panic", res.Error)
+	}
+	after := p.Snapshot()
+	if after.Rounds != before.Rounds || !equalF64(after.CumulativeUtility, before.CumulativeUtility) ||
+		len(after.Banned) != len(before.Banned) {
+		t.Fatalf("the panicked job moved the pool: rounds %d → %d, utility %v → %v, banned %v → %v",
+			before.Rounds, after.Rounds, before.CumulativeUtility, after.CumulativeUtility, before.Banned, after.Banned)
+	}
+	if out := log.String(); !strings.Contains(out, "level=ERROR") || !strings.Contains(out, "job panicked") ||
+		!strings.Contains(out, "runtime/debug.Stack") {
+		t.Errorf("log lacks the panic and its stack at error level:\n%s", out)
+	}
+
+	if res := run(3); res.Error != "" || !res.Completed || res.BidReused {
+		t.Fatalf("job after the panic: error %q, completed %v, bid_reused %v; want a full exchange", res.Error, res.Completed, res.BidReused)
+	}
+	if res := run(4); res.Error != "" || !res.BidReused {
+		t.Fatalf("second job after the panic: error %q, bid_reused %v; want a reuse round", res.Error, res.BidReused)
+	}
+	m := srv.Metrics()
+	if m.Jobs.Panics != 1 || m.Jobs.Failed != 1 || m.Jobs.Completed != 3 {
+		t.Errorf("jobs: %d panics, %d failed, %d completed; want 1, 1, 3", m.Jobs.Panics, m.Jobs.Failed, m.Jobs.Completed)
+	}
+	resp, err := client.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "\ndlsbl_job_panics_total 1\n") {
+		t.Errorf("exposition lacks dlsbl_job_panics_total 1")
+	}
+	hr, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Errorf("/healthz = %d after the panic, want 200", hr.StatusCode)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines remain, baseline %d", n, baseline)
 	}
 }

@@ -156,6 +156,15 @@ func (st *State) BidStats() protocol.SessionStats {
 	return st.bid.Stats()
 }
 
+// DropBidCache discards the pool's cached bid set (see
+// protocol.BidSession.DropCache), so its next job runs a full bid
+// exchange; before the first job there is nothing to drop.
+func (st *State) DropBidCache() {
+	if st.bid != nil {
+		st.bid.DropCache()
+	}
+}
+
 // Report aggregates a session.
 type Report struct {
 	// Rounds holds each job's protocol outcome, in order.

@@ -1,23 +1,28 @@
 // Batch signature verification and the verified-envelope memo.
 //
 // Ed25519 verification is the protocol's dominant per-round cost once
-// keys are warm: every transport delivery, every cached bid and every
-// referee re-open pays ~70µs. Two observations make most of it
-// avoidable. First, Ed25519 verification is deterministic — for a fixed
-// (public key, message, signature) triple the answer never changes — so
-// a digest over exactly that triple memoizes the decision soundly: a
-// memo hit is possible only for a byte-identical envelope that already
-// verified under the same registered key, and any byte change (payload,
-// signature, sender, kind, or a re-registered key) changes the digest
-// and falls back to a full verification. Convictability is unchanged:
-// nothing unverified is ever accepted. Second, independent envelopes
-// verify independently, so a whole bid profile can fan out across
-// GOMAXPROCS workers.
+// keys are warm, so each envelope is verified once, where it is signed:
+// SealEach checks every envelope in the worker that signs it, a
+// receiver byte-compares each delivered copy with the first copy of that
+// message it checked, and a Verified envelope decodes without a second
+// check. The memo serves the envelopes that are verified again across
+// rounds — cached bids, a repeated meters vector — and the first
+// delivered copy of each freshly signed one. It is sound because Ed25519
+// verification is deterministic — for a fixed (public key, message,
+// signature) triple the answer never changes — so a digest over exactly
+// that triple memoizes the decision: a memo hit is possible only for a
+// byte-identical envelope that already verified under the same
+// registered key, and any byte change (payload, signature, sender, kind,
+// or a re-registered key) changes the digest and falls back to a full
+// verification. Convictability is unchanged: nothing unverified is ever
+// accepted. Independent envelopes verify independently, so a batch fans
+// out across GOMAXPROCS workers.
 package sig
 
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -116,7 +121,7 @@ type BatchStats struct {
 	// MemoHits counts verifications skipped via the memo.
 	MemoHits int
 	// Batches counts VerifyEach invocations that had at least one
-	// non-memoized envelope to verify.
+	// non-memoized envelope to verify, and SealEach passes.
 	Batches int
 }
 
@@ -170,6 +175,41 @@ func (b *BatchVerifier) Open(e *Envelope, v any) error {
 	return decodePayload(e.Kind, e.Sender, e.Payload, v)
 }
 
+// Verified is an envelope whose signature a BatchVerifier has checked
+// against its registry. Only this package makes one, so holding one is
+// proof that the check ran, and Open decodes it without checking again.
+// The zero value verifies nothing: it matches no envelope.
+type Verified struct {
+	env Envelope
+	ok  bool
+}
+
+// Check verifies the envelope through the memo, as Verify does, and
+// returns it as Verified. The result shares e's byte slices, which must
+// not change afterwards.
+func (b *BatchVerifier) Check(e *Envelope) (Verified, error) {
+	if err := b.Verify(e); err != nil {
+		return Verified{}, err
+	}
+	return Verified{env: *e, ok: true}, nil
+}
+
+// Matches reports whether e is byte-identical to the verified envelope —
+// sender, kind, payload and signature — and so carries a signature that
+// has already been checked.
+func (v *Verified) Matches(e *Envelope) bool {
+	return v.ok && v.env.Equal(*e)
+}
+
+// Open decodes the verified envelope's payload into dst, as
+// BatchVerifier.Open does after its check.
+func (v *Verified) Open(dst any) error {
+	if !v.ok {
+		return errors.New("sig: opening an unverified envelope")
+	}
+	return decodePayload(v.env.Kind, v.env.Sender, v.env.Payload, dst)
+}
+
 // IsEquivocation reports whether the two envelopes prove that a sender
 // equivocated: same sender and kind, both correctly signed (through the
 // memo), but different payloads. This is the "multiple authenticated
@@ -192,12 +232,14 @@ type batchJob struct {
 	digest [sha256.Size]byte
 }
 
-// VerifyEach verifies every envelope and returns the per-envelope
-// errors, index-aligned (nil entries verified). The memo pre-pass runs
-// serially — hit/miss counts are deterministic for a given input — and
-// only the misses fan out across GOMAXPROCS workers. Duplicate misses
-// within one call (bit-identical envelopes) verify once.
-func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
+// VerifyEach verifies every envelope and returns, index-aligned, each
+// one as Verified and the per-envelope errors (a nil error marks a
+// verified entry; a failed one gets the zero Verified). The memo
+// pre-pass runs serially — hit/miss counts are deterministic for a given
+// input — and only the misses fan out across GOMAXPROCS workers.
+// Duplicate misses within one call (bit-identical envelopes) verify
+// once. The Verified entries share envs' byte slices.
+func (b *BatchVerifier) VerifyEach(envs []Envelope) ([]Verified, []error) {
 	errs := make([]error, len(envs))
 	var pending []batchJob
 	// Serial memo pre-pass, deduplicating identical envelopes.
@@ -237,6 +279,7 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 			}
 		}
 	}
+	vs := make([]Verified, len(envs))
 	for i, err := range errs {
 		if d, ok := err.(errDefer); ok {
 			if errs[d.idx] == nil {
@@ -246,8 +289,11 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 				errs[i] = errs[d.idx]
 			}
 		}
+		if errs[i] == nil {
+			vs[i] = Verified{env: envs[i], ok: true}
+		}
 	}
-	return errs
+	return vs, errs
 }
 
 // errDefer marks an intra-batch duplicate awaiting the first copy's

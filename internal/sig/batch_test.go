@@ -107,10 +107,18 @@ func TestVerifyEach(t *testing.T) {
 	envs = append(envs, Envelope{Sender: "P9", Kind: "dls/bid"})
 
 	bv := NewBatchVerifier(reg, NewVerifyMemo())
-	errs := bv.VerifyEach(envs)
+	vs, errs := bv.VerifyEach(envs)
 	for i := 0; i < 4; i++ {
 		if errs[i] != nil {
 			t.Errorf("envs[%d]: %v, want nil", i, errs[i])
+		}
+		if !vs[i].Matches(&envs[i]) {
+			t.Errorf("envs[%d]: verified entry does not match its envelope", i)
+		}
+	}
+	for i := 4; i < len(envs); i++ {
+		if vs[i].Matches(&envs[i]) {
+			t.Errorf("envs[%d] failed but came back verified", i)
 		}
 	}
 	if !errors.Is(errs[4], ErrBadSignature) {
@@ -128,11 +136,78 @@ func TestVerifyEach(t *testing.T) {
 	}
 
 	// Second pass over the valid prefix: everything is memoized now.
-	if err := firstError(bv.VerifyEach(envs[:4])); err != nil {
-		t.Fatal(err)
+	if _, errs := bv.VerifyEach(envs[:4]); firstError(errs) != nil {
+		t.Fatal(firstError(errs))
 	}
 	if st := bv.Stats(); st.Verified != 3 {
 		t.Errorf("verified after warm pass = %d, want 3 (all hits)", st.Verified)
+	}
+}
+
+// TestVerifiedMatchesOnlyCheckedBytes: a Verified envelope matches a
+// byte-identical copy held in other slices and nothing else, decodes
+// like BatchVerifier.Open, and the zero value (what a failed check
+// returns) matches no envelope, the empty one included, and opens
+// nothing.
+func TestVerifiedMatchesOnlyCheckedBytes(t *testing.T) {
+	reg := NewRegistry()
+	k, err := GenerateKeyPair("P1", DeterministicSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(k.ID, k.Public); err != nil {
+		t.Fatal(err)
+	}
+	env, err := SealBinary(k, "dls/bid", binPayload{Name: "P1", X: 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bv := NewBatchVerifier(reg, nil)
+	v, err := bv.Check(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := Envelope{Sender: env.Sender, Kind: env.Kind,
+		Payload: append([]byte(nil), env.Payload...), Signature: append([]byte(nil), env.Signature...)}
+	if !v.Matches(&same) {
+		t.Error("a byte-identical copy does not match")
+	}
+	for name, mut := range map[string]func(e *Envelope){
+		"payload":   func(e *Envelope) { e.Payload[len(e.Payload)-1] ^= 1 },
+		"signature": func(e *Envelope) { e.Signature[0] ^= 1 },
+		"kind":      func(e *Envelope) { e.Kind = "dls/payment" },
+		"sender":    func(e *Envelope) { e.Sender = "P2" },
+	} {
+		c := Envelope{Sender: env.Sender, Kind: env.Kind,
+			Payload: append([]byte(nil), env.Payload...), Signature: append([]byte(nil), env.Signature...)}
+		mut(&c)
+		if v.Matches(&c) {
+			t.Errorf("a copy with a changed %s matches", name)
+		}
+	}
+	var got, want binPayload
+	if err := v.Open(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := bv.Open(&env, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != want.Name || got.X != want.X {
+		t.Errorf("Verified.Open = %+v, BatchVerifier.Open = %+v", got, want)
+	}
+
+	bad := same
+	bad.Signature = append([]byte(nil), env.Signature...)
+	bad.Signature[1] ^= 1
+	zero, err := bv.Check(&bad)
+	if !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("tampered envelope: %v, want ErrBadSignature", err)
+	}
+	if zero.Matches(&bad) || zero.Matches(&Envelope{}) {
+		t.Error("a failed check's Verified matches an envelope")
+	}
+	if err := zero.Open(&got); err == nil {
+		t.Error("a failed check's Verified opens")
 	}
 }
 
@@ -154,7 +229,7 @@ func TestVerifyEachWorkers(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		bv := NewBatchVerifier(reg, nil)
-		errs := bv.VerifyEach(envs)
+		_, errs := bv.VerifyEach(envs)
 		for i, err := range errs {
 			if i == 7 {
 				if !errors.Is(err, ErrBadSignature) {

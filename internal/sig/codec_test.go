@@ -237,10 +237,10 @@ func TestBatchVerifierOpen(t *testing.T) {
 		t.Error("tampered envelope judged equivocation")
 	}
 
-	if err := firstError(bv.VerifyEach([]Envelope{env, other, env})); err != nil {
-		t.Errorf("VerifyEach over valid profile: %v", err)
+	if _, errs := bv.VerifyEach([]Envelope{env, other, env}); firstError(errs) != nil {
+		t.Errorf("VerifyEach over valid profile: %v", firstError(errs))
 	}
-	if err := firstError(bv.VerifyEach([]Envelope{env, bad})); !errors.Is(err, ErrBadSignature) {
-		t.Errorf("VerifyEach over tampered profile: %v", err)
+	if _, errs := bv.VerifyEach([]Envelope{env, bad}); !errors.Is(firstError(errs), ErrBadSignature) {
+		t.Errorf("VerifyEach over tampered profile: %v", firstError(errs))
 	}
 }

@@ -12,6 +12,7 @@
 package sig
 
 import (
+	"crypto/sha256"
 	"errors"
 	"runtime"
 	"sync"
@@ -58,18 +59,43 @@ type Sealing struct {
 	Payload BinaryAppender
 }
 
-// SealBinaryEach seals every request as SealBinary would, in parallel,
-// and returns the envelopes in request order. On failure it returns the
-// first error in request order.
-func SealBinaryEach(reqs []Sealing) ([]Envelope, error) {
+// SealEach seals every request as SealBinary would and verifies each
+// envelope in the same fan-out: the worker that signs request i checks
+// the signature it just made against the registry and computes its memo
+// digest. After the barrier the digests of the envelopes that verified
+// are memoized, so a delivered copy of one is a memo hit, and the pass
+// counts as one batch. It returns the envelopes in request order, or the
+// first sealing error in request order; an envelope that fails its check
+// (its signer's key is not the one registered under its identity) is
+// still returned, as SealBinary returns it, and is not memoized.
+func (b *BatchVerifier) SealEach(reqs []Sealing) ([]Envelope, error) {
 	envs := make([]Envelope, len(reqs))
 	errs := make([]error, len(reqs))
+	digests := make([][sha256.Size]byte, len(reqs))
+	verified := make([]bool, len(reqs))
 	forEach(len(reqs), func(i int) {
 		q := &reqs[i]
-		envs[i], errs[i] = SealBinary(q.Key, q.Kind, q.Payload)
+		env, err := SealBinary(q.Key, q.Kind, q.Payload)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		envs[i] = env
+		if pub, ok := b.reg.lookup(env.Sender); ok && verifyWithKey(pub, &env) == nil {
+			digests[i], verified[i] = envelopeDigest(pub, &env), true
+		}
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
+	}
+	if len(reqs) > 0 {
+		b.stats.Batches++
+	}
+	for i, ok := range verified {
+		if ok {
+			b.stats.Verified++
+			b.memo.store(digests[i])
+		}
 	}
 	return envs, nil
 }

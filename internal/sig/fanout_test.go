@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -18,17 +19,29 @@ func withProcs(t *testing.T, f func(t *testing.T, procs int)) {
 	}
 }
 
-// TestSealBinaryEachMatchesSerial: the batch sealer returns, in request
-// order, exactly the envelopes serial SealBinary calls produce — several
-// signers, two kinds, and a signer with two requests in one batch.
-func TestSealBinaryEachMatchesSerial(t *testing.T) {
+// TestSealEachMatchesSerial: the fused pass returns, in request order,
+// exactly the envelopes serial SealBinary calls produce — several
+// signers, two kinds, and a signer with two requests in one batch — and
+// verifies each one as it signs it: every envelope that verifies is
+// memoized, so checking it again is a memo hit, while a forger's envelope
+// (signed under an identity whose registered key is not the signer's) is
+// returned unmemoized and still fails a later check.
+func TestSealEachMatchesSerial(t *testing.T) {
+	reg := NewRegistry()
 	var keys []*KeyPair
 	for i := 0; i < 6; i++ {
 		k, err := GenerateKeyPair(fmt.Sprintf("P%d", i+1), DeterministicSource(int64(40+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := reg.Register(k.ID, k.Public); err != nil {
+			t.Fatal(err)
+		}
 		keys = append(keys, k)
+	}
+	forger, err := GenerateKeyPair("P1", DeterministicSource(99))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var reqs []Sealing
 	for i, k := range keys {
@@ -41,6 +54,8 @@ func TestSealBinaryEachMatchesSerial(t *testing.T) {
 			reqs = append(reqs, Sealing{Key: k, Kind: kind, Payload: binPayload{Name: k.ID, X: -1}})
 		}
 	}
+	forged := len(reqs)
+	reqs = append(reqs, Sealing{Key: forger, Kind: "dls/bid", Payload: binPayload{Name: "P1", X: 7}})
 	want := make([]Envelope, len(reqs))
 	for i, q := range reqs {
 		env, err := SealBinary(q.Key, q.Kind, q.Payload)
@@ -50,7 +65,9 @@ func TestSealBinaryEachMatchesSerial(t *testing.T) {
 		want[i] = env
 	}
 	withProcs(t, func(t *testing.T, procs int) {
-		got, err := SealBinaryEach(reqs)
+		memo := NewVerifyMemo()
+		bv := NewBatchVerifier(reg, memo)
+		got, err := bv.SealEach(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,14 +79,38 @@ func TestSealBinaryEachMatchesSerial(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: envelope %d differs from serial SealBinary", procs, i)
 			}
 		}
+		if st := bv.Stats(); st != (BatchStats{Verified: len(reqs) - 1, Batches: 1}) {
+			t.Errorf("GOMAXPROCS=%d: stats %+v, want %d verified in 1 batch", procs, st, len(reqs)-1)
+		}
+		if ms := memo.Stats(); ms.Size != len(reqs)-1 || ms.Hits != 0 || ms.Misses != 0 {
+			t.Errorf("GOMAXPROCS=%d: memo %+v, want %d digests and no lookups", procs, ms, len(reqs)-1)
+		}
+		for i := range got {
+			err := bv.Verify(&got[i])
+			if i == forged {
+				if !errors.Is(err, ErrBadSignature) {
+					t.Errorf("GOMAXPROCS=%d: forged envelope: %v, want ErrBadSignature", procs, err)
+				}
+			} else if err != nil {
+				t.Errorf("GOMAXPROCS=%d: envelope %d: %v", procs, i, err)
+			}
+		}
+		if st := bv.Stats(); st.MemoHits != len(reqs)-1 || st.Verified != len(reqs)-1 {
+			t.Errorf("GOMAXPROCS=%d: after re-checking, stats %+v; want every sealed envelope a memo hit", procs, st)
+		}
 	})
 }
 
-// TestSealBinaryEachError: a request without a private key fails the
-// batch with the first error in request order.
-func TestSealBinaryEachError(t *testing.T) {
+// TestSealEachError: a request without a private key fails the pass with
+// the first error in request order, and the failed pass memoizes and
+// counts nothing.
+func TestSealEachError(t *testing.T) {
 	k, err := GenerateKeyPair("P1", DeterministicSource(1))
 	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Register(k.ID, k.Public); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []Sealing{
@@ -77,8 +118,13 @@ func TestSealBinaryEachError(t *testing.T) {
 		{Key: &KeyPair{ID: "P2"}, Kind: "dls/bid", Payload: binPayload{Name: "b"}},
 	}
 	withProcs(t, func(t *testing.T, procs int) {
-		if envs, err := SealBinaryEach(reqs); err == nil || envs != nil {
+		memo := NewVerifyMemo()
+		bv := NewBatchVerifier(reg, memo)
+		if envs, err := bv.SealEach(reqs); err == nil || envs != nil {
 			t.Errorf("GOMAXPROCS=%d: sealing without a private key = (%v, %v), want an error", procs, envs, err)
+		}
+		if st, ms := bv.Stats(), memo.Stats(); st != (BatchStats{}) || ms.Size != 0 {
+			t.Errorf("GOMAXPROCS=%d: failed pass left stats %+v and %d memoized digests", procs, st, ms.Size)
 		}
 	})
 }
