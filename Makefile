@@ -33,13 +33,15 @@ race-service:
 # loop, ten times over, with the transcript golden that pins every
 # signed byte; then the bid-receive oracle's race subset once at both
 # settings, its rounds drawing keys from the shared source pool; then
-# the hot-path and netbus parity properties once at both settings.
+# the hot-path and netbus parity properties, the netbus drain decode's
+# sharing and aliasing checks and its allocation guard once at both
+# settings.
 race-fanout:
 	$(GO) test -race -count=10 -cpu 1,4 \
 		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden' \
 		./internal/sig ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
-	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity' ./internal/protocol ./internal/netbus
+	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity|TestDrainSharesOnlyIdenticalCopies|TestDrainedRunsDoNotAlias|TestNetRoundAllocs' ./internal/protocol ./internal/netbus
 
 # Doc-comment lint over every package under internal/: every exported
 # top-level symbol must carry a doc comment.
@@ -148,10 +150,12 @@ bench-smoke:
 
 # One cold protocol.Run at each pool size up to service.MaxPoolSize
 # (m = 16, 64, 128, 256), so the largest pool a spec may declare stays
-# exercised, and one warm m = 16 reuse round, the service's steady
-# state; under a second in all.
+# exercised, one warm m = 16 reuse round, the service's steady state,
+# and one netbus round over two loopback nodes at m = 16, 64 and 128;
+# about a second in all.
 bench-cold:
 	$(GO) test -run NONE -bench 'BenchmarkColdRound|BenchmarkReuseRound' -benchtime 1x ./internal/protocol
+	$(GO) test -run NONE -bench BenchmarkNetRound -benchtime 1x ./internal/netbus
 
 # The layered benchmark's own tests (bench/, a separate module): every
 # op's correctness check across the service, library and netbus paths,

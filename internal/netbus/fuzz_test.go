@@ -30,9 +30,13 @@ func fuzzMsg(f *testing.F) bus.Message {
 // keeps resend dedup byte-stable). Every decoded message is also sized
 // with messageLen, and every batch entry with entryLen, against its
 // encoding: nodes cut drain pages and bound mailboxes with them, and
-// the driver cuts batch frames. The committed seed corpus under
+// the driver cuts batch frames. A node-drain reply is decoded by the
+// driver's sharing decoder and by the per-entry oracle, which must agree
+// (see checkDrainDecode). The committed seed corpus under
 // testdata/fuzz/FuzzWireFrame covers every frame type plus the
-// truncation/oversize/version mutants from TestMalformedFrames.
+// truncation/oversize/version mutants from TestMalformedFrames, and a
+// reply holding one bid in three mailboxes, as is and with the second
+// copy's signature corrupted.
 func FuzzWireFrame(f *testing.F) {
 	msg := fuzzMsg(f)
 	second := msg
@@ -132,11 +136,14 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("node drain frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtDrainNodeRsp:
-			parts, err := decodeDrainNodeRspBody(fr.Body)
-			if err != nil {
+			// The driver's decoder against the per-entry oracle: the same
+			// entries, decoded memory shared exactly between byte-identical
+			// copies, and a fixpoint.
+			d := checkDrainDecode(t, fr.Body)
+			if d == nil {
 				return
 			}
-			re := sameVersion(appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, parts, fr.Flags&FlagMore != 0))
+			re := sameVersion(appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, d.parts(), fr.Flags&FlagMore != 0))
 			if !bytes.Equal(re, data) {
 				t.Fatalf("node drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}

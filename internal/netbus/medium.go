@@ -108,6 +108,7 @@ type Medium struct {
 	entries []msgEntry    // one node's batch entries, reused across sends
 	dests   []string      // the entries' destinations, reused across sends
 	reqs    []drainReq    // node-drain request, reused across drains
+	rx      drainReply    // node-drain reply being filed, its buffers reused across drains
 }
 
 // remoteNode lists the attached endpoints one remote node hosts, sorted.
@@ -647,25 +648,13 @@ func (m *Medium) drainNode(owner, id string) {
 			return // silence; the retry layer above recovers
 		}
 		m.netEvent(obs.EvNetRx, id, owner, "drain", nonce)
-		parts, derr := decodeDrainNodeRspBody(rsp.Body)
-		if derr != nil {
+		if m.rx.decode(rsp.Body) != nil {
 			return
 		}
-		fetched := 0
-		for _, p := range parts {
-			if m.owners[p.endpoint] != owner || !m.attached[p.endpoint] {
-				return // not a mailbox this exchange asked for
-			}
-			for _, sm := range p.batch {
-				if sm.Seq <= m.ackSeq[p.endpoint] {
-					m.stats.Duplicated++
-					m.event(obs.EvDedupHit, sm.Msg.From, p.endpoint, sm.Msg.Kind)
-					continue
-				}
-				m.ackSeq[p.endpoint] = sm.Seq
-				m.stash[p.endpoint] = append(m.stash[p.endpoint], sm.Msg)
-				fetched++
-			}
+		fetched, ok := m.fileReply(owner)
+		m.rx.msgs = nil // the stash holds what it needs
+		if !ok {
+			return
 		}
 		if rsp.Flags&FlagMore == 0 {
 			m.fresh[owner] = true
@@ -675,6 +664,49 @@ func (m *Medium) drainNode(owner, id string) {
 			return // a page that brings nothing new would never end the loop
 		}
 	}
+}
+
+// fileReply moves the node-drain reply in m.rx into the stash, endpoint by
+// endpoint, and returns how many messages it fetched. Copies the
+// endpoint has already consumed (at or below its ack) are counted as
+// duplicates and skipped. Each endpoint's fresh copies stay where the
+// reply decoded them, compacted to the front of its run and handed over
+// capacity-capped: the transport filters a drained slice in place and
+// appends to it later, and the cap makes that append reallocate rather
+// than overwrite the next endpoint's run. A run for an endpoint this
+// exchange did not ask for stops the filing and reports false. Caller
+// holds the mutex.
+func (m *Medium) fileReply(owner string) (fetched int, ok bool) {
+	for _, run := range m.rx.runs {
+		ep := run.endpoint
+		if m.owners[ep] != owner || !m.attached[ep] {
+			return fetched, false
+		}
+		ack := m.ackSeq[ep]
+		kept := m.rx.msgs[run.lo:run.lo]
+		for i := run.lo; i < run.hi; i++ {
+			msg := m.rx.msgs[i]
+			if seq := m.rx.seqs[i]; seq > ack {
+				ack = seq
+				kept = append(kept, msg)
+				continue
+			}
+			m.stats.Duplicated++
+			m.event(obs.EvDedupHit, msg.From, ep, msg.Kind)
+		}
+		m.ackSeq[ep] = ack
+		if len(kept) == 0 {
+			continue
+		}
+		kept = kept[:len(kept):len(kept)]
+		if len(m.stash[ep]) == 0 {
+			m.stash[ep] = kept
+		} else {
+			m.stash[ep] = append(m.stash[ep], kept...)
+		}
+		fetched += len(kept)
+	}
+	return fetched, true
 }
 
 // ErrNodeTooOld reports a node whose pong carried a wire version below

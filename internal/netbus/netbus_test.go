@@ -32,7 +32,7 @@ func requireUDP(t *testing.T) {
 // startCluster boots one mailbox node per entry of workers on ephemeral
 // loopback ports, then dials the driver medium as node "serve" hosting
 // the serveEndpoints. Everything is torn down with the test.
-func startCluster(t *testing.T, serveEndpoints []string, workers map[string][]string) *netbus.Medium {
+func startCluster(t testing.TB, serveEndpoints []string, workers map[string][]string) *netbus.Medium {
 	t.Helper()
 	cfg := &netbus.Config{Nodes: map[string]netbus.NodeSpec{
 		"serve": {Addr: "127.0.0.1:0", Endpoints: serveEndpoints},
@@ -552,4 +552,49 @@ func startOldNode(t *testing.T) *netbus.Medium {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// TestDrainedRunsDoNotAlias pins the capacity cap on drained slices. One
+// node-drain reply fills P1's and P2's stash from one array; appending to
+// P1's drained slice, as the transport appends to its pending buffer,
+// must leave P2's messages as they were.
+func TestDrainedRunsDoNotAlias(t *testing.T) {
+	requireUDP(t)
+	m := startCluster(t, []string{"referee"},
+		map[string][]string{"w1": {"P1", "P2"}, "w2": {"P3", "P4"}})
+	for _, ep := range []string{"referee", "P1", "P2", "P3", "P4"} {
+		if err := m.Attach(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []bus.Broadcast
+	for i := byte(1); i <= 3; i++ {
+		batch = append(batch, bus.Broadcast{From: "referee", Kind: "k", Size: 1,
+			Env: sig.Envelope{Sender: "referee", Kind: "k", Payload: []byte{i}, Signature: []byte{i, i}}})
+	}
+	nonces, err := m.BroadcastEach(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := m.Drain("P1")
+	if err != nil || len(p1) != len(batch) {
+		t.Fatalf("Drain(P1) = %d messages, %v; want %d", len(p1), err, len(batch))
+	}
+	_ = append(p1, bus.Message{From: "intruder", Nonce: 99})
+	before := m.NetStats()
+	p2, err := m.Drain("P2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := m.NetStats(); after != before {
+		t.Fatalf("Drain(P2) crossed the socket (%+v → %+v); it should come from P1's reply", before, after)
+	}
+	for i, msg := range p2 {
+		if msg.From != "referee" || msg.Nonce != nonces[i] || !msg.Env.Equal(batch[i].Env) {
+			t.Fatalf("P2's message %d is %+v after an append to P1's drained slice", i, msg)
+		}
+	}
+	if len(p2) != len(batch) {
+		t.Fatalf("Drain(P2) = %d messages, want %d", len(p2), len(batch))
+	}
 }

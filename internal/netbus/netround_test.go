@@ -1,0 +1,119 @@
+package netbus_test
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"dlsbl/internal/dlt"
+	"dlsbl/internal/protocol"
+	"dlsbl/internal/sig"
+)
+
+// netRound returns a function that plays one m-member round over two
+// loopback mailbox nodes, each hosting half the processors, with the
+// referee at the driver: the layered benchmark's netbus-round shape,
+// under a fixed round ID and a keyring its first call warms.
+func netRound(tb testing.TB, m int) func() {
+	tb.Helper()
+	names := func(lo, hi int) []string {
+		var eps []string
+		for i := lo; i <= hi; i++ {
+			eps = append(eps, fmt.Sprintf("P%d", i))
+		}
+		return eps
+	}
+	medium := startCluster(tb, []string{"referee"},
+		map[string][]string{"w1": names(1, m/2), "w2": names(m/2+1, m)})
+	in := dlt.DefaultRandomInstance(rand.New(rand.NewSource(int64(m))), dlt.NCPFE, m)
+	cfg := protocol.Config{Network: dlt.NCPFE, Z: in.Z, TrueW: in.W, Seed: int64(m),
+		Keys: sig.NewKeyring(), Medium: medium}
+	round := fmt.Sprintf("net%d:r1", m)
+	return func() {
+		out, err := protocol.RunRound(cfg, round)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !out.Completed {
+			tb.Fatalf("m=%d: netbus round terminated in %s", m, out.TerminatedIn)
+		}
+		if st := medium.Stats(); st.Dropped != 0 {
+			tb.Fatalf("m=%d: %d copies dropped on loopback", m, st.Dropped)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race,
+// whose runtime skews allocation counts.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// allocBytesPerRun returns the heap bytes one call of f allocates,
+// averaged over runs calls after one warm-up call. The mailbox nodes
+// serve from this process, so their side of every exchange counts too.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestNetRoundAllocs pins what a netbus round allocates at GOMAXPROCS 1,
+// driver and both nodes together. A node-drain reply decodes each
+// distinct message once, every endpoint's copies are sub-slices of one
+// array sized from the reply, and nodes name batch destinations by their
+// mailboxes' keys in a buffer they reuse. A round here allocates about
+// 206 KiB at m = 16 and 8.0 MiB at m = 128. Decoding every copy afresh
+// costs about 234 KiB and 9.6 MiB, past both bounds; regrowing each
+// endpoint's stash one append at a time as well, about 375 KiB and
+// 17.9 MiB.
+func TestNetRoundAllocs(t *testing.T) {
+	requireUDP(t)
+	if raceEnabled() {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		m, runs int
+		max     uint64
+	}{
+		{m: 16, runs: 5, max: 224 << 10},
+		{m: 128, runs: 2, max: 9 << 20},
+	} {
+		got := allocBytesPerRun(c.runs, netRound(t, c.m))
+		if got > c.max {
+			t.Errorf("netbus m=%d round: %d KiB allocated, want <= %d KiB", c.m, got>>10, c.max>>10)
+		}
+		t.Logf("netbus m=%d round: %d KiB allocated", c.m, got>>10)
+	}
+}
+
+// BenchmarkNetRound times a netbus round over two loopback nodes at
+// m = 16, 64 and 128.
+func BenchmarkNetRound(b *testing.B) {
+	for _, m := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			round := netRound(b, m)
+			round() // warm the keyring
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
+}

@@ -67,6 +67,7 @@ type seenKey struct {
 // mailbox holds one endpoint's undrained messages with per-message
 // sequence numbers for cumulative acknowledgement.
 type mailbox struct {
+	name    string // the endpoint, as the key boxes holds it under
 	nextSeq uint64
 	queue   []SeqMsg
 	bytes   int    // messageLen summed over queue
@@ -113,6 +114,12 @@ type Node struct {
 	gen   uint64
 	picks []*mailbox  // the mailboxes the frame being handled names, in order
 	parts []drainPart // the drain reply being built
+
+	// entries and dests hold the message frame being filed and its
+	// destination lists, reused from one datagram to the next by the
+	// goroutine that calls handle (Serve's).
+	entries []msgEntry
+	dests   []string
 
 	// rec is the bounded telemetry buffer served by FtTelemetry; extra is
 	// an additional operator-installed tracer (e.g. an NDJSON stream);
@@ -186,7 +193,7 @@ func newNode(name string, endpoints []string) *Node {
 		closed: make(chan struct{}),
 	}
 	for _, ep := range endpoints {
-		n.boxes[ep] = &mailbox{}
+		n.boxes[ep] = &mailbox{name: ep}
 	}
 	return n
 }
@@ -281,18 +288,8 @@ func (n *Node) dispatch(out []byte, f Frame) []byte {
 			return n.badFrame(out)
 		}
 		return n.enqueue(out, f, []msgEntry{{dests: []string{dest}, msg: m}})
-	case FtMsgMulti:
-		dests, m, err := decodeMsgMultiBody(f.Body)
-		if err != nil {
-			return n.badFrame(out)
-		}
-		return n.enqueue(out, f, []msgEntry{{dests: dests, msg: m}})
-	case FtMsgBatch:
-		entries, err := decodeMsgBatchBody(f.Body)
-		if err != nil {
-			return n.badFrame(out)
-		}
-		return n.enqueue(out, f, entries)
+	case FtMsgMulti, FtMsgBatch:
+		return n.fileEntries(out, f)
 	case FtDrain:
 		endpoint, ack, err := DecodeDrainBody(f.Body)
 		if err != nil {
@@ -321,6 +318,31 @@ func (n *Node) badFrame(out []byte) []byte {
 	n.stats.BadFrames++
 	n.mu.Unlock()
 	return out
+}
+
+// fileEntries decodes a v3 or v4 message frame into the node's reusable
+// entry and destination buffers, then files it (see enqueue).
+func (n *Node) fileEntries(out []byte, f Frame) []byte {
+	entries, dests, err := decodeEntries(f.Type, f.Body, n.entries[:0], n.dests[:0], n.hostedName)
+	if err != nil {
+		out = n.badFrame(out)
+	} else {
+		out = n.enqueue(out, f, entries)
+	}
+	clear(entries) // drop the envelope references
+	n.entries, n.dests = entries[:0], dests[:0]
+	return out
+}
+
+// hostedName spells a destination as the key of the mailbox it names, so
+// naming a hosted endpoint allocates nothing; a name the node does not
+// host is spelt afresh, for enqueue to reject. boxes is read without the
+// mutex: it is fixed when the node is built.
+func (n *Node) hostedName(b []byte) string {
+	if box, ok := n.boxes[string(b)]; ok {
+		return box.name
+	}
+	return string(b)
 }
 
 // beginPick starts a destination list whose mailboxes pick appends to

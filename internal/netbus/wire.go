@@ -1,9 +1,11 @@
 package netbus
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dlsbl/internal/bus"
 	"dlsbl/internal/sig"
@@ -420,6 +422,23 @@ func (r *wireReader) readMessage() bus.Message {
 	return m
 }
 
+// skipMessage steps over one appendMessage encoding, checking it as
+// readMessage does, and returns its logical nonce.
+func (r *wireReader) skipMessage() uint64 {
+	for range 3 { // from, to, kind
+		r.take(r.uvarint())
+	}
+	if size := r.uvarint(); size > MaxFrame {
+		r.fail("absurd message size %d", size)
+		return 0
+	}
+	nonce := r.uvarint()
+	for range 4 { // the envelope's sender, kind, payload and signature
+		r.take(r.uvarint())
+	}
+	return nonce
+}
+
 // count reads an entry count and rejects one that cannot fit the bytes
 // left, given that every entry takes at least minEntry bytes.
 func (r *wireReader) count(what string, minEntry int) uint64 {
@@ -463,32 +482,20 @@ func DecodeMsgBody(body []byte) (dest string, m bus.Message, err error) {
 	return dest, m, nil
 }
 
-// decodeMsgMultiBody parses the body of an FtMsgMulti, which v3 drivers
-// send: destinations, then one message. It requires at least one
-// destination; that the destinations are distinct and hosted is the
-// receiving node's all-or-nothing rule, not a framing rule.
-func decodeMsgMultiBody(body []byte) (dests []string, m bus.Message, err error) {
-	r := wireReader{buf: body}
-	dests = r.dests()
-	m = r.readMessage()
-	if err := r.done(); err != nil {
-		return nil, bus.Message{}, err
-	}
-	return dests, m, nil
-}
-
-// dests reads a destination list: a count (at least 1), then that many
-// endpoint strings.
-func (r *wireReader) dests() []string {
+// dests reads a destination list, a count (at least 1) and then that
+// many endpoint strings, onto the end of buf, spelling each with name,
+// and returns the extended buffer.
+func (r *wireReader) dests(buf []string, name func([]byte) string) []string {
 	n := r.count("destination", 1)
 	if r.err == nil && n == 0 {
 		r.fail("message names no destination")
 	}
-	var dests []string
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		dests = append(dests, r.str())
+		if b := r.take(r.uvarint()); r.err == nil {
+			buf = append(buf, name(b))
+		}
 	}
-	return dests
+	return buf
 }
 
 // msgEntry is one message of a message frame and the mailboxes of the
@@ -537,26 +544,33 @@ func appendMsgBatchFrame(dst []byte, flags byte, nonce uint64, node string, entr
 	return finishFrame(dst, start)
 }
 
-// decodeMsgBatchBody parses an FtMsgBatch body. It requires at least one
-// entry and at least one destination per entry; as for FtMsgMulti, that
-// an entry's destinations are distinct and hosted is the node's rule.
-func decodeMsgBatchBody(body []byte) ([]msgEntry, error) {
+// decodeEntries parses the body of a v3 FtMsgMulti, one entry without
+// a count, or of a v4 FtMsgBatch, a count (at least 1) of entries; an
+// entry is a destination list and then a message. It appends the
+// entries to entries and their destinations, each spelt by name, to
+// dests, and returns both extended slices; each entry's list is the
+// capacity-capped run of dests it appended. Every entry names at
+// least one destination; that an entry's destinations are distinct and
+// hosted is the receiving node's all-or-nothing rule, not a framing
+// rule.
+func decodeEntries(typ byte, body []byte, entries []msgEntry, dests []string, name func([]byte) string) ([]msgEntry, []string, error) {
 	r := wireReader{buf: body}
-	// An entry is at least a destination count, one 1-byte destination
-	// and a message of nine 1-byte fields.
-	n := r.count("batch entry", 11)
-	if r.err == nil && n == 0 {
-		r.fail("batch frame carries no message")
+	n := uint64(1)
+	if typ == FtMsgBatch {
+		// An entry is at least a destination count, one 1-byte
+		// destination and a message of nine 1-byte fields.
+		n = r.count("batch entry", 11)
+		if r.err == nil && n == 0 {
+			r.fail("batch frame carries no message")
+		}
 	}
-	entries := make([]msgEntry, 0, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		dests := r.dests()
-		entries = append(entries, msgEntry{dests: dests, msg: r.readMessage()})
+		lo := len(dests)
+		dests = r.dests(dests, name)
+		hi := len(dests)
+		entries = append(entries, msgEntry{dests: dests[lo:hi:hi], msg: r.readMessage()})
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return entries, nil
+	return entries, dests, r.done()
 }
 
 // appendDrainFrame frames a v2 drain request (FtDrain) for one endpoint,
@@ -687,27 +701,82 @@ func appendDrainNodeRspFrame(dst []byte, nonce uint64, node string, parts []drai
 	return finishFrame(dst, start)
 }
 
-// decodeDrainNodeRspBody parses an FtDrainNodeRsp body into runs of
-// consecutive entries for the same endpoint, so that re-encoding the
-// runs reproduces the body byte for byte.
-func decodeDrainNodeRspBody(body []byte) ([]drainPart, error) {
+// drainRun is one endpoint's run of consecutive entries in a node-drain
+// response: entries lo up to hi of its drainReply.
+type drainRun struct {
+	endpoint string
+	lo, hi   int
+}
+
+// drainReply is a decoded node-drain response (FtDrainNodeRsp): entry i
+// is msgs[i] under mailbox sequence number seqs[i], and runs groups
+// consecutive entries for the same endpoint, so that re-encoding the runs
+// reproduces the body byte for byte. A reply holds a copy of a broadcast
+// for every mailbox of the node but the sender's, Θ(m²) copies of Θ(m)
+// messages. An entry whose message encoding is byte-identical to an
+// earlier entry's shares that entry's decoded message, its strings and
+// its envelope's byte slices, as every inbox copy of a message does on
+// the simulated bus; an entry that differs in any byte is decoded on its
+// own.
+type drainReply struct {
+	runs []drainRun
+	seqs []uint64
+	msgs []bus.Message
+
+	firsts []firstCopy // the entries decoded afresh, for later copies to match
+}
+
+// firstCopy is a node-drain entry whose message was decoded afresh: its
+// index, its logical nonce and its message encoding.
+type firstCopy struct {
+	entry int
+	nonce uint64
+	enc   []byte
+}
+
+// decode parses an FtDrainNodeRsp body into d. It reuses d's runs, seqs
+// and firsts, but msgs is a fresh array sized from the validated entry
+// count: the driver hands sub-slices of it to its stash.
+func (d *drainReply) decode(body []byte) error {
 	r := wireReader{buf: body}
-	n := r.count("node drain batch", 8) // endpoint, seq and a message of ≥ 6 fields
-	var parts []drainPart
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		ep := r.str()
+	n := int(r.count("node drain batch", 8)) // endpoint, seq and a message of ≥ 6 fields
+	d.runs, d.firsts = d.runs[:0], d.firsts[:0]
+	d.seqs = slices.Grow(d.seqs[:0], n)
+	d.msgs = make([]bus.Message, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		ep := r.take(r.uvarint())
 		seq := r.uvarint()
-		m := r.readMessage()
-		if len(parts) == 0 || parts[len(parts)-1].endpoint != ep {
-			parts = append(parts, drainPart{endpoint: ep})
+		start := r.off
+		nonce := r.skipMessage()
+		if r.err != nil {
+			break
 		}
-		last := &parts[len(parts)-1]
-		last.batch = append(last.batch, SeqMsg{Seq: seq, Msg: m})
+		if k := len(d.runs); k == 0 || d.runs[k-1].endpoint != string(ep) {
+			d.runs = append(d.runs, drainRun{endpoint: string(ep), lo: i})
+		}
+		d.runs[len(d.runs)-1].hi = i + 1
+		d.seqs = append(d.seqs, seq)
+		d.msgs = append(d.msgs, d.message(i, nonce, body[start:r.off]))
 	}
 	if err := r.done(); err != nil {
-		return nil, err
+		d.msgs = nil
+		return err
 	}
-	return parts, nil
+	return nil
+}
+
+// message returns entry i's message, whose encoding enc carries the
+// given nonce: an earlier entry's when their encodings are byte-identical,
+// otherwise a fresh decode that later copies may share.
+func (d *drainReply) message(i int, nonce uint64, enc []byte) bus.Message {
+	for _, f := range d.firsts {
+		if f.nonce == nonce && bytes.Equal(f.enc, enc) {
+			return d.msgs[f.entry]
+		}
+	}
+	d.firsts = append(d.firsts, firstCopy{entry: i, nonce: nonce, enc: enc})
+	r := wireReader{buf: enc}
+	return r.readMessage()
 }
 
 // AppendControlFrame frames a bodyless control frame (FtAck, FtPing,
