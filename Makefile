@@ -112,9 +112,10 @@ cover:
 # bid-session membership model, the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
 # the accusation wire format), the netbus datagram receive path (decode
-# totality + canonical re-encode fixpoint, batch frames included), the
-# netbus node's handling of datagram sequences (all-or-nothing multi and
-# batch frames, resends, the mailbox byte bound), the installment
+# totality + canonical re-encode fixpoint, and no frame but a ping or pong
+# accepted outside wire v4), the netbus node's handling of datagram
+# sequences (all-or-nothing batch frames, retired v1–v3 frames filing
+# nothing, resends, the mailbox byte bound), the installment
 # round-ID grammar (parse/print fixed point), and the service's admission
 # path (arbitrary job submissions and pool specs over HTTP: no panic,
 # every rejection a 4xx with a JSON error, every pool bounded).

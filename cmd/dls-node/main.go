@@ -1,14 +1,15 @@
 // Command dls-node runs one mailbox node of the netbus: a stateless
 // relay process that hosts the inboxes of the protocol endpoints
-// assigned to it in the peer table and answers message, drain and ping
-// datagrams over UDP — FtMsgBatch/FtDrainNode/FtPing from a v4 driver,
-// one frame per node for a whole batch of messages rather than per
-// endpoint or per message, FtMsgMulti from a v3 one and FtMsg/FtDrain
-// from a v2 one. Each mailbox holds at most netbus.MailboxBytes; frames
-// past that bound are refused and counted (node_refused_total). It
-// never dials out and never originates traffic —
-// all protocol logic (agents, referee, retry/backoff) lives in the
-// driver process (dls-serve -net-round); a dls-node only stores and
+// assigned to it in the peer table and answers message, drain, ping and
+// telemetry datagrams over UDP (FtMsgBatch, FtDrainNode, FtPing,
+// FtTelemetry), one frame per node for a whole batch of messages rather
+// than per endpoint or per message. It speaks wire v4 alone, answering
+// the driver's version probe of any version with a v4 pong, so build it
+// and dls-serve from the same tree. Each mailbox holds at most
+// netbus.MailboxBytes; frames past that bound are refused and counted
+// (node_refused_total). It never dials out and never originates
+// traffic — all protocol logic (agents, referee, retry/backoff) lives in
+// the driver process (dls-serve -net-round); a dls-node only stores and
 // forwards sealed envelopes.
 //
 // Usage:
@@ -28,8 +29,8 @@
 //	-trace FILE     stream datagram-plane obs events as NDJSON to FILE
 //	                ("-" for stderr) as they happen
 //	-telemetry N    buffer up to N trace records in memory and serve them
-//	                to the driver's FtTelemetry drains (wire v2+); the
-//	                driver stitches them into one cross-process trace
+//	                to the driver's FtTelemetry drains; the driver
+//	                stitches them into one cross-process trace
 //	-metrics-addr A serve GET /metrics on A in Prometheus text format
 //	                (node_* counters: datagrams, resends, decode
 //	                failures, mailbox depth)
@@ -138,6 +139,6 @@ func main() {
 		traceFile.Close()
 	}
 	st := node.Stats()
-	fmt.Fprintf(os.Stderr, "dls-node %s: enqueued=%d dedup_hits=%d drains=%d bad_frames=%d datagrams_in=%d datagrams_out=%d\n",
-		*nodeName, st.Enqueued, st.DedupHits, st.Drains, st.BadFrames, st.DatagramsIn, st.DatagramsOut)
+	fmt.Fprintf(os.Stderr, "dls-node %s: enqueued=%d dedup_hits=%d drains=%d bad_frames=%d refused=%d datagrams_in=%d datagrams_out=%d\n",
+		*nodeName, st.Enqueued, st.DedupHits, st.Drains, st.BadFrames, st.Refused, st.DatagramsIn, st.DatagramsOut)
 }

@@ -1,14 +1,9 @@
 package netbus
 
-import (
-	"dlsbl/internal/bus"
-	"dlsbl/internal/sig"
-)
+import "dlsbl/internal/bus"
 
-// Exports for the external netbus_test package: docs/WIRE.md's v4
-// golden frame is pinned against the batch codec, and its v3 golden is
-// decoded with the multi-frame decoder nodes keep for v3 drivers.
-var DecodeMsgMultiBody = decodeMsgMultiBody
+// Exports for the external netbus_test package: docs/WIRE.md's golden
+// frame is pinned against the batch codec.
 
 // AppendMsgBatchFrame is appendMsgBatchFrame over parallel destination
 // and message lists.
@@ -32,21 +27,6 @@ func DecodeMsgBatchBody(body []byte) (dests [][]string, msgs []bus.Message, err 
 		msgs = append(msgs, e.msg)
 	}
 	return dests, msgs, nil
-}
-
-// appendMsgMultiFrame frames one message for several mailboxes of one
-// node (FtMsgMulti) in wire version 3, as a v3 driver did. The driver
-// sends FtMsgBatch now; the tests use this encoder to check that nodes
-// still file v3 frames and that their decoding is a fixpoint.
-func appendMsgMultiFrame(dst []byte, flags byte, nonce uint64, node string, dests []string, m bus.Message, round, epoch string, origin uint64) []byte {
-	start := len(dst)
-	dst = appendHeader(dst, versionNode, FtMsgMulti, flags, nonce, node, round, epoch, origin)
-	dst = sig.AppendUvarint(dst, uint64(len(dests)))
-	for _, d := range dests {
-		dst = sig.AppendString(dst, d)
-	}
-	dst = appendMessage(dst, m)
-	return finishFrame(dst, start)
 }
 
 // StashedFor returns how many fetched messages the driver holds for the

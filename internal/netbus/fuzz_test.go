@@ -33,33 +33,35 @@ func fuzzMsg(f *testing.F) bus.Message {
 // the driver cuts batch frames. A node-drain reply is decoded by the
 // driver's sharing decoder and by the per-entry oracle, which must agree
 // (see checkDrainDecode). The committed seed corpus under
-// testdata/fuzz/FuzzWireFrame covers every frame type plus the
-// truncation/oversize/version mutants from TestMalformedFrames, and a
-// reply holding one bid in three mailboxes, as is and with the second
-// copy's signature corrupted.
+// testdata/fuzz/FuzzWireFrame covers every frame type, the probe's v1
+// ping and pong, one frame of each retired type (FtMsg, FtDrain,
+// FtDrainRsp, FtMsgMulti), the truncation/oversize/version mutants from
+// TestMalformedFrames, and a reply holding one bid in three mailboxes,
+// as is and with the second copy's signature corrupted.
 func FuzzWireFrame(f *testing.F) {
 	msg := fuzzMsg(f)
 	second := msg
 	second.From, second.Nonce = "P2", 8
+	old := retiredBodies(msg)
 	f.Add(AppendMsgFrame(nil, 1, "drv", "P1", msg))
 	f.Add(AppendControlFrame(nil, FtAck, 2, "w1"))
-	f.Add(appendDrainFrame(nil, 3, "drv", "P1", 9))
-	f.Add(appendDrainRspFrame(nil, 4, "w1", "P1", []SeqMsg{{Seq: 1, Msg: msg}}, true))
+	f.Add(legacyFrame(2, 3, 0, old[3]))        // the retired FtDrain
+	f.Add(legacyFrame(2, 4, FlagMore, old[4])) // the retired FtDrainRsp
 	f.Add(AppendControlFrame(nil, FtPing, 5, "drv"))
 	f.Add(AppendControlFrame(nil, FtPong, 5, "w1"))
-	f.Add(appendMsgFrameTrace(nil, FlagTrace, 7, "drv", "P1", msg, "s1:r1", "s1:r1", 42))
+	f.Add(appendMsgBatchFrame(nil, FlagTrace, 7, "drv", []msgEntry{{[]string{"P1"}, msg}}, "s1:r1", "s1:r1"))
 	f.Add(AppendTelemetryFrame(nil, 8, "drv", 17))
 	f.Add(AppendTelemetryRspFrame(nil, 9, "w1",
 		[][]byte{[]byte(`{"type":"event","name":"net_rx"}`)}, true))
 	valid := AppendMsgFrame(nil, 6, "drv", "P1", msg)
-	legacy := append([]byte(nil), valid...)
-	legacy[4] = VersionLegacy
-	f.Add(legacy)                         // v1 frame: must still parse
-	f.Add(valid[:headerFixed-1])          // truncated header
-	f.Add(valid[:len(valid)-3])           // truncated body
-	f.Add(append(valid[:4:4], 0xFF))      // bad version
-	f.Add([]byte("DLSBjunkjunkjunkjunk")) // header-sized garbage
-	f.Add(appendMsgMultiFrame(nil, FlagTrace, 10, "drv", []string{"P2", "P3"}, msg, "s1:r1", "s1:r1", 7))
+	probe := AppendControlFrame(nil, FtPing, 6, "drv")
+	probe[4] = VersionLegacy
+	f.Add(probe)                                // the v1 version probe: must still parse
+	f.Add(valid[:headerFixed-1])                // truncated header
+	f.Add(valid[:len(valid)-3])                 // truncated body
+	f.Add(append(valid[:4:4], 0xFF))            // bad version
+	f.Add([]byte("DLSBjunkjunkjunkjunk"))       // header-sized garbage
+	f.Add(legacyFrame(3, 9, FlagTrace, old[9])) // the retired FtMsgMulti
 	f.Add(appendDrainNodeFrame(nil, 11, "drv", []drainReq{{"P1", 3}, {"P2", 0}}))
 	f.Add(appendDrainNodeRspFrame(nil, 11, "w1",
 		[]drainPart{{"P1", []SeqMsg{{Seq: 4, Msg: msg}}}, {"P2", []SeqMsg{{Seq: 1, Msg: msg}, {Seq: 2, Msg: msg}}}}, true))
@@ -75,35 +77,12 @@ func FuzzWireFrame(f *testing.F) {
 		// Accepted header: body decoders must be total too, and the
 		// decode→encode round trip must reproduce the datagram bit for
 		// bit (uvarints are already minimal by construction here — the
-		// fixpoint catches any second encoding sneaking in). The Append*
-		// helpers emit the current version; a decoded legacy frame differs
-		// only in its version byte, so the re-encode patches it back.
-		sameVersion := func(re []byte) []byte {
-			re[4] = fr.Version
-			return re
+		// fixpoint catches any second encoding sneaking in). Only a ping
+		// or pong may be in an older version than the encoders emit.
+		if fr.Version != Version && fr.Type != FtPing && fr.Type != FtPong {
+			t.Fatalf("a version %d frame of type %d was accepted", fr.Version, fr.Type)
 		}
 		switch fr.Type {
-		case FtMsg:
-			dest, m, err := DecodeMsgBody(fr.Body)
-			if err != nil {
-				return
-			}
-			if messageLen(m) != len(appendMessage(nil, m)) {
-				t.Fatalf("messageLen %d disagrees with the encoding of %+v", messageLen(m), m)
-			}
-			re := sameVersion(appendMsgFrameTrace(nil, fr.Flags, fr.Nonce, fr.Node, dest, m, fr.Round, fr.Epoch, fr.Origin))
-			if !bytes.Equal(re, data) {
-				t.Fatalf("msg frame not a fixpoint:\n in  %x\n out %x", data, re)
-			}
-		case FtMsgMulti:
-			dests, m, err := decodeMsgMultiBody(fr.Body)
-			if err != nil {
-				return
-			}
-			re := sameVersion(appendMsgMultiFrame(nil, fr.Flags, fr.Nonce, fr.Node, dests, m, fr.Round, fr.Epoch, fr.Origin))
-			if !bytes.Equal(re, data) {
-				t.Fatalf("multi frame not a fixpoint:\n in  %x\n out %x", data, re)
-			}
 		case FtMsgBatch:
 			entries, err := decodeMsgBatchBody(fr.Body)
 			if err != nil {
@@ -119,7 +98,7 @@ func FuzzWireFrame(f *testing.F) {
 			if want := len(fr.Body) - uvarintLen(uint64(len(entries))); body != want {
 				t.Fatalf("entryLen sums to %d, the entries take %d bytes", body, want)
 			}
-			if hl := headerLen(fr.Flags, fr.Node, fr.Round, fr.Epoch, fr.Origin); hl != len(data)-len(fr.Body) {
+			if hl := headerLen(fr.Flags, fr.Node, fr.Round, fr.Epoch); hl != len(data)-len(fr.Body) {
 				t.Fatalf("headerLen %d, the header takes %d bytes", hl, len(data)-len(fr.Body))
 			}
 			re := appendMsgBatchFrame(nil, fr.Flags, fr.Nonce, fr.Node, entries, fr.Round, fr.Epoch)
@@ -131,7 +110,7 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := sameVersion(appendDrainNodeFrame(nil, fr.Nonce, fr.Node, reqs))
+			re := appendDrainNodeFrame(nil, fr.Nonce, fr.Node, reqs)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("node drain frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -143,34 +122,16 @@ func FuzzWireFrame(f *testing.F) {
 			if d == nil {
 				return
 			}
-			re := sameVersion(appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, d.parts(), fr.Flags&FlagMore != 0))
+			re := appendDrainNodeRspFrame(nil, fr.Nonce, fr.Node, d.parts(), fr.Flags&FlagMore != 0)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("node drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
-			}
-		case FtDrain:
-			ep, ack, err := DecodeDrainBody(fr.Body)
-			if err != nil {
-				return
-			}
-			re := sameVersion(appendDrainFrame(nil, fr.Nonce, fr.Node, ep, ack))
-			if !bytes.Equal(re, data) {
-				t.Fatalf("drain frame not a fixpoint:\n in  %x\n out %x", data, re)
-			}
-		case FtDrainRsp:
-			ep, batch, err := decodeDrainRspBody(fr.Body)
-			if err != nil {
-				return
-			}
-			re := sameVersion(appendDrainRspFrame(nil, fr.Nonce, fr.Node, ep, batch, fr.Flags&FlagMore != 0))
-			if !bytes.Equal(re, data) {
-				t.Fatalf("drain rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtTelemetry:
 			ack, err := DecodeTelemetryBody(fr.Body)
 			if err != nil {
 				return
 			}
-			re := sameVersion(AppendTelemetryFrame(nil, fr.Nonce, fr.Node, ack))
+			re := AppendTelemetryFrame(nil, fr.Nonce, fr.Node, ack)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("telemetry frame not a fixpoint:\n in  %x\n out %x", data, re)
 			}
@@ -179,13 +140,14 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := sameVersion(AppendTelemetryRspFrame(nil, fr.Nonce, fr.Node, lines, fr.Flags&FlagMore != 0))
+			re := AppendTelemetryRspFrame(nil, fr.Nonce, fr.Node, lines, fr.Flags&FlagMore != 0)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("telemetry rsp not a fixpoint:\n in  %x\n out %x", data, re)
 			}
 		case FtAck, FtPing, FtPong:
 			if len(fr.Body) == 0 {
-				re := sameVersion(AppendControlFrame(nil, fr.Type, fr.Nonce, fr.Node))
+				re := AppendControlFrame(nil, fr.Type, fr.Nonce, fr.Node)
+				re[4] = fr.Version // a probe ping or pong may be older
 				if fr.Flags == 0 && !bytes.Equal(re, data) {
 					t.Fatalf("control frame not a fixpoint:\n in  %x\n out %x", data, re)
 				}
@@ -207,19 +169,20 @@ func datagrams(dgs ...[]byte) []byte {
 
 // FuzzNodeHandle feeds a socketless node arbitrary datagram sequences
 // (each datagram behind a 2-byte length) through Node.handle and checks
-// after every datagram that nothing panicked; that a message frame —
-// FtMsg, FtMsgMulti or FtMsgBatch — was filed whole or not at all:
+// after every datagram that nothing panicked; that a message frame (an
+// FtMsgBatch) was filed whole or not at all:
 // either no mailbox grew, or every mailbox grew by exactly the number of
 // the frame's messages naming it, and the frame was acked; that no other
-// frame filed mail; that a resent frame (same sender node and frame
+// frame, a retired v1–v3 message frame included, filed mail; that a
+// resent frame (same sender node and frame
 // nonce as one filed before) filed nothing, and that an identical resend
 // was acked again; and that every mailbox stays within its byte bound.
 // The bound is lowered to a few messages' worth so the fuzzer reaches
 // it.
 func FuzzNodeHandle(f *testing.F) {
 	msg := fuzzMsg(f)
-	multi := func(nonce uint64, dests ...string) []byte {
-		return appendMsgMultiFrame(nil, 0, nonce, "drv", dests, msg, "", "", 0)
+	single := func(nonce uint64, dests ...string) []byte { // a one-entry batch
+		return appendMsgBatchFrame(nil, 0, nonce, "drv", []msgEntry{{dests, msg}}, "", "")
 	}
 	batch := func(nonce uint64, dests ...[]string) []byte {
 		entries := make([]msgEntry, len(dests))
@@ -228,16 +191,17 @@ func FuzzNodeHandle(f *testing.F) {
 		}
 		return appendMsgBatchFrame(nil, 0, nonce, "drv", entries, "", "")
 	}
-	f.Add(datagrams(multi(1, "P1", "P2"), multi(1, "P1", "P2"), multi(2, "P2", "P3"),
+	f.Add(datagrams(single(1, "P1", "P2"), single(1, "P1", "P2"), single(2, "P2", "P3"),
 		appendDrainNodeFrame(nil, 3, "drv", []drainReq{{"P1", 0}, {"P2", 0}, {"P3", 0}}),
 		appendDrainNodeFrame(nil, 4, "drv", []drainReq{{"P1", 1}, {"P2", 2}})))
-	f.Add(datagrams(multi(5, "P1", "P9"), multi(6, "P3", "P3"), AppendMsgFrame(nil, 7, "drv", "P2", msg),
-		appendDrainFrame(nil, 8, "drv", "P2", 0)))
+	old := retiredBodies(msg)
+	f.Add(datagrams(single(5, "P1", "P9"), single(6, "P3", "P3"), AppendMsgFrame(nil, 7, "drv", "P2", msg),
+		legacyFrame(2, 1, 0, old[1]), legacyFrame(3, FtDrainNode, 0, old[FtDrainNode])))
 	var flood [][]byte
 	for i := uint64(1); i <= 12; i++ { // past the lowered bound
-		flood = append(flood, multi(10+i, "P1", "P3"))
+		flood = append(flood, single(10+i, "P1", "P3"))
 	}
-	flood = append(flood, appendDrainNodeFrame(nil, 30, "drv", []drainReq{{"P1", 8}, {"P3", 8}}), multi(31, "P1", "P2", "P3"))
+	flood = append(flood, appendDrainNodeFrame(nil, 30, "drv", []drainReq{{"P1", 8}, {"P3", 8}}), single(31, "P1", "P2", "P3"))
 	f.Add(datagrams(flood...))
 	// Batches: a valid one and its resend, one whose second entry names
 	// a foreign endpoint, one naming a mailbox twice within an entry,
@@ -320,26 +284,11 @@ func FuzzNodeHandle(f *testing.F) {
 // file into each mailbox, and whether it is a message frame with a
 // body that decodes.
 func frameCopies(fr Frame) (map[string]int, bool) {
-	var entries []msgEntry
-	switch fr.Type {
-	case FtMsg:
-		dest, m, err := DecodeMsgBody(fr.Body)
-		if err != nil {
-			return nil, false
-		}
-		entries = []msgEntry{{dests: []string{dest}, msg: m}}
-	case FtMsgMulti:
-		dests, m, err := decodeMsgMultiBody(fr.Body)
-		if err != nil {
-			return nil, false
-		}
-		entries = []msgEntry{{dests: dests, msg: m}}
-	case FtMsgBatch:
-		var err error
-		if entries, err = decodeMsgBatchBody(fr.Body); err != nil {
-			return nil, false
-		}
-	default:
+	if fr.Type != FtMsgBatch {
+		return nil, false
+	}
+	entries, err := decodeMsgBatchBody(fr.Body)
+	if err != nil {
 		return nil, false
 	}
 	copies := map[string]int{}

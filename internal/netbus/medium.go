@@ -78,12 +78,12 @@ type Medium struct {
 	here     []string     // attached local endpoints, sorted
 	remote   []remoteNode // every remote node hosting endpoints, in order of its first one
 
-	local  map[string][]bus.Message // mailboxes of locally hosted endpoints
-	ackSeq map[string]uint64        // per remote endpoint: highest consumed seq
+	ackSeq map[string]uint64 // per remote endpoint: highest consumed seq
 
-	// stash holds messages a node drain fetched for remote endpoints not
-	// yet drained; fresh marks the nodes whose mailboxes were all fetched
-	// after the driver's last message frame to them.
+	// stash holds each endpoint's undrained messages: every delivery to a
+	// local endpoint, and what node drains fetched for remote ones; fresh
+	// marks the remote nodes whose mailboxes were all fetched after the
+	// driver's last message frame to them.
 	stash map[string][]bus.Message
 	fresh map[string]bool
 
@@ -155,7 +155,6 @@ func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 		owners:   make(map[string]string),
 		addrs:    make(map[string]*net.UDPAddr),
 		attached: make(map[string]bool),
-		local:    make(map[string][]bus.Message),
 		ackSeq:   make(map[string]uint64),
 		stash:    make(map[string][]bus.Message),
 		fresh:    make(map[string]bool),
@@ -229,10 +228,9 @@ func (m *Medium) netEvent(kind, from, to, msg string, origin uint64) {
 // SetRoundContext installs the trace context stamped into every
 // subsequent outgoing message frame: round is the session-salted round
 // ID, epoch the round its bid set was signed in. An empty round
-// disables the extension (frames revert to the untraced encoding, which
-// is byte-compatible with legacy receivers). The protocol calls this at
-// round boundaries via a type assertion, so media without the method —
-// the simulated bus — are untouched.
+// disables the extension (frames revert to the untraced encoding). The
+// protocol calls this at round boundaries via a type assertion, so
+// media without the method — the simulated bus — are untouched.
 func (m *Medium) SetRoundContext(round, epoch string) {
 	m.mu.Lock()
 	m.round, m.epoch = round, epoch
@@ -263,7 +261,6 @@ func (m *Medium) Attach(id string) error {
 	m.order = insertSorted(m.order, id)
 	if owner == m.name {
 		m.here = insertSorted(m.here, id)
-		m.local[id] = nil
 		return nil
 	}
 	rn := m.remoteNode(owner)
@@ -273,11 +270,11 @@ func (m *Medium) Attach(id string) error {
 }
 
 // Detach releases an endpoint: later sends skip it, node drains stop
-// asking for its mailbox, and whatever the driver holds for it, in its
-// local mailbox or the stash, is dropped. The endpoint's drain
-// acknowledgement is kept, because its node keeps the mailbox's
-// sequence numbers: should it be attached again, no message it already
-// consumed is served twice. Unknown endpoints are ignored.
+// asking for its mailbox, and whatever the driver's stash holds for it
+// is dropped. The endpoint's drain acknowledgement is kept, because its
+// node keeps the mailbox's sequence numbers: should it be attached
+// again, no message it already consumed is served twice. Unknown
+// endpoints are ignored.
 func (m *Medium) Detach(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -285,14 +282,13 @@ func (m *Medium) Detach(id string) {
 		return
 	}
 	delete(m.attached, id)
+	delete(m.stash, id)
 	m.order = removeSorted(m.order, id)
 	if owner := m.owners[id]; owner == m.name {
 		m.here = removeSorted(m.here, id)
-		delete(m.local, id)
 	} else {
 		rn := m.remoteNode(owner)
 		rn.eps = removeSorted(rn.eps, id)
-		delete(m.stash, id)
 	}
 }
 
@@ -400,15 +396,6 @@ func (m *Medium) request(addr *net.UDPAddr, frame []byte, nonce uint64, want byt
 		want, addr, m.opts.MaxAttempts)
 }
 
-// deliverLocal appends one copy to a locally hosted mailbox. Caller
-// holds the mutex.
-func (m *Medium) deliverLocal(to string, msg bus.Message) {
-	m.local[to] = append(m.local[to], msg)
-	m.stats.Deliveries++
-	m.stats.DeliveredUnits += msg.Size
-	m.event(obs.EvDeliver, msg.From, to, msg.Kind)
-}
-
 // receives reports whether endpoint id is a recipient of msg: every
 // attached endpoint but the sender for a broadcast, the addressee alone
 // for a unicast.
@@ -419,17 +406,30 @@ func receives(msg bus.Message, id string) bool {
 	return id == msg.To
 }
 
-// emit delivers m.msgs in order: local recipients in-process, remote
-// ones as one FtMsgBatch per owner node, whose entries list each
+// emit delivers m.msgs in order: local recipients into their stash,
+// which grows once per batch as an inbox of the simulated bus does,
+// remote ones as one FtMsgBatch per owner node, whose entries list each
 // message's recipients on that node in sorted endpoint order. Every
 // inbox therefore sees the simulated bus's arrival order, and
 // deterministic runs stay comparable across media. Caller holds the
 // mutex.
 func (m *Medium) emit() {
+	for _, id := range m.here {
+		n := 0
+		for _, msg := range m.msgs {
+			if receives(msg, id) {
+				n++
+			}
+		}
+		m.stash[id] = slices.Grow(m.stash[id], n)
+	}
 	for _, msg := range m.msgs {
 		for _, id := range m.here {
 			if receives(msg, id) {
-				m.deliverLocal(id, msg)
+				m.stash[id] = append(m.stash[id], msg)
+				m.stats.Deliveries++
+				m.stats.DeliveredUnits += msg.Size
+				m.event(obs.EvDeliver, msg.From, id, msg.Kind)
 			}
 		}
 	}
@@ -466,7 +466,7 @@ func (m *Medium) deliverBatch(owner string, entries []msgEntry) {
 		// Traced delivery: the round context rides the frame header.
 		flags = FlagTrace
 	}
-	room := MaxFrame - headerLen(flags, m.name, m.round, m.epoch, 0) - uvarintLen(uint64(len(entries)))
+	room := MaxFrame - headerLen(flags, m.name, m.round, m.epoch) - uvarintLen(uint64(len(entries)))
 	for len(entries) > 0 {
 		n, used := 1, entryLen(entries[0])
 		for n < len(entries) {
@@ -599,26 +599,19 @@ func (m *Medium) SendTagged(from, to, kind string, env sig.Envelope, size int, n
 }
 
 // Drain removes and returns the endpoint's queued messages in arrival
-// order. A remote endpoint is served from the stash: when the driver
-// has sent its node a message frame since the node was last drained,
-// Drain first fetches every attached mailbox of that node in one
-// FtDrainNode exchange (see drainNode). An unreachable node yields
-// whatever the stash holds, often nothing — indistinguishable from
-// silence, which is exactly what the protocol's retry layer knows how
-// to handle.
+// order, from the stash. For a remote endpoint whose node the driver
+// has sent a message frame since the node was last drained, Drain
+// first fetches every attached mailbox of that node in one FtDrainNode
+// exchange (see drainNode). An unreachable node yields whatever the
+// stash holds, often nothing — indistinguishable from silence, which is
+// exactly what the protocol's retry layer knows how to handle.
 func (m *Medium) Drain(id string) ([]bus.Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.attached[id] {
 		return nil, fmt.Errorf("netbus: unknown endpoint %q", id)
 	}
-	owner := m.owners[id]
-	if owner == m.name {
-		msgs := m.local[id]
-		m.local[id] = nil
-		return msgs, nil
-	}
-	if !m.fresh[owner] {
+	if owner := m.owners[id]; owner != m.name && !m.fresh[owner] {
 		m.drainNode(owner, id)
 	}
 	msgs := m.stash[id]
@@ -715,10 +708,11 @@ func (m *Medium) fileReply(owner string) (fetched int, ok bool) {
 var ErrNodeTooOld = errors.New("netbus: node speaks an older wire version")
 
 // Ping probes the named node and returns nil when it answers within
-// the resend budget in the current wire version. The probe is a v1
-// frame, which every version accepts, and a node answers it in its own
-// version; a pong below Version fails with ErrNodeTooOld naming the
-// node and its version. Used for startup readiness checks.
+// the resend budget in the current wire version. The probe is a
+// VersionLegacy ping, which a node of every version accepts, and a node
+// answers it in its own version; a pong below Version fails with
+// ErrNodeTooOld naming the node and its version. Used for startup
+// readiness checks.
 func (m *Medium) Ping(node string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -737,7 +731,7 @@ func (m *Medium) Ping(node string) error {
 		return err
 	}
 	if pong.Version < Version {
-		return fmt.Errorf("%w: node %q answered in wire version %d, this driver speaks %d (upgrade nodes before the driver)",
+		return fmt.Errorf("%w: node %q answered in wire version %d, this driver speaks %d (build nodes and driver from one tree)",
 			ErrNodeTooOld, node, pong.Version, Version)
 	}
 	return nil
@@ -745,10 +739,12 @@ func (m *Medium) Ping(node string) error {
 
 // CollectTelemetry drains the named node's buffered trace records (see
 // Node.EnableTelemetry), cumulatively acknowledging what earlier calls
-// consumed, looping while the node reports more than fits one datagram.
-// A node with telemetry disabled yields an empty batch. Collection
-// follows the driver-originates-everything traffic shape — nodes never
-// dial out, so this is how per-process traces reach the stitcher.
+// consumed, looping while the node reports more than fits one datagram;
+// a FlagMore page that advances no record seq is an error, since asking
+// again would never end. A node with telemetry disabled yields an empty
+// batch. Collection follows the driver-originates-everything traffic
+// shape — nodes never dial out, so this is how per-process traces reach
+// the stitcher.
 func (m *Medium) CollectTelemetry(node string) ([]obs.Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -771,6 +767,7 @@ func (m *Medium) CollectTelemetry(node string) ([]obs.Record, error) {
 		if derr != nil {
 			return out, fmt.Errorf("netbus: telemetry from %q: %w", node, derr)
 		}
+		ack := m.telAck[node]
 		for _, line := range lines {
 			var rec obs.Record
 			if err := json.Unmarshal(line, &rec); err != nil {
@@ -783,6 +780,9 @@ func (m *Medium) CollectTelemetry(node string) ([]obs.Record, error) {
 		}
 		if rsp.Flags&FlagMore == 0 {
 			return out, nil
+		}
+		if m.telAck[node] == ack {
+			return out, fmt.Errorf("netbus: telemetry from %q: a FlagMore page advanced no record", node)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
+	"dlsbl/internal/netbus"
 	"dlsbl/internal/protocol"
 	"dlsbl/internal/sig"
 )
@@ -99,6 +101,51 @@ func TestNetRoundAllocs(t *testing.T) {
 			t.Errorf("netbus m=%d round: %d KiB allocated, want <= %d KiB", c.m, got>>10, c.max>>10)
 		}
 		t.Logf("netbus m=%d round: %d KiB allocated", c.m, got>>10)
+	}
+}
+
+// TestLocalBroadcastGrowsEachInboxOnce pins local delivery: a batch of
+// m broadcasts on a medium whose endpoints are all hosted by the driver
+// grows each endpoint's inbox once, as the simulated bus does, so the
+// batch allocates one array per inbox and the nonce slice. Appending
+// copy by copy regrows every inbox through each doubling: 81 allocations
+// at m = 16.
+func TestLocalBroadcastGrowsEachInboxOnce(t *testing.T) {
+	requireUDP(t)
+	if raceEnabled() {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	const m = 16
+	var eps []string
+	for i := 1; i <= m; i++ {
+		eps = append(eps, fmt.Sprintf("P%d", i))
+	}
+	nb, err := netbus.Dial(&netbus.Config{Nodes: map[string]netbus.NodeSpec{
+		"serve": {Addr: "127.0.0.1:0", Endpoints: eps},
+	}}, "serve", netbus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nb.Close() })
+	batch := make([]bus.Broadcast, m)
+	for i, id := range eps {
+		if err := nb.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = bus.Broadcast{From: id, Kind: "dls/bid", Size: 1}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := nb.BroadcastEach(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range eps {
+			if msgs, err := nb.Drain(id); err != nil || len(msgs) != m-1 {
+				t.Fatalf("Drain(%s) = %d messages, %v; want %d", id, len(msgs), err, m-1)
+			}
+		}
+	})
+	if allocs > m+1 {
+		t.Errorf("a %d-broadcast local batch allocated %.0f times, want at most %d", m, allocs, m+1)
 	}
 }
 

@@ -92,11 +92,10 @@ func (b *mailbox) prune(ack uint64) {
 
 // Node is a mailbox server: it hosts the inboxes of the endpoints
 // assigned to it in the peer table and answers message, drain, ping
-// and telemetry datagrams (FtMsgBatch/FtDrainNode from v4 drivers,
-// FtMsgMulti from v3 ones, FtMsg/FtDrain from v2 ones). A Node is
-// stateless beyond its mailboxes — it never dials out and never
-// originates traffic, every reply goes to the datagram's source address
-// (the relay-node shape).
+// and telemetry datagrams (FtMsgBatch, FtDrainNode, FtPing,
+// FtTelemetry). A Node is stateless beyond its mailboxes — it never
+// dials out and never originates traffic, every reply goes to the
+// datagram's source address (the relay-node shape).
 type Node struct {
 	name string
 	conn *net.UDPConn
@@ -256,10 +255,8 @@ func (n *Node) Serve() error {
 }
 
 // handle processes one datagram and appends the reply frame (if any) to
-// out. A reply goes out in the request's wire version, so a v2 driver
-// keeps decoding acks and drains during a rollout; the one exception is
-// a v1 ping, which is the driver's version probe (Medium.Ping) and is
-// answered in the node's own version.
+// out. Every reply goes out in the current wire version, the pong to
+// the driver's version probe (a ping of any version) included.
 func (n *Node) handle(out, datagram []byte) []byte {
 	f, err := DecodeFrame(datagram)
 	if err != nil {
@@ -269,33 +266,11 @@ func (n *Node) handle(out, datagram []byte) []byte {
 		n.mu.Unlock()
 		return out // malformed datagrams are dropped silently, never answered
 	}
-	start := len(out)
-	out = n.dispatch(out, f)
-	if len(out) > start && !(f.Type == FtPing && f.Version == VersionLegacy) {
-		out[start+4] = f.Version
-	}
-	return out
-}
-
-// dispatch answers one decoded frame in the current wire version.
-func (n *Node) dispatch(out []byte, f Frame) []byte {
 	switch f.Type {
 	case FtPing:
 		return AppendControlFrame(out, FtPong, f.Nonce, n.name)
-	case FtMsg:
-		dest, m, err := DecodeMsgBody(f.Body)
-		if err != nil {
-			return n.badFrame(out)
-		}
-		return n.enqueue(out, f, []msgEntry{{dests: []string{dest}, msg: m}})
-	case FtMsgMulti, FtMsgBatch:
+	case FtMsgBatch:
 		return n.fileEntries(out, f)
-	case FtDrain:
-		endpoint, ack, err := DecodeDrainBody(f.Body)
-		if err != nil {
-			return n.badFrame(out)
-		}
-		return n.drain(out, f, []drainReq{{endpoint: endpoint, ack: ack}})
 	case FtDrainNode:
 		reqs, err := decodeDrainNodeBody(f.Body)
 		if err != nil || len(reqs) == 0 {
@@ -305,8 +280,8 @@ func (n *Node) dispatch(out []byte, f Frame) []byte {
 	case FtTelemetry:
 		return n.handleTelemetry(out, f)
 	default:
-		// Acks, pongs and drain responses are driver-bound; a node
-		// receiving one ignores it.
+		// Acks, pongs and responses are driver-bound; a node receiving
+		// one ignores it.
 		return out
 	}
 }
@@ -320,10 +295,10 @@ func (n *Node) badFrame(out []byte) []byte {
 	return out
 }
 
-// fileEntries decodes a v3 or v4 message frame into the node's reusable
-// entry and destination buffers, then files it (see enqueue).
+// fileEntries decodes an FtMsgBatch into the node's reusable entry and
+// destination buffers, then files it (see enqueue).
 func (n *Node) fileEntries(out []byte, f Frame) []byte {
-	entries, dests, err := decodeEntries(f.Type, f.Body, n.entries[:0], n.dests[:0], n.hostedName)
+	entries, dests, err := decodeEntries(f.Body, n.entries[:0], n.dests[:0], n.hostedName)
 	if err != nil {
 		out = n.badFrame(out)
 	} else {
@@ -362,17 +337,16 @@ func (n *Node) pick(endpoint string) bool {
 	return true
 }
 
-// enqueue files a message frame — FtMsg, FtMsgMulti or FtMsgBatch, each
-// a list of entries, one message and its destination mailboxes — in
-// order, every copy or none, then acks the frame once. The frame is
-// dropped unacked and counted in BadFrames when a destination is not
-// hosted here or is named twice within its entry, or when a message
-// could not fit a drain response; it is refused whole (Refused) when it
-// would push any mailbox past the bound, counting everything the frame
-// adds to it. A resend (same sender node and frame nonce as a frame
-// already filed) is acked again without filing anything twice. Filing
-// copies each message into its mailboxes' queues and allocates nothing
-// per copy beyond their growth.
+// enqueue files an FtMsgBatch — a list of entries, each one message and
+// its destination mailboxes — in order, every copy or none, then acks
+// the frame once. The frame is dropped unacked and counted in BadFrames
+// when a destination is not hosted here or is named twice within its
+// entry, or when a message could not fit a drain response; it is
+// refused whole (Refused) when it would push any mailbox past the
+// bound, counting everything the frame adds to it. A resend (same
+// sender node and frame nonce as a frame already filed) is acked again
+// without filing anything twice. Filing copies each message into its
+// mailboxes' queues and allocates nothing per copy beyond their growth.
 func (n *Node) enqueue(out []byte, f Frame, entries []msgEntry) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -455,13 +429,12 @@ func (n *Node) overflows(entries []msgEntry) bool {
 	return full
 }
 
-// drain answers FtDrain (one mailbox) and FtDrainNode (several) through
-// one path: it prunes each requested mailbox to its cumulative ack,
-// then returns what remains, in request order, cut to fit one datagram
-// (FlagMore marks a truncated batch). Entries are sized with messageLen
-// and encoded once, straight into out. A request naming a mailbox the
-// node does not host, or one mailbox twice, is dropped unanswered
-// before anything is pruned.
+// drain answers FtDrainNode: it prunes each requested mailbox to its
+// cumulative ack, then returns what remains, in request order, cut to
+// fit one datagram (FlagMore marks a truncated batch). Entries are sized
+// with messageLen and encoded once, straight into out. A request naming
+// a mailbox the node does not host, or one mailbox twice, is dropped
+// unanswered before anything is pruned.
 func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -473,11 +446,7 @@ func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 			return out
 		}
 	}
-	perNode := f.Type == FtDrainNode
 	budget := MaxFrame - headerFixed - fieldLen(len(n.name)) - binary.MaxVarintLen64
-	if !perNode {
-		budget -= fieldLen(len(reqs[0].endpoint))
-	}
 	parts := n.parts[:0]
 	more := false
 	for i, box := range n.picks {
@@ -487,10 +456,7 @@ func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 		box.prune(reqs[i].ack)
 		take := 0
 		for _, sm := range box.queue {
-			sz := uvarintLen(sm.Seq) + messageLen(sm.Msg)
-			if perNode {
-				sz += fieldLen(len(reqs[i].endpoint))
-			}
+			sz := fieldLen(len(reqs[i].endpoint)) + uvarintLen(sm.Seq) + messageLen(sm.Msg)
 			if sz > budget {
 				more = true
 				break
@@ -505,11 +471,7 @@ func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 	}
 	n.stats.Drains++
 	n.event(obs.Event{Kind: obs.EvNetRx, From: f.Node, To: n.name, Msg: "drain", Origin: f.Nonce})
-	if perNode {
-		out = appendDrainNodeRspFrame(out, f.Nonce, n.name, parts, more)
-	} else {
-		out = appendDrainRspFrame(out, f.Nonce, n.name, parts[0].endpoint, parts[0].batch, more)
-	}
+	out = appendDrainNodeRspFrame(out, f.Nonce, n.name, parts, more)
 	n.event(obs.Event{Kind: obs.EvNetTx, From: n.name, To: f.Node, Msg: "drain_rsp", Origin: f.Nonce})
 	clear(parts) // drop the references into the queues
 	n.parts = parts[:0]
@@ -521,13 +483,15 @@ func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 // truncated batch). A node without telemetry enabled answers with an
 // empty batch — the collector cannot tell silence from "nothing
 // buffered", which is fine: both mean no records.
+//
+// A record travels under its recorder seq plus one: the recorder numbers
+// from 0, and the driver's first request acknowledges 0, which must
+// acknowledge nothing. A record that no page can carry is served as a
+// "truncated" marker under its seq, so the driver's ack moves past it.
 func (n *Node) handleTelemetry(out []byte, f Frame) []byte {
-	ackSeq, err := DecodeTelemetryBody(f.Body)
+	ack, err := DecodeTelemetryBody(f.Body)
 	if err != nil {
-		n.mu.Lock()
-		n.stats.BadFrames++
-		n.mu.Unlock()
-		return out
+		return n.badFrame(out)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -536,16 +500,20 @@ func (n *Node) handleTelemetry(out []byte, f Frame) []byte {
 	}
 	// Cumulative ack, mirroring mail drains: acknowledged records are
 	// pruned, the rest re-served — a lost response is re-asked.
-	n.rec.Prune(int(ackSeq))
-	recs := n.rec.RecordsSince(int(ackSeq))
+	n.rec.Prune(int(ack) - 1)
 	budget := MaxFrame - 256 // header + count headroom
 	var lines [][]byte
 	used := 0
 	more := false
-	for _, rec := range recs {
+	for _, rec := range n.rec.RecordsSince(int(ack) - 1) {
+		rec.Seq++
 		line, err := json.Marshal(rec)
 		if err != nil {
 			continue // a record that cannot marshal is unshippable; skip it
+		}
+		if len(line)+8 > budget {
+			line, _ = json.Marshal(obs.Record{Seq: rec.Seq, TS: rec.TS, Wall: rec.Wall, Type: "truncated", Name: "truncated",
+				Detail: fmt.Sprintf("a %d-byte %s record exceeds a telemetry page", len(line), rec.Name)})
 		}
 		sz := len(line) + 8
 		if used+sz > budget {

@@ -1,10 +1,13 @@
 package netbus
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dlsbl/internal/bus"
+	"dlsbl/internal/obs"
 	"dlsbl/internal/sig"
 )
 
@@ -39,54 +42,7 @@ func rawMsg(from string, nonce uint64, payload int) bus.Message {
 		Env: sig.Envelope{Sender: from, Kind: "dls/bid", Payload: make([]byte, payload), Signature: make([]byte, 64)}}
 }
 
-// TestNodeMultiFrameAllOrNothing pins the v3 filing rule: a multi frame
-// naming an endpoint the node does not host, or one endpoint twice, is
-// refused whole — no ack, BadFrames+1, and no mailbox grows — while a
-// valid one lands in every destination and is acked once.
-func TestNodeMultiFrameAllOrNothing(t *testing.T) {
-	n := newNode("w1", []string{"P1", "P2", "P3"})
-	msg := rawMsg("P4", 1, 40)
-	for i, dests := range [][]string{{"P1", "P9"}, {"P2", "P3", "P2"}} {
-		frame := appendMsgMultiFrame(nil, 0, uint64(10+i), "drv", dests, msg, "", "", 0)
-		if _, ok := handleOnce(t, n, frame); ok {
-			t.Errorf("dests %v: node acked a frame it must refuse", dests)
-		}
-		if st := n.Stats(); st.BadFrames != uint64(i+1) || st.Enqueued != 0 {
-			t.Errorf("dests %v: stats %+v, want BadFrames=%d Enqueued=0", dests, st, i+1)
-		}
-		if d := depths(n, "P1", "P2", "P3"); d[0]+d[1]+d[2] != 0 {
-			t.Errorf("dests %v: mailboxes grew to %v", dests, d)
-		}
-	}
-	frame := appendMsgMultiFrame(nil, FlagTrace, 20, "drv", []string{"P1", "P3"}, msg, "s1:r1", "s1:r1", 1)
-	if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck || f.Nonce != 20 {
-		t.Fatalf("valid multi frame: reply %+v (ok %v), want ack nonce 20", f, ok)
-	}
-	if d := depths(n, "P1", "P2", "P3"); d[0] != 1 || d[1] != 0 || d[2] != 1 {
-		t.Errorf("mailbox depths %v, want [1 0 1]", d)
-	}
-}
-
-// TestNodeMultiFrameResend pins frame-level dedup: a resent multi frame
-// (the ack was lost) is acked again and enqueued only once in each of
-// its mailboxes.
-func TestNodeMultiFrameResend(t *testing.T) {
-	n := newNode("w1", []string{"P1", "P2"})
-	frame := appendMsgMultiFrame(nil, 0, 7, "drv", []string{"P1", "P2"}, rawMsg("P3", 1, 40), "", "", 0)
-	for i := 0; i < 3; i++ {
-		if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck || f.Nonce != 7 {
-			t.Fatalf("attempt %d: reply %+v (ok %v), want ack nonce 7", i, f, ok)
-		}
-	}
-	if d := depths(n, "P1", "P2"); d[0] != 1 || d[1] != 1 {
-		t.Errorf("mailbox depths %v after three copies of one frame, want [1 1]", d)
-	}
-	if st := n.Stats(); st.Enqueued != 2 || st.DedupHits != 2 {
-		t.Errorf("stats %+v, want Enqueued=2 DedupHits=2", st)
-	}
-}
-
-// TestNodeBatchFrameAllOrNothing pins the v4 filing rule: a batch frame
+// TestNodeBatchFrameAllOrNothing pins the filing rule: a batch frame
 // with one bad entry — a destination the node does not host, or one
 // named twice within its entry — is refused whole, while a valid one
 // files every entry, in order, and is acked once. A mailbox named by
@@ -184,7 +140,7 @@ func TestNodeDrainPagesLargeBacklog(t *testing.T) {
 				dests = append(dests, ep)
 			}
 		}
-		frame := appendMsgMultiFrame(nil, 0, uint64(s+1), "drv", dests, rawMsg(sender, uint64(s+1), 60), "", "", 0)
+		frame := appendMsgBatchFrame(nil, 0, uint64(s+1), "drv", []msgEntry{{dests, rawMsg(sender, uint64(s+1), 60)}}, "", "")
 		if _, ok := handleOnce(t, n, frame); !ok {
 			t.Fatalf("bid broadcast from %s refused", sender)
 		}
@@ -266,16 +222,18 @@ func TestNodeMailboxBound(t *testing.T) {
 	// Drain the backlog page by page, acknowledging as the driver does.
 	var ack uint64
 	for page := uint64(0); ; page++ {
-		f, ok := handleOnce(t, n, appendDrainFrame(nil, 6000+page, "drv", "P1", ack))
+		f, ok := handleOnce(t, n, appendDrainNodeFrame(nil, 6000+page, "drv", []drainReq{{"P1", ack}}))
 		if !ok {
 			t.Fatal("drain unanswered")
 		}
-		_, batch, err := decodeDrainRspBody(f.Body)
+		parts, err := decodeDrainNodeRspBody(f.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sm := range batch {
-			ack = sm.Seq
+		for _, p := range parts {
+			for _, sm := range p.batch {
+				ack = sm.Seq
+			}
 		}
 		if f.Flags&FlagMore == 0 {
 			break
@@ -289,34 +247,42 @@ func TestNodeMailboxBound(t *testing.T) {
 	}
 }
 
-// TestNodeAnswersInRequestVersion pins the rollout rule: a node answers
-// a v2 driver's FtMsg and FtDrain in v2, so the driver can decode them,
-// and answers a v1 ping — the version probe — in its own version.
-func TestNodeAnswersInRequestVersion(t *testing.T) {
+// TestNodeAnswersInCurrentVersion pins the one-version rule at the
+// node: a ping of every version, the driver's version probe, gets a pong
+// in the current version, and a v1–v3 message or drain frame is dropped
+// unanswered, counted in BadFrames, and files nothing.
+func TestNodeAnswersInCurrentVersion(t *testing.T) {
 	n := newNode("w1", []string{"P1"})
-	v2 := func(frame []byte) []byte {
-		frame[4] = versionTrace
-		return frame
+	for v := byte(VersionLegacy); v <= Version; v++ {
+		ping := AppendControlFrame(nil, FtPing, uint64(v), "drv")
+		ping[4] = v
+		if f, ok := handleOnce(t, n, ping); !ok || f.Type != FtPong || f.Version != Version || f.Nonce != uint64(v) {
+			t.Fatalf("v%d ping: reply %+v (ok %v), want a pong in version %d", v, f, ok, Version)
+		}
 	}
-	msg := rawMsg("P2", 3, 40)
-	if f, ok := handleOnce(t, n, v2(appendMsgFrameTrace(nil, FlagTrace, 1, "drv", "P1", msg, "s1:r1", "s1:r1", 3))); !ok ||
-		f.Version != versionTrace || f.Type != FtAck {
-		t.Fatalf("v2 FtMsg: reply %+v (ok %v), want a v2 ack", f, ok)
+	if _, ok := handleOnce(t, n, AppendMsgFrame(nil, 10, "drv", "P1", rawMsg("P2", 3, 40))); !ok {
+		t.Fatal("a current message frame was not acked")
 	}
-	f, ok := handleOnce(t, n, v2(appendDrainFrame(nil, 2, "drv", "P1", 0)))
-	if !ok || f.Version != versionTrace || f.Type != FtDrainRsp {
-		t.Fatalf("v2 FtDrain: reply %+v (ok %v), want a v2 drain response", f, ok)
+	bodies := retiredBodies(rawMsg("P2", 4, 40))
+	batch, err := DecodeFrame(AppendMsgFrame(nil, 11, "drv", "P1", rawMsg("P2", 4, 40)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ep, batch, err := decodeDrainRspBody(f.Body); err != nil || ep != "P1" || len(batch) != 1 || batch[0].Msg.Nonce != 3 {
-		t.Fatalf("v2 drain response: ep=%q batch=%+v err=%v", ep, batch, err)
+	bodies[FtMsgBatch] = batch.Body
+	old := []struct{ v, typ byte }{
+		{1, 1}, {2, 1}, {3, 9}, {3, FtMsgBatch}, // the retired FtMsg and FtMsgMulti, and a batch under v3
+		{1, 3}, {2, 3}, {3, FtDrainNode}, // the retired FtDrain, and a node drain under v3
 	}
-	ping := AppendControlFrame(nil, FtPing, 4, "drv")
-	ping[4] = VersionLegacy
-	if f, ok := handleOnce(t, n, ping); !ok || f.Type != FtPong || f.Version != Version {
-		t.Fatalf("v1 ping: reply %+v (ok %v), want a pong in version %d", f, ok, Version)
+	for i, c := range old {
+		if f, ok := handleOnce(t, n, legacyFrame(c.v, c.typ, 0, bodies[c.typ])); ok {
+			t.Errorf("v%d frame of type %d: answered with %+v", c.v, c.typ, f)
+		}
+		if st := n.Stats(); st.BadFrames != uint64(i+1) || st.Enqueued != 1 || st.Drains != 0 {
+			t.Errorf("v%d frame of type %d: stats %+v, want BadFrames=%d Enqueued=1 Drains=0", c.v, c.typ, st, i+1)
+		}
 	}
-	if f, ok := handleOnce(t, n, v2(AppendControlFrame(nil, FtPing, 5, "drv"))); !ok || f.Version != versionTrace {
-		t.Fatalf("v2 ping: reply %+v (ok %v), want a v2 pong", f, ok)
+	if d := depths(n, "P1"); d[0] != 1 {
+		t.Errorf("P1 holds %d messages, want the one current frame's", d[0])
 	}
 }
 
@@ -329,5 +295,53 @@ func TestMessageLen(t *testing.T) {
 		if got, want := messageLen(m), len(appendMessage(nil, m)); got != want {
 			t.Errorf("payload %d: messageLen %d, encoding %d", payload, got, want)
 		}
+	}
+}
+
+// TestNodeTelemetryPages pins what a node serves to telemetry drains:
+// records under their recorder seq plus one, so the first request,
+// acknowledging 0, gets the first record; and a record no page can
+// carry, here an event whose round from a hostile batch frame JSON-
+// escapes to 66 KB, as a truncated marker under its seq, so every page
+// advances the ack and the records after it still arrive.
+func TestNodeTelemetryPages(t *testing.T) {
+	n := newNode("w1", []string{"P1"})
+	n.EnableTelemetry(0)
+	hostile := appendMsgBatchFrame(nil, FlagTrace, 1, "drv", []msgEntry{{[]string{"P1"}, rawMsg("P2", 1, 40)}},
+		strings.Repeat("<", 11_000), "e1")
+	for _, frame := range [][]byte{hostile, AppendMsgFrame(nil, 2, "drv", "P1", rawMsg("P2", 2, 40))} {
+		if f, ok := handleOnce(t, n, frame); !ok || f.Type != FtAck {
+			t.Fatalf("message frame not acked (reply %+v)", f)
+		}
+	}
+	var got []string
+	var ack uint64
+	for page := uint64(0); ; page++ {
+		f, ok := handleOnce(t, n, AppendTelemetryFrame(nil, 100+page, "drv", ack))
+		if !ok || f.Type != FtTelemetryRsp {
+			t.Fatalf("page %d: reply %+v (ok %v)", page, f, ok)
+		}
+		lines, err := DecodeTelemetryRspBody(f.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ack
+		for _, line := range lines {
+			var rec obs.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%d:%s", rec.Seq, rec.Name))
+			ack = max(ack, uint64(rec.Seq))
+		}
+		if f.Flags&FlagMore == 0 {
+			break
+		}
+		if ack == before || page > 8 {
+			t.Fatalf("page %d: FlagMore with the ack stuck at %d", page, ack)
+		}
+	}
+	if want := "[1:truncated 2:truncated 3:net_rx 4:net_tx]"; fmt.Sprint(got) != want {
+		t.Errorf("served %v, want %s", got, want)
 	}
 }

@@ -1,7 +1,5 @@
 package netbus
 
-import "dlsbl/internal/bus"
-
 // The allocating decoders the tests read frames with: each destination
 // and every drained copy decoded afresh, into fresh slices. The node
 // spells hosted destinations with its mailboxes' keys, and the driver
@@ -12,19 +10,9 @@ import "dlsbl/internal/bus"
 // spell names a destination by a fresh string.
 func spell(b []byte) string { return string(b) }
 
-// decodeMsgMultiBody parses an FtMsgMulti body into its destinations and
-// its message.
-func decodeMsgMultiBody(body []byte) (dests []string, m bus.Message, err error) {
-	entries, _, err := decodeEntries(FtMsgMulti, body, nil, nil, spell)
-	if err != nil {
-		return nil, bus.Message{}, err
-	}
-	return entries[0].dests, entries[0].msg, nil
-}
-
 // decodeMsgBatchBody parses an FtMsgBatch body into its entries.
 func decodeMsgBatchBody(body []byte) ([]msgEntry, error) {
-	entries, _, err := decodeEntries(FtMsgBatch, body, nil, nil, spell)
+	entries, _, err := decodeEntries(body, nil, nil, spell)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package netbus_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dlsbl/internal/netbus"
 	"dlsbl/internal/obs"
@@ -46,7 +47,8 @@ func startTelemetryPair(t *testing.T, cap int) (*netbus.Medium, *netbus.Node) {
 // process: the worker's datagram events carry the round context the
 // driver stamped into the frames, a second collection is incremental
 // (acked records are pruned, never re-served), and a large backlog
-// pages across multiple FlagMore frames without loss or duplication.
+// pages across multiple FlagMore frames without loss or duplication,
+// its first record included.
 func TestCollectTelemetryRoundTrip(t *testing.T) {
 	requireUDP(t)
 	m, _ := startTelemetryPair(t, 0)
@@ -63,11 +65,12 @@ func TestCollectTelemetryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every delivery is observed twice on the worker (message rx, ack
-	// tx); the tail ack may still be in flight when the harvest runs. A
-	// backlog this size cannot fit one datagram, so a near-complete
-	// harvest proves the FlagMore paging works.
-	if len(recs) < 2*sends-2 {
-		t.Fatalf("collected %d records from %d sends, want at least %d", len(recs), sends, 2*sends-2)
+	// tx), both before the node writes the ack that SendTagged waits
+	// for; a resend after a late ack adds a dedup_hit. A backlog this
+	// size cannot fit one datagram, so a complete harvest proves the
+	// FlagMore paging works.
+	if len(recs) < 2*sends {
+		t.Fatalf("collected %d records from %d sends, want at least %d", len(recs), sends, 2*sends)
 	}
 	seen := map[int]bool{}
 	attributed := false
@@ -93,6 +96,52 @@ func TestCollectTelemetryRoundTrip(t *testing.T) {
 		if seen[r.Seq] {
 			t.Fatalf("second collection re-served seq %d", r.Seq)
 		}
+	}
+}
+
+// TestCollectTelemetryOversizedRecord pins that collection ends when a
+// record no telemetry page can carry is buffered: a round ID of 11,000
+// '<', which JSON escapes to six bytes each, makes both events of a
+// delivery larger than a page. They arrive as truncated markers, and the
+// next collection goes on from there.
+func TestCollectTelemetryOversizedRecord(t *testing.T) {
+	requireUDP(t)
+	m, _ := startTelemetryPair(t, 0)
+	m.SetRoundContext(strings.Repeat("<", 11_000), "e1")
+	if _, err := m.SendTagged("referee", "P1", "dls/bid", sig.Envelope{}, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		recs []obs.Record
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		recs, err := m.CollectTelemetry("w1")
+		done <- result{recs, err}
+	}()
+	var got result
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("CollectTelemetry did not return with an oversized record buffered")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.recs) < 2 || got.recs[0].Type != "truncated" || got.recs[1].Type != "truncated" {
+		t.Fatalf("collected %+v, want the delivery's two events as truncated markers", got.recs)
+	}
+	m.SetRoundContext("", "")
+	if _, err := m.SendTagged("referee", "P1", "dls/bid", sig.Envelope{}, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := m.CollectTelemetry("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 || recs[0].Name != obs.EvNetRx || recs[0].Seq <= got.recs[len(got.recs)-1].Seq {
+		t.Fatalf("the next collection read %+v, want the next delivery's events", recs)
 	}
 }
 

@@ -16,16 +16,17 @@ import (
 //
 //	offset size field
 //	0      4    magic "DLSB"
-//	4      1    wire version (0x04; 0x01 through 0x03 accepted)
+//	4      1    wire version (0x04; 0x01 through 0x03 accepted on
+//	            FtPing and FtPong only, the version probe)
 //	5      1    frame type
 //	6      1    flags (FlagMore on drain/telemetry responses,
-//	            FlagTrace on message frames from v2 on)
+//	            FlagTrace on FtMsgBatch)
 //	7      1    reserved, must be 0
 //	8      4    length: total frame size in bytes, big-endian uint32
 //	12     8    frame nonce, big-endian uint64
 //	20     …    sender node name: uvarint length + UTF-8 bytes
 //	…      …    trace context, only when FlagTrace is set: round ID
-//	            string, epoch string, origin uvarint
+//	            string, epoch string, a reserved zero byte
 //	…      …    type-specific body
 //
 // The frame nonce correlates requests with replies (a reply echoes the
@@ -40,34 +41,19 @@ import (
 // Magic opens every netbus frame.
 const Magic = "DLSB"
 
-// Version is the wire version this implementation emits. Version 2
-// added the optional trace-context extension (FlagTrace on FtMsg:
-// round ID, bid epoch and origin sequence ride the header, so every
-// datagram is attributable to a protocol round at every hop) and the
-// telemetry drain frames (FtTelemetry/FtTelemetryRsp). Version 3 added
-// the per-node frames: FtMsgMulti carries one message into several
-// mailboxes of one node, and FtDrainNode/FtDrainNodeRsp drain several
-// mailboxes in one exchange, so the driver crosses the socket once per
-// node rather than once per endpoint. Version 4 added FtMsgBatch, which
-// carries several messages, each for several mailboxes of one node, so
-// a whole Bidding phase reaches a node in one frame; it is the only
-// message frame a v4 driver sends. Receivers accept every version from
-// VersionLegacy to Version, each under its own rules (maxType,
-// checkFlags), and reject everything else; there is no negotiation on
-// a datagram medium (see docs/WIRE.md §versioning).
+// Version is the wire version nodes and driver speak. It is the only
+// version a receiver accepts, except on FtPing and FtPong: the driver's
+// startup probe is a VersionLegacy ping, which a node of any version
+// parses, and a node answers it, like everything else, in its own
+// version, so Medium.Ping can name a node that speaks an older one.
+// There is no negotiation on a datagram medium: nodes and driver are
+// built from the same tree and upgraded together (see docs/WIRE.md
+// §versioning).
 const Version = 4
 
-// VersionLegacy is the oldest wire version receivers still accept.
-// Legacy frames carry no trace context and may use only frame types
-// FtMsg through FtPong.
+// VersionLegacy is the version of the driver's startup probe (FtPing),
+// the oldest version a receiver parses a ping or pong in.
 const VersionLegacy = 1
-
-// versionTrace is the wire version that added the trace context and
-// the telemetry frames.
-const versionTrace = 2
-
-// versionNode is the wire version that added the per-node frames.
-const versionNode = 3
 
 // MaxFrame bounds a frame (and thus a datagram) in bytes. It sits under
 // the 65,507-byte UDP payload ceiling with room for kernel headroom;
@@ -78,71 +64,54 @@ const MaxFrame = 60000
 // before the sender name).
 const headerFixed = 20
 
-// Frame types.
+// Frame types. Types 1, 3, 4 and 9 carried the retired v1–v3 message
+// and per-endpoint drain frames (FtMsg, FtDrain, FtDrainRsp and
+// FtMsgMulti); they are unknown in version 4 and are never reassigned.
 const (
-	// FtMsg carries one control-plane message into an endpoint's
-	// mailbox. Body: message encoding (see appendMessage).
-	FtMsg = byte(iota + 1)
-	// FtAck acknowledges an FtMsg; the nonce echoes the acked frame's.
-	// Empty body.
-	FtAck
-	// FtDrain asks the owner node for an endpoint's queued messages.
-	// Body: endpoint string, then a cumulative-ack sequence number
-	// (uvarint): the node deletes everything at or below it and returns
-	// what remains.
-	FtDrain
-	// FtDrainRsp returns queued messages. Body: endpoint string, count
-	// uvarint, then count × (seq uvarint + message encoding), ascending
-	// by seq. FlagMore is set when the batch was cut to fit MaxFrame.
-	FtDrainRsp
-	// FtPing probes a node for liveness. Empty body.
-	FtPing
+	// FtAck acknowledges an FtMsgBatch; the nonce echoes the acked
+	// frame's. Empty body.
+	FtAck = byte(2)
+	// FtPing probes a node for liveness and wire version. Empty body.
+	FtPing = byte(5)
 	// FtPong answers a ping; the nonce echoes the ping's. Empty body.
-	FtPong
-	// FtTelemetry (v2) asks the node for its buffered trace records.
-	// Body: a cumulative-ack record sequence number (uvarint): the node
-	// prunes everything at or below it and returns what remains.
-	FtTelemetry
-	// FtTelemetryRsp (v2) returns buffered trace records as NDJSON
-	// lines. Body: count uvarint, then count × bytes (one obs.Record
-	// JSON document each), ascending by record seq. FlagMore is set
-	// when the batch was cut to fit MaxFrame.
-	FtTelemetryRsp
-	// FtMsgMulti (v3) carries one message into several mailboxes of the
-	// receiving node. Body: count uvarint (≥ 1), count destination
-	// endpoint strings, then the message encoding. The node enqueues the
-	// message in every destination or in none, and acks the frame once.
-	FtMsgMulti
-	// FtDrainNode (v3) drains several mailboxes of one node in one
-	// exchange. Body: count uvarint, then count × (endpoint string,
-	// cumulative-ack seq uvarint), each acknowledgement working as in
-	// FtDrain.
-	FtDrainNode
-	// FtDrainNodeRsp (v3) answers FtDrainNode. Body: count uvarint, then
+	FtPong = byte(6)
+	// FtTelemetry asks the node for its buffered trace records. Body: a
+	// cumulative-ack record sequence number (uvarint): the node prunes
+	// everything at or below it and returns what remains.
+	FtTelemetry = byte(7)
+	// FtTelemetryRsp returns buffered trace records as NDJSON lines.
+	// Body: count uvarint, then count × bytes (one obs.Record JSON
+	// document each), ascending by record seq. FlagMore is set when the
+	// batch was cut to fit MaxFrame.
+	FtTelemetryRsp = byte(8)
+	// FtDrainNode drains several mailboxes of one node in one exchange.
+	// Body: count uvarint, then count × (endpoint string, cumulative-ack
+	// seq uvarint): the node deletes everything at or below each ack and
+	// returns what remains.
+	FtDrainNode = byte(10)
+	// FtDrainNodeRsp answers FtDrainNode. Body: count uvarint, then
 	// count × (endpoint string, seq uvarint, message encoding), in
 	// request order with seq ascending per endpoint. FlagMore is set when
 	// the batch was cut to fit MaxFrame.
-	FtDrainNodeRsp
-	// FtMsgBatch (v4) carries several messages into mailboxes of the
+	FtDrainNodeRsp = byte(11)
+	// FtMsgBatch carries several messages into mailboxes of the
 	// receiving node. Body: count uvarint (≥ 1), then count × (destination
 	// count uvarint (≥ 1), that many endpoint strings, message encoding).
 	// The node files the entries in order, every copy or none, and acks
 	// the frame once.
-	FtMsgBatch
+	FtMsgBatch = byte(12)
 )
 
-// FlagMore marks a drain, node-drain or telemetry response that was
-// truncated to fit MaxFrame: more entries remain queued and the drainer
-// should ask again.
+// FlagMore marks a node-drain or telemetry response that was truncated
+// to fit MaxFrame: more entries remain queued and the drainer should ask
+// again.
 const FlagMore = byte(1 << 0)
 
-// FlagTrace (v2) marks an FtMsg, (v3) FtMsgMulti or (v4) FtMsgBatch
-// frame carrying the trace-context extension: round ID (string), bid
-// epoch (string) and origin sequence (uvarint) follow the sender node
-// name, before the body. Nodes echo the context into their telemetry
-// events, which is what makes every hop of a datagram attributable to a
-// protocol round. A batch frame's origin is 0: each of its messages
-// carries its own logical nonce.
+// FlagTrace marks an FtMsgBatch frame carrying the trace-context
+// extension: round ID (string), bid epoch (string) and a reserved zero
+// byte follow the sender node name, before the body. Nodes echo the
+// context into their telemetry events, which is what makes every hop of
+// a datagram attributable to a protocol round.
 const FlagTrace = byte(1 << 1)
 
 // Frame decode errors. ErrWire is the root every specific error wraps,
@@ -155,25 +124,22 @@ var (
 	ErrOversize   = fmt.Errorf("%w: frame exceeds MaxFrame", ErrWire)
 )
 
-// Frame is one parsed datagram: the fixed header, the optional v2
-// trace context, plus the raw, type-specific body. Body aliases the
-// datagram buffer — callers that retain a Frame past the next socket
-// read must copy it.
+// Frame is one parsed datagram: the fixed header, the optional trace
+// context, plus the raw, type-specific body. Body aliases the datagram
+// buffer — callers that retain a Frame past the next socket read must
+// copy it.
 type Frame struct {
 	Version byte
 	Type    byte
 	Flags   byte
 	Nonce   uint64
 	Node    string // sending node's name from the peer table
-	// Round, Epoch and Origin are the trace context (FlagTrace on a
-	// message frame): the protocol round the datagram belongs to,
-	// the epoch its bid set was signed in, and the origin sequence (the
-	// logical message nonce at the originating driver). All zero on
-	// frames without the extension.
-	Round  string
-	Epoch  string
-	Origin uint64
-	Body   []byte
+	// Round and Epoch are the trace context (FlagTrace on a message
+	// frame): the protocol round the datagram belongs to and the epoch
+	// its bid set was signed in. Empty on frames without the extension.
+	Round string
+	Epoch string
+	Body  []byte
 }
 
 // AppendFrame appends a complete frame (header + body) to dst and
@@ -181,7 +147,7 @@ type Frame struct {
 // final size.
 func AppendFrame(dst []byte, typ, flags byte, nonce uint64, node string, body []byte) []byte {
 	start := len(dst)
-	dst = appendHeader(dst, Version, typ, flags, nonce, node, "", "", 0)
+	dst = appendHeader(dst, typ, flags, nonce, node, "", "")
 	dst = append(dst, body...)
 	return finishFrame(dst, start)
 }
@@ -189,9 +155,9 @@ func AppendFrame(dst []byte, typ, flags byte, nonce uint64, node string, body []
 // appendHeader appends a frame header whose length field is still zero:
 // callers append the body straight after it, then finishFrame
 // backpatches the length, so no body is built in a separate slice first.
-func appendHeader(dst []byte, version, typ, flags byte, nonce uint64, node, round, epoch string, origin uint64) []byte {
+func appendHeader(dst []byte, typ, flags byte, nonce uint64, node, round, epoch string) []byte {
 	dst = append(dst, Magic...)
-	dst = append(dst, version, typ, flags, 0)
+	dst = append(dst, Version, typ, flags, 0)
 	dst = append(dst, 0, 0, 0, 0) // length, backpatched by finishFrame
 	var n [8]byte
 	binary.BigEndian.PutUint64(n[:], nonce)
@@ -201,7 +167,7 @@ func appendHeader(dst []byte, version, typ, flags byte, nonce uint64, node, roun
 	if flags&FlagTrace != 0 {
 		dst = sig.AppendString(dst, round)
 		dst = sig.AppendString(dst, epoch)
-		dst = sig.AppendUvarint(dst, origin)
+		dst = append(dst, 0) // reserved
 	}
 	return dst
 }
@@ -213,45 +179,37 @@ func finishFrame(dst []byte, start int) []byte {
 	return dst
 }
 
-// maxType returns the highest frame type a wire version defines.
-func maxType(version byte) byte {
-	switch version {
-	case VersionLegacy:
-		return FtPong
-	case versionTrace:
-		return FtTelemetryRsp
-	case versionNode:
-		return FtDrainNodeRsp
+// knownType reports whether typ is a frame type of the current version.
+func knownType(typ byte) bool {
+	switch typ {
+	case FtAck, FtPing, FtPong, FtTelemetry, FtTelemetryRsp, FtDrainNode, FtDrainNodeRsp, FtMsgBatch:
+		return true
 	}
-	return FtMsgBatch
+	return false
 }
 
-// checkFlags validates the flag byte against the version's rules: v1
-// allows only FlagMore on FtDrainRsp; v2 additionally allows FlagMore
-// on FtTelemetryRsp and FlagTrace on FtMsg; v3 adds FlagTrace on
-// FtMsgMulti and FlagMore on FtDrainNodeRsp, and v4 FlagTrace on
-// FtMsgBatch (maxType already confines each type to its versions).
-func checkFlags(version, typ, flags byte) error {
+// checkFlags validates the flag byte against the frame type: FlagMore
+// is allowed on FtDrainNodeRsp and FtTelemetryRsp, FlagTrace on
+// FtMsgBatch, and nothing else anywhere.
+func checkFlags(typ, flags byte) error {
 	allowed := byte(0)
-	switch {
-	case typ == FtDrainRsp || typ == FtDrainNodeRsp:
+	switch typ {
+	case FtDrainNodeRsp, FtTelemetryRsp:
 		allowed = FlagMore
-	case version >= versionTrace && typ == FtTelemetryRsp:
-		allowed = FlagMore
-	case version >= versionTrace && (typ == FtMsg || typ == FtMsgMulti || typ == FtMsgBatch):
+	case FtMsgBatch:
 		allowed = FlagTrace
 	}
 	if flags&^allowed != 0 {
-		return fmt.Errorf("%w: unknown flag bits %#x on frame type %d (version %d)", ErrWire, flags, typ, version)
+		return fmt.Errorf("%w: unknown flag bits %#x on frame type %d", ErrWire, flags, typ)
 	}
 	return nil
 }
 
-// DecodeFrame parses one datagram. It rejects wrong magic, unknown
-// versions, unknown frame types, length/datagram mismatches (truncation
-// either way) and frames above MaxFrame. Older (v1 to v3) frames are
-// accepted under their original, stricter rules — old frames still
-// parse. The returned Body aliases data.
+// DecodeFrame parses one datagram. It rejects wrong magic, frames in
+// any version but Version (pings and pongs of every version from
+// VersionLegacy up excepted), unknown frame types, illegal flags,
+// length/datagram mismatches (truncation either way) and frames above
+// MaxFrame. The returned Body aliases data.
 func DecodeFrame(data []byte) (Frame, error) {
 	if len(data) < headerFixed {
 		return Frame{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerFixed)
@@ -259,16 +217,17 @@ func DecodeFrame(data []byte) (Frame, error) {
 	if string(data[:4]) != Magic {
 		return Frame{}, ErrBadMagic
 	}
-	version := data[4]
-	if version < VersionLegacy || version > Version {
-		return Frame{}, fmt.Errorf("%w: got %d, accept %d through %d", ErrBadVersion, version, VersionLegacy, Version)
+	version, typ := data[4], data[5]
+	probe := typ == FtPing || typ == FtPong
+	if version != Version && (!probe || version < VersionLegacy || version > Version) {
+		return Frame{}, fmt.Errorf("%w: got %d on frame type %d, accept %d (pings and pongs %d through %d)",
+			ErrBadVersion, version, typ, Version, VersionLegacy, Version)
 	}
-	typ := data[5]
-	if typ < FtMsg || typ > maxType(version) {
-		return Frame{}, fmt.Errorf("%w: unknown frame type %d for version %d", ErrWire, typ, version)
+	if !knownType(typ) {
+		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrWire, typ)
 	}
 	flags := data[6]
-	if err := checkFlags(version, typ, flags); err != nil {
+	if err := checkFlags(typ, flags); err != nil {
 		return Frame{}, err
 	}
 	if data[7] != 0 {
@@ -295,9 +254,8 @@ func DecodeFrame(data []byte) (Frame, error) {
 	if flags&FlagTrace != 0 {
 		f.Round = r.str()
 		f.Epoch = r.str()
-		f.Origin = r.uvarint()
-		if r.err == nil && typ == FtMsgBatch && f.Origin != 0 {
-			r.fail("batch frame carries origin %d, not 0", f.Origin)
+		if b := r.take(1); r.err == nil && b[0] != 0 {
+			r.fail("nonzero reserved trace byte %#x", b[0])
 		}
 	}
 	if r.err != nil {
@@ -450,36 +408,13 @@ func (r *wireReader) count(what string, minEntry int) uint64 {
 	return n
 }
 
-// AppendMsgFrame frames one mailbox delivery (FtMsg). dest names the
-// endpoint whose mailbox receives the copy — distinct from the
-// message's own To, which stays "*" for broadcast emissions so drained
-// messages are byte-comparable with the simulated bus's. The driver
-// sends FtMsgBatch instead; nodes still accept FtMsg from v2 drivers.
+// AppendMsgFrame frames one mailbox delivery the way the driver frames
+// a unicast: a one-entry, untraced FtMsgBatch. dest names the endpoint
+// whose mailbox receives the copy — distinct from the message's own To,
+// which stays "*" for broadcast emissions so drained messages are
+// byte-comparable with the simulated bus's.
 func AppendMsgFrame(dst []byte, nonce uint64, node, dest string, m bus.Message) []byte {
-	return appendMsgFrameTrace(dst, 0, nonce, node, dest, m, "", "", 0)
-}
-
-// appendMsgFrameTrace frames one FtMsg under the given flags; with
-// FlagTrace the v2 trace context (round, epoch, origin) rides the
-// header.
-func appendMsgFrameTrace(dst []byte, flags byte, nonce uint64, node, dest string, m bus.Message, round, epoch string, origin uint64) []byte {
-	start := len(dst)
-	dst = appendHeader(dst, Version, FtMsg, flags, nonce, node, round, epoch, origin)
-	dst = sig.AppendString(dst, dest)
-	dst = appendMessage(dst, m)
-	return finishFrame(dst, start)
-}
-
-// DecodeMsgBody parses an FtMsg body into the destination endpoint and
-// the delivered message.
-func DecodeMsgBody(body []byte) (dest string, m bus.Message, err error) {
-	r := wireReader{buf: body}
-	dest = r.str()
-	m = r.readMessage()
-	if err := r.done(); err != nil {
-		return "", bus.Message{}, err
-	}
-	return dest, m, nil
+	return appendMsgBatchFrame(dst, 0, nonce, node, []msgEntry{{dests: []string{dest}, msg: m}}, "", "")
 }
 
 // dests reads a destination list, a count (at least 1) and then that
@@ -498,9 +433,8 @@ func (r *wireReader) dests(buf []string, name func([]byte) string) []string {
 	return buf
 }
 
-// msgEntry is one message of a message frame and the mailboxes of the
-// receiving node it is for. Every message frame decodes to entries: an
-// FtMsg or FtMsgMulti to one, an FtMsgBatch to one per message.
+// msgEntry is one message of an FtMsgBatch and the mailboxes of the
+// receiving node it is for.
 type msgEntry struct {
 	dests []string
 	msg   bus.Message
@@ -517,22 +451,21 @@ func entryLen(e msgEntry) int {
 
 // headerLen is len(appendHeader(...)) for the given fields, computed
 // without encoding.
-func headerLen(flags byte, node, round, epoch string, origin uint64) int {
+func headerLen(flags byte, node, round, epoch string) int {
 	n := headerFixed + fieldLen(len(node))
 	if flags&FlagTrace != 0 {
-		n += fieldLen(len(round)) + fieldLen(len(epoch)) + uvarintLen(origin)
+		n += fieldLen(len(round)) + fieldLen(len(epoch)) + 1
 	}
 	return n
 }
 
 // appendMsgBatchFrame frames several messages for mailboxes of one node
 // (FtMsgBatch). With FlagTrace in flags the trace context rides the
-// header with origin 0, since every message carries its own nonce. Each
-// message's own To stays the protocol-level address ("*" for a
-// broadcast); the physical destinations travel in its entry.
+// header. Each message's own To stays the protocol-level address ("*"
+// for a broadcast); the physical destinations travel in its entry.
 func appendMsgBatchFrame(dst []byte, flags byte, nonce uint64, node string, entries []msgEntry, round, epoch string) []byte {
 	start := len(dst)
-	dst = appendHeader(dst, Version, FtMsgBatch, flags, nonce, node, round, epoch, 0)
+	dst = appendHeader(dst, FtMsgBatch, flags, nonce, node, round, epoch)
 	dst = sig.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
 		dst = sig.AppendUvarint(dst, uint64(len(e.dests)))
@@ -544,25 +477,21 @@ func appendMsgBatchFrame(dst []byte, flags byte, nonce uint64, node string, entr
 	return finishFrame(dst, start)
 }
 
-// decodeEntries parses the body of a v3 FtMsgMulti, one entry without
-// a count, or of a v4 FtMsgBatch, a count (at least 1) of entries; an
-// entry is a destination list and then a message. It appends the
+// decodeEntries parses an FtMsgBatch body, a count (at least 1) of
+// entries, each a destination list and then a message. It appends the
 // entries to entries and their destinations, each spelt by name, to
 // dests, and returns both extended slices; each entry's list is the
-// capacity-capped run of dests it appended. Every entry names at
-// least one destination; that an entry's destinations are distinct and
+// capacity-capped run of dests it appended. Every entry names at least
+// one destination; that an entry's destinations are distinct and
 // hosted is the receiving node's all-or-nothing rule, not a framing
 // rule.
-func decodeEntries(typ byte, body []byte, entries []msgEntry, dests []string, name func([]byte) string) ([]msgEntry, []string, error) {
+func decodeEntries(body []byte, entries []msgEntry, dests []string, name func([]byte) string) ([]msgEntry, []string, error) {
 	r := wireReader{buf: body}
-	n := uint64(1)
-	if typ == FtMsgBatch {
-		// An entry is at least a destination count, one 1-byte
-		// destination and a message of nine 1-byte fields.
-		n = r.count("batch entry", 11)
-		if r.err == nil && n == 0 {
-			r.fail("batch frame carries no message")
-		}
+	// An entry is at least a destination count, one 1-byte destination
+	// and a message of nine 1-byte fields.
+	n := r.count("batch entry", 11)
+	if r.err == nil && n == 0 {
+		r.fail("batch frame carries no message")
 	}
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		lo := len(dests)
@@ -573,26 +502,6 @@ func decodeEntries(typ byte, body []byte, entries []msgEntry, dests []string, na
 	return entries, dests, r.done()
 }
 
-// appendDrainFrame frames a v2 drain request (FtDrain) for one endpoint,
-// cumulatively acknowledging every sequence number at or below ackSeq.
-// The driver drains whole nodes (FtDrainNode); nodes still answer
-// FtDrain from v2 drivers.
-func appendDrainFrame(dst []byte, nonce uint64, node, endpoint string, ackSeq uint64) []byte {
-	start := len(dst)
-	dst = appendHeader(dst, Version, FtDrain, 0, nonce, node, "", "", 0)
-	dst = sig.AppendString(dst, endpoint)
-	dst = sig.AppendUvarint(dst, ackSeq)
-	return finishFrame(dst, start)
-}
-
-// DecodeDrainBody parses an FtDrain body.
-func DecodeDrainBody(body []byte) (endpoint string, ackSeq uint64, err error) {
-	r := wireReader{buf: body}
-	endpoint = r.str()
-	ackSeq = r.uvarint()
-	return endpoint, ackSeq, r.done()
-}
-
 // SeqMsg is one mailbox entry in a drain response: the per-mailbox
 // sequence number and the stored message.
 type SeqMsg struct {
@@ -600,42 +509,13 @@ type SeqMsg struct {
 	Msg bus.Message
 }
 
-// drainRspFlags is the flag byte of a drain response.
-func drainRspFlags(more bool) byte {
+// moreFlag is the flag byte of a node-drain or telemetry response:
+// FlagMore when more marks a batch cut to fit MaxFrame.
+func moreFlag(more bool) byte {
 	if more {
 		return FlagMore
 	}
 	return 0
-}
-
-// appendDrainRspFrame frames a drain response (FtDrainRsp) carrying the
-// batch; more marks a batch truncated to fit MaxFrame.
-func appendDrainRspFrame(dst []byte, nonce uint64, node, endpoint string, batch []SeqMsg, more bool) []byte {
-	start := len(dst)
-	dst = appendHeader(dst, Version, FtDrainRsp, drainRspFlags(more), nonce, node, "", "", 0)
-	dst = sig.AppendString(dst, endpoint)
-	dst = sig.AppendUvarint(dst, uint64(len(batch)))
-	for _, sm := range batch {
-		dst = sig.AppendUvarint(dst, sm.Seq)
-		dst = appendMessage(dst, sm.Msg)
-	}
-	return finishFrame(dst, start)
-}
-
-// decodeDrainRspBody parses an FtDrainRsp body.
-func decodeDrainRspBody(body []byte) (endpoint string, batch []SeqMsg, err error) {
-	r := wireReader{buf: body}
-	endpoint = r.str()
-	n := r.count("drain batch", 7) // seq plus a message of ≥ 6 fields
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		seq := r.uvarint()
-		m := r.readMessage()
-		batch = append(batch, SeqMsg{Seq: seq, Msg: m})
-	}
-	if err := r.done(); err != nil {
-		return "", nil, err
-	}
-	return endpoint, batch, nil
 }
 
 // drainReq is one mailbox of a node-drain request: the endpoint and the
@@ -648,7 +528,7 @@ type drainReq struct {
 // appendDrainNodeFrame frames a node-drain request (FtDrainNode).
 func appendDrainNodeFrame(dst []byte, nonce uint64, node string, reqs []drainReq) []byte {
 	start := len(dst)
-	dst = appendHeader(dst, Version, FtDrainNode, 0, nonce, node, "", "", 0)
+	dst = appendHeader(dst, FtDrainNode, 0, nonce, node, "", "")
 	dst = sig.AppendUvarint(dst, uint64(len(reqs)))
 	for _, q := range reqs {
 		dst = sig.AppendString(dst, q.endpoint)
@@ -657,8 +537,8 @@ func appendDrainNodeFrame(dst []byte, nonce uint64, node string, reqs []drainReq
 	return finishFrame(dst, start)
 }
 
-// decodeDrainNodeBody parses an FtDrainNode body. Like FtDrain, it does
-// not check that the endpoints are hosted or distinct; the node does.
+// decodeDrainNodeBody parses an FtDrainNode body. It does not check
+// that the endpoints are hosted or distinct; the node does.
 func decodeDrainNodeBody(body []byte) ([]drainReq, error) {
 	r := wireReader{buf: body}
 	n := r.count("node drain", 2) // endpoint length plus ack, 1 byte each at least
@@ -685,7 +565,7 @@ type drainPart struct {
 // entry is encoded once, straight into dst.
 func appendDrainNodeRspFrame(dst []byte, nonce uint64, node string, parts []drainPart, more bool) []byte {
 	start := len(dst)
-	dst = appendHeader(dst, Version, FtDrainNodeRsp, drainRspFlags(more), nonce, node, "", "", 0)
+	dst = appendHeader(dst, FtDrainNodeRsp, moreFlag(more), nonce, node, "", "")
 	n := 0
 	for _, p := range parts {
 		n += len(p.batch)
@@ -809,11 +689,7 @@ func AppendTelemetryRspFrame(dst []byte, nonce uint64, node string, lines [][]by
 		body = sig.AppendUvarint(body, uint64(len(l)))
 		body = append(body, l...)
 	}
-	var flags byte
-	if more {
-		flags |= FlagMore
-	}
-	return AppendFrame(dst, FtTelemetryRsp, flags, nonce, node, body)
+	return AppendFrame(dst, FtTelemetryRsp, moreFlag(more), nonce, node, body)
 }
 
 // DecodeTelemetryRspBody parses an FtTelemetryRsp body into the record

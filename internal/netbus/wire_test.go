@@ -1,9 +1,11 @@
 package netbus
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,6 +27,20 @@ func sampleMsg(t *testing.T) bus.Message {
 	return bus.Message{From: "P1", To: "*", Kind: "dls/bid", Size: 1, Nonce: 7, Env: env}
 }
 
+// oneEntry decodes the body of a one-entry FtMsgBatch naming one
+// destination, as AppendMsgFrame frames a delivery.
+func oneEntry(t *testing.T, body []byte) (string, bus.Message) {
+	t.Helper()
+	entries, err := decodeMsgBatchBody(body)
+	if err != nil {
+		t.Fatalf("body: %v", err)
+	}
+	if len(entries) != 1 || len(entries[0].dests) != 1 {
+		t.Fatalf("body decodes to %+v, want one entry naming one destination", entries)
+	}
+	return entries[0].dests[0], entries[0].msg
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	msg := sampleMsg(t)
 	frame := AppendMsgFrame(nil, 0xABCD, "w1", "P2", msg)
@@ -32,13 +48,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if f.Type != FtMsg || f.Nonce != 0xABCD || f.Node != "w1" {
+	if f.Version != Version || f.Type != FtMsgBatch || f.Flags != 0 || f.Nonce != 0xABCD || f.Node != "w1" {
 		t.Errorf("header round-trip: %+v", f)
 	}
-	dest, got, err := DecodeMsgBody(f.Body)
-	if err != nil {
-		t.Fatalf("body: %v", err)
-	}
+	dest, got := oneEntry(t, f.Body)
 	if dest != "P2" {
 		t.Errorf("dest = %q, want P2", dest)
 	}
@@ -48,35 +61,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDrainRspRoundTrip pins the node-drain response: FlagMore and each
+// endpoint's run of (seq, message) entries survive framing.
 func TestDrainRspRoundTrip(t *testing.T) {
 	msg := sampleMsg(t)
-	batch := []SeqMsg{{Seq: 3, Msg: msg}, {Seq: 4, Msg: msg}}
-	frame := appendDrainRspFrame(nil, 9, "w1", "P1", batch, true)
-	f, err := DecodeFrame(frame)
+	parts := []drainPart{
+		{"P1", []SeqMsg{{Seq: 3, Msg: msg}, {Seq: 4, Msg: msg}}},
+		{"P2", []SeqMsg{{Seq: 1, Msg: msg}}},
+	}
+	f, err := DecodeFrame(appendDrainNodeRspFrame(nil, 9, "w1", parts, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Flags&FlagMore == 0 {
-		t.Error("FlagMore lost in transit")
+	if f.Type != FtDrainNodeRsp || f.Flags&FlagMore == 0 {
+		t.Errorf("drain rsp header: %+v", f)
 	}
-	ep, got, err := decodeDrainRspBody(f.Body)
+	got, err := decodeDrainNodeRspBody(f.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep != "P1" || len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
-		t.Errorf("drain rsp round-trip: ep=%q got=%+v", ep, got)
-	}
-	if !got[1].Msg.Env.Equal(msg.Env) {
-		t.Error("envelope mangled in drain batch")
+	if !reflect.DeepEqual(got, parts) {
+		t.Errorf("drain rsp round-trip:\n got  %+v\n want %+v", got, parts)
 	}
 }
 
-// TestTraceFrameRoundTrip pins the v2 trace-context extension: round,
-// epoch and origin survive framing, and the body decodes exactly as an
-// untraced message does.
+// TestTraceFrameRoundTrip pins the trace-context extension: round and
+// epoch survive framing, the reserved byte after them is 0, and the
+// body is byte-identical to the untraced frame's.
 func TestTraceFrameRoundTrip(t *testing.T) {
 	msg := sampleMsg(t)
-	frame := appendMsgFrameTrace(nil, FlagTrace, 0xBEEF, "w1", "P2", msg, "sdeadbeef:r3", "sdeadbeef:r3", 99)
+	entries := []msgEntry{{dests: []string{"P2"}, msg: msg}}
+	frame := appendMsgBatchFrame(nil, FlagTrace, 0xBEEF, "w1", entries, "sdeadbeef:r3", "sdeadbeef:r3")
 	f, err := DecodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -84,38 +99,108 @@ func TestTraceFrameRoundTrip(t *testing.T) {
 	if f.Version != Version || f.Flags&FlagTrace == 0 {
 		t.Errorf("trace frame header: %+v", f)
 	}
-	if f.Round != "sdeadbeef:r3" || f.Epoch != "sdeadbeef:r3" || f.Origin != 99 {
-		t.Errorf("trace context mangled: round=%q epoch=%q origin=%d", f.Round, f.Epoch, f.Origin)
+	if f.Round != "sdeadbeef:r3" || f.Epoch != "sdeadbeef:r3" {
+		t.Errorf("trace context mangled: round=%q epoch=%q", f.Round, f.Epoch)
 	}
-	dest, got, err := DecodeMsgBody(f.Body)
+	if reserved := frame[len(frame)-len(f.Body)-1]; reserved != 0 {
+		t.Errorf("reserved trace byte %#x, want 0", reserved)
+	}
+	plain, err := DecodeFrame(appendMsgBatchFrame(nil, 0, 0xBEEF, "w1", entries, "", ""))
 	if err != nil {
-		t.Fatalf("body: %v", err)
+		t.Fatal(err)
 	}
-	if dest != "P2" || got.Nonce != msg.Nonce || !got.Env.Equal(msg.Env) {
+	if !bytes.Equal(f.Body, plain.Body) {
+		t.Error("the trace context changed the body")
+	}
+	if dest, got := oneEntry(t, f.Body); dest != "P2" || got.Nonce != msg.Nonce || !got.Env.Equal(msg.Env) {
 		t.Errorf("traced message round-trip: dest=%q got=%+v", dest, got)
 	}
 }
 
-// TestLegacyFrameAccepted pins backward compatibility: a version-1
-// datagram (the pre-telemetry wire) still parses, with its original
-// version surfaced and no trace context.
+// TestLegacyFrameAccepted pins the version probe: a ping or pong of
+// every version from VersionLegacy up still parses, with its version
+// surfaced, so a driver can probe a node of any version and read its
+// answer.
 func TestLegacyFrameAccepted(t *testing.T) {
-	msg := sampleMsg(t)
-	frame := AppendMsgFrame(nil, 0xABCD, "w1", "P2", msg)
-	frame[4] = VersionLegacy
-	f, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatalf("legacy frame rejected: %v", err)
-	}
-	if f.Version != VersionLegacy || f.Round != "" || f.Origin != 0 {
-		t.Errorf("legacy frame header: %+v", f)
-	}
-	if _, _, err := DecodeMsgBody(f.Body); err != nil {
-		t.Errorf("legacy body: %v", err)
+	for v := byte(VersionLegacy); v <= Version; v++ {
+		for _, typ := range []byte{FtPing, FtPong} {
+			frame := AppendControlFrame(nil, typ, 0xABCD, "w1")
+			frame[4] = v
+			f, err := DecodeFrame(frame)
+			if err != nil {
+				t.Fatalf("v%d frame of type %d rejected: %v", v, typ, err)
+			}
+			if f.Version != v || f.Type != typ || f.Nonce != 0xABCD || f.Node != "w1" {
+				t.Errorf("v%d frame of type %d: header %+v", v, typ, f)
+			}
+		}
 	}
 }
 
-// TestTelemetryRoundTrip pins the v2 telemetry drain pair.
+// legacyFrame frames body as a frame of type typ in wire version v, the
+// way a v1–v3 peer did: every version lays the header out alike, and
+// with FlagTrace the empty round and epoch and the zero byte after them
+// read in v2 and v3 as a trace context of origin 0.
+func legacyFrame(v, typ, flags byte, body []byte) []byte {
+	frame := AppendFrame(nil, typ, flags, 1, "drv", body)
+	frame[4] = v
+	return frame
+}
+
+// retiredBodies holds, for every frame type of wire versions 1 to 3 but
+// the ping and pong, a body carrying m for P1 that parsed under those
+// versions. Types 1, 3, 4 and 9 are the retired FtMsg, FtDrain,
+// FtDrainRsp and FtMsgMulti.
+func retiredBodies(m bus.Message) map[byte][]byte {
+	msg := appendMessage(nil, m)
+	p1 := sig.AppendString(nil, "P1")
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return map[byte][]byte{
+		1:              cat(p1, msg),                       // destination, message
+		FtAck:          nil,                                //
+		3:              cat(p1, []byte{0}),                 // endpoint, ack
+		4:              cat(p1, []byte{1, 1}, msg),         // endpoint, count, seq, message
+		FtTelemetry:    {0},                                // ack
+		FtTelemetryRsp: {0},                                // count
+		9:              cat([]byte{1}, p1, msg),            // count, destination, message
+		FtDrainNode:    cat([]byte{1}, p1, []byte{0}),      // count, endpoint, ack
+		FtDrainNodeRsp: cat([]byte{1}, p1, []byte{1}, msg), // count, endpoint, seq, message
+	}
+}
+
+// TestRetiredFramesRejected pins the one-version rule: a v1–v3 frame of
+// every type its version defined, pings and pongs excepted, fails with
+// ErrBadVersion although its body parsed under that version, message
+// frames traced or not; and types 1, 3, 4 and 9 are unknown in the
+// current version.
+func TestRetiredFramesRejected(t *testing.T) {
+	bodies := retiredBodies(sampleMsg(t))
+	lastType := []byte{1: FtPong, 2: FtTelemetryRsp, 3: FtDrainNodeRsp}
+	for v := byte(VersionLegacy); v < Version; v++ {
+		for typ := byte(1); typ <= lastType[v]; typ++ {
+			if typ == FtPing || typ == FtPong {
+				continue
+			}
+			flags := []byte{0}
+			if v > VersionLegacy && (typ == 1 || typ == 9) {
+				flags = append(flags, FlagTrace)
+			}
+			for _, fl := range flags {
+				if _, err := DecodeFrame(legacyFrame(v, typ, fl, bodies[typ])); !errors.Is(err, ErrBadVersion) {
+					t.Errorf("v%d frame of type %d, flags %#x: err %v, want ErrBadVersion", v, typ, fl, err)
+				}
+			}
+		}
+	}
+	for _, typ := range []byte{1, 3, 4, 9} {
+		_, err := DecodeFrame(legacyFrame(Version, typ, 0, bodies[typ]))
+		if !errors.Is(err, ErrWire) || errors.Is(err, ErrBadVersion) {
+			t.Errorf("v%d frame of retired type %d: err %v, want an unknown type", Version, typ, err)
+		}
+	}
+}
+
+// TestTelemetryRoundTrip pins the telemetry drain pair.
 func TestTelemetryRoundTrip(t *testing.T) {
 	req, err := DecodeFrame(AppendTelemetryFrame(nil, 11, "drv", 40))
 	if err != nil {
@@ -150,11 +235,12 @@ func TestTelemetryRoundTrip(t *testing.T) {
 
 // TestMalformedFrames pins every rejection class the receiver owes the
 // wire: truncation (header and declared-length), oversize, bad magic,
-// unknown version, unknown type, trailing garbage — plus the per-version
-// rules (telemetry types and the trace flag do not exist in version 1,
-// the node-drain types not in version 2, the batch type not in version
-// 3, a batch frame's trace context carries origin 0, and the trace flag
-// belongs to message frames only).
+// unknown version, unknown type, trailing garbage — plus the version
+// rule (a current frame type stamped with an older version fails with
+// ErrBadVersion; TestRetiredFramesRejected covers every retired frame),
+// the trace context's reserved zero byte, and the flags each type
+// allows (the trace flag belongs to the batch frame, FlagMore to
+// responses).
 func TestMalformedFrames(t *testing.T) {
 	valid := AppendMsgFrame(nil, 1, "w1", "P1", sampleMsg(t))
 	mutate := func(f func(b []byte) []byte) []byte {
@@ -181,35 +267,37 @@ func TestMalformedFrames(t *testing.T) {
 		{"v1 telemetry type", mutate(func(b []byte) []byte {
 			b[4], b[5] = VersionLegacy, FtTelemetry
 			return b
-		}), ErrWire},
+		}), ErrBadVersion},
 		{"v1 trace flag", mutate(func(b []byte) []byte {
 			b[4], b[6] = VersionLegacy, FlagTrace
 			return b
-		}), ErrWire},
+		}), ErrBadVersion},
 		{"trace flag on ping", func() []byte {
 			b := AppendControlFrame(nil, FtPing, 1, "drv")
 			b[6] = FlagTrace
 			return b
 		}(), ErrWire},
 		{"v2 node drain type", mutate(func(b []byte) []byte {
-			b[4], b[5] = versionTrace, FtDrainNode
+			b[4], b[5] = 2, FtDrainNode
 			return b
-		}), ErrWire},
+		}), ErrBadVersion},
 		{"v3 batch type", mutate(func(b []byte) []byte {
-			b[4], b[5] = versionNode, FtMsgBatch
+			b[4] = 3
 			return b
-		}), ErrWire},
+		}), ErrBadVersion},
 		{"origin on batch", func() []byte {
-			b := appendHeader(nil, Version, FtMsgBatch, FlagTrace, 1, "drv", "s1:r1", "s1:r1", 7)
+			// The reserved byte where a v2 or v3 trace context carried
+			// its origin.
+			b := appendHeader(nil, FtMsgBatch, FlagTrace, 1, "drv", "s1:r1", "s1:r1")
+			b[len(b)-1] = 7
 			b = append(b, 1, 1, 2, 'P', '1')
 			b = appendMessage(b, sampleMsg(t))
 			return finishFrame(b, 0)
 		}(), ErrWire},
-		{"more flag on multi", func() []byte {
-			b := appendMsgMultiFrame(nil, 0, 1, "drv", []string{"P1"}, sampleMsg(t), "", "", 0)
+		{"more flag on batch", mutate(func(b []byte) []byte {
 			b[6] = FlagMore
 			return b
-		}(), ErrWire},
+		}), ErrWire},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,53 +327,61 @@ func TestMalformedBodies(t *testing.T) {
 	}
 	t.Run("msg truncated", func(t *testing.T) {
 		for cut := 0; cut < len(f.Body); cut += 7 {
-			if _, _, err := DecodeMsgBody(f.Body[:cut]); !errors.Is(err, ErrWire) {
+			if _, err := decodeMsgBatchBody(f.Body[:cut]); !errors.Is(err, ErrWire) {
 				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
 			}
 		}
 	})
 	t.Run("msg non-minimal varint", func(t *testing.T) {
-		// 0x82 0x00 is a two-byte encoding of 2 — legal LEB128, banned
-		// here because it breaks the canonical-encoding fixpoint.
-		body := append([]byte{0x82, 0x00}, f.Body[1:]...)
-		if _, _, err := DecodeMsgBody(body); !errors.Is(err, ErrWire) {
+		// 0x81 0x00 is a two-byte encoding of the entry count 1 — legal
+		// LEB128, banned here because it breaks the canonical-encoding
+		// fixpoint.
+		body := append([]byte{0x81, 0x00}, f.Body[1:]...)
+		if _, err := decodeMsgBatchBody(body); !errors.Is(err, ErrWire) {
 			t.Errorf("non-minimal varint accepted: %v", err)
 		}
 	})
 	t.Run("msg trailing garbage", func(t *testing.T) {
 		body := append(append([]byte(nil), f.Body...), 0xAA)
-		if _, _, err := DecodeMsgBody(body); !errors.Is(err, ErrWire) {
+		if _, err := decodeMsgBatchBody(body); !errors.Is(err, ErrWire) {
 			t.Errorf("trailing garbage accepted: %v", err)
 		}
 	})
 	t.Run("drain truncated", func(t *testing.T) {
-		df, err := DecodeFrame(appendDrainFrame(nil, 2, "drv", "P1", 5))
+		df, err := DecodeFrame(appendDrainNodeFrame(nil, 2, "drv", []drainReq{{"P1", 5}, {"P2", 300}}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeDrainBody(df.Body[:1]); !errors.Is(err, ErrWire) {
-			t.Errorf("truncated drain body accepted: %v", err)
+		for cut := 0; cut < len(df.Body); cut++ {
+			if _, err := decodeDrainNodeBody(df.Body[:cut]); !errors.Is(err, ErrWire) {
+				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
+			}
 		}
 	})
 	t.Run("drain rsp truncated", func(t *testing.T) {
-		rf, err := DecodeFrame(appendDrainRspFrame(nil, 3, "w1", "P1",
-			[]SeqMsg{{Seq: 1, Msg: msg}}, false))
+		// The driver's sharing decoder; the oracle's rejections are
+		// "node drain rsp truncated".
+		rf, err := DecodeFrame(appendDrainNodeRspFrame(nil, 3, "w1",
+			[]drainPart{{"P1", []SeqMsg{{Seq: 1, Msg: msg}, {Seq: 2, Msg: msg}}}}, false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(rf.Body); cut += 11 {
-			if _, _, err := decodeDrainRspBody(rf.Body[:cut]); !errors.Is(err, ErrWire) {
+			if err := new(drainReply).decode(rf.Body[:cut]); !errors.Is(err, ErrWire) {
 				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
 			}
 		}
 	})
 	t.Run("multi without destinations", func(t *testing.T) {
-		mf, err := DecodeFrame(appendMsgMultiFrame(nil, 0, 4, "drv", nil, msg, "", "", 0))
-		if err != nil {
-			t.Fatal(err)
+		// A two-entry batch whose second entry names no destination:
+		// the rule holds for every entry, not only the first.
+		enc := appendMessage(nil, msg)
+		first := append([]byte{1, 2, 'P', '1'}, enc...)
+		if _, err := decodeMsgBatchBody(bytes.Join([][]byte{{2}, first, first}, nil)); err != nil {
+			t.Fatalf("two entries naming P1: %v", err)
 		}
-		if _, _, err := decodeMsgMultiBody(mf.Body); !errors.Is(err, ErrWire) {
-			t.Errorf("a multi frame naming no destination decoded: %v", err)
+		if _, err := decodeMsgBatchBody(bytes.Join([][]byte{{2}, first, {0}, enc}, nil)); !errors.Is(err, ErrWire) {
+			t.Errorf("an entry naming no destination decoded: %v", err)
 		}
 	})
 	t.Run("batch shapes", func(t *testing.T) {
@@ -302,12 +398,8 @@ func TestMalformedBodies(t *testing.T) {
 				t.Errorf("cut at %d: err %v, want ErrWire", cut, err)
 			}
 		}
-		noEntries := []byte{0}
-		noDests := append([]byte{1, 0}, appendMessage(nil, msg)...)
-		for name, body := range map[string][]byte{"no entries": noEntries, "no destinations": noDests} {
-			if _, err := decodeMsgBatchBody(body); !errors.Is(err, ErrWire) {
-				t.Errorf("%s: err %v, want ErrWire", name, err)
-			}
+		if _, err := decodeMsgBatchBody([]byte{0}); !errors.Is(err, ErrWire) {
+			t.Errorf("a batch of no entries: err %v, want ErrWire", err)
 		}
 	})
 	t.Run("node drain rsp truncated", func(t *testing.T) {
@@ -364,8 +456,9 @@ func roundTrip(t *testing.T, n *Node, c *net.UDPConn, frame []byte) Frame {
 	return f
 }
 
-// TestNodeResendDedup pins the ack-loss recovery: a resent FtMsg (same
-// sender node + frame nonce) is acked again but enqueued once.
+// TestNodeResendDedup pins the ack-loss recovery: a resent message
+// frame (same sender node + frame nonce) is acked again but enqueued
+// once.
 func TestNodeResendDedup(t *testing.T) {
 	n, c := rawNode(t, "P1")
 	msg := sampleMsg(t)
@@ -391,13 +484,17 @@ func TestNodeDrainCumulativeAck(t *testing.T) {
 		roundTrip(t, n, c, AppendMsgFrame(nil, i, "drv", "P1", msg))
 	}
 	drain := func(ackSeq uint64) []SeqMsg {
-		f := roundTrip(t, n, c, appendDrainFrame(nil, 50+ackSeq, "drv", "P1", ackSeq))
-		if f.Type != FtDrainRsp {
+		f := roundTrip(t, n, c, appendDrainNodeFrame(nil, 50+ackSeq, "drv", []drainReq{{"P1", ackSeq}}))
+		if f.Type != FtDrainNodeRsp {
 			t.Fatalf("reply %+v, want drain rsp", f)
 		}
-		_, batch, err := decodeDrainRspBody(f.Body)
+		parts, err := decodeDrainNodeRspBody(f.Body)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var batch []SeqMsg
+		for _, p := range parts {
+			batch = append(batch, p.batch...)
 		}
 		return batch
 	}

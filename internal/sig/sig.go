@@ -84,12 +84,6 @@ func appendSigningBytes(dst []byte, kind, sender string, payload []byte) []byte 
 	return dst
 }
 
-// signingBytes is the allocating form of appendSigningBytes, kept for
-// cold paths and tests.
-func signingBytes(kind, sender string, payload []byte) []byte {
-	return appendSigningBytes(nil, kind, sender, payload)
-}
-
 // sbPool recycles signing-byte buffers across Seal/Verify calls. Buffers
 // returned to the pool keep their grown capacity, so steady-state sign
 // and verify perform zero allocations.
