@@ -27,8 +27,9 @@ race-service:
 	$(GO) test -race ./internal/service/... ./internal/protocol/...
 
 # The per-party crypto fan-out (internal/sig's worker loop behind the
-# fused seal-and-verify pass, the parallel key generation and its pooled
-# seed sources, and VerifyEach) and the transport's receive table under
+# fused seal-and-verify pass and the pooled payload and signing buffers
+# its workers share, the parallel key generation and its pooled seed
+# sources, and VerifyEach) and the transport's receive table under
 # the race detector at GOMAXPROCS 1, the inline path, and 4, the worker
 # loop, ten times over, with the transcript golden that pins every
 # signed byte; then the bid-receive oracle's race subset once at both
@@ -108,7 +109,8 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Ten seconds of every fuzz target: the mechanism engine against the
-# naive baseline, envelope tampering, the DLT closed forms, the
+# naive baseline, its installment path against the per-agent re-solve
+# (bit for bit), envelope tampering, the DLT closed forms, the
 # bid-session membership model, the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
 # the accusation wire format), the netbus datagram receive path (decode
@@ -121,6 +123,7 @@ cover:
 # every rejection a 4xx with a JSON error, every pool bounded).
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzEngineParity -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzRoundsEngineParity -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeTampering -fuzztime=10s ./internal/sig/
 	$(GO) test -run=NONE -fuzz=FuzzOptimal -fuzztime=10s ./internal/dlt/
 	$(GO) test -run=NONE -fuzz=FuzzLinear -fuzztime=10s ./internal/dlt/
@@ -152,11 +155,15 @@ bench-smoke:
 # One cold protocol.Run at each pool size up to service.MaxPoolSize
 # (m = 16, 64, 128, 256), so the largest pool a spec may declare stays
 # exercised, one warm m = 16 reuse round, the service's steady state,
-# and one netbus round over two loopback nodes at m = 16, 64 and 128;
-# about a second in all.
+# one netbus round over two loopback nodes at m = 16, 64 and 128, one
+# 4-installment payment computation at m = 16 and 256 (the engine's
+# steady state, 0 B/op) and one warm 4-installment m = 16 load through
+# pipeline.RunLoad; about a second in all.
 bench-cold:
 	$(GO) test -run NONE -bench 'BenchmarkColdRound|BenchmarkReuseRound' -benchtime 1x ./internal/protocol
 	$(GO) test -run NONE -bench BenchmarkNetRound -benchtime 1x ./internal/netbus
+	$(GO) test -run NONE -bench '^BenchmarkRunRounds$$' -benchtime 1x ./internal/core
+	$(GO) test -run NONE -bench BenchmarkInstallmentLoad -benchtime 1x ./internal/pipeline
 
 # The layered benchmark's own tests (bench/, a separate module): every
 # op's correctness check across the service, library and netbus paths,

@@ -124,3 +124,80 @@ func BenchmarkMechanismRunNaive(b *testing.B) {
 		})
 	}
 }
+
+// RunRoundsNaive is the R-installment oracle: the per-agent re-solve that
+// PaymentEngine.RunRoundsInto replaced. It validates and re-solves 2m+1
+// installment schedules from scratch, each with fresh buffers.
+// FuzzRoundsEngineParity holds the engine to it bit for bit.
+func (m Mechanism) RunRoundsNaive(bids, exec []float64, rounds int, policy dlt.RoundPolicy, rule PaymentRule) (*Outcome, error) {
+	if rounds <= 1 {
+		return m.run(bids, exec, rule)
+	}
+	n := len(bids)
+	if n < 2 {
+		return nil, errors.New("core: DLS-BL needs at least two agents")
+	}
+	if len(exec) != n {
+		return nil, fmt.Errorf("core: %d execution values for %d bids", len(exec), n)
+	}
+	for i := 0; i < n; i++ {
+		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
+			return nil, fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
+		}
+		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
+			return nil, fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
+		}
+	}
+	in := dlt.Instance{Network: m.Network, Z: m.Z, W: append([]float64(nil), bids...)}
+	alloc, err := dlt.PipelinedAllocation(in)
+	if err != nil {
+		return nil, err
+	}
+	msBid, err := dlt.MultiRoundMakespanWithSpeeds(in, alloc, rounds, policy, bids)
+	if err != nil {
+		return nil, err
+	}
+	out := &Outcome{
+		Alloc:            alloc,
+		Compensation:     make([]float64, n),
+		Bonus:            make([]float64, n),
+		Payment:          make([]float64, n),
+		Valuation:        make([]float64, n),
+		Utility:          make([]float64, n),
+		MakespanWithout:  make([]float64, n),
+		MakespanRealized: make([]float64, n),
+		MakespanBid:      msBid,
+	}
+	speeds := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sub, err := in.Without(i)
+		if err != nil {
+			return nil, err
+		}
+		subAlloc, err := dlt.PipelinedAllocation(sub)
+		if err != nil {
+			return nil, err
+		}
+		tWithout, err := dlt.MultiRoundMakespanWithSpeeds(sub, subAlloc, rounds, policy, sub.W)
+		if err != nil {
+			return nil, err
+		}
+		copy(speeds, bids)
+		if rule == WithVerification {
+			speeds[i] = exec[i]
+		}
+		tRealized, err := dlt.MultiRoundMakespanWithSpeeds(in, alloc, rounds, policy, speeds)
+		if err != nil {
+			return nil, err
+		}
+		out.MakespanWithout[i] = tWithout
+		out.MakespanRealized[i] = tRealized
+		out.Compensation[i] = alloc[i] * exec[i]
+		out.Bonus[i] = tWithout - tRealized
+		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
+		out.Valuation[i] = -alloc[i] * exec[i]
+		out.Utility[i] = out.Payment[i] + out.Valuation[i]
+		out.UserCost += out.Payment[i]
+	}
+	return out, nil
+}

@@ -77,6 +77,14 @@ type PaymentEngine struct {
 	base []float64 // communication-completion offset of each processor
 	pmax []float64 // pmax[i] = max(fin[0..i-1]), len m+1, pmax[0] = -Inf
 	smax []float64 // smax[i] = max(fin[i..m-1]), len m+1, smax[m] = -Inf
+
+	// R-installment scratch (RunRoundsInto); fin, pmax and smax above are
+	// shared, with the maxima folded from 0 as dlt.MaxFinish folds them.
+	per  []float64 // per-round load fractions, len R
+	arr  []float64 // chunk arrivals of the base schedule, arr[r·m+i]
+	subW []float64 // leave-one-out survivors' bids, len m−1
+	subA []float64 // their steady-state split
+	subF []float64 // their finish times
 }
 
 // NewPaymentEngine returns an engine for the given network class and

@@ -143,10 +143,24 @@ func PipelinedAllocation(in Instance) (Allocation, error) {
 		return nil, err
 	}
 	if in.Network == NCPNFE {
-		return nil, errors.New("dlt: pipelined allocation requires an overlapping originator (CP or NCP-FE)")
+		return nil, ErrPipelinedNFE
 	}
+	a := make(Allocation, in.M())
+	PipelinedAllocationInto(in, a)
+	return a, nil
+}
+
+// ErrPipelinedNFE is PipelinedAllocation's answer for an NCP-NFE
+// instance, whose originator cannot overlap transmission with
+// computation.
+var ErrPipelinedNFE = errors.New("dlt: pipelined allocation requires an overlapping originator (CP or NCP-FE)")
+
+// PipelinedAllocationInto writes PipelinedAllocation(in) into a, which
+// must have in.M() entries, and validates nothing: in must be a valid CP
+// or NCP-FE instance. It is the allocation-free form the payment engine
+// runs once per leave-one-out instance of an already validated profile.
+func PipelinedAllocationInto(in Instance, a Allocation) {
 	m := in.M()
-	a := make(Allocation, m)
 	if in.Network == NCPFE {
 		s := 0.0
 		for i := 1; i < m; i++ {
@@ -186,7 +200,6 @@ func PipelinedAllocation(in Instance) (Allocation, error) {
 	for i := range a {
 		a[i] /= sum
 	}
-	return a, nil
 }
 
 // MultiRoundMakespanWithSpeeds evaluates the R-installment greedy
@@ -212,39 +225,77 @@ func MultiRoundMakespanWithSpeeds(in Instance, a Allocation, rounds int, policy 
 	run := in.Clone()
 	run.W = append([]float64(nil), speeds...)
 	f := make([]float64, m)
-	multiRoundFinishes(run, a, per, f)
+	MultiRoundFinishes(run, a, per, f, nil)
+	return MaxFinish(f), nil
+}
+
+// MaxFinish returns the makespan of a finish-time vector: its largest
+// entry, or 0 when none is positive. A NaN entry is skipped.
+func MaxFinish(f []float64) float64 {
 	t := 0.0
 	for _, fi := range f {
 		if fi > t {
 			t = fi
 		}
 	}
-	return t, nil
+	return t
 }
 
-// multiRoundFinishes fills f with each processor's finish time in the
-// greedy installment schedule — the span-free core of MultiRoundSchedule,
-// tight enough to sit inside MultiRoundOptimal's fixed-point loop.
-func multiRoundFinishes(in Instance, a Allocation, per []float64, f []float64) {
-	bus := 0.0
-	for i := range f {
-		f[i] = 0
+// MultiRoundFinishes fills f with each processor's finish time in the
+// greedy installment schedule of allocation a, served in len(per) rounds
+// of the given per-round fractions — the span-free core of
+// MultiRoundSchedule. It validates nothing: in must be a valid instance
+// and a and f must have in.M() entries. A non-nil arr (len ≥
+// in.M()·len(per)) also receives each chunk's arrival time, arr[r·m+i]
+// for processor i's round-r chunk (0 for a chunk that never crosses the
+// bus); a chunk of zero size is skipped and leaves its slot as it was.
+// The bus is fixed by the allocation alone, so a processor's finish time
+// depends only on its own speed and these arrivals.
+func MultiRoundFinishes(in Instance, a Allocation, per, f, arr []float64) {
+	m := in.M()
+	w, a, f := in.W[:m], a[:m], f[:m]
+	clear(f)
+	// NCP-FE's originator (processor 0) computes its chunks in place: they
+	// arrive at 0 and never occupy the bus.
+	first := 0
+	if in.Network == NCPFE {
+		first = 1
 	}
-	for _, p := range per {
-		for i := 0; i < in.M(); i++ {
+	bus := 0.0
+	for r, p := range per {
+		if first == 1 {
+			if frac := p * a[0]; frac != 0 {
+				if arr != nil {
+					arr[r*m] = 0
+				}
+				f[0] = maxFloat(0, f[0]) + w[0]*frac
+			}
+		}
+		for i := first; i < m; i++ {
 			frac := p * a[i]
 			if frac == 0 {
 				continue
 			}
-			arrival := 0.0
-			if !(in.Network == NCPFE && i == 0) {
-				bus += in.Z * frac
-				arrival = bus
+			bus += in.Z * frac
+			if arr != nil {
+				arr[r*m+i] = bus
 			}
-			start := math.Max(arrival, f[i])
-			f[i] = start + in.W[i]*frac
+			f[i] = maxFloat(bus, f[i]) + w[i]*frac
 		}
 	}
+}
+
+// maxFloat is math.Max(x, y) bit for bit, with the ordered cases inline
+// (MultiRoundFinishes calls it once per chunk); equal operands, ±0 and
+// NaN take math.Max's own path.
+func maxFloat(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // RoundFractions returns the per-round load fractions for the policy:
@@ -254,6 +305,15 @@ func RoundFractions(rounds int, policy RoundPolicy) ([]float64, error) {
 		return nil, errors.New("dlt: rounds must be >= 1")
 	}
 	per := make([]float64, rounds)
+	if err := RoundFractionsInto(per, policy); err != nil {
+		return nil, err
+	}
+	return per, nil
+}
+
+// RoundFractionsInto writes RoundFractions(len(per), policy) into per.
+func RoundFractionsInto(per []float64, policy RoundPolicy) error {
+	rounds := len(per)
 	switch policy {
 	case EqualRounds:
 		for r := range per {
@@ -266,7 +326,7 @@ func RoundFractions(rounds int, policy RoundPolicy) ([]float64, error) {
 			per[r] = math.Exp2(float64(r)) / total
 		}
 	default:
-		return nil, fmt.Errorf("dlt: unknown round policy %d", int(policy))
+		return fmt.Errorf("dlt: unknown round policy %d", int(policy))
 	}
-	return per, nil
+	return nil
 }

@@ -41,3 +41,11 @@ func (m *Medium) StashedFor(id string) int {
 func BatchEntryLen(dests []string, msg bus.Message) int {
 	return entryLen(msgEntry{dests: dests, msg: msg})
 }
+
+// TelemetryDropped reports how many records the node's capped telemetry
+// buffer has evicted.
+func (n *Node) TelemetryDropped() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rec.Dropped()
+}

@@ -488,6 +488,10 @@ func (n *Node) drain(out []byte, f Frame, reqs []drainReq) []byte {
 // from 0, and the driver's first request acknowledges 0, which must
 // acknowledge nothing. A record that no page can carry is served as a
 // "truncated" marker under its seq, so the driver's ack moves past it.
+// When the capped buffer evicted records the driver never acknowledged,
+// the first record served is not the one after the ack; a "truncated"
+// marker naming how many were lost goes ahead of it, under the seq just
+// below it, so the loss reaches the driver and the stitched trace.
 func (n *Node) handleTelemetry(out []byte, f Frame) []byte {
 	ack, err := DecodeTelemetryBody(f.Body)
 	if err != nil {
@@ -505,7 +509,16 @@ func (n *Node) handleTelemetry(out []byte, f Frame) []byte {
 	var lines [][]byte
 	used := 0
 	more := false
-	for _, rec := range n.rec.RecordsSince(int(ack) - 1) {
+	recs := n.rec.RecordsSince(int(ack) - 1)
+	if len(recs) > 0 && uint64(recs[0].Seq) > ack {
+		first := recs[0]
+		lost := uint64(first.Seq) - ack
+		line, _ := json.Marshal(obs.Record{Seq: first.Seq, TS: first.TS, Wall: first.Wall, Type: "truncated", Name: "truncated",
+			Detail: fmt.Sprintf("%d records lost: the node's telemetry cap evicted them before collection", lost)})
+		lines = append(lines, line)
+		used += len(line) + 8
+	}
+	for _, rec := range recs {
 		rec.Seq++
 		line, err := json.Marshal(rec)
 		if err != nil {

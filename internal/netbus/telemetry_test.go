@@ -1,6 +1,7 @@
 package netbus_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,52 @@ func TestCollectTelemetryOversizedRecord(t *testing.T) {
 	}
 	if len(recs) < 2 || recs[0].Name != obs.EvNetRx || recs[0].Seq <= got.recs[len(got.recs)-1].Seq {
 		t.Fatalf("the next collection read %+v, want the next delivery's events", recs)
+	}
+}
+
+// TestCollectTelemetryMarksEvictedRecords pins that records a capped
+// node evicts before a collection are not lost without a trace: a node
+// capped at 4 records that saw 5 message frames (10 records, 6 evicted)
+// serves a truncated marker naming the 6 lost records, under seq 6, ahead
+// of the survivors' seqs 7–10, and the next collection carries no marker.
+func TestCollectTelemetryMarksEvictedRecords(t *testing.T) {
+	requireUDP(t)
+	m, n := startTelemetryPair(t, 4)
+	for i := 0; i < 5; i++ {
+		if _, err := m.SendTagged("referee", "P1", "dls/bid", sig.Envelope{}, 1, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A resend after a late ack adds a dedup_hit record, so the eviction
+	// count is read from the node rather than assumed.
+	dropped := n.TelemetryDropped()
+	if dropped < 6 {
+		t.Fatalf("node evicted %d records, want at least 6", dropped)
+	}
+	recs, err := m.CollectTelemetry("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 || recs[0].Type != "truncated" {
+		t.Fatalf("collected %+v, want a truncated marker and the 4 surviving records", recs)
+	}
+	if recs[0].Seq != dropped || !strings.Contains(recs[0].Detail, fmt.Sprintf("%d records lost", dropped)) {
+		t.Fatalf("marker %+v, want seq %d naming %d lost records", recs[0], dropped, dropped)
+	}
+	for i, r := range recs[1:] {
+		if r.Type == "truncated" || r.Seq != dropped+1+i {
+			t.Fatalf("record %d after the marker is %+v, want seq %d", i, r, dropped+1+i)
+		}
+	}
+	if _, err := m.SendTagged("referee", "P1", "dls/bid", sig.Envelope{}, 1, 6); err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.CollectTelemetry("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) == 0 || again[0].Type == "truncated" || again[0].Seq != recs[len(recs)-1].Seq+1 {
+		t.Fatalf("the next collection read %+v, want the next delivery's records and no marker", again)
 	}
 }
 

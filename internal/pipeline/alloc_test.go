@@ -1,0 +1,92 @@
+package pipeline
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"dlsbl/internal/dlt"
+	"dlsbl/internal/protocol"
+)
+
+// raceEnabled reports whether the test binary was built with -race,
+// whose runtime skews allocation counts.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// warmInstallmentSession returns an m = 16 NCP-FE session whose bids and
+// keys are cached by one 4-installment load, and that load, so every
+// later RunLoad is a steady-state pipelined load.
+func warmInstallmentSession(tb testing.TB) (*protocol.BidSession, Load) {
+	tb.Helper()
+	w := make([]float64, 16)
+	for i := range w {
+		w[i] = 1 + float64(i%5)*0.25
+	}
+	s, err := protocol.NewBidSession(protocol.Config{Network: dlt.NCPFE, Z: 0.1, TrueW: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ld := Load{Job: protocol.JobConfig{Seed: 3}, Rounds: 4, Policy: dlt.EqualRounds}
+	runInstallmentLoad(tb, s, ld)
+	return s, ld
+}
+
+func runInstallmentLoad(tb testing.TB, s *protocol.BidSession, ld Load) {
+	tb.Helper()
+	out, err := RunLoad(s, ld)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !out.Completed || len(out.Installments) != ld.Rounds {
+		tb.Fatalf("load did not complete its %d installments", ld.Rounds)
+	}
+}
+
+// TestInstallmentLoadAllocs pins what a warm 4-installment m = 16 load
+// allocates at GOMAXPROCS 1, the inline crypto path: about 359 KiB. Each
+// installment prices its payments with the engine's allocation-free
+// installment rule, hashes its audit entries through the log's own
+// encoder into a reserved log, and encodes each signed payload into a
+// pooled buffer. Re-solving 2m+1 freshly allocated schedules per
+// installment, marshalling every audit entry into a fresh slice and
+// growing every payload from empty cost about 497 KiB, past the bound.
+func TestInstallmentLoadAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, ld := warmInstallmentSession(t)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runInstallmentLoad(t, s, ld)
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	const max = 400 << 10
+	if got > max {
+		t.Errorf("warm m=16 4-installment load: %d KiB allocated, want <= %d KiB", got>>10, max>>10)
+	}
+	t.Logf("warm m=16 4-installment load: %d KiB allocated", got>>10)
+}
+
+// BenchmarkInstallmentLoad times a warm 4-installment m = 16 load
+// through RunLoad, the pipelined-http workload's unit of work.
+func BenchmarkInstallmentLoad(b *testing.B) {
+	s, ld := warmInstallmentSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runInstallmentLoad(b, s, ld)
+	}
+}

@@ -461,8 +461,16 @@ func warmReuseSession(tb testing.TB) (*BidSession, JobConfig) {
 // reuse round allocates what its signed messages, ledger and outcome need
 // and nothing sized by the load (a per-round synthetic data set once cost
 // ~4.7k allocations here). AllocsPerRun measures at GOMAXPROCS 1, the
-// inline crypto path.
+// inline crypto path. The round takes about 739 allocations; marshalling
+// each audit entry into a fresh slice and hex-encoding its digest through
+// two more, regrowing the audit log and growing every signed payload from
+// empty took about 881. The race runtime drops pooled buffers at random,
+// which costs about 140 more.
 func TestReuseRoundAllocs(t *testing.T) {
+	max := 800.0
+	if raceEnabled() {
+		max = 1000
+	}
 	s, job := warmReuseSession(t)
 	n := testing.AllocsPerRun(20, func() {
 		out, err := s.Run(job)
@@ -473,8 +481,8 @@ func TestReuseRoundAllocs(t *testing.T) {
 			t.Fatal("round was not a completed reuse round")
 		}
 	})
-	if n > 1500 {
-		t.Errorf("warm m=16 reuse round: %v allocs, want <= 1500", n)
+	if n > max {
+		t.Errorf("warm m=16 reuse round: %v allocs, want <= %v", n, max)
 	}
 	t.Logf("warm m=16 reuse round: %v allocs", n)
 }

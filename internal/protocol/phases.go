@@ -977,18 +977,10 @@ func (r *run) phasePayments() error {
 			derived[j] = r.bids[j]
 		}
 	}
-	if r.instOf > 1 {
-		// Installment sub-round: the R-installment payment rule (balanced
-		// allocation, multi-round makespan terms). The zero-alloc engine
-		// hot path stays reserved for whole-load rounds, which are the
-		// only payment hot path.
-		mout, err := core.Mechanism{Network: r.cfg.Network, Z: r.cfg.Z}.
-			RunRounds(r.bids, derived, r.instOf, r.policy, core.WithVerification)
-		if err != nil {
-			return err
-		}
-		r.payOut = *mout
-	} else if err := r.engine.RunInto(r.bids, derived, core.WithVerification, &r.payOut); err != nil {
+	// An installment sub-round (instOf > 1) takes the R-installment payment
+	// rule (balanced allocation, multi-round makespan terms); a whole-load
+	// round takes the single-round rule.
+	if err := r.engine.RunRoundsInto(r.bids, derived, r.instOf, r.policy, core.WithVerification, &r.payOut); err != nil {
 		return err
 	}
 	out := &r.payOut

@@ -1,6 +1,7 @@
 package referee
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,10 +34,24 @@ type AuditEntry struct {
 	Hash     string   `json:"hash"` // SHA-256 over (seq, action, phase, round, guilty, detail, prev)
 }
 
-// AuditLog is the referee's append-only, hash-chained transcript.
+// AuditLog is the referee's append-only, hash-chained transcript. It is
+// not safe for concurrent use, Verify included: hashing reuses the log's
+// own scratch.
 type AuditLog struct {
 	entries []AuditEntry
+
+	// Hashing scratch: the entry being hashed is copied into scratch (so
+	// no caller's entry escapes into the encoder) and encoded through enc
+	// into buf.
+	scratch AuditEntry
+	buf     bytes.Buffer
+	enc     *json.Encoder
 }
+
+// auditReserve is the entry capacity a referee for m processors reserves
+// once: a round's m meter readings, its payments verdict and its bid
+// reuse and installment records, with room for one more verdict.
+func auditReserve(m int) int { return m + 4 }
 
 // genesisHash anchors the chain.
 const genesisHash = "dls-bl-ncp-audit-genesis"
@@ -66,21 +81,32 @@ func (l *AuditLog) AppendRound(round, action, phase string, guilty []string, det
 		Detail:   detail,
 		PrevHash: l.lastHash(),
 	}
-	e.Hash = hashEntry(e)
+	h := l.digest(&e)
+	e.Hash = string(h[:])
 	l.entries = append(l.entries, e)
 	return e
 }
 
-func hashEntry(e AuditEntry) string {
-	// The hash field itself is excluded from the digest.
-	e.Hash = ""
-	payload, err := json.Marshal(e)
-	if err != nil {
+// digest returns the hex SHA-256 of e with its Hash field excluded: the
+// digest of exactly the bytes json.Marshal produces for e with Hash
+// cleared. The encoder appends a newline that Marshal does not, and the
+// hash leaves it out.
+func (l *AuditLog) digest(e *AuditEntry) [2 * sha256.Size]byte {
+	if l.enc == nil {
+		l.enc = json.NewEncoder(&l.buf)
+	}
+	l.scratch = *e
+	l.scratch.Hash = ""
+	l.buf.Reset()
+	if err := l.enc.Encode(&l.scratch); err != nil {
 		// AuditEntry contains only marshalable fields; this cannot fire.
 		panic("referee: audit entry not marshalable: " + err.Error())
 	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
+	b := l.buf.Bytes()
+	sum := sha256.Sum256(b[:len(b)-1])
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return h
 }
 
 // Entries returns a copy of the transcript.
@@ -102,7 +128,7 @@ func (l *AuditLog) Verify() error {
 		if e.PrevHash != prev {
 			return fmt.Errorf("referee: audit entry %d breaks the chain", i)
 		}
-		if hashEntry(e) != e.Hash {
+		if h := l.digest(&l.entries[i]); string(h[:]) != e.Hash {
 			return fmt.Errorf("referee: audit entry %d content does not match its hash", i)
 		}
 		prev = e.Hash

@@ -109,6 +109,7 @@ func New(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism, pr
 		index:  idx,
 		fine:   fine,
 		meters: make(map[string]float64, len(procs)),
+		audit:  AuditLog{entries: make([]AuditEntry, 0, auditReserve(len(procs)))},
 		epochs: make([]string, len(procs)),
 	}, nil
 }

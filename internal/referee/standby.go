@@ -73,7 +73,7 @@ type AuditReplicaPayload struct {
 // stream is rejected the moment it arrives, not at promotion time.
 type Standby struct {
 	snap    *StandbySnapshot
-	entries []AuditEntry
+	log     AuditLog // the replicated transcript
 	meters  map[string]float64
 	evicted map[string]bool
 	inst    *InstBinding
@@ -104,7 +104,7 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 			return fmt.Errorf("referee: snapshot transcript: %w", err)
 		}
 		s.snap = p.Snapshot
-		s.entries = append([]AuditEntry(nil), p.Snapshot.Entries...)
+		s.log.entries = append([]AuditEntry(nil), p.Snapshot.Entries...)
 		for proc, phi := range p.Snapshot.Meters {
 			s.meters[proc] = phi
 		}
@@ -118,20 +118,16 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 	}
 	if p.Entry != nil {
 		e := *p.Entry
-		if e.Seq != len(s.entries) {
-			return fmt.Errorf("referee: replica entry sequence %d, want %d", e.Seq, len(s.entries))
+		if e.Seq != s.log.Len() {
+			return fmt.Errorf("referee: replica entry sequence %d, want %d", e.Seq, s.log.Len())
 		}
-		prev := genesisHash
-		if len(s.entries) > 0 {
-			prev = s.entries[len(s.entries)-1].Hash
-		}
-		if e.PrevHash != prev {
+		if e.PrevHash != s.log.lastHash() {
 			return fmt.Errorf("referee: replica entry %d breaks the chain", e.Seq)
 		}
-		if hashEntry(e) != e.Hash {
+		if h := s.log.digest(&e); string(h[:]) != e.Hash {
 			return fmt.Errorf("referee: replica entry %d content does not match its hash", e.Seq)
 		}
-		s.entries = append(s.entries, e)
+		s.log.entries = append(s.log.entries, e)
 	}
 	if p.Meter != nil {
 		s.meters[p.Meter.Proc] = p.Meter.Phi
@@ -147,7 +143,7 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 }
 
 // Entries returns a copy of the replicated transcript so far.
-func (s *Standby) Entries() []AuditEntry { return append([]AuditEntry(nil), s.entries...) }
+func (s *Standby) Entries() []AuditEntry { return s.log.Entries() }
 
 // Promote rebuilds a fully armed Referee from the replicated state. The
 // returned referee adopts the replicated transcript (chain continuity:
@@ -182,7 +178,7 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 	for proc, phi := range s.meters {
 		ref.meters[proc] = phi
 	}
-	ref.audit = AuditLog{entries: append([]AuditEntry(nil), s.entries...)}
+	ref.audit = AuditLog{entries: s.log.Entries()}
 	return ref, nil
 }
 

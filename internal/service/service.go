@@ -27,9 +27,9 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"runtime/debug"
@@ -97,6 +97,22 @@ type Server struct {
 	testHookInStep func(p *Pool, t *Task)
 }
 
+// discardHandler is the default logger's handler: Enabled reports false
+// at every level, so a log call returns before formatting its record.
+type discardHandler struct{}
+
+// Enabled reports false: no level is logged.
+func (discardHandler) Enabled(context.Context, slog.Level) bool { return false }
+
+// Handle drops the record; slog never calls it while Enabled is false.
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+
+// WithAttrs returns the handler itself: there is nothing to annotate.
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+
+// WithGroup returns the handler itself: there is nothing to annotate.
+func (h discardHandler) WithGroup(string) slog.Handler { return h }
+
 // New creates a server. Pools are added with CreatePool.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
@@ -106,7 +122,7 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 256
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		cfg.Logger = slog.New(discardHandler{})
 	}
 	return &Server{
 		workers:    cfg.Workers,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -897,5 +898,34 @@ func TestPanickedJobFailsAlone(t *testing.T) {
 	}
 	if n > baseline {
 		t.Errorf("%d goroutines remain, baseline %d", n, baseline)
+	}
+}
+
+// formatSpy is a log attribute value that records whether a handler
+// resolved it, which a handler does only when it formats the record.
+type formatSpy struct{ resolved *atomic.Bool }
+
+func (s formatSpy) LogValue() slog.Value {
+	s.resolved.Store(true)
+	return slog.StringValue("resolved")
+}
+
+// TestDefaultLoggerDisabled pins the logger a server gets with a nil
+// Config.Logger: disabled at every level, so the runner's and the HTTP
+// handler's log lines return before any record is built or formatted.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	ctx := context.Background()
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 4} {
+		if srv.log.Enabled(ctx, lvl) {
+			t.Errorf("default logger enabled at %v", lvl)
+		}
+	}
+	var resolved atomic.Bool
+	srv.log.Info("job finished", "spy", formatSpy{&resolved})
+	srv.log.With("pool", "hot").WithGroup("g").Error("round panicked", "spy", formatSpy{&resolved})
+	if resolved.Load() {
+		t.Error("the default logger formatted a record")
 	}
 }

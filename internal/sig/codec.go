@@ -34,9 +34,16 @@ type BinaryDecoder interface {
 
 // SealBinary encodes v with its deterministic binary codec and signs
 // it. Every payload type that has a binary codec is sealed this way:
-// its decoder accepts only the binary encoding (see Envelope.Open).
+// its decoder accepts only the binary encoding (see Envelope.Open). The
+// payload is encoded into a pooled buffer and copied out once, at its
+// exact size.
 func SealBinary(k *KeyPair, kind string, v BinaryAppender) (Envelope, error) {
-	return sealPayload(k, kind, v.AppendBinary(nil))
+	bp := sbPool.Get().(*[]byte)
+	enc := v.AppendBinary((*bp)[:0])
+	payload := append(make([]byte, 0, len(enc)), enc...)
+	*bp = enc[:0]
+	sbPool.Put(bp)
+	return sealPayload(k, kind, payload)
 }
 
 // decodePayload decodes a verified payload into v. A type with a binary
