@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service race-fanout vet doccheck examples net-smoke net-trace ci serve bench-smoke bench-cold bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service race-fanout vet fmt doccheck examples net-smoke net-trace ci serve bench-smoke bench-cold bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -44,6 +44,13 @@ race-fanout:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
 	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity|TestDrainSharesOnlyIdenticalCopies|TestDrainedRunsDoNotAlias|TestNetRoundAllocs' ./internal/protocol ./internal/netbus
 
+# Formatting gate: every tracked .go file, in the root module and in
+# bench/, must be gofmt-clean; the target lists any that are not and
+# fails.
+fmt:
+	@files=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "not gofmt-clean:"; echo "$$files"; exit 1; fi
+
 # Doc-comment lint over every package under internal/: every exported
 # top-level symbol must carry a doc comment.
 doccheck:
@@ -81,7 +88,7 @@ net-trace:
 	$(GO) test -run=TestNetTraceMultiProcess -v -count=1 ./internal/netbus/
 
 # The full gate a change must pass before merging: build, vet, the
-# doc-comment lint, the race-enabled test suite (which includes the
+# gofmt check, the doc-comment lint, the race-enabled test suite (which includes the
 # service load test and FIFO streaming, the protocol transport, the
 # hot-path parity and zero-alloc guards, the installment sub-rounds, the
 # virtual-time packing model's 1.3x target and the Byzantine adversary
@@ -91,7 +98,7 @@ net-trace:
 # up to service.MaxPoolSize, the multi-process loopback
 # smoke, and the distributed-telemetry trace smoke (merged 3-process
 # Chrome trace with payment parity intact).
-ci: build vet doccheck race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
+ci: build vet fmt doccheck race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;

@@ -193,16 +193,27 @@ type Agent struct {
 
 // New creates an agent, normalizing its behavior.
 func New(id string, key *sig.KeyPair, trueW float64, b Behavior) (*Agent, error) {
+	a := new(Agent)
+	if err := a.Init(id, key, trueW, b); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Init makes *a the agent New(id, key, trueW, b) returns, in place, so a
+// caller that plays many rounds can keep its agents in one slice.
+func (a *Agent) Init(id string, key *sig.KeyPair, trueW float64, b Behavior) error {
 	if id == "" {
-		return nil, errors.New("agent: empty id")
+		return errors.New("agent: empty id")
 	}
 	if key == nil || key.ID != id {
-		return nil, fmt.Errorf("agent: key identity mismatch for %q", id)
+		return fmt.Errorf("agent: key identity mismatch for %q", id)
 	}
 	if !(trueW > 0) || math.IsInf(trueW, 0) {
-		return nil, fmt.Errorf("agent: invalid true value %v for %q", trueW, id)
+		return fmt.Errorf("agent: invalid true value %v for %q", trueW, id)
 	}
-	return &Agent{ID: id, Key: key, TrueW: trueW, Behavior: b.Normalize()}, nil
+	*a = Agent{ID: id, Key: key, TrueW: trueW, Behavior: b.Normalize()}
+	return nil
 }
 
 // Bid returns the bid the agent reports: b = BidFactor·w.

@@ -117,6 +117,36 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 	}, nil
 }
 
+// Reset returns the bus to what NewFaulty(z, plan) returns, plan being
+// the one it was built with, with the same endpoints still attached: the
+// inboxes empty (keeping their capacity), no delayed deliveries or
+// unresponsive marks, zero stats, a nonce counter that numbers the next
+// message 1, a free data-plane port, a freshly seeded fault state and no
+// tracer. A long-lived owner (a BidSession) resets one bus for every
+// round it serves rather than building and attaching a new one.
+func (b *Bus) Reset(z float64) error {
+	if !(z >= 0) {
+		return fmt.Errorf("bus: invalid transfer time z=%v", z)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.z = z
+	for id, box := range b.inboxes {
+		clear(box)
+		b.inboxes[id] = box[:0]
+	}
+	clear(b.staged)
+	b.dead = nil
+	b.stats = Stats{}
+	b.nonce = 0
+	b.port = sim.NewResource("bus")
+	if b.faults != nil {
+		b.faults = newFaultState(b.faults.plan)
+	}
+	b.tracer = nil
+	return nil
+}
+
 // Attach registers an endpoint identity on the bus.
 func (b *Bus) Attach(id string) error {
 	if id == "" || id == BroadcastAddr {

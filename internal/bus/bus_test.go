@@ -326,3 +326,108 @@ func TestDetach(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFreshBus plays the same round on a freshly built bus
+// and on one that played another round first (traffic left in its
+// inboxes, delayed copies staged, an endpoint marked dead, the data plane
+// booked, a tracer installed) and was then Reset: the round's nonces
+// (from 1), inboxes, stats (from zero), delivery events and data-plane
+// reservation must match, and the earlier tracer must see nothing more.
+func TestResetMatchesFreshBus(t *testing.T) {
+	ids := []string{"P1", "P2", "P3", "referee"}
+	for _, plan := range []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}} {
+		round := func(b *Bus) ([]uint64, map[string][]Message, Stats, eventLog, [2]float64) {
+			var events eventLog
+			b.SetTracer(&events)
+			var nonces []uint64
+			for i, from := range ids[:3] {
+				n, err := b.BroadcastTagged(from, "bid", testEnv(t, from, int64(i+1), i), 1, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nonces = append(nonces, n)
+			}
+			n, err := b.SendTagged("P2", "referee", "claim", testEnv(t, "P2", 7, 7), 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonces = append(nonces, n)
+			start, end, err := b.ReserveTransferTo(0, 0.5, "P2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			inboxes := map[string][]Message{}
+			for _, id := range ids {
+				for drain := 0; drain < 2; drain++ {
+					msgs, err := b.Drain(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inboxes[id] = append(inboxes[id], msgs...)
+				}
+			}
+			return nonces, inboxes, b.Stats(), events, [2]float64{start, end}
+		}
+		fresh, err := NewFaulty(0.4, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := NewFaulty(0.1, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if err := fresh.Attach(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := reused.Attach(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var earlier eventLog
+		reused.SetTracer(&earlier)
+		for i := 0; i < 5; i++ {
+			if _, err := reused.BroadcastTagged("P3", "noise", testEnv(t, "P3", 9, i), 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := reused.Drain("P1"); err != nil {
+			t.Fatal(err)
+		}
+		reused.MarkUnresponsive("P2")
+		if _, _, err := reused.ReserveTransferTo(0, 3, "P1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Reset(0.4); err != nil {
+			t.Fatal(err)
+		}
+		seen := len(earlier)
+
+		fn, fi, fs, fe, fr := round(fresh)
+		rn, ri, rs, re, rr := round(reused)
+		if !reflect.DeepEqual(rn, fn) || rn[0] != 1 {
+			t.Errorf("plan %v: nonces %v after Reset, %v on a fresh bus", plan, rn, fn)
+		}
+		if !reflect.DeepEqual(ri, fi) {
+			t.Errorf("plan %v: inboxes differ from a fresh bus's", plan)
+		}
+		if rs != fs {
+			t.Errorf("plan %v: stats %+v after Reset, %+v on a fresh bus", plan, rs, fs)
+		}
+		if !reflect.DeepEqual(re, fe) {
+			t.Errorf("plan %v: delivery events differ from a fresh bus's", plan)
+		}
+		if rr != fr {
+			t.Errorf("plan %v: transfer booked at %v after Reset, %v on a fresh bus", plan, rr, fr)
+		}
+		if len(earlier) != seen {
+			t.Errorf("plan %v: the tracer installed before Reset saw %d more events", plan, len(earlier)-seen)
+		}
+		if got := reused.Endpoints(); !reflect.DeepEqual(got, fresh.Endpoints()) {
+			t.Errorf("plan %v: endpoints %v after Reset", plan, got)
+		}
+	}
+	if err := newBus(t, 1, "P1").Reset(-1); err == nil {
+		t.Error("Reset accepted a negative transfer time")
+	}
+}

@@ -94,7 +94,8 @@ func MultiRoundSchedule(in Instance, a Allocation, rounds int, policy RoundPolic
 		return Timeline{}, err
 	}
 	m := in.M()
-	tl := Timeline{Instance: in.Clone()}
+	// At most one transfer and one computation per processor and round.
+	tl := Timeline{Instance: in.Clone(), Spans: make([]Span, 0, 2*m*rounds)}
 	bus := 0.0
 	procFree := make([]float64, m)
 	for r := 0; r < rounds; r++ {

@@ -83,7 +83,9 @@ func Schedule(in Instance, a Allocation) (Timeline, error) {
 	if len(a) != m {
 		return Timeline{}, fmt.Errorf("dlt: allocation has %d entries, want %d", len(a), m)
 	}
-	tl := Timeline{Instance: in.Clone()}
+	// Every class issues at most one transfer and one computation per
+	// processor.
+	tl := Timeline{Instance: in.Clone(), Spans: make([]Span, 0, 2*m)}
 	bus := 0.0
 	addComm := func(p int, frac float64) float64 {
 		end := bus + in.Z*frac

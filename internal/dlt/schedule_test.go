@@ -216,3 +216,45 @@ func TestRoundFractionsGeometric(t *testing.T) {
 		t.Error("unknown policy accepted")
 	}
 }
+
+// TestScheduleSpansAllocateOnce pins the span list of Schedule and
+// MultiRoundSchedule to one allocation: both know their span count up
+// front (at most 2m, or 2·m·R), so the list never regrows through its
+// doublings. Every other allocation is the instance clone, and for the
+// multi-round schedule the round fractions and per-processor free times.
+func TestScheduleSpansAllocateOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const rounds = 8
+	for _, net := range []Network{CP, NCPFE, NCPNFE} {
+		in := DefaultRandomInstance(rng, net, 64)
+		a, err := Optimal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone := testing.AllocsPerRun(10, func() { _ = in.Clone() })
+		single := testing.AllocsPerRun(10, func() {
+			if _, err := Schedule(in, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if single != clone+1 {
+			t.Errorf("%v: Schedule makes %v allocations, want %v (clone + spans)", net, single, clone+1)
+		}
+		if net == NCPNFE {
+			continue // no installments without a front end
+		}
+		fracs := testing.AllocsPerRun(10, func() {
+			if _, err := RoundFractions(rounds, EqualRounds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		multi := testing.AllocsPerRun(10, func() {
+			if _, err := MultiRoundSchedule(in, a, rounds, EqualRounds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := clone + fracs + 2; multi != want {
+			t.Errorf("%v: MultiRoundSchedule makes %v allocations, want %v (clone + fractions + free times + spans)", net, multi, want)
+		}
+	}
+}

@@ -41,6 +41,20 @@ func NewLedger(accounts ...string) (*Ledger, error) {
 	return l, nil
 }
 
+// Reset returns every open account to a zero balance and forgets the
+// history, keeping the accounts and the history's capacity: a long-lived
+// owner (a BidSession) resets one ledger for every round it serves.
+// History copies are the caller's and stay as they were.
+func (l *Ledger) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for a := range l.balances {
+		l.balances[a] = 0
+	}
+	clear(l.history)
+	l.history = l.history[:0]
+}
+
 // Open adds an account at zero balance.
 func (l *Ledger) Open(account string) error {
 	if account == "" {

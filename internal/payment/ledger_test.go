@@ -3,6 +3,7 @@ package payment
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +151,56 @@ func TestQuickConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLedgerReset: a reset ledger keeps its accounts at zero balance with
+// no history, replays a round exactly as a new ledger does, and leaves
+// history copies taken before it as they were.
+func TestLedgerReset(t *testing.T) {
+	accounts := []string{"user", "referee", "P1", "P2"}
+	round := func(l *Ledger) {
+		t.Helper()
+		for _, tr := range []Entry{{"user", "P1", 1.5, "pay"}, {"P2", "referee", 4, "fine"}, {"referee", "P1", 2, "share"}} {
+			if err := l.Transfer(tr.From, tr.To, tr.Amount, tr.Memo); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reused, err := NewLedger(accounts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round(reused)
+	round(reused)
+	before := reused.History()
+	kept := append([]Entry(nil), before...)
+	reused.Reset()
+	if h := reused.History(); len(h) != 0 {
+		t.Fatalf("history after Reset: %v", h)
+	}
+	for _, a := range accounts {
+		if b, err := reused.Balance(a); err != nil || b != 0 {
+			t.Fatalf("%s: balance %v, %v after Reset", a, b, err)
+		}
+	}
+	fresh, err := NewLedger(accounts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round(reused)
+	round(fresh)
+	if !reflect.DeepEqual(reused.History(), fresh.History()) || !reflect.DeepEqual(reused.Accounts(), fresh.Accounts()) {
+		t.Error("a reset ledger's round differs from a new ledger's")
+	}
+	for _, a := range accounts {
+		rb, _ := reused.Balance(a)
+		fb, _ := fresh.Balance(a)
+		if rb != fb {
+			t.Errorf("%s: balance %v after Reset, %v on a new ledger", a, rb, fb)
+		}
+	}
+	if !reflect.DeepEqual(before, kept) {
+		t.Error("Reset changed a history copy taken before it")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
@@ -182,8 +183,9 @@ func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 // broadcasts a fresh bid signed in this round (its new epoch), a joining
 // newcomer receives the incumbents' envelopes, a leaving member's bid is
 // dropped. Either way every kept envelope is re-verified against this
-// round's fresh PKI registry — the cache is trusted for liveness, never
-// for authenticity — and the referee is seated bound to each participant's
+// round's PKI registry, which holds exactly this round's participants
+// (see roundState) — the cache is trusted for liveness, never for
+// authenticity — and the referee is seated bound to each participant's
 // epoch. It returns the cache later rounds serve from: c itself after a
 // reuse round, the spliced cache after a splice.
 func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
@@ -372,12 +374,13 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 	r.bidEnvs = make([]sig.Envelope, r.m)
 	r.epochs = make([]string, r.m)
 	k := 0
+	// Decoding writes every field, into the previous bid's strings.
+	var bp referee.BidPayload
 	for i, s := range src {
 		if s < 0 {
 			continue
 		}
 		env := &c.bidEnvs[s]
-		var bp referee.BidPayload
 		err := errs[k]
 		if err == nil {
 			err = verified[k].Open(&bp)
@@ -509,6 +512,17 @@ type BidSession struct {
 
 	cache        *bidCache
 	cacheProfile []bidProfile
+	// behaviors and prof are the buffers roundConfig and profileFor fill
+	// for the round in progress; cacheProfile is always a copy of prof.
+	behaviors []agent.Behavior
+	prof      []bidProfile
+	// state is the round state every round this session serves is set up
+	// over (see roundState); nil until the first round, and after
+	// DropCache. freshState, set only by tests, drops it before every
+	// round, so a test can replay a history against rounds that build
+	// everything afresh.
+	state      *roundState
+	freshState bool
 
 	rounds     int
 	rebids     int
@@ -521,8 +535,9 @@ type BidSession struct {
 // initial member rates, fine policy and keyring. cfg.Behaviors, Seed,
 // NBlocks, Faults and Retry are per-job (JobConfig) and must be
 // zero here, as must Standby and FailoverIn: referee failover runs only
-// through a one-shot Run. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
-// reuse round's fresh PKI registry verify envelopes signed rounds ago.
+// through a one-shot Run. A nil cfg.Keys gets a fresh keyring — the
+// ring is what lets the registry a round builds for a new participant set
+// verify envelopes signed rounds ago.
 func NewBidSession(cfg Config) (*BidSession, error) {
 	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.FailoverIn != "" || cfg.Standby {
 		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, Faults, Retry, Tracer) belong in JobConfig and referee failover (Standby, FailoverIn) in a one-shot Run, not the session Config")
@@ -620,7 +635,8 @@ func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dl
 func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
 	round := rr.String()
 	cfg := s.roundConfig(job)
-	prof := profileFor(cfg)
+	s.prof = profileFor(cfg, s.prof)
+	prof := s.prof
 	rb := roundBinding{round: round, frac: frac}
 	if instOf > 1 {
 		rb.inst, rb.instOf, rb.policy = inst, instOf, policy
@@ -628,7 +644,7 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 
 	if sp, ok := s.cachedDelta(prof); ok {
 		rb.epoch = s.cache.epoch
-		out, next, err := executeRound(cfg, rb, s.cache, sp)
+		out, next, err := executeRound(cfg, rb, s.cache, sp, s.roundState())
 		if err == nil {
 			if sp == nil {
 				s.cache.served++
@@ -640,14 +656,14 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 				s.splices++
 				s.sinceRebid = 0
 				s.cache = next
-				s.cacheProfile = prof
+				s.cacheProfile = append(s.cacheProfile[:0], prof...)
 			}
 			return out, nil
 		}
 	}
 
 	rb.epoch = round
-	out, cache, err := executeRound(cfg, rb, nil, nil)
+	out, cache, err := executeRound(cfg, rb, nil, nil, s.roundState())
 	if err != nil {
 		return nil, err
 	}
@@ -674,9 +690,17 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 		// accusation) yields no cache; the previous cache — if its member
 		// set still matches a future profile — remains serviceable.
 		s.cache = cache
-		s.cacheProfile = prof
+		s.cacheProfile = append(s.cacheProfile[:0], prof...)
 	}
 	return out, nil
+}
+
+// roundState returns the round state the next round is set up over.
+func (s *BidSession) roundState() *roundState {
+	if s.state == nil || s.freshState {
+		s.state = &roundState{}
+	}
+	return s.state
 }
 
 // cachedDelta reports whether this round's profile can be served from the
@@ -696,11 +720,14 @@ func (s *BidSession) cachedDelta(prof []bidProfile) (*spliceOp, bool) {
 
 // roundConfig assembles the per-round protocol Config: session state plus
 // the job's load-specific fields, with departed members forced to Abstain.
+// The Config shares the session's rates and its behavior buffer, so it is
+// valid for one round: nothing changes either while a round runs, and a
+// round keeps neither.
 func (s *BidSession) roundConfig(job JobConfig) Config {
 	cfg := Config{
 		Network: s.base.Network,
 		Z:       s.base.Z,
-		TrueW:   append([]float64(nil), s.trueW...),
+		TrueW:   s.trueW,
 		Fine:    s.base.Fine,
 		NBlocks: job.NBlocks,
 		Seed:    job.Seed,
@@ -710,8 +737,9 @@ func (s *BidSession) roundConfig(job JobConfig) Config {
 		Tracer:  job.Tracer,
 		Memo:    s.base.Memo,
 	}
-	behaviors := make([]agent.Behavior, len(s.trueW))
+	behaviors := slices.Grow(s.behaviors[:0], len(s.trueW))[:len(s.trueW)]
 	for i := range behaviors {
+		behaviors[i] = agent.Behavior{}
 		if i < len(job.Behaviors) {
 			behaviors[i] = job.Behaviors[i]
 		}
@@ -719,15 +747,16 @@ func (s *BidSession) roundConfig(job JobConfig) Config {
 			behaviors[i] = agent.Behavior{Name: "departed", Abstain: true}
 		}
 	}
+	s.behaviors = behaviors
 	cfg.Behaviors = behaviors
 	return cfg
 }
 
-// profileFor derives the bid profile a Config would produce, mirroring
-// agent.Bid/SecondBid exactly (same expressions, so float equality is
-// sound).
-func profileFor(cfg Config) []bidProfile {
-	prof := make([]bidProfile, len(cfg.TrueW))
+// profileFor derives the bid profile a Config would produce, in buf's
+// storage, mirroring agent.Bid/SecondBid exactly (same expressions, so
+// float equality is sound).
+func profileFor(cfg Config, buf []bidProfile) []bidProfile {
+	prof := append(buf[:0], make([]bidProfile, len(cfg.TrueW))...)
 	for i, w := range cfg.TrueW {
 		var b agent.Behavior
 		if i < len(cfg.Behaviors) {
@@ -798,12 +827,16 @@ func (s *BidSession) Leave(i int) error {
 }
 
 // DropCache discards the cached bid set and the profile it was filed
-// under, so the next round runs a full bid exchange. Members, round
-// numbering and counters stay: the session salt is deterministic, so a
-// session founded afresh would repeat round IDs this one has already
-// signed under.
+// under, so the next round runs a full bid exchange, and releases the
+// round state, so the next round builds its names, keys, registry, bus
+// and referee afresh: after a round stopped at an arbitrary point (a
+// panic the service recovered), nothing it touched is reused. Members,
+// round numbering and counters stay: the session salt is deterministic,
+// so a session founded afresh would repeat round IDs this one has
+// already signed under.
 func (s *BidSession) DropCache() {
 	s.cache, s.cacheProfile = nil, nil
+	s.state = nil
 }
 
 // SetZ sets the per-unit bus communication time for the loads that

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 
 	"dlsbl/internal/dlt"
@@ -19,6 +20,9 @@ import (
 //     round that captured the cache. In particular, announcing a rate a
 //     member already has, or changing a rate and reverting it before the
 //     next round, must NOT trigger a rebid.
+//  3. Nothing carries over between rounds: a twin session fed the same
+//     operations but dropping its round state before every round yields
+//     reflect.DeepEqual outcomes and the same errors.
 //
 // The input is a byte stream of (op, arg) pairs: op%4 selects
 // run/join/leave/announce, arg parameterizes it. The model never looks at
@@ -38,6 +42,11 @@ func FuzzBidSessionMembership(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		twin, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.1, TrueW: []float64{2, 3, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.freshState = true
 		// The model.
 		rates := []float64{2, 3, 4}
 		gone := []bool{false, false, false}
@@ -65,6 +74,13 @@ func FuzzBidSessionMembership(f *testing.F) {
 				out, err := s.Run(JobConfig{Seed: 42, NBlocks: 4 * len(rates)})
 				if err != nil {
 					t.Fatalf("step %d: %v", steps, err)
+				}
+				fresh, err := twin.Run(JobConfig{Seed: 42, NBlocks: 4 * len(rates)})
+				if err != nil {
+					t.Fatalf("step %d: the twin without round state: %v", steps, err)
+				}
+				if !reflect.DeepEqual(out, fresh) {
+					t.Fatalf("step %d: the outcome differs from the twin's, whose round state is built afresh", steps)
 				}
 				if !out.Completed {
 					t.Fatalf("step %d: honest round did not complete", steps)
@@ -103,6 +119,9 @@ func FuzzBidSessionMembership(f *testing.F) {
 				if err != nil || idx != len(rates) {
 					t.Fatalf("step %d: Join(%v) = (%d, %v)", steps, w, idx, err)
 				}
+				if _, err := twin.Join(w); err != nil {
+					t.Fatalf("step %d: the twin's Join(%v): %v", steps, w, err)
+				}
 				rates = append(rates, w)
 				gone = append(gone, false)
 
@@ -112,6 +131,9 @@ func FuzzBidSessionMembership(f *testing.F) {
 				err := s.Leave(i)
 				if legal != (err == nil) {
 					t.Fatalf("step %d: Leave(%d) err=%v, model says legal=%v", steps, i, err, legal)
+				}
+				if twinErr := twin.Leave(i); (twinErr == nil) != (err == nil) {
+					t.Fatalf("step %d: Leave(%d) err=%v, the twin's %v", steps, i, err, twinErr)
 				}
 				if legal {
 					gone[i] = true
@@ -123,6 +145,9 @@ func FuzzBidSessionMembership(f *testing.F) {
 				err := s.AnnounceRate(i, w)
 				if gone[i] != (err != nil) {
 					t.Fatalf("step %d: AnnounceRate(%d, %v) err=%v, gone=%v", steps, i, w, err, gone[i])
+				}
+				if twinErr := twin.AnnounceRate(i, w); (twinErr == nil) != (err == nil) {
+					t.Fatalf("step %d: AnnounceRate(%d, %v) err=%v, the twin's %v", steps, i, w, err, twinErr)
 				}
 				if !gone[i] {
 					rates[i] = w

@@ -117,7 +117,7 @@ func TestParallelKeygenMatchesSerialSeeds(t *testing.T) {
 	}
 	check := func(t *testing.T, cfg Config, ids []string) {
 		t.Helper()
-		r, err := setup(cfg)
+		r, err := setup(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestParallelKeygenMatchesSerialSeeds(t *testing.T) {
 		// rest drawn from their own slots and deposited.
 		full := sig.NewKeyring()
 		warmCfg := Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 31, Keys: full}
-		if _, err := setup(warmCfg); err != nil {
+		if _, err := setup(warmCfg, nil); err != nil {
 			t.Fatal(err)
 		}
 		partial := sig.NewKeyring()

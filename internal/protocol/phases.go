@@ -980,10 +980,10 @@ func (r *run) phasePayments() error {
 	// An installment sub-round (instOf > 1) takes the R-installment payment
 	// rule (balanced allocation, multi-round makespan terms); a whole-load
 	// round takes the single-round rule.
-	if err := r.engine.RunRoundsInto(r.bids, derived, r.instOf, r.policy, core.WithVerification, &r.payOut); err != nil {
+	if err := r.engine.RunRoundsInto(r.bids, derived, r.instOf, r.policy, core.WithVerification, r.payOut); err != nil {
 		return err
 	}
-	out := &r.payOut
+	out := r.payOut
 	if err := r.ref.CheckFineSufficient(out.Compensation); err != nil {
 		// The configured fine violates F ≥ Σ α_j·w̃_j; surface it rather
 		// than continue with a toothless deterrent.
@@ -1008,25 +1008,31 @@ func (r *run) phasePayments() error {
 	if err != nil {
 		return err
 	}
-	subs := make(map[string][]sig.Envelope, r.m)
+	// Each processor's submissions are its run of envs, in signing order.
+	if r.st.subs == nil {
+		r.st.subs = make(map[string][]sig.Envelope, r.m)
+	}
+	subs := r.st.subs
+	clear(subs)
 	for _, a := range r.agents {
-		env := envs[0]
-		envs = envs[1:]
-		if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env, r.m); err != nil {
+		n := 1
+		if a.Behavior.EquivocatePayments {
+			n = 2
+		}
+		mine := envs[:n:n]
+		envs = envs[n:]
+		if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, mine[0], r.m); err != nil {
 			return err
 		}
 		// A sealed payment vector the referee can verify is signed
 		// evidence — the sentinel requires some before any conviction.
 		r.evidence(a.ID, referee.KindPayment)
-		subs[a.ID] = []sig.Envelope{env}
-		if a.Behavior.EquivocatePayments {
-			env2 := envs[0]
-			envs = envs[1:]
-			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env2, r.m); err != nil {
+		for _, env := range mine[1:] {
+			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env, r.m); err != nil {
 				return err
 			}
-			subs[a.ID] = append(subs[a.ID], env2)
 		}
+		subs[a.ID] = mine
 	}
 
 	v, q, err := r.ref.JudgePayments(r.bids, derived, subs)

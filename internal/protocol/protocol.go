@@ -310,11 +310,14 @@ type run struct {
 	failedOver bool
 	mech       core.Mechanism
 	// engine is the O(m) payment engine behind the Computing Payments
-	// phase; payOut is its reused scratch Outcome, so repeated protocol
-	// rounds do not allocate per-run payment state.
+	// phase and payOut its scratch Outcome. Both belong to the round
+	// state, so a BidSession's rounds reuse their buffers rather than
+	// allocating payment state per round.
 	engine  *core.PaymentEngine
-	payOut  core.Outcome
+	payOut  *core.Outcome
 	outcome *Outcome
+	// st is the round state the run was set up over (see roundState).
+	st      *roundState
 	bidEnvs []sig.Envelope // agreed signed bid of each processor, index order
 	bids    []float64
 	alloc   dlt.Allocation
@@ -380,7 +383,7 @@ type roundBinding struct {
 
 // Run executes the protocol standalone: five full phases, no session.
 func Run(cfg Config) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{frac: 1}, nil, nil)
+	out, _, err := executeRound(cfg, roundBinding{frac: 1}, nil, nil, nil)
 	return out, err
 }
 
@@ -394,19 +397,20 @@ func Run(cfg Config) (*Outcome, error) {
 // payments), but their transcripts differ, so it must match across runs
 // whose transcripts are compared for parity.
 func RunRound(cfg Config, round string) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{round: round, frac: 1}, nil, nil)
+	out, _, err := executeRound(cfg, roundBinding{round: round, frac: 1}, nil, nil, nil)
 	return out, err
 }
 
-// executeRound executes one protocol round. With a nil cache it runs the
+// executeRound executes one protocol round over the round state st (nil
+// for a one-shot run, which builds its own). With a nil cache it runs the
 // full five phases and, when Bidding completes cleanly, captures the
 // verified bid set into a fresh bidCache for reuse. With a non-nil cache
 // it skips the Θ(m²) bid exchange entirely (cachedBidding): the cached,
-// already-verified signed bids are re-checked against this round's fresh
-// PKI registry (an O(m) pass) and the remaining phases run against them.
+// already-verified signed bids are re-checked against this round's PKI
+// registry (an O(m) pass) and the remaining phases run against them.
 // A non-nil splice additionally has one changed member bid afresh; the
 // returned cache is then the spliced one.
-func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp) (*Outcome, *bidCache, error) {
+func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp, st *roundState) (*Outcome, *bidCache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -425,7 +429,7 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		}
 	}
 	begin(obs.PhaseInit)
-	r, err := setup(cfg)
+	r, err := setup(cfg, st)
 	end(obs.PhaseInit)
 	if err != nil {
 		return nil, nil, err
@@ -500,7 +504,13 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 	return finish(nil)
 }
 
-func setup(cfg Config) (*run, error) {
+// setup builds the run for cfg over st, the round state a BidSession
+// keeps between its rounds; a nil st gives the run a state of its own.
+// The participants' names, keys, registry, ledger, payment engine and
+// referee come from st, and so do the reliable bus and its transport
+// unless cfg carries a fault plan (the job's own bus), an external medium
+// or a standby referee (a one-shot run's own bus).
+func setup(cfg Config, st *roundState) (*run, error) {
 	fullM := len(cfg.TrueW)
 	behaviorOf := func(i int) agent.Behavior {
 		if i < len(cfg.Behaviors) {
@@ -523,57 +533,56 @@ func setup(cfg Config) (*run, error) {
 	if behaviorOf(loadHolder).Abstain {
 		return nil, fmt.Errorf("protocol: the load-originating processor P%d cannot abstain", loadHolder+1)
 	}
+	if st == nil {
+		st = &roundState{}
+	}
+	// Identities, keys, PKI, ledger. Participants keep their configured
+	// names.
+	if err := st.prepare(cfg, part); err != nil {
+		return nil, err
+	}
 	m := len(part)
 	r := &run{
-		cfg:     cfg,
-		fullM:   fullM,
-		part:    part,
-		m:       m,
-		reg:     sig.NewRegistry(),
-		mech:    core.Mechanism{Network: cfg.Network, Z: cfg.Z},
-		engine:  core.NewPaymentEngine(cfg.Network, cfg.Z),
-		outcome: &Outcome{},
-		origIdx: cfg.Network.Originator(m),
-		nBlocks: cfg.NBlocks,
-		refAddr: referee.Account,
+		cfg:         cfg,
+		fullM:       fullM,
+		part:        part,
+		initialPart: st.part,
+		m:           m,
+		procs:       append([]string(nil), st.procs...),
+		reg:         st.reg,
+		ledger:      st.ledger,
+		mech:        core.Mechanism{Network: cfg.Network, Z: cfg.Z},
+		engine:      st.engine,
+		payOut:      &st.payOut,
+		st:          st,
+		outcome:     &Outcome{},
+		origIdx:     cfg.Network.Originator(m),
+		nBlocks:     cfg.NBlocks,
+		refAddr:     referee.Account,
+		refKey:      st.keys[0],
 	}
 	if r.nBlocks == 0 {
 		r.nBlocks = 64 * m
 	}
-
-	// Identities, keys, PKI. Participants keep their configured names.
-	for _, orig := range part {
-		r.procs = append(r.procs, fmt.Sprintf("P%d", orig+1))
+	if cap(st.agents) < m {
+		st.agents = make([]agent.Agent, m)
 	}
-	ids := append([]string{referee.Account}, r.procs...)
-	// The standby comes LAST so that every earlier identity's
-	// deterministic key — and therefore every signed artifact and payment
-	// of the run — is bit-identical to a non-standby run's with the same
-	// Seed.
-	if cfg.Standby {
-		ids = append(ids, referee.StandbyAccount)
-	}
-	keys, err := r.loadKeys(ids)
-	if err != nil {
-		return nil, err
-	}
-	r.refKey = keys[0]
+	st.agents = st.agents[:m]
+	r.agents = make([]*agent.Agent, m)
 	for i, id := range r.procs {
 		orig := part[i]
-		a, err := agent.New(id, keys[1+i], cfg.TrueW[orig], behaviorOf(orig))
-		if err != nil {
+		a := &st.agents[i]
+		if err := a.Init(id, st.keys[1+i], cfg.TrueW[orig], behaviorOf(orig)); err != nil {
 			return nil, err
 		}
-		r.agents = append(r.agents, a)
+		r.agents[i] = a
 	}
 	if cfg.Standby {
-		r.standbyKey = keys[len(keys)-1]
+		r.standbyKey = st.keys[len(st.keys)-1]
 		r.standby = referee.NewStandby()
 	}
 
-	r.initialPart = append([]int(nil), part...)
-
-	// Bus (reliable or fault-injected), transport, ledger.
+	// Bus (reliable or fault-injected) and transport.
 	// A typo'd Unresponsive name would otherwise be silently inert.
 	if cfg.Faults != nil {
 		known := make(map[string]bool, len(r.procs))
@@ -591,23 +600,27 @@ func setup(cfg Config) (*run, error) {
 			}
 		}
 	}
-	if cfg.Medium != nil {
-		r.net = cfg.Medium
-	} else if r.net, err = bus.NewFaulty(cfg.Z, cfg.Faults); err != nil {
-		return nil, err
-	}
 	// One batch verifier per run (it is not concurrency-safe). A caller's
 	// memo outlives the run — that is what makes reuse rounds'
 	// verifications collapse into memo hits; a nil one becomes a fresh
 	// memo for this run alone.
 	r.ver = sig.NewBatchVerifier(r.reg, cfg.Memo)
+	var err error
+	if cfg.Medium == nil && cfg.Faults == nil && !cfg.Standby {
+		if r.net, r.xp, err = st.reliable(cfg.Z, r.ver, cfg.Retry); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	if cfg.Medium != nil {
+		r.net = cfg.Medium
+	} else if r.net, err = bus.NewFaulty(cfg.Z, cfg.Faults); err != nil {
+		return nil, err
+	}
 	if r.xp, err = newTransport(r.net, r.ver, cfg.Retry); err != nil {
 		return nil, err
 	}
-	endpoints := append(append([]string(nil), r.procs...), referee.Account)
-	if cfg.Standby {
-		endpoints = append(endpoints, referee.StandbyAccount)
-	}
+	endpoints := st.endpoints(cfg.Standby)
 	for k, id := range endpoints {
 		if err := r.net.Attach(id); err != nil {
 			r.attached = endpoints[:k]
@@ -616,18 +629,14 @@ func setup(cfg Config) (*run, error) {
 		}
 	}
 	r.attached = endpoints
-	accounts := append([]string{UserID, referee.Account}, r.procs...)
-	if r.ledger, err = payment.NewLedger(accounts...); err != nil {
-		r.release()
-		return nil, err
-	}
 	return r, nil
 }
 
-// release detaches the endpoints the run attached, so a long-lived
-// medium (cfg.Medium) stops broadcasting to them and holds nothing for
-// them once the run is over. The outcome has already read the medium's
-// stats.
+// release detaches the endpoints the run attached to a medium or to a
+// bus of its own, so a long-lived medium (cfg.Medium) stops broadcasting
+// to them and holds nothing for them once the run is over. The outcome
+// has already read the medium's stats. The round state's bus keeps its
+// endpoints for the next round.
 func (r *run) release() {
 	for _, id := range r.attached {
 		r.net.Detach(id)
@@ -636,26 +645,25 @@ func (r *run) release() {
 }
 
 // loadKeys resolves the key pair of every identity, in ids order, and
-// registers each with the run's PKI. ids[k] owns the key-seed slot
-// Seed+2+k. Slot Seed+1 is the user's: the user signs nothing in a round
-// and draws no key, and skipping its slot keeps every other identity's
-// key fixed. A slot is taken whether or not the configured ring already
-// holds the pair, so a partially warm ring yields the keys a cold run
-// would. Pairs the ring lacks are generated in parallel and deposited
-// back.
-func (r *run) loadKeys(ids []string) ([]*sig.KeyPair, error) {
+// registers each with reg. ids[k] owns the key-seed slot Seed+2+k. Slot
+// Seed+1 is the user's: the user signs nothing in a round and draws no
+// key, and skipping its slot keeps every other identity's key fixed. A
+// slot is taken whether or not the configured ring already holds the
+// pair, so a partially warm ring yields the keys a cold run would. Pairs
+// the ring lacks are generated in parallel and deposited back.
+func loadKeys(cfg Config, reg *sig.Registry, ids []string) ([]*sig.KeyPair, error) {
 	keys := make([]*sig.KeyPair, len(ids))
 	generated := make([]bool, len(ids))
 	var genIDs []string
 	var genSeeds []int64
 	for k, id := range ids {
-		if kp, ok := r.cfg.Keys.Get(id); ok {
+		if kp, ok := cfg.Keys.Get(id); ok {
 			keys[k] = kp
 			continue
 		}
 		generated[k] = true
 		genIDs = append(genIDs, id)
-		genSeeds = append(genSeeds, r.cfg.Seed+2+int64(k))
+		genSeeds = append(genSeeds, cfg.Seed+2+int64(k))
 	}
 	fresh, err := sig.GenerateKeyPairs(genIDs, genSeeds)
 	if err != nil {
@@ -665,11 +673,11 @@ func (r *run) loadKeys(ids []string) ([]*sig.KeyPair, error) {
 		if generated[k] {
 			keys[k], fresh = fresh[0], fresh[1:]
 		}
-		if err := r.reg.Register(ids[k], keys[k].Public); err != nil {
+		if err := reg.Register(ids[k], keys[k].Public); err != nil {
 			return nil, err
 		}
-		if generated[k] && r.cfg.Keys != nil {
-			if err := r.cfg.Keys.Put(keys[k]); err != nil {
+		if generated[k] && cfg.Keys != nil {
+			if err := cfg.Keys.Put(keys[k]); err != nil {
 				return nil, err
 			}
 		}
@@ -690,27 +698,40 @@ func (r *run) finish(err error) (*Outcome, error) {
 	o.BusStats = r.net.Stats()
 	o.Fault = r.xp.stats
 	if r.ref != nil {
+		// The referee is done with this run: its log becomes the
+		// outcome's without a copy.
 		o.FineMagnitude = r.ref.Fine()
-		o.Transcript = r.ref.Transcript()
+		o.Transcript = r.ref.TakeTranscript()
 	}
 
-	fines := make([]float64, r.m)
-	rewards := make([]float64, r.m)
-	utilities := make([]float64, r.m)
-	workCost := o.WorkCost
-	if workCost == nil {
-		workCost = make([]float64, r.m)
+	// Every per-processor series is built in config space: participant i
+	// writes config slot r.part[i], and abstainers keep zero entries.
+	full := func() []float64 { return make([]float64, r.fullM) }
+	expand := func(sub []float64) []float64 {
+		if sub == nil {
+			return nil
+		}
+		out := full()
+		for i, orig := range r.part {
+			out[orig] = sub[i]
+		}
+		return out
 	}
-	index := make(map[string]int, r.m)
+	fines, rewards, utilities := full(), full(), full()
+	if r.st.index == nil {
+		r.st.index = make(map[string]int, r.m)
+	}
+	index := r.st.index
+	clear(index)
 	for i, p := range r.procs {
 		index[p] = i
 	}
 	for _, e := range r.ledger.History() {
 		if i, ok := index[e.From]; ok && e.To == referee.Account {
-			fines[i] += e.Amount
+			fines[r.part[i]] += e.Amount
 		}
 		if i, ok := index[e.To]; ok && e.From == referee.Account {
-			rewards[i] += e.Amount
+			rewards[r.part[i]] += e.Amount
 		}
 	}
 	for i, p := range r.procs {
@@ -718,7 +739,11 @@ func (r *run) finish(err error) (*Outcome, error) {
 		if berr != nil {
 			return nil, berr
 		}
-		utilities[i] = bal - workCost[i]
+		work := 0.0
+		if o.WorkCost != nil {
+			work = o.WorkCost[i]
+		}
+		utilities[r.part[i]] = bal - work
 	}
 	userBal, berr := r.ledger.Balance(UserID)
 	if berr != nil {
@@ -726,21 +751,10 @@ func (r *run) finish(err error) (*Outcome, error) {
 	}
 	o.UserCost = -userBal
 
-	// Expansion to config space.
 	o.Procs = make([]string, r.fullM)
 	o.Participated = make([]bool, r.fullM)
 	for i := range o.Procs {
 		o.Procs[i] = fmt.Sprintf("P%d", i+1)
-	}
-	expand := func(sub []float64) []float64 {
-		if sub == nil {
-			return nil
-		}
-		full := make([]float64, r.fullM)
-		for i, orig := range r.part {
-			full[orig] = sub[i]
-		}
-		return full
 	}
 	o.Evicted = make([]bool, r.fullM)
 	for _, orig := range r.initialPart {
@@ -749,21 +763,25 @@ func (r *run) finish(err error) (*Outcome, error) {
 	for _, orig := range r.evictedCfg {
 		o.Evicted[orig] = true
 	}
+	workCost := expand(o.WorkCost)
+	if workCost == nil {
+		workCost = full()
+	}
 	o.Bids = expand(r.bids)
 	o.Alloc = dlt.Allocation(expand(r.alloc))
 	o.Exec = expand(o.Exec)
 	o.Phi = expand(o.Phi)
 	o.Payments = expand(o.Payments)
-	o.Fines = expand(fines)
-	o.Rewards = expand(rewards)
-	o.Utilities = expand(utilities)
-	o.WorkCost = expand(workCost)
+	o.Fines = fines
+	o.Rewards = rewards
+	o.Utilities = utilities
+	o.WorkCost = workCost
 	if r.assigns != nil {
-		full := make([]workload.Assignment, r.fullM)
+		asg := make([]workload.Assignment, r.fullM)
 		for i, orig := range r.part {
-			full[orig] = r.assigns[i]
+			asg[orig] = r.assigns[i]
 		}
-		o.Assignments = full
+		o.Assignments = asg
 	}
 	return o, nil
 }
@@ -854,10 +872,13 @@ func (r *run) seatReferee() error {
 	if fine == 0 {
 		fine = referee.SuggestedFine(r.bids, 4)
 	}
-	var err error
-	if r.ref, err = referee.New(r.ver, r.ledger, r.mech, r.procs, fine); err != nil {
+	if r.st.ref == nil {
+		r.st.ref = new(referee.Referee)
+	}
+	if err := r.st.ref.Reseat(r.ver, r.ledger, r.mech, r.procs, fine); err != nil {
 		return err
 	}
+	r.ref = r.st.ref
 	if err := r.ref.BindRounds(r.roundID, r.epochs); err != nil {
 		return err
 	}

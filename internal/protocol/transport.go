@@ -159,6 +159,8 @@ type transport struct {
 	// never entered.
 	index map[nonceKey]int
 	first []sig.Verified
+	// missing is broadcastReliable's per-receiver scratch.
+	missing []bool
 }
 
 // event emits one transport event when tracing is on.
@@ -169,16 +171,35 @@ func (t *transport) event(e obs.Event) {
 }
 
 func newTransport(net bus.Medium, ver *sig.BatchVerifier, policy RetryPolicy) (*transport, error) {
-	if err := policy.validate(); err != nil {
+	t := &transport{net: net, rx: make(map[string]*rxBuf), index: make(map[nonceKey]int)}
+	if err := t.reset(ver, policy); err != nil {
 		return nil, err
 	}
-	return &transport{
-		net:    net,
-		ver:    ver,
-		policy: policy.withDefaults(),
-		rx:     make(map[string]*rxBuf),
-		index:  make(map[nonceKey]int),
-	}, nil
+	return t, nil
+}
+
+// reset readies the transport for a new run over the same medium, as
+// newTransport(t.net, ver, policy) would: nothing pending, no logical
+// message known, zero stats and no tracer. The receive buffers and the
+// message table keep their capacity.
+func (t *transport) reset(ver *sig.BatchVerifier, policy RetryPolicy) error {
+	if err := policy.validate(); err != nil {
+		return err
+	}
+	t.ver = ver
+	t.policy = policy.withDefaults()
+	for _, b := range t.rx {
+		clear(b.pending)
+		b.pending = b.pending[:0]
+		clear(b.seen)
+	}
+	t.stats = FaultStats{}
+	t.phaseBackoff = 0
+	t.tracer = nil
+	clear(t.index)
+	clear(t.first)
+	t.first = t.first[:0]
+	return nil
 }
 
 func (t *transport) buf(id string) *rxBuf {
@@ -335,39 +356,44 @@ func (t *transport) broadcastReliable(from, kind string, env sig.Envelope, size 
 	if err != nil {
 		return nil, err
 	}
-	missing := make(map[string]bool, len(receivers))
-	for _, r := range receivers {
-		missing[r] = true
+	// missing[k] marks receivers[k] as still without a copy; the
+	// receivers are distinct.
+	missing := append(t.missing[:0], make([]bool, len(receivers))...)
+	t.missing = missing
+	for k := range missing {
+		missing[k] = true
 	}
+	left := len(receivers)
 	for attempt := 1; ; attempt++ {
-		for _, r := range receivers {
-			if !missing[r] {
+		for k, r := range receivers {
+			if !missing[k] {
 				continue
 			}
 			if err := t.pull(r); err != nil {
 				return nil, err
 			}
 			if _, ok := t.takeNonce(r, from, nonce); ok {
-				delete(missing, r)
+				missing[k] = false
+				left--
 			}
 		}
-		if len(missing) == 0 {
+		if left == 0 {
 			return nil, nil
 		}
 		t.stats.Timeouts++
 		t.event(obs.Event{Kind: obs.EvTimeout, From: from, Msg: kind,
-			Detail: fmt.Sprintf("%d receivers missing", len(missing))})
+			Detail: fmt.Sprintf("%d receivers missing", left)})
 		if attempt >= t.policy.MaxAttempts || t.sleep(attempt) {
-			var left []string
-			for _, r := range receivers {
-				if missing[r] {
-					left = append(left, r)
+			var out []string
+			for k, r := range receivers {
+				if missing[k] {
+					out = append(out, r)
 				}
 			}
-			return left, nil
+			return out, nil
 		}
-		for _, r := range receivers {
-			if missing[r] {
+		for k, r := range receivers {
+			if missing[k] {
 				if _, err := t.net.SendTagged(from, r, kind, env, size, nonce); err != nil {
 					return nil, err
 				}

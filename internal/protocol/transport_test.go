@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
+	"dlsbl/internal/obs"
 	"dlsbl/internal/referee"
 	"dlsbl/internal/sig"
 )
@@ -204,4 +206,58 @@ func TestTransportVerifiesEachMessageOnce(t *testing.T) {
 			t.Fatalf("P3 not fined on its evidence: fines %v", c.out.Fines)
 		}
 	})
+}
+
+// TestTransportResetMatchesNew plays the same exchange on a new transport
+// and on one reset, with its bus, after an earlier run that left copies
+// pending under the nonces the exchange reuses, seen bits, table entries,
+// stats and a tracer. The reset transport must hand back the exchange's
+// own copies, with the same stats, and trace nothing into the earlier
+// run's recorder.
+func TestTransportResetMatchesNew(t *testing.T) {
+	play := func(g *rxRig) ([]bus.Message, []string, FaultStats) {
+		t.Helper()
+		var got []bus.Message
+		for i, from := range []string{"P1", "P2"} {
+			m, err := g.xp.sendReliable(from, referee.Account, referee.KindBid, g.bid(t, from, float64(5+i)), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m)
+		}
+		missing, err := g.xp.broadcastReliable("P3", referee.KindBid, g.bid(t, "P3", 7), 1, []string{"P1", "P2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, missing, g.xp.stats
+	}
+	fresh, reused := newRxRig(t), newRxRig(t)
+	rec := obs.NewRecorder()
+	reused.xp.tracer = rec
+	for i := 0; i < 3; i++ {
+		reused.deliver(t, "P1", referee.Account, reused.bid(t, "P1", float64(10+i)), reused.net.NextNonce())
+	}
+	reused.xp.stats.Retransmits, reused.xp.phaseBackoff = 3, 4
+	if err := reused.net.Reset(0.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.xp.reset(reused.ver, RetryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	seen := len(rec.Records())
+	fm, fmiss, fs := play(fresh)
+	rm, rmiss, rs := play(reused)
+	if !reflect.DeepEqual(rm, fm) {
+		t.Errorf("after reset the exchange took %+v, a new transport %+v", rm, fm)
+	}
+	if !reflect.DeepEqual(rmiss, fmiss) || rs != fs {
+		t.Errorf("after reset: missing %v, stats %+v; a new transport: %v, %+v", rmiss, rs, fmiss, fs)
+	}
+	if reused.pending(referee.Account) != fresh.pending(referee.Account) {
+		t.Errorf("after reset %d copies wait at the referee, %d with a new transport",
+			reused.pending(referee.Account), fresh.pending(referee.Account))
+	}
+	if got := len(rec.Records()); got != seen {
+		t.Errorf("the earlier run's recorder received %d records after the reset", got-seen)
+	}
 }

@@ -114,6 +114,19 @@ func (l *AuditLog) Entries() []AuditEntry {
 	return append([]AuditEntry(nil), l.entries...)
 }
 
+// take hands the entries over to the caller and leaves the log empty.
+func (l *AuditLog) take() []AuditEntry {
+	e := l.entries
+	l.entries = nil
+	return e
+}
+
+// reset starts an empty log of n reserved entries for a new run, keeping
+// the hashing scratch; earlier entries stay with whoever took them.
+func (l *AuditLog) reset(n int) {
+	l.entries = make([]AuditEntry, 0, n)
+}
+
 // Len returns the number of records.
 func (l *AuditLog) Len() int { return len(l.entries) }
 

@@ -42,7 +42,9 @@ type Verdict struct {
 // Clean reports whether nobody was fined.
 func (v Verdict) Clean() bool { return len(v.Guilty) == 0 }
 
-// Referee holds the adjudication state for one protocol run.
+// Referee holds the adjudication state for one protocol run. Reseat
+// readies it for another run over its maps and buffers, so a long-lived
+// owner (a BidSession) keeps one referee for every round it serves.
 type Referee struct {
 	// ver verifies every envelope the referee judges, through the run's
 	// memoized batch verifier. A memo hit is possible only for a
@@ -75,6 +77,11 @@ type Referee struct {
 	// AttachStandby. replErr latches the first replication failure.
 	send    func(AuditReplicaPayload) error
 	replErr error
+
+	// JudgePayments' decode buffers: pays[j] receives processor j's
+	// payment vector, and vectors maps each valid submitter to its Q.
+	pays    []PaymentPayload
+	vectors map[string][]float64
 }
 
 // New creates a referee for the given participant list (in processor
@@ -82,36 +89,51 @@ type Referee struct {
 // F ≥ Σ_j α_j·w̃_j, which CheckFineSufficient verifies once execution
 // values are known. ver is the run's verifier over its PKI registry.
 func New(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism, procs []string, fine float64) (*Referee, error) {
+	r := new(Referee)
+	if err := r.Reseat(ver, ledger, mech, procs, fine); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reseat makes r the referee New(ver, ledger, mech, procs, fine) returns,
+// reusing its maps and buffers: it forgets the previous run's binding,
+// meters, installment rule and standby, and starts an empty audit log. A
+// transcript handed out by TakeTranscript stays its taker's. On an error
+// r is unusable until a Reseat succeeds.
+func (r *Referee) Reseat(ver *sig.BatchVerifier, ledger *payment.Ledger, mech core.Mechanism, procs []string, fine float64) error {
 	if ver == nil || ledger == nil {
-		return nil, errors.New("referee: nil verifier or ledger")
+		return errors.New("referee: nil verifier or ledger")
 	}
 	if len(procs) < 2 {
-		return nil, errors.New("referee: need at least two processors")
+		return errors.New("referee: need at least two processors")
 	}
 	if !(fine > 0) || math.IsInf(fine, 0) {
-		return nil, fmt.Errorf("referee: invalid fine %v", fine)
+		return fmt.Errorf("referee: invalid fine %v", fine)
 	}
-	idx := make(map[string]int, len(procs))
+	if r.index == nil {
+		r.index = make(map[string]int, len(procs))
+		r.meters = make(map[string]float64, len(procs))
+	}
+	clear(r.index)
 	for i, p := range procs {
 		if p == "" {
-			return nil, errors.New("referee: empty processor id")
+			return errors.New("referee: empty processor id")
 		}
-		if _, dup := idx[p]; dup {
-			return nil, fmt.Errorf("referee: duplicate processor %q", p)
+		if _, dup := r.index[p]; dup {
+			return fmt.Errorf("referee: duplicate processor %q", p)
 		}
-		idx[p] = i
+		r.index[p] = i
 	}
-	return &Referee{
-		ver:    ver,
-		ledger: ledger,
-		mech:   mech,
-		procs:  append([]string(nil), procs...),
-		index:  idx,
-		fine:   fine,
-		meters: make(map[string]float64, len(procs)),
-		audit:  AuditLog{entries: make([]AuditEntry, 0, auditReserve(len(procs)))},
-		epochs: make([]string, len(procs)),
-	}, nil
+	clear(r.meters)
+	r.ver, r.ledger, r.mech, r.fine = ver, ledger, mech, fine
+	r.procs = append(r.procs[:0], procs...)
+	r.epochs = append(r.epochs[:0], make([]string, len(procs))...)
+	r.audit.reset(auditReserve(len(procs)))
+	r.round = ""
+	r.instRounds, r.instPolicy = 0, 0
+	r.send, r.replErr = nil, nil
+	return nil
 }
 
 // Fine returns the publicly known fine magnitude F.
@@ -136,12 +158,15 @@ func (r *Referee) BindRounds(round string, epochs []string) error {
 	return nil
 }
 
-// replicate streams one state change to the attached standby, latching
-// the first failure (surfaced by ReplicationErr and at promotion time).
-func (r *Referee) replicate(p AuditReplicaPayload) {
-	if r.send == nil {
-		return
-	}
+// replicate streams one audit entry to the attached standby, with the
+// replica state p carries beside it (a meter, an eviction, an
+// installment binding), latching the first failure (surfaced by
+// ReplicationErr and at promotion time). Callers build p only when a
+// standby is attached (r.send non-nil), so a run without one allocates
+// no replica.
+func (r *Referee) replicate(e AuditEntry, p AuditReplicaPayload) {
+	entry := e
+	p.Entry = &entry
 	if err := r.send(p); err != nil && r.replErr == nil {
 		r.replErr = err
 	}
@@ -153,7 +178,9 @@ func (r *Referee) replicate(p AuditReplicaPayload) {
 // sees the full chain.
 func (r *Referee) appendAudit(action, phase string, guilty []string, detail string) AuditEntry {
 	e := r.audit.AppendRound(r.round, action, phase, guilty, detail)
-	r.replicate(AuditReplicaPayload{Entry: &e})
+	if r.send != nil {
+		r.replicate(e, AuditReplicaPayload{})
+	}
 	return e
 }
 
@@ -188,7 +215,9 @@ func (r *Referee) RecordInstallment(k, of int, frac float64, policy dlt.RoundPol
 	r.instRounds, r.instPolicy = of, policy
 	e := r.audit.AppendRound(r.round, "installment", "bidding", nil,
 		fmt.Sprintf("installment %d/%d (%s) carrying load fraction %.9g", k, of, policy, frac))
-	r.replicate(AuditReplicaPayload{Entry: &e, Inst: &InstBinding{Rounds: of, Policy: policy}})
+	if r.send != nil {
+		r.replicate(e, AuditReplicaPayload{Inst: &InstBinding{Rounds: of, Policy: policy}})
+	}
 	return e
 }
 
@@ -224,13 +253,15 @@ func (r *Referee) Evict(proc, phase, reason string) (AuditEntry, error) {
 	}
 	r.procs = append(r.procs[:i], r.procs[i+1:]...)
 	r.epochs = append(r.epochs[:i], r.epochs[i+1:]...)
-	r.index = make(map[string]int, len(r.procs))
+	clear(r.index)
 	for j, p := range r.procs {
 		r.index[p] = j
 	}
 	delete(r.meters, proc)
 	e := r.audit.AppendRound(r.round, "eviction", phase, nil, fmt.Sprintf("%s evicted: %s", proc, reason))
-	r.replicate(AuditReplicaPayload{Entry: &e, Evict: proc})
+	if r.send != nil {
+		r.replicate(e, AuditReplicaPayload{Evict: proc})
+	}
 	return e, nil
 }
 
@@ -249,6 +280,11 @@ func (r *Referee) RecordFailover(fromAccount, toAccount string) AuditEntry {
 // Transcript returns a copy of the audit log entries; VerifyEntries
 // validates such a copy independently of the referee.
 func (r *Referee) Transcript() []AuditEntry { return r.audit.Entries() }
+
+// TakeTranscript hands the audit log's entries to the caller without
+// copying them and leaves the log empty. It is for a caller done with
+// this run's referee, such as a protocol run settling its outcome.
+func (r *Referee) TakeTranscript() []AuditEntry { return r.audit.take() }
 
 // SuggestedFine returns a fine magnitude that satisfies F ≥ Σ α_j·w̃_j for
 // any feasible allocation as long as no processor slacks beyond
@@ -601,7 +637,9 @@ func (r *Referee) RecordMeter(proc string, phi float64) error {
 	e := r.audit.AppendRound(r.round, "meter", "processing", nil, fmt.Sprintf("%s reported φ=%.9g", proc, phi))
 	// The entry's rendered detail rounds φ; the replica carries the exact
 	// bits so a promoted standby recomputes payments bit-identically.
-	r.replicate(AuditReplicaPayload{Entry: &e, Meter: &MeterReading{Proc: proc, Phi: phi}})
+	if r.send != nil {
+		r.replicate(e, AuditReplicaPayload{Meter: &MeterReading{Proc: proc, Phi: phi}})
+	}
 	return nil
 }
 
@@ -636,7 +674,9 @@ func (r *Referee) Meters() ([]float64, error) {
 // difference, however small, is a deviation.
 //
 // On success it returns the agreed payment vector Q alongside the verdict;
-// the protocol then forwards Q to the payment infrastructure. Payment-
+// the protocol then forwards Q to the payment infrastructure. A unanimous
+// Q lives in the referee's decode buffers: it stays valid until the next
+// JudgePayments or Reseat, so a caller that keeps it copies it. Payment-
 // phase fines never terminate the protocol — the work is already done and
 // the user is still billed.
 func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]sig.Envelope) (Verdict, []float64, error) {
@@ -645,9 +685,16 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 		return Verdict{}, nil, fmt.Errorf("referee: bids/exec have %d/%d entries for %d processors", len(bids), len(exec), m)
 	}
 	guilty := map[string]string{}
-	vectors := make(map[string][]float64, m)
+	if r.vectors == nil {
+		r.vectors = make(map[string][]float64, m)
+	}
+	vectors := r.vectors
+	clear(vectors)
+	if len(r.pays) < m {
+		r.pays = append(r.pays, make([]PaymentPayload, m-len(r.pays))...)
+	}
 
-	for _, p := range r.procs {
+	for j, p := range r.procs {
 		envs := submissions[p]
 		if len(envs) == 0 {
 			guilty[p] = "no payment vector submitted"
@@ -667,8 +714,10 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 				continue
 			}
 		}
-		var pp PaymentPayload
-		if err := r.ver.Open(&envs[0], &pp); err != nil {
+		// Every field of a payment payload is decoded afresh, into the
+		// previous round's strings and vector capacity.
+		pp := &r.pays[j]
+		if err := r.ver.Open(&envs[0], pp); err != nil {
 			guilty[p] = fmt.Sprintf("payment vector rejected: %v", err)
 			continue
 		}

@@ -2,6 +2,7 @@ package referee
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -698,5 +699,118 @@ func TestVerdictClean(t *testing.T) {
 	}
 	if (Verdict{Guilty: []string{"x"}}).Clean() {
 		t.Error("guilty verdict clean")
+	}
+}
+
+// TestReseatMatchesNew adjudicates one round with a new referee and with
+// one reseated after a different round (another processor set, its own
+// binding, meters, an installment rule, an eviction, a standby and
+// decoded payment vectors): the verdicts, agreed vectors, ledger flows
+// and transcripts must match, the earlier standby must hear nothing more,
+// and the transcript taken before the reseat must stay as it was.
+func TestReseatMatchesNew(t *testing.T) {
+	play := func(ref *Referee, g *fixture) ([]Verdict, [][]float64) {
+		t.Helper()
+		g.ref = ref
+		g.bind(t, "r2", "r2")
+		bids := []float64{1, 2, 3}
+		exec := []float64{1, 2.5, 3}
+		for i, p := range g.procs {
+			if err := ref.RecordMeter(p, 0.1*float64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := g.mech.Run(bids, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := append([]float64(nil), out.Payment...)
+		wrong[2] *= 2
+		var verdicts []Verdict
+		var agreed [][]float64
+		for _, q2 := range [][]float64{out.Payment, wrong} {
+			subs := map[string][]sig.Envelope{}
+			for _, p := range g.procs {
+				q := out.Payment
+				if p == "P3" {
+					q = q2
+				}
+				env, err := sig.SealBinary(g.keys[p], KindPayment, PaymentPayload{Proc: p, Q: q, Round: "r2"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs[p] = []sig.Envelope{env}
+			}
+			v, q, err := ref.JudgePayments(bids, exec, subs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Settle(v, nil); err != nil {
+				t.Fatal(err)
+			}
+			verdicts = append(verdicts, v)
+			agreed = append(agreed, append([]float64(nil), q...))
+		}
+		return verdicts, agreed
+	}
+
+	f := newFixture(t, 4, 100)
+	f.bind(t, "r1", "r1")
+	f.ref.RecordInstallment(1, 2, 0.5, dlt.GeometricRounds)
+	replicas := 0
+	if err := f.ref.AttachStandby(func(AuditReplicaPayload) error { replicas++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range f.procs {
+		if err := f.ref.RecordMeter(p, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.ref.Evict("P4", "processing", "crashed"); err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string][]sig.Envelope{}
+	for _, p := range f.procs[:3] {
+		subs[p] = []sig.Envelope{f.paymentSubmission(t, p, []float64{9, 9, 9})}
+	}
+	if _, _, err := f.ref.JudgePayments([]float64{1, 1, 1}, []float64{1, 1, 1}, subs); err != nil {
+		t.Fatal(err)
+	}
+	earlier := f.ref.TakeTranscript()
+	kept := append([]AuditEntry(nil), earlier...)
+	sent := replicas
+
+	g := newFixture(t, 3, 50)
+	other, err := payment.NewLedger(g.ledger.Accounts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseated := f.ref
+	if err := reseated.Reseat(g.ver, g.ledger, g.mech, g.procs, 50); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(g.ver, other, g.mech, g.procs, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, qr := play(reseated, g)
+	vf, qf := play(fresh, g)
+	if !reflect.DeepEqual(vr, vf) || !reflect.DeepEqual(qr, qf) {
+		t.Errorf("reseated verdicts %+v and vectors %v, new referee %+v and %v", vr, qr, vf, qf)
+	}
+	if !reflect.DeepEqual(reseated.TakeTranscript(), fresh.TakeTranscript()) {
+		t.Error("the reseated referee's transcript differs from a new one's")
+	}
+	if !reflect.DeepEqual(g.ledger.History(), other.History()) {
+		t.Error("the reseated referee's ledger flows differ from a new one's")
+	}
+	if replicas != sent {
+		t.Errorf("the standby attached before the reseat received %d more replicas", replicas-sent)
+	}
+	if !reflect.DeepEqual(earlier, kept) {
+		t.Error("reseating changed the transcript taken before it")
+	}
+	if err := reseated.Reseat(g.ver, g.ledger, g.mech, []string{"P1", "P1"}, 50); err == nil {
+		t.Error("Reseat accepted a duplicate processor")
 	}
 }

@@ -28,10 +28,12 @@ import (
 	"sync/atomic"
 )
 
-// memoDefaultCap bounds the memo; at 64 bytes of key material per entry
-// this is ~4MB worst case. A full memo resets rather than evicts — the
-// next round simply re-verifies and re-warms, trading a rare latency
-// blip for O(1) bookkeeping.
+// memoDefaultCap bounds one generation of the memo. A digest is 32
+// bytes, so the two generations hold at most 4 MiB of digests plus the
+// maps' overhead. A full generation retires the older one rather than
+// evicting entry by entry: digests looked up since the last turnover
+// were carried into the new generation, so only those not looked up for
+// a whole generation must verify again.
 const memoDefaultCap = 1 << 16
 
 // VerifyMemo remembers content digests of envelopes that have already
@@ -41,9 +43,17 @@ const memoDefaultCap = 1 << 16
 // never memoized (a corrupted copy must keep failing, and an envelope
 // that later verifies under a different registry entry has a different
 // digest anyway).
+//
+// Digests live in two generations. New digests enter the current one; a
+// hit in the older one moves the digest into the current one; when the
+// current one fills, it becomes the older one and the previous older one
+// is dropped. A digest looked up every round — a cached bid, a repeated
+// meters vector — therefore survives any number of turnovers, while the
+// one-round digests of fresh payment vectors age out.
 type VerifyMemo struct {
 	mu   sync.RWMutex
-	set  map[[sha256.Size]byte]struct{}
+	cur  map[[sha256.Size]byte]struct{}
+	old  map[[sha256.Size]byte]struct{}
 	cap  int
 	hits atomic.Int64
 	miss atomic.Int64
@@ -51,31 +61,49 @@ type VerifyMemo struct {
 
 // NewVerifyMemo returns an empty memo with the default capacity bound.
 func NewVerifyMemo() *VerifyMemo {
-	return &VerifyMemo{set: make(map[[sha256.Size]byte]struct{}), cap: memoDefaultCap}
+	return &VerifyMemo{cur: make(map[[sha256.Size]byte]struct{}), cap: memoDefaultCap}
 }
 
 // contains reports whether the digest is memoized, counting the outcome.
+// A digest found only in the older generation moves to the current one.
 func (m *VerifyMemo) contains(d [sha256.Size]byte) bool {
 	m.mu.RLock()
-	_, ok := m.set[d]
+	_, ok := m.cur[d]
+	_, aging := m.old[d]
 	m.mu.RUnlock()
-	if ok {
+	if aging && !ok {
+		m.mu.Lock()
+		if _, still := m.old[d]; still {
+			delete(m.old, d)
+			m.insert(d)
+		}
+		m.mu.Unlock()
+	}
+	if ok || aging {
 		m.hits.Add(1)
 	} else {
 		m.miss.Add(1)
 	}
-	return ok
+	return ok || aging
 }
 
-// store memoizes a digest that just verified, resetting the map at the
-// capacity bound.
+// store memoizes a digest that just verified.
 func (m *VerifyMemo) store(d [sha256.Size]byte) {
 	m.mu.Lock()
-	if len(m.set) >= m.cap {
-		m.set = make(map[[sha256.Size]byte]struct{})
-	}
-	m.set[d] = struct{}{}
+	m.insert(d)
 	m.mu.Unlock()
+}
+
+// insert adds d to the current generation, first retiring the older
+// generation when the current one is full. Caller holds the write lock.
+func (m *VerifyMemo) insert(d [sha256.Size]byte) {
+	if _, ok := m.cur[d]; ok {
+		return
+	}
+	if len(m.cur) >= m.cap {
+		m.old, m.cur = m.cur, make(map[[sha256.Size]byte]struct{})
+	}
+	m.cur[d] = struct{}{}
 }
 
 // MemoStats are a memo's cumulative counters.
@@ -85,7 +113,8 @@ type MemoStats struct {
 	// Misses counts digest lookups that fell through to full
 	// verification.
 	Misses int64
-	// Size is the current number of memoized digests.
+	// Size is the current number of memoized digests, both generations
+	// together.
 	Size int
 }
 
@@ -95,7 +124,7 @@ func (m *VerifyMemo) Stats() MemoStats {
 		return MemoStats{}
 	}
 	m.mu.RLock()
-	n := len(m.set)
+	n := len(m.cur) + len(m.old)
 	m.mu.RUnlock()
 	return MemoStats{Hits: m.hits.Load(), Misses: m.miss.Load(), Size: n}
 }

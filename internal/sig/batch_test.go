@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -85,6 +87,50 @@ func TestVerifyMemoSoundness(t *testing.T) {
 	}
 	if ms := memo.Stats(); ms.Size != 1 {
 		t.Fatalf("memo size = %d, want 1 (failures never stored)", ms.Size)
+	}
+}
+
+// TestVerifyMemoKeepsLiveDigests plays rounds against one memo: every
+// round looks up the same long-lived envelope (a cached bid) and stores
+// a batch of digests no later round looks up (fresh payment vectors).
+// The long-lived envelope must stay a hit through any number of
+// generation turnovers, the one-round digests must age out, and a hit
+// must still need the byte-identical envelope.
+func TestVerifyMemoKeepsLiveDigests(t *testing.T) {
+	reg := NewRegistry()
+	_, env := testEnv(t, reg, "P1", 1, `{"proc":"P1","bid":1.5}`)
+	memo := NewVerifyMemo()
+	bv := NewBatchVerifier(reg, memo)
+	if err := bv.Verify(&env); err != nil {
+		t.Fatal(err)
+	}
+	const perRound = 4096
+	rounds := 3 * memoDefaultCap / perRound // three turnovers and more
+	var oneShot [sha256.Size]byte
+	for round := 0; round < rounds; round++ {
+		if err := bv.Verify(&env); err != nil {
+			t.Fatal(err)
+		}
+		if st := bv.Stats(); st.Verified != 1 {
+			t.Fatalf("round %d: the cached envelope verified %d times, want once", round, st.Verified)
+		}
+		for k := 0; k < perRound; k++ {
+			binary.BigEndian.PutUint64(oneShot[:], uint64(round*perRound+k)+1)
+			memo.store(oneShot)
+		}
+	}
+	if n := memo.Stats().Size; n > 2*memoDefaultCap {
+		t.Errorf("memo holds %d digests, want at most %d", n, 2*memoDefaultCap)
+	}
+	binary.BigEndian.PutUint64(oneShot[:], 1)
+	if memo.contains(oneShot) {
+		t.Error("a digest of the first round survived three turnovers without a lookup")
+	}
+	tampered := env
+	tampered.Signature = append([]byte(nil), env.Signature...)
+	tampered.Signature[0] ^= 1
+	if err := bv.Verify(&tampered); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("tampered copy after turnovers: err = %v, want ErrBadSignature", err)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 //
 // Reusing keys never changes the economics of a run — bids, allocations,
 // meters and ledger flows are independent of the key bytes — it only
-// changes which signatures appear on the wire. The per-run PKI Registry
-// is still built fresh each run; the ring caches only the pairs.
+// changes which signatures appear on the wire. The ring caches only the
+// pairs: a PKI Registry is built for each participant set, holding
+// exactly its identities.
 type Keyring struct {
 	mu   sync.RWMutex
 	keys map[string]*KeyPair
