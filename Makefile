@@ -118,7 +118,8 @@ cover:
 # Ten seconds of every fuzz target: the mechanism engine against the
 # naive baseline, its installment path against the per-agent re-solve
 # (bit for bit), envelope tampering, the DLT closed forms, the
-# bid-session membership model, the binary payload codec differentially
+# bid-session model of who bids what (abstentions, returns, bid-factor
+# changes), the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
 # the accusation wire format), the netbus datagram receive path (decode
 # totality + canonical re-encode fixpoint, and no frame but a ping or pong

@@ -69,45 +69,30 @@ func (m AffineMechanism) Run(bids, exec []float64) (*Outcome, error) {
 	}
 	// The affine allocation has no closed chain form (the participation
 	// threshold couples every marginal re-solve), so this stays a
-	// per-agent O(m) loop; at large m it shards across GOMAXPROCS — the
-	// generic-path fallback of the payment engine.
-	marginal := func(lo, hi int) error {
-		speeds := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			sub, err := base.Instance.Without(i)
-			if err != nil {
-				return err
-			}
-			_, tWithout, err := dlt.OptimalAffine(dlt.AffineInstance{Instance: sub, Scm: m.Scm, Scp: m.Scp})
-			if err != nil {
-				return err
-			}
-			copy(speeds, bids)
-			speeds[i] = exec[i]
-			tRealized, err := m.makespanAt(alloc, bids, speeds)
-			if err != nil {
-				return err
-			}
-			out.MakespanWithout[i] = tWithout
-			out.MakespanRealized[i] = tRealized
-			out.Compensation[i] = alloc[i] * exec[i]
-			out.Bonus[i] = tWithout - tRealized
-			out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-			out.Valuation[i] = -alloc[i] * exec[i]
-			out.Utility[i] = out.Payment[i] + out.Valuation[i]
-		}
-		return nil
-	}
-	var err2 error
-	if n >= parallelMarginalsMin {
-		err2 = shardedFor(n, marginal)
-	} else {
-		err2 = marginal(0, n)
-	}
-	if err2 != nil {
-		return nil, err2
-	}
+	// per-agent loop of O(m) re-solves.
+	speeds := make([]float64, n)
 	for i := 0; i < n; i++ {
+		sub, err := base.Instance.Without(i)
+		if err != nil {
+			return nil, err
+		}
+		_, tWithout, err := dlt.OptimalAffine(dlt.AffineInstance{Instance: sub, Scm: m.Scm, Scp: m.Scp})
+		if err != nil {
+			return nil, err
+		}
+		copy(speeds, bids)
+		speeds[i] = exec[i]
+		tRealized, err := m.makespanAt(alloc, bids, speeds)
+		if err != nil {
+			return nil, err
+		}
+		out.MakespanWithout[i] = tWithout
+		out.MakespanRealized[i] = tRealized
+		out.Compensation[i] = alloc[i] * exec[i]
+		out.Bonus[i] = tWithout - tRealized
+		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
+		out.Valuation[i] = -alloc[i] * exec[i]
+		out.Utility[i] = out.Payment[i] + out.Valuation[i]
 		out.UserCost += out.Payment[i]
 	}
 	return out, nil

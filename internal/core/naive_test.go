@@ -60,44 +60,32 @@ func (m Mechanism) runNaive(bids, exec []float64, rule PaymentRule) (*Outcome, e
 		MakespanRealized: make([]float64, n),
 		MakespanBid:      msBid,
 	}
-	// The per-agent marginals are independent; at large m the loop shards
-	// across GOMAXPROCS so differential tests can drive it at scale.
-	marginal := func(lo, hi int) error {
-		speeds := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			sub, err := in.Without(i)
-			if err != nil {
-				return err
-			}
-			_, tWithout, err := dlt.OptimalMakespan(sub)
-			if err != nil {
-				return err
-			}
-			copy(speeds, bids)
-			if rule == WithVerification {
-				speeds[i] = exec[i]
-			}
-			tRealized, err := dlt.MakespanWithSpeeds(in, alloc, speeds)
-			if err != nil {
-				return err
-			}
-			out.MakespanWithout[i] = tWithout
-			out.MakespanRealized[i] = tRealized
-			out.Compensation[i] = alloc[i] * exec[i]
-			out.Bonus[i] = tWithout - tRealized
-			out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-			out.Valuation[i] = -alloc[i] * exec[i]
-			out.Utility[i] = out.Payment[i] + out.Valuation[i]
+	// The per-agent marginals are independent re-solves, one per agent.
+	speeds := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sub, err := in.Without(i)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}
-	if n >= parallelMarginalsMin {
-		err = shardedFor(n, marginal)
-	} else {
-		err = marginal(0, n)
-	}
-	if err != nil {
-		return nil, err
+		_, tWithout, err := dlt.OptimalMakespan(sub)
+		if err != nil {
+			return nil, err
+		}
+		copy(speeds, bids)
+		if rule == WithVerification {
+			speeds[i] = exec[i]
+		}
+		tRealized, err := dlt.MakespanWithSpeeds(in, alloc, speeds)
+		if err != nil {
+			return nil, err
+		}
+		out.MakespanWithout[i] = tWithout
+		out.MakespanRealized[i] = tRealized
+		out.Compensation[i] = alloc[i] * exec[i]
+		out.Bonus[i] = tWithout - tRealized
+		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
+		out.Valuation[i] = -alloc[i] * exec[i]
+		out.Utility[i] = out.Payment[i] + out.Valuation[i]
 	}
 	for i := 0; i < n; i++ {
 		out.UserCost += out.Payment[i]

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"dlsbl/internal/dlt"
 )
@@ -309,48 +307,3 @@ func (e *PaymentEngine) splicedSum(bids []float64, i int) float64 {
 	}
 	return s
 }
-
-// shardedFor splits [0, n) into GOMAXPROCS contiguous shards and runs
-// body on each concurrently. It is the parallel fallback for the generic
-// per-agent marginal loops that have no closed chain form (affine costs,
-// naive differential paths) at large m; body must only touch state owned
-// by its own index range. The first error (by shard order) is returned.
-func shardedFor(n int, body func(lo, hi int) error) error {
-	p := runtime.GOMAXPROCS(0)
-	if p > n {
-		p = n
-	}
-	if p <= 1 {
-		return body(0, n)
-	}
-	chunk := (n + p - 1) / p
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for s := 0; s < p; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			errs[s] = body(lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parallelMarginalsMin is the m above which the generic per-agent
-// marginal loops (naive and affine paths) shard across GOMAXPROCS. Below
-// it the goroutine fan-out costs more than the loop.
-const parallelMarginalsMin = 128

@@ -86,8 +86,8 @@ func TestRunLoadCrashMidInstallment(t *testing.T) {
 
 // TestRunLoadColdCrashKeepsSession: a crash in the first installment of
 // a cold session's first load, whose installment 1 runs the full bid
-// exchange. P3 leaves the remaining installments through a splice,
-// stays a session member, and the next load is served with every member.
+// exchange. P3 leaves the remaining installments through a splice, and
+// the next load is served with every member, P3 included.
 func TestRunLoadColdCrashKeepsSession(t *testing.T) {
 	w := []float64{3, 2, 4, 5}
 	s := newSession(t, w...)
@@ -105,9 +105,6 @@ func TestRunLoadColdCrashKeepsSession(t *testing.T) {
 	}
 	if !second.BidSpliced || second.Participated[2] {
 		t.Fatalf("installment 2: spliced=%v P3 participated=%v, want P3 spliced out", second.BidSpliced, second.Participated[2])
-	}
-	if got := len(s.Members()); got != len(w) {
-		t.Fatalf("%d session members after the crash, want %d", got, len(w))
 	}
 	next, err := RunLoad(s, Load{Job: protocol.JobConfig{Seed: 8, NBlocks: 64}, Rounds: 3, Policy: dlt.EqualRounds})
 	if err != nil {

@@ -141,7 +141,7 @@ func TestRunLoadTelescopesPayments(t *testing.T) {
 			}
 			// The aggregated timeline is the pipelined multi-round
 			// schedule over the realized rates and agreed allocation.
-			in := dlt.Instance{Network: dlt.NCPFE, Z: s.Z(), W: agg.Exec}
+			in := dlt.Instance{Network: dlt.NCPFE, Z: 0.2, W: agg.Exec} // newSession's bus rate
 			ms, err := dlt.MultiRoundMakespanWithSpeeds(in, agg.Alloc, rounds, policy, agg.Exec)
 			if err != nil {
 				t.Fatalf("%v R=%d: %v", policy, rounds, err)

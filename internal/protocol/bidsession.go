@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"slices"
 
 	"dlsbl/internal/agent"
@@ -22,8 +21,8 @@ import (
 // independent of how much load arrives. A BidSession therefore runs the
 // Bidding phase once, keeps the verified signed bids, and serves any
 // number of Allocation/Processing/Payment rounds against them — re-bidding
-// only when the member set changes (join, leave, eviction, abstention) or
-// a processor announces a different rate. Per-job traffic drops from
+// only when a job changes who bids or what they bid: an abstention, a
+// ban, an evictee's return, a changed bid factor. Per-job traffic drops from
 // Θ(m²) to Θ(m) after round one: Θ(m² + k·m) across k jobs.
 //
 // Every round gets a fresh session-salted round ID folded into the signed
@@ -71,8 +70,8 @@ func (r *run) captureBidCache(epoch string, bidding bus.Stats) *bidCache {
 //
 // A round whose bid profile equals the cached one is a reuse round: no
 // member bids afresh. A full re-bid costs the Θ(m²) exchange even when
-// only ONE member's conduct changed — a rate announcement, a join, a
-// leave. For those single-member deltas the session runs an incremental
+// only ONE member's conduct changed — a different bid, or an abstention
+// or ban. For those single-member deltas the session runs an incremental
 // re-bid instead: the changed member broadcasts one fresh bid (Θ(m)
 // deliveries), every other member's cached envelope is re-verified and
 // spliced in unchanged, and the referee is bound to per-participant epochs
@@ -80,42 +79,30 @@ func (r *run) captureBidCache(epoch string, bidding bus.Stats) *bidCache {
 // deviation from the happy path — deviants in either profile, an
 // unreachable peer, a stale cache — falls back to the full exchange.
 
-// spliceKind classifies the single-member delta an incremental re-bid
-// absorbs.
-type spliceKind int
-
-const (
-	spliceRate  spliceKind = iota // one member announced a different rate
-	spliceJoin                    // one member joined (appended config index)
-	spliceLeave                   // one member left
-)
-
-// String names the splice kind for transcript entries and logs.
-func (k spliceKind) String() string {
-	switch k {
-	case spliceRate:
-		return "rate-change"
-	case spliceJoin:
-		return "join"
-	default:
-		return "leave"
-	}
-}
-
 // spliceOp names the changed member in participant space: oldIdx indexes
-// the cached participant list (-1 for a join), newIdx this round's (-1
-// for a leave).
+// the cached participant list, newIdx this round's, or -1 when the member
+// sits this round out.
 type spliceOp struct {
-	kind   spliceKind
 	oldIdx int
 	newIdx int
+}
+
+// kind names the single-member delta the splice absorbs, for transcript
+// entries and logs: a member that bids a different value, or one that
+// left.
+func (sp spliceOp) kind() string {
+	if sp.newIdx < 0 {
+		return "leave"
+	}
+	return "rate-change"
 }
 
 // spliceDelta compares the cached bid profile with this round's and
 // reports the single-member delta between them, if that is all that
 // separates them. Profiles with bidding-phase deviants (equivocators,
 // false accusers) are never spliceable — their exchanges are not made of
-// independent per-member broadcasts.
+// independent per-member broadcasts — and neither is a member's return:
+// it holds none of the cached bids, so it runs the full exchange.
 func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 	clean := func(ps []bidProfile) bool {
 		for _, p := range ps {
@@ -138,20 +125,6 @@ func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 		}
 		return n
 	}
-	if len(new) == len(old)+1 {
-		for i := range old {
-			if old[i] != new[i] {
-				return spliceOp{}, false
-			}
-		}
-		if !new[len(new)-1].present {
-			return spliceOp{}, false
-		}
-		return spliceOp{kind: spliceJoin, oldIdx: -1, newIdx: rank(new, len(new)-1)}, true
-	}
-	if len(new) != len(old) {
-		return spliceOp{}, false
-	}
 	diff := -1
 	for i := range old {
 		if old[i] != new[i] {
@@ -165,14 +138,12 @@ func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 		return spliceOp{}, false
 	}
 	switch {
-	case old[diff].present && new[diff].present:
-		return spliceOp{kind: spliceRate, oldIdx: rank(old, diff), newIdx: rank(new, diff)}, true
-	case old[diff].present && !new[diff].present:
-		return spliceOp{kind: spliceLeave, oldIdx: rank(old, diff), newIdx: -1}, true
-	default:
-		// A member (re)appearing mid-list has no append position to splice
-		// into; only appended joins are spliceable.
+	case !old[diff].present:
 		return spliceOp{}, false
+	case new[diff].present:
+		return spliceOp{oldIdx: rank(old, diff), newIdx: rank(new, diff)}, true
+	default:
+		return spliceOp{oldIdx: rank(old, diff), newIdx: -1}, true
 	}
 }
 
@@ -180,14 +151,13 @@ func spliceDelta(old, new []bidProfile) (spliceOp, bool) {
 // cache: an O(m) pass instead of the Θ(m²) exchange. A nil sp is a reuse
 // round — this round's participants are exactly the cache's and nobody
 // bids afresh. A non-nil sp is an incremental re-bid: the changed member
-// broadcasts a fresh bid signed in this round (its new epoch), a joining
-// newcomer receives the incumbents' envelopes, a leaving member's bid is
-// dropped. Either way every kept envelope is re-verified against this
-// round's PKI registry, which holds exactly this round's participants
-// (see roundState) — the cache is trusted for liveness, never for
-// authenticity — and the referee is seated bound to each participant's
-// epoch. It returns the cache later rounds serve from: c itself after a
-// reuse round, the spliced cache after a splice.
+// broadcasts a fresh bid signed in this round (its new epoch), or a
+// leaving member's bid is dropped. Either way every kept envelope is
+// re-verified against this round's PKI registry, which holds exactly
+// this round's participants (see roundState) — the cache is trusted for
+// liveness, never for authenticity — and the referee is seated bound to
+// each participant's epoch. It returns the cache later rounds serve
+// from: c itself after a reuse round, the spliced cache after a splice.
 func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 	r.xp.beginPhase()
 	src, err := r.alignCache(c, sp)
@@ -198,7 +168,7 @@ func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 		return nil, err
 	}
 	if sp != nil {
-		if err := r.spliceFreshBid(*sp, src); err != nil {
+		if err := r.spliceFreshBid(*sp); err != nil {
 			return nil, err
 		}
 	}
@@ -221,18 +191,13 @@ func (r *run) cachedBidding(c *bidCache, sp *spliceOp) (*bidCache, error) {
 		}
 		return c, nil
 	}
-	var changed string
-	if sp.newIdx >= 0 {
-		changed = r.procs[sp.newIdx]
-	} else {
-		changed = c.procs[sp.oldIdx]
-	}
-	r.ref.RecordBidSplice(changed, sp.kind.String(), c.epoch)
+	changed := c.procs[sp.oldIdx]
+	r.ref.RecordBidSplice(changed, sp.kind(), c.epoch)
 	if r.tracer != nil {
 		r.tracer.Event(obs.Event{
 			Kind:   obs.EvBidSpliced,
 			Round:  r.roundID,
-			Detail: fmt.Sprintf("%s of %s onto epoch %s", sp.kind, changed, c.epoch),
+			Detail: fmt.Sprintf("%s of %s onto epoch %s", sp.kind(), changed, c.epoch),
 		})
 	}
 	// Future reuse rounds save (approximately) the last full exchange's
@@ -261,10 +226,8 @@ func (r *run) hearFromSeated() error {
 
 // spliceFreshBid has the changed member of a splice broadcast its fresh
 // bid, signed in THIS round — its new bid epoch: Θ(m) deliveries instead
-// of the Θ(m²) exchange. A joining newcomer, which holds none of the
-// cached bids, then receives each incumbent's envelope point-to-point
-// (Θ(m) unicasts). A leave broadcasts nothing.
-func (r *run) spliceFreshBid(sp spliceOp, src []int) error {
+// of the Θ(m²) exchange. A leave broadcasts nothing.
+func (r *run) spliceFreshBid(sp spliceOp) error {
 	if sp.newIdx < 0 {
 		return nil
 	}
@@ -289,24 +252,14 @@ func (r *run) spliceFreshBid(sp spliceOp, src []int) error {
 	r.bids[sp.newIdx] = a.Bid()
 	r.bidEnvs[sp.newIdx] = env
 	r.epochs[sp.newIdx] = r.roundID
-	if sp.kind != spliceJoin {
-		return nil
-	}
-	for i, s := range src {
-		if s < 0 {
-			continue
-		}
-		if _, err := r.xp.sendReliable(r.procs[i], a.ID, referee.KindBid, r.bidEnvs[i], 1); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // alignCache maps this round's participants onto the cache: src[i] is the
 // cached index serving participant i, or -1 for the member that bids
-// afresh (sp.newIdx). A cached participant the splice drops (sp.oldIdx of
-// a rate change or a leave) serves nobody.
+// afresh (sp.newIdx of a rate change, which takes the slot its cached bid
+// leaves). A cached participant the splice drops (sp.oldIdx) serves
+// nobody.
 func (r *run) alignCache(c *bidCache, sp *spliceOp) ([]int, error) {
 	fresh, drop := -1, -1
 	if sp != nil {
@@ -320,9 +273,6 @@ func (r *run) alignCache(c *bidCache, sp *spliceOp) ([]int, error) {
 		if s != drop {
 			src = append(src, s)
 		}
-	}
-	if len(src) == fresh {
-		src = append(src, -1)
 	}
 	if len(src) != r.m {
 		return nil, fmt.Errorf("protocol: bid cache serves %d processors, round has %d (stale member set)", len(src), r.m)
@@ -409,8 +359,7 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 // JobConfig describes one load served by a BidSession. The session owns
 // the network class, bus rate z (see SetZ), member set, true rates, fine
 // and keyring; a job brings everything load-specific. Behaviors are
-// indexed by the session's member (config) index and default to honest;
-// members that left are forced to Abstain regardless.
+// indexed by the session's member (config) index and default to honest.
 type JobConfig struct {
 	// Seed drives key generation (first round only — later rounds hit the
 	// session keyring).
@@ -486,36 +435,24 @@ type SessionStats struct {
 	SavedUnits      int
 }
 
-// Member describes one active session member.
-type Member struct {
-	Index int     // config index, stable for the session's lifetime
-	ID    string  // processor id, "P<Index+1>"
-	W     float64 // announced per-unit processing time
-}
-
 // BidSession amortizes the Bidding phase across a stream of loads. It is
 // not safe for concurrent use: callers (the service layer's per-pool
 // runners, the session chainer) serialize rounds.
 //
-// Member indices are config indices: a member that leaves keeps its index
-// (as a permanent abstainer) so later joins never alias an old identity —
-// signed bids name "P<i+1>" and identity reuse would let an old member's
-// envelopes verify for a new one. Note the load originator
-// (Network.Originator) can never leave: NCP-FE pins P1, NCP-NFE pins the
-// highest index, so under NCP-NFE each Join transfers the originator role
-// to the newcomer.
+// Its members are the processors it was founded with, P1…Pm, at their
+// founding rates, as in the paper, where Initialization registers every
+// processor once. A job's Behaviors decide who bids and what: a member
+// sits a job out by abstaining (or by a ban) and bids again the job
+// after, so a signed bid's "P<i+1>" always names the same processor.
 type BidSession struct {
-	base  Config // Network, Z, Fine, Keys; TrueW/Behaviors are per-round
-	trueW []float64
-	gone  []bool // members that Left; set by nothing else
-	salt  string
+	base Config // Network, Z, Fine, Keys, Memo and the founding TrueW
+	salt string
 
 	cache        *bidCache
 	cacheProfile []bidProfile
-	// behaviors and prof are the buffers roundConfig and profileFor fill
-	// for the round in progress; cacheProfile is always a copy of prof.
-	behaviors []agent.Behavior
-	prof      []bidProfile
+	// prof is the buffer profileFor fills for the round in progress;
+	// cacheProfile is always a copy of it.
+	prof []bidProfile
 	// state is the round state every round this session serves is set up
 	// over (see roundState); nil until the first round, and after
 	// DropCache. freshState, set only by tests, drops it before every
@@ -545,12 +482,10 @@ func NewBidSession(cfg Config) (*BidSession, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &BidSession{
-		base:  cfg,
-		trueW: append([]float64(nil), cfg.TrueW...),
-		gone:  make([]bool, len(cfg.TrueW)),
-		salt:  sessionSalt(cfg),
-	}
+	s := &BidSession{base: cfg, salt: sessionSalt(cfg)}
+	// The session keeps its own copy of the rates, so a caller's slice
+	// never aliases them.
+	s.base.TrueW = slices.Clone(cfg.TrueW)
 	if s.base.Keys == nil {
 		s.base.Keys = sig.NewKeyring()
 	}
@@ -719,37 +654,23 @@ func (s *BidSession) cachedDelta(prof []bidProfile) (*spliceOp, bool) {
 }
 
 // roundConfig assembles the per-round protocol Config: session state plus
-// the job's load-specific fields, with departed members forced to Abstain.
-// The Config shares the session's rates and its behavior buffer, so it is
-// valid for one round: nothing changes either while a round runs, and a
-// round keeps neither.
+// the job's load-specific fields. The Config shares the session's rates
+// and the job's behaviors; a round changes neither and keeps neither.
 func (s *BidSession) roundConfig(job JobConfig) Config {
-	cfg := Config{
-		Network: s.base.Network,
-		Z:       s.base.Z,
-		TrueW:   s.trueW,
-		Fine:    s.base.Fine,
-		NBlocks: job.NBlocks,
-		Seed:    job.Seed,
-		Faults:  job.Faults,
-		Retry:   job.Retry,
-		Keys:    s.base.Keys,
-		Tracer:  job.Tracer,
-		Memo:    s.base.Memo,
+	return Config{
+		Network:   s.base.Network,
+		Z:         s.base.Z,
+		TrueW:     s.base.TrueW,
+		Behaviors: job.Behaviors,
+		Fine:      s.base.Fine,
+		NBlocks:   job.NBlocks,
+		Seed:      job.Seed,
+		Faults:    job.Faults,
+		Retry:     job.Retry,
+		Keys:      s.base.Keys,
+		Tracer:    job.Tracer,
+		Memo:      s.base.Memo,
 	}
-	behaviors := slices.Grow(s.behaviors[:0], len(s.trueW))[:len(s.trueW)]
-	for i := range behaviors {
-		behaviors[i] = agent.Behavior{}
-		if i < len(job.Behaviors) {
-			behaviors[i] = job.Behaviors[i]
-		}
-		if s.gone[i] {
-			behaviors[i] = agent.Behavior{Name: "departed", Abstain: true}
-		}
-	}
-	s.behaviors = behaviors
-	cfg.Behaviors = behaviors
-	return cfg
 }
 
 // profileFor derives the bid profile a Config would produce, in buf's
@@ -788,50 +709,12 @@ func profilesEqual(a, b []bidProfile) bool {
 	return true
 }
 
-// Join adds a member with per-unit processing time w and returns its
-// config index. The next Run re-bids (the profile grew). Under NCP-NFE the
-// newcomer becomes the load originator (P_m originates).
-func (s *BidSession) Join(w float64) (int, error) {
-	if !(w > 0) || math.IsInf(w, 0) {
-		return 0, fmt.Errorf("protocol: invalid rate %v", w)
-	}
-	s.trueW = append(s.trueW, w)
-	s.gone = append(s.gone, false)
-	return len(s.trueW) - 1, nil
-}
-
-// Leave removes member i from all future rounds. The load originator
-// cannot leave (without it there is no load source), and at least two
-// members must remain. The next Run re-bids.
-func (s *BidSession) Leave(i int) error {
-	if i < 0 || i >= len(s.trueW) {
-		return fmt.Errorf("protocol: no member %d", i)
-	}
-	if s.gone[i] {
-		return fmt.Errorf("protocol: member P%d already left", i+1)
-	}
-	if i == s.base.Network.Originator(len(s.trueW)) {
-		return fmt.Errorf("protocol: the load-originating processor P%d cannot leave", i+1)
-	}
-	active := 0
-	for j, g := range s.gone {
-		if !g && j != i {
-			active++
-		}
-	}
-	if active < 2 {
-		return errors.New("protocol: need at least two remaining members")
-	}
-	s.gone[i] = true
-	return nil
-}
-
 // DropCache discards the cached bid set and the profile it was filed
 // under, so the next round runs a full bid exchange, and releases the
 // round state, so the next round builds its names, keys, registry, bus
 // and referee afresh: after a round stopped at an arbitrary point (a
-// panic the service recovered), nothing it touched is reused. Members,
-// round numbering and counters stay: the session salt is deterministic,
+// panic the service recovered), nothing it touched is reused. Round
+// numbering and counters stay: the session salt is deterministic,
 // so a session founded afresh would repeat round IDs this one has
 // already signed under.
 func (s *BidSession) DropCache() {
@@ -846,39 +729,8 @@ func (s *BidSession) DropCache() {
 // z, so round IDs do not move either. Each round validates z.
 func (s *BidSession) SetZ(z float64) { s.base.Z = z }
 
-// AnnounceRate records member i's new per-unit processing time. If the
-// value actually differs, the next Run re-bids; announcing the current
-// rate changes nothing and triggers no rebid (the profile is unchanged).
-func (s *BidSession) AnnounceRate(i int, w float64) error {
-	if i < 0 || i >= len(s.trueW) {
-		return fmt.Errorf("protocol: no member %d", i)
-	}
-	if s.gone[i] {
-		return fmt.Errorf("protocol: member P%d has left", i+1)
-	}
-	if !(w > 0) || math.IsInf(w, 0) {
-		return fmt.Errorf("protocol: invalid rate %v", w)
-	}
-	s.trueW[i] = w
-	return nil
-}
-
 // Network returns the session's network class.
 func (s *BidSession) Network() dlt.Network { return s.base.Network }
-
-// Z returns the per-unit bus communication time the next load runs at.
-func (s *BidSession) Z() float64 { return s.base.Z }
-
-// Members lists the active members.
-func (s *BidSession) Members() []Member {
-	var out []Member
-	for i, w := range s.trueW {
-		if !s.gone[i] {
-			out = append(out, Member{Index: i, ID: fmt.Sprintf("P%d", i+1), W: w})
-		}
-	}
-	return out
-}
 
 // Stats reports the session counters.
 func (s *BidSession) Stats() SessionStats {

@@ -120,9 +120,9 @@ func TestBidSessionAmortizesBidding(t *testing.T) {
 	}
 }
 
-// TestBidSessionRebidTriggers pins every reuse-vs-rebid decision: rate
-// changes, membership changes and bid-affecting behavior changes re-bid;
-// no-op announcements and payment-only behavior changes do not.
+// TestBidSessionRebidTriggers pins every reuse-vs-rebid decision: a
+// changed bid, an abstention and a return re-bid; naming a member's
+// current strategy outright and payment-only behavior changes do not.
 func TestBidSessionRebidTriggers(t *testing.T) {
 	s := sessionBase(t, 3, 2, 4)
 	job := JobConfig{Seed: 3, NBlocks: 48}
@@ -141,42 +141,30 @@ func TestBidSessionRebidTriggers(t *testing.T) {
 	mustRun(false, "first round")
 	mustRun(true, "steady state")
 
-	// Announcing the CURRENT rate is not a change.
-	if err := s.AnnounceRate(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(true, "same-rate announcement")
+	// Naming the truthful strategy outright is not a change.
+	job.Behaviors = []agent.Behavior{agent.Honest, {BidFactor: 1}, agent.Honest}
+	mustRun(true, "explicit truthful bids")
 
-	// A real rate change re-bids once, then reuse resumes.
-	if err := s.AnnounceRate(1, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(false, "rate change")
-	mustRun(true, "after rate change")
+	// A changed bid re-bids once, then reuse resumes.
+	job.Behaviors[1] = agent.Behavior{Name: "bid-1.25x", BidFactor: 1.25}
+	mustRun(false, "bid change")
+	mustRun(true, "after bid change")
 
-	// A join re-bids with the larger pool.
-	idx, err := s.Join(6)
-	if err != nil {
-		t.Fatal(err)
+	// An abstention re-bids without the member, and its return with it.
+	job.Behaviors[2] = agent.Behavior{Name: "abstain", Abstain: true}
+	out := mustRun(false, "abstention")
+	if out.Participated[2] {
+		t.Fatal("abstaining member participates")
 	}
-	out := mustRun(false, "join")
-	if !out.Participated[idx] {
-		t.Fatalf("joined member P%d did not participate", idx+1)
+	mustRun(true, "after abstention")
+	job.Behaviors[2] = agent.Honest
+	out = mustRun(false, "return")
+	if !out.Participated[2] {
+		t.Fatal("returning member did not participate")
 	}
-	mustRun(true, "after join")
-
-	// A leave re-bids without the departed member.
-	if err := s.Leave(1); err != nil {
-		t.Fatal(err)
-	}
-	out = mustRun(false, "leave")
-	if out.Participated[1] {
-		t.Fatal("departed member still participates")
-	}
-	mustRun(true, "after leave")
+	mustRun(true, "after return")
 
 	// A payment-phase deviation does not touch the bids: no rebid.
-	job.Behaviors = make([]agent.Behavior, 3)
 	job.Behaviors[2] = agent.PaymentCheat
 	out = mustRun(true, "payment-only behavior change")
 	if len(out.Verdicts) == 0 || out.Verdicts[len(out.Verdicts)-1].Clean() {
@@ -188,51 +176,32 @@ func TestBidSessionRebidTriggers(t *testing.T) {
 	mustRun(false, "bid factor change")
 }
 
-// TestBidSessionMembershipRules pins the member-management invariants.
-func TestBidSessionMembershipRules(t *testing.T) {
-	s := sessionBase(t, 3, 2, 4)
-	if err := s.Leave(0); err == nil {
-		t.Fatal("NCP-FE load originator allowed to leave")
-	}
-	if err := s.Leave(7); err == nil {
-		t.Fatal("out-of-range leave accepted")
-	}
-	if err := s.Leave(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Leave(1); err == nil {
-		t.Fatal("double leave accepted")
-	}
-	if err := s.Leave(2); err == nil {
-		t.Fatal("leave below two members accepted")
-	}
-	if err := s.AnnounceRate(1, 5); err == nil {
-		t.Fatal("rate announcement from departed member accepted")
-	}
-	if _, err := s.Join(-1); err == nil {
-		t.Fatal("invalid join rate accepted")
-	}
-	got := s.Members()
-	want := []Member{{Index: 0, ID: "P1", W: 3}, {Index: 2, ID: "P3", W: 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Members() = %+v, want %+v", got, want)
-	}
-
-	// NCP-NFE pins the highest index as originator.
-	nfe, err := NewBidSession(Config{Network: dlt.NCPNFE, Z: 0.2, TrueW: []float64{3, 2, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nfe.Leave(2); err == nil {
-		t.Fatal("NCP-NFE load originator allowed to leave")
-	}
-
-	// Per-job fields are rejected in the session config.
+// TestNewBidSessionOwnsItsConfig: the session rejects per-job fields in
+// its founding config, and keeps its own copy of the founding rates, so
+// a caller that reuses its rate slice moves no later round.
+func TestNewBidSessionOwnsItsConfig(t *testing.T) {
 	if _, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 2}, Seed: 9}); err == nil {
 		t.Fatal("per-job Seed accepted in session config")
 	}
 	if _, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 2}, Standby: true}); err == nil {
 		t.Fatal("Standby accepted in session config")
+	}
+
+	w := []float64{3, 2, 4}
+	s := sessionBase(t, w...)
+	job := JobConfig{Seed: 4, NBlocks: 48}
+	first, err := s.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w[1] = 9
+	again, err := s.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.BidReused || !reflect.DeepEqual(econOf(again), econOf(first)) {
+		t.Fatalf("after the caller's slice changed: reused=%v, economics %+v, want reuse with %+v",
+			again.BidReused, econOf(again), econOf(first))
 	}
 }
 
@@ -252,9 +221,6 @@ func TestBidSessionEvictionForcesFreshMemberSet(t *testing.T) {
 	}
 	if out.BidReused || !out.Evicted[2] {
 		t.Fatalf("round 1: BidReused=%v Evicted=%v, want fresh bidding and P3 evicted", out.BidReused, out.Evicted)
-	}
-	if got := len(s.Members()); got != 4 {
-		t.Fatalf("%d members after a bidding eviction, want 4 (the evictee misses one job only)", got)
 	}
 	back, err := s.Run(JobConfig{Seed: 6, NBlocks: 64})
 	if err != nil {
@@ -329,10 +295,7 @@ func TestSpliceRoundCrashKeepsCacheIntact(t *testing.T) {
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AnnounceRate(4, 6.5); err != nil {
-		t.Fatal(err)
-	}
-	w[4] = 6.5
+	job.Behaviors = []agent.Behavior{{}, {}, {}, {}, agent.OverBid}
 	crash := job
 	crash.Faults = adversarytest.CrashPlan(5, 0, "P3")
 	out, err := s.Run(crash)
@@ -342,7 +305,7 @@ func TestSpliceRoundCrashKeepsCacheIntact(t *testing.T) {
 	if !out.BidSpliced || !out.Evicted[2] {
 		t.Fatalf("splice round: BidSpliced=%v Evicted=%v, want a splice that evicts P3", out.BidSpliced, out.Evicted)
 	}
-	want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 3, NBlocks: 80})
+	want, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Behaviors: job.Behaviors, Seed: 3, NBlocks: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +355,6 @@ func TestCrashOnColdRoundKeepsSession(t *testing.T) {
 		if got, want := econOf(out), econOf(want); !reflect.DeepEqual(got, want) {
 			t.Fatalf("clean job %d diverges from a standalone run\n got %+v\nwant %+v", k+1, got, want)
 		}
-	}
-	if got := len(s.Members()); got != len(w) {
-		t.Fatalf("%d members after a Processing crash, want %d", got, len(w))
 	}
 }
 

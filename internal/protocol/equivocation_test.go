@@ -244,7 +244,7 @@ func TestStaleRoundReplayRejected(t *testing.T) {
 // round one), a processor broadcasts two contradictory bids — both
 // stamped with the new epoch's round ID. The referee, bound to that
 // epoch, convicts exactly as in the single-shot protocol. End-to-end via
-// BidSession: a rate change forces the rebid, the equivocator cheats in
+// BidSession: a changed bid forces the rebid, the equivocator cheats in
 // it, and the conviction lands mid-session.
 func TestEquivocatedRebidStillConvicts(t *testing.T) {
 	// Referee-level: current-epoch contradictory pair convicts the signer.
@@ -266,8 +266,8 @@ func TestEquivocatedRebidStillConvicts(t *testing.T) {
 		t.Fatalf("verdict = %+v, want P1 convicted in the rebid epoch", v)
 	}
 
-	// Session-level: rounds 1–2 honest, round 3 is a rate-change rebid in
-	// which P2 equivocates.
+	// Session-level: rounds 1–2 honest, round 3 is a rebid in which P2
+	// bids anew and equivocates.
 	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{3, 2, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -278,17 +278,14 @@ func TestEquivocatedRebidStillConvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.AnnounceRate(1, 2.5); err != nil {
-		t.Fatal(err)
-	}
 	cheat := job
-	cheat.Behaviors = []agent.Behavior{{}, agent.Equivocator, {}}
+	cheat.Behaviors = []agent.Behavior{{}, {Name: "equivocator", BidFactor: 1.25, Equivocate: true}, {}}
 	out, err := s.Run(cheat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.BidReused {
-		t.Fatal("rate-change round reused stale bids")
+		t.Fatal("changed-bid round reused stale bids")
 	}
 	if out.Completed || len(out.Verdicts) == 0 || out.Verdicts[0].Guilty[0] != "P2" {
 		t.Fatalf("rebid-round equivocator not convicted: completed=%v verdicts=%+v", out.Completed, out.Verdicts)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -17,7 +18,8 @@ import (
 // random pools, random per-job behaviors (bid-space deviants, slack
 // execution, payment cheats — and occasionally deviants whose verdict
 // ends the round in Bidding or in Allocating), a bus rate z drawn per
-// job, random fault plans, random mid-stream rate changes, random
+// job, random fault plans, random mid-stream changes of one member's bid
+// factor, members that sit one job out and return the job after, random
 // crashes during Processing and, in about one job in five, a member that
 // does not answer at all, a session on the hot path (cached bids, incremental
 // re-bid splices, one verified-envelope memo across rounds) settles
@@ -27,20 +29,35 @@ import (
 // never what is accepted or paid, and the session must fail exactly when
 // the standalone run does. Every eviction, in Bidding or later, removes
 // its member from that job only, so the histories stay comparable to the
-// end.
+// end. A full run of the property must reach at least one leave splice
+// and the return after it.
 func TestHotPathParityProperty(t *testing.T) {
 	const iterations = 100
+	var reached parityReach
+	t.Cleanup(func() {
+		if reached.pools.Load() == iterations && (reached.leaves.Load() == 0 || reached.returns.Load() == 0) {
+			t.Errorf("%d leave splices and %d returns after one in %d pools; the abstention arm missed its path",
+				reached.leaves.Load(), reached.returns.Load(), iterations)
+		}
+	})
 	for it := 0; it < iterations; it++ {
 		it := it
 		t.Run(fmt.Sprintf("pool%02d", it), func(t *testing.T) {
 			t.Parallel()
-			hotPathParityPool(t, int64(9000+it))
+			hotPathParityPool(t, int64(9000+it), &reached)
 		})
 	}
 }
 
+// parityReach counts, across the pools of TestHotPathParityProperty, the
+// pools that ran to the end, the jobs served by a splice while a member
+// abstained, and that member's returns the job after.
+type parityReach struct {
+	pools, leaves, returns atomic.Int64
+}
+
 // hotPathParityPool runs one random pool of TestHotPathParityProperty.
-func hotPathParityPool(t *testing.T, seed int64) {
+func hotPathParityPool(t *testing.T, seed int64, reached *parityReach) {
 	const jobsPerPool = 5
 	rng := rand.New(rand.NewSource(seed))
 	m := 2 + rng.Intn(5)
@@ -58,13 +75,14 @@ func hotPathParityPool(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// victim picks a member that is not the load originator, as long as
-	// at least two such members exist.
-	victim := func() (string, bool) {
+	// victim picks a participant of the job that is not the load
+	// originator, as long as at least two such members exist; a fault
+	// plan may not name a member that abstains.
+	victim := func(bs []agent.Behavior) (string, bool) {
 		var ids []string
-		for _, mb := range hot.Members() {
-			if mb.Index != network.Originator(len(w)) {
-				ids = append(ids, mb.ID)
+		for i := range w {
+			if i != network.Originator(m) && !bs[i].Abstain {
+				ids = append(ids, fmt.Sprintf("P%d", i+1))
 			}
 		}
 		if len(ids) < 2 {
@@ -99,20 +117,25 @@ func hotPathParityPool(t *testing.T, seed int64) {
 	}
 	roll()
 
+	// returning is the member that abstained in the previous job, when
+	// a splice served that job, and -1 otherwise.
+	returning := -1
 	for j := 0; j < jobsPerPool; j++ {
 		// Occasionally mutate the stream the way a live pool does:
-		// new behaviors (forces a full rebid in the session) or a
-		// single rate change (runs the incremental splice path).
-		switch rng.Intn(4) {
+		// new behaviors (forces a full rebid in the session), one
+		// member's new bid factor (the rate splice), or, with three
+		// members or more, one non-originator member sitting this job
+		// out (the leave splice) and returning the job after.
+		abstainer := -1
+		switch rng.Intn(5) {
 		case 0:
 			roll()
 		case 1:
-			i := rng.Intn(m)
-			nw := 0.5 + 4*rng.Float64()
-			if err := hot.AnnounceRate(i, nw); err != nil {
-				t.Fatal(err)
+			behaviors[rng.Intn(m)].BidFactor = 0.5 + rng.Float64()
+		case 2:
+			if m >= 3 {
+				abstainer = (network.Originator(m) + 1 + rng.Intn(m-1)) % m
 			}
-			w[i] = nw
 		}
 		z := drawZ()
 		hot.SetZ(z)
@@ -120,6 +143,9 @@ func hotPathParityPool(t *testing.T, seed int64) {
 			Seed:      rng.Int63n(1 << 30),
 			NBlocks:   32 * m,
 			Behaviors: append([]agent.Behavior(nil), behaviors...),
+		}
+		if abstainer >= 0 {
+			job.Behaviors[abstainer] = agent.Behavior{Name: "abstain", Abstain: true}
 		}
 		if rng.Intn(4) > 0 {
 			job.Faults = &bus.FaultPlan{
@@ -133,7 +159,7 @@ func hotPathParityPool(t *testing.T, seed int64) {
 		}
 		if rng.Intn(3) == 0 {
 			// Crash a member during Processing.
-			if id, ok := victim(); ok {
+			if id, ok := victim(job.Behaviors); ok {
 				if job.Faults == nil {
 					job.Faults = &bus.FaultPlan{Seed: rng.Int63n(1 << 30)}
 				}
@@ -145,7 +171,7 @@ func hotPathParityPool(t *testing.T, seed int64) {
 			// crashes: a full exchange evicts it during Bidding, so a
 			// cached round must fall back to that exchange rather than
 			// settle with it seated (DESIGN §10).
-			if id, ok := victim(); ok {
+			if id, ok := victim(job.Behaviors); ok {
 				if job.Faults == nil {
 					job.Faults = &bus.FaultPlan{Seed: rng.Int63n(1 << 30)}
 				}
@@ -155,15 +181,29 @@ func hotPathParityPool(t *testing.T, seed int64) {
 
 		hotOut, hotErr := hot.Run(job)
 		plainOut, plainErr := Run(Config{
-			Network: network, Z: z, TrueW: append([]float64(nil), w...),
+			Network: network, Z: z, TrueW: w,
 			Behaviors: job.Behaviors, Seed: job.Seed, NBlocks: job.NBlocks,
 			Faults: job.Faults, Keys: sig.NewKeyring(),
 		})
 		if (hotErr == nil) != (plainErr == nil) {
 			t.Fatalf("job %d: session err %v, standalone err %v", j, hotErr, plainErr)
 		}
+		back := returning
+		returning = -1
 		if hotErr != nil {
 			continue
+		}
+		if back >= 0 && !job.Behaviors[back].Abstain {
+			// The splice left the returning member out of the cache, and
+			// it holds none of the cached bids: it bids in a full exchange.
+			if roundKind(hotOut) != "full" {
+				t.Fatalf("job %d: P%d returned in a %s round, want a full exchange", j, back+1, roundKind(hotOut))
+			}
+			reached.returns.Add(1)
+		}
+		if abstainer >= 0 && hotOut.BidSpliced {
+			reached.leaves.Add(1)
+			returning = abstainer
 		}
 		if got, want := econOf(hotOut), econOf(plainOut); !reflect.DeepEqual(got, want) {
 			t.Fatalf("job %d: session outcome diverges from standalone run\n got %+v\nwant %+v", j, got, want)
@@ -172,6 +212,7 @@ func hotPathParityPool(t *testing.T, seed int64) {
 			t.Fatalf("job %d: session block assignments diverge from standalone run", j)
 		}
 	}
+	reached.pools.Add(1)
 }
 
 // econView extracts the economic payload of an outcome for comparison
@@ -228,11 +269,11 @@ func runSpliceRound(t *testing.T, s *BidSession, job JobConfig) *Outcome {
 	return out
 }
 
-// TestIncrementalRebidRateChange: a single member announcing a new rate
-// triggers a splice round — only that member re-broadcasts (Θ(m)
-// deliveries instead of Θ(m²)) — whose economics are bit-identical to a
-// fresh protocol.Run at the new rates; the pool then settles back into
-// reuse of the spliced cache.
+// TestIncrementalRebidRateChange: a single member bidding a new value
+// (a changed bid factor) triggers a splice round — only that member
+// re-broadcasts (Θ(m) deliveries instead of Θ(m²)) — whose economics are
+// bit-identical to a fresh protocol.Run with the same behaviors; the pool
+// then settles back into reuse of the spliced cache.
 func TestIncrementalRebidRateChange(t *testing.T) {
 	w := []float64{1, 1.5, 2, 2.5, 3, 3.5}
 	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w})
@@ -248,14 +289,10 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 	if _, err := s.Run(job); err != nil { // round 2: reuse
 		t.Fatal(err)
 	}
-	if err := s.AnnounceRate(2, 1.25); err != nil {
-		t.Fatal(err)
-	}
+	job.Behaviors = []agent.Behavior{{}, {}, agent.UnderBid}
 	spliced := runSpliceRound(t, s, job) // round 3: splice
 
-	w2 := append([]float64(nil), w...)
-	w2[2] = 1.25
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w2, Seed: 7, NBlocks: 96})
+	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Behaviors: job.Behaviors, Seed: 7, NBlocks: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,40 +320,10 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 	}
 }
 
-// TestIncrementalRebidJoin: an appended member joins by broadcasting one
-// fresh bid while incumbents' cached envelopes are spliced in (and
-// forwarded to the newcomer); economics match a fresh run over the grown
-// pool.
-func TestIncrementalRebidJoin(t *testing.T) {
-	w := []float64{1, 1.5, 2}
-	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := JobConfig{Seed: 11, NBlocks: 64}
-	if _, err := s.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Join(2.5); err != nil {
-		t.Fatal(err)
-	}
-	spliced := runSpliceRound(t, s, job)
-
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 11, NBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := econOf(spliced), econOf(independent); !reflect.DeepEqual(got, want) {
-		t.Fatalf("join-splice economics diverge from independent run\n got %+v\nwant %+v", got, want)
-	}
-	if st := s.Stats(); st.Rebids != 1 || st.IncrementalRebids != 1 {
-		t.Fatalf("stats = %+v, want 1 rebid and 1 incremental", st)
-	}
-}
-
-// TestIncrementalRebidLeave: a departing member costs no bid traffic at
-// all — the survivors' cached envelopes are re-verified and spliced, and
-// the economics match a fresh run where the member abstains.
+// TestIncrementalRebidLeave: a member that abstains costs no bid traffic
+// at all — the others' cached envelopes are re-verified and spliced, and
+// the economics match a fresh run where the member abstains. Its return
+// the job after runs the full exchange.
 func TestIncrementalRebidLeave(t *testing.T) {
 	w := []float64{1, 1.5, 2, 2.5}
 	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w})
@@ -327,20 +334,26 @@ func TestIncrementalRebidLeave(t *testing.T) {
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	spliced := runSpliceRound(t, s, job)
+	leave := job
+	leave.Behaviors = []agent.Behavior{{}, {}, {Name: "abstain", Abstain: true}}
+	spliced := runSpliceRound(t, s, leave)
 
 	independent, err := Run(Config{
 		Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 13, NBlocks: 64,
-		Behaviors: []agent.Behavior{{}, {}, {Name: "departed", Abstain: true}},
+		Behaviors: leave.Behaviors,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := econOf(spliced), econOf(independent); !reflect.DeepEqual(got, want) {
 		t.Fatalf("leave-splice economics diverge from independent run\n got %+v\nwant %+v", got, want)
+	}
+	back, err := s.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roundKind(back) != "full" || !back.Participated[2] {
+		t.Fatalf("return: a %s round, P3 participated=%v; want a full exchange with P3", roundKind(back), back.Participated[2])
 	}
 }
 
@@ -359,13 +372,8 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two rates change at once: not a single-member delta.
-	if err := s.AnnounceRate(1, 1.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AnnounceRate(2, 2.1); err != nil {
-		t.Fatal(err)
-	}
+	// Two bids change at once: not a single-member delta.
+	job.Behaviors = []agent.Behavior{{}, agent.OverBid, agent.UnderBid}
 	out, err := s.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -374,13 +382,11 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 		t.Fatalf("two-member delta: BidSpliced=%v BidReused=%v, want full rebid", out.BidSpliced, out.BidReused)
 	}
 
-	// The changed member equivocates: the new profile has a bidding-phase
-	// deviant, which is never spliceable (and terminates the round).
-	if err := s.AnnounceRate(1, 1.7); err != nil {
-		t.Fatal(err)
-	}
+	// The changed member bids anew and equivocates: the new profile has
+	// a bidding-phase deviant, which is never spliceable (and terminates
+	// the round).
 	deviant := JobConfig{Seed: 19, NBlocks: 64,
-		Behaviors: []agent.Behavior{{}, agent.Equivocator}}
+		Behaviors: []agent.Behavior{{}, {Name: "equivocator", BidFactor: 1.2, Equivocate: true}, agent.UnderBid}}
 	out, err = s.Run(deviant)
 	if err != nil {
 		t.Fatal(err)

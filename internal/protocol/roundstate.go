@@ -22,7 +22,7 @@ import (
 //
 // setup builds the names, keys, registry, ledger and bus afresh whenever
 // the round's participant set differs from the one they were built for
-// (a join, leave, ban or abstention), so a round's PKI never holds a
+// (an abstention or a ban), so a round's PKI never holds a
 // non-participant's key, and resets everything at the start of every
 // round it serves, so nothing an aborted or panicked round left behind
 // reaches the next. No slice a run compacts on eviction is the state's:

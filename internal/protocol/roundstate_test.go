@@ -51,7 +51,8 @@ func untraced(rec *obs.Recorder) []obs.Record {
 // playMixedHistory plays the history TestRoundStateReuseMatchesFresh
 // compares: reuse rounds, a lossy-bus job, an unresponsive member whose
 // eviction follows the cached attempt's fallback to the full exchange, a
-// member's return, a rate-change splice, a join, a leave, a payment
+// member's return, a rate-change splice (P3 overbids from then on), a
+// leave splice (P4 abstains for one job) and P4's return, a payment
 // cheat's conviction, an equivocator's terminated Bidding, a
 // 4-installment load with a crash in installment 2, and a traced job
 // followed by untraced ones. check, when non-nil, inspects s after each
@@ -73,8 +74,11 @@ func playMixedHistory(t *testing.T, s *BidSession, rec *obs.Recorder, check func
 		out, err := s.Run(job)
 		record(name, []*Outcome{out}, err)
 	}
+	// base is every job's assignment once P3 overbids; behave overlays
+	// one member's behavior on it.
+	base := make([]agent.Behavior, 6)
 	behave := func(idx int, b agent.Behavior) []agent.Behavior {
-		bs := make([]agent.Behavior, idx+1)
+		bs := slices.Clone(base)
 		bs[idx] = b
 		return bs
 	}
@@ -85,18 +89,11 @@ func playMixedHistory(t *testing.T, s *BidSession, rec *obs.Recorder, check func
 	run("lossy bus", JobConfig{Seed: 5, Faults: &bus.FaultPlan{Seed: 11, Drop: 0.1, Duplicate: 0.05, Reorder: 0.05}})
 	run("unresponsive P4", JobConfig{Seed: 5, Faults: &bus.FaultPlan{Unresponsive: []string{"P4"}}, Retry: RetryPolicy{MaxAttempts: 3}})
 	run("P4 back", honest)
-	if err := s.AnnounceRate(2, 1.9); err != nil {
-		t.Fatal(err)
-	}
+	base[2] = agent.OverBid
+	honest.Behaviors = base
 	run("rate change", honest)
-	if _, err := s.Join(1.3); err != nil {
-		t.Fatal(err)
-	}
-	run("join", honest)
-	if err := s.Leave(3); err != nil {
-		t.Fatal(err)
-	}
-	run("leave", honest)
+	run("leave", JobConfig{Seed: 5, Behaviors: behave(3, agent.Behavior{Name: "abstain", Abstain: true})})
+	run("return", honest)
 	run("payment cheat", JobConfig{Seed: 5, Behaviors: behave(4, agent.Behavior{Name: "cheat", WrongPaymentFactor: 2})})
 	run("equivocator", JobConfig{Seed: 5, Behaviors: behave(1, agent.Behavior{Name: "equivocator", Equivocate: true, EquivocationFactor: 0.5})})
 
@@ -107,7 +104,7 @@ func playMixedHistory(t *testing.T, s *BidSession, rec *obs.Recorder, check func
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 5, Faults: &bus.FaultPlan{Crashes: []bus.Crash{{Proc: "P6", Installment: 2}}}}
+	job := JobConfig{Seed: 5, Behaviors: base, Faults: &bus.FaultPlan{Crashes: []bus.Crash{{Proc: "P6", Installment: 2}}}}
 	var outs []*Outcome
 	for k, f := range fracs {
 		out, err := s.RunSub(job, n, k+1, len(fracs), f, dlt.EqualRounds)
@@ -124,7 +121,7 @@ func playMixedHistory(t *testing.T, s *BidSession, rec *obs.Recorder, check func
 		}
 	}
 
-	run("traced", JobConfig{Seed: 5, Tracer: rec})
+	run("traced", JobConfig{Seed: 5, Behaviors: base, Tracer: rec})
 	seen := len(rec.Records())
 	run("untraced", honest)
 	run("untraced reuse", honest)
@@ -161,7 +158,7 @@ func TestRoundStateReuseMatchesFresh(t *testing.T) {
 			if st.net == nil {
 				t.Errorf("%s: no reliable bus kept", step)
 			}
-		case "join", "leave":
+		case "leave", "return":
 			if st.reg == keptReg {
 				t.Errorf("%s: the registry survived a change of the participant set", step)
 			}
@@ -211,10 +208,13 @@ func TestRoundStateReuseMatchesFresh(t *testing.T) {
 			t.Errorf("%s: not a reuse round", name)
 		}
 	}
-	for _, name := range []string{"rate change", "join", "leave"} {
+	for _, name := range []string{"rate change", "leave"} {
 		if !out(name).BidSpliced {
 			t.Errorf("%s: not a splice", name)
 		}
+	}
+	if o := out("return"); roundKind(o) != "full" || !o.Participated[3] {
+		t.Errorf("return: a %s round, P4 participated=%v; want a full exchange with P4", roundKind(o), o.Participated[3])
 	}
 	if o := out("lossy bus"); o.Fault.Retransmits == 0 || o.BusStats.Dropped == 0 {
 		t.Errorf("lossy bus: %d retransmits, %d drops; the job did not exercise its fault plan", o.Fault.Retransmits, o.BusStats.Dropped)

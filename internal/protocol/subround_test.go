@@ -11,15 +11,14 @@ import (
 // TestRunSubInstallments drives the installment sub-round API directly:
 // a reserved session round served as two equal installments completes
 // both, stamps the "<salt>:rN.iK" IDs, and scales each installment's
-// money flow by its fraction; accessor coverage (Network, Z) rides
-// along.
+// money flow by its fraction; accessor coverage (Network) rides along.
 func TestRunSubInstallments(t *testing.T) {
 	s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{3, 2, 4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Network() != dlt.NCPFE || s.Z() != 0.2 {
-		t.Fatalf("accessors: network %v, z %v", s.Network(), s.Z())
+	if s.Network() != dlt.NCPFE {
+		t.Fatalf("accessor: network %v", s.Network())
 	}
 	job := JobConfig{Seed: 7, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {

@@ -325,8 +325,8 @@ func (r *Referee) CheckFineSufficient(compensations []float64) error {
 //
 // Both evidence envelopes must carry bids of the accused's CURRENT bid
 // epoch (BindRounds). Two contradictory bids from different epochs are
-// not equivocation — a processor that announced a rate change
-// legitimately signs a new, different bid in the new epoch, and the old
+// not equivocation — a processor that changes its bid legitimately
+// signs a new, different bid in the new epoch, and the old
 // one must not be usable to frame it. Cross-epoch "evidence" is therefore
 // unfounded and fines the accuser.
 func (r *Referee) JudgeEquivocation(accuser string, a, b sig.Envelope) (Verdict, error) {
