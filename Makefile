@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service race-fanout vet fmt doccheck examples net-smoke net-trace ci serve bench-smoke bench-cold bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service race-fanout vet fmt doccheck fma-guard examples net-smoke net-trace ci serve bench-smoke bench-cold bench-layered-smoke bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -60,6 +60,25 @@ doccheck:
 		./internal/adversarytest ./internal/obs ./internal/sim ./internal/stats ./internal/gantt \
 		./internal/dynamics ./internal/experiments
 
+# Fused multiply-add guard. Go may fuse x*y+z into one instruction on
+# arm64, ppc64le or riscv64 (amd64 never does), so an honest processor
+# there could compute a payment vector that differs in the last bit from
+# the referee's, which compares them bit for bit. The period rule rounds
+# every product that feeds a sum through an explicit float64 conversion,
+# which forbids the fusion; this target cross-compiles ./internal/core's
+# test binary for each architecture and fails if `go tool objdump` shows
+# a fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB) in the rule's
+# symbol, or no symbol to check. Cross-compiling works offline.
+fma-guard:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for arch in arm64 ppc64le riscv64; do \
+		GOARCH=$$arch CGO_ENABLED=0 $(GO) test -c -o $$dir/core.test ./internal/core || exit 1; \
+		$(GO) tool objdump -s 'core\.\(\*PaymentEngine\)\.RunPeriodInto$$' $$dir/core.test > $$dir/dump || exit 1; \
+		grep -q '^TEXT ' $$dir/dump || { echo "fma-guard: no RunPeriodInto symbol on $$arch"; exit 1; }; \
+		if grep -E '\bFN?M(ADD|SUB)' $$dir/dump; then echo "fma-guard: fused multiply-add on $$arch"; exit 1; fi; \
+		echo "fma-guard: $$arch: no fused multiply-add"; \
+	done
+
 # Every example, run end to end: each is a standalone main that exits
 # non-zero when it fails. examples/service (one pool at two bus rates)
 # and examples/repeatedjobs (a ban over six jobs) are the only
@@ -88,7 +107,8 @@ net-trace:
 	$(GO) test -run=TestNetTraceMultiProcess -v -count=1 ./internal/netbus/
 
 # The full gate a change must pass before merging: build, vet, the
-# gofmt check, the doc-comment lint, the race-enabled test suite (which includes the
+# gofmt check, the doc-comment lint, the fused multiply-add guard on the
+# installment payment rule, the race-enabled test suite (which includes the
 # service load test and FIFO streaming, the protocol transport, the
 # hot-path parity and zero-alloc guards, the installment sub-rounds, the
 # virtual-time packing model's 1.3x target and the Byzantine adversary
@@ -98,7 +118,7 @@ net-trace:
 # up to service.MaxPoolSize, the multi-process loopback
 # smoke, and the distributed-telemetry trace smoke (merged 3-process
 # Chrome trace with payment parity intact).
-ci: build vet fmt doccheck race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
+ci: build vet fmt doccheck fma-guard race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;
@@ -116,8 +136,8 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Ten seconds of every fuzz target: the mechanism engine against the
-# naive baseline, its installment path against the per-agent re-solve
-# (bit for bit), envelope tampering, the DLT closed forms, the
+# naive baseline, its installment period rule against the period's
+# definition, envelope tampering, the DLT closed forms, the
 # bid-session model of who bids what (abstentions, returns, bid-factor
 # changes), the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
@@ -164,13 +184,13 @@ bench-smoke:
 # (m = 16, 64, 128, 256), so the largest pool a spec may declare stays
 # exercised, one warm m = 16 reuse round, the service's steady state,
 # one netbus round over two loopback nodes at m = 16, 64 and 128, one
-# 4-installment payment computation at m = 16 and 256 (the engine's
-# steady state, 0 B/op) and one warm 4-installment m = 16 load through
-# pipeline.RunLoad; about a second in all.
+# installment payment computation at m = 16 and 256 (the engine's period
+# rule at its steady state, 0 B/op) and one warm 4-installment m = 16
+# load through pipeline.RunLoad; about a second in all.
 bench-cold:
 	$(GO) test -run NONE -bench 'BenchmarkColdRound|BenchmarkReuseRound' -benchtime 1x ./internal/protocol
 	$(GO) test -run NONE -bench BenchmarkNetRound -benchtime 1x ./internal/netbus
-	$(GO) test -run NONE -bench '^BenchmarkRunRounds$$' -benchtime 1x ./internal/core
+	$(GO) test -run NONE -bench '^BenchmarkRunPeriod$$' -benchtime 1x ./internal/core
 	$(GO) test -run NONE -bench BenchmarkInstallmentLoad -benchtime 1x ./internal/pipeline
 
 # The layered benchmark's own tests (bench/, a separate module): every

@@ -64,6 +64,9 @@ type Outcome struct {
 	Valuation    []float64 // V_i = −α_i·w̃_i
 	Utility      []float64 // U_i = Q_i + V_i = B_i
 
+	// The Makespan fields hold the makespan T of a whole-load run, and
+	// the per-load period P of an installment run (RunPeriodInto).
+
 	// MakespanBid is T(α(b), b): what the schedule promises if everyone
 	// executes at its bid.
 	MakespanBid float64

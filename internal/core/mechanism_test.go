@@ -135,28 +135,47 @@ func TestTruthfulUtilityEqualsContribution(t *testing.T) {
 	}
 }
 
+// pricingArms are the payment rules the theorem checks cover: the
+// single-round rule on every class, and the period rule of installment
+// sub-rounds on the classes that pipeline, where its gains stay within
+// rounding (a few ulps of the payment), far inside 1e-12.
+var pricingArms = []struct {
+	name  string
+	price Pricing
+	nets  []dlt.Network
+	tol   float64
+}{
+	{"single-round", (*PaymentEngine).RunInto, dlt.Networks, 1e-9},
+	{"period", (*PaymentEngine).RunPeriodInto, []dlt.Network{dlt.CP, dlt.NCPFE}, 1e-12},
+}
+
 // TestTheorem31Strategyproof: no sampled deviation beats truth-telling,
-// across all three network classes.
+// across all three network classes, nor in an installment sub-round.
 func TestTheorem31Strategyproof(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, net := range dlt.Networks {
-		for _, m := range []int{2, 3, 5, 9} {
-			if v := CheckStrategyproof(rng, net, 30, m, 1e-9); len(v) > 0 {
-				t.Errorf("%v m=%d: %d violations, first: agent %d: %s (instance %+v)",
-					net, m, len(v), v[0].Agent, v[0].Detail, v[0].Instance)
+	for _, arm := range pricingArms {
+		for _, net := range arm.nets {
+			for _, m := range []int{2, 3, 5, 9} {
+				if v := CheckStrategyproof(rng, net, 30, m, arm.tol, arm.price); len(v) > 0 {
+					t.Errorf("%s %v m=%d: %d violations, first: agent %d: %s (instance %+v)",
+						arm.name, net, m, len(v), v[0].Agent, v[0].Detail, v[0].Instance)
+				}
 			}
 		}
 	}
 }
 
-// TestTheorem32VoluntaryParticipation: truthful agents never lose money.
+// TestTheorem32VoluntaryParticipation: truthful agents never lose money,
+// in a whole-load round or an installment sub-round.
 func TestTheorem32VoluntaryParticipation(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for _, net := range dlt.Networks {
-		for _, m := range []int{2, 4, 8, 16} {
-			if v := CheckVoluntaryParticipation(rng, net, 50, m, 1e-9); len(v) > 0 {
-				t.Errorf("%v m=%d: %d violations, first: agent %d: %s",
-					net, m, len(v), v[0].Agent, v[0].Detail)
+	for _, arm := range pricingArms {
+		for _, net := range arm.nets {
+			for _, m := range []int{2, 4, 8, 16} {
+				if v := CheckVoluntaryParticipation(rng, net, 50, m, arm.tol, arm.price); len(v) > 0 {
+					t.Errorf("%s %v m=%d: %d violations, first: agent %d: %s",
+						arm.name, net, m, len(v), v[0].Agent, v[0].Detail)
+				}
 			}
 		}
 	}

@@ -113,14 +113,11 @@ func BenchmarkMechanismRunNaive(b *testing.B) {
 	}
 }
 
-// RunRoundsNaive is the R-installment oracle: the per-agent re-solve that
-// PaymentEngine.RunRoundsInto replaced. It validates and re-solves 2m+1
-// installment schedules from scratch, each with fresh buffers.
-// FuzzRoundsEngineParity holds the engine to it bit for bit.
-func (m Mechanism) RunRoundsNaive(bids, exec []float64, rounds int, policy dlt.RoundPolicy, rule PaymentRule) (*Outcome, error) {
-	if rounds <= 1 {
-		return m.run(bids, exec, rule)
-	}
+// RunPeriodNaive is the period rule's oracle: its definition, evaluated
+// with fresh buffers and no shared aggregates. Each leave-one-out period
+// is P of dlt.PipelinedAllocation on Instance.Without(i), and each
+// realized period is P of α_P(b) with w̃_i substituted for b_i.
+func (m Mechanism) RunPeriodNaive(bids, exec []float64, rule PaymentRule) (*Outcome, error) {
 	n := len(bids)
 	if n < 2 {
 		return nil, errors.New("core: DLS-BL needs at least two agents")
@@ -141,10 +138,6 @@ func (m Mechanism) RunRoundsNaive(bids, exec []float64, rounds int, policy dlt.R
 	if err != nil {
 		return nil, err
 	}
-	msBid, err := dlt.MultiRoundMakespanWithSpeeds(in, alloc, rounds, policy, bids)
-	if err != nil {
-		return nil, err
-	}
 	out := &Outcome{
 		Alloc:            alloc,
 		Compensation:     make([]float64, n),
@@ -154,9 +147,8 @@ func (m Mechanism) RunRoundsNaive(bids, exec []float64, rounds int, policy dlt.R
 		Utility:          make([]float64, n),
 		MakespanWithout:  make([]float64, n),
 		MakespanRealized: make([]float64, n),
-		MakespanBid:      msBid,
+		MakespanBid:      period(in, alloc),
 	}
-	speeds := make([]float64, n)
 	for i := 0; i < n; i++ {
 		sub, err := in.Without(i)
 		if err != nil {
@@ -166,26 +158,33 @@ func (m Mechanism) RunRoundsNaive(bids, exec []float64, rounds int, policy dlt.R
 		if err != nil {
 			return nil, err
 		}
-		tWithout, err := dlt.MultiRoundMakespanWithSpeeds(sub, subAlloc, rounds, policy, sub.W)
-		if err != nil {
-			return nil, err
-		}
-		copy(speeds, bids)
+		realized := in.Clone()
 		if rule == WithVerification {
-			speeds[i] = exec[i]
+			realized.W[i] = exec[i]
 		}
-		tRealized, err := dlt.MultiRoundMakespanWithSpeeds(in, alloc, rounds, policy, speeds)
-		if err != nil {
-			return nil, err
-		}
-		out.MakespanWithout[i] = tWithout
-		out.MakespanRealized[i] = tRealized
+		out.MakespanWithout[i] = period(sub, subAlloc)
+		out.MakespanRealized[i] = period(realized, alloc)
 		out.Compensation[i] = alloc[i] * exec[i]
-		out.Bonus[i] = tWithout - tRealized
+		out.Bonus[i] = out.MakespanWithout[i] - out.MakespanRealized[i]
 		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
 		out.Valuation[i] = -alloc[i] * exec[i]
 		out.Utility[i] = out.Payment[i] + out.Valuation[i]
 		out.UserCost += out.Payment[i]
 	}
 	return out, nil
+}
+
+// period is P(α, w) = max(bus time, max_j α_j·w_j), the per-load busy
+// time of the busiest resource in the steady state: the bus carries z
+// per unit of load on CP and z·(1 − α_0) on NCP-FE, whose originator
+// keeps its share off the bus.
+func period(in dlt.Instance, a dlt.Allocation) float64 {
+	p := in.Z
+	if in.Network == dlt.NCPFE {
+		p = in.Z * (1 - a[0])
+	}
+	for j, x := range a {
+		p = math.Max(p, x*in.W[j])
+	}
+	return p
 }

@@ -66,7 +66,9 @@ type PaymentEngine struct {
 	Network dlt.Network
 	Z       float64
 
-	// Scratch buffers, grown on demand and reused across runs.
+	// Scratch buffers, grown on demand and reused across runs. The period
+	// rule (RunPeriodInto) sums 1/b_j in pre and suf and keeps the busy
+	// times α_j·b_j in fin.
 	prod []float64 // scaled chain products p_j (dlt.ChainProducts)
 	exps []int     // exponent track for ChainProducts renormalization
 	pre  []float64 // pre[i] = Σ_{j<i} prod[j], len m+1
@@ -75,14 +77,6 @@ type PaymentEngine struct {
 	base []float64 // communication-completion offset of each processor
 	pmax []float64 // pmax[i] = max(fin[0..i-1]), len m+1, pmax[0] = -Inf
 	smax []float64 // smax[i] = max(fin[i..m-1]), len m+1, smax[m] = -Inf
-
-	// R-installment scratch (RunRoundsInto); fin, pmax and smax above are
-	// shared, with the maxima folded from 0 as dlt.MaxFinish folds them.
-	per  []float64 // per-round load fractions, len R
-	arr  []float64 // chunk arrivals of the base schedule, arr[r·m+i]
-	subW []float64 // leave-one-out survivors' bids, len m−1
-	subA []float64 // their steady-state split
-	subF []float64 // their finish times
 }
 
 // NewPaymentEngine returns an engine for the given network class and
@@ -138,12 +132,8 @@ func (e *PaymentEngine) Run(bids, exec []float64, rule PaymentRule) (*Outcome, e
 // Mechanism.Run; semantics are identical to the naive O(m²) computation
 // up to floating-point rounding in MakespanWithout.
 func (e *PaymentEngine) RunInto(bids, exec []float64, rule PaymentRule, out *Outcome) error {
-	m := len(bids)
-	if m < 2 {
-		return errors.New("core: DLS-BL needs at least two agents")
-	}
-	if len(exec) != m {
-		return fmt.Errorf("core: %d execution values for %d bids", len(exec), m)
+	if err := checkProfile(bids, exec); err != nil {
+		return err
 	}
 	if math.IsNaN(e.Z) || math.IsInf(e.Z, 0) || e.Z < 0 {
 		return fmt.Errorf("dlt: invalid communication time z=%v", e.Z)
@@ -151,14 +141,7 @@ func (e *PaymentEngine) RunInto(bids, exec []float64, rule PaymentRule, out *Out
 	if e.Network != dlt.CP && e.Network != dlt.NCPFE && e.Network != dlt.NCPNFE {
 		return fmt.Errorf("dlt: unknown network class %d", int(e.Network))
 	}
-	for i := 0; i < m; i++ {
-		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
-			return fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
-		}
-		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
-			return fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
-		}
-	}
+	m := len(bids)
 	e.grow(m)
 	a := dlt.Allocation(reuseFloats((*[]float64)(&out.Alloc), m))
 	out.Alloc = a
@@ -253,6 +236,27 @@ func (e *PaymentEngine) RunInto(bids, exec []float64, rule PaymentRule, out *Out
 		userCost += pay[i]
 	}
 	out.UserCost = userCost
+	return nil
+}
+
+// checkProfile rejects what no DLS-BL rule can price: fewer than two
+// agents, an execution value per bid missing or extra, and a bid or
+// execution value that is not positive and finite.
+func checkProfile(bids, exec []float64) error {
+	if len(bids) < 2 {
+		return errors.New("core: DLS-BL needs at least two agents")
+	}
+	if len(exec) != len(bids) {
+		return fmt.Errorf("core: %d execution values for %d bids", len(exec), len(bids))
+	}
+	for i := range bids {
+		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
+			return fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
+		}
+		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
+			return fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
+		}
+	}
 	return nil
 }
 

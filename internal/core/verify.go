@@ -140,11 +140,16 @@ func RegimeSafeInstance(rng *rand.Rand, net dlt.Network, m int) dlt.Instance {
 	return dlt.RandomInstance(rng, net, m, 0.5, 8, 0.02, 0.49)
 }
 
+// Pricing is an engine's payment rule as a method expression:
+// (*PaymentEngine).RunInto prices a whole-load round and
+// (*PaymentEngine).RunPeriodInto an installment sub-round.
+type Pricing func(e *PaymentEngine, bids, exec []float64, rule PaymentRule, out *Outcome) error
+
 // CheckStrategyproof samples random instances and bid deviations and
 // returns every case where a deviating agent obtained strictly more
-// utility than the truthful one (beyond tolerance). An empty result is
-// the empirical form of Theorem 3.1.
-func CheckStrategyproof(rng *rand.Rand, net dlt.Network, trials, m int, tol float64) []Violation {
+// utility under price than the truthful one (beyond tolerance). An empty
+// result is the empirical form of Theorem 3.1.
+func CheckStrategyproof(rng *rand.Rand, net dlt.Network, trials, m int, tol float64, price Pricing) []Violation {
 	var out []Violation
 	var res Outcome
 	var eng PaymentEngine
@@ -157,7 +162,7 @@ func CheckStrategyproof(rng *rand.Rand, net dlt.Network, trials, m int, tol floa
 			copy(bids, in.W)
 			copy(execs, in.W)
 			bids[i], execs[i] = bid, exec
-			if err := eng.RunInto(bids, execs, WithVerification, &res); err != nil {
+			if err := price(&eng, bids, execs, WithVerification, &res); err != nil {
 				return 0, err
 			}
 			return res.Utility[i], nil
@@ -191,16 +196,16 @@ func CheckStrategyproof(rng *rand.Rand, net dlt.Network, trials, m int, tol floa
 }
 
 // CheckVoluntaryParticipation samples random instances with all agents
-// truthful and returns every case of negative utility. An empty result is
-// the empirical form of Theorem 3.2.
-func CheckVoluntaryParticipation(rng *rand.Rand, net dlt.Network, trials, m int, tol float64) []Violation {
+// truthful and returns every case of negative utility under price. An
+// empty result is the empirical form of Theorem 3.2.
+func CheckVoluntaryParticipation(rng *rand.Rand, net dlt.Network, trials, m int, tol float64, price Pricing) []Violation {
 	var out []Violation
 	var res Outcome
 	var eng PaymentEngine
 	for trial := 0; trial < trials; trial++ {
 		in := RegimeSafeInstance(rng, net, m)
 		eng.Network, eng.Z = net, in.Z
-		if err := eng.RunInto(in.W, in.W, WithVerification, &res); err != nil {
+		if err := price(&eng, in.W, in.W, WithVerification, &res); err != nil {
 			out = append(out, Violation{Detail: err.Error(), Instance: in})
 			continue
 		}

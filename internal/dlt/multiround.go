@@ -158,8 +158,8 @@ var ErrPipelinedNFE = errors.New("dlt: pipelined allocation requires an overlapp
 
 // PipelinedAllocationInto writes PipelinedAllocation(in) into a, which
 // must have in.M() entries, and validates nothing: in must be a valid CP
-// or NCP-FE instance. It is the allocation-free form the payment engine
-// runs once per leave-one-out instance of an already validated profile.
+// or NCP-FE instance. It is the allocation-free form the payment
+// engine's period rule runs on an already validated profile.
 func PipelinedAllocationInto(in Instance, a Allocation) {
 	m := in.M()
 	if in.Network == NCPFE {
@@ -203,102 +203,6 @@ func PipelinedAllocationInto(in Instance, a Allocation) {
 	}
 }
 
-// MultiRoundMakespanWithSpeeds evaluates the R-installment greedy
-// schedule's makespan for a FIXED allocation when the processors execute
-// at the given speeds (communication still at the instance's bids-derived
-// fractions and bus rate). This is the multi-round analogue of
-// MakespanWithSpeeds, used by the payment rule's realized-makespan term.
-func MultiRoundMakespanWithSpeeds(in Instance, a Allocation, rounds int, policy RoundPolicy, speeds []float64) (float64, error) {
-	if err := in.Validate(); err != nil {
-		return 0, err
-	}
-	if err := InstallmentFeasible(in.Network, rounds); err != nil {
-		return 0, err
-	}
-	m := in.M()
-	if len(a) != m || len(speeds) != m {
-		return 0, fmt.Errorf("dlt: allocation/speeds have %d/%d entries for %d processors", len(a), len(speeds), m)
-	}
-	per, err := RoundFractions(rounds, policy)
-	if err != nil {
-		return 0, err
-	}
-	run := in.Clone()
-	run.W = append([]float64(nil), speeds...)
-	f := make([]float64, m)
-	MultiRoundFinishes(run, a, per, f, nil)
-	return MaxFinish(f), nil
-}
-
-// MaxFinish returns the makespan of a finish-time vector: its largest
-// entry, or 0 when none is positive. A NaN entry is skipped.
-func MaxFinish(f []float64) float64 {
-	t := 0.0
-	for _, fi := range f {
-		if fi > t {
-			t = fi
-		}
-	}
-	return t
-}
-
-// MultiRoundFinishes fills f with each processor's finish time in the
-// greedy installment schedule of allocation a, served in len(per) rounds
-// of the given per-round fractions — the span-free core of
-// MultiRoundSchedule. It validates nothing: in must be a valid instance
-// and a and f must have in.M() entries. A non-nil arr (len ≥
-// in.M()·len(per)) also receives each chunk's arrival time, arr[r·m+i]
-// for processor i's round-r chunk (0 for a chunk that never crosses the
-// bus); a chunk of zero size is skipped and leaves its slot as it was.
-// The bus is fixed by the allocation alone, so a processor's finish time
-// depends only on its own speed and these arrivals.
-func MultiRoundFinishes(in Instance, a Allocation, per, f, arr []float64) {
-	m := in.M()
-	w, a, f := in.W[:m], a[:m], f[:m]
-	clear(f)
-	// NCP-FE's originator (processor 0) computes its chunks in place: they
-	// arrive at 0 and never occupy the bus.
-	first := 0
-	if in.Network == NCPFE {
-		first = 1
-	}
-	bus := 0.0
-	for r, p := range per {
-		if first == 1 {
-			if frac := p * a[0]; frac != 0 {
-				if arr != nil {
-					arr[r*m] = 0
-				}
-				f[0] = maxFloat(0, f[0]) + w[0]*frac
-			}
-		}
-		for i := first; i < m; i++ {
-			frac := p * a[i]
-			if frac == 0 {
-				continue
-			}
-			bus += in.Z * frac
-			if arr != nil {
-				arr[r*m+i] = bus
-			}
-			f[i] = maxFloat(bus, f[i]) + w[i]*frac
-		}
-	}
-}
-
-// maxFloat is math.Max(x, y) bit for bit, with the ordered cases inline
-// (MultiRoundFinishes calls it once per chunk); equal operands, ±0 and
-// NaN take math.Max's own path.
-func maxFloat(x, y float64) float64 {
-	if x > y {
-		return x
-	}
-	if y > x {
-		return y
-	}
-	return math.Max(x, y)
-}
-
 // RoundFractions returns the per-round load fractions for the policy:
 // rounds entries, each positive, summing to 1.
 func RoundFractions(rounds int, policy RoundPolicy) ([]float64, error) {
@@ -306,15 +210,6 @@ func RoundFractions(rounds int, policy RoundPolicy) ([]float64, error) {
 		return nil, errors.New("dlt: rounds must be >= 1")
 	}
 	per := make([]float64, rounds)
-	if err := RoundFractionsInto(per, policy); err != nil {
-		return nil, err
-	}
-	return per, nil
-}
-
-// RoundFractionsInto writes RoundFractions(len(per), policy) into per.
-func RoundFractionsInto(per []float64, policy RoundPolicy) error {
-	rounds := len(per)
 	switch policy {
 	case EqualRounds:
 		for r := range per {
@@ -327,7 +222,7 @@ func RoundFractionsInto(per []float64, policy RoundPolicy) error {
 			per[r] = math.Exp2(float64(r)) / total
 		}
 	default:
-		return fmt.Errorf("dlt: unknown round policy %d", int(policy))
+		return nil, fmt.Errorf("dlt: unknown round policy %d", int(policy))
 	}
-	return nil
+	return per, nil
 }

@@ -191,7 +191,7 @@ func init() {
 				for _, m := range []int{2, 4, 8, 16} {
 					const trials = 50
 					minU := math.Inf(1)
-					v := core.CheckVoluntaryParticipation(rng, net, trials, m, 1e-9)
+					v := core.CheckVoluntaryParticipation(rng, net, trials, m, 1e-9, (*core.PaymentEngine).RunInto)
 					totalViolations += len(v)
 					// Recompute the minimum utility over fresh instances
 					// for the table.

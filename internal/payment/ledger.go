@@ -124,6 +124,22 @@ func (l *Ledger) History() []Entry {
 	return append([]Entry(nil), l.history...)
 }
 
+// Flows sums the executed transfers between hub and the accounts that
+// index maps, without copying the history: what account a sent to hub is
+// added to in[index[a]], and what hub sent a to out[index[a]].
+func (l *Ledger) Flows(hub string, index map[string]int, in, out []float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range l.history {
+		if i, ok := index[e.From]; ok && e.To == hub {
+			in[i] += e.Amount
+		}
+		if i, ok := index[e.To]; ok && e.From == hub {
+			out[i] += e.Amount
+		}
+	}
+}
+
 // NetDrift returns Σ balances, which double-entry bookkeeping keeps at
 // exactly zero up to floating-point error; tests assert it stays below
 // tolerance.

@@ -110,6 +110,24 @@ func TestHistoryIsCopy(t *testing.T) {
 	}
 }
 
+// TestFlows: Flows sums, per mapped account, what it sent to the hub
+// and what the hub sent it, and skips transfers that miss the hub or an
+// unmapped account.
+func TestFlows(t *testing.T) {
+	l, _ := NewLedger("hub", "a", "b", "c")
+	for _, tr := range []Entry{{"a", "hub", 3, ""}, {"hub", "b", 1, ""}, {"hub", "a", 0.5, ""},
+		{"a", "hub", 1, ""}, {"a", "b", 7, ""}, {"c", "hub", 2, ""}} {
+		if err := l.Transfer(tr.From, tr.To, tr.Amount, tr.Memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, out := make([]float64, 2), make([]float64, 2)
+	l.Flows("hub", map[string]int{"a": 0, "b": 1}, in, out)
+	if !reflect.DeepEqual(in, []float64{4, 0}) || !reflect.DeepEqual(out, []float64{0.5, 1}) {
+		t.Errorf("into hub %v, out of hub %v; want [4 0] and [0.5 1]", in, out)
+	}
+}
+
 // Property: conservation — after any sequence of random transfers, the
 // sum of all balances is ~0 and each balance equals inflow − outflow.
 func TestQuickConservation(t *testing.T) {

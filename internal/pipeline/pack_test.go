@@ -102,11 +102,11 @@ func TestPackProperties(t *testing.T) {
 		serial := 0.0
 		for j, job := range plan.Jobs {
 			in := dlt.Instance{Network: dlt.NCPFE, Z: z, W: job.Exec}
-			ms, err := dlt.MultiRoundMakespanWithSpeeds(in, job.Alloc, job.Rounds, job.Policy, job.Exec)
+			tl, err := dlt.MultiRoundSchedule(in, job.Alloc, job.Rounds, job.Policy)
 			if err != nil {
 				t.Fatalf("trial %d job %d: %v", trial, j, err)
 			}
-			serial += ms * job.Size
+			serial += tl.Makespan * job.Size
 		}
 		if plan.Makespan > serial*(1+1e-9) {
 			t.Errorf("trial %d: packed makespan %v exceeds serial same-schedule total %v", trial, plan.Makespan, serial)

@@ -142,11 +142,11 @@ func TestRunLoadTelescopesPayments(t *testing.T) {
 			// The aggregated timeline is the pipelined multi-round
 			// schedule over the realized rates and agreed allocation.
 			in := dlt.Instance{Network: dlt.NCPFE, Z: 0.2, W: agg.Exec} // newSession's bus rate
-			ms, err := dlt.MultiRoundMakespanWithSpeeds(in, agg.Alloc, rounds, policy, agg.Exec)
+			tl, err := dlt.MultiRoundSchedule(in, agg.Alloc, rounds, policy)
 			if err != nil {
 				t.Fatalf("%v R=%d: %v", policy, rounds, err)
 			}
-			if !approx(agg.Makespan, ms, 1e-9) {
+			if ms := tl.Makespan; !approx(agg.Makespan, ms, 1e-9) {
 				t.Errorf("%v R=%d: aggregate makespan %v, multi-round evaluator %v", policy, rounds, agg.Makespan, ms)
 			}
 		}

@@ -536,10 +536,10 @@ func (s *BidSession) NextRound() int {
 // "<salt>:rN.iK" — served from the cached bid set when the profile
 // allows, re-bidding otherwise, exactly like Run — with the money flow
 // scaled by frac and the allocation/payment rule switched to the
-// installment class (dlt.PipelinedAllocation + multi-round makespan
-// terms). With of=1 the ID collapses to the plain
-// "<salt>:rN" and the round is byte-identical to a Run round, allocation
-// rule included.
+// installment class (dlt.PipelinedAllocation priced by the period rule,
+// core.PaymentEngine.RunPeriodInto). With of=1 the ID collapses to the
+// plain "<salt>:rN" and the round is byte-identical to a Run round,
+// allocation rule included.
 func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
 	if n < 1 || n > s.rounds {
 		return nil, fmt.Errorf("protocol: sub-round of unreserved session round %d", n)

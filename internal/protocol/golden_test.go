@@ -26,9 +26,9 @@ var transcriptGolden = []string{
 	"NCP-FE/leave-splice fb7037ccb95401876d0a59c7fd2be621f38cbc4869dc33f3983ad1679843d436 q=[1.2321100917431191 0.7330393951848946 0 0.3858976115449605] f=[0 0 0 0] done=true",
 	"NCP-FE/reuse-tamperer 2230df48d5acf0a6a6d57a3523bc16cad4aad98e892e374821bf51392bc3d501 q=[] f=[0 30 0 0] done=false",
 	"NCP-FE/reuse-payment-cheat 38bcac0ab4c56af5d539a5aed9eebad320b8083aa86ef7f08b204b6c10acafda q=[1.2321100917431191 0.7330393951848946 0 0.3858976115449605] f=[0 30 0 0] done=true",
-	"NCP-FE/installment-1 41e7407d9ed432eec7fdffc51ad1184dcc6dd4abb2a0f73f20daf43f96b57500 q=[0.36863711001642036 0.2571082879612825 0 0.1437547892720306] f=[0 0 0 0] done=true",
-	"NCP-FE/installment-2 9a7021f1bc4458005924d1472f638db3306f26107d0ba498349dbaff74abc28d q=[0.36863711001642036 0.2571082879612825 0 0.1437547892720306] f=[0 0 0 0] done=true",
-	"NCP-FE/installment-3 484fddcc3825e9d80b3be21c6aa142d7376bae9ad7dd2efe4941e930aef71215 q=[0.36863711001642036 0.2571082879612825 0 0.1437547892720306] f=[0 0 0 0] done=true",
+	"NCP-FE/installment-1 41e7407d9ed432eec7fdffc51ad1184dcc6dd4abb2a0f73f20daf43f96b57500 q=[0.3571428571428571 0.2631578947368421 0 0.14252873563218393] f=[0 0 0 0] done=true",
+	"NCP-FE/installment-2 9a7021f1bc4458005924d1472f638db3306f26107d0ba498349dbaff74abc28d q=[0.3571428571428571 0.2631578947368421 0 0.14252873563218393] f=[0 0 0 0] done=true",
+	"NCP-FE/installment-3 484fddcc3825e9d80b3be21c6aa142d7376bae9ad7dd2efe4941e930aef71215 q=[0.3571428571428571 0.2631578947368421 0 0.14252873563218393] f=[0 0 0 0] done=true",
 	"NCP-FE/lossy-reuse 38f809a652bd49c00a39259eda9a9c377d31104dbf6eee75a2c6d9263396c1c1 q=[1.2321100917431191 0.7330393951848946 0 0.3858976115449605] f=[0 0 0 0] done=true",
 	"NCP-FE/equivocation-rebid 68f6a48849458b8221477154ff0b0c0132097040b8edf73d090fde27dd05fee5 q=[] f=[0 30 0 0] done=false",
 	"NCP-FE/final-reuse 1f620b520e2c4305169fea2268d15ac57a0722dce391b7423b48f56ed662956c q=[1.2321100917431191 0.7330393951848946 0 0.3858976115449605] f=[0 0 0 0] done=true",

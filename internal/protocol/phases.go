@@ -977,10 +977,14 @@ func (r *run) phasePayments() error {
 			derived[j] = r.bids[j]
 		}
 	}
-	// An installment sub-round (instOf > 1) takes the R-installment payment
-	// rule (balanced allocation, multi-round makespan terms); a whole-load
-	// round takes the single-round rule.
-	if err := r.engine.RunRoundsInto(r.bids, derived, r.instOf, r.policy, core.WithVerification, r.payOut); err != nil {
+	// An installment sub-round (instOf > 1) takes the period rule (the
+	// balanced split, priced in the per-load period it minimizes); a
+	// whole-load round takes the single-round rule.
+	price := r.engine.RunInto
+	if r.instOf > 1 {
+		price = r.engine.RunPeriodInto
+	}
+	if err := price(r.bids, derived, core.WithVerification, r.payOut); err != nil {
 		return err
 	}
 	out := r.payOut
@@ -991,10 +995,14 @@ func (r *run) phasePayments() error {
 	}
 
 	// Every processor signs its payment vector; a payment equivocator
-	// also signs a second one with its own entry raised.
+	// also signs a second one with its own entry raised. An honest
+	// processor's vector is the engine's own: sealing only reads it.
 	reqs := make([]sig.Sealing, 0, r.m)
 	for i, a := range r.agents {
-		q := a.PaymentVector(out.Payment, i)
+		q := out.Payment
+		if a.Behavior.WrongPaymentFactor != 1 {
+			q = a.PaymentVector(out.Payment, i)
+		}
 		reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindPayment,
 			Payload: referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID}})
 		if a.Behavior.EquivocatePayments {

@@ -372,10 +372,10 @@ type roundBinding struct {
 	// therefore bit-identical to the unscaled path).
 	frac float64
 	// inst / instOf, when instOf > 1, mark this execution as installment
-	// inst of instOf sub-rounds of one pipelined load; the referee enters
-	// an "installment" transcript entry so the audit shows the structure.
-	// policy is the load's installment division policy — it selects the
-	// R-installment makespan terms of the payment rule.
+	// inst of instOf sub-rounds of one pipelined load, priced by the
+	// period rule; the referee enters an "installment" transcript entry,
+	// naming the load's division policy, so the audit shows the
+	// structure.
 	inst   int
 	instOf int
 	policy dlt.RoundPolicy
@@ -724,16 +724,9 @@ func (r *run) finish(err error) (*Outcome, error) {
 	index := r.st.index
 	clear(index)
 	for i, p := range r.procs {
-		index[p] = i
+		index[p] = r.part[i]
 	}
-	for _, e := range r.ledger.History() {
-		if i, ok := index[e.From]; ok && e.To == referee.Account {
-			fines[r.part[i]] += e.Amount
-		}
-		if i, ok := index[e.To]; ok && e.From == referee.Account {
-			rewards[r.part[i]] += e.Amount
-		}
-	}
+	r.ledger.Flows(referee.Account, index, fines, rewards)
 	for i, p := range r.procs {
 		bal, berr := r.ledger.Balance(p)
 		if berr != nil {

@@ -56,7 +56,7 @@ type roundState struct {
 	// agents backs each round's agents, which setup initializes afresh.
 	agents []agent.Agent
 	// subs (each processor's payment submissions) and index (participant
-	// name → index) are maps a round clears and fills before use.
+	// name → config slot) are maps a round clears and fills before use.
 	subs  map[string][]sig.Envelope
 	index map[string]int
 }

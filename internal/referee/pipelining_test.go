@@ -45,7 +45,7 @@ func TestJudgePaymentsStaleInstallmentReplay(t *testing.T) {
 
 	f.bind(t, cur, "s01:r1")
 	f.ref.RecordInstallment(2, rounds, 0.25, dlt.EqualRounds)
-	out, err := f.mech.RunRounds(bids, exec, rounds, dlt.EqualRounds, core.WithVerification)
+	out, err := f.mech.RunPeriod(bids, exec, core.WithVerification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestJudgePaymentsStaleInstallmentReplay(t *testing.T) {
 }
 
 // TestJudgePaymentsInstallmentRecompute: a disputed payment vector in a
-// pipelined sub-round is judged against the R-installment payment rule —
+// pipelined sub-round is judged against the installment period rule —
 // a deviant submitting the single-round payment vector (the truth of the
 // unpipelined mechanism, but not of this load) is convicted.
 func TestJudgePaymentsInstallmentRecompute(t *testing.T) {
@@ -81,7 +81,7 @@ func TestJudgePaymentsInstallmentRecompute(t *testing.T) {
 
 	f.bind(t, cur, "s01:r1")
 	f.ref.RecordInstallment(2, rounds, 0.25, dlt.EqualRounds)
-	truth, err := f.mech.RunRounds(bids, exec, rounds, dlt.EqualRounds, core.WithVerification)
+	truth, err := f.mech.RunPeriod(bids, exec, core.WithVerification)
 	if err != nil {
 		t.Fatal(err)
 	}

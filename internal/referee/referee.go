@@ -66,11 +66,10 @@ type Referee struct {
 	round  string
 	epochs []string
 
-	// instRounds/instPolicy, set by RecordInstallment, mark this round as
-	// an installment sub-round of a pipelined load: payment recomputation
-	// then uses the R-installment rule. Zero for whole-load rounds.
-	instRounds int
-	instPolicy dlt.RoundPolicy
+	// installment, set by RecordInstallment, marks this round as an
+	// installment sub-round of a pipelined load: payment recomputation
+	// then prices with the period rule (core.Mechanism.RunPeriod).
+	installment bool
 
 	// send, when non-nil, streams every state change (audit entries,
 	// meters, evictions, installment bindings) to a standby referee; see
@@ -131,7 +130,7 @@ func (r *Referee) Reseat(ver *sig.BatchVerifier, ledger *payment.Ledger, mech co
 	r.epochs = append(r.epochs[:0], make([]string, len(procs))...)
 	r.audit.reset(auditReserve(len(procs)))
 	r.round = ""
-	r.instRounds, r.instPolicy = 0, 0
+	r.installment = false
 	r.send, r.replErr = nil, nil
 	return nil
 }
@@ -209,14 +208,15 @@ func (r *Referee) RecordBidReuse(epoch string, sinceRebid int) AuditEntry {
 // load's installment fractions sum to 1 and that every sub-round carried
 // a distinct round ID (which is what keeps cross-installment replays
 // convictable) — and arms the referee's payment recomputation with the
-// installment rule, so a payment dispute in a pipelined sub-round is
-// judged against the R-installment truth, not the single-round one.
+// period rule, so a payment dispute in a pipelined sub-round is judged
+// against the installment truth, not the single-round one. The rule
+// depends on neither the installment count nor the policy.
 func (r *Referee) RecordInstallment(k, of int, frac float64, policy dlt.RoundPolicy) AuditEntry {
-	r.instRounds, r.instPolicy = of, policy
+	r.installment = true
 	e := r.audit.AppendRound(r.round, "installment", "bidding", nil,
 		fmt.Sprintf("installment %d/%d (%s) carrying load fraction %.9g", k, of, policy, frac))
 	if r.send != nil {
-		r.replicate(e, AuditReplicaPayload{Inst: &InstBinding{Rounds: of, Policy: policy}})
+		r.replicate(e, AuditReplicaPayload{Inst: true})
 	}
 	return e
 }
@@ -760,8 +760,12 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 
 	// Disagreement (or prior guilt): the referee recomputes the truth
 	// from the bids and the meter-derived execution values — under the
-	// installment payment rule when this round is a pipelined sub-round.
-	out, err := r.mech.RunRounds(bids, exec, r.instRounds, r.instPolicy, core.WithVerification)
+	// period rule when this round is a pipelined sub-round.
+	recompute := r.mech.RunWithRule
+	if r.installment {
+		recompute = r.mech.RunPeriod
+	}
+	out, err := recompute(bids, exec, core.WithVerification)
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("referee: recomputing payments: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dlsbl/internal/core"
-	"dlsbl/internal/dlt"
 	"dlsbl/internal/payment"
 	"dlsbl/internal/sig"
 )
@@ -28,14 +27,13 @@ const StandbyAccount = "referee-standby"
 // StandbySnapshot is the full referee state at attach time: the primary
 // sends it once, then streams incremental AuditReplicaPayload updates.
 type StandbySnapshot struct {
-	Procs      []string           `json:"procs"`
-	Fine       float64            `json:"fine"`
-	Round      string             `json:"round,omitempty"`
-	Epochs     []string           `json:"epochs"`
-	InstRounds int                `json:"inst_rounds,omitempty"`
-	InstPolicy dlt.RoundPolicy    `json:"inst_policy,omitempty"`
-	Meters     map[string]float64 `json:"meters,omitempty"`
-	Entries    []AuditEntry       `json:"entries,omitempty"`
+	Procs       []string           `json:"procs"`
+	Fine        float64            `json:"fine"`
+	Round       string             `json:"round,omitempty"`
+	Epochs      []string           `json:"epochs"`
+	Installment bool               `json:"installment,omitempty"` // the period rule prices this round
+	Meters      map[string]float64 `json:"meters,omitempty"`
+	Entries     []AuditEntry       `json:"entries,omitempty"`
 }
 
 // MeterReading replicates one tamper-proof meter value exactly. The
@@ -44,13 +42,6 @@ type StandbySnapshot struct {
 type MeterReading struct {
 	Proc string  `json:"proc"`
 	Phi  float64 `json:"phi"`
-}
-
-// InstBinding replicates the installment payment rule RecordInstallment
-// armed on the primary.
-type InstBinding struct {
-	Rounds int             `json:"rounds"`
-	Policy dlt.RoundPolicy `json:"policy"`
 }
 
 // AuditReplicaPayload is one primary → standby replication message. The
@@ -63,7 +54,7 @@ type AuditReplicaPayload struct {
 	Snapshot *StandbySnapshot `json:"snapshot,omitempty"`
 	Entry    *AuditEntry      `json:"entry,omitempty"`
 	Meter    *MeterReading    `json:"meter,omitempty"`
-	Inst     *InstBinding     `json:"inst,omitempty"`
+	Inst     bool             `json:"inst,omitempty"` // RecordInstallment armed the period rule
 	Evict    string           `json:"evict,omitempty"`
 }
 
@@ -76,7 +67,7 @@ type Standby struct {
 	log     AuditLog // the replicated transcript
 	meters  map[string]float64
 	evicted map[string]bool
-	inst    *InstBinding
+	inst    bool
 }
 
 // NewStandby returns an empty standby awaiting the primary's snapshot.
@@ -108,9 +99,7 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 		for proc, phi := range p.Snapshot.Meters {
 			s.meters[proc] = phi
 		}
-		if p.Snapshot.InstRounds > 0 {
-			s.inst = &InstBinding{Rounds: p.Snapshot.InstRounds, Policy: p.Snapshot.InstPolicy}
-		}
+		s.inst = p.Snapshot.Installment
 		return nil
 	}
 	if s.snap == nil {
@@ -132,8 +121,8 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 	if p.Meter != nil {
 		s.meters[p.Meter.Proc] = p.Meter.Phi
 	}
-	if p.Inst != nil {
-		s.inst = p.Inst
+	if p.Inst {
+		s.inst = true
 	}
 	if p.Evict != "" {
 		s.evicted[p.Evict] = true
@@ -172,9 +161,7 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 	if err := ref.BindRounds(s.snap.Round, epochs); err != nil {
 		return nil, fmt.Errorf("referee: promoting standby: %w", err)
 	}
-	if s.inst != nil {
-		ref.instRounds, ref.instPolicy = s.inst.Rounds, s.inst.Policy
-	}
+	ref.installment = s.inst
 	for proc, phi := range s.meters {
 		ref.meters[proc] = phi
 	}
@@ -192,13 +179,12 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 // only a later promotion must refuse to proceed from a torn replica.
 func (r *Referee) AttachStandby(send func(AuditReplicaPayload) error) error {
 	snap := &StandbySnapshot{
-		Procs:      append([]string(nil), r.procs...),
-		Fine:       r.fine,
-		Round:      r.round,
-		Epochs:     append([]string(nil), r.epochs...),
-		InstRounds: r.instRounds,
-		InstPolicy: r.instPolicy,
-		Entries:    r.audit.Entries(),
+		Procs:       append([]string(nil), r.procs...),
+		Fine:        r.fine,
+		Round:       r.round,
+		Epochs:      append([]string(nil), r.epochs...),
+		Installment: r.installment,
+		Entries:     r.audit.Entries(),
 	}
 	if len(r.meters) > 0 {
 		snap.Meters = make(map[string]float64, len(r.meters))

@@ -48,7 +48,7 @@ type JobSpec struct {
 // sizes its per-load buffers by the count before the first one runs, so
 // R multiplies a load's cost while the gain shrinks like 1/R: on a
 // 16-member ncp-fe pool at z = 0.1, going from 64 to 128 installments
-// shortens the modeled makespan (dlt.MultiRoundMakespanWithSpeeds) by
+// shortens the modeled makespan (dlt.MultiRoundSchedule) by
 // 0.7%. Callers in this repository use at most 4.
 const MaxInstallments = 64
 
