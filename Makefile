@@ -33,8 +33,10 @@ race-service:
 # the race detector at GOMAXPROCS 1, the inline path, and 4, the worker
 # loop, ten times over, with the transcript golden that pins every
 # signed byte; then the bid-receive oracle's race subset once at both
-# settings, its rounds drawing keys from the shared source pool; then
-# the hot-path and netbus parity properties, the netbus drain decode's
+# settings, its rounds drawing keys from the shared source pool, the
+# mixed-fault soak's session arm (a session's rewound bus records between
+# faulty rounds) and the simulated bus's record sharing; then the
+# hot-path and netbus parity properties, the netbus drain decode's
 # sharing and aliasing checks and its allocation guard once at both
 # settings.
 race-fanout:
@@ -42,6 +44,8 @@ race-fanout:
 		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden' \
 		./internal/sig ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestMixedFaultSoak/session' ./internal/protocol
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestDeliveriesShareOneRecord' ./internal/bus
 	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity|TestDrainSharesOnlyIdenticalCopies|TestDrainedRunsDoNotAlias|TestNetRoundAllocs' ./internal/protocol ./internal/netbus
 
 # Formatting gate: every tracked .go file, in the root module and in
@@ -115,10 +119,10 @@ net-trace:
 # tiers), the crypto fan-out at GOMAXPROCS 1 and 4, the coverage floor,
 # a short run of every fuzz target, every example run end to end, the
 # layered benchmark's correctness smoke, one cold round at each pool size
-# up to service.MaxPoolSize, the multi-process loopback
-# smoke, and the distributed-telemetry trace smoke (merged 3-process
-# Chrome trace with payment parity intact).
-ci: build vet fmt doccheck fma-guard race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold net-smoke net-trace
+# up to service.MaxPoolSize, the 250-seed mixed-fault soak, the
+# multi-process loopback smoke, and the distributed-telemetry trace smoke
+# (merged 3-process Chrome trace with payment parity intact).
+ci: build vet fmt doccheck fma-guard race race-fanout cover fuzz-short examples bench-layered-smoke bench-cold faults-soak net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;
@@ -170,8 +174,9 @@ serve:
 	$(GO) run ./cmd/dls-serve
 
 # Extended mixed-fault soak: the protocol under a combined drop/dup/
-# delay/corrupt/reorder plan across many seeds, asserting fault-free
-# payments every time. DLSBL_SOAK_ROUNDS picks the seed count.
+# delay/corrupt/reorder plan across many seeds, in one-shot runs and
+# through one bid session, asserting fault-free payments every time.
+# DLSBL_SOAK_ROUNDS picks the seed count.
 faults-soak:
 	DLSBL_SOAK_ROUNDS=250 $(GO) test -run=TestMixedFaultSoak -v ./internal/protocol/
 

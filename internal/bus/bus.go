@@ -40,7 +40,9 @@ import (
 // BroadcastAddr is the destination of an atomic broadcast.
 const BroadcastAddr = "*"
 
-// Message is one control-plane delivery.
+// Message is one control-plane emission. A medium hands every recipient
+// of an emission a pointer to one shared record of it (see
+// Medium.Drain), so nobody may write to a delivered Message.
 type Message struct {
 	From string
 	To   string // BroadcastAddr for broadcasts
@@ -79,14 +81,20 @@ type Stats struct {
 type Bus struct {
 	mu      sync.Mutex
 	z       float64
-	inboxes map[string][]Message
+	inboxes map[string][]*Message
 	// order holds the attached identities sorted; broadcasts iterate it so
 	// fault decisions are drawn in a reproducible receiver order.
 	order  []string
-	staged map[string][]Message // delayed deliveries, released by Drain
-	stats  Stats
-	port   *sim.Resource
-	faults *faultState
+	staged map[string][]*Message // delayed deliveries, released by Drain
+	// recs stores the records deliveries point to: chunks that never move,
+	// each twice the size of the one before, so a record's address holds
+	// while later ones are filed. The next record goes to recs[cur][off];
+	// Reset rewinds to the first chunk.
+	recs     [][]Message
+	cur, off int
+	stats    Stats
+	port     *sim.Resource
+	faults   *faultState
 	// dead holds endpoints blackholed mid-run by MarkUnresponsive — the
 	// fail-stopped processors of a crash-recovery round and the killed
 	// primary referee of a failover. Checked before the fault pipeline so
@@ -110,8 +118,8 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 	}
 	return &Bus{
 		z:       z,
-		inboxes: make(map[string][]Message),
-		staged:  make(map[string][]Message),
+		inboxes: make(map[string][]*Message),
+		staged:  make(map[string][]*Message),
 		port:    sim.NewResource("bus"),
 		faults:  newFaultState(plan),
 	}, nil
@@ -122,8 +130,10 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 // inboxes empty (keeping their capacity), no delayed deliveries or
 // unresponsive marks, zero stats, a nonce counter that numbers the next
 // message 1, a free data-plane port, a freshly seeded fault state and no
-// tracer. A long-lived owner (a BidSession) resets one bus for every
-// round it serves rather than building and attaching a new one.
+// tracer. The record storage is rewound: the records handed out before
+// the Reset are zeroed, and later emissions are filed over them. A
+// long-lived owner (a BidSession) resets one bus for every round it
+// serves rather than building and attaching a new one.
 func (b *Bus) Reset(z float64) error {
 	if !(z >= 0) {
 		return fmt.Errorf("bus: invalid transfer time z=%v", z)
@@ -136,6 +146,10 @@ func (b *Bus) Reset(z float64) error {
 		b.inboxes[id] = box[:0]
 	}
 	clear(b.staged)
+	for _, c := range b.recs[:min(b.cur+1, len(b.recs))] {
+		clear(c)
+	}
+	b.cur, b.off = 0, 0
 	b.dead = nil
 	b.stats = Stats{}
 	b.nonce = 0
@@ -200,8 +214,30 @@ func (b *Bus) SetTracer(t obs.Tracer) {
 	b.mu.Unlock()
 }
 
+// record files msg in the record storage and returns the record. Caller
+// holds the mutex.
+func (b *Bus) record(msg Message) *Message {
+	if b.cur < len(b.recs) && b.off == len(b.recs[b.cur]) {
+		b.cur, b.off = b.cur+1, 0
+	}
+	if b.cur == len(b.recs) {
+		// The first chunk holds two records per attached endpoint: a
+		// reliable protocol round emits 2m + 1 messages over its m + 1
+		// endpoints.
+		n := 2 * len(b.order)
+		if b.cur > 0 {
+			n = 2 * len(b.recs[b.cur-1])
+		}
+		b.recs = append(b.recs, make([]Message, n))
+	}
+	rec := &b.recs[b.cur][b.off]
+	b.off++
+	*rec = msg
+	return rec
+}
+
 // event emits one delivery-pipeline event. Caller holds the mutex.
-func (b *Bus) event(kind string, msg Message, to string) {
+func (b *Bus) event(kind string, msg *Message, to string) {
 	if b.tracer == nil {
 		return
 	}
@@ -217,9 +253,11 @@ func (b *Bus) NextNonce() uint64 {
 	return b.nonce
 }
 
-// deliver appends one delivery to an inbox, running the fault pipeline
-// when a plan is active. Caller holds the mutex.
-func (b *Bus) deliver(to string, msg Message) {
+// deliver files one delivery of the record msg in an inbox, running the
+// fault pipeline when a plan is active: a corrupted copy is filed as a
+// record of its own, and a duplicate, delay or reorder moves the pointer.
+// Caller holds the mutex.
+func (b *Bus) deliver(to string, msg *Message) {
 	if b.dead != nil && (b.dead[msg.From] || b.dead[to]) {
 		b.stats.Dropped++
 		b.event(obs.EvDrop, msg, to)
@@ -247,7 +285,7 @@ func (b *Bus) deliver(to string, msg Message) {
 			return
 		}
 		if pr.Corrupt > 0 && fs.rng.Float64() < pr.Corrupt {
-			msg = corruptEnvelope(msg)
+			msg = b.record(corruptEnvelope(*msg))
 			corrupted = true
 			b.stats.Corrupted++
 			b.event(obs.EvCorrupt, msg, to)
@@ -259,7 +297,7 @@ func (b *Bus) deliver(to string, msg Message) {
 		return
 	}
 	if !corrupted && p.Corrupt > 0 && fs.rng.Float64() < p.Corrupt {
-		msg = corruptEnvelope(msg)
+		msg = b.record(corruptEnvelope(*msg))
 		b.stats.Corrupted++
 		b.event(obs.EvCorrupt, msg, to)
 	}
@@ -278,7 +316,7 @@ func (b *Bus) deliver(to string, msg Message) {
 		case p.Reorder > 0 && len(b.inboxes[to]) > 0 && fs.rng.Float64() < p.Reorder:
 			box := b.inboxes[to]
 			at := fs.rng.Intn(len(box))
-			box = append(box, Message{})
+			box = append(box, nil)
 			copy(box[at+1:], box[at:])
 			box[at] = msg
 			b.inboxes[to] = box
@@ -314,7 +352,7 @@ func (b *Bus) BroadcastTagged(from, kind string, env sig.Envelope, size int, non
 		b.nonce++
 		nonce = b.nonce
 	}
-	msg := Message{From: from, To: BroadcastAddr, Kind: kind, Size: size, Nonce: nonce, Env: env}
+	msg := b.record(Message{From: from, To: BroadcastAddr, Kind: kind, Size: size, Nonce: nonce, Env: env})
 	b.stats.Messages++
 	b.stats.Units += size
 	b.stats.Broadcasts++
@@ -340,7 +378,7 @@ type Broadcast struct {
 // BroadcastEach is BroadcastTagged over the batch, in order: the same
 // nonces, fault draws, inbox order, stats and events as the loop, which
 // it is. Before the loop it grows every attached inbox once by the batch
-// length, the copies a reliable bus files there, rather than through
+// length, the deliveries a reliable bus files there, rather than through
 // every doubling on the way. It returns the nonce in force for each
 // broadcast; on an error the broadcasts before the failing one have gone
 // out.
@@ -384,7 +422,7 @@ func (b *Bus) SendTagged(from, to, kind string, env sig.Envelope, size int, nonc
 		b.nonce++
 		nonce = b.nonce
 	}
-	msg := Message{From: from, To: to, Kind: kind, Size: size, Nonce: nonce, Env: env}
+	msg := b.record(Message{From: from, To: to, Kind: kind, Size: size, Nonce: nonce, Env: env})
 	b.stats.Messages++
 	b.stats.Units += size
 	b.stats.Unicasts++
@@ -392,10 +430,12 @@ func (b *Bus) SendTagged(from, to, kind string, env sig.Envelope, size int, nonc
 	return nonce, nil
 }
 
-// Drain removes and returns the endpoint's queued messages in delivery
-// order. Deliveries a FaultPlan delayed become visible on the drain after
-// the one they missed.
-func (b *Bus) Drain(id string) ([]Message, error) {
+// Drain removes and returns the endpoint's queued deliveries in delivery
+// order, as pointers to the bus's records: every recipient of one
+// emission holds the same record, which stays valid until Reset.
+// Deliveries a FaultPlan delayed become visible on the drain after the
+// one they missed.
+func (b *Bus) Drain(id string) ([]*Message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	box, ok := b.inboxes[id]

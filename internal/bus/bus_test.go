@@ -243,7 +243,7 @@ func TestBroadcastEachIsTheLoop(t *testing.T) {
 		batch = append(batch, Broadcast{From: from, Kind: "bid", Env: testEnv(t, from, int64(i+1), i), Size: 1})
 	}
 	batch = append(batch, Broadcast{From: "P2", Kind: "bid", Env: testEnv(t, "P2", 9, 9), Size: 1, Nonce: 42})
-	run := func(each bool) ([]uint64, map[string][]Message, Stats, eventLog) {
+	run := func(each bool) ([]uint64, map[string][]*Message, Stats, eventLog) {
 		b := faultyBus(t, plan, ids...)
 		var events eventLog
 		b.SetTracer(&events)
@@ -262,7 +262,7 @@ func TestBroadcastEachIsTheLoop(t *testing.T) {
 				nonces = append(nonces, n)
 			}
 		}
-		inboxes := map[string][]Message{}
+		inboxes := map[string][]*Message{}
 		for _, id := range ids {
 			for drain := 0; drain < 2; drain++ { // the second drain releases delayed copies
 				msgs, err := b.Drain(id)
@@ -336,7 +336,7 @@ func TestDetach(t *testing.T) {
 func TestResetMatchesFreshBus(t *testing.T) {
 	ids := []string{"P1", "P2", "P3", "referee"}
 	for _, plan := range []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}} {
-		round := func(b *Bus) ([]uint64, map[string][]Message, Stats, eventLog, [2]float64) {
+		round := func(b *Bus) ([]uint64, map[string][]*Message, Stats, eventLog, [2]float64) {
 			var events eventLog
 			b.SetTracer(&events)
 			var nonces []uint64
@@ -356,7 +356,7 @@ func TestResetMatchesFreshBus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inboxes := map[string][]Message{}
+			inboxes := map[string][]*Message{}
 			for _, id := range ids {
 				for drain := 0; drain < 2; drain++ {
 					msgs, err := b.Drain(id)

@@ -238,8 +238,8 @@ func (fs *faultState) pairRule(from, to string) (PairFault, bool) {
 }
 
 // corruptEnvelope returns a copy of the message whose signature (or, for
-// an unsigned message, payload) has one bit flipped. The original's
-// backing arrays are never touched — other receivers share them.
+// an unsigned message, payload) has one bit flipped. The original record
+// and its backing arrays are never touched — other receivers share them.
 func corruptEnvelope(msg Message) Message {
 	out := msg
 	if len(msg.Env.Signature) > 0 {

@@ -42,9 +42,14 @@ import (
 //     reserved for misuse (unknown endpoint, negative size) and for
 //     the medium itself breaking.
 //   - Drain removes and returns an endpoint's queued deliveries in
-//     arrival order, and hands the returned slice over: the medium keeps
-//     no reference to it, so the caller may reuse it (the transport
-//     adopts it as the endpoint's pending buffer).
+//     arrival order, as pointers to shared records: every recipient of
+//     one emission holds the same *Message, and a copy a fault altered
+//     is a record of its own. Nobody may write to a record, or into the
+//     strings and byte slices it holds. The simulated bus keeps its
+//     records until Reset; a netbus record lives as long as its holders.
+//     The returned slice itself is handed over: the medium keeps no
+//     reference to it, so the caller may reuse it (the transport adopts
+//     it as the endpoint's pending buffer).
 //   - Stats reports the cumulative traffic and fault counters; the
 //     fault vocabulary (drops, duplicates, …) keeps its meaning on
 //     real sockets.
@@ -75,8 +80,9 @@ type Medium interface {
 	// logical nonce (0 allocates one). It returns the nonce in force.
 	SendTagged(from, to, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)
 	// Drain removes and returns the endpoint's queued deliveries in
-	// arrival order. The caller owns the returned slice.
-	Drain(id string) ([]Message, error)
+	// arrival order. The caller owns the returned slice, not the records
+	// it points to, which nobody may write to.
+	Drain(id string) ([]*Message, error)
 	// Stats returns a snapshot of the traffic and fault counters.
 	Stats() Stats
 	// SetTracer installs an observability tracer on the delivery path.

@@ -31,7 +31,7 @@ func (d *drainReply) entries() []drainEntry {
 	var out []drainEntry
 	for _, run := range d.runs {
 		for i := run.lo; i < run.hi; i++ {
-			out = append(out, drainEntry{run.endpoint, d.seqs[i], d.msgs[i]})
+			out = append(out, drainEntry{run.endpoint, d.seqs[i], *d.msgs[i]})
 		}
 	}
 	return out
@@ -43,7 +43,7 @@ func (d *drainReply) parts() []drainPart {
 	for _, run := range d.runs {
 		p := drainPart{endpoint: run.endpoint}
 		for i := run.lo; i < run.hi; i++ {
-			p.batch = append(p.batch, SeqMsg{Seq: d.seqs[i], Msg: d.msgs[i]})
+			p.batch = append(p.batch, SeqMsg{Seq: d.seqs[i], Msg: *d.msgs[i]})
 		}
 		parts = append(parts, p)
 	}
@@ -126,10 +126,10 @@ func threeCopies(t *testing.T, msg bus.Message, edit func(*bus.Message)) []byte 
 }
 
 // TestDrainSharesOnlyIdenticalCopies pins the sharing rule of a
-// node-drain decode: copies byte-identical to an earlier copy share its
-// decoded message, and a copy that differs in any byte, such as a
-// corrupted signature or another To under the same nonce, is decoded on
-// its own, so the transport verifies it in full and discards it.
+// node-drain decode: copies byte-identical to an earlier copy point to
+// its record, and a copy that differs in any byte, such as a corrupted
+// signature or another To under the same nonce, is decoded into a record
+// of its own, so the transport verifies it in full and discards it.
 func TestDrainSharesOnlyIdenticalCopies(t *testing.T) {
 	msg := sampleMsg(t)
 	for _, tc := range []struct {
@@ -148,7 +148,7 @@ func TestDrainSharesOnlyIdenticalCopies(t *testing.T) {
 			}
 			for i := range d.msgs {
 				for j := range i {
-					shared := reflect.DeepEqual(decodedAddrs(d.msgs[i]), decodedAddrs(d.msgs[j]))
+					shared := d.msgs[i] == d.msgs[j]
 					if want := tc.group[i] == tc.group[j]; shared != want {
 						t.Errorf("entries %d and %d share a decode: %v, want %v", j, i, shared, want)
 					}

@@ -80,11 +80,13 @@ type Medium struct {
 
 	ackSeq map[string]uint64 // per remote endpoint: highest consumed seq
 
-	// stash holds each endpoint's undrained messages: every delivery to a
-	// local endpoint, and what node drains fetched for remote ones; fresh
-	// marks the remote nodes whose mailboxes were all fetched after the
-	// driver's last message frame to them.
-	stash map[string][]bus.Message
+	// stash holds each endpoint's undrained deliveries as pointers to
+	// shared records: the emission's record for every delivery to a local
+	// endpoint, and the decoded reply's records for what node drains
+	// fetched for remote ones; fresh marks the remote nodes whose
+	// mailboxes were all fetched after the driver's last message frame to
+	// them.
+	stash map[string][]*bus.Message
 	fresh map[string]bool
 
 	session  uint64 // high 32 bits of every frame nonce
@@ -156,7 +158,7 @@ func Dial(cfg *Config, local string, opts Options) (*Medium, error) {
 		addrs:    make(map[string]*net.UDPAddr),
 		attached: make(map[string]bool),
 		ackSeq:   make(map[string]uint64),
-		stash:    make(map[string][]bus.Message),
+		stash:    make(map[string][]*bus.Message),
 		fresh:    make(map[string]bool),
 		telAck:   make(map[string]uint64),
 		rbuf:     make([]byte, MaxFrame+1),
@@ -399,7 +401,7 @@ func (m *Medium) request(addr *net.UDPAddr, frame []byte, nonce uint64, want byt
 // receives reports whether endpoint id is a recipient of msg: every
 // attached endpoint but the sender for a broadcast, the addressee alone
 // for a unicast.
-func receives(msg bus.Message, id string) bool {
+func receives(msg *bus.Message, id string) bool {
 	if msg.To == bus.BroadcastAddr {
 		return id != msg.From
 	}
@@ -411,40 +413,46 @@ func receives(msg bus.Message, id string) bool {
 // remote ones as one FtMsgBatch per owner node, whose entries list each
 // message's recipients on that node in sorted endpoint order. Every
 // inbox therefore sees the simulated bus's arrival order, and
-// deterministic runs stay comparable across media. Caller holds the
-// mutex.
+// deterministic runs stay comparable across media. The batch's records,
+// one per message that every local recipient shares, are one array
+// allocated only when a local endpoint receives. Caller holds the mutex.
 func (m *Medium) emit() {
+	var recs []bus.Message
 	for _, id := range m.here {
 		n := 0
-		for _, msg := range m.msgs {
-			if receives(msg, id) {
+		for k := range m.msgs {
+			if receives(&m.msgs[k], id) {
 				n++
 			}
 		}
+		if n > 0 && recs == nil {
+			recs = slices.Clone(m.msgs)
+		}
 		m.stash[id] = slices.Grow(m.stash[id], n)
 	}
-	for _, msg := range m.msgs {
+	for k := range recs {
+		rec := &recs[k]
 		for _, id := range m.here {
-			if receives(msg, id) {
-				m.stash[id] = append(m.stash[id], msg)
+			if receives(rec, id) {
+				m.stash[id] = append(m.stash[id], rec)
 				m.stats.Deliveries++
-				m.stats.DeliveredUnits += msg.Size
-				m.event(obs.EvDeliver, msg.From, id, msg.Kind)
+				m.stats.DeliveredUnits += rec.Size
+				m.event(obs.EvDeliver, rec.From, id, rec.Kind)
 			}
 		}
 	}
 	for _, rn := range m.remote {
 		entries := m.entries[:0]
 		m.dests = slices.Grow(m.dests[:0], len(m.msgs)*len(rn.eps)) // no reallocation below
-		for _, msg := range m.msgs {
+		for k := range m.msgs {
 			lo := len(m.dests)
 			for _, id := range rn.eps {
-				if receives(msg, id) {
+				if receives(&m.msgs[k], id) {
 					m.dests = append(m.dests, id)
 				}
 			}
 			if hi := len(m.dests); hi > lo {
-				entries = append(entries, msgEntry{dests: m.dests[lo:hi:hi], msg: msg})
+				entries = append(entries, msgEntry{dests: m.dests[lo:hi:hi], msg: m.msgs[k]})
 			}
 		}
 		if len(entries) > 0 {
@@ -604,8 +612,10 @@ func (m *Medium) SendTagged(from, to, kind string, env sig.Envelope, size int, n
 // first fetches every attached mailbox of that node in one FtDrainNode
 // exchange (see drainNode). An unreachable node yields whatever the
 // stash holds, often nothing — indistinguishable from silence, which is
-// exactly what the protocol's retry layer knows how to handle.
-func (m *Medium) Drain(id string) ([]bus.Message, error) {
+// exactly what the protocol's retry layer knows how to handle. Every
+// recipient of one emission holds its record, as on the simulated bus;
+// the records live as long as anyone holds them.
+func (m *Medium) Drain(id string) ([]*bus.Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.attached[id] {
@@ -663,12 +673,12 @@ func (m *Medium) drainNode(owner, id string) {
 // endpoint, and returns how many messages it fetched. Copies the
 // endpoint has already consumed (at or below its ack) are counted as
 // duplicates and skipped. Each endpoint's fresh copies stay where the
-// reply decoded them, compacted to the front of its run and handed over
-// capacity-capped: the transport filters a drained slice in place and
-// appends to it later, and the cap makes that append reallocate rather
-// than overwrite the next endpoint's run. A run for an endpoint this
-// exchange did not ask for stops the filing and reports false. Caller
-// holds the mutex.
+// reply decoded them, pointers compacted to the front of its run and
+// handed over capacity-capped: the transport filters a drained slice in
+// place and appends to it later, and the cap makes that append
+// reallocate rather than overwrite the next endpoint's run. A run for an
+// endpoint this exchange did not ask for stops the filing and reports
+// false. Caller holds the mutex.
 func (m *Medium) fileReply(owner string) (fetched int, ok bool) {
 	for _, run := range m.rx.runs {
 		ep := run.endpoint

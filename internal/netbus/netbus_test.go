@@ -580,7 +580,7 @@ func TestDrainedRunsDoNotAlias(t *testing.T) {
 	if err != nil || len(p1) != len(batch) {
 		t.Fatalf("Drain(P1) = %d messages, %v; want %d", len(p1), err, len(batch))
 	}
-	_ = append(p1, bus.Message{From: "intruder", Nonce: 99})
+	_ = append(p1, &bus.Message{From: "intruder", Nonce: 99})
 	before := m.NetStats()
 	p2, err := m.Drain("P2")
 	if err != nil {

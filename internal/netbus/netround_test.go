@@ -76,13 +76,15 @@ func allocBytesPerRun(runs int, f func()) uint64 {
 
 // TestNetRoundAllocs pins what a netbus round allocates at GOMAXPROCS 1,
 // driver and both nodes together. A node-drain reply decodes each
-// distinct message once, every endpoint's copies are sub-slices of one
-// array sized from the reply, and nodes name batch destinations by their
-// mailboxes' keys in a buffer they reuse. A round here allocates about
-// 206 KiB at m = 16 and 8.0 MiB at m = 128. Decoding every copy afresh
-// costs about 234 KiB and 9.6 MiB, past both bounds; regrowing each
-// endpoint's stash one append at a time as well, about 375 KiB and
-// 17.9 MiB.
+// distinct message once, into one record its byte-identical copies point
+// to, every endpoint's copies are sub-slices of one pointer array sized
+// from the reply, and nodes name batch destinations by their mailboxes'
+// keys in a buffer they reuse. A round here allocates about 113 KiB at
+// m = 16 and 3.2 MiB at m = 128. Giving every copy a decoded message of
+// its own, sharing only the decoded strings and bytes, costs about
+// 178 KiB and 7.4 MiB, past both bounds; decoding every copy afresh,
+// about 234 KiB and 9.6 MiB; regrowing each endpoint's stash one append
+// at a time as well, about 375 KiB and 17.9 MiB.
 func TestNetRoundAllocs(t *testing.T) {
 	requireUDP(t)
 	if raceEnabled() {
@@ -93,8 +95,8 @@ func TestNetRoundAllocs(t *testing.T) {
 		m, runs int
 		max     uint64
 	}{
-		{m: 16, runs: 5, max: 224 << 10},
-		{m: 128, runs: 2, max: 9 << 20},
+		{m: 16, runs: 5, max: 124 << 10},
+		{m: 128, runs: 2, max: 3584 << 10},
 	} {
 		got := allocBytesPerRun(c.runs, netRound(t, c.m))
 		if got > c.max {
@@ -106,10 +108,12 @@ func TestNetRoundAllocs(t *testing.T) {
 
 // TestLocalBroadcastGrowsEachInboxOnce pins local delivery: a batch of
 // m broadcasts on a medium whose endpoints are all hosted by the driver
-// grows each endpoint's inbox once, as the simulated bus does, so the
-// batch allocates one array per inbox and the nonce slice. Appending
-// copy by copy regrows every inbox through each doubling: 81 allocations
-// at m = 16.
+// grows each endpoint's inbox once, as the simulated bus does, and files
+// one record per broadcast that every recipient points to, so the batch
+// allocates one array per inbox, the record array and the nonce slice.
+// Appending copy by copy regrows every inbox through each doubling: 81
+// allocations at m = 16. Filing a copy of each message per recipient, as
+// the driver did before it shared records, takes about 36 KiB a batch.
 func TestLocalBroadcastGrowsEachInboxOnce(t *testing.T) {
 	requireUDP(t)
 	if raceEnabled() {
@@ -134,19 +138,39 @@ func TestLocalBroadcastGrowsEachInboxOnce(t *testing.T) {
 		}
 		batch[i] = bus.Broadcast{From: id, Kind: "dls/bid", Size: 1}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	// held[id] is what the last batch delivered to id.
+	held := make(map[string][]*bus.Message, m)
+	broadcast := func() {
 		if _, err := nb.BroadcastEach(batch); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range eps {
-			if msgs, err := nb.Drain(id); err != nil || len(msgs) != m-1 {
+			msgs, err := nb.Drain(id)
+			if err != nil || len(msgs) != m-1 {
 				t.Fatalf("Drain(%s) = %d messages, %v; want %d", id, len(msgs), err, m-1)
 			}
+			held[id] = msgs
 		}
-	})
-	if allocs > m+1 {
-		t.Errorf("a %d-broadcast local batch allocated %.0f times, want at most %d", m, allocs, m+1)
 	}
+	broadcast()
+	record := map[uint64]*bus.Message{} // nonce → the record its first recipient holds
+	for _, id := range eps {
+		for _, msg := range held[id] {
+			if rec, ok := record[msg.Nonce]; !ok {
+				record[msg.Nonce] = msg
+			} else if rec != msg {
+				t.Fatalf("%s holds its own copy of %s's broadcast, not the shared record", id, msg.From)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, broadcast); allocs > m+2 {
+		t.Errorf("a %d-broadcast local batch allocated %.0f times, want at most %d", m, allocs, m+2)
+	}
+	got := allocBytesPerRun(10, broadcast)
+	if got > 8<<10 {
+		t.Errorf("a %d-broadcast local batch allocated %d bytes, want at most 8 KiB", m, got)
+	}
+	t.Logf("a %d-broadcast local batch allocated %d bytes", m, got)
 }
 
 // BenchmarkNetRound times a netbus round over two loopback nodes at

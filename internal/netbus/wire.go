@@ -589,40 +589,51 @@ type drainRun struct {
 }
 
 // drainReply is a decoded node-drain response (FtDrainNodeRsp): entry i
-// is msgs[i] under mailbox sequence number seqs[i], and runs groups
+// is *msgs[i] under mailbox sequence number seqs[i], and runs groups
 // consecutive entries for the same endpoint, so that re-encoding the runs
 // reproduces the body byte for byte. A reply holds a copy of a broadcast
 // for every mailbox of the node but the sender's, Θ(m²) copies of Θ(m)
-// messages. An entry whose message encoding is byte-identical to an
-// earlier entry's shares that entry's decoded message, its strings and
-// its envelope's byte slices, as every inbox copy of a message does on
-// the simulated bus; an entry that differs in any byte is decoded on its
-// own.
+// messages. Each distinct message encoding is decoded once, into one
+// record that every entry byte-identical to it points to, as every
+// recipient of an emission holds its record on the simulated bus; an
+// entry that differs in any byte gets a record of its own.
 type drainReply struct {
 	runs []drainRun
 	seqs []uint64
-	msgs []bus.Message
+	msgs []*bus.Message
 
-	firsts []firstCopy // the entries decoded afresh, for later copies to match
+	// firsts lists the distinct message encodings in order of first
+	// appearance, of[i] is entry i's index in firsts, and byNonce maps a
+	// logical nonce to the first of the distinct encodings carrying it,
+	// whose next fields chain the rest.
+	firsts  []firstCopy
+	of      []int
+	byNonce map[uint64]int
 }
 
-// firstCopy is a node-drain entry whose message was decoded afresh: its
-// index, its logical nonce and its message encoding.
+// firstCopy is one distinct message encoding of a node-drain reply: its
+// bytes and the index in drainReply.firsts of the next distinct encoding
+// under the same logical nonce, or -1.
 type firstCopy struct {
-	entry int
-	nonce uint64
-	enc   []byte
+	enc  []byte
+	next int
 }
 
-// decode parses an FtDrainNodeRsp body into d. It reuses d's runs, seqs
-// and firsts, but msgs is a fresh array sized from the validated entry
-// count: the driver hands sub-slices of it to its stash.
+// decode parses an FtDrainNodeRsp body into d. It reuses d's runs, seqs,
+// firsts, of and byNonce, but the records and msgs are fresh arrays: the
+// driver hands sub-slices of msgs to its stash, and the records to
+// whoever drains them.
 func (d *drainReply) decode(body []byte) error {
 	r := wireReader{buf: body}
 	n := int(r.count("node drain batch", 8)) // endpoint, seq and a message of ≥ 6 fields
 	d.runs, d.firsts = d.runs[:0], d.firsts[:0]
 	d.seqs = slices.Grow(d.seqs[:0], n)
-	d.msgs = make([]bus.Message, 0, n)
+	d.of = slices.Grow(d.of[:0], n)
+	if d.byNonce == nil {
+		d.byNonce = make(map[uint64]int)
+	}
+	clear(d.byNonce)
+	d.msgs = nil
 	for i := 0; i < n && r.err == nil; i++ {
 		ep := r.take(r.uvarint())
 		seq := r.uvarint()
@@ -636,27 +647,45 @@ func (d *drainReply) decode(body []byte) error {
 		}
 		d.runs[len(d.runs)-1].hi = i + 1
 		d.seqs = append(d.seqs, seq)
-		d.msgs = append(d.msgs, d.message(i, nonce, body[start:r.off]))
+		d.of = append(d.of, d.distinct(nonce, body[start:r.off]))
 	}
 	if err := r.done(); err != nil {
-		d.msgs = nil
 		return err
+	}
+	recs := make([]bus.Message, len(d.firsts))
+	for k, f := range d.firsts {
+		fr := wireReader{buf: f.enc}
+		recs[k] = fr.readMessage() // skipMessage has checked it
+	}
+	d.msgs = make([]*bus.Message, n)
+	for i, k := range d.of {
+		d.msgs[i] = &recs[k]
 	}
 	return nil
 }
 
-// message returns entry i's message, whose encoding enc carries the
-// given nonce: an earlier entry's when their encodings are byte-identical,
-// otherwise a fresh decode that later copies may share.
-func (d *drainReply) message(i int, nonce uint64, enc []byte) bus.Message {
-	for _, f := range d.firsts {
-		if f.nonce == nonce && bytes.Equal(f.enc, enc) {
-			return d.msgs[f.entry]
+// distinct returns the index in d.firsts of the message encoding enc,
+// which carries the given nonce: an earlier entry's when their encodings
+// are byte-identical, otherwise a new one. Only the encodings under the
+// same nonce are compared.
+func (d *drainReply) distinct(nonce uint64, enc []byte) int {
+	k, ok := d.byNonce[nonce]
+	for ok {
+		f := &d.firsts[k]
+		if bytes.Equal(f.enc, enc) {
+			return k
 		}
+		if f.next < 0 {
+			f.next = len(d.firsts)
+			break
+		}
+		k = f.next
 	}
-	d.firsts = append(d.firsts, firstCopy{entry: i, nonce: nonce, enc: enc})
-	r := wireReader{buf: enc}
-	return r.readMessage()
+	if !ok {
+		d.byNonce[nonce] = len(d.firsts)
+	}
+	d.firsts = append(d.firsts, firstCopy{enc: enc, next: -1})
+	return len(d.firsts) - 1
 }
 
 // AppendControlFrame frames a bodyless control frame (FtAck, FtPing,

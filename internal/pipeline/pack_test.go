@@ -94,19 +94,32 @@ func TestPackProperties(t *testing.T) {
 		}
 
 		// Packing can only help against running the same per-job
-		// multi-round schedules back to back. (The FIFOTotal baseline is
-		// a different animal — the FIFO runner's single-round optimum —
-		// and a shallow batch under the throughput-balanced allocation
-		// may legitimately lose to it; the deep-batch win is
+		// multi-round schedules back to back, each evaluated from its
+		// definition; the schedule builder must agree with that, and a
+		// batch of one job packs to its own schedule. (The FIFOTotal
+		// baseline is a different animal — the FIFO runner's single-round
+		// optimum — and a shallow batch under the throughput-balanced
+		// allocation may legitimately lose to it; the deep-batch win is
 		// TestPackOverlapsJobs's job.)
 		serial := 0.0
 		for j, job := range plan.Jobs {
+			fracs, err := dlt.RoundFractions(job.Rounds, job.Policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := installmentMakespan(dlt.NCPFE, z, job.Exec, job.Alloc, fracs)
 			in := dlt.Instance{Network: dlt.NCPFE, Z: z, W: job.Exec}
 			tl, err := dlt.MultiRoundSchedule(in, job.Alloc, job.Rounds, job.Policy)
 			if err != nil {
 				t.Fatalf("trial %d job %d: %v", trial, j, err)
 			}
-			serial += tl.Makespan * job.Size
+			if math.Abs(tl.Makespan-want) > 1e-9*want {
+				t.Errorf("trial %d job %d: schedule builder makespan %v, installment evaluator %v", trial, j, tl.Makespan, want)
+			}
+			serial += want * job.Size
+		}
+		if d == 1 && math.Abs(plan.Makespan-serial) > 1e-9*serial {
+			t.Errorf("trial %d: one job packs to makespan %v, its own schedule takes %v", trial, plan.Makespan, serial)
 		}
 		if plan.Makespan > serial*(1+1e-9) {
 			t.Errorf("trial %d: packed makespan %v exceeds serial same-schedule total %v", trial, plan.Makespan, serial)

@@ -139,15 +139,16 @@ func TestRunLoadTelescopesPayments(t *testing.T) {
 					t.Errorf("%v R=%d: installment %d transcript has no installment entry", policy, rounds, k+1)
 				}
 			}
-			// The aggregated timeline is the pipelined multi-round
-			// schedule over the realized rates and agreed allocation.
-			in := dlt.Instance{Network: dlt.NCPFE, Z: 0.2, W: agg.Exec} // newSession's bus rate
-			tl, err := dlt.MultiRoundSchedule(in, agg.Alloc, rounds, policy)
-			if err != nil {
-				t.Fatalf("%v R=%d: %v", policy, rounds, err)
+			// The aggregated makespan is the R-installment schedule of the
+			// fractions the installments carried, over the realized rates
+			// and agreed allocation, evaluated from its definition.
+			carried := make([]float64, len(agg.Installments))
+			for k, sub := range agg.Installments {
+				carried[k] = sub.LoadFraction
 			}
-			if ms := tl.Makespan; !approx(agg.Makespan, ms, 1e-9) {
-				t.Errorf("%v R=%d: aggregate makespan %v, multi-round evaluator %v", policy, rounds, agg.Makespan, ms)
+			const z = 0.2 // newSession's bus rate
+			if ms := installmentMakespan(dlt.NCPFE, z, agg.Exec, agg.Alloc, carried); !approx(agg.Makespan, ms, 1e-9) {
+				t.Errorf("%v R=%d: aggregate makespan %v, installment evaluator %v", policy, rounds, agg.Makespan, ms)
 			}
 		}
 	}

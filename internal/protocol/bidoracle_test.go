@@ -59,7 +59,7 @@ func oraclePull(t *transport, id string) error {
 }
 
 // oracleTakeNonce is the reference transport.takeNonce.
-func oracleTakeNonce(t *transport, id, from string, nonce uint64) (bus.Message, bool) {
+func oracleTakeNonce(t *transport, id, from string, nonce uint64) (*bus.Message, bool) {
 	b := t.buf(id)
 	for i, m := range b.pending {
 		if m.From == from && m.Nonce == nonce {
@@ -67,11 +67,11 @@ func oracleTakeNonce(t *transport, id, from string, nonce uint64) (bus.Message, 
 			return m, true
 		}
 	}
-	return bus.Message{}, false
+	return nil, false
 }
 
 // oracleTakeBids is the reference receive loop of the bid exchange.
-func oracleTakeBids(r *run, msgs []logicalBid) (received [][]bus.Message, missing [][]int, err error) {
+func oracleTakeBids(r *run, msgs []logicalBid) (received [][]*bus.Message, missing [][]int, err error) {
 	need := make([]map[uint64]int, r.m)
 	for ri := range r.agents {
 		need[ri] = make(map[uint64]int, len(msgs))
@@ -81,7 +81,7 @@ func oracleTakeBids(r *run, msgs []logicalBid) (received [][]bus.Message, missin
 			}
 		}
 	}
-	received = make([][]bus.Message, r.m)
+	received = make([][]*bus.Message, r.m)
 	outstanding := func() int {
 		n := 0
 		for ri := range need {
@@ -142,7 +142,7 @@ func oracleTakeBids(r *run, msgs []logicalBid) (received [][]bus.Message, missin
 }
 
 // oracleScanBids is the reference collection.
-func oracleScanBids(r *run, received [][]bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
+func oracleScanBids(r *run, received [][]*bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
 	type seenBid struct {
 		envs []sig.Envelope
 		bids []float64
@@ -191,7 +191,7 @@ func oracleScanBids(r *run, received [][]bus.Message) (equivocators []int, evide
 // biddingCapture is what one round's receive side produced, next to the
 // round's outcome.
 type biddingCapture struct {
-	received     [][]bus.Message
+	received     [][]*bus.Message
 	missing      [][]int
 	equivocators []int
 	evidence     map[int][2]sig.Envelope
@@ -202,24 +202,24 @@ type biddingCapture struct {
 // captureRound runs cfg with take and scan as the Bidding phase's
 // receive side and records what they returned.
 func captureRound(cfg Config,
-	take func(*run, []logicalBid) ([][]bus.Message, [][]int, error),
-	scan func(*run, [][]bus.Message) ([]int, map[int][2]sig.Envelope),
+	take func(*run, []logicalBid) ([][]*bus.Message, [][]int, error),
+	scan func(*run, [][]*bus.Message) ([]int, map[int][2]sig.Envelope),
 ) biddingCapture {
 	var c biddingCapture
 	saveTake, saveScan := receiveBids, collectBids
 	defer func() { receiveBids, collectBids = saveTake, saveScan }()
-	receiveBids = func(r *run, msgs []logicalBid) ([][]bus.Message, [][]int, error) {
+	receiveBids = func(r *run, msgs []logicalBid) ([][]*bus.Message, [][]int, error) {
 		received, missing, err := take(r, msgs)
 		// The relay of a healed loss appends to a row later; keep the
 		// rows as the exchange returned them.
-		c.received = make([][]bus.Message, len(received))
+		c.received = make([][]*bus.Message, len(received))
 		for i, row := range received {
-			c.received[i] = append([]bus.Message(nil), row...)
+			c.received[i] = append([]*bus.Message(nil), row...)
 		}
 		c.missing = missing
 		return received, missing, err
 	}
-	collectBids = func(r *run, received [][]bus.Message) ([]int, map[int][2]sig.Envelope) {
+	collectBids = func(r *run, received [][]*bus.Message) ([]int, map[int][2]sig.Envelope) {
 		c.equivocators, c.evidence = scan(r, received)
 		return c.equivocators, c.evidence
 	}
@@ -303,7 +303,7 @@ func oracleCase(k int) (Config, string) {
 
 // sameRows compares received rows copy by copy, order included; a nil
 // and an empty row are the same row.
-func sameRows(a, b [][]bus.Message) bool {
+func sameRows(a, b [][]*bus.Message) bool {
 	if len(a) != len(b) {
 		return false
 	}

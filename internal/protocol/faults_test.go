@@ -135,7 +135,11 @@ func TestAcceptanceDropAndDuplicate(t *testing.T) {
 }
 
 // TestMixedFaultSoak runs the protocol under a combined plan across many
-// seeds. DLSBL_SOAK_ROUNDS overrides the round count (the `faults-soak`
+// seeds, in one-shot runs and through one BidSession. The session plays
+// each seed's plan and then a job without one: a job with a fault plan
+// runs on a bus of its own, and the fault-free job after it on the
+// session's bus, reset, filing its records over those of the rounds
+// before. DLSBL_SOAK_ROUNDS overrides the round count (the `faults-soak`
 // make target sets it high).
 func TestMixedFaultSoak(t *testing.T) {
 	rounds := 25
@@ -147,12 +151,13 @@ func TestMixedFaultSoak(t *testing.T) {
 		rounds = n
 	}
 	want := faultFreeReference(t, dlt.NCPNFE)
-	for seed := int64(1); seed <= int64(rounds); seed++ {
-		cfg := honestConfig(dlt.NCPNFE)
-		cfg.Faults = &bus.FaultPlan{
+	plan := func(seed int64) *bus.FaultPlan {
+		return &bus.FaultPlan{
 			Seed: seed, Drop: 0.08, Duplicate: 0.08, Delay: 0.08, Corrupt: 0.08, Reorder: 0.15,
 		}
-		out, err := Run(cfg)
+	}
+	check := func(t *testing.T, seed int64, out *Outcome, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -164,6 +169,28 @@ func TestMixedFaultSoak(t *testing.T) {
 		}
 		assertSamePayments(t, out, want)
 	}
+	t.Run("run", func(t *testing.T) {
+		for seed := int64(1); seed <= int64(rounds); seed++ {
+			cfg := honestConfig(dlt.NCPNFE)
+			cfg.Faults = plan(seed)
+			out, err := Run(cfg)
+			check(t, seed, out, err)
+		}
+	})
+	t.Run("session", func(t *testing.T) {
+		cfg := honestConfig(dlt.NCPNFE)
+		cfg.Seed = 0 // a session takes the seed per job
+		s, err := NewBidSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= int64(rounds); seed++ {
+			for _, faults := range []*bus.FaultPlan{plan(seed), nil} {
+				out, err := s.Run(JobConfig{Seed: 7, Faults: faults})
+				check(t, seed, out, err)
+			}
+		}
+	})
 }
 
 // TestFaultRunsDeterministic: equal configs (including the fault seed)

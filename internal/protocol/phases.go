@@ -44,7 +44,7 @@ var (
 // budget. Deciding who is actually unreachable is the caller's job: under
 // the witness-corroboration rule a residual missing pair alone evicts
 // nobody (see healMissingBids).
-func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope, missing [][]int, primaryNonces []uint64, err error) {
+func (r *run) bidExchange() (received [][]*bus.Message, firstEnvs []sig.Envelope, missing [][]int, primaryNonces []uint64, err error) {
 	// Every processor signs its bid; equivocators also sign a second,
 	// contradictory one.
 	reqs := make([]sig.Sealing, 0, r.m)
@@ -105,7 +105,7 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 // the missing copies by unicast, at constant work per delivered copy. It
 // returns each receiver's verified copies, per attempt in message-index
 // order, and the senders whose primary bid each receiver still lacks.
-func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][]int, err error) {
+func (r *run) takeBids(msgs []logicalBid) (received [][]*bus.Message, missing [][]int, err error) {
 	// Each receiver needs every logical bid but its own. want[ri*n+mi]
 	// marks message mi as still awaited by receiver ri; nonces are
 	// globally unique, so index maps a delivered copy's nonce to its
@@ -116,7 +116,7 @@ func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][
 		index[msgs[mi].nonce] = mi
 	}
 	want := make([]bool, r.m*n)
-	received = make([][]bus.Message, r.m)
+	received = make([][]*bus.Message, r.m)
 	outstanding := 0
 	for ri := range r.agents {
 		need := 0
@@ -126,7 +126,7 @@ func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][
 				need++
 			}
 		}
-		received[ri] = make([]bus.Message, 0, need)
+		received[ri] = make([]*bus.Message, 0, need)
 		outstanding += need
 	}
 	var idx []int // message indices of one receiver's takes in one attempt
@@ -149,7 +149,7 @@ func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][
 				}
 				wants[mi] = false
 				outstanding--
-				row = append(row, *m)
+				row = append(row, m)
 				idx = append(idx, mi)
 				return true
 			})
@@ -204,7 +204,7 @@ func (r *run) takeBids(msgs []logicalBid) (received [][]bus.Message, missing [][
 // byIndex sorts one receiver's takes of one attempt into message-index
 // order; idx[k] is the logical message index of msgs[k].
 type byIndex struct {
-	msgs []bus.Message
+	msgs []*bus.Message
 	idx  []int
 }
 
@@ -258,7 +258,7 @@ type relayTask struct {
 // It returns the eviction set (participant index → reason) and the relay
 // tasks to adjudicate, and appends relayed bids to the received rows of
 // genuinely missing witnesses.
-func (r *run) healMissingBids(received [][]bus.Message, missing [][]int, primaryNonces []uint64) (map[int]string, []relayTask, error) {
+func (r *run) healMissingBids(received [][]*bus.Message, missing [][]int, primaryNonces []uint64) (map[int]string, []relayTask, error) {
 	unreachable := make(map[int]string)
 	m0 := r.m
 	anyMissing := false
@@ -595,9 +595,11 @@ func (r *run) phaseBidding() (bool, error) {
 // scanBids is the collection: each surviving processor decodes every
 // copy it received and scans what it holds for equivocation. Every copy
 // passed the transport's check on arrival, so it is decoded, not
-// verified again. It returns the equivocators in detection order and,
-// for each, the first two contradictory signed bids a receiver held.
-func (r *run) scanBids(received [][]bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
+// verified again, and a record that several receivers hold (every copy
+// of one emission) is decoded once for all of them. It returns the
+// equivocators in detection order and, for each, the first two
+// contradictory signed bids a receiver held.
+func (r *run) scanBids(received [][]*bus.Message) (equivocators []int, evidence map[int][2]sig.Envelope) {
 	// seen[j] is what the current receiver holds from participant j; the
 	// first two distinct bids are all the scan reads. One slice serves
 	// every receiver: an entry whose stamp is not the receiver's is empty.
@@ -606,36 +608,48 @@ func (r *run) scanBids(received [][]bus.Message) (equivocators []int, evidence m
 		envs     [2]sig.Envelope
 		bids     [2]float64
 	}
+	// bidCopy is what a record decodes to: the live participant that
+	// signed it, or -1 for a copy the scan discards, and its bid.
+	type bidCopy struct {
+		j   int
+		bid float64
+	}
 	pos := make(map[string]int, r.m)
 	for j, p := range r.procs {
 		pos[p] = j
 	}
 	seen := make([]seenBid, r.m)
+	decoded := make(map[*bus.Message]bidCopy, r.m)
 	evidence = make(map[int][2]sig.Envelope)
-	var bp referee.BidPayload // decoded into once per copy, allocated once
+	var bp referee.BidPayload // decoded into once per record, allocated once
 	for i := range r.agents {
 		stamp := i + 1
-		for k := range received[i] {
-			msg := &received[i][k]
-			bp = referee.BidPayload{}
-			if err := r.xp.open(msg, &bp); err != nil {
-				continue // undecodable: discarded
+		for _, msg := range received[i] {
+			c, ok := decoded[msg]
+			if !ok {
+				// A copy that does not decode, whose payload names another
+				// party than its signer, or whose sender was evicted is
+				// discarded.
+				c.j = -1
+				bp = referee.BidPayload{}
+				if r.xp.open(msg, &bp) == nil && bp.Proc == msg.Env.Sender {
+					if j, live := pos[bp.Proc]; live {
+						c = bidCopy{j: j, bid: bp.Bid}
+					}
+				}
+				decoded[msg] = c
 			}
-			if bp.Proc != msg.Env.Sender {
+			if c.j < 0 {
 				continue
 			}
-			j, live := pos[bp.Proc]
-			if !live {
-				continue // an evicted sender: nothing left to judge
-			}
-			sb := &seen[j]
+			sb := &seen[c.j]
 			if sb.stamp != stamp {
 				sb.stamp, sb.n = stamp, 0
 			}
-			if sb.n == 2 || (sb.n == 1 && sb.bids[0] == bp.Bid) {
+			if sb.n == 2 || (sb.n == 1 && sb.bids[0] == c.bid) {
 				continue
 			}
-			sb.envs[sb.n], sb.bids[sb.n] = msg.Env, bp.Bid
+			sb.envs[sb.n], sb.bids[sb.n] = msg.Env, c.bid
 			sb.n++
 		}
 		// Equivocation detection by this receiver.

@@ -263,7 +263,7 @@ func TestRoundStateAfterPanic(t *testing.T) {
 				func() {
 					save := receiveBids
 					defer func() { receiveBids = save }()
-					receiveBids = func(r *run, msgs []logicalBid) ([][]bus.Message, [][]int, error) {
+					receiveBids = func(r *run, msgs []logicalBid) ([][]*bus.Message, [][]int, error) {
 						if err := r.xp.pull(r.agents[1].ID); err != nil {
 							t.Fatal(err)
 						}

@@ -108,11 +108,12 @@ type nonceKey struct {
 	nonce uint64
 }
 
-// rxBuf is one endpoint's receive state: verified, deduplicated messages
-// not yet consumed by the phase logic, and one bit per logical message of
-// the run's table marking those this endpoint has already kept a copy of.
+// rxBuf is one endpoint's receive state: verified, deduplicated copies
+// not yet consumed by the phase logic (pointers to the medium's shared
+// records), and one bit per logical message of the run's table marking
+// those this endpoint has already kept a copy of.
 type rxBuf struct {
-	pending []bus.Message
+	pending []*bus.Message
 	seen    []uint64
 }
 
@@ -244,7 +245,8 @@ func (t *transport) sleep(attempt int) (deadlineExceeded bool) {
 // first one of its message to pass is entered in the table. The medium
 // hands the drained slice over, so when nothing is pending it becomes the
 // pending buffer, the kept copies compacted to its front in arrival
-// order.
+// order. Only the slice is the transport's: the records it points to are
+// shared with every other recipient and are never written.
 func (t *transport) pull(id string) error {
 	msgs, err := t.net.Drain(id)
 	if err != nil {
@@ -252,8 +254,7 @@ func (t *transport) pull(id string) error {
 	}
 	b := t.buf(id)
 	kept := msgs[:0]
-	for i := range msgs {
-		m := &msgs[i]
+	for _, m := range msgs {
 		k := nonceKey{from: m.From, nonce: m.Nonce}
 		mi, known := t.index[k]
 		if !known || !t.first[mi].Matches(&m.Env) {
@@ -275,7 +276,7 @@ func (t *transport) pull(id string) error {
 			continue
 		}
 		b.mark(mi)
-		kept = append(kept, *m)
+		kept = append(kept, m)
 	}
 	if len(b.pending) == 0 {
 		b.pending = kept
@@ -285,32 +286,32 @@ func (t *transport) pull(id string) error {
 	return nil
 }
 
-// takeNonce removes and returns the pending message with the given
-// logical identity, if present. Deduplication keeps at most one pending
-// copy per identity and every take is by identity, so pending order is
-// never observed: the last entry fills the hole.
-func (t *transport) takeNonce(id, from string, nonce uint64) (bus.Message, bool) {
+// takeNonce removes and returns the pending copy with the given logical
+// identity, if present. Deduplication keeps at most one pending copy per
+// identity and every take is by identity, so pending order is never
+// observed: the last entry fills the hole.
+func (t *transport) takeNonce(id, from string, nonce uint64) (*bus.Message, bool) {
 	b := t.buf(id)
-	for i := range b.pending {
-		if m := b.pending[i]; m.From == from && m.Nonce == nonce {
+	for i, m := range b.pending {
+		if m.From == from && m.Nonce == nonce {
 			last := len(b.pending) - 1
 			b.pending[i] = b.pending[last]
-			b.pending[last] = bus.Message{}
+			b.pending[last] = nil
 			b.pending = b.pending[:last]
 			return m, true
 		}
 	}
-	return bus.Message{}, false
+	return nil, false
 }
 
-// takeEach offers every pending message of endpoint id to take, in one
-// pass, and removes the ones it takes; the rest keep their order.
+// takeEach offers every pending copy of endpoint id to take, in one pass,
+// and removes the ones it takes; the rest keep their order.
 func (t *transport) takeEach(id string, take func(m *bus.Message) bool) {
 	b := t.buf(id)
 	kept := b.pending[:0]
-	for i := range b.pending {
-		if !take(&b.pending[i]) {
-			kept = append(kept, b.pending[i])
+	for _, m := range b.pending {
+		if !take(m) {
+			kept = append(kept, m)
 		}
 	}
 	clear(b.pending[len(kept):])
@@ -320,20 +321,20 @@ func (t *transport) takeEach(id string, take func(m *bus.Message) bool) {
 // sendReliable unicasts one logical message until the receiver holds a
 // verified copy, retrying with capped exponential backoff. On a reliable
 // bus this is a single transmission and a single drain — the exact
-// traffic pattern of the original protocol. The delivered message is
+// traffic pattern of the original protocol. The delivered copy is
 // consumed from the receiver's buffer and returned.
-func (t *transport) sendReliable(from, to, kind string, env sig.Envelope, size int) (bus.Message, error) {
+func (t *transport) sendReliable(from, to, kind string, env sig.Envelope, size int) (*bus.Message, error) {
 	nonce := t.net.NextNonce()
 	for attempt := 1; ; attempt++ {
 		if _, err := t.net.SendTagged(from, to, kind, env, size, nonce); err != nil {
-			return bus.Message{}, err
+			return nil, err
 		}
 		if attempt > 1 {
 			t.stats.Retransmits++
 			t.event(obs.Event{Kind: obs.EvRetransmit, From: from, To: to, Msg: kind})
 		}
 		if err := t.pull(to); err != nil {
-			return bus.Message{}, err
+			return nil, err
 		}
 		if m, ok := t.takeNonce(to, from, nonce); ok {
 			return m, nil
@@ -341,7 +342,7 @@ func (t *transport) sendReliable(from, to, kind string, env sig.Envelope, size i
 		t.stats.Timeouts++
 		t.event(obs.Event{Kind: obs.EvTimeout, From: from, To: to, Msg: kind})
 		if attempt >= t.policy.MaxAttempts || t.sleep(attempt) {
-			return bus.Message{}, fmt.Errorf("%w: %s → %s (%s) after %d attempts",
+			return nil, fmt.Errorf("%w: %s → %s (%s) after %d attempts",
 				ErrUnreachable, from, to, kind, attempt)
 		}
 	}

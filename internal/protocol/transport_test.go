@@ -174,7 +174,7 @@ func TestTransportVerifiesEachMessageOnce(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s holds no copy", id)
 			}
-			if err := g.xp.open(&m, &bp); err != nil || bp.Bid != want {
+			if err := g.xp.open(m, &bp); err != nil || bp.Bid != want {
 				t.Fatalf("%s opens bid %v (%v), want %v", id, bp.Bid, err, want)
 			}
 		}
@@ -215,9 +215,9 @@ func TestTransportVerifiesEachMessageOnce(t *testing.T) {
 // own copies, with the same stats, and trace nothing into the earlier
 // run's recorder.
 func TestTransportResetMatchesNew(t *testing.T) {
-	play := func(g *rxRig) ([]bus.Message, []string, FaultStats) {
+	play := func(g *rxRig) ([]*bus.Message, []string, FaultStats) {
 		t.Helper()
-		var got []bus.Message
+		var got []*bus.Message
 		for i, from := range []string{"P1", "P2"} {
 			m, err := g.xp.sendReliable(from, referee.Account, referee.KindBid, g.bid(t, from, float64(5+i)), 1)
 			if err != nil {

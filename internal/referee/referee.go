@@ -72,8 +72,8 @@ type Referee struct {
 	installment bool
 
 	// send, when non-nil, streams every state change (audit entries,
-	// meters, evictions, installment bindings) to a standby referee; see
-	// AttachStandby. replErr latches the first replication failure.
+	// meters, evictions) to a standby referee; see AttachStandby.
+	// replErr latches the first replication failure.
 	send    func(AuditReplicaPayload) error
 	replErr error
 
@@ -158,9 +158,8 @@ func (r *Referee) BindRounds(round string, epochs []string) error {
 }
 
 // replicate streams one audit entry to the attached standby, with the
-// replica state p carries beside it (a meter, an eviction, an
-// installment binding), latching the first failure (surfaced by
-// ReplicationErr and at promotion time). Callers build p only when a
+// replica state p carries beside it (a meter, an eviction), latching the
+// first failure (surfaced by ReplicationErr and at promotion time). Callers build p only when a
 // standby is attached (r.send non-nil), so a run without one allocates
 // no replica.
 func (r *Referee) replicate(e AuditEntry, p AuditReplicaPayload) {
@@ -213,12 +212,8 @@ func (r *Referee) RecordBidReuse(epoch string, sinceRebid int) AuditEntry {
 // depends on neither the installment count nor the policy.
 func (r *Referee) RecordInstallment(k, of int, frac float64, policy dlt.RoundPolicy) AuditEntry {
 	r.installment = true
-	e := r.audit.AppendRound(r.round, "installment", "bidding", nil,
+	return r.appendAudit("installment", "bidding", nil,
 		fmt.Sprintf("installment %d/%d (%s) carrying load fraction %.9g", k, of, policy, frac))
-	if r.send != nil {
-		r.replicate(e, AuditReplicaPayload{Inst: true})
-	}
-	return e
 }
 
 // audited appends a verdict to the hash-chained transcript and returns it.

@@ -27,13 +27,12 @@ const StandbyAccount = "referee-standby"
 // StandbySnapshot is the full referee state at attach time: the primary
 // sends it once, then streams incremental AuditReplicaPayload updates.
 type StandbySnapshot struct {
-	Procs       []string           `json:"procs"`
-	Fine        float64            `json:"fine"`
-	Round       string             `json:"round,omitempty"`
-	Epochs      []string           `json:"epochs"`
-	Installment bool               `json:"installment,omitempty"` // the period rule prices this round
-	Meters      map[string]float64 `json:"meters,omitempty"`
-	Entries     []AuditEntry       `json:"entries,omitempty"`
+	Procs   []string           `json:"procs"`
+	Fine    float64            `json:"fine"`
+	Round   string             `json:"round,omitempty"`
+	Epochs  []string           `json:"epochs"`
+	Meters  map[string]float64 `json:"meters,omitempty"`
+	Entries []AuditEntry       `json:"entries,omitempty"`
 }
 
 // MeterReading replicates one tamper-proof meter value exactly. The
@@ -47,14 +46,14 @@ type MeterReading struct {
 // AuditReplicaPayload is one primary → standby replication message. The
 // first message of a round carries the Snapshot; every later one carries
 // the freshly sealed audit Entry plus whatever structured state the
-// entry's action implies (a meter reading, an eviction, an installment
-// binding) — the entry alone is enough to extend the hash chain, the
-// side state is what Promote needs to adjudicate.
+// entry's action implies (a meter reading, an eviction) — the entry alone
+// is enough to extend the hash chain, the side state is what Promote
+// needs to adjudicate. An installment entry implies none: only a
+// BidSession runs installment sub-rounds, and a session arms no standby.
 type AuditReplicaPayload struct {
 	Snapshot *StandbySnapshot `json:"snapshot,omitempty"`
 	Entry    *AuditEntry      `json:"entry,omitempty"`
 	Meter    *MeterReading    `json:"meter,omitempty"`
-	Inst     bool             `json:"inst,omitempty"` // RecordInstallment armed the period rule
 	Evict    string           `json:"evict,omitempty"`
 }
 
@@ -67,7 +66,6 @@ type Standby struct {
 	log     AuditLog // the replicated transcript
 	meters  map[string]float64
 	evicted map[string]bool
-	inst    bool
 }
 
 // NewStandby returns an empty standby awaiting the primary's snapshot.
@@ -99,7 +97,6 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 		for proc, phi := range p.Snapshot.Meters {
 			s.meters[proc] = phi
 		}
-		s.inst = p.Snapshot.Installment
 		return nil
 	}
 	if s.snap == nil {
@@ -120,9 +117,6 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 	}
 	if p.Meter != nil {
 		s.meters[p.Meter.Proc] = p.Meter.Phi
-	}
-	if p.Inst {
-		s.inst = true
 	}
 	if p.Evict != "" {
 		s.evicted[p.Evict] = true
@@ -161,7 +155,6 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 	if err := ref.BindRounds(s.snap.Round, epochs); err != nil {
 		return nil, fmt.Errorf("referee: promoting standby: %w", err)
 	}
-	ref.installment = s.inst
 	for proc, phi := range s.meters {
 		ref.meters[proc] = phi
 	}
@@ -173,18 +166,16 @@ func (s *Standby) Promote(ver *sig.BatchVerifier, ledger *payment.Ledger, mech c
 // AuditReplicaPayload to the standby (the protocol layer seals it with
 // the referee key and ships it over the reliable transport). The current
 // state goes out immediately as a snapshot; every subsequent audit
-// append, meter record, eviction and installment binding streams after
-// it. A send failure latches (see ReplicationErr) rather than failing
+// append, meter record and eviction streams after it. A send failure latches (see ReplicationErr) rather than failing
 // the adjudication that triggered it — the primary stays authoritative;
 // only a later promotion must refuse to proceed from a torn replica.
 func (r *Referee) AttachStandby(send func(AuditReplicaPayload) error) error {
 	snap := &StandbySnapshot{
-		Procs:       append([]string(nil), r.procs...),
-		Fine:        r.fine,
-		Round:       r.round,
-		Epochs:      append([]string(nil), r.epochs...),
-		Installment: r.installment,
-		Entries:     r.audit.Entries(),
+		Procs:   append([]string(nil), r.procs...),
+		Fine:    r.fine,
+		Round:   r.round,
+		Epochs:  append([]string(nil), r.epochs...),
+		Entries: r.audit.Entries(),
 	}
 	if len(r.meters) > 0 {
 		snap.Meters = make(map[string]float64, len(r.meters))

@@ -1,12 +1,9 @@
 package referee
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
-	"dlsbl/internal/core"
-	"dlsbl/internal/dlt"
 	"dlsbl/internal/sig"
 )
 
@@ -142,56 +139,6 @@ func TestStandbyPromoteParity(t *testing.T) {
 	for i := range qp {
 		if qp[i] != qs[i] {
 			t.Errorf("payment vectors diverge: primary %v, standby %v", qp, qs)
-		}
-	}
-}
-
-// TestStandbyPromoteKeepsInstallmentRule: a standby promoted during an
-// installment sub-round judges a disputed payment vector with the period
-// rule, whether the installment bit reached it in the stream after the
-// snapshot or in the snapshot itself. A deviant submitting the
-// single-round vector is convicted and the period-rule vector agreed.
-func TestStandbyPromoteKeepsInstallmentRule(t *testing.T) {
-	bids := []float64{1, 2, 3}
-	exec := []float64{1, 2, 3}
-	for _, inSnapshot := range []bool{false, true} {
-		f := newStandbyFixture(t, 3, 100)
-		f.ref.RecordInstallment(2, 4, 0.25, dlt.EqualRounds)
-		if inSnapshot {
-			f.attach(t)
-		}
-		if err := f.ref.ReplicationErr(); err != nil {
-			t.Fatalf("replication failed: %v", err)
-		}
-		promoted, err := f.sb.Promote(f.ver, f.ledger, f.mech)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth, err := f.mech.RunPeriod(bids, exec, core.WithVerification)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, err := f.mech.Run(bids, exec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices.Equal(truth.Payment, single.Payment) {
-			t.Fatal("test needs the installment and single-round payments to differ")
-		}
-		subs := map[string][]sig.Envelope{
-			"P1": {f.paymentSubmission(t, "P1", truth.Payment)},
-			"P2": {f.paymentSubmission(t, "P2", single.Payment)},
-			"P3": {f.paymentSubmission(t, "P3", truth.Payment)},
-		}
-		v, q, err := promoted.JudgePayments(bids, exec, subs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v.Guilty) != 1 || v.Guilty[0] != "P2" {
-			t.Errorf("in snapshot %v: guilty = %v, want P2 (submitted the single-round vector)", inSnapshot, v.Guilty)
-		}
-		if !slices.Equal(q, truth.Payment) {
-			t.Errorf("in snapshot %v: agreed Q = %v, want the installment truth %v", inSnapshot, q, truth.Payment)
 		}
 	}
 }

@@ -44,14 +44,16 @@ type PoolSpec struct {
 }
 
 // MaxPoolSize caps the processors in a pool (PoolSpec.TrueW) at
-// creation. A round's bid exchange is Θ(m²) deliveries. A cold
-// protocol.Run (BenchmarkColdRound in internal/protocol, median of 3
-// runs of 3 rounds at GOMAXPROCS 2 on a 2-vCPU KVM guest, Intel Xeon,
-// Go 1.24) takes 4.8 ms and 0.20 MB at m = 16, 19 ms and 1.8 MB at
-// m = 64, 47 ms and 6.2 MB at m = 128, and 121 ms and 25 MB at m = 256:
-// ×2–2.6 per doubling in time and ×3–4 in bytes, so a 4,096-member
-// spec, 36 KiB of JSON, would cost about five seconds of CPU and 6 GB
-// of allocation per job. 256 is also the largest pool that
+// creation. A round's bid exchange is Θ(m²) deliveries, each a pointer
+// to its emission's shared record. A cold protocol.Run
+// (BenchmarkColdRound in internal/protocol, median of 4 runs of 3 rounds
+// at GOMAXPROCS 2 on a 2-vCPU KVM guest, Intel Xeon, Go 1.24) takes
+// 4.1 ms and 0.11 MB at m = 16, 14 ms and 0.54 MB at m = 64, 36 ms and
+// 1.4 MB at m = 128, and 71 ms and 4.3 MB at m = 256: ×2–2.5 per
+// doubling in time and ×2.2–3 in bytes, rising toward ×4 as the Θ(m²)
+// pointer arrays come to dominate, so a 4,096-member spec, 36 KiB of
+// JSON, would cost one to three seconds of CPU and up to a gigabyte of
+// allocation per job. 256 is also the largest pool that
 // netbus.MailboxBytes is sized for; a larger cap must re-derive it.
 const MaxPoolSize = 256
 
