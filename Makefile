@@ -27,21 +27,23 @@ race-service:
 	$(GO) test -race ./internal/service/... ./internal/protocol/...
 
 # The per-party crypto fan-out (internal/sig's worker loop behind the
-# fused seal-and-verify pass and the pooled payload and signing buffers
-# its workers share, the parallel key generation and its pooled seed
-# sources, and VerifyEach) and the transport's receive table under
-# the race detector at GOMAXPROCS 1, the inline path, and 4, the worker
-# loop, ten times over, with the transcript golden that pins every
-# signed byte; then the bid-receive oracle's race subset once at both
-# settings, its rounds drawing keys from the shared source pool, the
-# mixed-fault soak's session arm (a session's rewound bus records between
-# faulty rounds) and the simulated bus's record sharing; then the
+# fused seal-and-verify pass, sealing into reused envelopes, and the
+# pooled payload and signing buffers its workers share, the parallel key
+# generation and its pooled seed sources, and VerifyEach) and the
+# transport's receive table under the race detector at GOMAXPROCS 1, the
+# inline path, and 4, the worker loop, ten times over, with the
+# transcript golden that pins every signed byte and the lifetime of a
+# session's recycled payment envelopes; then the bid-receive oracle's
+# race subset once at both settings, its rounds drawing keys from the
+# shared source pool, the mixed-fault soak's session arm (faulty and
+# fault-free jobs on one session bus, its records rewound between them)
+# and the simulated bus's record sharing; then the
 # hot-path and netbus parity properties, the netbus drain decode's
 # sharing and aliasing checks and its allocation guard once at both
 # settings.
 race-fanout:
 	$(GO) test -race -count=10 -cpu 1,4 \
-		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden' \
+		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden|TestRecycledEnvelopeLifetime' \
 		./internal/sig ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestMixedFaultSoak/session' ./internal/protocol

@@ -125,18 +125,22 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 	}, nil
 }
 
-// Reset returns the bus to what NewFaulty(z, plan) returns, plan being
-// the one it was built with, with the same endpoints still attached: the
-// inboxes empty (keeping their capacity), no delayed deliveries or
-// unresponsive marks, zero stats, a nonce counter that numbers the next
-// message 1, a free data-plane port, a freshly seeded fault state and no
-// tracer. The record storage is rewound: the records handed out before
-// the Reset are zeroed, and later emissions are filed over them. A
-// long-lived owner (a BidSession) resets one bus for every round it
-// serves rather than building and attaching a new one.
-func (b *Bus) Reset(z float64) error {
+// Reset returns the bus to what NewFaulty(z, plan) returns, with the
+// same endpoints still attached: the inboxes empty (keeping their
+// capacity), no delayed deliveries or unresponsive marks, zero stats, a
+// nonce counter that numbers the next message 1, a free data-plane port,
+// the fault state of a bus freshly built from plan (none for a nil plan)
+// and no tracer. The record storage is rewound: the records handed out
+// before the Reset are zeroed, and later emissions are filed over them.
+// A long-lived owner (a BidSession) resets one bus for every round it
+// serves, each under its job's plan, rather than building and attaching
+// a new one.
+func (b *Bus) Reset(z float64, plan *FaultPlan) error {
 	if !(z >= 0) {
 		return fmt.Errorf("bus: invalid transfer time z=%v", z)
+	}
+	if err := plan.Validate(); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -154,9 +158,7 @@ func (b *Bus) Reset(z float64) error {
 	b.stats = Stats{}
 	b.nonce = 0
 	b.port = sim.NewResource("bus")
-	if b.faults != nil {
-		b.faults = newFaultState(b.faults.plan)
-	}
+	b.faults = newFaultState(plan)
 	b.tracer = nil
 	return nil
 }

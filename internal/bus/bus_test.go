@@ -328,14 +328,17 @@ func TestDetach(t *testing.T) {
 }
 
 // TestResetMatchesFreshBus plays the same round on a freshly built bus
-// and on one that played another round first (traffic left in its
-// inboxes, delayed copies staged, an endpoint marked dead, the data plane
-// booked, a tracer installed) and was then Reset: the round's nonces
-// (from 1), inboxes, stats (from zero), delivery events and data-plane
-// reservation must match, and the earlier tracer must see nothing more.
+// and on one that was built under the other plan, played another round
+// (traffic left in its inboxes, delayed copies staged, an endpoint marked
+// dead, the data plane booked, a tracer installed) and was then Reset
+// under the fresh bus's plan: the round's nonces (from 1), inboxes, stats
+// (from zero), delivery events and data-plane reservation must match, and
+// the earlier tracer must see nothing more.
 func TestResetMatchesFreshBus(t *testing.T) {
 	ids := []string{"P1", "P2", "P3", "referee"}
-	for _, plan := range []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}} {
+	plans := []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}}
+	for k, plan := range plans {
+		other := plans[1-k]
 		round := func(b *Bus) ([]uint64, map[string][]*Message, Stats, eventLog, [2]float64) {
 			var events eventLog
 			b.SetTracer(&events)
@@ -372,7 +375,7 @@ func TestResetMatchesFreshBus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := NewFaulty(0.1, plan)
+		reused, err := NewFaulty(0.1, other)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +401,7 @@ func TestResetMatchesFreshBus(t *testing.T) {
 		if _, _, err := reused.ReserveTransferTo(0, 3, "P1"); err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.Reset(0.4); err != nil {
+		if err := reused.Reset(0.4, plan); err != nil {
 			t.Fatal(err)
 		}
 		seen := len(earlier)
@@ -427,7 +430,10 @@ func TestResetMatchesFreshBus(t *testing.T) {
 			t.Errorf("plan %v: endpoints %v after Reset", plan, got)
 		}
 	}
-	if err := newBus(t, 1, "P1").Reset(-1); err == nil {
+	if err := newBus(t, 1, "P1").Reset(-1, nil); err == nil {
 		t.Error("Reset accepted a negative transfer time")
+	}
+	if err := newBus(t, 1, "P1").Reset(1, &FaultPlan{Drop: 2}); err == nil {
+		t.Error("Reset accepted an invalid fault plan")
 	}
 }

@@ -119,7 +119,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 			return recs
 		}
 		before := round()
-		if err := b.Reset(0); err != nil {
+		if err := b.Reset(0, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i, rec := range before {
@@ -156,7 +156,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			round(reused)
 		}
-		if err := reused.Reset(0.1); err != nil {
+		if err := reused.Reset(0.1, plan); err != nil {
 			t.Fatal(err)
 		}
 		fi, fs := round(fresh)

@@ -52,19 +52,24 @@ func runInstallmentLoad(tb testing.TB, s *protocol.BidSession, ld Load) {
 }
 
 // TestInstallmentLoadAllocs pins what a warm 4-installment m = 16 load
-// allocates at GOMAXPROCS 1, the inline crypto path: about 122 KiB. The
-// session keeps each installment's names, keys, registry, bus (with the
-// records its deliveries point to), transport tables, ledger, payment
-// engine and referee for the next, each installment prices its payments
-// with the engine's allocation-free period rule, seals honest payment
-// vectors and sums fines without copying them, hands its audit log to
-// its outcome uncopied, and encodes each signed payload into a pooled
-// buffer. Filing a copy of every message in each recipient's inbox cost
-// about 139 KiB, copying the vectors and the ledger history as well
-// about 151 KiB, rebuilding the round state for every installment about
-// 359 KiB, and before that, re-solving 2m+1 freshly allocated schedules
-// per installment and marshalling every audit entry into a fresh slice
-// about 497 KiB.
+// allocates at GOMAXPROCS 1, the inline crypto path: about 76 KiB. The
+// session keeps each installment's names, keys, registry, batch verifier
+// (with its scratch), bus (with the records its deliveries point to),
+// transport tables, ledger, payment engine and referee for the next, and
+// the payments working set and cached bid set as well: each installment
+// seals its payment vectors over the last one's envelopes, from requests
+// pointing at payloads the session keeps. Each installment prices its
+// payments with the engine's allocation-free period rule, seals honest
+// payment vectors and sums fines without copying them, hands its audit
+// log to its outcome uncopied, and encodes each signed payload into a
+// pooled buffer. Building the requests, boxed payloads, payment
+// envelopes, verifier scratch and bid set afresh for every installment
+// cost about 122 KiB, filing a copy of every message in each recipient's
+// inbox as well about 139 KiB, copying the vectors and the ledger
+// history about 151 KiB, rebuilding the round state for every
+// installment about 359 KiB, and before that, re-solving 2m+1 freshly
+// allocated schedules per installment and marshalling every audit entry
+// into a fresh slice about 497 KiB.
 func TestInstallmentLoadAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are skewed under -race")
@@ -86,7 +91,7 @@ func TestInstallmentLoadAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	const max = 134 << 10
+	const max = 84 << 10
 	if got > max {
 		t.Errorf("warm m=16 4-installment load: %d KiB allocated, want <= %d KiB", got>>10, max>>10)
 	}

@@ -320,14 +320,19 @@ func (r *run) keepCachedBids(c *bidCache, sp *spliceOp, src []int) error {
 			})
 		}
 	}
-	r.bids = make([]float64, r.m)
-	r.bidEnvs = make([]sig.Envelope, r.m)
-	r.epochs = make([]string, r.m)
+	// The bid set goes into the round state's slices; every entry is
+	// written below, the fresh member's slot zeroed for the caller.
+	st := r.st
+	st.bids = slices.Grow(st.bids[:0], r.m)[:r.m]
+	st.bidEnvs = slices.Grow(st.bidEnvs[:0], r.m)[:r.m]
+	st.epochs = slices.Grow(st.epochs[:0], r.m)[:r.m]
+	r.bids, r.bidEnvs, r.epochs = st.bids, st.bidEnvs, st.epochs
 	k := 0
 	// Decoding writes every field, into the previous bid's strings.
 	var bp referee.BidPayload
 	for i, s := range src {
 		if s < 0 {
+			r.bids[i], r.bidEnvs[i], r.epochs[i] = 0, sig.Envelope{}, ""
 			continue
 		}
 		env := &c.bidEnvs[s]

@@ -136,11 +136,11 @@ func TestAcceptanceDropAndDuplicate(t *testing.T) {
 
 // TestMixedFaultSoak runs the protocol under a combined plan across many
 // seeds, in one-shot runs and through one BidSession. The session plays
-// each seed's plan and then a job without one: a job with a fault plan
-// runs on a bus of its own, and the fault-free job after it on the
-// session's bus, reset, filing its records over those of the rounds
-// before. DLSBL_SOAK_ROUNDS overrides the round count (the `faults-soak`
-// make target sets it high).
+// each seed's plan and then a job without one, both on the session's
+// bus: each job resets it under its own plan (the faulty job draws the
+// faults a bus freshly built from that plan would) and files its records
+// over those of the rounds before. DLSBL_SOAK_ROUNDS overrides the round
+// count (the `faults-soak` make target sets it high).
 func TestMixedFaultSoak(t *testing.T) {
 	rounds := 25
 	if s := os.Getenv("DLSBL_SOAK_ROUNDS"); s != "" {

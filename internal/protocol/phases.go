@@ -3,8 +3,10 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
 	"dlsbl/internal/core"
 	"dlsbl/internal/dlt"
@@ -60,8 +62,9 @@ func (r *run) bidExchange() (received [][]*bus.Message, firstEnvs []sig.Envelope
 	// that signed it; its verdicts are not consulted here. The first copy
 	// of each bid a receiver takes off the medium is a memo hit, later
 	// byte-identical copies match it, and a copy the medium altered fails
-	// and is discarded.
-	envs, err := r.ver.SealEach(reqs)
+	// and is discarded. The envelopes are fresh: the bid cache a clean
+	// exchange captures keeps their bytes for later rounds.
+	envs, err := r.ver.SealEach(reqs, nil)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -980,7 +983,9 @@ func (r *run) phasePayments() error {
 	}
 	// w̃_j = φ_j / α_j; a processor with no load reveals nothing, so its
 	// bid stands in (its compensation and valuation are zero anyway).
-	derived := make([]float64, r.m)
+	st := r.st
+	derived := slices.Grow(st.derived[:0], r.m)[:r.m]
+	st.derived = derived
 	for j := range derived {
 		if r.alloc[j] > 0 {
 			// The meters cover α_j·loadFrac of the load, so the per-unit
@@ -1010,31 +1015,45 @@ func (r *run) phasePayments() error {
 
 	// Every processor signs its payment vector; a payment equivocator
 	// also signs a second one with its own entry raised. An honest
-	// processor's vector is the engine's own: sealing only reads it.
-	reqs := make([]sig.Sealing, 0, r.m)
+	// processor's vector is the engine's own: sealing only reads it. The
+	// requests point at payloads the state keeps, and the envelopes are
+	// sealed over the previous round's.
+	n := r.m
+	for _, a := range r.agents {
+		if a.Behavior.EquivocatePayments {
+			n++
+		}
+	}
+	st.payloads = slices.Grow(st.payloads[:0], n)[:n]
+	st.seals = slices.Grow(st.seals[:0], n)[:n]
+	k := 0
+	submit := func(a *agent.Agent, q []float64) {
+		st.payloads[k] = referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID}
+		st.seals[k] = sig.Sealing{Key: a.Key, Kind: referee.KindPayment, Payload: &st.payloads[k]}
+		k++
+	}
 	for i, a := range r.agents {
 		q := out.Payment
 		if a.Behavior.WrongPaymentFactor != 1 {
 			q = a.PaymentVector(out.Payment, i)
 		}
-		reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindPayment,
-			Payload: referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID}})
+		submit(a, q)
 		if a.Behavior.EquivocatePayments {
 			q2 := append([]float64(nil), q...)
 			q2[i] += 1
-			reqs = append(reqs, sig.Sealing{Key: a.Key, Kind: referee.KindPayment,
-				Payload: referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID}})
+			submit(a, q2)
 		}
 	}
-	envs, err := r.ver.SealEach(reqs)
+	envs, err := r.ver.SealEach(st.seals, st.payEnvs)
 	if err != nil {
 		return err
 	}
+	st.payEnvs = envs
 	// Each processor's submissions are its run of envs, in signing order.
-	if r.st.subs == nil {
-		r.st.subs = make(map[string][]sig.Envelope, r.m)
+	if st.subs == nil {
+		st.subs = make(map[string][]sig.Envelope, r.m)
 	}
-	subs := r.st.subs
+	subs := st.subs
 	clear(subs)
 	for _, a := range r.agents {
 		n := 1
@@ -1071,7 +1090,7 @@ func (r *run) phasePayments() error {
 	// (telescope into) the single-round payment — exactly so at
 	// loadFrac=1, where the scaling multiplies by the constant 1.
 	paid := make([]float64, len(q))
-	inv := payment.Invoice{Payer: UserID}
+	inv := payment.Invoice{Payer: UserID, Lines: make([]payment.InvoiceLine, 0, len(r.procs))}
 	for i, p := range r.procs {
 		paid[i] = q[i] * r.loadFrac
 		inv.Lines = append(inv.Lines, payment.InvoiceLine{

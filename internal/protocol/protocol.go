@@ -341,8 +341,9 @@ type run struct {
 	// procs once Bidding has run.
 	epochs []string
 	cached bool // served from the bid cache (see hearFromSeated)
-	// ver is the run's batch verifier over cfg.Memo; the transport and
-	// the referee route verification through it.
+	// ver is the round state's batch verifier, reset over cfg.Memo for
+	// this run; the transport and the referee route verification
+	// through it.
 	ver *sig.BatchVerifier
 	// tracer is cfg.Tracer, threaded here (and into the bus and the
 	// transport) so phases can emit protocol-level events; nil when
@@ -506,10 +507,10 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 
 // setup builds the run for cfg over st, the round state a BidSession
 // keeps between its rounds; a nil st gives the run a state of its own.
-// The participants' names, keys, registry, ledger, payment engine and
-// referee come from st, and so do the reliable bus and its transport
-// unless cfg carries a fault plan (the job's own bus), an external medium
-// or a standby referee (a one-shot run's own bus).
+// The participants' names, keys, registry, batch verifier, ledger,
+// payment engine and referee come from st, and so do the simulated bus
+// (reset under cfg's fault plan) and its transport unless cfg carries an
+// external medium or a standby referee (a one-shot run's own bus).
 func setup(cfg Config, st *roundState) (*run, error) {
 	fullM := len(cfg.TrueW)
 	behaviorOf := func(i int) agent.Behavior {
@@ -600,14 +601,18 @@ func setup(cfg Config, st *roundState) (*run, error) {
 			}
 		}
 	}
-	// One batch verifier per run (it is not concurrency-safe). A caller's
-	// memo outlives the run — that is what makes reuse rounds'
-	// verifications collapse into memo hits; a nil one becomes a fresh
-	// memo for this run alone.
-	r.ver = sig.NewBatchVerifier(r.reg, cfg.Memo)
+	// One batch verifier per round state, reset for each run (it is not
+	// concurrency-safe). A caller's memo outlives the run — that is what
+	// makes reuse rounds' verifications collapse into memo hits; a nil
+	// one becomes a fresh memo for this run alone.
+	if st.ver == nil {
+		st.ver = new(sig.BatchVerifier)
+	}
+	st.ver.Reset(r.reg, cfg.Memo)
+	r.ver = st.ver
 	var err error
-	if cfg.Medium == nil && cfg.Faults == nil && !cfg.Standby {
-		if r.net, r.xp, err = st.reliable(cfg.Z, r.ver, cfg.Retry); err != nil {
+	if cfg.Medium == nil && !cfg.Standby {
+		if r.net, r.xp, err = st.simBus(cfg.Z, cfg.Faults, r.ver, cfg.Retry); err != nil {
 			return nil, err
 		}
 		return r, nil

@@ -13,20 +13,25 @@ import (
 )
 
 // roundState is the part of a round that depends only on its participant
-// set, and the machinery every round resets rather than rebuilds. In the
-// paper, Initialization registers each processor's keys with the PKI
-// once and only the later phases repeat per load, and every installment
-// of a pipelined load replays the same participant set; so a BidSession
-// keeps one roundState and hands it to each round it serves. A one-shot
-// Run builds one that dies with the run.
+// set, and the machinery and working storage every round resets rather
+// than rebuilds. In the paper, Initialization registers each processor's
+// keys with the PKI once and only the later phases repeat per load, and
+// every installment of a pipelined load replays the same participant
+// set; so a BidSession keeps one roundState and hands it to each round
+// it serves. A one-shot Run builds one that dies with the run.
 //
 // setup builds the names, keys, registry, ledger and bus afresh whenever
 // the round's participant set differs from the one they were built for
 // (an abstention or a ban), so a round's PKI never holds a
 // non-participant's key, and resets everything at the start of every
 // round it serves, so nothing an aborted or panicked round left behind
-// reaches the next. No slice a run compacts on eviction is the state's:
-// runs copy the names.
+// reaches the next. The working storage (the verifier's scratch, the
+// payments working set, the cached round's bid set) is rewritten in full
+// by every round before that round reads it, so the in-place compaction
+// an eviction applies to the bid set cannot leak into a later round.
+// Nothing a round hands out (its outcome, the bid cache) points into the
+// state: runs copy the names, outcomes copy the per-processor series,
+// and captureBidCache copies the bid set.
 type roundState struct {
 	// part is the participant set (config indices) the names, keys,
 	// registry, ledger and bus were built for. A session never arms a
@@ -37,13 +42,16 @@ type roundState struct {
 	procs []string
 	keys  []*sig.KeyPair
 	reg   *sig.Registry
+	// ver is the batch verifier every round resets over reg and the
+	// round's memo; the transport and the referee verify through it.
+	ver *sig.BatchVerifier
 	// ledger holds the user's, the referee's and every participant's
 	// account.
 	ledger *payment.Ledger
-	// net is the reliable bus with every endpoint attached and xp the
-	// transport over it; both nil until a round without a fault plan or
-	// an external medium builds them. A job with a fault plan builds its
-	// own bus and transport.
+	// net is the simulated bus with every endpoint attached and xp the
+	// transport over it; both nil until a round on the simulated bus
+	// without a standby builds them. Each round resets the bus under its
+	// own job's fault plan.
 	net *bus.Bus
 	xp  *transport
 	// engine prices the Computing Payments phase into payOut; both keep
@@ -59,6 +67,23 @@ type roundState struct {
 	// name → config slot) are maps a round clears and fills before use.
 	subs  map[string][]sig.Envelope
 	index map[string]int
+	// The Computing Payments working set: the execution values derived
+	// from the meters, one payload and one sealing request per submission
+	// (each request points at its payload, so none is boxed), and the
+	// payment envelopes, each round's sealed over the bytes of the last.
+	// Nothing reads an envelope after its round: the bus and transport
+	// that carried it are reset, and the referee decodes into its own
+	// buffers.
+	derived  []float64
+	payloads []referee.PaymentPayload
+	seals    []sig.Sealing
+	payEnvs  []sig.Envelope
+	// bids, bidEnvs and epochs hold the bid set a cached round installs
+	// (keepCachedBids). Bid envelopes are copied headers: their bytes
+	// stay the bid cache's.
+	bids    []float64
+	bidEnvs []sig.Envelope
+	epochs  []string
 }
 
 // prepare readies st for a round over the participants part. When st
@@ -113,13 +138,14 @@ func (st *roundState) endpoints(standby bool) []string {
 	return ids
 }
 
-// reliable returns st's reliable bus and its transport, ready for a round
-// at bus rate z under the retry policy: reset when st already holds them,
-// built with every endpoint attached otherwise. Only a one-shot run arms
-// a standby, and its bus is its own.
-func (st *roundState) reliable(z float64, ver *sig.BatchVerifier, retry RetryPolicy) (*bus.Bus, *transport, error) {
+// simBus returns st's simulated bus and its transport, ready for a
+// round at bus rate z under the fault plan (nil for the paper's reliable
+// bus) and the retry policy: reset when st already holds them, built
+// with every endpoint attached otherwise. Only a one-shot run arms a
+// standby, and its bus is its own.
+func (st *roundState) simBus(z float64, plan *bus.FaultPlan, ver *sig.BatchVerifier, retry RetryPolicy) (*bus.Bus, *transport, error) {
 	if st.net != nil {
-		if err := st.net.Reset(z); err != nil {
+		if err := st.net.Reset(z, plan); err != nil {
 			return nil, nil, err
 		}
 		if err := st.xp.reset(ver, retry); err != nil {
@@ -127,7 +153,7 @@ func (st *roundState) reliable(z float64, ver *sig.BatchVerifier, retry RetryPol
 		}
 		return st.net, st.xp, nil
 	}
-	net, err := bus.New(z)
+	net, err := bus.NewFaulty(z, plan)
 	if err != nil {
 		return nil, nil, err
 	}

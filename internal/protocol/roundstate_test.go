@@ -10,6 +10,8 @@ import (
 	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
+	"dlsbl/internal/payment"
+	"dlsbl/internal/referee"
 	"dlsbl/internal/sig"
 )
 
@@ -302,5 +304,130 @@ func TestRoundStateAfterPanic(t *testing.T) {
 				t.Errorf("first round after the panic: reused=%v, want %v", outsA[0].BidReused, want)
 			}
 		})
+	}
+}
+
+// outcomeRecord is a deep copy of what a round hands out that no later
+// round may move: its payments, fines, verdicts, invoice lines and
+// transcript entries with their hashes.
+type outcomeRecord struct {
+	payments, fines []float64
+	verdicts        []referee.Verdict
+	lines           []payment.InvoiceLine
+	transcript      []referee.AuditEntry
+}
+
+func recordOutcome(o *Outcome) outcomeRecord {
+	rec := outcomeRecord{
+		payments: slices.Clone(o.Payments),
+		fines:    slices.Clone(o.Fines),
+		lines:    slices.Clone(o.Invoice.Lines),
+	}
+	for _, v := range o.Verdicts {
+		v.Guilty = slices.Clone(v.Guilty)
+		rec.verdicts = append(rec.verdicts, v)
+	}
+	for _, e := range o.Transcript {
+		e.Guilty = slices.Clone(e.Guilty)
+		rec.transcript = append(rec.transcript, e)
+	}
+	return rec
+}
+
+// TestRecycledEnvelopeLifetime plays one session through rounds that
+// seal their payment vectors over the previous round's envelopes: a
+// payment cheat's conviction, a payment equivocator's, a bid
+// equivocator's terminated exchange (which keeps the bid cache), honest
+// reuse rounds, a rate-change splice and a 4-installment load. Each
+// round's outcome is deep-copied right after it. Once the session is
+// done, every outcome must still equal its copy and every transcript
+// must verify, so nothing a round hands out points into storage a later
+// round rewrites; and the rounds after the bid equivocator must still be
+// served from the first round's cache, whose bid envelopes no later
+// exchange may overwrite.
+func TestRecycledEnvelopeLifetime(t *testing.T) {
+	cfg := Config{Network: dlt.NCPFE, Z: 0.1, TrueW: []float64{1, 1.25, 1.5, 1.75, 2, 2.25}}
+	s, err := NewBidSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := make([]agent.Behavior, len(cfg.TrueW))
+	behave := func(idx int, b agent.Behavior) []agent.Behavior {
+		bs := slices.Clone(base)
+		bs[idx] = b
+		return bs
+	}
+	type played struct {
+		name string
+		out  *Outcome
+		rec  outcomeRecord
+	}
+	var rounds []played
+	// sealedOver counts the completed rounds whose first payment envelope
+	// took its payload bytes from the storage of the round before.
+	sealedOver := 0
+	var lastPayload *byte
+	keep := func(name, kind string, out *Outcome, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := roundKind(out); got != kind {
+			t.Fatalf("%s: a %s round, want %s", name, got, kind)
+		}
+		rounds = append(rounds, played{name: name, out: out, rec: recordOutcome(out)})
+		if !out.Completed {
+			return
+		}
+		p := &s.state.payEnvs[0].Payload[0]
+		if p == lastPayload {
+			sealedOver++
+		}
+		lastPayload = p
+	}
+	honest := JobConfig{Seed: 4}
+	run := func(name, kind string, job JobConfig) {
+		out, err := s.Run(job)
+		keep(name, kind, out, err)
+	}
+	run("payment cheat", "full", JobConfig{Seed: 4, Behaviors: behave(1, agent.PaymentCheat)})
+	run("payment equivocator", "reuse", JobConfig{Seed: 4, Behaviors: behave(2, agent.PaymentLiar)})
+	run("bid equivocator", "full", JobConfig{Seed: 4, Behaviors: behave(3, agent.Behavior{Name: "equivocator", Equivocate: true, EquivocationFactor: 0.5})})
+	run("reuse", "reuse", honest)
+	run("reuse again", "reuse", honest)
+	base[4] = agent.OverBid
+	honest.Behaviors = base
+	run("rate change", "splice", honest)
+	run("reuse after the splice", "reuse", honest)
+	n := s.NextRound()
+	fracs, err := dlt.RoundFractions(4, dlt.EqualRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range fracs {
+		out, err := s.RunSub(honest, n, k+1, len(fracs), f, dlt.EqualRounds)
+		keep(fmt.Sprintf("installment %d", k+1), "reuse", out, err)
+	}
+
+	if sealedOver < 4 {
+		t.Errorf("%d rounds sealed their payment vectors over the previous round's envelopes, want at least 4", sealedOver)
+	}
+	fined := func(name string, idx int) {
+		for _, p := range rounds {
+			if p.name == name && p.out.Fines[idx] == 0 {
+				t.Errorf("%s: P%d was not fined", name, idx+1)
+			}
+		}
+	}
+	fined("payment cheat", 1)
+	fined("payment equivocator", 2)
+	fined("bid equivocator", 3)
+	for _, p := range rounds {
+		if !reflect.DeepEqual(recordOutcome(p.out), p.rec) {
+			t.Errorf("%s: the outcome changed after later rounds", p.name)
+		}
+		if err := referee.VerifyEntries(p.out.Transcript); err != nil {
+			t.Errorf("%s: transcript: %v", p.name, err)
+		}
 	}
 }

@@ -238,7 +238,7 @@ func TestTransportResetMatchesNew(t *testing.T) {
 		reused.deliver(t, "P1", referee.Account, reused.bid(t, "P1", float64(10+i)), reused.net.NextNonce())
 	}
 	reused.xp.stats.Retransmits, reused.xp.phaseBackoff = 3, 4
-	if err := reused.net.Reset(0.1); err != nil {
+	if err := reused.net.Reset(0.1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := reused.xp.reset(reused.ver, RetryPolicy{}); err != nil {

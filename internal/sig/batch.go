@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -95,13 +96,21 @@ func (m *VerifyMemo) store(d [sha256.Size]byte) {
 }
 
 // insert adds d to the current generation, first retiring the older
-// generation when the current one is full. Caller holds the write lock.
+// generation when the current one is full. The retired map is cleared and
+// becomes the new current one, so from the second turnover on the
+// generations refill maps that have already grown to the cap. Caller
+// holds the write lock.
 func (m *VerifyMemo) insert(d [sha256.Size]byte) {
 	if _, ok := m.cur[d]; ok {
 		return
 	}
 	if len(m.cur) >= m.cap {
-		m.old, m.cur = m.cur, make(map[[sha256.Size]byte]struct{})
+		retired := m.old
+		if retired == nil {
+			retired = make(map[[sha256.Size]byte]struct{})
+		}
+		clear(retired)
+		m.old, m.cur = m.cur, retired
 	}
 	m.cur[d] = struct{}{}
 }
@@ -156,21 +165,41 @@ type BatchStats struct {
 
 // BatchVerifier verifies envelopes against one registry, consulting a
 // VerifyMemo first and fanning independent verifications out across
-// workers. It is NOT safe for concurrent use — each protocol run owns
-// one — but the memo it consults may be shared across runs.
+// workers. It is NOT safe for concurrent use — one protocol run uses it
+// at a time, and a BidSession resets one for each round it serves — but
+// the memo it consults may be shared across runs. SealEach and
+// VerifyEach keep their scratch in the verifier and rewrite it in full
+// on every call.
 type BatchVerifier struct {
 	reg   *Registry
 	memo  *VerifyMemo
 	stats BatchStats
+
+	errs     []error
+	digests  [][sha256.Size]byte
+	verified []bool
+	vs       []Verified
+	pending  []batchJob
+	firstOf  map[[sha256.Size]byte]int
 }
 
 // NewBatchVerifier creates a verifier over reg that consults memo. A nil
 // memo gets a fresh one private to this verifier.
 func NewBatchVerifier(reg *Registry, memo *VerifyMemo) *BatchVerifier {
+	b := &BatchVerifier{}
+	b.Reset(reg, memo)
+	return b
+}
+
+// Reset readies the verifier for another round, as NewBatchVerifier(reg,
+// memo) would: it verifies against reg, consults memo (a fresh private
+// one when nil) and counts from zero. The scratch of earlier SealEach and
+// VerifyEach calls keeps its capacity.
+func (b *BatchVerifier) Reset(reg *Registry, memo *VerifyMemo) {
 	if memo == nil {
 		memo = NewVerifyMemo()
 	}
-	return &BatchVerifier{reg: reg, memo: memo}
+	b.reg, b.memo, b.stats = reg, memo, BatchStats{}
 }
 
 // Stats returns the verifier's counters.
@@ -267,12 +296,20 @@ type batchJob struct {
 // pre-pass runs serially — hit/miss counts are deterministic for a given
 // input — and only the misses fan out across GOMAXPROCS workers.
 // Duplicate misses within one call (bit-identical envelopes) verify
-// once. The Verified entries share envs' byte slices.
+// once. The Verified entries share envs' byte slices. Both returned
+// slices are the verifier's scratch: they stay valid until its next
+// SealEach or VerifyEach call.
 func (b *BatchVerifier) VerifyEach(envs []Envelope) ([]Verified, []error) {
-	errs := make([]error, len(envs))
-	var pending []batchJob
+	errs := slices.Grow(b.errs[:0], len(envs))[:len(envs)]
+	clear(errs)
+	b.errs = errs
+	pending := b.pending[:0]
 	// Serial memo pre-pass, deduplicating identical envelopes.
-	firstOf := make(map[[sha256.Size]byte]int)
+	if b.firstOf == nil {
+		b.firstOf = make(map[[sha256.Size]byte]int)
+	}
+	firstOf := b.firstOf
+	clear(firstOf)
 	for i := range envs {
 		e := &envs[i]
 		pub, ok := b.reg.lookup(e.Sender)
@@ -294,6 +331,7 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) ([]Verified, []error) {
 		firstOf[j.digest] = i
 		pending = append(pending, j)
 	}
+	b.pending = pending
 	if len(pending) > 0 {
 		b.stats.Batches++
 		forEach(len(pending), func(k int) {
@@ -308,7 +346,8 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) ([]Verified, []error) {
 			}
 		}
 	}
-	vs := make([]Verified, len(envs))
+	vs := slices.Grow(b.vs[:0], len(envs))[:len(envs)]
+	b.vs = vs
 	for i, err := range errs {
 		if d, ok := err.(errDefer); ok {
 			if errs[d.idx] == nil {
@@ -318,6 +357,7 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) ([]Verified, []error) {
 				errs[i] = errs[d.idx]
 			}
 		}
+		vs[i] = Verified{}
 		if errs[i] == nil {
 			vs[i] = Verified{env: envs[i], ok: true}
 		}

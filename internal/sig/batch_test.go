@@ -134,6 +134,39 @@ func TestVerifyMemoKeepsLiveDigests(t *testing.T) {
 	}
 }
 
+// TestVerifyMemoReusesRetiredGeneration: a full generation clears the
+// retired map and fills it as the new current one rather than growing a
+// fresh map, so once two turnovers have grown both maps, storing new
+// digests allocates nothing, turnovers included.
+func TestVerifyMemoReusesRetiredGeneration(t *testing.T) {
+	memo := NewVerifyMemo()
+	memo.cap = 64
+	var d [sha256.Size]byte
+	var next uint64
+	fill := func(n int) {
+		for k := 0; k < n; k++ {
+			next++
+			binary.BigEndian.PutUint64(d[:], next)
+			memo.store(d)
+		}
+	}
+	fill(2*memo.cap + 1) // the last store turns the generations over twice
+	if allocs := testing.AllocsPerRun(10, func() { fill(memo.cap) }); allocs != 0 {
+		t.Errorf("storing a generation's worth of digests allocates %v times, want 0", allocs)
+	}
+	if n := memo.Stats().Size; n > 2*memo.cap {
+		t.Errorf("memo holds %d digests, want at most %d", n, 2*memo.cap)
+	}
+	binary.BigEndian.PutUint64(d[:], next)
+	if !memo.contains(d) {
+		t.Error("the last stored digest is not memoized")
+	}
+	binary.BigEndian.PutUint64(d[:], next-uint64(2*memo.cap))
+	if memo.contains(d) {
+		t.Error("a digest two generations old is still memoized")
+	}
+}
+
 // TestVerifyEach exercises the batch path: index-aligned errors for a
 // mixed profile (valid, unknown sender, bad signature), intra-batch
 // duplicate dedup, and memo warm-up across calls.

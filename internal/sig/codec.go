@@ -38,12 +38,23 @@ type BinaryDecoder interface {
 // payload is encoded into a pooled buffer and copied out once, at its
 // exact size.
 func SealBinary(k *KeyPair, kind string, v BinaryAppender) (Envelope, error) {
+	var e Envelope
+	if err := sealBinaryInto(k, kind, v, &e); err != nil {
+		return Envelope{}, err
+	}
+	return e, nil
+}
+
+// sealBinaryInto is SealBinary into e: the payload is encoded into a
+// pooled buffer and copied, with the signature, into e's capacity (see
+// SealInto).
+func sealBinaryInto(k *KeyPair, kind string, v BinaryAppender, e *Envelope) error {
 	bp := sbPool.Get().(*[]byte)
 	enc := v.AppendBinary((*bp)[:0])
-	payload := append(make([]byte, 0, len(enc)), enc...)
+	err := SealInto(k, kind, enc, e)
 	*bp = enc[:0]
 	sbPool.Put(bp)
-	return sealPayload(k, kind, payload)
+	return err
 }
 
 // decodePayload decodes a verified payload into v. A type with a binary

@@ -12,9 +12,9 @@
 package sig
 
 import (
-	"crypto/sha256"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -68,21 +68,32 @@ type Sealing struct {
 // first sealing error in request order; an envelope that fails its check
 // (its signer's key is not the one registered under its identity) is
 // still returned, as SealBinary returns it, and is not memoized.
-func (b *BatchVerifier) SealEach(reqs []Sealing) ([]Envelope, error) {
-	envs := make([]Envelope, len(reqs))
-	errs := make([]error, len(reqs))
-	digests := make([][sha256.Size]byte, len(reqs))
-	verified := make([]bool, len(reqs))
+//
+// When dst has room for len(reqs) envelopes, envelope i is sealed into
+// dst[:len(reqs)][i], its payload and signature written into the byte
+// capacity that envelope already holds, at their exact lengths;
+// otherwise, and for a nil dst, into fresh envelopes. Sealing over dst
+// overwrites the bytes of the envelopes it held, so a caller passes only
+// storage whose earlier envelopes nothing reads any more.
+func (b *BatchVerifier) SealEach(reqs []Sealing, dst []Envelope) ([]Envelope, error) {
+	n := len(reqs)
+	envs := slices.Grow(dst[:0], n)[:n]
+	errs := slices.Grow(b.errs[:0], n)[:n]
+	clear(errs)
+	b.errs = errs
+	digests := slices.Grow(b.digests[:0], n)[:n]
+	b.digests = digests
+	verified := slices.Grow(b.verified[:0], n)[:n]
+	clear(verified)
+	b.verified = verified
 	forEach(len(reqs), func(i int) {
-		q := &reqs[i]
-		env, err := SealBinary(q.Key, q.Kind, q.Payload)
-		if err != nil {
+		q, env := &reqs[i], &envs[i]
+		if err := sealBinaryInto(q.Key, q.Kind, q.Payload, env); err != nil {
 			errs[i] = err
 			return
 		}
-		envs[i] = env
-		if pub, ok := b.reg.lookup(env.Sender); ok && verifyWithKey(pub, &env) == nil {
-			digests[i], verified[i] = envelopeDigest(pub, &env), true
+		if pub, ok := b.reg.lookup(env.Sender); ok && verifyWithKey(pub, env) == nil {
+			digests[i], verified[i] = envelopeDigest(pub, env), true
 		}
 	})
 	if err := firstError(errs); err != nil {

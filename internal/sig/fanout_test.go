@@ -67,7 +67,7 @@ func TestSealEachMatchesSerial(t *testing.T) {
 	withProcs(t, func(t *testing.T, procs int) {
 		memo := NewVerifyMemo()
 		bv := NewBatchVerifier(reg, memo)
-		got, err := bv.SealEach(reqs)
+		got, err := bv.SealEach(reqs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +120,92 @@ func TestSealEachError(t *testing.T) {
 	withProcs(t, func(t *testing.T, procs int) {
 		memo := NewVerifyMemo()
 		bv := NewBatchVerifier(reg, memo)
-		if envs, err := bv.SealEach(reqs); err == nil || envs != nil {
+		if envs, err := bv.SealEach(reqs, nil); err == nil || envs != nil {
 			t.Errorf("GOMAXPROCS=%d: sealing without a private key = (%v, %v), want an error", procs, envs, err)
 		}
 		if st, ms := bv.Stats(), memo.Stats(); st != (BatchStats{}) || ms.Size != 0 {
 			t.Errorf("GOMAXPROCS=%d: failed pass left stats %+v and %d memoized digests", procs, st, ms.Size)
+		}
+	})
+}
+
+// TestSealEachReusesEnvelopes: sealing into the envelopes an earlier pass
+// returned gives, request for request, the envelopes a fresh pass gives:
+// byte-identical, with payloads exactly as long as their encoding
+// although the reused envelopes have room for longer ones. When the batch
+// shrinks or keeps its size the bytes land in the earlier envelopes' own
+// storage, a batch that outgrows dst gets fresh envelopes, and either way
+// the pass verifies and memoizes as a fresh one does.
+func TestSealEachReusesEnvelopes(t *testing.T) {
+	reg := NewRegistry()
+	keys := make([]*KeyPair, 3)
+	for i := range keys {
+		k, err := GenerateKeyPair(fmt.Sprintf("P%d", i+1), DeterministicSource(int64(60+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Register(k.ID, k.Public); err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+	}
+	// batch returns n requests whose payloads carry width floats each.
+	batch := func(n, width int, x float64) []Sealing {
+		reqs := make([]Sealing, n)
+		for i := range reqs {
+			k := keys[i%len(keys)]
+			xs := make([]float64, width)
+			for j := range xs {
+				xs[j] = x + float64(i*width+j)
+			}
+			reqs[i] = Sealing{Key: k, Kind: "dls/payment", Payload: binPayload{Name: k.ID, X: x, Xs: xs}}
+		}
+		return reqs
+	}
+	const held = 4
+	withProcs(t, func(t *testing.T, procs int) {
+		for _, n := range []int{2, held, 6} {
+			bv := NewBatchVerifier(reg, NewVerifyMemo())
+			dst, err := bv.SealEach(batch(held, 32, 1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloadAt := make([]*byte, held)
+			for i := range dst {
+				payloadAt[i] = &dst[i].Payload[0]
+			}
+			reqs := batch(n, 2, 7)
+			want, err := NewBatchVerifier(reg, NewVerifyMemo()).SealEach(reqs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bv.SealEach(reqs, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("GOMAXPROCS=%d n=%d: %d envelopes", procs, n, len(got))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) || len(got[i].Payload) != len(want[i].Payload) {
+					t.Errorf("GOMAXPROCS=%d n=%d: envelope %d (payload %d bytes) differs from a fresh seal (%d bytes)",
+						procs, n, i, len(got[i].Payload), len(want[i].Payload))
+				}
+				if n <= held && (&got[i].Payload[0] != payloadAt[i] || cap(got[i].Payload) <= len(got[i].Payload)) {
+					t.Errorf("GOMAXPROCS=%d n=%d: envelope %d was not sealed into dst's payload storage", procs, n, i)
+				}
+			}
+			if st := bv.Stats(); st != (BatchStats{Verified: held + n, Batches: 2}) {
+				t.Errorf("GOMAXPROCS=%d n=%d: stats %+v, want %d verified in 2 batches", procs, n, st, held+n)
+			}
+			for i := range got {
+				if err := bv.Verify(&got[i]); err != nil {
+					t.Errorf("GOMAXPROCS=%d n=%d: envelope %d: %v", procs, n, i, err)
+				}
+			}
+			if st := bv.Stats(); st.MemoHits != n {
+				t.Errorf("GOMAXPROCS=%d n=%d: %d memo hits re-checking the reused envelopes, want %d", procs, n, st.MemoHits, n)
+			}
 		}
 	})
 }
