@@ -38,9 +38,9 @@ race-service:
 # shared source pool, the mixed-fault soak's session arm (faulty and
 # fault-free jobs on one session bus, its records rewound between them)
 # and the simulated bus's record sharing; then the
-# hot-path and netbus parity properties, the netbus drain decode's
-# sharing and aliasing checks and its allocation guard once at both
-# settings.
+# hot-path and netbus parity properties, the delivery loop against the
+# reliable sends it replaced, the netbus drain decode's sharing and
+# aliasing checks and its allocation guard once at both settings.
 race-fanout:
 	$(GO) test -race -count=10 -cpu 1,4 \
 		-run 'TestSealEach|TestGenerateKeyPairs|TestParallelKeygen|TestVerifyEachWorkers|TestTransportVerifiesEachMessageOnce|TestTranscriptGolden|TestRecycledEnvelopeLifetime' \
@@ -48,7 +48,7 @@ race-fanout:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBidReceiveOracle' ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestMixedFaultSoak/session' ./internal/protocol
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestDeliveriesShareOneRecord' ./internal/bus
-	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity|TestDrainSharesOnlyIdenticalCopies|TestDrainedRunsDoNotAlias|TestNetRoundAllocs' ./internal/protocol ./internal/netbus
+	$(GO) test -count=1 -cpu 1,4 -run 'TestHotPathParityProperty|TestNetBusParity|TestReliableSendsMatchReference|TestDrainSharesOnlyIdenticalCopies|TestDrainedRunsDoNotAlias|TestNetRoundAllocs' ./internal/protocol ./internal/netbus
 
 # Formatting gate: every tracked .go file, in the root module and in
 # bench/, must be gofmt-clean; the target lists any that are not and
@@ -131,7 +131,7 @@ ci: build vet fmt doccheck fma-guard race race-fanout cover fuzz-short examples 
 # raise it when coverage rises, never lower it to make a change fit.
 # The profile lands under the git-ignored .cover/ so a coverage run
 # never dirties the working tree.
-COVER_FLOOR ?= 81.4
+COVER_FLOOR ?= 83.0
 COVER_PROFILE ?= .cover/coverage.out
 cover:
 	@mkdir -p $(dir $(COVER_PROFILE))

@@ -94,7 +94,9 @@ type Bus struct {
 	cur, off int
 	stats    Stats
 	port     *sim.Resource
-	faults   *faultState
+	// faults is the plan's fault state, inert under a nil plan. Reset
+	// reseeds it in place.
+	faults faultState
 	// dead holds endpoints blackholed mid-run by MarkUnresponsive — the
 	// fail-stopped processors of a crash-recovery round and the killed
 	// primary referee of a failover. Checked before the fault pipeline so
@@ -116,13 +118,14 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Bus{
+	b := &Bus{
 		z:       z,
 		inboxes: make(map[string][]*Message),
 		staged:  make(map[string][]*Message),
 		port:    sim.NewResource("bus"),
-		faults:  newFaultState(plan),
-	}, nil
+	}
+	b.faults.reset(plan)
+	return b, nil
 }
 
 // Reset returns the bus to what NewFaulty(z, plan) returns, with the
@@ -130,8 +133,10 @@ func NewFaulty(z float64, plan *FaultPlan) (*Bus, error) {
 // capacity), no delayed deliveries or unresponsive marks, zero stats, a
 // nonce counter that numbers the next message 1, a free data-plane port,
 // the fault state of a bus freshly built from plan (none for a nil plan)
-// and no tracer. The record storage is rewound: the records handed out
-// before the Reset are zeroed, and later emissions are filed over them.
+// and no tracer. The fault state is reseeded in place, so once a plan
+// has been instantiated a Reset allocates nothing for it. The record
+// storage is rewound: the records handed out before the Reset are
+// zeroed, and later emissions are filed over them.
 // A long-lived owner (a BidSession) resets one bus for every round it
 // serves, each under its job's plan, rather than building and attaching
 // a new one.
@@ -158,7 +163,7 @@ func (b *Bus) Reset(z float64, plan *FaultPlan) error {
 	b.stats = Stats{}
 	b.nonce = 0
 	b.port = sim.NewResource("bus")
-	b.faults = newFaultState(plan)
+	b.faults.reset(plan)
 	b.tracer = nil
 	return nil
 }
@@ -196,13 +201,6 @@ func (b *Bus) Detach(id string) {
 	delete(b.dead, id)
 	i := sort.SearchStrings(b.order, id)
 	b.order = append(b.order[:i], b.order[i+1:]...)
-}
-
-// Endpoints returns the attached identities, sorted.
-func (b *Bus) Endpoints() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.order...)
 }
 
 // SetTracer installs an observability tracer on the control plane: every
@@ -246,15 +244,6 @@ func (b *Bus) event(kind string, msg *Message, to string) {
 	b.tracer.Event(obs.Event{Kind: kind, From: msg.From, To: to, Msg: msg.Kind})
 }
 
-// NextNonce allocates a fresh logical-message nonce. The retry layer
-// tags every transmission of one logical message with the same nonce.
-func (b *Bus) NextNonce() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nonce++
-	return b.nonce
-}
-
 // deliver files one delivery of the record msg in an inbox, running the
 // fault pipeline when a plan is active: a corrupted copy is filed as a
 // record of its own, and a duplicate, delay or reorder moves the pointer.
@@ -265,8 +254,8 @@ func (b *Bus) deliver(to string, msg *Message) {
 		b.event(obs.EvDrop, msg, to)
 		return
 	}
-	fs := b.faults
-	if fs == nil || !fs.plan.active() {
+	fs := &b.faults
+	if !fs.plan.active() {
 		b.inboxes[to] = append(b.inboxes[to], msg)
 		b.stats.Deliveries++
 		b.stats.DeliveredUnits += msg.Size
@@ -333,72 +322,58 @@ func (b *Bus) deliver(to string, msg *Message) {
 	}
 }
 
-// BroadcastTagged atomically delivers the envelope to every endpoint
-// except the sender (on a reliable bus — under a FaultPlan individual
-// deliveries may be lost or mangled, which is exactly the deviation the
-// retry layer exists to absorb). size is the abstract message size in
-// units (a scalar bid is 1, an m-vector is m). The transmission carries
-// the given logical nonce; passing 0 allocates a fresh one, and
-// retransmissions pass the original so receivers can deduplicate. It
-// returns the nonce in force.
-func (b *Bus) BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
-	if size < 0 {
-		return 0, errors.New("bus: negative message size")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.inboxes[from]; !ok {
-		return 0, fmt.Errorf("bus: unknown sender %q", from)
-	}
-	if nonce == 0 {
-		b.nonce++
-		nonce = b.nonce
-	}
-	msg := b.record(Message{From: from, To: BroadcastAddr, Kind: kind, Size: size, Nonce: nonce, Env: env})
-	b.stats.Messages++
-	b.stats.Units += size
-	b.stats.Broadcasts++
-	for _, id := range b.order {
-		if id == from {
-			continue
-		}
-		b.deliver(id, msg)
-	}
-	return nonce, nil
-}
-
-// Broadcast is one emission of a BroadcastEach batch: the arguments of
-// one BroadcastTagged call, as a value.
+// Broadcast is one emission of a BroadcastEach batch.
 type Broadcast struct {
 	From  string
 	Kind  string
 	Env   sig.Envelope
 	Size  int
-	Nonce uint64 // 0 allocates a fresh one
+	Nonce uint64 // 0 allocates a fresh one; BroadcastEach writes the nonce in force
 }
 
-// BroadcastEach is BroadcastTagged over the batch, in order: the same
-// nonces, fault draws, inbox order, stats and events as the loop, which
-// it is. Before the loop it grows every attached inbox once by the batch
+// BroadcastEach atomically delivers each broadcast's envelope to every
+// endpoint except its sender, in batch order (on a reliable bus — under
+// a FaultPlan individual deliveries may be lost or mangled, which is
+// exactly the deviation the retry layer exists to absorb). Size is the
+// abstract message size in units (a scalar bid is 1, an m-vector is m).
+// Each transmission carries its logical nonce; a zero Nonce allocates a
+// fresh one, which BroadcastEach writes back, and retransmissions pass
+// the original so receivers can deduplicate. Before the first broadcast
+// of a larger batch it grows every attached inbox once by the batch
 // length, the deliveries a reliable bus files there, rather than through
-// every doubling on the way. It returns the nonce in force for each
-// broadcast; on an error the broadcasts before the failing one have gone
-// out.
-func (b *Bus) BroadcastEach(bs []Broadcast) ([]uint64, error) {
+// every doubling on the way. On an error the broadcasts before the
+// failing one have gone out.
+func (b *Bus) BroadcastEach(bs []Broadcast) error {
 	b.mu.Lock()
-	for _, id := range b.order {
-		b.inboxes[id] = slices.Grow(b.inboxes[id], len(bs))
-	}
-	b.mu.Unlock()
-	nonces := make([]uint64, len(bs))
-	for i, x := range bs {
-		nonce, err := b.BroadcastTagged(x.From, x.Kind, x.Env, x.Size, x.Nonce)
-		if err != nil {
-			return nil, err
+	defer b.mu.Unlock()
+	if len(bs) > 1 {
+		for _, id := range b.order {
+			b.inboxes[id] = slices.Grow(b.inboxes[id], len(bs))
 		}
-		nonces[i] = nonce
 	}
-	return nonces, nil
+	for i := range bs {
+		x := &bs[i]
+		if x.Size < 0 {
+			return errors.New("bus: negative message size")
+		}
+		if _, ok := b.inboxes[x.From]; !ok {
+			return fmt.Errorf("bus: unknown sender %q", x.From)
+		}
+		if x.Nonce == 0 {
+			b.nonce++
+			x.Nonce = b.nonce
+		}
+		msg := b.record(Message{From: x.From, To: BroadcastAddr, Kind: x.Kind, Size: x.Size, Nonce: x.Nonce, Env: x.Env})
+		b.stats.Messages++
+		b.stats.Units += x.Size
+		b.stats.Broadcasts++
+		for _, id := range b.order {
+			if id != x.From {
+				b.deliver(id, msg)
+			}
+		}
+	}
+	return nil
 }
 
 // Send delivers the envelope to a single endpoint under a fresh nonce.
@@ -489,11 +464,11 @@ func (b *Bus) ReserveTransferTo(earliest, frac float64, to string) (start, end f
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	dur := frac * b.z
-	if fs := b.faults; fs != nil && frac > 0 {
+	if fs := &b.faults; fs.plan != nil && frac > 0 {
 		if fs.plan.JitterMax > 0 {
 			dur += fs.rng.Float64() * fs.plan.JitterMax
 		}
-		if to != "" && fs.pairs != nil {
+		if to != "" && len(fs.pairs) > 0 {
 			// The data plane's sender is the load originator; pair jitter
 			// keys on the destination link alone so plans need not name it.
 			for _, pr := range fs.plan.Pairs {

@@ -3,6 +3,7 @@ package bus
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,14 @@ func testEnv(t *testing.T, id string, seed int64, v any) sig.Envelope {
 		t.Fatal(err)
 	}
 	return env
+}
+
+// broadcast sends one broadcast as a one-entry BroadcastEach batch and
+// returns the nonce in force.
+func broadcast(b *Bus, from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
+	bs := []Broadcast{{From: from, Kind: kind, Env: env, Size: size, Nonce: nonce}}
+	err := b.BroadcastEach(bs)
+	return bs[0].Nonce, err
 }
 
 func newBus(t *testing.T, z float64, ids ...string) *Bus {
@@ -55,7 +64,7 @@ func TestAttach(t *testing.T) {
 		t.Error("broadcast address accepted as endpoint")
 	}
 	b2 := newBus(t, 0.5, "P2", "P1", "referee")
-	ids := b2.Endpoints()
+	ids := b2.order
 	want := []string{"P1", "P2", "referee"}
 	for i := range want {
 		if ids[i] != want[i] {
@@ -67,7 +76,7 @@ func TestAttach(t *testing.T) {
 func TestBroadcastReachesAllOthers(t *testing.T) {
 	b := newBus(t, 0.1, "P1", "P2", "P3")
 	env := testEnv(t, "P1", 1, map[string]float64{"bid": 2})
-	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	own, err := b.Drain("P1")
@@ -117,10 +126,10 @@ func TestSendUnicast(t *testing.T) {
 	if err := b.Send("P1", "referee", "x", env, -1); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := b.BroadcastTagged("ghost", "x", env, 1, 0); err == nil {
+	if _, err := broadcast(b, "ghost", "x", env, 1, 0); err == nil {
 		t.Error("unknown broadcaster accepted")
 	}
-	if _, err := b.BroadcastTagged("P1", "x", env, -2, 0); err == nil {
+	if _, err := broadcast(b, "P1", "x", env, -2, 0); err == nil {
 		t.Error("negative broadcast size accepted")
 	}
 }
@@ -128,7 +137,7 @@ func TestSendUnicast(t *testing.T) {
 func TestDrainEmptiesInbox(t *testing.T) {
 	b := newBus(t, 0, "P1", "P2")
 	env := testEnv(t, "P1", 3, 1)
-	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	first, err := b.Drain("P2")
@@ -153,7 +162,7 @@ func TestDrainEmptiesInbox(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	b := newBus(t, 0, "P1", "P2", "P3", "referee")
 	env := testEnv(t, "P1", 4, 1)
-	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil { // 3 deliveries
+	if _, err := broadcast(b, "P1", "bid", env, 1, 0); err != nil { // 3 deliveries
 		t.Fatal(err)
 	}
 	if err := b.Send("P2", "referee", "payments", env, 4); err != nil {
@@ -210,7 +219,7 @@ func TestQuickBroadcastFanout(t *testing.T) {
 		}
 		for j := 0; j < k; j++ {
 			from := ids[rng.Intn(n)]
-			if _, err := b.BroadcastTagged(from, "m", sig.Envelope{Sender: from}, 1, 0); err != nil {
+			if _, err := broadcast(b, from, "m", sig.Envelope{Sender: from}, 1, 0); err != nil {
 				return false
 			}
 		}
@@ -232,9 +241,10 @@ func (l *eventLog) Event(e obs.Event) {
 	*l = append(*l, e.Kind+" "+e.From+"→"+e.To+" "+e.Msg)
 }
 
-// TestBroadcastEachIsTheLoop pins BroadcastEach on the simulated bus to
-// BroadcastTagged in a loop: under the same seeded fault plan, the same
-// nonces, inbox contents and order, stats and delivery events.
+// TestBroadcastEachIsTheLoop pins a BroadcastEach batch on the simulated
+// bus to its broadcasts sent one batch each, in a loop: under the same
+// seeded fault plan, the same nonces, inbox contents and order, stats
+// and delivery events.
 func TestBroadcastEachIsTheLoop(t *testing.T) {
 	plan := &FaultPlan{Seed: 11, Drop: 0.2, Duplicate: 0.2, Delay: 0.2, Corrupt: 0.1, Reorder: 0.3}
 	ids := []string{"P1", "P2", "P3", "P4", "referee"}
@@ -249,13 +259,16 @@ func TestBroadcastEachIsTheLoop(t *testing.T) {
 		b.SetTracer(&events)
 		var nonces []uint64
 		if each {
-			var err error
-			if nonces, err = b.BroadcastEach(batch); err != nil {
+			bs := slices.Clone(batch)
+			if err := b.BroadcastEach(bs); err != nil {
 				t.Fatal(err)
+			}
+			for _, x := range bs {
+				nonces = append(nonces, x.Nonce)
 			}
 		} else {
 			for _, x := range batch {
-				n, err := b.BroadcastTagged(x.From, x.Kind, x.Env, x.Size, x.Nonce)
+				n, err := broadcast(b, x.From, x.Kind, x.Env, x.Size, x.Nonce)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,16 +309,16 @@ func TestBroadcastEachIsTheLoop(t *testing.T) {
 func TestDetach(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 3, Delay: 1}, "P1", "P2", "P3")
 	env := testEnv(t, "P1", 1, 1)
-	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Detach("P2")
 	b.Detach("P2") // a second detach does nothing
 	b.Detach("ghost")
-	if got := b.Endpoints(); !reflect.DeepEqual(got, []string{"P1", "P3"}) {
+	if got := b.order; !reflect.DeepEqual(got, []string{"P1", "P3"}) {
 		t.Fatalf("endpoints after detaching P2: %v", got)
 	}
-	if _, err := b.BroadcastTagged("P1", "bid", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "P1", "bid", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.Stats(); st.Deliveries != 3 {
@@ -327,70 +340,58 @@ func TestDetach(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFreshBus plays the same round on a freshly built bus
-// and on one that was built under the other plan, played another round
-// (traffic left in its inboxes, delayed copies staged, an endpoint marked
-// dead, the data plane booked, a tracer installed) and was then Reset
-// under the fresh bus's plan: the round's nonces (from 1), inboxes, stats
-// (from zero), delivery events and data-plane reservation must match, and
-// the earlier tracer must see nothing more.
+// TestResetMatchesFreshBus resets one reliable bus through the plans
+// A → B → nil → A and, after each Reset, plays the same round on it and
+// on a bus freshly built under that plan. Before each Reset the bus plays
+// another round (traffic left in its inboxes, delayed copies staged, an
+// endpoint marked dead, the data plane booked, a tracer installed). The
+// round's nonces (from 1), inboxes, stats (from zero), delivery events —
+// the fault draws, delivery by delivery — and data-plane reservation
+// must match, and the earlier tracer must see nothing more.
 func TestResetMatchesFreshBus(t *testing.T) {
 	ids := []string{"P1", "P2", "P3", "referee"}
-	plans := []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}}
-	for k, plan := range plans {
-		other := plans[1-k]
-		round := func(b *Bus) ([]uint64, map[string][]*Message, Stats, eventLog, [2]float64) {
-			var events eventLog
-			b.SetTracer(&events)
-			var nonces []uint64
-			for i, from := range ids[:3] {
-				n, err := b.BroadcastTagged(from, "bid", testEnv(t, from, int64(i+1), i), 1, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nonces = append(nonces, n)
-			}
-			n, err := b.SendTagged("P2", "referee", "claim", testEnv(t, "P2", 7, 7), 2, 0)
+	a := &FaultPlan{Seed: 5, Drop: 0.2, Duplicate: 0.2, Delay: 0.3, Reorder: 0.3}
+	b := &FaultPlan{Seed: 8, Drop: 0.1, Corrupt: 0.2, Reorder: 0.4, JitterMax: 0.5,
+		Unresponsive: []string{"P3"}, Pairs: []PairFault{{From: "P1", To: "P2", Drop: 0.5, Jitter: 0.2}}}
+	round := func(b *Bus) ([]uint64, map[string][]*Message, Stats, eventLog, [2]float64) {
+		var events eventLog
+		b.SetTracer(&events)
+		var nonces []uint64
+		for i, from := range ids[:3] {
+			n, err := broadcast(b, from, "bid", testEnv(t, from, int64(i+1), i), 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			nonces = append(nonces, n)
-			start, end, err := b.ReserveTransferTo(0, 0.5, "P2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			inboxes := map[string][]*Message{}
-			for _, id := range ids {
-				for drain := 0; drain < 2; drain++ {
-					msgs, err := b.Drain(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					inboxes[id] = append(inboxes[id], msgs...)
-				}
-			}
-			return nonces, inboxes, b.Stats(), events, [2]float64{start, end}
 		}
-		fresh, err := NewFaulty(0.4, plan)
+		n, err := b.SendTagged("P2", "referee", "claim", testEnv(t, "P2", 7, 7), 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := NewFaulty(0.1, other)
+		nonces = append(nonces, n)
+		start, end, err := b.ReserveTransferTo(0, 0.5, "P2")
 		if err != nil {
 			t.Fatal(err)
 		}
+		inboxes := map[string][]*Message{}
 		for _, id := range ids {
-			if err := fresh.Attach(id); err != nil {
-				t.Fatal(err)
-			}
-			if err := reused.Attach(id); err != nil {
-				t.Fatal(err)
+			for drain := 0; drain < 2; drain++ {
+				msgs, err := b.Drain(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inboxes[id] = append(inboxes[id], msgs...)
 			}
 		}
+		return nonces, inboxes, b.Stats(), events, [2]float64{start, end}
+	}
+	reused := newBus(t, 0.7, ids...)
+	for k, plan := range []*FaultPlan{a, b, nil, a} {
+		fresh := faultyBus(t, plan, ids...)
 		var earlier eventLog
 		reused.SetTracer(&earlier)
 		for i := 0; i < 5; i++ {
-			if _, err := reused.BroadcastTagged("P3", "noise", testEnv(t, "P3", 9, i), 1, 0); err != nil {
+			if _, err := broadcast(reused, "P3", "noise", testEnv(t, "P3", 9, i), 1, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -401,7 +402,7 @@ func TestResetMatchesFreshBus(t *testing.T) {
 		if _, _, err := reused.ReserveTransferTo(0, 3, "P1"); err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.Reset(0.4, plan); err != nil {
+		if err := reused.Reset(0.1, plan); err != nil { // faultyBus's z
 			t.Fatal(err)
 		}
 		seen := len(earlier)
@@ -409,25 +410,28 @@ func TestResetMatchesFreshBus(t *testing.T) {
 		fn, fi, fs, fe, fr := round(fresh)
 		rn, ri, rs, re, rr := round(reused)
 		if !reflect.DeepEqual(rn, fn) || rn[0] != 1 {
-			t.Errorf("plan %v: nonces %v after Reset, %v on a fresh bus", plan, rn, fn)
+			t.Errorf("step %d, plan %v: nonces %v after Reset, %v on a fresh bus", k, plan, rn, fn)
 		}
 		if !reflect.DeepEqual(ri, fi) {
-			t.Errorf("plan %v: inboxes differ from a fresh bus's", plan)
+			t.Errorf("step %d, plan %v: inboxes differ from a fresh bus's", k, plan)
 		}
 		if rs != fs {
-			t.Errorf("plan %v: stats %+v after Reset, %+v on a fresh bus", plan, rs, fs)
+			t.Errorf("step %d, plan %v: stats %+v after Reset, %+v on a fresh bus", k, plan, rs, fs)
+		}
+		if plan != nil && fs.Dropped+fs.Duplicated+fs.Delayed+fs.Corrupted+fs.Reordered == 0 {
+			t.Errorf("step %d, plan %v: the round drew no fault", k, plan)
 		}
 		if !reflect.DeepEqual(re, fe) {
-			t.Errorf("plan %v: delivery events differ from a fresh bus's", plan)
+			t.Errorf("step %d, plan %v: delivery events differ from a fresh bus's:\n reset %v\n fresh %v", k, plan, re, fe)
 		}
 		if rr != fr {
-			t.Errorf("plan %v: transfer booked at %v after Reset, %v on a fresh bus", plan, rr, fr)
+			t.Errorf("step %d, plan %v: transfer booked at %v after Reset, %v on a fresh bus", k, plan, rr, fr)
 		}
 		if len(earlier) != seen {
-			t.Errorf("plan %v: the tracer installed before Reset saw %d more events", plan, len(earlier)-seen)
+			t.Errorf("step %d, plan %v: the tracer installed before Reset saw %d more events", k, plan, len(earlier)-seen)
 		}
-		if got := reused.Endpoints(); !reflect.DeepEqual(got, fresh.Endpoints()) {
-			t.Errorf("plan %v: endpoints %v after Reset", plan, got)
+		if got := reused.order; !reflect.DeepEqual(got, fresh.order) {
+			t.Errorf("step %d, plan %v: endpoints %v after Reset", k, plan, got)
 		}
 	}
 	if err := newBus(t, 1, "P1").Reset(-1, nil); err == nil {
@@ -435,5 +439,27 @@ func TestResetMatchesFreshBus(t *testing.T) {
 	}
 	if err := newBus(t, 1, "P1").Reset(1, &FaultPlan{Drop: 2}); err == nil {
 		t.Error("Reset accepted an invalid fault plan")
+	}
+}
+
+// TestResetReusesFaultState pins that a Reset under a fault plan
+// reseeds the bus's fault state in place: once a plan has been
+// instantiated, a Reset under any plan allocates no more than one
+// without a plan does (the data-plane port). Building the fault state
+// afresh costs a new PRNG source of about 4.9 KB and its maps.
+func TestResetReusesFaultState(t *testing.T) {
+	plan := &FaultPlan{Seed: 3, Drop: 0.1, Reorder: 0.2, Unresponsive: []string{"P3"},
+		Pairs: []PairFault{{From: "P1", To: "P2", Drop: 1}}}
+	b := faultyBus(t, plan, "P1", "P2", "P3", "referee")
+	reset := func(p *FaultPlan) func() {
+		return func() {
+			if err := b.Reset(0.1, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := testing.AllocsPerRun(20, reset(nil))
+	if got := testing.AllocsPerRun(20, reset(plan)); got > base {
+		t.Errorf("a Reset under a fault plan allocates %.0f times, without a plan %.0f", got, base)
 	}
 }

@@ -199,7 +199,7 @@ type pairKey struct{ from, to string }
 
 // faultState is the per-bus instantiation of a plan: the seeded PRNG,
 // the blackhole set and the per-pair rule index. It is guarded by the
-// bus mutex.
+// bus mutex, and inert while plan is nil.
 type faultState struct {
 	plan        *FaultPlan
 	rng         *rand.Rand
@@ -207,30 +207,34 @@ type faultState struct {
 	pairs       map[pairKey]PairFault
 }
 
-func newFaultState(p *FaultPlan) *faultState {
+// reset instantiates plan p in place: the PRNG reseeded to the stream
+// rand.NewSource(p.Seed) starts, and the blackhole set and pair index
+// refilled. A nil p leaves the state inert.
+func (fs *faultState) reset(p *FaultPlan) {
+	fs.plan = p
+	clear(fs.unreachable)
+	clear(fs.pairs)
 	if p == nil {
-		return nil
+		return
 	}
-	fs := &faultState{
-		plan:        p,
-		rng:         rand.New(rand.NewSource(p.Seed)),
-		unreachable: make(map[string]bool, len(p.Unresponsive)),
+	if fs.rng == nil {
+		fs.rng = rand.New(rand.NewSource(p.Seed))
+		fs.unreachable = make(map[string]bool, len(p.Unresponsive))
+		fs.pairs = make(map[pairKey]PairFault, len(p.Pairs))
+	} else {
+		fs.rng.Seed(p.Seed)
 	}
 	for _, id := range p.Unresponsive {
 		fs.unreachable[id] = true
 	}
-	if len(p.Pairs) > 0 {
-		fs.pairs = make(map[pairKey]PairFault, len(p.Pairs))
-		for _, pr := range p.Pairs {
-			fs.pairs[pairKey{pr.From, pr.To}] = pr
-		}
+	for _, pr := range p.Pairs {
+		fs.pairs[pairKey{pr.From, pr.To}] = pr
 	}
-	return fs
 }
 
 // pairRule returns the targeted rule for the (from, to) link, if any.
 func (fs *faultState) pairRule(from, to string) (PairFault, bool) {
-	if fs == nil || fs.pairs == nil {
+	if len(fs.pairs) == 0 {
 		return PairFault{}, false
 	}
 	pr, ok := fs.pairs[pairKey{from, to}]

@@ -56,7 +56,7 @@ func TestFaultPlanValidate(t *testing.T) {
 func TestDropLosesDeliveries(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Drop: 1}, "a", "b", "c")
 	_, env := sealedBy(t, "a", "x")
-	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"b", "c"} {
@@ -100,7 +100,7 @@ func TestDuplicatePreservesNonce(t *testing.T) {
 func TestCorruptBreaksSignatureOnly(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Corrupt: 1}, "a", "b", "c")
 	reg, env := sealedBy(t, "a", "payload")
-	if _, err := b.BroadcastTagged("a", "test", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "a", "test", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	msgs, err := b.Drain("b")
@@ -176,7 +176,7 @@ func TestReorderPermutesQueue(t *testing.T) {
 func TestUnresponsiveBlackholesBothDirections(t *testing.T) {
 	b := faultyBus(t, &FaultPlan{Seed: 7, Unresponsive: []string{"b"}}, "a", "b", "c")
 	_, env := sealedBy(t, "a", "x")
-	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Send("b", "c", "k", env, 1); err != nil {
@@ -200,7 +200,7 @@ func TestFaultDeterminism(t *testing.T) {
 		b := faultyBus(t, plan, "a", "b", "c", "d")
 		_, env := sealedBy(t, "a", "x")
 		for i := 0; i < 50; i++ {
-			if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+			if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Send("b", "c", "k", env, 2); err != nil {
@@ -235,15 +235,16 @@ func TestJitterStretchesTransfers(t *testing.T) {
 }
 
 // BenchmarkBroadcastReliable guards the zero-overhead claim for the nil
-// FaultPlan: the delivery path must not regress relative to the seed
-// implementation (one append + counter updates per receiver).
+// FaultPlan: the delivery path of a one-broadcast BroadcastEach must not
+// regress relative to the seed implementation (one append + counter
+// updates per receiver).
 func BenchmarkBroadcastReliable(b *testing.B) {
 	bench := func(b *testing.B, plan *FaultPlan) {
 		bus := faultyBus(b, plan, "a", "b", "c", "d", "e", "f", "g", "h")
 		_, env := sealedBy(b, "a", "x")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bus.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+			if _, err := broadcast(bus, "a", "k", env, 1, 0); err != nil {
 				b.Fatal(err)
 			}
 			if i%64 == 63 { // keep inboxes bounded

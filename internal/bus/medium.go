@@ -25,17 +25,17 @@ import (
 //     stays queued for it. A protocol run detaches every endpoint it
 //     attached when it ends, so a long-lived medium serves exactly the
 //     endpoints of the run in progress.
-//   - BroadcastTagged delivers one emission to every attached endpoint
-//     except the sender, iterating endpoints in sorted order so
-//     deterministic implementations stay reproducible.
-//   - BroadcastEach delivers a batch of emissions in order. Every inbox
-//     sees the order BroadcastTagged in a loop would give it, and each
-//     broadcast gets the nonce the loop would give it. The simulated bus
-//     runs exactly that loop; the netbus sends each remote node one
-//     frame for the whole batch.
+//   - BroadcastEach delivers a batch of broadcasts in order, each one
+//     emission to every attached endpoint except its sender, iterating
+//     endpoints in sorted order so deterministic implementations stay
+//     reproducible. Every inbox sees the batch in order. The simulated
+//     bus delivers one broadcast after the other; the netbus sends each
+//     remote node one frame for the whole batch.
 //   - SendTagged unicasts to one endpoint. For both, a zero nonce
-//     allocates a fresh logical-message nonce via the medium's counter;
-//     retransmissions pass the original nonce so receivers can dedup.
+//     allocates a fresh logical-message nonce via the medium's counter,
+//     which BroadcastEach writes into the broadcast's Nonce and
+//     SendTagged returns; retransmissions pass the original nonce so
+//     receivers can dedup.
 //   - Delivery failure is not an error: a lossy medium swallows the
 //     copy (counting it in Stats().Dropped) and returns normally — the
 //     transport's retry machinery is the recovery path. Errors are
@@ -63,19 +63,11 @@ import (
 type Medium interface {
 	// Attach registers an endpoint identity on the medium.
 	Attach(id string) error
-	// Endpoints returns the attached identities, sorted.
-	Endpoints() []string
-	// NextNonce allocates a fresh logical-message nonce.
-	NextNonce() uint64
 	// Detach releases an endpoint identity; unknown ones are ignored.
 	Detach(id string)
-	// BroadcastTagged delivers env to every attached endpoint except
-	// from, under the given logical nonce (0 allocates one). It returns
-	// the nonce in force.
-	BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)
-	// BroadcastEach performs the batch's broadcasts in order and returns
-	// the nonce in force for each.
-	BroadcastEach(bs []Broadcast) ([]uint64, error)
+	// BroadcastEach performs the batch's broadcasts in order and writes
+	// the nonce in force into each.
+	BroadcastEach(bs []Broadcast) error
 	// SendTagged delivers env to a single endpoint under the given
 	// logical nonce (0 allocates one). It returns the nonce in force.
 	SendTagged(from, to, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error)

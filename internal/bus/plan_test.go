@@ -76,7 +76,7 @@ func TestPairFaultsTargetOnlyTheirLink(t *testing.T) {
 	plan := &FaultPlan{Seed: 9, Pairs: []PairFault{{From: "a", To: "b", Drop: 1}}}
 	b := faultyBus(t, plan, "a", "b", "c")
 	_, env := sealedBy(t, "a", "x")
-	if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+	if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	bMsgs, err := b.Drain("b")
@@ -119,11 +119,22 @@ func TestMarkUnresponsiveMidRun(t *testing.T) {
 	}
 }
 
-func TestNextNonceMonotonic(t *testing.T) {
-	b := faultyBus(t, nil, "a")
-	n1, n2 := b.NextNonce(), b.NextNonce()
-	if n2 <= n1 {
-		t.Errorf("nonces not monotonic: %d then %d", n1, n2)
+// TestFreshNoncesMonotonic pins the nonce counter: every transmission
+// sent under a zero nonce, broadcast or unicast, gets the next one, and
+// one sent under an explicit nonce keeps it and draws none.
+func TestFreshNoncesMonotonic(t *testing.T) {
+	b := faultyBus(t, nil, "a", "b")
+	_, env := sealedBy(t, "a", "x")
+	bs := []Broadcast{{From: "a", Kind: "k", Env: env, Size: 1}, {From: "b", Kind: "k", Env: env, Size: 1, Nonce: 40}}
+	if err := b.BroadcastEach(bs); err != nil {
+		t.Fatal(err)
+	}
+	n3, err := b.SendTagged("a", "b", "k", env, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs[0].Nonce != 1 || bs[1].Nonce != 40 || n3 != 2 {
+		t.Errorf("nonces %d, %d, %d; want 1, 40 (explicit), 2", bs[0].Nonce, bs[1].Nonce, n3)
 	}
 }
 

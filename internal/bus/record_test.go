@@ -30,10 +30,10 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 
 	t.Run("one emission", func(t *testing.T) {
 		b := newBus(t, 0, ids...)
-		if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+		if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.BroadcastEach([]Broadcast{{From: "a", Kind: "k", Env: env, Size: 1}}); err != nil {
+		if err := b.BroadcastEach([]Broadcast{{From: "a", Kind: "k", Env: env, Size: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		first := drainAll(t, b, "b")
@@ -50,7 +50,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 
 	t.Run("corrupted delivery", func(t *testing.T) {
 		b := faultyBus(t, &FaultPlan{Seed: 1, Pairs: []PairFault{{From: "a", To: "c", Corrupt: 1}}}, ids...)
-		if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+		if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]*Message{}
@@ -77,7 +77,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 	t.Run("duplicate, delay and reorder", func(t *testing.T) {
 		b := faultyBus(t, &FaultPlan{Seed: 3, Duplicate: 1, Delay: 0.5, Reorder: 0.5}, ids...)
 		for range 4 {
-			if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+			if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,7 +103,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 		round := func() []*Message {
 			var recs []*Message
 			for i := 0; i < 40; i++ {
-				if _, err := b.BroadcastTagged("a", "k", env, 1, 0); err != nil {
+				if _, err := broadcast(b, "a", "k", env, 1, 0); err != nil {
 					t.Fatal(err)
 				}
 				recs = append(recs, drainAll(t, b, "b")...)
@@ -139,7 +139,7 @@ func TestDeliveriesShareOneRecord(t *testing.T) {
 		plan := &FaultPlan{Seed: 5, Drop: 0.1, Duplicate: 0.3, Delay: 0.3, Corrupt: 0.2, Reorder: 0.3}
 		round := func(b *Bus) (map[string][]Message, Stats) {
 			for i, from := range ids {
-				if _, err := b.BroadcastTagged(from, "k", testEnv(t, from, int64(i+1), i), 1, 0); err != nil {
+				if _, err := broadcast(b, from, "k", testEnv(t, from, int64(i+1), i), 1, 0); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -87,8 +87,10 @@ func TestMediumIntrospection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if eps := m.Endpoints(); !reflect.DeepEqual(eps, []string{"P1", "referee"}) {
-		t.Errorf("Endpoints() = %v, want sorted [P1 referee]", eps)
+	for _, ep := range []string{"referee", "P1"} {
+		if _, err := m.Drain(ep); err != nil {
+			t.Errorf("Drain(%s) of an attached endpoint: %v", ep, err)
+		}
 	}
 
 	if err := m.Ping("w1"); err != nil {

@@ -74,7 +74,6 @@ type Medium struct {
 	addrs  map[string]*net.UDPAddr // node name → address
 
 	attached map[string]bool
-	order    []string     // attached endpoints, sorted
 	here     []string     // attached local endpoints, sorted
 	remote   []remoteNode // every remote node hosting endpoints, in order of its first one
 
@@ -260,7 +259,6 @@ func (m *Medium) Attach(id string) error {
 		return nil
 	}
 	m.attached[id] = true
-	m.order = insertSorted(m.order, id)
 	if owner == m.name {
 		m.here = insertSorted(m.here, id)
 		return nil
@@ -285,7 +283,6 @@ func (m *Medium) Detach(id string) {
 	}
 	delete(m.attached, id)
 	delete(m.stash, id)
-	m.order = removeSorted(m.order, id)
 	if owner := m.owners[id]; owner == m.name {
 		m.here = removeSorted(m.here, id)
 	} else {
@@ -315,21 +312,6 @@ func (m *Medium) remoteNode(name string) *remoteNode {
 		}
 	}
 	return nil
-}
-
-// Endpoints returns the attached identities, sorted.
-func (m *Medium) Endpoints() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
-}
-
-// NextNonce allocates a fresh logical-message nonce.
-func (m *Medium) NextNonce() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nonce++
-	return m.nonce
 }
 
 // Stats returns a snapshot of the traffic counters. On the netbus,
@@ -554,38 +536,24 @@ func (m *Medium) stamp(from, to, kind string, env sig.Envelope, size int, nonce 
 
 // BroadcastEach performs the batch's broadcasts in order (see emit): a
 // remote node receives the whole batch in one FtMsgBatch frame, or in
-// as few as MaxFrame allows. It returns the nonce in force for each
+// as few as MaxFrame allows. It writes the nonce in force into each
 // broadcast. A misuse error (unknown sender, negative size) sends
 // nothing.
-func (m *Medium) BroadcastEach(bs []bus.Broadcast) ([]uint64, error) {
+func (m *Medium) BroadcastEach(bs []bus.Broadcast) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, b := range bs {
 		if err := m.checkSend(b.From, b.Size); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	nonces := make([]uint64, len(bs))
-	for i, b := range bs {
+	for i := range bs {
+		b := &bs[i]
 		m.msgs = append(m.msgs, m.stamp(b.From, bus.BroadcastAddr, b.Kind, b.Env, b.Size, b.Nonce))
-		nonces[i] = m.msgs[i].Nonce
+		b.Nonce = m.msgs[i].Nonce
 	}
 	m.emit()
-	return nonces, nil
-}
-
-// BroadcastTagged delivers env to every attached endpoint except the
-// sender: a one-broadcast BroadcastEach.
-func (m *Medium) BroadcastTagged(from, kind string, env sig.Envelope, size int, nonce uint64) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkSend(from, size); err != nil {
-		return 0, err
-	}
-	msg := m.stamp(from, bus.BroadcastAddr, kind, env, size, nonce)
-	m.msgs = append(m.msgs, msg)
-	m.emit()
-	return msg.Nonce, nil
+	return nil
 }
 
 // SendTagged delivers env to a single endpoint under the given logical

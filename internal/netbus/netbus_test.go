@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,8 +214,10 @@ func TestNetBusReleasesEndpoints(t *testing.T) {
 	if _, err := protocol.Run(cfg); err != nil {
 		t.Fatalf("round with P3: %v", err)
 	}
-	if eps := m.Endpoints(); len(eps) != 0 {
-		t.Fatalf("after the round the medium still serves %v", eps)
+	for _, ep := range []string{"referee", "P1", "P2", "P3", "P4"} {
+		if _, err := m.Drain(ep); err == nil {
+			t.Fatalf("after the round the medium still serves %s", ep)
+		}
 	}
 	cfg.Behaviors = []agent.Behavior{{}, {}, {Abstain: true}, {}}
 	simCfg := cfg
@@ -300,16 +303,15 @@ func TestBroadcastEachAtMaxPoolSize(t *testing.T) {
 		batch[i] = bus.Broadcast{From: id, Kind: "dls/bid", Size: 1, Env: sig.Envelope{
 			Sender: id, Kind: "dls/bid", Payload: make([]byte, 48), Signature: make([]byte, 64)}}
 	}
-	netNonces, err := nb.BroadcastEach(batch)
-	if err != nil {
+	netBatch, simBatch := slices.Clone(batch), slices.Clone(batch)
+	if err := nb.BroadcastEach(netBatch); err != nil {
 		t.Fatal(err)
 	}
-	simNonces, err := simBus.BroadcastEach(batch)
-	if err != nil {
+	if err := simBus.BroadcastEach(simBatch); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(netNonces, simNonces) {
-		t.Fatalf("nonces diverge: net %v…, sim %v…", netNonces[:4], simNonces[:4])
+	if !reflect.DeepEqual(netBatch, simBatch) || netBatch[0].Nonce == 0 {
+		t.Fatalf("nonces diverge: net %v…, sim %v…", netBatch[0].Nonce, simBatch[0].Nonce)
 	}
 
 	// Each node's batch has one entry per bid, listing every endpoint
@@ -329,7 +331,7 @@ func TestBroadcastEachAtMaxPoolSize(t *testing.T) {
 					dests = append(dests, ep)
 				}
 			}
-			msg := bus.Message{From: b.From, To: bus.BroadcastAddr, Kind: b.Kind, Size: 1, Nonce: netNonces[i], Env: b.Env}
+			msg := bus.Message{From: b.From, To: bus.BroadcastAddr, Kind: b.Kind, Size: 1, Nonce: netBatch[i].Nonce, Env: b.Env}
 			n := netbus.BatchEntryLen(dests, msg)
 			bytes += n
 			widest = max(widest, n)
@@ -439,7 +441,7 @@ func TestFaultVocabularyOnSockets(t *testing.T) {
 		t.Errorf("drain of dark endpoint: msgs=%d err=%v, want silence", len(msgs), err)
 	}
 
-	if _, err := m.BroadcastTagged("referee", "k", sig.Envelope{}, 1, 0); err != nil {
+	if err := m.BroadcastEach([]bus.Broadcast{{From: "referee", Kind: "k", Size: 1}}); err != nil {
 		t.Fatalf("broadcast across a dark node must not error, got %v", err)
 	}
 	if st := m.Stats(); st.Deliveries != 2 || st.Dropped != 3 {
@@ -572,8 +574,7 @@ func TestDrainedRunsDoNotAlias(t *testing.T) {
 		batch = append(batch, bus.Broadcast{From: "referee", Kind: "k", Size: 1,
 			Env: sig.Envelope{Sender: "referee", Kind: "k", Payload: []byte{i}, Signature: []byte{i, i}}})
 	}
-	nonces, err := m.BroadcastEach(batch)
-	if err != nil {
+	if err := m.BroadcastEach(batch); err != nil {
 		t.Fatal(err)
 	}
 	p1, err := m.Drain("P1")
@@ -590,7 +591,7 @@ func TestDrainedRunsDoNotAlias(t *testing.T) {
 		t.Fatalf("Drain(P2) crossed the socket (%+v → %+v); it should come from P1's reply", before, after)
 	}
 	for i, msg := range p2 {
-		if msg.From != "referee" || msg.Nonce != nonces[i] || !msg.Env.Equal(batch[i].Env) {
+		if msg.From != "referee" || msg.Nonce != batch[i].Nonce || !msg.Env.Equal(batch[i].Env) {
 			t.Fatalf("P2's message %d is %+v after an append to P1's drained slice", i, msg)
 		}
 	}

@@ -56,7 +56,7 @@ func TestEquivocationSurvivesDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce := net.NextNonce()
+	const nonce = 1
 	for _, env := range []sig.Envelope{first, second} {
 		if _, err := net.SendTagged("P1", referee.Account, referee.KindBid, env, 1, nonce); err != nil {
 			t.Fatal(err)

@@ -71,27 +71,24 @@ func (r *run) bidExchange() (received [][]*bus.Message, firstEnvs []sig.Envelope
 	// Every bid goes out in one batch, in signing order, so each sender's
 	// bid is followed by its second one.
 	msgs := make([]logicalBid, 0, len(envs))
-	batch := make([]bus.Broadcast, 0, len(envs))
 	for i, a := range r.agents {
 		copies := 1
 		if _, ok := a.SecondBid(); ok {
 			copies = 2
 		}
 		for k := 0; k < copies; k++ {
-			env := envs[len(msgs)]
-			msgs = append(msgs, logicalBid{sender: i, env: env, primary: k == 0})
-			batch = append(batch, bus.Broadcast{From: a.ID, Kind: referee.KindBid, Env: env, Size: 1})
+			msgs = append(msgs, logicalBid{sender: i, env: envs[len(msgs)], primary: k == 0})
 		}
 	}
-	nonces, err := r.net.BroadcastEach(batch)
-	if err != nil {
+	batch := r.bidBatch(msgs)
+	if err := r.xp.emit(batch, ""); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	firstEnvs = make([]sig.Envelope, r.m)
 	primaryNonces = make([]uint64, r.m)
 	for mi := range msgs {
 		lm := &msgs[mi]
-		lm.nonce = nonces[mi]
+		lm.nonce = batch[mi].Nonce
 		if lm.primary {
 			firstEnvs[lm.sender] = lm.env
 			primaryNonces[lm.sender] = lm.nonce
@@ -104,123 +101,42 @@ func (r *run) bidExchange() (received [][]*bus.Message, firstEnvs []sig.Envelope
 	return received, firstEnvs, missing, primaryNonces, nil
 }
 
-// takeBids collects the broadcast bids msgs at every receiver, retrying
-// the missing copies by unicast, at constant work per delivered copy. It
-// returns each receiver's verified copies, per attempt in message-index
-// order, and the senders whose primary bid each receiver still lacks.
-func (r *run) takeBids(msgs []logicalBid) (received [][]*bus.Message, missing [][]int, err error) {
-	// Each receiver needs every logical bid but its own. want[ri*n+mi]
-	// marks message mi as still awaited by receiver ri; nonces are
-	// globally unique, so index maps a delivered copy's nonce to its
-	// logical message in O(1).
-	n := len(msgs)
-	index := make(map[uint64]int, n)
-	for mi := range msgs {
-		index[msgs[mi].nonce] = mi
+// bidBatch writes the exchange's bids into the transport's batch as its
+// logical messages.
+func (r *run) bidBatch(msgs []logicalBid) []bus.Broadcast {
+	batch := slices.Grow(r.xp.batch[:0], len(msgs))
+	for _, lm := range msgs {
+		batch = append(batch, bus.Broadcast{From: r.agents[lm.sender].ID, Kind: referee.KindBid, Env: lm.env, Size: 1, Nonce: lm.nonce})
 	}
-	want := make([]bool, r.m*n)
-	received = make([][]*bus.Message, r.m)
-	outstanding := 0
-	for ri := range r.agents {
-		need := 0
-		for mi := range msgs {
-			if msgs[mi].sender != ri {
-				want[ri*n+mi] = true
-				need++
-			}
-		}
-		received[ri] = make([]*bus.Message, 0, need)
-		outstanding += need
-	}
-	var idx []int // message indices of one receiver's takes in one attempt
-	for attempt := 1; ; attempt++ {
-		for ri, a := range r.agents {
-			if err := r.xp.pull(a.ID); err != nil {
-				return nil, nil, err
-			}
-			// One pass over the receiver's pending copies takes every bid
-			// it still needs. The takes land on its row in message-index
-			// order, the order an index-order scan of msgs would take them
-			// in, whatever order they arrived in.
-			wants := want[ri*n : (ri+1)*n]
-			row, start := received[ri], len(received[ri])
-			idx = idx[:0]
-			r.xp.takeEach(a.ID, func(m *bus.Message) bool {
-				mi, ok := index[m.Nonce]
-				if !ok || !wants[mi] || m.From != r.agents[msgs[mi].sender].ID {
-					return false
-				}
-				wants[mi] = false
-				outstanding--
-				row = append(row, m)
-				idx = append(idx, mi)
-				return true
-			})
-			if !sort.IntsAreSorted(idx) {
-				sort.Sort(byIndex{msgs: row[start:], idx: idx})
-			}
-			received[ri] = row
-		}
-		if outstanding == 0 {
-			break
-		}
-		r.xp.stats.Timeouts++
-		r.xp.event(obs.Event{Kind: obs.EvTimeout, Msg: referee.KindBid,
-			Detail: fmt.Sprintf("%d bid deliveries outstanding", outstanding)})
-		if attempt >= r.xp.policy.MaxAttempts || r.xp.sleep(attempt) {
-			break
-		}
-		// Point-to-point retransmission of exactly the missing copies,
-		// under the original nonces (idempotent at the receivers), in
-		// (receiver, message index) order: send order decides which seeded
-		// fault draws hit which deliveries, so it must be deterministic for
-		// FaultPlan's reproducibility contract to hold.
-		for ri, a := range r.agents {
-			for mi, lm := range msgs {
-				if !want[ri*n+mi] {
-					continue
-				}
-				if _, err := r.net.SendTagged(r.agents[lm.sender].ID, a.ID, referee.KindBid, lm.env, 1, lm.nonce); err != nil {
-					return nil, nil, err
-				}
-				r.xp.stats.Retransmits++
-				r.xp.event(obs.Event{Kind: obs.EvRetransmit, From: r.agents[lm.sender].ID, To: a.ID, Msg: referee.KindBid})
-			}
-		}
-	}
+	r.xp.batch = batch
+	return batch
+}
 
-	missing = make([][]int, r.m)
-	if outstanding == 0 {
-		return received, missing, nil
+// takeBids collects the broadcast bids msgs at every receiver through the
+// transport's delivery loop. It returns each receiver's verified copies,
+// per attempt in message-index order, in rows of its own, and the
+// senders whose primary bid each receiver still lacks.
+func (r *run) takeBids(msgs []logicalBid) (received [][]*bus.Message, missing [][]int, err error) {
+	n := len(msgs)
+	cells := make([]*bus.Message, r.m*n)
+	received = make([][]*bus.Message, r.m)
+	for ri := range received {
+		received[ri] = cells[ri*n : ri*n : (ri+1)*n]
 	}
+	pairs, _, err := r.xp.deliver(r.bidBatch(msgs), r.procs, received)
+	if err != nil {
+		return nil, nil, err
+	}
+	missing = make([][]int, r.m)
 	// msgs runs in sender order, so each list comes out sorted.
 	for ri := range missing {
 		for mi, lm := range msgs {
-			if want[ri*n+mi] && lm.primary {
+			if pairs[ri*n+mi] && lm.primary {
 				missing[ri] = append(missing[ri], lm.sender)
 			}
 		}
 	}
 	return received, missing, nil
-}
-
-// byIndex sorts one receiver's takes of one attempt into message-index
-// order; idx[k] is the logical message index of msgs[k].
-type byIndex struct {
-	msgs []*bus.Message
-	idx  []int
-}
-
-// Len is the number of takes.
-func (s byIndex) Len() int { return len(s.idx) }
-
-// Less orders takes by message index.
-func (s byIndex) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-
-// Swap exchanges two takes with their indices.
-func (s byIndex) Swap(i, j int) {
-	s.msgs[i], s.msgs[j] = s.msgs[j], s.msgs[i]
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 }
 
 // witnessReport is one unreachability allegation in pre-eviction

@@ -611,21 +611,17 @@ func setup(cfg Config, st *roundState) (*run, error) {
 	st.ver.Reset(r.reg, cfg.Memo)
 	r.ver = st.ver
 	var err error
-	if cfg.Medium == nil && !cfg.Standby {
+	if cfg.Medium == nil {
 		if r.net, r.xp, err = st.simBus(cfg.Z, cfg.Faults, r.ver, cfg.Retry); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
-	if cfg.Medium != nil {
-		r.net = cfg.Medium
-	} else if r.net, err = bus.NewFaulty(cfg.Z, cfg.Faults); err != nil {
-		return nil, err
-	}
+	r.net = cfg.Medium
 	if r.xp, err = newTransport(r.net, r.ver, cfg.Retry); err != nil {
 		return nil, err
 	}
-	endpoints := st.endpoints(cfg.Standby)
+	endpoints := st.endpoints()
 	for k, id := range endpoints {
 		if err := r.net.Attach(id); err != nil {
 			r.attached = endpoints[:k]
@@ -637,11 +633,11 @@ func setup(cfg Config, st *roundState) (*run, error) {
 	return r, nil
 }
 
-// release detaches the endpoints the run attached to a medium or to a
-// bus of its own, so a long-lived medium (cfg.Medium) stops broadcasting
-// to them and holds nothing for them once the run is over. The outcome
-// has already read the medium's stats. The round state's bus keeps its
-// endpoints for the next round.
+// release detaches the endpoints the run attached to a medium
+// (cfg.Medium), so a long-lived medium stops broadcasting to them and
+// holds nothing for them once the run is over. The outcome has already
+// read the medium's stats. The round state's bus keeps its endpoints for
+// the next round.
 func (r *run) release() {
 	for _, id := range r.attached {
 		r.net.Detach(id)

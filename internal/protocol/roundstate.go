@@ -50,8 +50,8 @@ type roundState struct {
 	ledger *payment.Ledger
 	// net is the simulated bus with every endpoint attached and xp the
 	// transport over it; both nil until a round on the simulated bus
-	// without a standby builds them. Each round resets the bus under its
-	// own job's fault plan.
+	// builds them. Each round resets the bus under its own job's fault
+	// plan.
 	net *bus.Bus
 	xp  *transport
 	// engine prices the Computing Payments phase into payOut; both keep
@@ -129,10 +129,11 @@ func (st *roundState) prepare(cfg Config, part []int) error {
 }
 
 // endpoints lists the bus identities of a round over st's participants:
-// every participant, the referee and, when armed, the standby.
-func (st *roundState) endpoints(standby bool) []string {
+// every participant, the referee and, when st holds its key, the
+// standby.
+func (st *roundState) endpoints() []string {
 	ids := append(append([]string(nil), st.procs...), referee.Account)
-	if standby {
+	if len(st.keys) > len(st.procs)+1 {
 		ids = append(ids, referee.StandbyAccount)
 	}
 	return ids
@@ -141,8 +142,7 @@ func (st *roundState) endpoints(standby bool) []string {
 // simBus returns st's simulated bus and its transport, ready for a
 // round at bus rate z under the fault plan (nil for the paper's reliable
 // bus) and the retry policy: reset when st already holds them, built
-// with every endpoint attached otherwise. Only a one-shot run arms a
-// standby, and its bus is its own.
+// with every endpoint attached otherwise.
 func (st *roundState) simBus(z float64, plan *bus.FaultPlan, ver *sig.BatchVerifier, retry RetryPolicy) (*bus.Bus, *transport, error) {
 	if st.net != nil {
 		if err := st.net.Reset(z, plan); err != nil {
@@ -157,7 +157,7 @@ func (st *roundState) simBus(z float64, plan *bus.FaultPlan, ver *sig.BatchVerif
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, id := range st.endpoints(false) {
+	for _, id := range st.endpoints() {
 		if err := net.Attach(id); err != nil {
 			return nil, nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dlsbl/internal/bus"
 	"dlsbl/internal/obs"
@@ -133,8 +134,8 @@ func (b *rxBuf) mark(mi int) {
 }
 
 // transport layers idempotent, retrying delivery over the medium. It
-// owns every endpoint's inbox: phases consume verified messages through
-// takeNonce and takeEach instead of draining the medium directly, so
+// owns every endpoint's inbox and every emission: phases hand it logical
+// messages and receive the verified copies deliver takes for them, so
 // duplicated, delayed and retransmitted copies collapse into
 // exactly-once delivery to the protocol logic. The medium is any
 // bus.Medium — the simulated bus or a real socket (internal/netbus); the
@@ -160,8 +161,15 @@ type transport struct {
 	// never entered.
 	index map[nonceKey]int
 	first []sig.Verified
-	// missing is broadcastReliable's per-receiver scratch.
-	missing []bool
+	// batch holds the logical messages of the delivery in progress (see
+	// emit) and row sendReliable's row; the rest is deliver's scratch:
+	// each message's index by nonce, the awaited (receiver, message)
+	// pairs and one receiver's takes of one attempt by message index.
+	batch []bus.Broadcast
+	row   []*bus.Message
+	slot  map[uint64]int
+	want  []bool
+	got   []*bus.Message
 }
 
 // event emits one transport event when tracing is on.
@@ -200,6 +208,7 @@ func (t *transport) reset(ver *sig.BatchVerifier, policy RetryPolicy) error {
 	clear(t.index)
 	clear(t.first)
 	t.first = t.first[:0]
+	clear(t.slot)
 	return nil
 }
 
@@ -286,24 +295,6 @@ func (t *transport) pull(id string) error {
 	return nil
 }
 
-// takeNonce removes and returns the pending copy with the given logical
-// identity, if present. Deduplication keeps at most one pending copy per
-// identity and every take is by identity, so pending order is never
-// observed: the last entry fills the hole.
-func (t *transport) takeNonce(id, from string, nonce uint64) (*bus.Message, bool) {
-	b := t.buf(id)
-	for i, m := range b.pending {
-		if m.From == from && m.Nonce == nonce {
-			last := len(b.pending) - 1
-			b.pending[i] = b.pending[last]
-			b.pending[last] = nil
-			b.pending = b.pending[:last]
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // takeEach offers every pending copy of endpoint id to take, in one pass,
 // and removes the ones it takes; the rest keep their order.
 func (t *transport) takeEach(id string, take func(m *bus.Message) bool) {
@@ -318,89 +309,160 @@ func (t *transport) takeEach(id string, take func(m *bus.Message) bool) {
 	b.pending = kept
 }
 
-// sendReliable unicasts one logical message until the receiver holds a
-// verified copy, retrying with capped exponential backoff. On a reliable
-// bus this is a single transmission and a single drain — the exact
-// traffic pattern of the original protocol. The delivered copy is
-// consumed from the receiver's buffer and returned.
-func (t *transport) sendReliable(from, to, kind string, env sig.Envelope, size int) (*bus.Message, error) {
-	nonce := t.net.NextNonce()
-	for attempt := 1; ; attempt++ {
-		if _, err := t.net.SendTagged(from, to, kind, env, size, nonce); err != nil {
-			return nil, err
+// emit sends each message of bs once, under a fresh nonce it writes into
+// the message: as broadcasts in one BroadcastEach when to is empty, else
+// to to alone by SendTagged. A delivery's logical messages are
+// bus.Broadcast values: sender, kind, envelope, size and nonce,
+// everything an emission carries but its addressee, which is the
+// delivery's.
+func (t *transport) emit(bs []bus.Broadcast, to string) error {
+	if to == "" {
+		return t.net.BroadcastEach(bs)
+	}
+	for i := range bs {
+		b := &bs[i]
+		nonce, err := t.net.SendTagged(b.From, to, b.Kind, b.Env, b.Size, 0)
+		if err != nil {
+			return err
 		}
-		if attempt > 1 {
-			t.stats.Retransmits++
-			t.event(obs.Event{Kind: obs.EvRetransmit, From: from, To: to, Msg: kind})
+		b.Nonce = nonce
+	}
+	return nil
+}
+
+// deliver is the retry loop of every reliable message. bs went out once
+// through emit, and receivers are distinct: each awaits every message of
+// bs but its own, so a unicast's delivery names its addressee alone.
+// Every attempt drains every receiver and takes the copies it awaits,
+// appending receivers[k]'s to rows[k] (unless rows is nil) in message
+// order, whatever order they arrived in. While any (receiver, message)
+// pair is missing, the attempt counts a timeout, backs off under the
+// policy and resends exactly the missing pairs by unicast under their
+// original nonces, in (receiver, message) order: send order decides
+// which seeded fault draws hit which deliveries, so it must be
+// deterministic for FaultPlan's reproducibility contract to hold. When
+// the attempt budget or the phase deadline runs out, deliver gives up.
+// It returns the pairs still missing, missing[k*len(bs)+i] for
+// receivers[k] and bs[i] (scratch valid until the next delivery), and
+// the attempts made.
+func (t *transport) deliver(bs []bus.Broadcast, receivers []string, rows [][]*bus.Message) (missing []bool, attempts int, err error) {
+	n := len(bs)
+	want, left := slices.Grow(t.want[:0], len(receivers)*n), 0
+	for _, id := range receivers {
+		for i := range bs {
+			w := bs[i].From != id
+			want = append(want, w)
+			if w {
+				left++
+			}
 		}
-		if err := t.pull(to); err != nil {
-			return nil, err
+	}
+	t.want = want
+	got := slices.Grow(t.got[:0], n)[:n]
+	t.got = got
+	if t.slot == nil {
+		t.slot = make(map[uint64]int, n) // the first delivery is usually the bid exchange
+	}
+	for i := range bs {
+		t.slot[bs[i].Nonce] = i
+	}
+	defer t.unslot(bs)
+	for attempts = 1; ; attempts++ {
+		for k, id := range receivers {
+			if err := t.pull(id); err != nil {
+				return nil, 0, err
+			}
+			wants := want[k*n : (k+1)*n]
+			t.takeEach(id, func(m *bus.Message) bool {
+				i, ok := t.slot[m.Nonce]
+				if !ok || !wants[i] || m.From != bs[i].From {
+					return false
+				}
+				wants[i] = false
+				left--
+				got[i] = m
+				return true
+			})
+			for i, m := range got {
+				if m != nil && rows != nil {
+					rows[k] = append(rows[k], m)
+				}
+				got[i] = nil
+			}
 		}
-		if m, ok := t.takeNonce(to, from, nonce); ok {
-			return m, nil
+		if left == 0 {
+			return want, attempts, nil
 		}
 		t.stats.Timeouts++
-		t.event(obs.Event{Kind: obs.EvTimeout, From: from, To: to, Msg: kind})
-		if attempt >= t.policy.MaxAttempts || t.sleep(attempt) {
-			return nil, fmt.Errorf("%w: %s → %s (%s) after %d attempts",
-				ErrUnreachable, from, to, kind, attempt)
+		if t.tracer != nil {
+			t.event(obs.Event{Kind: obs.EvTimeout, Msg: bs[0].Kind,
+				Detail: fmt.Sprintf("%d deliveries missing", left)})
+		}
+		if attempts >= t.policy.MaxAttempts || t.sleep(attempts) {
+			return want, attempts, nil
+		}
+		for k, id := range receivers {
+			for i := range bs {
+				if !want[k*n+i] {
+					continue
+				}
+				b := &bs[i]
+				if _, err := t.net.SendTagged(b.From, id, b.Kind, b.Env, b.Size, b.Nonce); err != nil {
+					return nil, 0, err
+				}
+				t.stats.Retransmits++
+				t.event(obs.Event{Kind: obs.EvRetransmit, From: b.From, To: id, Msg: b.Kind})
+			}
 		}
 	}
 }
 
-// broadcastReliable broadcasts one logical message until every receiver
-// holds a verified copy; missed receivers are retried by unicast under
-// the same nonce. It returns the receivers still missing after the
-// budget (empty on success); the delivered copies are consumed.
-func (t *transport) broadcastReliable(from, kind string, env sig.Envelope, size int, receivers []string) ([]string, error) {
-	nonce, err := t.net.BroadcastTagged(from, kind, env, size, 0)
+// unslot forgets the nonces of a finished delivery.
+func (t *transport) unslot(bs []bus.Broadcast) {
+	for i := range bs {
+		delete(t.slot, bs[i].Nonce)
+	}
+}
+
+// sendReliable unicasts one logical message to a receiver other than its
+// sender until the receiver holds a verified copy, and returns that
+// copy. On a reliable bus this is a single transmission and a single
+// drain — the exact traffic pattern of the original protocol.
+func (t *transport) sendReliable(from, to, kind string, env sig.Envelope, size int) (*bus.Message, error) {
+	t.batch = append(t.batch[:0], bus.Broadcast{From: from, Kind: kind, Env: env, Size: size})
+	if err := t.emit(t.batch, to); err != nil {
+		return nil, err
+	}
+	rows := [][]*bus.Message{t.row[:0]}
+	missing, attempts, err := t.deliver(t.batch, []string{to}, rows)
+	t.row = rows[0]
 	if err != nil {
 		return nil, err
 	}
-	// missing[k] marks receivers[k] as still without a copy; the
-	// receivers are distinct.
-	missing := append(t.missing[:0], make([]bool, len(receivers))...)
-	t.missing = missing
-	for k := range missing {
-		missing[k] = true
+	if missing[0] {
+		return nil, fmt.Errorf("%w: %s → %s (%s) after %d attempts",
+			ErrUnreachable, from, to, kind, attempts)
 	}
-	left := len(receivers)
-	for attempt := 1; ; attempt++ {
-		for k, r := range receivers {
-			if !missing[k] {
-				continue
-			}
-			if err := t.pull(r); err != nil {
-				return nil, err
-			}
-			if _, ok := t.takeNonce(r, from, nonce); ok {
-				missing[k] = false
-				left--
-			}
-		}
-		if left == 0 {
-			return nil, nil
-		}
-		t.stats.Timeouts++
-		t.event(obs.Event{Kind: obs.EvTimeout, From: from, Msg: kind,
-			Detail: fmt.Sprintf("%d receivers missing", left)})
-		if attempt >= t.policy.MaxAttempts || t.sleep(attempt) {
-			var out []string
-			for k, r := range receivers {
-				if missing[k] {
-					out = append(out, r)
-				}
-			}
-			return out, nil
-		}
-		for k, r := range receivers {
-			if missing[k] {
-				if _, err := t.net.SendTagged(from, r, kind, env, size, nonce); err != nil {
-					return nil, err
-				}
-				t.stats.Retransmits++
-				t.event(obs.Event{Kind: obs.EvRetransmit, From: from, To: r, Msg: kind})
-			}
+	return rows[0][0], nil
+}
+
+// broadcastReliable broadcasts one logical message until every receiver
+// holds a verified copy. It returns the receivers still missing after
+// the budget (none on success); the delivered copies are consumed.
+func (t *transport) broadcastReliable(from, kind string, env sig.Envelope, size int, receivers []string) ([]string, error) {
+	t.batch = append(t.batch[:0], bus.Broadcast{From: from, Kind: kind, Env: env, Size: size})
+	if err := t.emit(t.batch, ""); err != nil {
+		return nil, err
+	}
+	missing, _, err := t.deliver(t.batch, receivers, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for k, r := range receivers {
+		if missing[k] {
+			out = append(out, r)
 		}
 	}
+	return out, nil
 }
