@@ -143,7 +143,9 @@ cover:
 
 # Ten seconds of every fuzz target: the mechanism engine against the
 # naive baseline, its installment period rule against the period's
-# definition, envelope tampering, the DLT closed forms, the
+# definition, the four centralized variants (star, chain, affine costs,
+# two-parameter bids: no panic, no non-finite output without an error,
+# Q = C + B and U = B in the last bit), envelope tampering, the DLT closed forms, the
 # bid-session model of who bids what (abstentions, returns, bid-factor
 # changes), the binary payload codec differentially
 # against JSON, the witness-report payload (binary/JSON differential on
@@ -158,6 +160,7 @@ cover:
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzEngineParity -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzRoundsEngineParity -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzVariants -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeTampering -fuzztime=10s ./internal/sig/
 	$(GO) test -run=NONE -fuzz=FuzzOptimal -fuzztime=10s ./internal/dlt/
 	$(GO) test -run=NONE -fuzz=FuzzLinear -fuzztime=10s ./internal/dlt/

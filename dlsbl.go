@@ -225,7 +225,9 @@ const (
 func TruthfulExec(trueW []float64) []float64 { return core.TruthfulExec(trueW) }
 
 // StarMechanism is DLS-BL transplanted onto a star network with
-// heterogeneous public link times (extension X6).
+// heterogeneous public link times (extension X6): the two-parameter
+// mechanism of extension X15 with every link reported and observed as it
+// is.
 type StarMechanism = core.StarMechanism
 
 // AffineMechanism is DLS-BL under affine costs, with a bid-sorted

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"dlsbl/internal/dlt"
@@ -32,70 +30,29 @@ type AffineMechanism struct {
 // Run executes the affine mechanism on a bid profile and execution
 // values.
 func (m AffineMechanism) Run(bids, exec []float64) (*Outcome, error) {
-	n := len(bids)
-	if n < 2 {
-		return nil, errors.New("core: affine mechanism needs at least two agents")
+	if err := checkProfile(bids, exec); err != nil {
+		return nil, err
 	}
-	if len(exec) != n {
-		return nil, fmt.Errorf("core: %d execution values for %d bids", len(exec), n)
-	}
-	for i := 0; i < n; i++ {
-		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
-			return nil, fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
-		}
-		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
-			return nil, fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
-		}
-	}
-	base := dlt.AffineInstance{
-		Instance: dlt.Instance{Network: m.Network, Z: m.Z, W: append([]float64(nil), bids...)},
-		Scm:      m.Scm,
-		Scp:      m.Scp,
-	}
-	alloc, msBid, err := dlt.OptimalAffine(base)
+	base := dlt.Instance{Network: m.Network, Z: m.Z, W: bids}
+	alloc, msBid, err := dlt.OptimalAffine(dlt.AffineInstance{Instance: base, Scm: m.Scm, Scp: m.Scp})
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Alloc:            alloc,
-		Compensation:     make([]float64, n),
-		Bonus:            make([]float64, n),
-		Payment:          make([]float64, n),
-		Valuation:        make([]float64, n),
-		Utility:          make([]float64, n),
-		MakespanWithout:  make([]float64, n),
-		MakespanRealized: make([]float64, n),
-		MakespanBid:      msBid,
-	}
 	// The affine allocation has no closed chain form (the participation
-	// threshold couples every marginal re-solve), so this stays a
-	// per-agent loop of O(m) re-solves.
-	speeds := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sub, err := base.Instance.Without(i)
-		if err != nil {
-			return nil, err
-		}
-		_, tWithout, err := dlt.OptimalAffine(dlt.AffineInstance{Instance: sub, Scm: m.Scm, Scp: m.Scp})
-		if err != nil {
-			return nil, err
-		}
-		copy(speeds, bids)
-		speeds[i] = exec[i]
-		tRealized, err := m.makespanAt(alloc, bids, speeds)
-		if err != nil {
-			return nil, err
-		}
-		out.MakespanWithout[i] = tWithout
-		out.MakespanRealized[i] = tRealized
-		out.Compensation[i] = alloc[i] * exec[i]
-		out.Bonus[i] = tWithout - tRealized
-		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-		out.Valuation[i] = -alloc[i] * exec[i]
-		out.Utility[i] = out.Payment[i] + out.Valuation[i]
-		out.UserCost += out.Payment[i]
-	}
-	return out, nil
+	// threshold couples every marginal re-solve), so each T_{-i} is a
+	// re-solve of its own.
+	return leaveOneOut(bids, exec, alloc, msBid,
+		func(i int) (float64, error) {
+			sub, err := base.Without(i)
+			if err != nil {
+				return 0, err
+			}
+			_, t, err := dlt.OptimalAffine(dlt.AffineInstance{Instance: sub, Scm: m.Scm, Scp: m.Scp})
+			return t, err
+		},
+		func(_ int, speeds []float64) (float64, error) {
+			return m.makespanAt(alloc, bids, speeds)
+		})
 }
 
 // makespanAt evaluates the affine finishing times of a FIXED allocation

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"dlsbl/internal/dlt"
-)
+import "dlsbl/internal/dlt"
 
 // LinearMechanism extends DLS-BL to the daisy-chain network
 // (dlt.LinearInstance): the chain position of every processor is fixed
@@ -29,67 +23,27 @@ type LinearMechanism struct {
 // Run executes the chain mechanism on a bid profile and observed
 // execution values.
 func (m LinearMechanism) Run(bids, exec []float64) (*Outcome, error) {
-	n := len(bids)
-	if n < 2 {
-		return nil, errors.New("core: linear mechanism needs at least two agents")
+	if err := checkProfile(bids, exec); err != nil {
+		return nil, err
 	}
-	if len(exec) != n {
-		return nil, fmt.Errorf("core: %d execution values for %d bids", len(exec), n)
-	}
-	if !(m.Z >= 0) || math.IsInf(m.Z, 0) {
-		return nil, fmt.Errorf("core: invalid z=%v", m.Z)
-	}
-	for i := 0; i < n; i++ {
-		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
-			return nil, fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
-		}
-		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
-			return nil, fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
-		}
-	}
-	chain := dlt.LinearInstance{Z: m.Z, W: append([]float64(nil), bids...)}
+	chain := dlt.LinearInstance{Z: m.Z, W: bids}
 	alloc, msBid, err := dlt.OptimalLinearMakespan(chain)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Alloc:            alloc,
-		Compensation:     make([]float64, n),
-		Bonus:            make([]float64, n),
-		Payment:          make([]float64, n),
-		Valuation:        make([]float64, n),
-		Utility:          make([]float64, n),
-		MakespanWithout:  make([]float64, n),
-		MakespanRealized: make([]float64, n),
-		MakespanBid:      msBid,
-	}
-	for i := 0; i < n; i++ {
-		active := make([]bool, n)
-		for j := range active {
-			active[j] = j != i
-		}
-		subAlloc, err := dlt.OptimalLinearSubset(chain, active)
-		if err != nil {
-			return nil, err
-		}
-		tWithout, err := dlt.LinearMakespan(chain, subAlloc)
-		if err != nil {
-			return nil, err
-		}
-		speeds := append([]float64(nil), bids...)
-		speeds[i] = exec[i]
-		tRealized, err := dlt.LinearMakespan(dlt.LinearInstance{Z: m.Z, W: speeds}, alloc)
-		if err != nil {
-			return nil, err
-		}
-		out.MakespanWithout[i] = tWithout
-		out.MakespanRealized[i] = tRealized
-		out.Compensation[i] = alloc[i] * exec[i]
-		out.Bonus[i] = tWithout - tRealized
-		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-		out.Valuation[i] = -alloc[i] * exec[i]
-		out.Utility[i] = out.Payment[i] + out.Valuation[i]
-		out.UserCost += out.Payment[i]
-	}
-	return out, nil
+	return leaveOneOut(bids, exec, alloc, msBid,
+		func(i int) (float64, error) {
+			active := make([]bool, len(bids))
+			for j := range active {
+				active[j] = j != i
+			}
+			sub, err := dlt.OptimalLinearSubset(chain, active)
+			if err != nil {
+				return 0, err
+			}
+			return dlt.LinearMakespan(chain, sub)
+		},
+		func(_ int, speeds []float64) (float64, error) {
+			return dlt.LinearMakespan(dlt.LinearInstance{Z: m.Z, W: speeds}, alloc)
+		})
 }

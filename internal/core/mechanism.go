@@ -19,7 +19,12 @@
 // participation) follow; the checkers in verify.go measure both.
 package core
 
-import "dlsbl/internal/dlt"
+import (
+	"fmt"
+	"math"
+
+	"dlsbl/internal/dlt"
+)
 
 // Mechanism is a DLS-BL instance: the network class the processors form
 // and the per-unit communication time z. The zero value is not useful;
@@ -79,6 +84,73 @@ type Outcome struct {
 	// UserCost is Σ_i Q_i, the bill forwarded to the user.
 	UserCost float64
 }
+
+// leaveOneOut prices a centralized variant of DLS-BL (the star, the chain,
+// affine costs, two-parameter bids) by Section 3's recipe (the package
+// comment), one agent at a time: PaymentEngine.RunInto is its O(m) form
+// on the bus. The variant
+// supplies α(b) and T(α(b), b); without(i) returns T(α(b_{-i}), b_{-i}),
+// and realized(i, speeds) the makespan of α(b) run at speeds, the bids
+// with w̃_i in agent i's place (realized must not keep speeds). The loop
+// fails closed: a non-finite share, makespan or user cost is an error,
+// never a payment.
+func leaveOneOut(bids, exec []float64, alloc dlt.Allocation, msBid float64,
+	without func(i int) (float64, error), realized func(i int, speeds []float64) (float64, error)) (*Outcome, error) {
+	n := len(bids)
+	if !finite(msBid) {
+		return nil, fmt.Errorf("core: non-finite makespan T(α(b), b)=%v", msBid)
+	}
+	for i, a := range alloc {
+		if !finite(a) {
+			return nil, fmt.Errorf("core: non-finite share α[%d]=%v", i, a)
+		}
+	}
+	out := &Outcome{
+		Alloc:            alloc,
+		Compensation:     make([]float64, n),
+		Bonus:            make([]float64, n),
+		Payment:          make([]float64, n),
+		Valuation:        make([]float64, n),
+		Utility:          make([]float64, n),
+		MakespanWithout:  make([]float64, n),
+		MakespanRealized: make([]float64, n),
+		MakespanBid:      msBid,
+	}
+	speeds := make([]float64, n)
+	for i := 0; i < n; i++ {
+		tWithout, err := without(i)
+		if err != nil {
+			return nil, err
+		}
+		copy(speeds, bids)
+		speeds[i] = exec[i]
+		tRealized, err := realized(i, speeds)
+		if err != nil {
+			return nil, err
+		}
+		if !finite(tWithout) || !finite(tRealized) {
+			return nil, fmt.Errorf("core: agent %d: non-finite makespan T_{-i}=%v, realized %v", i, tWithout, tRealized)
+		}
+		// The conversion rounds C before the sum (Go may otherwise fuse
+		// α_i·w̃_i + B_i), so Q = C + B holds in the last bit everywhere.
+		c := float64(alloc[i] * exec[i])
+		b := tWithout - tRealized
+		out.MakespanWithout[i] = tWithout
+		out.MakespanRealized[i] = tRealized
+		out.Compensation[i] = c
+		out.Bonus[i] = b
+		out.Payment[i] = c + b
+		out.Valuation[i] = -c
+		out.Utility[i] = b
+		out.UserCost += out.Payment[i]
+	}
+	if !finite(out.UserCost) {
+		return nil, fmt.Errorf("core: non-finite user cost %v", out.UserCost)
+	}
+	return out, nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Run executes DLS-BL: computes α(b), then, once the execution values w̃
 // are observed, every payment component. bids[i] must be positive and

@@ -136,9 +136,10 @@ func TestTruthfulUtilityEqualsContribution(t *testing.T) {
 }
 
 // pricingArms are the payment rules the theorem checks cover: the
-// single-round rule on every class, and the period rule of installment
+// single-round rule on every class, the period rule of installment
 // sub-rounds on the classes that pipeline, where its gains stay within
-// rounding (a few ulps of the payment), far inside 1e-12.
+// rounding (a few ulps of the payment), far inside 1e-12, and the daisy
+// chain and affine costs on instances drawn as CP.
 var pricingArms = []struct {
 	name  string
 	price Pricing
@@ -147,6 +148,27 @@ var pricingArms = []struct {
 }{
 	{"single-round", (*PaymentEngine).RunInto, dlt.Networks, 1e-9},
 	{"period", (*PaymentEngine).RunPeriodInto, []dlt.Network{dlt.CP, dlt.NCPFE}, 1e-12},
+	{"chain", chainPricing, []dlt.Network{dlt.CP}, 1e-9},
+	{"affine", affinePricing, []dlt.Network{dlt.CP}, 1e-9},
+}
+
+// chainPricing prices a profile on the daisy chain of the engine's z.
+func chainPricing(e *PaymentEngine, bids, exec []float64, _ PaymentRule, out *Outcome) error {
+	o, err := LinearMechanism{Z: e.Z}.Run(bids, exec)
+	if err == nil {
+		*out = *o
+	}
+	return err
+}
+
+// affinePricing prices a profile on the engine's class and z with fixed
+// overheads Scm = 0.1 and Scp = 0.05.
+func affinePricing(e *PaymentEngine, bids, exec []float64, _ PaymentRule, out *Outcome) error {
+	o, err := AffineMechanism{Network: e.Network, Z: e.Z, Scm: 0.1, Scp: 0.05}.Run(bids, exec)
+	if err == nil {
+		*out = *o
+	}
+	return err
 }
 
 // TestTheorem31Strategyproof: no sampled deviation beats truth-telling,

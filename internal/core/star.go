@@ -1,13 +1,5 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"dlsbl/internal/dlt"
-)
-
 // StarMechanism extends DLS-BL to the star network of the paper's future
 // work (dlt.StarInstance with heterogeneous links). The m strategic
 // agents are the children; the link times Z are public infrastructure
@@ -24,6 +16,9 @@ import (
 //	C_i = α_i(b)·w̃_i
 //	B_i = T*(b_{-i}) − T(α(b), (b_{-i}, w̃_i))
 //	U_i = B_i
+//
+// It is the two-parameter mechanism (TwoParamStarMechanism) with every
+// link reported truthfully: a public link is bid and observed as it is.
 type StarMechanism struct {
 	// Z are the public per-unit link times, one per child, in agent
 	// index order.
@@ -34,125 +29,5 @@ type StarMechanism struct {
 // execution values. The returned Outcome uses the same fields as the bus
 // mechanism; Alloc is in agent index order (not service order).
 func (m StarMechanism) Run(bids, exec []float64) (*Outcome, error) {
-	n := len(bids)
-	if n < 2 {
-		return nil, errors.New("core: star mechanism needs at least two agents")
-	}
-	if len(exec) != n || len(m.Z) != n {
-		return nil, fmt.Errorf("core: %d bids, %d exec values, %d links", n, len(exec), len(m.Z))
-	}
-	for i := 0; i < n; i++ {
-		if !(bids[i] > 0) || math.IsInf(bids[i], 0) {
-			return nil, fmt.Errorf("core: invalid bid b[%d]=%v", i, bids[i])
-		}
-		if !(exec[i] > 0) || math.IsInf(exec[i], 0) {
-			return nil, fmt.Errorf("core: invalid execution value w̃[%d]=%v", i, exec[i])
-		}
-		if !(m.Z[i] >= 0) || math.IsInf(m.Z[i], 0) {
-			return nil, fmt.Errorf("core: invalid link time z[%d]=%v", i, m.Z[i])
-		}
-	}
-
-	alloc, msBid, err := m.optimal(bids)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Alloc:            alloc,
-		Compensation:     make([]float64, n),
-		Bonus:            make([]float64, n),
-		Payment:          make([]float64, n),
-		Valuation:        make([]float64, n),
-		Utility:          make([]float64, n),
-		MakespanWithout:  make([]float64, n),
-		MakespanRealized: make([]float64, n),
-		MakespanBid:      msBid,
-	}
-	for i := 0; i < n; i++ {
-		sub := m.without(i)
-		subBids := removeAt(bids, i)
-		_, tWithout, err := sub.optimal(subBids)
-		if err != nil {
-			return nil, err
-		}
-		speeds := append([]float64(nil), bids...)
-		speeds[i] = exec[i]
-		tRealized, err := m.makespanAt(alloc, speeds)
-		if err != nil {
-			return nil, err
-		}
-		out.MakespanWithout[i] = tWithout
-		out.MakespanRealized[i] = tRealized
-		out.Compensation[i] = alloc[i] * exec[i]
-		out.Bonus[i] = tWithout - tRealized
-		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-		out.Valuation[i] = -alloc[i] * exec[i]
-		out.Utility[i] = out.Payment[i] + out.Valuation[i]
-		out.UserCost += out.Payment[i]
-	}
-	return out, nil
-}
-
-// optimal computes the equal-finish allocation for a bid profile under
-// the bid-independent service order (children by non-decreasing public
-// z), returned in agent index order plus the makespan.
-func (m StarMechanism) optimal(bids []float64) (dlt.Allocation, float64, error) {
-	order := orderByZ(m.Z)
-	perm, err := dlt.StarInstance{Z: m.Z, W: bids}.Permute(order)
-	if err != nil {
-		return nil, 0, err
-	}
-	sa, err := dlt.OptimalStar(perm)
-	if err != nil {
-		return nil, 0, err
-	}
-	ms, err := dlt.StarMakespan(perm, sa)
-	if err != nil {
-		return nil, 0, err
-	}
-	alloc := make(dlt.Allocation, len(bids))
-	for pos, idx := range order {
-		alloc[idx] = sa.Children[pos]
-	}
-	return alloc, ms, nil
-}
-
-// makespanAt evaluates the schedule realized by alloc (agent order) when
-// the processors run at the given speeds, serving in the same
-// bid-independent z-order the allocation used.
-func (m StarMechanism) makespanAt(alloc dlt.Allocation, speeds []float64) (float64, error) {
-	order := orderByZ(m.Z)
-	perm, err := dlt.StarInstance{Z: m.Z, W: speeds}.Permute(order)
-	if err != nil {
-		return 0, err
-	}
-	sa := dlt.StarAllocation{Children: make(dlt.Allocation, len(alloc))}
-	for pos, idx := range order {
-		sa.Children[pos] = alloc[idx]
-	}
-	return dlt.StarMakespan(perm, sa)
-}
-
-// without returns the mechanism with agent i's link removed.
-func (m StarMechanism) without(i int) StarMechanism {
-	return StarMechanism{Z: removeAt(m.Z, i)}
-}
-
-func removeAt(xs []float64, i int) []float64 {
-	out := make([]float64, 0, len(xs)-1)
-	out = append(out, xs[:i]...)
-	return append(out, xs[i+1:]...)
-}
-
-func orderByZ(z []float64) []int {
-	order := make([]int, len(z))
-	for i := range order {
-		order[i] = i
-	}
-	for a := 1; a < len(order); a++ {
-		for b := a; b > 0 && z[order[b]] < z[order[b-1]]; b-- {
-			order[b], order[b-1] = order[b-1], order[b]
-		}
-	}
-	return order
+	return TwoParamStarMechanism{}.RunTwoParam(bids, m.Z, exec, m.Z)
 }

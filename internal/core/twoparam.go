@@ -1,12 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"dlsbl/internal/dlt"
-)
+import "dlsbl/internal/dlt"
 
 // TwoParamStarMechanism drops the one-parameter restriction the entire
 // paper rests on: agents on a star network bid BOTH their processing time
@@ -27,79 +21,46 @@ type TwoParamStarMechanism struct{}
 // parameters, execW the observed processing rates, actualZ the observed
 // link times.
 func (TwoParamStarMechanism) RunTwoParam(bidW, bidZ, execW, actualZ []float64) (*Outcome, error) {
-	n := len(bidW)
-	if n < 2 {
-		return nil, errors.New("core: two-param mechanism needs at least two agents")
+	if err := checkProfile(bidW, execW); err != nil {
+		return nil, err
 	}
-	if len(bidZ) != n || len(execW) != n || len(actualZ) != n {
-		return nil, fmt.Errorf("core: inconsistent vector lengths (%d/%d/%d/%d)", n, len(bidZ), len(execW), len(actualZ))
-	}
-	for i := 0; i < n; i++ {
-		if !(bidW[i] > 0) || !(execW[i] > 0) || math.IsInf(bidW[i], 0) || math.IsInf(execW[i], 0) {
-			return nil, fmt.Errorf("core: invalid processing parameter at %d", i)
-		}
-		if !(bidZ[i] >= 0) || !(actualZ[i] >= 0) || math.IsInf(bidZ[i], 0) || math.IsInf(actualZ[i], 0) {
-			return nil, fmt.Errorf("core: invalid link parameter at %d", i)
+	for _, s := range []dlt.StarInstance{{Z: bidZ, W: bidW}, {Z: actualZ, W: execW}} {
+		if err := s.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	alloc, msBid, err := twoParamOptimal(bidZ, bidW)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Alloc:            alloc,
-		Compensation:     make([]float64, n),
-		Bonus:            make([]float64, n),
-		Payment:          make([]float64, n),
-		Valuation:        make([]float64, n),
-		Utility:          make([]float64, n),
-		MakespanWithout:  make([]float64, n),
-		MakespanRealized: make([]float64, n),
-		MakespanBid:      msBid,
+	// Realized: the allocation and service order stand (the schedule was
+	// built from the bids), but agent i's wire and meter expose its true
+	// link and chosen speed.
+	order := orderByZ(bidZ)
+	sa := dlt.StarAllocation{Children: make(dlt.Allocation, len(alloc))}
+	for pos, idx := range order {
+		sa.Children[pos] = alloc[idx]
 	}
-	for i := 0; i < n; i++ {
-		_, tWithout, err := twoParamOptimal(removeAt(bidZ, i), removeAt(bidW, i))
-		if err != nil {
-			return nil, err
-		}
-		// Realized: the allocation and service order stand, but agent i's
-		// wire and meter expose its true link and chosen speed.
-		z := append([]float64(nil), bidZ...)
-		z[i] = actualZ[i]
-		w := append([]float64(nil), bidW...)
-		w[i] = execW[i]
-		order := orderByZ(bidZ) // the schedule was built from the bids
-		perm, err := dlt.StarInstance{Z: z, W: w}.Permute(order)
-		if err != nil {
-			return nil, err
-		}
-		sa := dlt.StarAllocation{Children: make(dlt.Allocation, n)}
-		for pos, idx := range order {
-			sa.Children[pos] = alloc[idx]
-		}
-		tRealized, err := dlt.StarMakespan(perm, sa)
-		if err != nil {
-			return nil, err
-		}
-		out.MakespanWithout[i] = tWithout
-		out.MakespanRealized[i] = tRealized
-		out.Compensation[i] = alloc[i] * execW[i]
-		out.Bonus[i] = tWithout - tRealized
-		out.Payment[i] = out.Compensation[i] + out.Bonus[i]
-		out.Valuation[i] = -alloc[i] * execW[i]
-		out.Utility[i] = out.Payment[i] + out.Valuation[i]
-		out.UserCost += out.Payment[i]
-	}
-	return out, nil
+	z := make([]float64, len(bidZ))
+	return leaveOneOut(bidW, execW, alloc, msBid,
+		func(i int) (float64, error) {
+			_, t, err := twoParamOptimal(removeAt(bidZ, i), removeAt(bidW, i))
+			return t, err
+		},
+		func(i int, speeds []float64) (float64, error) {
+			copy(z, bidZ)
+			z[i] = actualZ[i]
+			perm, err := dlt.StarInstance{Z: z, W: speeds}.Permute(order)
+			if err != nil {
+				return 0, err
+			}
+			return dlt.StarMakespan(perm, sa)
+		})
 }
 
 // twoParamOptimal computes the z-ordered equal-finish allocation for a
 // reported (z, w) profile, in agent index order, plus its makespan.
 func twoParamOptimal(z, w []float64) (dlt.Allocation, float64, error) {
-	if len(w) == 1 {
-		// A single remaining agent takes everything over its own link.
-		return dlt.Allocation{1}, z[0] + w[0], nil
-	}
 	order := orderByZ(z)
 	perm, err := dlt.StarInstance{Z: z, W: w}.Permute(order)
 	if err != nil {
@@ -118,4 +79,23 @@ func twoParamOptimal(z, w []float64) (dlt.Allocation, float64, error) {
 		alloc[idx] = sa.Children[pos]
 	}
 	return alloc, ms, nil
+}
+
+func removeAt(xs []float64, i int) []float64 {
+	out := make([]float64, 0, len(xs)-1)
+	out = append(out, xs[:i]...)
+	return append(out, xs[i+1:]...)
+}
+
+func orderByZ(z []float64) []int {
+	order := make([]int, len(z))
+	for i := range order {
+		order[i] = i
+	}
+	for a := 1; a < len(order); a++ {
+		for b := a; b > 0 && z[order[b]] < z[order[b-1]]; b-- {
+			order[b], order[b-1] = order[b-1], order[b]
+		}
+	}
+	return order
 }

@@ -27,8 +27,8 @@ func (in AffineInstance) Validate() error {
 	if err := in.Instance.Validate(); err != nil {
 		return err
 	}
-	if math.IsNaN(in.Scm) || in.Scm < 0 || math.IsNaN(in.Scp) || in.Scp < 0 {
-		return errors.New("dlt: affine overheads must be non-negative")
+	if !(in.Scm >= 0) || math.IsInf(in.Scm, 0) || !(in.Scp >= 0) || math.IsInf(in.Scp, 0) {
+		return errors.New("dlt: affine overheads must be non-negative and finite")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package dlt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,6 +50,21 @@ func TestAffineValidation(t *testing.T) {
 	}
 	if _, _, err := OptimalAffine(bad); err == nil {
 		t.Error("OptimalAffine accepted invalid instance")
+	}
+}
+
+// TestAffineRejectsInfiniteOverheads: an infinite overhead has no
+// schedule, so the solver refuses it instead of returning a NaN split.
+func TestAffineRejectsInfiniteOverheads(t *testing.T) {
+	inst := Instance{Network: CP, Z: 0.1, W: []float64{1, 2, 3}}
+	for _, in := range []AffineInstance{
+		{Instance: inst, Scm: math.Inf(1)},
+		{Instance: inst, Scp: math.Inf(1)},
+		{Instance: inst, Scm: math.Inf(-1)},
+	} {
+		if a, ms, err := OptimalAffine(in); err == nil {
+			t.Errorf("Scm=%v Scp=%v solved: α=%v T=%v", in.Scm, in.Scp, a, ms)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dlsbl/internal/core"
@@ -22,58 +21,19 @@ func init() {
 		Run: func(seed int64) (Result, error) {
 			rng := rand.New(rand.NewSource(seed))
 			ratios := []float64{0.25, 0.5, 1.0, 1.5, 2.0, 4.0}
-			tbl := Table{Columns: []string{"bid ratio b/t", "mean U/U_truth", "max U/U_truth"}}
-			const trials = 60
-			sums := make([]float64, len(ratios))
-			maxs := make([]float64, len(ratios))
-			for i := range maxs {
-				maxs[i] = math.Inf(-1)
-			}
-			violations := 0
-			minTruthU := math.Inf(1)
-			for trial := 0; trial < trials; trial++ {
-				n := 2 + rng.Intn(6)
+			tbl, violations, minTruthU, err := bidRatioSweep(rng, ratios, func(n int) ([]float64, mechanismRun) {
 				w := make([]float64, n)
 				for i := range w {
 					w[i] = 0.5 + rng.Float64()*7.5
 				}
-				mech := core.LinearMechanism{Z: 0.02 + rng.Float64()*0.4}
-				i := rng.Intn(n)
-				truthOut, err := mech.Run(w, core.TruthfulExec(w))
-				if err != nil {
-					return Result{}, err
-				}
-				truthU := truthOut.Utility[i]
-				for _, u := range truthOut.Utility {
-					if u < minTruthU {
-						minTruthU = u
-					}
-				}
-				for k, ratio := range ratios {
-					bids := append([]float64(nil), w...)
-					bids[i] = w[i] * ratio
-					exec := core.TruthfulExec(w)
-					exec[i] = math.Max(bids[i], w[i])
-					devOut, err := mech.Run(bids, exec)
-					if err != nil {
-						return Result{}, err
-					}
-					norm := devOut.Utility[i] / truthU
-					sums[k] += norm
-					if norm > maxs[k] {
-						maxs[k] = norm
-					}
-					if ratio != 1 && devOut.Utility[i] > truthU+1e-9 {
-						violations++
-					}
-				}
-			}
-			for k, ratio := range ratios {
-				tbl.AddRow(f("%.2f", ratio), f("%.4f", sums[k]/trials), f("%.4f", maxs[k]))
+				return w, core.LinearMechanism{Z: 0.02 + rng.Float64()*0.4}.Run
+			})
+			if err != nil {
+				return Result{}, err
 			}
 			return Result{
 				ID: "X7", Title: "chain mechanism", Table: tbl,
-				Notes: fmt.Sprintf("%d strategyproofness violations across %d random chains (theory predicts 0); minimum truthful utility %.6f ≥ 0 — but ONLY with the relay baseline: splicing non-participants out of the chain produces negative truthful utilities (≈−0.03 observed during development), a genuine modeling trap for distributed mechanisms on multi-hop topologies", violations, trials, minTruthU),
+				Notes: fmt.Sprintf("%d strategyproofness violations across %d random chains (theory predicts 0); minimum truthful utility %.6f ≥ 0 — but ONLY with the relay baseline: splicing non-participants out of the chain produces negative truthful utilities (≈−0.03 observed during development), a genuine modeling trap for distributed mechanisms on multi-hop topologies", violations, sweepTrials, minTruthU),
 			}, nil
 		},
 	})

@@ -20,61 +20,83 @@ func init() {
 		Run: func(seed int64) (Result, error) {
 			rng := rand.New(rand.NewSource(seed))
 			ratios := []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0}
-			tbl := Table{Columns: []string{"bid ratio b/t", "mean U/U_truth", "max U/U_truth"}}
-			const trials = 60
-			sums := make([]float64, len(ratios))
-			maxs := make([]float64, len(ratios))
-			for i := range maxs {
-				maxs[i] = math.Inf(-1)
-			}
-			violations := 0
-			minTruthU := math.Inf(1)
-			for trial := 0; trial < trials; trial++ {
-				n := 2 + rng.Intn(6)
+			tbl, violations, minTruthU, err := bidRatioSweep(rng, ratios, func(n int) ([]float64, mechanismRun) {
 				z := make([]float64, n)
 				w := make([]float64, n)
 				for i := 0; i < n; i++ {
 					z[i] = 0.02 + rng.Float64()*0.4
 					w[i] = 0.5 + rng.Float64()*7.5
 				}
-				mech := core.StarMechanism{Z: z}
-				i := rng.Intn(n)
-				truthOut, err := mech.Run(w, core.TruthfulExec(w))
-				if err != nil {
-					return Result{}, err
-				}
-				truthU := truthOut.Utility[i]
-				for _, u := range truthOut.Utility {
-					if u < minTruthU {
-						minTruthU = u
-					}
-				}
-				for k, ratio := range ratios {
-					bids := append([]float64(nil), w...)
-					bids[i] = w[i] * ratio
-					exec := core.TruthfulExec(w)
-					exec[i] = math.Max(bids[i], w[i])
-					devOut, err := mech.Run(bids, exec)
-					if err != nil {
-						return Result{}, err
-					}
-					norm := devOut.Utility[i] / truthU
-					sums[k] += norm
-					if norm > maxs[k] {
-						maxs[k] = norm
-					}
-					if ratio != 1 && devOut.Utility[i] > truthU+1e-9 {
-						violations++
-					}
-				}
-			}
-			for k, ratio := range ratios {
-				tbl.AddRow(f("%.2f", ratio), f("%.4f", sums[k]/trials), f("%.4f", maxs[k]))
+				return w, core.StarMechanism{Z: z}.Run
+			})
+			if err != nil {
+				return Result{}, err
 			}
 			return Result{
 				ID: "X6", Title: "star mechanism", Table: tbl,
-				Notes: fmt.Sprintf("%d strategyproofness violations across %d random heterogeneous-link instances (theory predicts 0); minimum truthful utility %.6f ≥ 0 (voluntary participation also carries over). Key design point: the service order is a function of the PUBLIC link times only, so no bid can buy a better slot", violations, trials, minTruthU),
+				Notes: fmt.Sprintf("%d strategyproofness violations across %d random heterogeneous-link instances (theory predicts 0); minimum truthful utility %.6f ≥ 0 (voluntary participation also carries over). Key design point: the service order is a function of the PUBLIC link times only, so no bid can buy a better slot", violations, sweepTrials, minTruthU),
 			}, nil
 		},
 	})
+}
+
+// mechanismRun prices a bid profile and its execution values.
+type mechanismRun func(bids, exec []float64) (*core.Outcome, error)
+
+// sweepTrials is the number of random profiles bidRatioSweep draws.
+const sweepTrials = 60
+
+// bidRatioSweep is X6's and X7's sweep. On each of sweepTrials profiles of
+// 2–7 agents, whose true values and mechanism draw returns, one random
+// agent bids every ratio of its true value, executing at max(bid, truth),
+// while the others stay truthful. It tabulates each ratio's mean and max
+// utility relative to the truthful one, and returns the table, the count
+// of deviations that beat truth by more than 1e-9 and the least truthful
+// utility of any agent.
+func bidRatioSweep(rng *rand.Rand, ratios []float64, draw func(n int) ([]float64, mechanismRun)) (Table, int, float64, error) {
+	tbl := Table{Columns: []string{"bid ratio b/t", "mean U/U_truth", "max U/U_truth"}}
+	sums := make([]float64, len(ratios))
+	maxs := make([]float64, len(ratios))
+	for i := range maxs {
+		maxs[i] = math.Inf(-1)
+	}
+	violations := 0
+	minTruthU := math.Inf(1)
+	for trial := 0; trial < sweepTrials; trial++ {
+		n := 2 + rng.Intn(6)
+		w, run := draw(n)
+		i := rng.Intn(n)
+		truthOut, err := run(w, core.TruthfulExec(w))
+		if err != nil {
+			return Table{}, 0, 0, err
+		}
+		truthU := truthOut.Utility[i]
+		for _, u := range truthOut.Utility {
+			if u < minTruthU {
+				minTruthU = u
+			}
+		}
+		for k, ratio := range ratios {
+			bids := append([]float64(nil), w...)
+			bids[i] = w[i] * ratio
+			exec := core.TruthfulExec(w)
+			exec[i] = math.Max(bids[i], w[i])
+			devOut, err := run(bids, exec)
+			if err != nil {
+				return Table{}, 0, 0, err
+			}
+			norm := devOut.Utility[i] / truthU
+			sums[k] += norm
+			if norm > maxs[k] {
+				maxs[k] = norm
+			}
+			if ratio != 1 && devOut.Utility[i] > truthU+1e-9 {
+				violations++
+			}
+		}
+	}
+	for k, ratio := range ratios {
+		tbl.AddRow(f("%.2f", ratio), f("%.4f", sums[k]/sweepTrials), f("%.4f", maxs[k]))
+	}
+	return tbl, violations, minTruthU, nil
 }
